@@ -1,0 +1,6 @@
+"""Make the benchmark modules importable; ``run`` puts the package's ``src/`` on the path."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
