@@ -112,12 +112,6 @@ def naive_gformula(ds: Dataset) -> EstimateReport:
     )
 
 
-def _bridge_features(ds: Dataset, bridge: OutcomeBridge) -> np.ndarray:
-    if not bridge.linear_in_params:
-        raise DimensionMismatch("this estimator needs a linear-in-params bridge")
-    return bridge.grad(ds.w, ds.a, ds.x)
-
-
 def plugin(ds: Dataset, bridge: OutcomeBridge, instruments: np.ndarray) -> EstimateReport:
     """Exactly identified bridge fit with a plug-in contrast mean.
 
@@ -126,7 +120,7 @@ def plugin(ds: Dataset, bridge: OutcomeBridge, instruments: np.ndarray) -> Estim
     then averages the fitted treatment contrast. The standard error comes
     from the joint sandwich of the bridge moments and the contrast moment.
     """
-    feats = _bridge_features(ds, bridge)
+    feats = bridge.grad(ds.w, ds.a, ds.x)
     m = np.asarray(instruments, dtype=float)
     if m.ndim != 2 or m.shape[0] != ds.n:
         raise DimensionMismatch("instruments must be an (n, p) matrix")
@@ -271,15 +265,18 @@ def _solve_pipw_theta(ds: Dataset) -> tuple[np.ndarray, TreatmentBridge]:
             except (scipy.linalg.LinAlgError, scipy.linalg.LinAlgWarning):
                 break
             scale = 1.0
-            norm0 = np.linalg.norm(res)
-            for _ in range(30):
-                cand = theta + scale * step
-                cand_res = residual(cand)
-                if np.all(np.isfinite(cand_res)) and np.linalg.norm(cand_res) < norm0:
+            # Residuals of extreme trial points overflow their squared norm
+            # to inf, which correctly ranks them as no improvement.
+            with np.errstate(over="ignore"):
+                norm0 = np.linalg.norm(res)
+                for _ in range(30):
+                    cand = theta + scale * step
+                    cand_res = residual(cand)
+                    if np.all(np.isfinite(cand_res)) and np.linalg.norm(cand_res) < norm0:
+                        break
+                    scale *= 0.5
+                else:
                     break
-                scale *= 0.5
-            else:
-                break
             theta, res = cand, cand_res
         best_norm = min(best_norm, float(np.max(np.abs(res))))
 
@@ -357,7 +354,7 @@ def pdr(ds: Dataset, bridge: OutcomeBridge | None = None) -> EstimateReport:
     gamma = np.asarray(gamma_report.aux["gamma_hat"])
     theta, t_bridge = _solve_pipw_theta(ds)
     sign, basis_c, basis_b, target = _pipw_system(ds)
-    feats = _bridge_features(ds, bridge)
+    feats = bridge.grad(ds.w, ds.a, ds.x)
     cgrad = bridge.contrast_grad(ds.w, ds.x)
     q = t_bridge.q(ds.z, ds.a, ds.x, theta)
     resid = ds.y - feats @ gamma

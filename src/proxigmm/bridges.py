@@ -29,22 +29,19 @@ def _as_block(arr, n: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OutcomeBridge:
-    """Outcome-side bridge function ``h(w, a, x; params)``.
+    """Outcome-side bridge function ``h(w, a, x; params) = grad(w, a, x) @ params``.
 
-    The default family is linear in ``(1, w, a, x)`` with the treatment
-    coefficient carrying the causal contrast. A custom family supplies
-    ``h_fn(w, a, x, params)`` and its parameter gradient; set
-    ``linear_in_params`` only when ``h_fn`` is exactly featureized by
-    ``grad_fn`` (the GMM solver then uses one linear solve instead of
-    Gauss-Newton).
+    The family is linear in its parameters: ``grad_fn(w, a, x)`` returns
+    the (n, n_params) feature matrix, which is also the parameter gradient
+    of h, so every GMM fit is one weighted least-squares solve. The
+    default features are ``(1, w, a, x)``, with the treatment coefficient
+    carrying the causal contrast.
     """
 
     n_params: int
-    linear_in_params: bool = True
+    grad_fn: Callable[..., np.ndarray]
     params: np.ndarray | None = None
     feature_names: tuple[str, ...] = ()
-    h_fn: Callable[..., np.ndarray] | None = None
-    grad_fn: Callable[..., np.ndarray] | None = None
 
     @staticmethod
     def linear(d_w: int = 1, d_x: int = 1, params=None) -> "OutcomeBridge":
@@ -55,7 +52,6 @@ class OutcomeBridge:
             "a",
             *[f"x{j + 1}" for j in range(d_x)],
         )
-        p = 2 + d_w + d_x
 
         def feats(w, a, x):
             w2, x2 = _as_block(w), _as_block(x, n=np.size(a))
@@ -63,12 +59,10 @@ class OutcomeBridge:
             return np.column_stack([np.ones(a1.shape[0]), w2, a1, x2])
 
         return OutcomeBridge(
-            n_params=p,
-            linear_in_params=True,
+            n_params=2 + d_w + d_x,
+            grad_fn=feats,
             params=None if params is None else np.asarray(params, dtype=float),
             feature_names=names,
-            h_fn=None,
-            grad_fn=lambda w, a, x, params=None: feats(w, a, x),
         )
 
     def _resolve(self, params) -> np.ndarray:
@@ -84,15 +78,12 @@ class OutcomeBridge:
         return params
 
     def grad(self, w, a, x, params=None) -> np.ndarray:
-        """Parameter gradient of h, shape (n, n_params)."""
-        g = self.grad_fn(w, a, x, None if self.linear_in_params else self._resolve(params))
-        return np.asarray(g, dtype=float)
+        """Parameter gradient of h, shape (n, n_params); the same at any ``params``."""
+        return np.asarray(self.grad_fn(w, a, x), dtype=float)
 
     def h(self, w, a, x, params=None) -> np.ndarray:
         """Bridge values, shape (n,)."""
         params = self._resolve(params)
-        if self.h_fn is not None:
-            return np.asarray(self.h_fn(w, a, x, params), dtype=float).reshape(-1)
         return self.grad(w, a, x) @ params
 
     def contrast(self, w, x, params=None) -> np.ndarray:
@@ -101,9 +92,10 @@ class OutcomeBridge:
         return self.h(w, ones, x, params) - self.h(w, 0.0 * ones, x, params)
 
     def contrast_grad(self, w, x, params=None) -> np.ndarray:
-        """Parameter gradient of the treatment contrast, shape (n, n_params)."""
+        """Parameter gradient of the treatment contrast, shape (n, n_params);
+        the same at any ``params``."""
         ones = np.ones(_as_block(w).shape[0])
-        return self.grad(w, ones, x, params) - self.grad(w, 0.0 * ones, x, params)
+        return self.grad(w, ones, x) - self.grad(w, 0.0 * ones, x)
 
 
 @dataclass(frozen=True)
@@ -117,7 +109,8 @@ class TreatmentBridge:
 
     params: np.ndarray | None = None
 
-    def _index(self, z, a, x, params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def q(self, z, a, x, params=None) -> np.ndarray:
+        """Bridge values, shape (n,); always > 1."""
         z2 = _as_block(z)
         a1 = np.asarray(a, dtype=float).reshape(-1)
         x2 = _as_block(x, n=a1.shape[0])
@@ -128,17 +121,7 @@ class TreatmentBridge:
                 f"expected {b.shape[1]} treatment-bridge parameters, got {params.shape[0]}"
             )
         sign = np.where(a1 > 0.5, -1.0, 1.0)
-        return b, sign, b @ params
-
-    def q(self, z, a, x, params=None) -> np.ndarray:
-        """Bridge values, shape (n,); always > 1."""
-        _, sign, idx = self._index(z, a, x, params)
-        return 1.0 + np.exp(sign * idx)
-
-    def grad(self, z, a, x, params=None) -> np.ndarray:
-        """Parameter gradient of q, shape (n, dim)."""
-        b, sign, idx = self._index(z, a, x, params)
-        return (np.exp(sign * idx) * sign)[:, None] * b
+        return 1.0 + np.exp(sign * (b @ params))
 
 
 @dataclass(frozen=True)

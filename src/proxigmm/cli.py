@@ -15,9 +15,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 
-from . import baselines
 from .bridges import OutcomeBridge
 from .data import VariableRoles, load_csv
 from .errors import (
@@ -31,6 +29,7 @@ from .errors import (
 from .selection import select_and_fit, select_k
 from .sieve import SieveSpec
 from .simulation import (
+    BASELINES,
     DEFAULT_K_BAR,
     METHODS,
     MISSPEC_LEVELS,
@@ -48,14 +47,6 @@ _SUMMARY_COLUMNS = (
     "scenario", "n", "method", "bias", "se", "rmse", "length", "cp", "power",
     "reps_converged",
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: subcommand plus its settings."""
-
-    command: str
-    options: argparse.Namespace
 
 
 def _fmt(value) -> str:
@@ -194,14 +185,7 @@ def cmd_estimate(opts) -> int:
         report = json.dumps(payload)
         _write_loss_curve(opts.out_dir, diag)
     else:
-        runners = {
-            "naive": baselines.naive_gformula,
-            "rgmm": baselines.rgmm,
-            "p2sls": baselines.p2sls,
-            "pipw": baselines.pipw,
-            "pdr": baselines.pdr,
-        }
-        report = runners[opts.method](ds).to_json()
+        report = BASELINES[opts.method](ds).to_json()
     path = os.path.join(opts.out_dir, "report.json")
     with open(path, "w") as fh:
         fh.write(report)

@@ -30,18 +30,11 @@ from scipy.stats import norm
 
 from .bridges import OutcomeBridge
 from .data import Dataset
-from .errors import (
-    NoConvergence,
-    RankDeficientJacobian,
-    SingularVariance,
-    TooFewMoments,
-)
+from .errors import RankDeficientJacobian, SingularVariance, TooFewMoments
 from .sieve import BasisMatrix, orthonormalize
 
 DEFAULT_REL_THRESHOLD = 1e-8
 WALD_CRITICAL_5PCT = float(norm.ppf(0.975))
-_GN_MAX_ITER = 100
-_GN_STEP_TOL = 1e-10
 # Damped-Newton polish of the continuously updated objective: relative
 # finite-difference step, small-coordinate floor as a fraction of the
 # largest coordinate, initial (deliberately conservative) step length,
@@ -80,9 +73,8 @@ class ScoreMatrix:
 class MomentDecomposition:
     """Eigendecomposition of the moment covariance, eigenvalues descending.
 
-    ``k1`` counts eigenvalues strictly above ``threshold_used``; the
-    retained blocks expose just those directions. The full decomposition is
-    kept because the floored weight needs every direction.
+    ``k1`` counts eigenvalues strictly above ``threshold_used``. The full
+    decomposition is kept because the floored weight needs every direction.
     """
 
     eigvals: np.ndarray
@@ -90,30 +82,21 @@ class MomentDecomposition:
     threshold_used: float
     k1: int
 
-    @property
-    def lambda_retained(self) -> np.ndarray:
-        return self.eigvals[: self.k1]
-
-    @property
-    def q_retained(self) -> np.ndarray:
-        return self.eigvecs[:, : self.k1]
+    def _floored(self) -> np.ndarray:
+        floored = np.maximum(self.eigvals, self.threshold_used)
+        if np.min(floored) <= 0.0:
+            raise TooFewMoments(
+                "moment covariance is singular and the spectral floor is zero"
+            )
+        return floored
 
     def floored_weight(self) -> np.ndarray:
         """Inverse covariance with eigenvalues floored at the threshold."""
-        floored = np.maximum(self.eigvals, self.threshold_used)
-        if np.min(floored) <= 0.0:
-            raise TooFewMoments(
-                "moment covariance is singular and the spectral floor is zero"
-            )
-        return (self.eigvecs / floored) @ self.eigvecs.T
+        return (self.eigvecs / self._floored()) @ self.eigvecs.T
 
     def floored_weight_sqrt(self) -> np.ndarray:
-        floored = np.maximum(self.eigvals, self.threshold_used)
-        if np.min(floored) <= 0.0:
-            raise TooFewMoments(
-                "moment covariance is singular and the spectral floor is zero"
-            )
-        return (self.eigvecs / np.sqrt(floored)) @ self.eigvecs.T
+        """Symmetric square root of :meth:`floored_weight`."""
+        return (self.eigvecs / np.sqrt(self._floored())) @ self.eigvecs.T
 
 
 @dataclass(frozen=True)
@@ -201,9 +184,9 @@ def _prepare(basis: BasisMatrix) -> BasisMatrix:
     return basis if basis.orthonormal else orthonormalize(basis)
 
 
-def _jacobian(ds: Dataset, u: np.ndarray, bridge: OutcomeBridge, gamma) -> np.ndarray:
-    grad = bridge.grad(ds.w, ds.a, ds.x, gamma)
-    cgrad = bridge.contrast_grad(ds.w, ds.x, gamma)
+def _jacobian(ds: Dataset, u: np.ndarray, bridge: OutcomeBridge) -> np.ndarray:
+    grad = bridge.grad(ds.w, ds.a, ds.x)
+    cgrad = bridge.contrast_grad(ds.w, ds.x)
     k, p = u.shape[1], grad.shape[1]
     jac = np.zeros((k + 1, p + 1))
     jac[:k, :p] = -(u.T @ grad) / ds.n
@@ -215,8 +198,8 @@ def _jacobian(ds: Dataset, u: np.ndarray, bridge: OutcomeBridge, gamma) -> np.nd
 def _solve_linear(
     ds: Dataset, u: np.ndarray, bridge: OutcomeBridge, w_half: np.ndarray
 ) -> tuple[np.ndarray, float, np.ndarray]:
-    """One weighted least-squares solve for a linear-in-params bridge."""
-    jac = _jacobian(ds, u, bridge, None)
+    """The GMM solution under weight ``w_half.T @ w_half``: one least-squares solve."""
+    jac = _jacobian(ds, u, bridge)
     p1 = jac.shape[1]
     const = np.r_[u.T @ ds.y / ds.n, 0.0]
     lhs = w_half @ jac
@@ -229,54 +212,6 @@ def _solve_linear(
         )
     g_final = const + jac @ beta
     return beta, float(g_final @ (w_half.T @ (w_half @ g_final))), jac
-
-
-def _solve_gauss_newton(
-    ds: Dataset,
-    u: np.ndarray,
-    bridge: OutcomeBridge,
-    w_half: np.ndarray,
-    start: np.ndarray,
-) -> tuple[np.ndarray, float, np.ndarray]:
-    basis_like = BasisMatrix(u=u, whitening=np.eye(u.shape[1]), term_names=(), spec=None, orthonormal=True)
-
-    def gvec(beta):
-        return joint_score(ds, basis_like, bridge, beta[:-1], beta[-1]).mean
-
-    def objective(beta):
-        wg = w_half @ gvec(beta)
-        return float(wg @ wg)
-
-    beta = start.astype(float).copy()
-    obj = objective(beta)
-    jac = None
-    for _ in range(_GN_MAX_ITER):
-        jac = _jacobian(ds, u, bridge, beta[:-1])
-        lhs = w_half @ jac
-        rhs = -(w_half @ gvec(beta))
-        step, _, rank, _ = scipy.linalg.lstsq(lhs, rhs)
-        if rank < jac.shape[1]:
-            raise RankDeficientJacobian(
-                f"moment Jacobian has rank {rank} < {jac.shape[1]} at the current iterate"
-            )
-        if np.max(np.abs(step)) < _GN_STEP_TOL:
-            return beta, obj, jac
-        scale = 1.0
-        for _ in range(30):
-            cand = beta + scale * step
-            cand_obj = objective(cand)
-            if cand_obj <= obj + 1e-14:
-                break
-            scale *= 0.5
-        else:
-            return beta, obj, jac
-        beta, obj = cand, cand_obj
-        if np.max(np.abs(scale * step)) < _GN_STEP_TOL:
-            return beta, obj, _jacobian(ds, u, bridge, beta[:-1])
-    raise NoConvergence(
-        f"Gauss-Newton did not converge in {_GN_MAX_ITER} iterations "
-        f"(objective {obj:.3e})"
-    )
 
 
 def _general_sandwich(
@@ -390,36 +325,11 @@ def _refine_continuous_update(
     return start, start_val
 
 
-def _fit_from_solution(
-    ds, u, bridge, beta, obj, jac, upsilon, v_hat, k1, rel_threshold
-) -> GmmFit:
-    p = beta.shape[0] - 1
-    dv = np.diag(v_hat)
-    if np.any(dv < -1e-8 * max(np.max(np.abs(dv)), 1.0)):
-        raise SingularVariance("sandwich variance has a negative diagonal entry")
-    se = np.sqrt(np.maximum(dv, 0.0) / ds.n)
-    return GmmFit(
-        gamma_hat=beta[:p],
-        tau_hat=float(beta[p]),
-        se_gamma=se[:p],
-        se_tau=float(se[p]),
-        k=u.shape[1],
-        k1=k1,
-        n=ds.n,
-        v_hat=v_hat,
-        upsilon_hat=upsilon,
-        jacobian_hat=jac,
-        objective_value=obj,
-        rel_threshold=rel_threshold,
-    )
-
-
 def fit_with_weight(
     ds: Dataset,
     basis: BasisMatrix,
     bridge: OutcomeBridge,
     weight: np.ndarray,
-    start: np.ndarray | None = None,
 ) -> GmmFit:
     """Joint GMM fit under an arbitrary fixed positive semidefinite weight.
 
@@ -433,17 +343,28 @@ def fit_with_weight(
     if np.min(vals) < -1e-10 * max(np.max(np.abs(vals)), 1.0):
         raise SingularVariance("weight matrix is not positive semidefinite")
     w_half = (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
-    if bridge.linear_in_params:
-        beta, obj, jac = _solve_linear(ds, u, bridge, w_half)
-    else:
-        if start is None:
-            start = np.zeros(bridge.n_params + 1)
-        beta, obj, jac = _solve_gauss_newton(ds, u, bridge, w_half, start)
+    beta, obj, jac = _solve_linear(ds, u, bridge, w_half)
     scores = joint_score(ds, basis, bridge, beta[:-1], beta[-1])
     upsilon = estimate_upsilon(scores)
     v_hat = _general_sandwich(jac, weight, upsilon)
-    return _fit_from_solution(
-        ds, u, bridge, beta, obj, jac, upsilon, v_hat, u.shape[1] + 1, 0.0
+    dv = np.diag(v_hat)
+    if np.any(dv < -1e-8 * max(np.max(np.abs(dv)), 1.0)):
+        raise SingularVariance("sandwich variance has a negative diagonal entry")
+    se = np.sqrt(np.maximum(dv, 0.0) / ds.n)
+    p = bridge.n_params
+    return GmmFit(
+        gamma_hat=beta[:p],
+        tau_hat=float(beta[p]),
+        se_gamma=se[:p],
+        se_tau=float(se[p]),
+        k=u.shape[1],
+        k1=u.shape[1] + 1,
+        n=ds.n,
+        v_hat=v_hat,
+        upsilon_hat=upsilon,
+        jacobian_hat=jac,
+        objective_value=obj,
+        rel_threshold=0.0,
     )
 
 
@@ -486,16 +407,9 @@ def fit_optimal(
     init = fit_initial(ds, basis, bridge)
     scores0 = joint_score(ds, basis, bridge, init.gamma_hat, init.tau_hat)
     decomp = regularize_moments(estimate_upsilon(scores0), rel_threshold)
-    w_half = decomp.floored_weight_sqrt()
-    start = np.r_[init.gamma_hat, init.tau_hat]
-    if bridge.linear_in_params:
-        beta, obj, jac = _solve_linear(ds, u, bridge, w_half)
-    else:
-        beta, obj, jac = _solve_gauss_newton(ds, u, bridge, w_half, start)
+    beta, obj, jac = _solve_linear(ds, u, bridge, decomp.floored_weight_sqrt())
     if u.shape[1] > bridge.n_params:
         beta, obj = _refine_continuous_update(ds, basis, bridge, beta, rel_threshold)
-        if not bridge.linear_in_params:
-            jac = _jacobian(ds, u, bridge, beta[:-1])
     p = beta.shape[0] - 1
     fit = GmmFit(
         gamma_hat=beta[:p],
@@ -529,7 +443,7 @@ def variance(
     upsilon = estimate_upsilon(scores)
     decomp = regularize_moments(upsilon, fit.rel_threshold)
     weight = decomp.floored_weight()
-    jac = _jacobian(ds, basis.u, bridge, fit.gamma_hat if not bridge.linear_in_params else None)
+    jac = _jacobian(ds, basis.u, bridge)
     bread = jac.T @ weight @ jac
     try:
         chol = scipy.linalg.cho_factor(bread)

@@ -54,6 +54,44 @@ class SelectionDiagnostics:
         ]
 
 
+def _criterion_factors(
+    u: np.ndarray, feat_grad: np.ndarray, resid: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Factorizations shared by the two criterion forms.
+
+    With Υ the residual-weighted instrument covariance, B = -U'G/n the
+    bridge projection, and Ω = B'Υ⁻¹B, returns ``(Υ⁻¹U', Gram⁻¹U', Ω⁻¹,
+    d_tilde, eta, d_star)``: ``d_tilde`` and ``d_star`` project the bridge
+    gradient through the Gram and Υ metrics, and ``eta = -G - d_tilde`` is
+    the part of the gradient the instruments cannot replicate. Raises
+    :class:`SingularUpsilonBlock` when a factorization fails.
+    """
+    n, k = u.shape
+    weighted = u * resid[:, None]
+    upsilon = weighted.T @ weighted / n
+    try:
+        cho = scipy.linalg.cho_factor(upsilon)
+    except scipy.linalg.LinAlgError as exc:
+        raise SingularUpsilonBlock(
+            f"residual-weighted moment covariance is singular at K={k}"
+        ) from exc
+    bmat = -(u.T @ feat_grad) / n
+    ups_inv_ut = scipy.linalg.cho_solve(cho, u.T)
+    omega = bmat.T @ scipy.linalg.cho_solve(cho, bmat)
+    gram = u.T @ u / n
+    try:
+        omega_inv = scipy.linalg.inv(omega)
+        gram_inv_ut = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), u.T)
+    except scipy.linalg.LinAlgError as exc:
+        raise SingularUpsilonBlock(
+            f"bridge-projection matrix is singular at K={k}"
+        ) from exc
+    d_tilde = gram_inv_ut.T @ bmat
+    eta = -feat_grad - d_tilde
+    d_star = ups_inv_ut.T @ bmat
+    return ups_inv_ut, gram_inv_ut, omega_inv, d_tilde, eta, d_star
+
+
 def sgmm_components(
     u: np.ndarray,
     feat_grad: np.ndarray,
@@ -84,30 +122,11 @@ def sgmm_components(
     residual-weighted instrument covariance (or the Gram or reduced-form
     matrix derived from it) cannot be factorized.
     """
-    n, k = u.shape
-    weighted = u * resid[:, None]
-    upsilon = weighted.T @ weighted / n
-    try:
-        cho = scipy.linalg.cho_factor(upsilon)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularUpsilonBlock(
-            f"residual-weighted moment covariance is singular at K={k}"
-        ) from exc
-    bmat = -(u.T @ feat_grad) / n
-    ups_inv_ut = scipy.linalg.cho_solve(cho, u.T)
-    omega = bmat.T @ scipy.linalg.cho_solve(cho, bmat)
-    gram = u.T @ u / n
-    try:
-        omega_inv = scipy.linalg.inv(omega)
-        gram_inv_ut = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), u.T)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularUpsilonBlock(
-            f"bridge-projection matrix is singular at K={k}"
-        ) from exc
+    n = u.shape[0]
+    ups_inv_ut, gram_inv_ut, omega_inv, d_tilde, eta, d_star = _criterion_factors(
+        u, feat_grad, resid
+    )
     leverage = np.einsum("ik,ki->i", u, gram_inv_ut) / n
-    d_tilde = gram_inv_ut.T @ bmat
-    eta = -feat_grad - d_tilde
-    d_star = ups_inv_ut.T @ bmat
     t_dir = omega_inv @ target
     pi = float((leverage * resid) @ (eta @ t_dir))
     influence = (d_star * (resid**2)[:, None] - d_tilde) @ t_dir
@@ -139,30 +158,9 @@ def coefficientwise_components(
     :class:`SingularUpsilonBlock` when a required matrix cannot be
     factorized.
     """
-    n, k = u.shape
-    weighted = u * resid[:, None]
-    upsilon = weighted.T @ weighted / n
-    try:
-        cho = scipy.linalg.cho_factor(upsilon)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularUpsilonBlock(
-            f"residual-weighted moment covariance is singular at K={k}"
-        ) from exc
-    bmat = -(u.T @ feat_grad) / n
-    ups_inv_ut = scipy.linalg.cho_solve(cho, u.T)
-    omega = bmat.T @ scipy.linalg.cho_solve(cho, bmat)
-    gram = u.T @ u / n
-    try:
-        omega_inv = scipy.linalg.inv(omega)
-        gram_inv_ut = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), u.T)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularUpsilonBlock(
-            f"bridge-projection matrix is singular at K={k}"
-        ) from exc
+    n = u.shape[0]
+    ups_inv_ut, _, omega_inv, _, eta, d_star = _criterion_factors(u, feat_grad, resid)
     xi = np.einsum("ik,ki->i", u, ups_inv_ut) / n
-    d_tilde = gram_inv_ut.T @ bmat
-    eta = -feat_grad - d_tilde
-    d_star = ups_inv_ut.T @ bmat
     pi_vec = (xi * resid) @ (eta @ omega_inv)
     inner = (d_star * (resid**2)[:, None] + feat_grad) @ omega_inv
     phi_vec = xi @ inner**2 - np.diag(omega_inv)
@@ -177,8 +175,8 @@ def _candidate_parts(
     basis = orthonormalize(prefix)
     init = fit_initial(ds, basis, bridge)
     resid = ds.y - bridge.h(ds.w, ds.a, ds.x, init.gamma_hat)
-    feat_grad = bridge.grad(ds.w, ds.a, ds.x, init.gamma_hat)
-    target = bridge.contrast_grad(ds.w, ds.x, init.gamma_hat).mean(axis=0)
+    feat_grad = bridge.grad(ds.w, ds.a, ds.x)
+    target = bridge.contrast_grad(ds.w, ds.x).mean(axis=0)
     return basis.u, feat_grad, resid, target
 
 

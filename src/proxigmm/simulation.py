@@ -23,6 +23,7 @@ from .data import Dataset, transform_column
 from .errors import DimensionMismatch, ProxiGmmError
 from .gmm import (
     DEFAULT_REL_THRESHOLD,
+    GmmFit,
     confidence_interval,
     estimate_upsilon,
     fit_initial,
@@ -35,7 +36,15 @@ from .selection import select_and_fit, select_k
 from .sieve import SieveSpec, build_basis, orthonormalize
 
 SCENARIOS = ("I", "II")
-METHODS = ("naive", "rgmm", "p2sls", "pipw", "pdr", "gmm-div")
+# Reference estimators by method name; "gmm-div" is the moment-selected fit.
+BASELINES = {
+    "naive": baselines.naive_gformula,
+    "rgmm": baselines.rgmm,
+    "p2sls": baselines.p2sls,
+    "pipw": baselines.pipw,
+    "pdr": baselines.pdr,
+}
+METHODS = (*BASELINES, "gmm-div")
 MISSPEC_LEVELS = ("correct", "minor", "moderate", "significant")
 DEFAULT_K_BAR = 12
 
@@ -137,33 +146,60 @@ class ReplicationSummary:
     degenerate_sd: bool = False
 
 
-def _run_method(ds: Dataset, method: str, k_bar: int, rel_threshold: float,
-                sieve_spec: SieveSpec | None) -> dict:
-    bridge = OutcomeBridge.linear(ds.w.shape[1], ds.x.shape[1])
-    if method == "gmm-div":
-        spec = sieve_spec if sieve_spec is not None else SieveSpec()
-        fit, diag = select_and_fit(ds, bridge, spec, k_bar, rel_threshold)
-        lo, hi = confidence_interval(fit)
-        _, reject = wald_test(fit)
-        return {
-            "tau_hat": fit.tau_hat, "se_tau": fit.se_tau,
-            "ci_lo": lo, "ci_hi": hi, "reject": reject, "k_star": diag.k_star,
-        }
-    runners = {
-        "naive": baselines.naive_gformula,
-        "rgmm": baselines.rgmm,
-        "p2sls": baselines.p2sls,
-        "pipw": baselines.pipw,
-        "pdr": baselines.pdr,
+def _check_methods(methods: tuple[str, ...]) -> None:
+    for m in methods:
+        if m not in METHODS:
+            raise DimensionMismatch(f"unknown method {m!r}; choose from {METHODS}")
+
+
+def _fit_record(fit: GmmFit, k_star: int) -> dict:
+    lo, hi = confidence_interval(fit)
+    _, reject = wald_test(fit)
+    return {
+        "tau_hat": fit.tau_hat, "se_tau": fit.se_tau,
+        "ci_lo": lo, "ci_hi": hi, "reject": reject, "k_star": k_star,
     }
-    if method not in runners:
-        raise DimensionMismatch(f"unknown method {method!r}; choose from {METHODS}")
-    report = runners[method](ds)
+
+
+def _run_method(ds: Dataset, method: str, k_bar: int, rel_threshold: float,
+                spec: SieveSpec) -> dict:
+    if method == "gmm-div":
+        bridge = OutcomeBridge.linear(ds.w.shape[1], ds.x.shape[1])
+        fit, diag = select_and_fit(ds, bridge, spec, k_bar, rel_threshold)
+        return _fit_record(fit, diag.k_star)
+    report = BASELINES[method](ds)
     lo, hi = report.ci95()
     return {
         "tau_hat": report.tau_hat, "se_tau": report.se_tau,
         "ci_lo": lo, "ci_hi": hi, "reject": report.wald_reject(), "k_star": None,
     }
+
+
+def _method_records(rep: int, methods: tuple[str, ...], run) -> list[dict]:
+    """One record per method of ``run(method)``; a method failure is recorded."""
+    out = []
+    for method in methods:
+        rec = {"rep": rep, "method": method}
+        try:
+            rec.update(run(method))
+            rec["error"] = None
+        except ProxiGmmError as exc:
+            rec.update(
+                tau_hat=np.nan, se_tau=np.nan, ci_lo=np.nan, ci_hi=np.nan,
+                reject=None, k_star=None, error=f"{type(exc).__name__}: {exc}",
+            )
+        out.append(rec)
+    return out
+
+
+def _replicate(reps: int, threads: int, one_rep) -> list[dict]:
+    """Records of ``one_rep(rep)`` for every replication, in replication order."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            chunks = list(pool.map(one_rep, range(reps)))
+    else:
+        chunks = [one_rep(rep) for rep in range(reps)]
+    return [rec for chunk in chunks for rec in chunk]
 
 
 def run_replications(
@@ -175,43 +211,22 @@ def run_replications(
     rel_threshold: float = DEFAULT_REL_THRESHOLD,
     sieve_spec: SieveSpec | None = None,
     threads: int = 1,
-    transform: tuple[str, str] | None = None,
 ) -> list[dict]:
     """Per-replication estimation records for a grid of methods.
 
-    ``transform`` optionally distorts one outcome-proxy column of each
-    simulated dataset before estimation (misspecification studies). A
-    method failure inside a replication is recorded, not raised. Thread
+    A method failure inside a replication is recorded, not raised. Thread
     count affects speed only; records and their order are identical.
     """
-    for m in methods:
-        if m not in METHODS:
-            raise DimensionMismatch(f"unknown method {m!r}; choose from {METHODS}")
+    _check_methods(methods)
+    spec = sieve_spec if sieve_spec is not None else SieveSpec()
 
     def one_rep(rep: int) -> list[dict]:
         ds = generate(config, base_seed, rep)
-        if transform is not None:
-            ds = transform_column(ds, transform[0], transform[1])
-        out = []
-        for method in methods:
-            rec = {"rep": rep, "method": method}
-            try:
-                rec.update(_run_method(ds, method, k_bar, rel_threshold, sieve_spec))
-                rec["error"] = None
-            except ProxiGmmError as exc:
-                rec.update(
-                    tau_hat=np.nan, se_tau=np.nan, ci_lo=np.nan, ci_hi=np.nan,
-                    reject=None, k_star=None, error=f"{type(exc).__name__}: {exc}",
-                )
-            out.append(rec)
-        return out
+        return _method_records(
+            rep, methods, lambda m: _run_method(ds, m, k_bar, rel_threshold, spec)
+        )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(one_rep, range(reps)))
-    else:
-        chunks = [one_rep(rep) for rep in range(reps)]
-    return [rec for chunk in chunks for rec in chunk]
+    return _replicate(reps, threads, one_rep)
 
 
 def summarize(
@@ -302,12 +317,7 @@ def _frozen_design_fit(
     scores = joint_score(ds_clean, basis, bridge, init.gamma_hat, init.tau_hat)
     decomp = regularize_moments(estimate_upsilon(scores), rel_threshold)
     fit = fit_with_weight(ds_distorted, basis, bridge, decomp.floored_weight())
-    lo, hi = confidence_interval(fit)
-    _, reject = wald_test(fit)
-    return {
-        "tau_hat": fit.tau_hat, "se_tau": fit.se_tau,
-        "ci_lo": lo, "ci_hi": hi, "reject": reject, "k_star": diag.k_star,
-    }
+    return _fit_record(fit, diag.k_star)
 
 
 def run_misspec_study(
@@ -335,9 +345,7 @@ def run_misspec_study(
     """
     if level not in MISSPEC_LEVELS:
         raise DimensionMismatch(f"unknown level {level!r}; choose from {MISSPEC_LEVELS}")
-    for m in methods:
-        if m not in METHODS:
-            raise DimensionMismatch(f"unknown method {m!r}; choose from {METHODS}")
+    _check_methods(methods)
     config = ScenarioConfig(scenario="II", n=n)
     if level == "correct":
         records = run_replications(
@@ -350,36 +358,15 @@ def run_misspec_study(
     def one_rep(rep: int) -> list[dict]:
         ds_clean = generate(config, base_seed, rep)
         ds_distorted = transform_column(ds_clean, "w1", level)
-        out = []
-        for method in methods:
-            rec = {"rep": rep, "method": method}
-            try:
-                if method == "gmm-div":
-                    rec.update(
-                        _frozen_design_fit(
-                            ds_clean, ds_distorted, spec, k_bar, rel_threshold
-                        )
-                    )
-                else:
-                    rec.update(
-                        _run_method(ds_distorted, method, k_bar, rel_threshold, spec)
-                    )
-                rec["error"] = None
-            except ProxiGmmError as exc:
-                rec.update(
-                    tau_hat=np.nan, se_tau=np.nan, ci_lo=np.nan, ci_hi=np.nan,
-                    reject=None, k_star=None, error=f"{type(exc).__name__}: {exc}",
-                )
-            out.append(rec)
-        return out
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(one_rep, range(reps)))
-    else:
-        chunks = [one_rep(rep) for rep in range(reps)]
-    records = [rec for chunk in chunks for rec in chunk]
-    return summarize(records, config)
+        def run(method: str) -> dict:
+            if method == "gmm-div":
+                return _frozen_design_fit(ds_clean, ds_distorted, spec, k_bar, rel_threshold)
+            return _run_method(ds_distorted, method, k_bar, rel_threshold, spec)
+
+        return _method_records(rep, methods, run)
+
+    return summarize(_replicate(reps, threads, one_rep), config)
 
 
 def run_bspline_study(

@@ -1,0 +1,45 @@
+"""Public API guard.
+
+Every exported name must resolve, and the names the benchmark tracer in
+``perfbench/tracing.py`` calls or patches must exist with the call shapes
+it uses, so deleting one fails here before it breaks a traced run.
+"""
+
+from __future__ import annotations
+
+import inspect
+
+import proxigmm
+import proxigmm.selection
+from proxigmm import MomentDecomposition, OutcomeBridge, SieveSpec
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in proxigmm.__all__ if not hasattr(proxigmm, name)]
+    assert missing == []
+
+
+def test_tracer_call_shapes_exist():
+    inspect.signature(proxigmm.fit_with_weight).bind("ds", "basis", "bridge", "weight")
+    inspect.signature(proxigmm.run_replications).bind(
+        "config", "methods", 1, 0, k_bar=12, threads=1
+    )
+    assert callable(MomentDecomposition.floored_weight)
+
+
+def test_select_k_looks_up_the_patched_sieve_names(scenario1_ds, monkeypatch):
+    # The tracer times select_k's basis work by rebinding these two names
+    # in proxigmm.selection; select_k must call them through that module.
+    calls = {"build_basis": 0, "orthonormalize": 0}
+    for name in calls:
+        original = getattr(proxigmm.selection, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(proxigmm.selection, name, counted)
+    bridge = OutcomeBridge.linear(1, 1)
+    diag = proxigmm.select_k(scenario1_ds, bridge, SieveSpec(), 6)
+    assert calls["build_basis"] >= 1
+    assert calls["orthonormalize"] == len(diag.k_grid)

@@ -1,0 +1,54 @@
+"""Reference estimators against algebraic oracles."""
+
+from __future__ import annotations
+
+import warnings
+
+import numpy as np
+import pytest
+
+from proxigmm import EstimateReport, ScenarioConfig, generate, naive_gformula, p2sls, pdr, pipw, rgmm
+from proxigmm.simulation import BASELINES
+
+
+class TestOracles:
+    @pytest.mark.parametrize("fixture", ["scenario1_ds", "scenario2_ds"])
+    def test_rgmm_equals_p2sls_when_just_identified(self, fixture, request):
+        # With one z and one w both solve Z'(y - Xb) = 0 for regressors
+        # (1, w, a, x) and instruments (1, z, a, x), and both sandwiches
+        # reduce to the heteroskedasticity-robust just-identified IV form.
+        ds = request.getfixturevalue(fixture)
+        a, b = rgmm(ds), p2sls(ds)
+        assert a.tau_hat == pytest.approx(b.tau_hat, rel=1e-10, abs=1e-12)
+        assert a.se_tau == pytest.approx(b.se_tau, rel=1e-9)
+
+    def test_naive_matches_lstsq_with_hc0(self, scenario2_ds):
+        ds = scenario2_ds
+        design = np.column_stack([np.ones(ds.n), ds.a, ds.w, ds.z, ds.x])
+        beta, *_ = np.linalg.lstsq(design, ds.y, rcond=None)
+        resid = ds.y - design @ beta
+        bread = np.linalg.inv(design.T @ design)
+        hc0 = bread @ (design.T @ (design * resid[:, None] ** 2)) @ bread
+        report = naive_gformula(ds)
+        np.testing.assert_allclose(report.aux["coefficients"], beta, rtol=1e-9, atol=1e-12)
+        assert report.tau_hat == pytest.approx(beta[1], rel=1e-10)
+        assert report.se_tau == pytest.approx(np.sqrt(hc0[1, 1]), rel=1e-9)
+
+
+@pytest.mark.parametrize("method", list(BASELINES))
+def test_registry_entry_reports_its_name(method, scenario1_ds):
+    report = BASELINES[method](scenario1_ds)
+    assert isinstance(report, EstimateReport)
+    assert report.method == method
+    assert np.isfinite(report.tau_hat) and report.se_tau > 0
+
+
+@pytest.mark.parametrize("estimator", [pipw, pdr])
+def test_reweighting_solver_keeps_overflow_silent(estimator):
+    # In this replication the damped Newton search backtracks through
+    # trial points whose residual norms overflow.
+    ds = generate(ScenarioConfig("II", 800), 0, 17)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = estimator(ds)
+    assert np.isfinite(report.tau_hat)

@@ -137,14 +137,6 @@ class TestTreatmentBridge:
         q1 = bridge.q(z=[0.0], a=[1.0], x=[0.0], params=theta)[0]
         assert q1 == pytest.approx(1.0 + np.exp(-(0.3 + 0.0)))
 
-    def test_gradient_matches_finite_differences(self, rng):
-        z, x = rng.normal(size=5), rng.normal(size=5)
-        a = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
-        theta = rng.normal(size=4) * 0.5
-        bridge = TreatmentBridge()
-        fd = finite_difference(lambda t: bridge.q(z, a, x, t), theta)
-        np.testing.assert_allclose(bridge.grad(z, a, x, theta), fd, rtol=1e-6, atol=1e-9)
-
     def test_wrong_param_length_rejected(self):
         with pytest.raises(DimensionMismatch):
             TreatmentBridge().q([0.0], [1.0], [0.0], params=[1.0])

@@ -208,22 +208,6 @@ class TestFitProperties:
         again = variance(fit, scenario1_ds, basis, linear_bridge)
         assert again.se_tau == pytest.approx(fit.se_tau, rel=1e-12)
 
-    def test_gauss_newton_matches_linear_solve(self, scenario1_ds, linear_bridge):
-        feats = linear_bridge.grad_fn
-
-        nonlinear_flagged = OutcomeBridge(
-            n_params=4,
-            linear_in_params=False,
-            feature_names=linear_bridge.feature_names,
-            h_fn=lambda w, a, x, p: feats(w, a, x) @ p,
-            grad_fn=lambda w, a, x, p: feats(w, a, x),
-        )
-        basis = _basis(scenario1_ds, 7)
-        lin = fit_optimal(scenario1_ds, basis, linear_bridge)
-        gn = fit_optimal(scenario1_ds, basis, nonlinear_flagged)
-        np.testing.assert_allclose(gn.gamma_hat, lin.gamma_hat, atol=1e-5)
-        assert gn.tau_hat == pytest.approx(lin.tau_hat, abs=1e-5)
-
     def test_report_serialization_keys(self, scenario1_ds, linear_bridge):
         import json
 
