@@ -25,7 +25,6 @@ from .errors import ProxiGmmError
 from .gmm import (
     GmmFit,
     MomentDecomposition,
-    ScoreMatrix,
     confidence_interval,
     estimate_upsilon,
     fit_initial,
@@ -77,7 +76,6 @@ __all__ = [
     "ProxiGmmError",
     "ReplicationSummary",
     "ScenarioConfig",
-    "ScoreMatrix",
     "SelectionDiagnostics",
     "SieveSpec",
     "TreatmentBridge",

@@ -77,8 +77,8 @@ class OutcomeBridge:
             )
         return params
 
-    def grad(self, w, a, x, params=None) -> np.ndarray:
-        """Parameter gradient of h, shape (n, n_params); the same at any ``params``."""
+    def grad(self, w, a, x) -> np.ndarray:
+        """Parameter gradient of h, shape (n, n_params); the same at any parameters."""
         return np.asarray(self.grad_fn(w, a, x), dtype=float)
 
     def h(self, w, a, x, params=None) -> np.ndarray:
@@ -91,9 +91,9 @@ class OutcomeBridge:
         ones = np.ones(_as_block(w).shape[0])
         return self.h(w, ones, x, params) - self.h(w, 0.0 * ones, x, params)
 
-    def contrast_grad(self, w, x, params=None) -> np.ndarray:
+    def contrast_grad(self, w, x) -> np.ndarray:
         """Parameter gradient of the treatment contrast, shape (n, n_params);
-        the same at any ``params``."""
+        the same at any parameters."""
         ones = np.ones(_as_block(w).shape[0])
         return self.grad(w, ones, x) - self.grad(w, 0.0 * ones, x)
 

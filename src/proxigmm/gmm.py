@@ -50,26 +50,6 @@ _POLISH_BACKTRACKS = 25
 
 
 @dataclass(frozen=True)
-class ScoreMatrix:
-    """Per-observation moment scores, shape (n, K+1); last column is the
-    contrast moment."""
-
-    s: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.s.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.s.shape[1] - 1
-
-    @property
-    def mean(self) -> np.ndarray:
-        return self.s.mean(axis=0)
-
-
-@dataclass(frozen=True)
 class MomentDecomposition:
     """Eigendecomposition of the moment covariance, eigenvalues descending.
 
@@ -117,8 +97,6 @@ class GmmFit:
     k1: int
     n: int
     v_hat: np.ndarray
-    upsilon_hat: np.ndarray
-    jacobian_hat: np.ndarray
     objective_value: float
     rel_threshold: float
 
@@ -139,30 +117,29 @@ class GmmFit:
 
 def joint_score(
     ds: Dataset, basis: BasisMatrix, bridge: OutcomeBridge, gamma, tau: float
-) -> ScoreMatrix:
-    """Per-observation scores at (gamma, tau)."""
+) -> np.ndarray:
+    """Per-observation scores at (gamma, tau), shape (n, K+1); the last
+    column is the contrast moment."""
     resid = ds.y - bridge.h(ds.w, ds.a, ds.x, gamma)
     contrast = bridge.contrast(ds.w, ds.x, gamma)
     s = np.empty((ds.n, basis.k + 1))
     s[:, : basis.k] = basis.u * resid[:, None]
     s[:, basis.k] = tau - contrast
-    return ScoreMatrix(s=s)
+    return s
 
 
-def estimate_upsilon(scores: ScoreMatrix) -> np.ndarray:
+def estimate_upsilon(scores: np.ndarray) -> np.ndarray:
     """Second-moment matrix of the scores (uncentered)."""
-    return scores.s.T @ scores.s / scores.n
+    return scores.T @ scores / scores.shape[0]
 
 
 def regularize_moments(
-    upsilon: np.ndarray, rel_threshold: float = DEFAULT_REL_THRESHOLD,
-    min_retained: int | None = None,
+    upsilon: np.ndarray, rel_threshold: float = DEFAULT_REL_THRESHOLD
 ) -> MomentDecomposition:
     """Eigendecompose a moment covariance and mark the retained directions.
 
     ``threshold_used`` is ``rel_threshold`` times the largest eigenvalue;
-    ``k1`` counts eigenvalues strictly above it. When ``min_retained`` is
-    given and fewer directions survive, raises :class:`TooFewMoments`.
+    ``k1`` counts eigenvalues strictly above it.
     """
     vals, vecs = scipy.linalg.eigh(np.asarray(upsilon, dtype=float))
     order = np.argsort(vals)[::-1]
@@ -172,11 +149,6 @@ def regularize_moments(
         raise TooFewMoments("moment covariance has no positive eigenvalue")
     threshold = rel_threshold * lam_max
     k1 = int(np.sum(vals > threshold))
-    if min_retained is not None and k1 < min_retained:
-        raise TooFewMoments(
-            f"only {k1} spectral directions exceed the threshold; "
-            f"{min_retained} are required"
-        )
     return MomentDecomposition(eigvals=vals, eigvecs=vecs, threshold_used=threshold, k1=k1)
 
 
@@ -234,29 +206,54 @@ def _continuous_update_objective(
 
     def objective(beta: np.ndarray) -> float:
         scores = joint_score(ds, basis, bridge, beta[:-1], beta[-1])
-        gbar = scores.mean
-        upsilon = estimate_upsilon(scores)
         try:
-            vals, vecs = scipy.linalg.eigh(upsilon)
-        except scipy.linalg.LinAlgError:
+            decomp = regularize_moments(estimate_upsilon(scores), rel_threshold)
+            floored = decomp._floored()
+        except (TooFewMoments, scipy.linalg.LinAlgError):
             return float("inf")
-        lam_max = float(vals[-1])
-        if not np.isfinite(lam_max) or lam_max <= 0.0:
-            return float("inf")
-        proj = vecs.T @ gbar
-        value = float(proj @ (proj / np.maximum(vals, rel_threshold * lam_max)))
+        # Projected and summed in ascending eigenvalue order, with the
+        # eigenvectors as contiguous rows: the polish's second differences
+        # magnify this value's rounding by 1/h², and this order and layout
+        # keep polished estimates bit-identical to the behaviour fingerprint.
+        rows = np.ascontiguousarray(decomp.eigvecs[:, ::-1].T)
+        proj = rows @ scores.mean(axis=0)
+        value = float(proj @ (proj / floored[::-1]))
         return value if np.isfinite(value) else float("inf")
 
     return objective
 
 
-def _numeric_gradient(fn, point: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    grad = np.empty_like(point)
-    for j in range(point.size):
-        shift = np.zeros_like(point)
-        shift[j] = steps[j]
-        grad[j] = (fn(point + shift) - fn(point - shift)) / (2 * steps[j])
-    return grad
+def _central_differences(
+    fn, x: np.ndarray, steps: np.ndarray, value: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of ``fn`` at ``x`` by central differences, given
+    ``value = fn(x)``.
+
+    The gradient is the central difference at ``x``; the Hessian is the
+    central difference of that gradient between ``x ± h_j e_j``, averaged
+    over both differencing orders. Each distinct point is evaluated once:
+    ``x ± h_i e_i``, ``x ± 2 h_i e_i`` and ``x ± h_i e_i ± h_j e_j`` for
+    ``i < j``, which is ``2p² + 2p`` points besides ``x``. The derivatives
+    are exact on a quadratic.
+    """
+    p = x.size
+    shift = np.diag(steps)
+    twice = 2 * steps
+    grad = np.empty(p)
+    hess = np.empty((p, p))
+    for i in range(p):
+        grad[i] = (fn(x + shift[i]) - fn(x - shift[i])) / twice[i]
+        far_up, far_down = fn(x + shift[i] + shift[i]), fn(x - shift[i] - shift[i])
+        hess[i, i] = ((far_up - value) / twice[i] - (value - far_down) / twice[i]) / twice[i]
+        for j in range(i):
+            pp, pm, mp, mm = (
+                fn(x + si * shift[i] + sj * shift[j])
+                for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))
+            )
+            i_then_j = ((pp - mp) / twice[i] - (pm - mm) / twice[i]) / twice[j]
+            j_then_i = ((pp - pm) / twice[j] - (mp - mm) / twice[j]) / twice[i]
+            hess[i, j] = hess[j, i] = 0.5 * (i_then_j + j_then_i)
+    return grad, hess
 
 
 def _refine_continuous_update(
@@ -275,12 +272,14 @@ def _refine_continuous_update(
     single half step of Newton's method on that objective captures the
     correction while staying in the neighborhood of the two-step solution;
     iterating the update to the exact minimizer trades the removed bias
-    for noticeably heavier sampling tails in modest samples. The gradient
-    and curvature are central finite differences, the curvature is shifted
-    to be positive definite when needed, the step is halved until the
-    objective decreases, and the update is dropped entirely if no halving
-    achieves a decrease, so the refinement never leaves a solution that is
-    already optimal in this metric.
+    for noticeably heavier sampling tails in modest samples. After the
+    objective at the start, the gradient and curvature come from one
+    central-difference stencil (:func:`_central_differences`, ``2p² + 2p``
+    further objective evaluations for ``p`` parameters), the curvature is
+    shifted to be positive definite when needed, the step is halved until the objective decreases, at most
+    ``_POLISH_BACKTRACKS`` times, and the update is dropped entirely if no
+    halving achieves a decrease, so the refinement never leaves a solution
+    that is already optimal in this metric.
     """
     objective = _continuous_update_objective(ds, basis, bridge, rel_threshold)
     start_val = float(objective(start))
@@ -290,21 +289,10 @@ def _refine_continuous_update(
     if magnitude == 0.0:
         return start, start_val
     steps = _POLISH_FD_REL * np.maximum(np.abs(start), _POLISH_FD_FLOOR * magnitude)
-    grad = _numeric_gradient(objective, start, steps)
-    if not np.all(np.isfinite(grad)):
+    grad, hess = _central_differences(objective, start, steps, start_val)
+    if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
         return start, start_val
     p = start.size
-    hess = np.empty((p, p))
-    for j in range(p):
-        shift = np.zeros_like(start)
-        shift[j] = steps[j]
-        hess[:, j] = (
-            _numeric_gradient(objective, start + shift, steps)
-            - _numeric_gradient(objective, start - shift, steps)
-        ) / (2 * steps[j])
-    hess = 0.5 * (hess + hess.T)
-    if not np.all(np.isfinite(hess)):
-        return start, start_val
     eigenvalues = scipy.linalg.eigvalsh(hess)
     if eigenvalues[0] <= 0.0:
         hess = hess + (abs(eigenvalues[0]) + 1e-8 * max(eigenvalues[-1], 1.0)) * np.eye(p)
@@ -361,8 +349,6 @@ def fit_with_weight(
         k1=u.shape[1] + 1,
         n=ds.n,
         v_hat=v_hat,
-        upsilon_hat=upsilon,
-        jacobian_hat=jac,
         objective_value=obj,
         rel_threshold=0.0,
     )
@@ -395,19 +381,22 @@ def fit_optimal(
     letting them dominate the weight. When the moment count exceeds the
     parameter count, the two-step solution is then polished by a damped
     Newton step of the quadratic form with the covariance continuously
-    re-evaluated at the trial parameters, which removes the bias that
-    accumulates in the frozen-weight solution as moments are added; at an
-    exactly identified count the two-step solution already zeroes every
-    moment, so the polish is skipped. The reported variance re-evaluates
-    the moment covariance at the final estimates and applies the same
-    floored inverse as the sandwich core.
+    re-evaluated, and floored by the same rule, at the trial parameters,
+    which removes the bias that accumulates in the frozen-weight solution
+    as moments are added. The polish evaluates that objective at most
+    ``2p² + 2p + 1 + _POLISH_BACKTRACKS`` times for ``p`` parameters
+    (bridge coefficients and the effect). At an exactly identified count
+    the two-step solution already zeroes every moment, so the polish is
+    skipped. The reported variance re-evaluates the moment covariance at
+    the final estimates and applies the same floored inverse as the
+    sandwich core.
     """
     basis = _prepare(basis)
     u = basis.u
     init = fit_initial(ds, basis, bridge)
     scores0 = joint_score(ds, basis, bridge, init.gamma_hat, init.tau_hat)
     decomp = regularize_moments(estimate_upsilon(scores0), rel_threshold)
-    beta, obj, jac = _solve_linear(ds, u, bridge, decomp.floored_weight_sqrt())
+    beta, obj, _ = _solve_linear(ds, u, bridge, decomp.floored_weight_sqrt())
     if u.shape[1] > bridge.n_params:
         beta, obj = _refine_continuous_update(ds, basis, bridge, beta, rel_threshold)
     p = beta.shape[0] - 1
@@ -420,8 +409,6 @@ def fit_optimal(
         k1=decomp.k1,
         n=ds.n,
         v_hat=np.empty((0, 0)),
-        upsilon_hat=np.empty((0, 0)),
-        jacobian_hat=jac,
         objective_value=obj,
         rel_threshold=rel_threshold,
     )
@@ -440,8 +427,7 @@ def variance(
     """
     basis = _prepare(basis)
     scores = joint_score(ds, basis, bridge, fit.gamma_hat, fit.tau_hat)
-    upsilon = estimate_upsilon(scores)
-    decomp = regularize_moments(upsilon, fit.rel_threshold)
+    decomp = regularize_moments(estimate_upsilon(scores), fit.rel_threshold)
     weight = decomp.floored_weight()
     jac = _jacobian(ds, basis.u, bridge)
     bread = jac.T @ weight @ jac
@@ -455,14 +441,7 @@ def variance(
     dv = np.diag(v_hat)
     se = np.sqrt(np.maximum(dv, 0.0) / ds.n)
     p = fit.gamma_hat.shape[0]
-    return replace(
-        fit,
-        se_gamma=se[:p],
-        se_tau=float(se[p]),
-        v_hat=v_hat,
-        upsilon_hat=upsilon,
-        jacobian_hat=jac,
-    )
+    return replace(fit, se_gamma=se[:p], se_tau=float(se[p]), v_hat=v_hat)
 
 
 def confidence_interval(fit: GmmFit, level: float = 0.95) -> tuple[float, float]:

@@ -7,7 +7,17 @@ import warnings
 import numpy as np
 import pytest
 
-from proxigmm import EstimateReport, ScenarioConfig, generate, naive_gformula, p2sls, pdr, pipw, rgmm
+from proxigmm import (
+    EstimateReport,
+    ScenarioConfig,
+    TreatmentBridge,
+    generate,
+    naive_gformula,
+    p2sls,
+    pdr,
+    pipw,
+    rgmm,
+)
 from proxigmm.simulation import BASELINES
 
 
@@ -33,6 +43,29 @@ class TestOracles:
         np.testing.assert_allclose(report.aux["coefficients"], beta, rtol=1e-9, atol=1e-12)
         assert report.tau_hat == pytest.approx(beta[1], rel=1e-10)
         assert report.se_tau == pytest.approx(np.sqrt(hc0[1, 1]), rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "scenario,n,rep",
+        [*[("I", 400, rep) for rep in range(5)], ("II", 800, 17), ("II", 800, 35)],
+    )
+    def test_pdr_minus_pipw_is_the_weighted_imbalance(self, scenario, n, rep):
+        # For the linear bridge h = (1, w, a, x) @ gamma, pdr's mean of
+        # contrast + (-1)^(1-A) q (y - h) is pipw's mean of (-1)^(1-A) q y
+        # minus gamma @ r(theta), with r(theta) = mean((-1)^(1-A) q (1, w,
+        # a, x)) - e_a the balancing residual. This holds at any theta, so
+        # also at the minimum-norm fallback of reps 17 and 35 at II/800.
+        ds = generate(ScenarioConfig(scenario, n), 0, rep)
+        ipw, dr = pipw(ds), pdr(ds)
+        theta = ipw.aux["theta_hat"]
+        np.testing.assert_array_equal(dr.aux["theta_hat"], theta)
+        q = TreatmentBridge().q(ds.z, ds.a, ds.x, theta)
+        sign = np.where(ds.a > 0.5, 1.0, -1.0)
+        feats = np.column_stack([np.ones(ds.n), ds.w, ds.a, ds.x])
+        e_a = np.zeros(feats.shape[1])
+        e_a[1 + ds.w.shape[1]] = 1.0
+        imbalance = (feats * (sign * q)[:, None]).mean(axis=0) - e_a
+        gap = dr.tau_hat - ipw.tau_hat
+        assert gap == pytest.approx(-dr.aux["gamma_hat"] @ imbalance, abs=1e-12)
 
 
 @pytest.mark.parametrize("method", list(BASELINES))

@@ -78,7 +78,7 @@ class TestOutcomeBridge:
     def test_gradient_matches_finite_differences(self, linear_bridge, rng):
         w, a, x = rng.normal(size=3), np.array([1.0, 0.0, 1.0]), rng.normal(size=3)
         gamma = rng.normal(size=4)
-        grad = linear_bridge.grad(w, a, x, gamma)
+        grad = linear_bridge.grad(w, a, x)
         fd = finite_difference(lambda g: linear_bridge.h(w, a, x, g), gamma)
         np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8)
 
@@ -87,7 +87,7 @@ class TestOutcomeBridge:
         gamma = rng.normal(size=4)
         fd = finite_difference(lambda g: linear_bridge.contrast(w, x, g), gamma)
         np.testing.assert_allclose(
-            linear_bridge.contrast_grad(w, x, gamma), fd, rtol=1e-6, atol=1e-8
+            linear_bridge.contrast_grad(w, x), fd, rtol=1e-6, atol=1e-8
         )
 
     def test_stored_params_used_when_argument_omitted(self):

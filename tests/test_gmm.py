@@ -10,6 +10,7 @@ import pytest
 from proxigmm import (
     BasisMatrix,
     OutcomeBridge,
+    ScenarioConfig,
     SieveSpec,
     build_basis,
     confidence_interval,
@@ -17,6 +18,7 @@ from proxigmm import (
     fit_initial,
     fit_optimal,
     fit_with_weight,
+    generate,
     joint_score,
     orthonormalize,
     regularize_moments,
@@ -25,6 +27,7 @@ from proxigmm import (
     variance,
     wald_test,
 )
+from proxigmm import gmm
 from proxigmm.errors import SingularVariance, TooFewMoments
 from proxigmm.gmm import WALD_CRITICAL_5PCT
 
@@ -54,26 +57,20 @@ class TestJointScore:
         gamma = np.array([0.5, 1.0, 0.25, -1.0])
         # h = 0.5 + 2.0 + 0.25 - 0.5 = 2.25, residual = 0.75, contrast = 0.25
         scores = joint_score(ds, raw, bridge, gamma, tau=0.6)
-        np.testing.assert_allclose(scores.s, [[0.75, 1.5, 0.35]], atol=1e-12)
-        assert scores.n == 1
-        assert scores.k == 2
+        np.testing.assert_allclose(scores, [[0.75, 1.5, 0.35]], atol=1e-12)
+        assert scores.shape == (1, 3)
 
     def test_contrast_column_centers_exactly_at_mean_contrast(self, scenario1_ds, linear_bridge):
         basis = _basis(scenario1_ds, 6)
         gamma = np.array([0.1, 1.2, 0.4, 1.5])
         tau = float(linear_bridge.contrast(scenario1_ds.w, scenario1_ds.x, gamma).mean())
         scores = joint_score(scenario1_ds, basis, linear_bridge, gamma, tau)
-        np.testing.assert_allclose(scores.s[:, -1], np.zeros(scenario1_ds.n), atol=1e-14)
-
-    def test_mean_matches_manual_average(self, scenario1_ds, linear_bridge):
-        basis = _basis(scenario1_ds, 5)
-        scores = joint_score(scenario1_ds, basis, linear_bridge, GAMMA_STAR, 0.5)
-        np.testing.assert_allclose(scores.mean, scores.s.mean(axis=0), atol=1e-14)
+        np.testing.assert_allclose(scores[:, -1], np.zeros(scenario1_ds.n), atol=1e-14)
 
     def test_upsilon_matches_direct_product(self, scenario1_ds, linear_bridge):
         basis = _basis(scenario1_ds, 5)
         scores = joint_score(scenario1_ds, basis, linear_bridge, GAMMA_STAR, 0.5)
-        direct = scores.s.T @ scores.s / scenario1_ds.n
+        direct = scores.T @ scores / scenario1_ds.n
         np.testing.assert_allclose(estimate_upsilon(scores), direct, atol=1e-14)
 
 
@@ -91,7 +88,7 @@ class TestRegularizeMoments:
         basis = _basis(scenario1_ds, 4)
         scores = joint_score(scenario1_ds, basis, linear_bridge, GAMMA_STAR, 0.5)
         plain = estimate_upsilon(scores)
-        doubled = np.column_stack([scores.s, scores.s[:, 0]])
+        doubled = np.column_stack([scores, scores[:, 0]])
         upsilon = doubled.T @ doubled / scenario1_ds.n
         assert regularize_moments(upsilon).k1 == regularize_moments(plain).k1
 
@@ -102,7 +99,7 @@ class TestRegularizeMoments:
         basis = _basis(scenario1_ds, 4)
         scores = joint_score(scenario1_ds, basis, linear_bridge, GAMMA_STAR, 0.5)
         decomp = regularize_moments(estimate_upsilon(scores))
-        assert decomp.k1 == scores.s.shape[1] - 1
+        assert decomp.k1 == scores.shape[1] - 1
 
     def test_floored_weight_inverts_well_conditioned_part(self):
         decomp = regularize_moments(np.diag([4.0, 1.0, 1e-12]), rel_threshold=1e-8)
@@ -114,10 +111,6 @@ class TestRegularizeMoments:
         decomp = regularize_moments(np.diag([4.0, 1.0, 1e-12]))
         half = decomp.floored_weight_sqrt()
         np.testing.assert_allclose(half.T @ half, decomp.floored_weight(), rtol=1e-10)
-
-    def test_min_retained_enforced(self):
-        with pytest.raises(TooFewMoments):
-            regularize_moments(np.diag([1.0, 1e-12, 1e-13]), min_retained=2)
 
     def test_zero_covariance_rejected(self):
         with pytest.raises(TooFewMoments):
@@ -139,7 +132,7 @@ class TestExactlyIdentified:
         fit = fit_optimal(scenario1_ds, basis, linear_bridge)
         assert fit.objective_value < 1e-16
         scores = joint_score(scenario1_ds, basis, linear_bridge, fit.gamma_hat, fit.tau_hat)
-        np.testing.assert_allclose(scores.mean, np.zeros(5), atol=1e-10)
+        np.testing.assert_allclose(scores.mean(axis=0), np.zeros(5), atol=1e-10)
 
 
 class TestNoiselessRecovery:
@@ -217,6 +210,77 @@ class TestFitProperties:
             assert key in payload
         assert payload["k"] == 6
         assert payload["n"] == scenario1_ds.n
+
+
+class TestContinuousUpdatePolish:
+    @pytest.fixture(scope="class")
+    def polished_case(self):
+        # K* sits at the cap of 12 in this heteroskedastic cell, so the
+        # polish runs, and in this replication it moves the estimates.
+        ds = generate(ScenarioConfig("II", 800), 0, 0)
+        return ds, _basis(ds, 12), OutcomeBridge.linear(1, 1)
+
+    def test_stencil_is_exact_on_a_quadratic(self, rng):
+        p = 5
+        root = rng.normal(size=(p, p))
+        a, b = root @ root.T + np.eye(p), rng.normal(size=p)
+        x = rng.normal(size=p)
+
+        def quadratic(v):
+            return float(0.5 * v @ a @ v + b @ v)
+
+        grad, hess = gmm._central_differences(quadratic, x, np.full(p, 0.1), quadratic(x))
+        np.testing.assert_allclose(grad, b + a @ x, atol=1e-9)
+        np.testing.assert_allclose(hess, a, atol=1e-9)
+
+    def test_non_finite_start_costs_one_evaluation(self, polished_case, monkeypatch):
+        ds, basis, bridge = polished_case
+        calls = []
+
+        def infinite(*args):
+            def objective(beta):
+                calls.append(1)
+                return float("inf")
+
+            return objective
+
+        monkeypatch.setattr(gmm, "_continuous_update_objective", infinite)
+        start = np.ones(bridge.n_params + 1)
+        beta, value = gmm._refine_continuous_update(ds, basis, bridge, start, 1e-8)
+        assert beta is start and value == float("inf")
+        assert len(calls) == 1
+
+    def test_objective_evaluations_bounded(self, polished_case, monkeypatch):
+        ds, basis, bridge = polished_case
+        build = gmm._continuous_update_objective
+        calls = []
+
+        def counted(*args):
+            objective = build(*args)
+
+            def wrapped(beta):
+                calls.append(1)
+                return objective(beta)
+
+            return wrapped
+
+        monkeypatch.setattr(gmm, "_continuous_update_objective", counted)
+        fit_optimal(ds, basis, bridge)
+        p = bridge.n_params + 1
+        assert 0 < len(calls) <= 2 * p * p + 2 * p + 1 + gmm._POLISH_BACKTRACKS
+
+    def test_polish_lowers_the_continuous_update_objective(self, polished_case):
+        ds, basis, bridge = polished_case
+        init = fit_initial(ds, basis, bridge)
+        scores = joint_score(ds, basis, bridge, init.gamma_hat, init.tau_hat)
+        decomp = regularize_moments(estimate_upsilon(scores))
+        two_step, _, _ = gmm._solve_linear(ds, basis.u, bridge, decomp.floored_weight_sqrt())
+        fit = fit_optimal(ds, basis, bridge)
+        polished = np.r_[fit.gamma_hat, fit.tau_hat]
+        assert not np.array_equal(polished, two_step)
+        objective = gmm._continuous_update_objective(ds, basis, bridge, gmm.DEFAULT_REL_THRESHOLD)
+        assert objective(polished) < objective(two_step)
+        assert fit.objective_value == objective(polished)
 
 
 class TestInference:

@@ -168,12 +168,8 @@ class TestScoreWrapper:
         resid = scenario1_ds.y - BRIDGE.h(
             scenario1_ds.w, scenario1_ds.a, scenario1_ds.x, init.gamma_hat
         )
-        feat_grad = BRIDGE.grad(
-            scenario1_ds.w, scenario1_ds.a, scenario1_ds.x, init.gamma_hat
-        )
-        target = BRIDGE.contrast_grad(
-            scenario1_ds.w, scenario1_ds.x, init.gamma_hat
-        ).mean(axis=0)
+        feat_grad = BRIDGE.grad(scenario1_ds.w, scenario1_ds.a, scenario1_ds.x)
+        target = BRIDGE.contrast_grad(scenario1_ds.w, scenario1_ds.x).mean(axis=0)
         want = sgmm_components(basis.u, feat_grad, resid, target)
         got = sgmm_score(scenario1_ds, BRIDGE, spec, 6)
         assert got == want

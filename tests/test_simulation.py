@@ -29,6 +29,24 @@ def _rows(summaries) -> list[dict]:
     return [dataclasses.asdict(s) for s in summaries]
 
 
+def test_scenario_i_cell_reproduces_coverage_and_bias():
+    # Fixed-seed 200-rep I/400 cell. Bands: nominal 0.95 coverage +- 3
+    # binomial SDs (sqrt(0.95 * 0.05 / 200) ~ 0.015), and |bias| within 3
+    # Monte Carlo SEs of the mean; the naive estimator ignores the
+    # confounding and must undercover.
+    reps = 200
+    rows = run_study(
+        ScenarioConfig("I", 400), methods=("naive", "rgmm", "gmm-div"), reps=reps, base_seed=0
+    )
+    cell = {row.method: row for row in rows}
+    for method in ("rgmm", "gmm-div"):
+        row = cell[method]
+        assert row.reps_converged == reps
+        assert 0.90 <= row.coverage <= 0.99, (method, row.coverage)
+        assert row.abs_bias <= 3 * row.sd / math.sqrt(reps), (method, row.abs_bias, row.sd)
+    assert cell["naive"].coverage <= 0.85
+
+
 def test_records_identical_across_thread_counts():
     config = ScenarioConfig("II", 400)
     one = run_replications(config, METHODS, 4, 5, threads=1)
