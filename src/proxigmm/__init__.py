@@ -41,7 +41,6 @@ from .selection import (
     select_and_fit,
     select_k,
     sgmm_components,
-    sgmm_score,
 )
 from .sieve import (
     BasisMatrix,
@@ -108,7 +107,6 @@ __all__ = [
     "select_and_fit",
     "select_k",
     "sgmm_components",
-    "sgmm_score",
     "summarize",
     "transform_column",
     "true_bridge_params",

@@ -41,11 +41,12 @@ from .simulation import (
     summarize,
 )
 
+_SIM_BRIDGE_DIM = OutcomeBridge.linear(1, 1).n_params  # simulated data: one w, one x
 _DATA_ERRORS = (EmptyData, MissingColumn, NonBinaryTreatment, NonFiniteValue, UnknownColumn)
 
 _SUMMARY_COLUMNS = (
-    "scenario", "n", "method", "bias", "se", "rmse", "length", "cp", "power",
-    "reps_converged",
+    "scenario", "n", "method", "bias", "se", "rmse", "length", "length_median", "cp",
+    "power", "reps_converged",
 )
 
 
@@ -69,7 +70,7 @@ def _summary_rows(summaries, extra: dict | None = None):
     for s in summaries:
         row = [
             s.scenario, s.n, s.method, s.abs_bias, s.sd, s.rmse,
-            s.mean_ci_length, s.coverage, s.power, s.reps_converged,
+            s.mean_ci_length, s.median_ci_length, s.coverage, s.power, s.reps_converged,
         ]
         if extra:
             row = list(extra.values()) + row
@@ -129,23 +130,19 @@ def _config_error(message: str) -> int:
     return 2
 
 
-def _check_study_opts(opts) -> str | None:
+def _check_study_opts(opts, runs_gmm_div: bool) -> str | None:
     if opts.reps < 1:
         return f"reps must be at least 1, got {opts.reps}"
     if opts.n < 1:
         return f"n must be at least 1, got {opts.n}"
-    if opts.kmax < 1:
-        return f"kmax must be at least 1, got {opts.kmax}"
     if opts.threads < 1:
         return f"threads must be at least 1, got {opts.threads}"
+    if runs_gmm_div and opts.kmax < _SIM_BRIDGE_DIM:
+        return f"kmax must be at least the bridge dimension {_SIM_BRIDGE_DIM}, got {opts.kmax}"
     return None
 
 
 def cmd_simulate(opts) -> int:
-    err = _check_study_opts(opts)
-    if err:
-        return _config_error(err)
-    config = ScenarioConfig(scenario=opts.scenario, n=opts.n)
     if opts.methods.strip() == "all":
         methods = METHODS
     else:
@@ -155,6 +152,10 @@ def cmd_simulate(opts) -> int:
         return _config_error(f"methods: unknown {unknown}; choose from {METHODS}")
     if not methods:
         return _config_error("methods: none given")
+    err = _check_study_opts(opts, "gmm-div" in methods)
+    if err:
+        return _config_error(err)
+    config = ScenarioConfig(scenario=opts.scenario, n=opts.n)
     records = run_replications(
         config, methods, reps=opts.reps, base_seed=opts.seed,
         k_bar=opts.kmax, threads=opts.threads,
@@ -210,7 +211,7 @@ def cmd_select_k(opts) -> int:
 
 
 def cmd_misspec(opts) -> int:
-    err = _check_study_opts(opts)
+    err = _check_study_opts(opts, runs_gmm_div=True)
     if err:
         return _config_error(err)
     summaries = run_misspec_study(
@@ -224,7 +225,7 @@ def cmd_misspec(opts) -> int:
 
 
 def cmd_bspline_study(opts) -> int:
-    err = _check_study_opts(opts)
+    err = _check_study_opts(opts, runs_gmm_div=True)
     if err:
         return _config_error(err)
     results = run_bspline_study(

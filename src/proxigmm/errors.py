@@ -47,7 +47,12 @@ class DegenerateColumn(ProxiGmmError):
 
 
 class RankDeficient(ProxiGmmError):
-    """Basis columns are linearly dependent beyond the drop tolerance."""
+    """Basis columns are linearly dependent beyond the drop tolerance;
+    ``full_rank_prefix`` counts the leading columns that pass the test."""
+
+    def __init__(self, message: str, full_rank_prefix: int) -> None:
+        super().__init__(message)
+        self.full_rank_prefix = full_rank_prefix
 
 
 class DimensionMismatch(ProxiGmmError):

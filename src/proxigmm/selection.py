@@ -6,6 +6,10 @@ bridge fit: a squared higher-order bias term plus a variance term, both
 built from the identity-weight fit at that K. The scan walks K from the
 bridge dimension up to a cap and keeps the minimizer, preferring the
 smallest K on ties.
+Candidates are nested prefixes (Donald & Newey 2001), so the scan
+orthonormalizes the cap's basis once and scores each K on its leading K
+columns; a linearly dependent column makes only the longer candidates
+singular.
 """
 
 from __future__ import annotations
@@ -23,17 +27,11 @@ from .errors import (
     RankDeficient,
     RankDeficientJacobian,
     SingularUpsilonBlock,
-    SingularVariance,
 )
-from .gmm import DEFAULT_REL_THRESHOLD, GmmFit, fit_initial, fit_optimal
-from .sieve import BasisMatrix, SieveSpec, build_basis, orthonormalize
+from .gmm import DEFAULT_REL_THRESHOLD, GmmFit, _solve_linear, fit_optimal
+from .sieve import SieveSpec, build_basis, orthonormalize
 
-_CANDIDATE_FAILURES = (
-    SingularUpsilonBlock,
-    RankDeficient,
-    RankDeficientJacobian,
-    SingularVariance,
-)
+_CANDIDATE_FAILURES = (SingularUpsilonBlock, RankDeficientJacobian)
 
 
 @dataclass(frozen=True)
@@ -169,43 +167,17 @@ def coefficientwise_components(
     return bias_term + variance_term, bias_term, variance_term
 
 
-def _candidate_parts(
-    ds: Dataset, bridge: OutcomeBridge, prefix: BasisMatrix
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    basis = orthonormalize(prefix)
-    init = fit_initial(ds, basis, bridge)
-    resid = ds.y - bridge.h(ds.w, ds.a, ds.x, init.gamma_hat)
-    feat_grad = bridge.grad(ds.w, ds.a, ds.x)
-    target = bridge.contrast_grad(ds.w, ds.x).mean(axis=0)
-    return basis.u, feat_grad, resid, target
-
-
-def _prefix(raw: BasisMatrix, k: int) -> BasisMatrix:
-    return BasisMatrix(
-        u=raw.u[:, :k],
-        whitening=np.eye(k),
-        term_names=raw.term_names[:k],
-        spec=raw.spec,
-        orthonormal=False,
-    )
-
-
-def sgmm_score(
-    ds: Dataset, bridge: OutcomeBridge, spec: SieveSpec, k: int
-) -> tuple[float, float, float]:
-    """Criterion value for one candidate moment count."""
-    raw = build_basis(ds, spec, k)
-    return sgmm_components(*_candidate_parts(ds, bridge, raw))
-
-
 def select_k(
     ds: Dataset, bridge: OutcomeBridge, spec: SieveSpec, k_bar: int
 ) -> SelectionDiagnostics:
     """Scan moment counts from the bridge dimension up to ``k_bar``.
 
-    Candidates whose criterion is singular score infinity and are skipped;
-    if every candidate is singular, raises :class:`AllCandidatesSingular`.
-    Ties resolve to the smallest K.
+    Candidate K is scored on the first K columns of the orthonormalized
+    ``k_bar`` basis, at the identity-weight estimates on those columns. If
+    :func:`orthonormalize` finds a dependent column, its longest accepted
+    prefix is orthonormalized instead. Candidates beyond it, or whose
+    criterion is singular, score infinity; if every candidate does, raises
+    :class:`AllCandidatesSingular`. Ties resolve to the smallest K.
     """
     p = bridge.n_params
     if k_bar < p:
@@ -213,16 +185,24 @@ def select_k(
             f"k_bar={k_bar} is below the bridge dimension {p}"
         )
     raw = build_basis(ds, spec, k_bar)
+    try:
+        basis = orthonormalize(raw)
+    except RankDeficient as exc:
+        basis = orthonormalize(build_basis(ds, raw.spec, exc.full_rank_prefix))
+    feat_grad = bridge.grad(ds.w, ds.a, ds.x)
+    target = bridge.contrast_grad(ds.w, ds.x).mean(axis=0)
     grid = tuple(range(p, k_bar + 1))
     scores = np.full(len(grid), np.inf)
     bias_terms = np.full(len(grid), np.nan)
     var_terms = np.full(len(grid), np.nan)
-    for i, k in enumerate(grid):
+    for i, k in enumerate(range(p, basis.k + 1)):
+        u = basis.u[:, :k]
         try:
-            s, b, v = sgmm_components(*_candidate_parts(ds, bridge, _prefix(raw, k)))
+            beta, _, _ = _solve_linear(ds, u, bridge, np.eye(k + 1))
+            resid = ds.y - bridge.h(ds.w, ds.a, ds.x, beta[:p])
+            scores[i], bias_terms[i], var_terms[i] = sgmm_components(u, feat_grad, resid, target)
         except _CANDIDATE_FAILURES:
             continue
-        scores[i], bias_terms[i], var_terms[i] = s, b, v
     if not np.any(np.isfinite(scores)):
         raise AllCandidatesSingular(
             f"all candidate moment counts {grid[0]}..{grid[-1]} were singular"
@@ -243,6 +223,9 @@ def select_and_fit(
 ) -> tuple[GmmFit, SelectionDiagnostics]:
     """Run the moment-count scan, then the optimally weighted fit at K*."""
     diag = select_k(ds, bridge, spec, k_bar)
+    # A fresh K*-column QR rather than the scan's leading columns: those
+    # match it only to rounding (bit for bit only when K* is k_bar), and the
+    # fit at K* must not depend on the cap it was selected under.
     basis = orthonormalize(build_basis(ds, spec, diag.k_star))
     fit = fit_optimal(ds, basis, bridge, rel_threshold)
     return fit, diag

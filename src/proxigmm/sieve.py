@@ -272,7 +272,9 @@ def build_basis(ds: Dataset, spec: SieveSpec, k: int) -> BasisMatrix:
 
 
 def total_terms(spec: SieveSpec, ds: Dataset | None = None) -> int:
-    """Number of terms the fitted (or fittable) family provides."""
+    """Number of terms the fitted family, or the family fitted on ``ds``, provides."""
+    if not spec.fitted and ds is None:
+        raise DimensionMismatch("an unfitted sieve spec needs a dataset to count its terms")
     fitted = spec if spec.fitted else fit_sieve(spec, ds)
     return len(_terms(fitted))
 
@@ -283,7 +285,8 @@ def orthonormalize(b: BasisMatrix) -> BasisMatrix:
     Uses a thin QR factorization with positive diagonal, so the transform
     is upper triangular and prefix spans are unchanged (nestedness is
     preserved). Raises :class:`RankDeficient` when columns are linearly
-    dependent beyond the drop tolerance.
+    dependent beyond the drop tolerance; its ``full_rank_prefix`` is the
+    longest leading prefix that this function would accept.
     """
     n = b.u.shape[0]
     q, r = scipy.linalg.qr(b.u / np.sqrt(n), mode="economic")
@@ -292,11 +295,15 @@ def orthonormalize(b: BasisMatrix) -> BasisMatrix:
     q = q * flip
     r = flip[:, None] * r
     diag = np.abs(diag)
-    if np.min(diag) < _RANK_TOL * np.max(diag):
+    # R's leading block is the prefix's own R, so prefix k passes when
+    # min(diag[:k]) >= tol * max(diag[:k]); once a prefix fails, all longer do.
+    passes = np.minimum.accumulate(diag) >= _RANK_TOL * np.maximum.accumulate(diag)
+    if not passes[-1]:
         j = int(np.argmin(diag))
         raise RankDeficient(
             f"basis column {b.term_names[j]!r} is linearly dependent on earlier "
-            f"columns (relative pivot {np.min(diag) / np.max(diag):.2e})"
+            f"columns (relative pivot {np.min(diag) / np.max(diag):.2e})",
+            full_rank_prefix=int(np.argmin(passes)),
         )
     t = scipy.linalg.solve_triangular(r, np.eye(b.k))
     return BasisMatrix(

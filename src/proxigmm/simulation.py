@@ -140,6 +140,7 @@ class ReplicationSummary:
     sd: float
     rmse: float
     mean_ci_length: float
+    median_ci_length: float
     coverage: float
     power: float
     reps_converged: int
@@ -247,7 +248,8 @@ def summarize(
                 ReplicationSummary(
                     scenario=config.scenario, n=config.n, method=method,
                     abs_bias=np.nan, sd=np.nan, rmse=np.nan,
-                    mean_ci_length=np.nan, coverage=np.nan, power=np.nan,
+                    mean_ci_length=np.nan, median_ci_length=np.nan,
+                    coverage=np.nan, power=np.nan,
                     reps_converged=0, degenerate_sd=True,
                 )
             )
@@ -265,6 +267,7 @@ def summarize(
                 abs_bias=abs_bias, sd=sd,
                 rmse=float(np.sqrt(abs_bias**2 + sd**2)),
                 mean_ci_length=float(np.mean(hi - lo)),
+                median_ci_length=float(np.median(hi - lo)),
                 coverage=float(np.mean((lo <= tau0) & (tau0 <= hi))),
                 power=float(reject.mean()),
                 reps_converged=int(tau.size),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 
@@ -85,3 +86,40 @@ def test_simulate_reruns_are_byte_identical(tmp_path):
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert set(outputs[0]) == {"summary.csv", "estimates.csv", "k_histogram.csv"}
     assert outputs[0] == outputs[1]
+
+
+STUDIES = {
+    "simulate": ["simulate", "--methods", "gmm-div", "--n", "200"],
+    "misspec": ["misspec", "--level", "minor", "--n", "200"],
+    "bspline-study": ["bspline-study", "--n", "200"],
+}
+
+
+@pytest.mark.parametrize("study", STUDIES)
+def test_kmax_below_bridge_dimension_is_a_config_error(study, tmp_path, capsys):
+    code = main([*STUDIES[study], "--reps", "1", "--kmax", "3", "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "bridge dimension 4" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_kmax_is_not_checked_without_gmm_div(tmp_path):
+    argv = ["simulate", "--methods", "naive", "--reps", "1", "--kmax", "3",
+            "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+
+
+@pytest.mark.parametrize(
+    "study, fmt",
+    [("simulate", "csv"), ("simulate", "json"), ("misspec", "csv"), ("misspec", "json"),
+     ("bspline-study", "csv")],
+)
+def test_summary_reports_median_ci_length(study, fmt, tmp_path):
+    argv = [*STUDIES[study], "--reps", "2", "--format", fmt, "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    if fmt == "json":
+        rows = json.loads((tmp_path / "summary.json").read_text())
+    else:
+        with open(tmp_path / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+    assert rows and all(np.isfinite(float(row["length_median"])) for row in rows)

@@ -3,7 +3,9 @@
 The two criterion functions are locked against literal per-observation
 transcriptions of their formulas (explicit loops and inverses, no shared
 code), including a fixed hand-built five-row instance for the
-coefficient-summed reference form.
+coefficient-summed reference form. The one-QR scan is locked against the
+per-candidate path it replaced (a fresh QR and identity-weight fit at
+every K), written out here.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from proxigmm.data import Dataset
 from proxigmm.errors import (
     AllCandidatesSingular,
     DimensionMismatch,
+    RankDeficient,
     SingularUpsilonBlock,
 )
 from proxigmm.gmm import fit_initial, fit_optimal
@@ -24,9 +27,8 @@ from proxigmm.selection import (
     select_and_fit,
     select_k,
     sgmm_components,
-    sgmm_score,
 )
-from proxigmm.sieve import SieveSpec, build_basis, orthonormalize
+from proxigmm.sieve import BasisMatrix, SieveSpec, build_basis, orthonormalize
 from proxigmm.simulation import ScenarioConfig, generate
 
 BRIDGE = OutcomeBridge.linear(d_w=1, d_x=1)
@@ -160,19 +162,29 @@ class TestCriterionFormulas:
             coefficientwise_components(u, feat_grad, zeros)
 
 
-class TestScoreWrapper:
-    def test_matches_manually_assembled_parts(self, scenario1_ds):
-        spec = SieveSpec()
-        basis = orthonormalize(build_basis(scenario1_ds, spec, 6))
-        init = fit_initial(scenario1_ds, basis, BRIDGE)
-        resid = scenario1_ds.y - BRIDGE.h(
-            scenario1_ds.w, scenario1_ds.a, scenario1_ds.x, init.gamma_hat
-        )
-        feat_grad = BRIDGE.grad(scenario1_ds.w, scenario1_ds.a, scenario1_ds.x)
-        target = BRIDGE.contrast_grad(scenario1_ds.w, scenario1_ds.x).mean(axis=0)
-        want = sgmm_components(basis.u, feat_grad, resid, target)
-        got = sgmm_score(scenario1_ds, BRIDGE, spec, 6)
-        assert got == want
+def _prefix_score_parts(ds, u):
+    """Criterion inputs on instrument columns ``u``, by the public calls."""
+    k = u.shape[1]
+    basis = BasisMatrix(
+        u=u, whitening=np.eye(k), term_names=tuple(map(str, range(k))),
+        spec=SieveSpec(), orthonormal=True,
+    )
+    init = fit_initial(ds, basis, BRIDGE)
+    resid = ds.y - BRIDGE.h(ds.w, ds.a, ds.x, init.gamma_hat)
+    feat_grad = BRIDGE.grad(ds.w, ds.a, ds.x)
+    target = BRIDGE.contrast_grad(ds.w, ds.x).mean(axis=0)
+    return u, feat_grad, resid, target
+
+
+def _per_candidate_scan(ds, k_bar):
+    """The scan with a fresh QR and identity-weight fit at every candidate."""
+    p = BRIDGE.n_params
+    scores = []
+    for k in range(p, k_bar + 1):
+        u = orthonormalize(build_basis(ds, SieveSpec(), k)).u
+        scores.append(sgmm_components(*_prefix_score_parts(ds, u))[0])
+    scores = np.array(scores)
+    return scores, p + int(np.argmin(scores))
 
 
 class TestScan:
@@ -186,9 +198,25 @@ class TestScan:
         assert [r[0] for r in rows] == list(diag.k_grid)
         chosen = [r for r in rows if r[4]]
         assert len(chosen) == 1 and chosen[0][0] == diag.k_star
+        # Each candidate is scored on the leading columns of one basis.
+        basis = orthonormalize(build_basis(scenario1_ds, spec, 8))
         for k, bias, var, score, _ in rows:
             assert score == pytest.approx(bias + var, rel=1e-12)
-            assert (score, bias, var) == sgmm_score(scenario1_ds, BRIDGE, spec, k)
+            parts = _prefix_score_parts(scenario1_ds, basis.u[:, :k])
+            assert (score, bias, var) == sgmm_components(*parts)
+
+    @pytest.mark.parametrize(
+        "config, k_bar, reps",
+        [(ScenarioConfig("II", 800), 12, range(20)), (ScenarioConfig("II", 800), 30, [0])],
+        ids=["II800-k12", "II800-k30"],
+    )
+    def test_matches_per_candidate_refit(self, config, k_bar, reps):
+        for rep in reps:
+            ds = generate(config, 0, rep)
+            want_scores, want_k = _per_candidate_scan(ds, k_bar)
+            diag = select_k(ds, BRIDGE, SieveSpec(), k_bar)
+            np.testing.assert_allclose(diag.scores, want_scores, rtol=1e-10, atol=0)
+            assert diag.k_star == want_k, rep
 
     def test_kbar_at_bridge_dimension_is_single_candidate(self, scenario1_ds):
         diag = select_k(scenario1_ds, BRIDGE, SieveSpec(), k_bar=4)
@@ -233,6 +261,31 @@ class TestScan:
         assert np.all(np.isnan(diag.bias_terms[1:]))
         assert np.all(np.isnan(diag.variance_terms[1:]))
         assert diag.k_star == 4
+
+    def test_late_dependent_column_keeps_shorter_candidates(self):
+        # A three-valued proxy makes its cube (column 7, after 1, a, z, x,
+        # z^2, x^2) a quadratic in z: candidates 4..6 are scored on the
+        # 6-column prefix and the longer ones stay singular.
+        rng = np.random.default_rng(22)
+        n = 120
+        z = np.tile([-1.0, 0.0, 2.0], n // 3)
+        x = rng.normal(size=n)
+        w = rng.normal(size=n)
+        a = (rng.random(n) < 0.5).astype(float)
+        y = 1.0 + 0.5 * a + w + x + 0.3 * rng.normal(size=n)
+        ds = Dataset(
+            y=y, a=a, z=z.reshape(-1, 1), w=w.reshape(-1, 1), x=x.reshape(-1, 1)
+        )
+        with pytest.raises(RankDeficient) as info:
+            orthonormalize(build_basis(ds, SieveSpec(), 8))
+        assert info.value.full_rank_prefix == 6
+        diag = select_k(ds, BRIDGE, SieveSpec(), k_bar=8)
+        assert np.all(np.isfinite(diag.scores[:3]))
+        assert np.all(np.isinf(diag.scores[3:]))
+        assert np.all(np.isnan(diag.bias_terms[3:]))
+        basis = orthonormalize(build_basis(ds, SieveSpec(), 6))
+        for k, score in zip(diag.k_grid[:3], diag.scores[:3]):
+            assert score == sgmm_components(*_prefix_score_parts(ds, basis.u[:, :k]))[0]
 
     def test_scan_deterministic(self, scenario1_ds):
         a = select_k(scenario1_ds, BRIDGE, SieveSpec(), k_bar=8)

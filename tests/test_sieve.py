@@ -75,6 +75,11 @@ class TestTermOrdering:
         )
         assert total_terms(plain) == 3
 
+    def test_total_terms_of_unfitted_spec_needs_data(self, scenario1_ds):
+        with pytest.raises(DimensionMismatch, match="unfitted"):
+            total_terms(SieveSpec())
+        assert total_terms(SieveSpec(z_degrees=1, x_degrees=0), scenario1_ds) == 4
+
 
 class TestOrthonormalize:
     def test_columns_have_identity_second_moment(self, scenario2_ds):
@@ -109,6 +114,18 @@ class TestOrthonormalize:
         b = BasisMatrix(u=u, whitening=np.eye(3), term_names=("1", "c", "c2"), spec=SieveSpec())
         with pytest.raises(RankDeficient, match="'c2'"):
             orthonormalize(b)
+
+    def test_rank_deficiency_reports_longest_accepted_prefix(self, rng):
+        c, d = rng.normal(size=(2, 50))
+        u = np.column_stack([np.ones(50), c, d, c - 2 * d, rng.normal(size=50)])
+        b = BasisMatrix(u=u, whitening=np.eye(5), term_names=tuple("1cdse"), spec=SieveSpec())
+        with pytest.raises(RankDeficient) as info:
+            orthonormalize(b)
+        assert info.value.full_rank_prefix == 3
+        # The reported prefix itself passes the test.
+        prefix = BasisMatrix(u=u[:, :3], whitening=np.eye(3), term_names=tuple("1cd"),
+                             spec=SieveSpec())
+        assert orthonormalize(prefix).k == 3
 
     @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=2**32 - 1))
     def test_random_bases_orthonormalize(self, k, seed):

@@ -7,7 +7,13 @@ import math
 
 import pytest
 
-from proxigmm import ScenarioConfig, run_misspec_study, run_replications, run_study
+from proxigmm import (
+    ScenarioConfig,
+    run_misspec_study,
+    run_replications,
+    run_study,
+    summarize,
+)
 from proxigmm.errors import DimensionMismatch
 from proxigmm.simulation import METHODS
 
@@ -81,3 +87,14 @@ def test_correct_level_is_the_plain_scenario_ii_study():
 def test_unknown_method_rejected(study):
     with pytest.raises(DimensionMismatch, match="bogus"):
         study()
+
+
+def test_median_ci_length_resists_fallback_reps():
+    # II/800 seed 0 rep 17 is a pipw minimum-norm fallback with an SE in the
+    # tens of thousands; it drags the mean CI length but not the median.
+    config = ScenarioConfig("II", 800)
+    records = run_replications(config, ("pipw",), 18, 0)
+    assert max(r["se_tau"] for r in records) > 1e4
+    (row,) = summarize(records, config)
+    assert math.isfinite(row.median_ci_length)
+    assert row.median_ci_length < 1e-3 * row.mean_ci_length
