@@ -66,28 +66,25 @@ def _write_rows(path: str, header: tuple[str, ...], rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _summary_rows(summaries, extra: dict | None = None):
+def _summary_rows(summaries, *leading):
+    """One row per summary, after the ``leading`` values."""
     for s in summaries:
-        row = [
-            s.scenario, s.n, s.method, s.abs_bias, s.sd, s.rmse,
+        yield [
+            *leading, s.scenario, s.n, s.method, s.abs_bias, s.sd, s.rmse,
             s.mean_ci_length, s.median_ci_length, s.coverage, s.power, s.reps_converged,
         ]
-        if extra:
-            row = list(extra.values()) + row
-        yield row
 
 
-def _write_summary(out_dir: str, summaries, fmt: str, extra: dict | None = None) -> str:
-    header = _SUMMARY_COLUMNS if not extra else (*extra.keys(), *_SUMMARY_COLUMNS)
+def _write_summary(out_dir: str, fmt: str, header: tuple[str, ...], rows) -> str:
     if fmt == "json":
         path = os.path.join(out_dir, "summary.json")
-        payload = [dict(zip(header, row)) for row in _summary_rows(summaries, extra)]
+        payload = [dict(zip(header, row)) for row in rows]
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     else:
         path = os.path.join(out_dir, "summary.csv")
-        _write_rows(path, header, _summary_rows(summaries, extra))
+        _write_rows(path, header, rows)
     return path
 
 
@@ -162,7 +159,10 @@ def cmd_simulate(opts) -> int:
     )
     os.makedirs(opts.out_dir, exist_ok=True)
     paths = [
-        _write_summary(opts.out_dir, summarize(records, config), opts.format),
+        _write_summary(
+            opts.out_dir, opts.format, _SUMMARY_COLUMNS,
+            _summary_rows(summarize(records, config)),
+        ),
         _write_estimates(opts.out_dir, records),
     ]
     if "gmm-div" in methods:
@@ -219,7 +219,10 @@ def cmd_misspec(opts) -> int:
         k_bar=opts.kmax, threads=opts.threads,
     )
     os.makedirs(opts.out_dir, exist_ok=True)
-    path = _write_summary(opts.out_dir, summaries, opts.format, extra={"level": opts.level})
+    path = _write_summary(
+        opts.out_dir, opts.format, ("level", *_SUMMARY_COLUMNS),
+        _summary_rows(summaries, opts.level),
+    )
     print(path)
     return 0
 
@@ -233,12 +236,12 @@ def cmd_bspline_study(opts) -> int:
         k_bar=opts.kmax, threads=opts.threads,
     )
     os.makedirs(opts.out_dir, exist_ok=True)
-    header = ("family", *_SUMMARY_COLUMNS)
-    rows = []
-    for family, summaries in results.items():
-        rows.extend([family, *row] for row in _summary_rows(summaries))
-    path = os.path.join(opts.out_dir, "summary.csv")
-    _write_rows(path, header, rows)
+    rows = [
+        row
+        for family, summaries in results.items()
+        for row in _summary_rows(summaries, family)
+    ]
+    path = _write_summary(opts.out_dir, opts.format, ("family", *_SUMMARY_COLUMNS), rows)
     print(path)
     return 0
 

@@ -115,17 +115,40 @@ class GmmFit:
         return json.dumps(d)
 
 
+def _bridge_features(
+    ds: Dataset, bridge: OutcomeBridge
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bridge feature matrices at the observed treatment, at a = 1 and at a = 0."""
+    ones = np.ones(ds.n)
+    return (
+        bridge.grad(ds.w, ds.a, ds.x),
+        bridge.grad(ds.w, ones, ds.x),
+        bridge.grad(ds.w, 0.0 * ones, ds.x),
+    )
+
+
+def _stack_scores(
+    u: np.ndarray, y: np.ndarray, features: tuple, gamma: np.ndarray, tau: float
+) -> np.ndarray:
+    """Scores from :func:`_bridge_features`: residual times each instrument,
+    then ``tau`` minus the treatment contrast."""
+    feats, treated, untreated = features
+    resid = y - feats @ gamma
+    contrast = treated @ gamma - untreated @ gamma
+    k = u.shape[1]
+    s = np.empty((y.shape[0], k + 1))
+    s[:, :k] = u * resid[:, None]
+    s[:, k] = tau - contrast
+    return s
+
+
 def joint_score(
     ds: Dataset, basis: BasisMatrix, bridge: OutcomeBridge, gamma, tau: float
 ) -> np.ndarray:
     """Per-observation scores at (gamma, tau), shape (n, K+1); the last
     column is the contrast moment."""
-    resid = ds.y - bridge.h(ds.w, ds.a, ds.x, gamma)
-    contrast = bridge.contrast(ds.w, ds.x, gamma)
-    s = np.empty((ds.n, basis.k + 1))
-    s[:, : basis.k] = basis.u * resid[:, None]
-    s[:, basis.k] = tau - contrast
-    return s
+    gamma = bridge._resolve(gamma)
+    return _stack_scores(basis.u, ds.y, _bridge_features(ds, bridge), gamma, tau)
 
 
 def estimate_upsilon(scores: np.ndarray) -> np.ndarray:
@@ -156,24 +179,33 @@ def _prepare(basis: BasisMatrix) -> BasisMatrix:
     return basis if basis.orthonormal else orthonormalize(basis)
 
 
-def _jacobian(ds: Dataset, u: np.ndarray, bridge: OutcomeBridge) -> np.ndarray:
-    grad = bridge.grad(ds.w, ds.a, ds.x)
-    cgrad = bridge.contrast_grad(ds.w, ds.x)
-    k, p = u.shape[1], grad.shape[1]
+def _moment_jacobian(bmat: np.ndarray, contrast_mean: np.ndarray) -> np.ndarray:
+    """Jacobian of the stacked moments from the sieve block ``bmat = -U'G/n``
+    and the mean contrast gradient."""
+    k, p = bmat.shape
     jac = np.zeros((k + 1, p + 1))
-    jac[:k, :p] = -(u.T @ grad) / ds.n
-    jac[k, :p] = -cgrad.mean(axis=0)
+    jac[:k, :p] = bmat
+    jac[k, :p] = -contrast_mean
     jac[k, p] = 1.0
     return jac
 
 
-def _solve_linear(
-    ds: Dataset, u: np.ndarray, bridge: OutcomeBridge, w_half: np.ndarray
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """The GMM solution under weight ``w_half.T @ w_half``: one least-squares solve."""
-    jac = _jacobian(ds, u, bridge)
+def _jacobian(ds: Dataset, u: np.ndarray, bridge: OutcomeBridge) -> np.ndarray:
+    return _moment_jacobian(
+        -(u.T @ bridge.grad(ds.w, ds.a, ds.x)) / ds.n,
+        bridge.contrast_grad(ds.w, ds.x).mean(axis=0),
+    )
+
+
+def _least_squares(
+    jac: np.ndarray, const: np.ndarray, w_half: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Minimizer and value of ``|w_half @ (const + jac @ beta)|²``.
+
+    Raises :class:`RankDeficientJacobian` when the moments do not identify
+    ``beta``.
+    """
     p1 = jac.shape[1]
-    const = np.r_[u.T @ ds.y / ds.n, 0.0]
     lhs = w_half @ jac
     rhs = -(w_half @ const)
     beta, _, rank, _ = scipy.linalg.lstsq(lhs, rhs)
@@ -183,7 +215,16 @@ def _solve_linear(
             "identify the bridge parameters"
         )
     g_final = const + jac @ beta
-    return beta, float(g_final @ (w_half.T @ (w_half @ g_final))), jac
+    return beta, float(g_final @ (w_half.T @ (w_half @ g_final)))
+
+
+def _solve_linear(
+    ds: Dataset, u: np.ndarray, bridge: OutcomeBridge, w_half: np.ndarray
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """The GMM solution under weight ``w_half.T @ w_half``: one least-squares solve."""
+    jac = _jacobian(ds, u, bridge)
+    beta, value = _least_squares(jac, np.r_[u.T @ ds.y / ds.n, 0.0], w_half)
+    return beta, value, jac
 
 
 def _general_sandwich(
@@ -202,10 +243,15 @@ def _general_sandwich(
 def _continuous_update_objective(
     ds: Dataset, basis: BasisMatrix, bridge: OutcomeBridge, rel_threshold: float
 ):
-    """Build the moment objective with the covariance re-evaluated per trial point."""
+    """Build the moment objective with the covariance re-evaluated per trial point.
+
+    The bridge feature matrices do not depend on the parameters, so they are
+    built once here rather than once per evaluation.
+    """
+    features = _bridge_features(ds, bridge)
 
     def objective(beta: np.ndarray) -> float:
-        scores = joint_score(ds, basis, bridge, beta[:-1], beta[-1])
+        scores = _stack_scores(basis.u, ds.y, features, beta[:-1], beta[-1])
         try:
             decomp = regularize_moments(estimate_upsilon(scores), rel_threshold)
             floored = decomp._floored()
@@ -373,7 +419,8 @@ def fit_optimal(
 ) -> GmmFit:
     """Optimally weighted fit: two-step, then a continuous-updating polish.
 
-    Step one is :func:`fit_initial`; the moment covariance at those
+    Step one takes the identity-weight estimates of :func:`fit_initial`
+    (its variance is not needed here); the moment covariance at those
     estimates is eigendecomposed and inverted with eigenvalues floored at
     ``rel_threshold`` times the largest, which regularizes directions whose
     sample variance is negligible (including the structurally degenerate
@@ -393,8 +440,8 @@ def fit_optimal(
     """
     basis = _prepare(basis)
     u = basis.u
-    init = fit_initial(ds, basis, bridge)
-    scores0 = joint_score(ds, basis, bridge, init.gamma_hat, init.tau_hat)
+    init, _, _ = _solve_linear(ds, u, bridge, np.eye(basis.k + 1))
+    scores0 = joint_score(ds, basis, bridge, init[:-1], init[-1])
     decomp = regularize_moments(estimate_upsilon(scores0), rel_threshold)
     beta, obj, _ = _solve_linear(ds, u, bridge, decomp.floored_weight_sqrt())
     if u.shape[1] > bridge.n_params:

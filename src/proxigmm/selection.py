@@ -9,7 +9,13 @@ smallest K on ties.
 Candidates are nested prefixes (Donald & Newey 2001), so the scan
 orthonormalizes the cap's basis once and scores each K on its leading K
 columns; a linearly dependent column makes only the longer candidates
-singular.
+singular. Everything a prefix reads from the n observations except its
+residual-weighted covariance is built once per scan: the bridge
+projection -U'G/n and U'y/n, whose leading rows are the prefix's own,
+and a leverage table from the Cholesky factor of the instrument Gram
+matrix, whose leading block is the factor of the prefix's Gram. Each
+candidate then costs one O(nK²) covariance, small dense solves and a few
+n-vectors.
 """
 
 from __future__ import annotations
@@ -28,7 +34,13 @@ from .errors import (
     RankDeficientJacobian,
     SingularUpsilonBlock,
 )
-from .gmm import DEFAULT_REL_THRESHOLD, GmmFit, _solve_linear, fit_optimal
+from .gmm import (
+    DEFAULT_REL_THRESHOLD,
+    GmmFit,
+    _least_squares,
+    _moment_jacobian,
+    fit_optimal,
+)
 from .sieve import SieveSpec, build_basis, orthonormalize
 
 _CANDIDATE_FAILURES = (SingularUpsilonBlock, RankDeficientJacobian)
@@ -55,7 +67,7 @@ class SelectionDiagnostics:
 def _criterion_factors(
     u: np.ndarray, feat_grad: np.ndarray, resid: np.ndarray
 ) -> tuple[np.ndarray, ...]:
-    """Factorizations shared by the two criterion forms.
+    """Factorizations of the coefficient-summed reference criterion.
 
     With Υ the residual-weighted instrument covariance, B = -U'G/n the
     bridge projection, and Ω = B'Υ⁻¹B, returns ``(Υ⁻¹U', Gram⁻¹U', Ω⁻¹,
@@ -90,6 +102,82 @@ def _criterion_factors(
     return ups_inv_ut, gram_inv_ut, omega_inv, d_tilde, eta, d_star
 
 
+@dataclass(frozen=True)
+class _CrossProducts:
+    """Instrument cross-products shared by every leading-column prefix.
+
+    ``bmat`` is the bridge projection -U'G/n and ``gram_chol`` the lower
+    Cholesky factor of the Gram matrix U'U/n. Row K-1 of the (k, n)
+    ``leverage`` table is each observation's leverage u_i'Gram_K⁻¹u_i/n
+    under the K-column Gram: the factor of a leading block is the leading
+    block of the factor, so it is the cumulative sum over the first K rows
+    of (L⁻¹U')²/n.
+    """
+
+    u: np.ndarray
+    bmat: np.ndarray
+    gram_chol: np.ndarray
+    leverage: np.ndarray
+
+
+def _cross_products(u: np.ndarray, feat_grad: np.ndarray) -> _CrossProducts:
+    """Build :class:`_CrossProducts`; raises :class:`SingularUpsilonBlock`
+    when the Gram matrix cannot be factorized."""
+    n, k = u.shape
+    try:
+        gram_chol = scipy.linalg.cholesky(u.T @ u / n, lower=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise SingularUpsilonBlock(
+            f"instrument Gram matrix is singular at K={k}"
+        ) from exc
+    whitened = scipy.linalg.solve_triangular(gram_chol, u.T, lower=True)
+    leverage = np.cumsum(whitened**2, axis=0) / n
+    bmat = -(u.T @ feat_grad) / n
+    return _CrossProducts(u=u, bmat=bmat, gram_chol=gram_chol, leverage=leverage)
+
+
+def _target_direction(
+    cross: _CrossProducts,
+    k: int,
+    feat_grad: np.ndarray,
+    resid: np.ndarray,
+    target: np.ndarray,
+) -> tuple[float, float, float]:
+    """:func:`sgmm_components` on the leading ``k`` columns of ``cross``.
+
+    The n×p projections of the gradient through the Gram and Υ metrics
+    enter only along t = Ω⁻¹·target, so two K-vector solves and two
+    n-vectors replace them.
+    """
+    n = resid.shape[0]
+    u = cross.u[:, :k]
+    bmat = cross.bmat[:k]
+    weighted = u * resid[:, None]
+    upsilon = weighted.T @ weighted / n
+    try:
+        cho = scipy.linalg.cho_factor(upsilon)
+    except scipy.linalg.LinAlgError as exc:
+        raise SingularUpsilonBlock(
+            f"residual-weighted moment covariance is singular at K={k}"
+        ) from exc
+    omega = bmat.T @ scipy.linalg.cho_solve(cho, bmat)
+    try:
+        t_dir = scipy.linalg.inv(omega) @ target
+    except scipy.linalg.LinAlgError as exc:
+        raise SingularUpsilonBlock(
+            f"bridge-projection matrix is singular at K={k}"
+        ) from exc
+    direction = bmat @ t_dir
+    gram_part = u @ scipy.linalg.cho_solve((cross.gram_chol[:k, :k], True), direction)
+    upsilon_part = u @ scipy.linalg.cho_solve(cho, direction)
+    leverage = cross.leverage[k - 1]
+    pi = float((leverage * resid) @ (-(feat_grad @ t_dir) - gram_part))
+    influence = upsilon_part * resid**2 - gram_part
+    bias_term = pi * pi / n
+    variance_term = float(leverage @ influence**2) - float(target @ t_dir)
+    return bias_term + variance_term, bias_term, variance_term
+
+
 def sgmm_components(
     u: np.ndarray,
     feat_grad: np.ndarray,
@@ -120,17 +208,7 @@ def sgmm_components(
     residual-weighted instrument covariance (or the Gram or reduced-form
     matrix derived from it) cannot be factorized.
     """
-    n = u.shape[0]
-    ups_inv_ut, gram_inv_ut, omega_inv, d_tilde, eta, d_star = _criterion_factors(
-        u, feat_grad, resid
-    )
-    leverage = np.einsum("ik,ki->i", u, gram_inv_ut) / n
-    t_dir = omega_inv @ target
-    pi = float((leverage * resid) @ (eta @ t_dir))
-    influence = (d_star * (resid**2)[:, None] - d_tilde) @ t_dir
-    bias_term = pi * pi / n
-    variance_term = float(leverage @ influence**2) - float(target @ t_dir)
-    return bias_term + variance_term, bias_term, variance_term
+    return _target_direction(_cross_products(u, feat_grad), u.shape[1], feat_grad, resid, target)
 
 
 def coefficientwise_components(
@@ -178,6 +256,14 @@ def select_k(
     prefix is orthonormalized instead. Candidates beyond it, or whose
     criterion is singular, score infinity; if every candidate does, raises
     :class:`AllCandidatesSingular`. Ties resolve to the smallest K.
+
+    The bridge gradient, the contrast target, the moment Jacobian, U'y/n
+    and the leverage table (:class:`_CrossProducts`) are built once per
+    scan. Each candidate then solves its identity-weight least squares on
+    the Jacobian's leading K sieve rows plus the contrast row, forms its
+    residual-weighted covariance on the leading K columns (the only
+    O(nK²) step), and scores the target direction with K-dimensional
+    solves and the leverage table's row K-1.
     """
     p = bridge.n_params
     if k_bar < p:
@@ -191,16 +277,22 @@ def select_k(
         basis = orthonormalize(build_basis(ds, raw.spec, exc.full_rank_prefix))
     feat_grad = bridge.grad(ds.w, ds.a, ds.x)
     target = bridge.contrast_grad(ds.w, ds.x).mean(axis=0)
+    cross = _cross_products(basis.u, feat_grad)
+    jac = _moment_jacobian(cross.bmat, target)
+    const = np.r_[basis.u.T @ ds.y / ds.n, 0.0]
     grid = tuple(range(p, k_bar + 1))
     scores = np.full(len(grid), np.inf)
     bias_terms = np.full(len(grid), np.nan)
     var_terms = np.full(len(grid), np.nan)
     for i, k in enumerate(range(p, basis.k + 1)):
-        u = basis.u[:, :k]
+        # Candidate K's moments: the leading K sieve rows and the contrast row.
+        rows = np.r_[:k, basis.k]
         try:
-            beta, _, _ = _solve_linear(ds, u, bridge, np.eye(k + 1))
-            resid = ds.y - bridge.h(ds.w, ds.a, ds.x, beta[:p])
-            scores[i], bias_terms[i], var_terms[i] = sgmm_components(u, feat_grad, resid, target)
+            beta, _ = _least_squares(jac[rows], const[rows], np.eye(k + 1))
+            resid = ds.y - feat_grad @ beta[:p]
+            scores[i], bias_terms[i], var_terms[i] = _target_direction(
+                cross, k, feat_grad, resid, target
+            )
         except _CANDIDATE_FAILURES:
             continue
     if not np.any(np.isfinite(scores)):

@@ -24,9 +24,9 @@ from .errors import DimensionMismatch, ProxiGmmError
 from .gmm import (
     DEFAULT_REL_THRESHOLD,
     GmmFit,
+    _solve_linear,
     confidence_interval,
     estimate_upsilon,
-    fit_initial,
     fit_with_weight,
     joint_score,
     regularize_moments,
@@ -316,8 +316,8 @@ def _frozen_design_fit(
     bridge = OutcomeBridge.linear(ds_clean.w.shape[1], ds_clean.x.shape[1])
     diag = select_k(ds_clean, bridge, spec, k_bar)
     basis = orthonormalize(build_basis(ds_clean, spec, diag.k_star))
-    init = fit_initial(ds_clean, basis, bridge)
-    scores = joint_score(ds_clean, basis, bridge, init.gamma_hat, init.tau_hat)
+    init, _, _ = _solve_linear(ds_clean, basis.u, bridge, np.eye(basis.k + 1))
+    scores = joint_score(ds_clean, basis, bridge, init[:-1], init[-1])
     decomp = regularize_moments(estimate_upsilon(scores), rel_threshold)
     fit = fit_with_weight(ds_distorted, basis, bridge, decomp.floored_weight())
     return _fit_record(fit, diag.k_star)

@@ -123,3 +123,16 @@ def test_summary_reports_median_ci_length(study, fmt, tmp_path):
         with open(tmp_path / "summary.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
     assert rows and all(np.isfinite(float(row["length_median"])) for row in rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_bspline_study_writes_the_requested_format(fmt, tmp_path):
+    argv = [*STUDIES["bspline-study"], "--reps", "2", "--format", fmt, "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert [p.name for p in tmp_path.iterdir()] == [f"summary.{fmt}"]
+    if fmt == "json":
+        rows = json.loads((tmp_path / "summary.json").read_text())
+    else:
+        with open(tmp_path / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+    assert sorted(row["family"] for row in rows) == ["bspline", "power"]

@@ -182,6 +182,21 @@ class TestFitProperties:
         assert a.tau_hat == pytest.approx(b.tau_hat, abs=1e-7)
         assert a.se_tau == pytest.approx(b.se_tau, abs=1e-7)
 
+    def test_first_step_computes_no_variance(self, scenario2_ds, linear_bridge, monkeypatch):
+        basis = _basis(scenario2_ds, 8)
+        init = fit_initial(scenario2_ds, basis, linear_bridge)
+        beta, _, _ = gmm._solve_linear(scenario2_ds, basis.u, linear_bridge, np.eye(9))
+        np.testing.assert_array_equal(beta, np.r_[init.gamma_hat, init.tau_hat])
+        want = fit_optimal(scenario2_ds, basis, linear_bridge)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the first step needs estimates only")
+
+        monkeypatch.setattr(gmm, "fit_with_weight", refuse)
+        got = fit_optimal(scenario2_ds, basis, linear_bridge)
+        assert (got.tau_hat, got.se_tau) == (want.tau_hat, want.se_tau)
+        np.testing.assert_array_equal(got.gamma_hat, want.gamma_hat)
+
     def test_variance_matrix_symmetric_positive(self, scenario2_ds, linear_bridge):
         fit = fit_optimal(scenario2_ds, _basis(scenario2_ds, 8), linear_bridge)
         np.testing.assert_allclose(fit.v_hat, fit.v_hat.T, atol=1e-10)
@@ -268,6 +283,38 @@ class TestContinuousUpdatePolish:
         fit_optimal(ds, basis, bridge)
         p = bridge.n_params + 1
         assert 0 < len(calls) <= 2 * p * p + 2 * p + 1 + gmm._POLISH_BACKTRACKS
+
+    def test_bridge_features_built_once_per_polish(self, polished_case, monkeypatch):
+        ds, basis, bridge = polished_case
+        build = gmm._continuous_update_objective
+        evaluations = []
+
+        def counted_objective(*args):
+            objective = build(*args)
+
+            def wrapped(beta):
+                evaluations.append(1)
+                return objective(beta)
+
+            return wrapped
+
+        monkeypatch.setattr(gmm, "_continuous_update_objective", counted_objective)
+        feature_builds = {}
+        for k in (bridge.n_params, basis.k):
+            calls = []
+
+            def counted(*args, _calls=calls):
+                _calls.append(1)
+                return bridge.grad_fn(*args)
+
+            fit_optimal(ds, _basis(ds, k), replace(bridge, grad_fn=counted))
+            feature_builds[k] = len(calls)
+        # The exactly identified fit skips the polish; the polished one
+        # evaluates the objective dozens of times but builds the three
+        # feature matrices (observed, treated, untreated) once.
+        p = bridge.n_params + 1
+        assert len(evaluations) >= 2 * p * p + 2 * p + 1
+        assert feature_builds[basis.k] == feature_builds[bridge.n_params] + 3
 
     def test_polish_lowers_the_continuous_update_objective(self, polished_case):
         ds, basis, bridge = polished_case

@@ -10,6 +10,8 @@ every K), written out here.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from proxigmm.errors import (
 )
 from proxigmm.gmm import fit_initial, fit_optimal
 from proxigmm.selection import (
+    _cross_products,
     coefficientwise_components,
     select_and_fit,
     select_k,
@@ -162,6 +165,33 @@ class TestCriterionFormulas:
             coefficientwise_components(u, feat_grad, zeros)
 
 
+def test_leverage_table_rows_are_prefix_leverages():
+    # Row K-1 of the once-per-scan table is the leverage under the K-column
+    # Gram, on a basis whose columns are correlated and unequally scaled.
+    n, k = 60, 6
+    u, feat_grad, _, _ = _random_instance(17, n=n, k=k, p=2)
+    rng = np.random.default_rng(18)
+    u = u @ (np.diag(np.arange(1.0, k + 1)) + 0.5 * np.triu(rng.normal(size=(k, k)), 1))
+    table = _cross_products(u, feat_grad).leverage
+    assert table.shape == (k, n)
+    for kk in range(1, k + 1):
+        u_k = u[:, :kk]
+        gram_k = u_k.T @ u_k / n
+        want = np.einsum("ik,ki->i", u_k, np.linalg.solve(gram_k, u_k.T)) / n
+        np.testing.assert_allclose(table[kk - 1], want, rtol=1e-12)
+
+
+def _counting_bridge():
+    """The linear bridge with its feature builder wrapped in a call counter."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return BRIDGE.grad_fn(*args)
+
+    return dataclasses.replace(BRIDGE, grad_fn=counted), calls
+
+
 def _prefix_score_parts(ds, u):
     """Criterion inputs on instrument columns ``u``, by the public calls."""
     k = u.shape[1]
@@ -198,12 +228,14 @@ class TestScan:
         assert [r[0] for r in rows] == list(diag.k_grid)
         chosen = [r for r in rows if r[4]]
         assert len(chosen) == 1 and chosen[0][0] == diag.k_star
-        # Each candidate is scored on the leading columns of one basis.
+        # Each candidate is scored on the leading columns of one basis; the
+        # scan slices cross-products built once, so it agrees with a fresh
+        # computation on the prefix to rounding.
         basis = orthonormalize(build_basis(scenario1_ds, spec, 8))
         for k, bias, var, score, _ in rows:
             assert score == pytest.approx(bias + var, rel=1e-12)
             parts = _prefix_score_parts(scenario1_ds, basis.u[:, :k])
-            assert (score, bias, var) == sgmm_components(*parts)
+            np.testing.assert_allclose((score, bias, var), sgmm_components(*parts), rtol=1e-12)
 
     @pytest.mark.parametrize(
         "config, k_bar, reps",
@@ -217,6 +249,14 @@ class TestScan:
             diag = select_k(ds, BRIDGE, SieveSpec(), k_bar)
             np.testing.assert_allclose(diag.scores, want_scores, rtol=1e-10, atol=0)
             assert diag.k_star == want_k, rep
+
+    def test_bridge_features_built_a_fixed_number_of_times(self, scenario1_ds):
+        counts = []
+        for k_bar in (6, 12):
+            bridge, calls = _counting_bridge()
+            select_k(scenario1_ds, bridge, SieveSpec(), k_bar)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_kbar_at_bridge_dimension_is_single_candidate(self, scenario1_ds):
         diag = select_k(scenario1_ds, BRIDGE, SieveSpec(), k_bar=4)
@@ -285,7 +325,8 @@ class TestScan:
         assert np.all(np.isnan(diag.bias_terms[3:]))
         basis = orthonormalize(build_basis(ds, SieveSpec(), 6))
         for k, score in zip(diag.k_grid[:3], diag.scores[:3]):
-            assert score == sgmm_components(*_prefix_score_parts(ds, basis.u[:, :k]))[0]
+            want = sgmm_components(*_prefix_score_parts(ds, basis.u[:, :k]))[0]
+            np.testing.assert_allclose(score, want, rtol=1e-12)
 
     def test_scan_deterministic(self, scenario1_ds):
         a = select_k(scenario1_ds, BRIDGE, SieveSpec(), k_bar=8)
