@@ -37,7 +37,6 @@ from .gmm import (
 )
 from .selection import (
     SelectionDiagnostics,
-    coefficientwise_components,
     select_and_fit,
     select_k,
     sgmm_components,
@@ -80,7 +79,6 @@ __all__ = [
     "TreatmentBridge",
     "VariableRoles",
     "build_basis",
-    "coefficientwise_components",
     "confidence_interval",
     "estimate_upsilon",
     "evaluate_basis",

@@ -76,11 +76,26 @@ class EstimateReport:
         )
 
 
-def _se_from_cov(v: np.ndarray, idx: int, n: int) -> float:
+def _stacked_se(scores: np.ndarray, jac: np.ndarray, idx: int, system: str) -> float:
+    """Standard error of coordinate ``idx`` from the sandwich of an exactly
+    identified stacked system with per-observation ``scores`` and Jacobian
+    ``jac``; ``system`` names it in the error raised when ``jac`` is singular."""
+    n = scores.shape[0]
+    upsilon = scores.T @ scores / n
+    try:
+        jinv = scipy.linalg.inv(jac)
+    except scipy.linalg.LinAlgError as exc:
+        raise SingularSystem(f"stacked {system} Jacobian is singular") from exc
+    v = jinv @ upsilon @ jinv.T
     var = v[idx, idx]
     if not np.isfinite(var) or var < 0.0:
         raise SingularVariance("sandwich variance is not positive at the target")
     return float(np.sqrt(var / n))
+
+
+def _balancing_jacobian(basis_c: np.ndarray, basis_b: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Jacobian of the treatment bridge's balancing moments in its parameters."""
+    return -(basis_c * (q - 1.0)[:, None]).T @ basis_b / basis_c.shape[0]
 
 
 def naive_gformula(ds: Dataset) -> EstimateReport:
@@ -138,20 +153,14 @@ def plugin(ds: Dataset, bridge: OutcomeBridge, instruments: np.ndarray) -> Estim
     tau = float(cgrad.mean(axis=0) @ gamma)
     resid = ds.y - feats @ gamma
     scores = np.column_stack([m * resid[:, None], tau - cgrad @ gamma])
-    upsilon = scores.T @ scores / ds.n
     jac = np.zeros((p + 1, p + 1))
     jac[:p, :p] = -cross
     jac[p, :p] = -cgrad.mean(axis=0)
     jac[p, p] = 1.0
-    try:
-        jinv = scipy.linalg.inv(jac)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularSystem("stacked moment Jacobian is singular") from exc
-    v = jinv @ upsilon @ jinv.T
     return EstimateReport(
         method="plugin",
         tau_hat=tau,
-        se_tau=_se_from_cov(v, p, ds.n),
+        se_tau=_stacked_se(scores, jac, p, "moment"),
         n=ds.n,
         aux={"gamma_hat": gamma},
     )
@@ -244,8 +253,7 @@ def _solve_pipw_theta(ds: Dataset) -> tuple[np.ndarray, TreatmentBridge]:
 
     def jacobian(theta):
         with np.errstate(over="ignore", invalid="ignore"):
-            q = bridge.q(ds.z, ds.a, ds.x, theta)
-            return -(basis_c * (q - 1.0)[:, None]).T @ basis_b / ds.n
+            return _balancing_jacobian(basis_c, basis_b, bridge.q(ds.z, ds.a, ds.x, theta))
 
     best_norm = np.inf
     tried = 0
@@ -321,20 +329,14 @@ def pipw(ds: Dataset) -> EstimateReport:
     scores = np.column_stack(
         [basis_c * (sign * q)[:, None] - target, tau - sign * q * ds.y]
     )
-    upsilon = scores.T @ scores / ds.n
     jac = np.zeros((t_dim + 1, t_dim + 1))
-    jac[:t_dim, :t_dim] = -(basis_c * (q - 1.0)[:, None]).T @ basis_b / ds.n
+    jac[:t_dim, :t_dim] = _balancing_jacobian(basis_c, basis_b, q)
     jac[t_dim, :t_dim] = ((q - 1.0) * ds.y) @ basis_b / ds.n
     jac[t_dim, t_dim] = 1.0
-    try:
-        jinv = scipy.linalg.inv(jac)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularSystem("stacked reweighting Jacobian is singular") from exc
-    v = jinv @ upsilon @ jinv.T
     return EstimateReport(
         method="pipw",
         tau_hat=tau,
-        se_tau=_se_from_cov(v, t_dim, ds.n),
+        se_tau=_stacked_se(scores, jac, t_dim, "reweighting"),
         n=ds.n,
         aux={"theta_hat": theta},
     )
@@ -370,23 +372,17 @@ def pdr(ds: Dataset, bridge: OutcomeBridge | None = None) -> EstimateReport:
             tau - contrib,
         ]
     )
-    upsilon = scores.T @ scores / ds.n
     dim = p + t_dim + 1
     jac = np.zeros((dim, dim))
     jac[:p, :p] = -(instruments.T @ feats) / ds.n
-    jac[p : p + t_dim, p : p + t_dim] = -(basis_c * (q - 1.0)[:, None]).T @ basis_b / ds.n
+    jac[p : p + t_dim, p : p + t_dim] = _balancing_jacobian(basis_c, basis_b, q)
     jac[dim - 1, :p] = (-cgrad + (sign * q)[:, None] * feats).mean(axis=0)
     jac[dim - 1, p : p + t_dim] = ((q - 1.0) * resid) @ basis_b / ds.n
     jac[dim - 1, dim - 1] = 1.0
-    try:
-        jinv = scipy.linalg.inv(jac)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularSystem("stacked doubly robust Jacobian is singular") from exc
-    v = jinv @ upsilon @ jinv.T
     return EstimateReport(
         method="pdr",
         tau_hat=tau,
-        se_tau=_se_from_cov(v, dim - 1, ds.n),
+        se_tau=_stacked_se(scores, jac, dim - 1, "doubly robust"),
         n=ds.n,
         aux={"gamma_hat": gamma, "theta_hat": theta},
     )

@@ -268,10 +268,7 @@ def _add_study_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--reps", type=int, default=500)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--kmax", type=int, default=DEFAULT_K_BAR)
-    parser.add_argument(
-        "--threads", type=int,
-        default=int(os.environ.get("PROXIGMM_THREADS", "1")),
-    )
+    parser.add_argument("--threads", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,6 +3,9 @@
 The moment vector stacks K sieve moments, instrumenting the outcome
 residual ``y - h`` with basis columns of (Z, A, X), and one contrast moment
 tying the target parameter to the mean treatment contrast of the bridge.
+The bridge is linear in its parameters, so the mean moments are affine in
+them; that map and the feature matrices behind the scores are built once
+per dataset, instruments and bridge, and every fit step reads them.
 Fitting proceeds in two steps: an identity-weight fit on the orthonormalized
 basis, then an optimally weighted fit whose weight is the spectrally
 regularized inverse of the estimated moment covariance.
@@ -115,31 +118,57 @@ class GmmFit:
         return json.dumps(d)
 
 
-def _bridge_features(
-    ds: Dataset, bridge: OutcomeBridge
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bridge feature matrices at the observed treatment, at a = 1 and at a = 0."""
-    ones = np.ones(ds.n)
-    return (
-        bridge.grad(ds.w, ds.a, ds.x),
-        bridge.grad(ds.w, ones, ds.x),
-        bridge.grad(ds.w, 0.0 * ones, ds.x),
-    )
+@dataclass(frozen=True)
+class _Moments:
+    """The stacked moments of a linear bridge on one instrument matrix.
 
+    With ``beta = (gamma, tau)`` the mean moment vector is affine,
+    ``const + jac @ beta``: the K sieve rows instrument the outcome residual
+    with ``u`` and the last row is ``tau`` minus the mean treatment contrast.
+    The feature matrices at the observed treatment (``feats``), at a = 1
+    (``treated``) and at a = 0 (``untreated``) do not depend on ``beta``, so
+    every fit step, the polish, the variance and the moment-count scan read
+    them from one object built per dataset, instruments and bridge.
+    """
 
-def _stack_scores(
-    u: np.ndarray, y: np.ndarray, features: tuple, gamma: np.ndarray, tau: float
-) -> np.ndarray:
-    """Scores from :func:`_bridge_features`: residual times each instrument,
-    then ``tau`` minus the treatment contrast."""
-    feats, treated, untreated = features
-    resid = y - feats @ gamma
-    contrast = treated @ gamma - untreated @ gamma
-    k = u.shape[1]
-    s = np.empty((y.shape[0], k + 1))
-    s[:, :k] = u * resid[:, None]
-    s[:, k] = tau - contrast
-    return s
+    u: np.ndarray
+    y: np.ndarray
+    feats: np.ndarray
+    treated: np.ndarray
+    untreated: np.ndarray
+    jac: np.ndarray
+    const: np.ndarray
+
+    @classmethod
+    def build(cls, ds: Dataset, u: np.ndarray, bridge: OutcomeBridge) -> _Moments:
+        ones = np.ones(ds.n)
+        feats = bridge.grad(ds.w, ds.a, ds.x)
+        treated = bridge.grad(ds.w, ones, ds.x)
+        untreated = bridge.grad(ds.w, 0.0 * ones, ds.x)
+        k, p = u.shape[1], feats.shape[1]
+        jac = np.zeros((k + 1, p + 1))
+        jac[:k, :p] = -(u.T @ feats) / ds.n
+        jac[k, :p] = -(treated - untreated).mean(axis=0)
+        jac[k, p] = 1.0
+        const = np.r_[u.T @ ds.y / ds.n, 0.0]
+        return cls(u, ds.y, feats, treated, untreated, jac, const)
+
+    @property
+    def contrast_mean(self) -> np.ndarray:
+        """Mean parameter gradient of the treatment contrast."""
+        return -self.jac[-1, :-1]
+
+    def scores(self, beta: np.ndarray) -> np.ndarray:
+        """Per-observation scores at ``beta``, shape (n, K+1): residual times
+        each instrument, then ``tau`` minus the treatment contrast."""
+        gamma, tau = beta[:-1], beta[-1]
+        resid = self.y - self.feats @ gamma
+        contrast = self.treated @ gamma - self.untreated @ gamma
+        k = self.u.shape[1]
+        s = np.empty((self.y.shape[0], k + 1))
+        s[:, :k] = self.u * resid[:, None]
+        s[:, k] = tau - contrast
+        return s
 
 
 def joint_score(
@@ -148,7 +177,7 @@ def joint_score(
     """Per-observation scores at (gamma, tau), shape (n, K+1); the last
     column is the contrast moment."""
     gamma = bridge._resolve(gamma)
-    return _stack_scores(basis.u, ds.y, _bridge_features(ds, bridge), gamma, tau)
+    return _Moments.build(ds, basis.u, bridge).scores(np.r_[gamma, tau])
 
 
 def estimate_upsilon(scores: np.ndarray) -> np.ndarray:
@@ -179,24 +208,6 @@ def _prepare(basis: BasisMatrix) -> BasisMatrix:
     return basis if basis.orthonormal else orthonormalize(basis)
 
 
-def _moment_jacobian(bmat: np.ndarray, contrast_mean: np.ndarray) -> np.ndarray:
-    """Jacobian of the stacked moments from the sieve block ``bmat = -U'G/n``
-    and the mean contrast gradient."""
-    k, p = bmat.shape
-    jac = np.zeros((k + 1, p + 1))
-    jac[:k, :p] = bmat
-    jac[k, :p] = -contrast_mean
-    jac[k, p] = 1.0
-    return jac
-
-
-def _jacobian(ds: Dataset, u: np.ndarray, bridge: OutcomeBridge) -> np.ndarray:
-    return _moment_jacobian(
-        -(u.T @ bridge.grad(ds.w, ds.a, ds.x)) / ds.n,
-        bridge.contrast_grad(ds.w, ds.x).mean(axis=0),
-    )
-
-
 def _least_squares(
     jac: np.ndarray, const: np.ndarray, w_half: np.ndarray
 ) -> tuple[np.ndarray, float]:
@@ -218,15 +229,6 @@ def _least_squares(
     return beta, float(g_final @ (w_half.T @ (w_half @ g_final)))
 
 
-def _solve_linear(
-    ds: Dataset, u: np.ndarray, bridge: OutcomeBridge, w_half: np.ndarray
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """The GMM solution under weight ``w_half.T @ w_half``: one least-squares solve."""
-    jac = _jacobian(ds, u, bridge)
-    beta, value = _least_squares(jac, np.r_[u.T @ ds.y / ds.n, 0.0], w_half)
-    return beta, value, jac
-
-
 def _general_sandwich(
     jac: np.ndarray, weight: np.ndarray, upsilon: np.ndarray
 ) -> np.ndarray:
@@ -240,18 +242,11 @@ def _general_sandwich(
     return bread_inv @ meat @ bread_inv
 
 
-def _continuous_update_objective(
-    ds: Dataset, basis: BasisMatrix, bridge: OutcomeBridge, rel_threshold: float
-):
-    """Build the moment objective with the covariance re-evaluated per trial point.
-
-    The bridge feature matrices do not depend on the parameters, so they are
-    built once here rather than once per evaluation.
-    """
-    features = _bridge_features(ds, bridge)
+def _continuous_update_objective(moments: _Moments, rel_threshold: float):
+    """Build the moment objective with the covariance re-evaluated per trial point."""
 
     def objective(beta: np.ndarray) -> float:
-        scores = _stack_scores(basis.u, ds.y, features, beta[:-1], beta[-1])
+        scores = moments.scores(beta)
         try:
             decomp = regularize_moments(estimate_upsilon(scores), rel_threshold)
             floored = decomp._floored()
@@ -303,11 +298,7 @@ def _central_differences(
 
 
 def _refine_continuous_update(
-    ds: Dataset,
-    basis: BasisMatrix,
-    bridge: OutcomeBridge,
-    start: np.ndarray,
-    rel_threshold: float,
+    moments: _Moments, start: np.ndarray, rel_threshold: float
 ) -> tuple[np.ndarray, float]:
     """Polish a two-step solution with a damped Newton step of the
     continuously updated objective.
@@ -327,7 +318,7 @@ def _refine_continuous_update(
     halving achieves a decrease, so the refinement never leaves a solution
     that is already optimal in this metric.
     """
-    objective = _continuous_update_objective(ds, basis, bridge, rel_threshold)
+    objective = _continuous_update_objective(moments, rel_threshold)
     start_val = float(objective(start))
     if not np.isfinite(start_val):
         return start, start_val
@@ -359,6 +350,31 @@ def _refine_continuous_update(
     return start, start_val
 
 
+def _fixed_weight_fit(moments: _Moments, weight: np.ndarray, w_half: np.ndarray) -> GmmFit:
+    """Fit under ``weight = w_half.T @ w_half`` with its general sandwich variance."""
+    beta, obj = _least_squares(moments.jac, moments.const, w_half)
+    upsilon = estimate_upsilon(moments.scores(beta))
+    v_hat = _general_sandwich(moments.jac, weight, upsilon)
+    dv = np.diag(v_hat)
+    if np.any(dv < -1e-8 * max(np.max(np.abs(dv)), 1.0)):
+        raise SingularVariance("sandwich variance has a negative diagonal entry")
+    n, k = moments.u.shape
+    se = np.sqrt(np.maximum(dv, 0.0) / n)
+    p = beta.shape[0] - 1
+    return GmmFit(
+        gamma_hat=beta[:p],
+        tau_hat=float(beta[p]),
+        se_gamma=se[:p],
+        se_tau=float(se[p]),
+        k=k,
+        k1=k + 1,
+        n=n,
+        v_hat=v_hat,
+        objective_value=obj,
+        rel_threshold=0.0,
+    )
+
+
 def fit_with_weight(
     ds: Dataset,
     basis: BasisMatrix,
@@ -372,32 +388,11 @@ def fit_with_weight(
     basis first when needed.
     """
     basis = _prepare(basis)
-    u = basis.u
     vals, vecs = scipy.linalg.eigh(np.asarray(weight, dtype=float))
     if np.min(vals) < -1e-10 * max(np.max(np.abs(vals)), 1.0):
         raise SingularVariance("weight matrix is not positive semidefinite")
     w_half = (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
-    beta, obj, jac = _solve_linear(ds, u, bridge, w_half)
-    scores = joint_score(ds, basis, bridge, beta[:-1], beta[-1])
-    upsilon = estimate_upsilon(scores)
-    v_hat = _general_sandwich(jac, weight, upsilon)
-    dv = np.diag(v_hat)
-    if np.any(dv < -1e-8 * max(np.max(np.abs(dv)), 1.0)):
-        raise SingularVariance("sandwich variance has a negative diagonal entry")
-    se = np.sqrt(np.maximum(dv, 0.0) / ds.n)
-    p = bridge.n_params
-    return GmmFit(
-        gamma_hat=beta[:p],
-        tau_hat=float(beta[p]),
-        se_gamma=se[:p],
-        se_tau=float(se[p]),
-        k=u.shape[1],
-        k1=u.shape[1] + 1,
-        n=ds.n,
-        v_hat=v_hat,
-        objective_value=obj,
-        rel_threshold=0.0,
-    )
+    return _fixed_weight_fit(_Moments.build(ds, basis.u, bridge), weight, w_half)
 
 
 def fit_initial(ds: Dataset, basis: BasisMatrix, bridge: OutcomeBridge) -> GmmFit:
@@ -411,6 +406,13 @@ def fit_initial(ds: Dataset, basis: BasisMatrix, bridge: OutcomeBridge) -> GmmFi
     return fit_with_weight(ds, basis, bridge, np.eye(basis.k + 1))
 
 
+def _first_step_decomposition(moments: _Moments, rel_threshold: float) -> MomentDecomposition:
+    """Floored decomposition of the moment covariance at the identity-weight
+    estimates, which need one least-squares solve and no variance."""
+    init, _ = _least_squares(moments.jac, moments.const, np.eye(moments.jac.shape[0]))
+    return regularize_moments(estimate_upsilon(moments.scores(init)), rel_threshold)
+
+
 def fit_optimal(
     ds: Dataset,
     basis: BasisMatrix,
@@ -419,13 +421,15 @@ def fit_optimal(
 ) -> GmmFit:
     """Optimally weighted fit: two-step, then a continuous-updating polish.
 
-    Step one takes the identity-weight estimates of :func:`fit_initial`
-    (its variance is not needed here); the moment covariance at those
-    estimates is eigendecomposed and inverted with eigenvalues floored at
-    ``rel_threshold`` times the largest, which regularizes directions whose
-    sample variance is negligible (including the structurally degenerate
-    contrast direction of a parameter-constant-contrast bridge) instead of
-    letting them dominate the weight. When the moment count exceeds the
+    The moment system (feature matrices, Jacobian and constant) is built
+    once, and every step below reads it. Step one takes the identity-weight
+    estimates, one least-squares solve with no variance; the moment
+    covariance at those estimates is eigendecomposed and inverted with
+    eigenvalues floored at ``rel_threshold`` times the largest, which
+    regularizes directions whose sample variance is negligible (including
+    the structurally degenerate contrast direction of a
+    parameter-constant-contrast bridge) instead of letting them dominate
+    the weight. When the moment count exceeds the
     parameter count, the two-step solution is then polished by a damped
     Newton step of the quadratic form with the covariance continuously
     re-evaluated, and floored by the same rule, at the trial parameters,
@@ -439,27 +443,25 @@ def fit_optimal(
     sandwich core.
     """
     basis = _prepare(basis)
-    u = basis.u
-    init, _, _ = _solve_linear(ds, u, bridge, np.eye(basis.k + 1))
-    scores0 = joint_score(ds, basis, bridge, init[:-1], init[-1])
-    decomp = regularize_moments(estimate_upsilon(scores0), rel_threshold)
-    beta, obj, _ = _solve_linear(ds, u, bridge, decomp.floored_weight_sqrt())
-    if u.shape[1] > bridge.n_params:
-        beta, obj = _refine_continuous_update(ds, basis, bridge, beta, rel_threshold)
+    moments = _Moments.build(ds, basis.u, bridge)
+    decomp = _first_step_decomposition(moments, rel_threshold)
+    beta, obj = _least_squares(moments.jac, moments.const, decomp.floored_weight_sqrt())
+    if basis.k > bridge.n_params:
+        beta, obj = _refine_continuous_update(moments, beta, rel_threshold)
     p = beta.shape[0] - 1
     fit = GmmFit(
         gamma_hat=beta[:p],
         tau_hat=float(beta[p]),
         se_gamma=np.full(p, np.nan),
         se_tau=float("nan"),
-        k=u.shape[1],
+        k=basis.k,
         k1=decomp.k1,
         n=ds.n,
         v_hat=np.empty((0, 0)),
         objective_value=obj,
         rel_threshold=rel_threshold,
     )
-    return variance(fit, ds, basis, bridge)
+    return _variance(fit, moments)
 
 
 def variance(
@@ -473,11 +475,14 @@ def variance(
     :class:`SingularVariance` when that quadratic form cannot be inverted.
     """
     basis = _prepare(basis)
-    scores = joint_score(ds, basis, bridge, fit.gamma_hat, fit.tau_hat)
+    return _variance(fit, _Moments.build(ds, basis.u, bridge))
+
+
+def _variance(fit: GmmFit, moments: _Moments) -> GmmFit:
+    scores = moments.scores(np.r_[fit.gamma_hat, fit.tau_hat])
     decomp = regularize_moments(estimate_upsilon(scores), fit.rel_threshold)
-    weight = decomp.floored_weight()
-    jac = _jacobian(ds, basis.u, bridge)
-    bread = jac.T @ weight @ jac
+    jac = moments.jac
+    bread = jac.T @ decomp.floored_weight() @ jac
     try:
         chol = scipy.linalg.cho_factor(bread)
         v_hat = scipy.linalg.cho_solve(chol, np.eye(bread.shape[0]))
@@ -486,7 +491,7 @@ def variance(
             "floored-weight Jacobian quadratic form is singular"
         ) from exc
     dv = np.diag(v_hat)
-    se = np.sqrt(np.maximum(dv, 0.0) / ds.n)
+    se = np.sqrt(np.maximum(dv, 0.0) / moments.y.shape[0])
     p = fit.gamma_hat.shape[0]
     return replace(fit, se_gamma=se[:p], se_tau=float(se[p]), v_hat=v_hat)
 

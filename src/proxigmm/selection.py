@@ -34,13 +34,7 @@ from .errors import (
     RankDeficientJacobian,
     SingularUpsilonBlock,
 )
-from .gmm import (
-    DEFAULT_REL_THRESHOLD,
-    GmmFit,
-    _least_squares,
-    _moment_jacobian,
-    fit_optimal,
-)
+from .gmm import DEFAULT_REL_THRESHOLD, GmmFit, _least_squares, _Moments, fit_optimal
 from .sieve import SieveSpec, build_basis, orthonormalize
 
 _CANDIDATE_FAILURES = (SingularUpsilonBlock, RankDeficientJacobian)
@@ -64,44 +58,6 @@ class SelectionDiagnostics:
         ]
 
 
-def _criterion_factors(
-    u: np.ndarray, feat_grad: np.ndarray, resid: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """Factorizations of the coefficient-summed reference criterion.
-
-    With Υ the residual-weighted instrument covariance, B = -U'G/n the
-    bridge projection, and Ω = B'Υ⁻¹B, returns ``(Υ⁻¹U', Gram⁻¹U', Ω⁻¹,
-    d_tilde, eta, d_star)``: ``d_tilde`` and ``d_star`` project the bridge
-    gradient through the Gram and Υ metrics, and ``eta = -G - d_tilde`` is
-    the part of the gradient the instruments cannot replicate. Raises
-    :class:`SingularUpsilonBlock` when a factorization fails.
-    """
-    n, k = u.shape
-    weighted = u * resid[:, None]
-    upsilon = weighted.T @ weighted / n
-    try:
-        cho = scipy.linalg.cho_factor(upsilon)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularUpsilonBlock(
-            f"residual-weighted moment covariance is singular at K={k}"
-        ) from exc
-    bmat = -(u.T @ feat_grad) / n
-    ups_inv_ut = scipy.linalg.cho_solve(cho, u.T)
-    omega = bmat.T @ scipy.linalg.cho_solve(cho, bmat)
-    gram = u.T @ u / n
-    try:
-        omega_inv = scipy.linalg.inv(omega)
-        gram_inv_ut = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), u.T)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularUpsilonBlock(
-            f"bridge-projection matrix is singular at K={k}"
-        ) from exc
-    d_tilde = gram_inv_ut.T @ bmat
-    eta = -feat_grad - d_tilde
-    d_star = ups_inv_ut.T @ bmat
-    return ups_inv_ut, gram_inv_ut, omega_inv, d_tilde, eta, d_star
-
-
 @dataclass(frozen=True)
 class _CrossProducts:
     """Instrument cross-products shared by every leading-column prefix.
@@ -120,9 +76,10 @@ class _CrossProducts:
     leverage: np.ndarray
 
 
-def _cross_products(u: np.ndarray, feat_grad: np.ndarray) -> _CrossProducts:
-    """Build :class:`_CrossProducts`; raises :class:`SingularUpsilonBlock`
-    when the Gram matrix cannot be factorized."""
+def _cross_products(u: np.ndarray, bmat: np.ndarray) -> _CrossProducts:
+    """Build :class:`_CrossProducts` from ``u`` and its bridge projection
+    ``bmat``; raises :class:`SingularUpsilonBlock` when the Gram matrix
+    cannot be factorized."""
     n, k = u.shape
     try:
         gram_chol = scipy.linalg.cholesky(u.T @ u / n, lower=True)
@@ -132,7 +89,6 @@ def _cross_products(u: np.ndarray, feat_grad: np.ndarray) -> _CrossProducts:
         ) from exc
     whitened = scipy.linalg.solve_triangular(gram_chol, u.T, lower=True)
     leverage = np.cumsum(whitened**2, axis=0) / n
-    bmat = -(u.T @ feat_grad) / n
     return _CrossProducts(u=u, bmat=bmat, gram_chol=gram_chol, leverage=leverage)
 
 
@@ -208,41 +164,8 @@ def sgmm_components(
     residual-weighted instrument covariance (or the Gram or reduced-form
     matrix derived from it) cannot be factorized.
     """
-    return _target_direction(_cross_products(u, feat_grad), u.shape[1], feat_grad, resid, target)
-
-
-def coefficientwise_components(
-    u: np.ndarray,
-    feat_grad: np.ndarray,
-    resid: np.ndarray,
-) -> tuple[float, float, float]:
-    """Reference criterion summing estimated mean squared errors over all
-    bridge coefficients.
-
-    This variant adds one squared-bias and one variance contribution per
-    coefficient direction, measures observation leverage through the
-    residual-weighted moment covariance, and builds the variance bracket
-    from the raw bridge gradient. It is retained as an independently
-    checkable reference form of the coefficient-summed loss;
-    :func:`sgmm_components` is the form that drives :func:`select_k`,
-    differing in three deliberate ways: it scores only the causal-contrast
-    direction instead of summing over coefficients, measures leverage
-    through the unweighted instrument Gram matrix, and recentres the
-    variance bracket by the instrument projection of the gradient.
-
-    Returns (score, bias_term, variance_term); raises
-    :class:`SingularUpsilonBlock` when a required matrix cannot be
-    factorized.
-    """
-    n = u.shape[0]
-    ups_inv_ut, _, omega_inv, _, eta, d_star = _criterion_factors(u, feat_grad, resid)
-    xi = np.einsum("ik,ki->i", u, ups_inv_ut) / n
-    pi_vec = (xi * resid) @ (eta @ omega_inv)
-    inner = (d_star * (resid**2)[:, None] + feat_grad) @ omega_inv
-    phi_vec = xi @ inner**2 - np.diag(omega_inv)
-    bias_term = float(pi_vec @ pi_vec) / n
-    variance_term = float(np.sum(phi_vec))
-    return bias_term + variance_term, bias_term, variance_term
+    cross = _cross_products(u, -(u.T @ feat_grad) / u.shape[0])
+    return _target_direction(cross, u.shape[1], feat_grad, resid, target)
 
 
 def select_k(
@@ -257,9 +180,10 @@ def select_k(
     criterion is singular, score infinity; if every candidate does, raises
     :class:`AllCandidatesSingular`. Ties resolve to the smallest K.
 
-    The bridge gradient, the contrast target, the moment Jacobian, U'y/n
-    and the leverage table (:class:`_CrossProducts`) are built once per
-    scan. Each candidate then solves its identity-weight least squares on
+    The moment system of the scanned basis (bridge gradient, contrast
+    target, moment Jacobian and U'y/n, as in :func:`fit_optimal`) and the
+    leverage table (:class:`_CrossProducts`) are built once per scan.
+    Each candidate then solves its identity-weight least squares on
     the Jacobian's leading K sieve rows plus the contrast row, forms its
     residual-weighted covariance on the leading K columns (the only
     O(nK²) step), and scores the target direction with K-dimensional
@@ -275,11 +199,9 @@ def select_k(
         basis = orthonormalize(raw)
     except RankDeficient as exc:
         basis = orthonormalize(build_basis(ds, raw.spec, exc.full_rank_prefix))
-    feat_grad = bridge.grad(ds.w, ds.a, ds.x)
-    target = bridge.contrast_grad(ds.w, ds.x).mean(axis=0)
-    cross = _cross_products(basis.u, feat_grad)
-    jac = _moment_jacobian(cross.bmat, target)
-    const = np.r_[basis.u.T @ ds.y / ds.n, 0.0]
+    moments = _Moments.build(ds, basis.u, bridge)
+    target = moments.contrast_mean
+    cross = _cross_products(basis.u, moments.jac[:-1, :-1])
     grid = tuple(range(p, k_bar + 1))
     scores = np.full(len(grid), np.inf)
     bias_terms = np.full(len(grid), np.nan)
@@ -288,10 +210,10 @@ def select_k(
         # Candidate K's moments: the leading K sieve rows and the contrast row.
         rows = np.r_[:k, basis.k]
         try:
-            beta, _ = _least_squares(jac[rows], const[rows], np.eye(k + 1))
-            resid = ds.y - feat_grad @ beta[:p]
+            beta, _ = _least_squares(moments.jac[rows], moments.const[rows], np.eye(k + 1))
+            resid = moments.y - moments.feats @ beta[:p]
             scores[i], bias_terms[i], var_terms[i] = _target_direction(
-                cross, k, feat_grad, resid, target
+                cross, k, moments.feats, resid, target
             )
         except _CANDIDATE_FAILURES:
             continue

@@ -24,12 +24,10 @@ from .errors import DimensionMismatch, ProxiGmmError
 from .gmm import (
     DEFAULT_REL_THRESHOLD,
     GmmFit,
-    _solve_linear,
+    _first_step_decomposition,
+    _fixed_weight_fit,
+    _Moments,
     confidence_interval,
-    estimate_upsilon,
-    fit_with_weight,
-    joint_score,
-    regularize_moments,
     wald_test,
 )
 from .selection import select_and_fit, select_k
@@ -316,10 +314,12 @@ def _frozen_design_fit(
     bridge = OutcomeBridge.linear(ds_clean.w.shape[1], ds_clean.x.shape[1])
     diag = select_k(ds_clean, bridge, spec, k_bar)
     basis = orthonormalize(build_basis(ds_clean, spec, diag.k_star))
-    init, _, _ = _solve_linear(ds_clean, basis.u, bridge, np.eye(basis.k + 1))
-    scores = joint_score(ds_clean, basis, bridge, init[:-1], init[-1])
-    decomp = regularize_moments(estimate_upsilon(scores), rel_threshold)
-    fit = fit_with_weight(ds_distorted, basis, bridge, decomp.floored_weight())
+    decomp = _first_step_decomposition(_Moments.build(ds_clean, basis.u, bridge), rel_threshold)
+    fit = _fixed_weight_fit(
+        _Moments.build(ds_distorted, basis.u, bridge),
+        decomp.floored_weight(),
+        decomp.floored_weight_sqrt(),
+    )
     return _fit_record(fit, diag.k_star)
 
 

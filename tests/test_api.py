@@ -20,7 +20,23 @@ def test_every_exported_name_resolves():
 
 
 def test_tracer_call_shapes_exist():
-    inspect.signature(proxigmm.fit_with_weight).bind("ds", "basis", "bridge", "weight")
+    shapes = {
+        "generate": ("config", 0, 0),
+        "select_k": ("ds", "bridge", "spec", 12),
+        "build_basis": ("ds", "spec", 12),
+        "orthonormalize": ("raw",),
+        "fit_optimal": ("ds", "basis", "bridge"),
+        "fit_initial": ("ds", "basis", "bridge"),
+        "joint_score": ("ds", "basis", "bridge", "gamma", "tau"),
+        "estimate_upsilon": ("scores",),
+        "regularize_moments": ("upsilon",),
+        "fit_with_weight": ("ds", "basis", "bridge", "weight"),
+        "variance": ("fit", "ds", "basis", "bridge"),
+        "confidence_interval": ("fit",),
+        "wald_test": ("fit",),
+    }
+    for name, args in shapes.items():
+        inspect.signature(getattr(proxigmm, name)).bind(*args)
     inspect.signature(proxigmm.run_replications).bind(
         "config", "methods", 1, 0, k_bar=12, threads=1
     )

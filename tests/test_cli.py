@@ -19,7 +19,7 @@ from proxigmm import (
     select_and_fit,
     write_csv,
 )
-from proxigmm.cli import main
+from proxigmm.cli import build_parser, main
 from proxigmm.simulation import BASELINES, DEFAULT_K_BAR, METHODS
 
 ROLES = VariableRoles(
@@ -59,6 +59,11 @@ def test_estimate_reports_the_library_estimate(method, csv_path, tmp_path):
 def test_unknown_method_is_a_config_error(tmp_path):
     code = main(["simulate", "--methods", "bogus", "--reps", "1", "--out-dir", str(tmp_path)])
     assert code == 2
+
+
+def test_threads_default_ignores_the_environment(monkeypatch):
+    monkeypatch.setenv("PROXIGMM_THREADS", "2")
+    assert build_parser().parse_args(["simulate"]).threads == 1
 
 
 def test_missing_column_is_a_data_error(csv_path, tmp_path):

@@ -1,11 +1,9 @@
-"""Moment-count selection: criterion formulas and the scan over candidates.
+"""Moment-count selection: the criterion formula and the scan over candidates.
 
-The two criterion functions are locked against literal per-observation
-transcriptions of their formulas (explicit loops and inverses, no shared
-code), including a fixed hand-built five-row instance for the
-coefficient-summed reference form. The one-QR scan is locked against the
-per-candidate path it replaced (a fresh QR and identity-weight fit at
-every K), written out here.
+The criterion is locked against a literal per-observation transcription of
+its formula (explicit loops and inverses, no shared code). The one-QR scan
+is locked against the per-candidate path it replaced (a fresh QR and
+identity-weight fit at every K), written out here.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from proxigmm.errors import (
 from proxigmm.gmm import fit_initial, fit_optimal
 from proxigmm.selection import (
     _cross_products,
-    coefficientwise_components,
     select_and_fit,
     select_k,
     sgmm_components,
@@ -35,15 +32,6 @@ from proxigmm.sieve import BasisMatrix, SieveSpec, build_basis, orthonormalize
 from proxigmm.simulation import ScenarioConfig, generate
 
 BRIDGE = OutcomeBridge.linear(d_w=1, d_x=1)
-
-# Fixed five-row instance with two instruments and one bridge coefficient,
-# written out in full so the literal-loop comparison has no moving parts.
-HAND_U = np.array(
-    [[1.0, 0.5], [1.0, -0.3], [1.0, 1.2], [1.0, 0.1], [1.0, -0.8]]
-)
-HAND_GRAD = np.array([[0.7], [1.1], [-0.4], [0.9], [0.2]])
-HAND_RESID = np.array([0.5, -1.0, 0.3, 0.8, -0.6])
-
 
 def _random_instance(seed: int, n: int, k: int, p: int):
     rng = np.random.default_rng(seed)
@@ -85,36 +73,6 @@ def _literal_target_direction(u, feat_grad, resid, target):
     return bias + var, bias, var
 
 
-def _literal_coefficient_summed(u, feat_grad, resid):
-    """Per-observation transcription of the coefficient-summed reference."""
-    n, k = u.shape
-    p = feat_grad.shape[1]
-    ups = np.zeros((k, k))
-    gram = np.zeros((k, k))
-    bmat = np.zeros((k, p))
-    for i in range(n):
-        ups = ups + resid[i] ** 2 * np.outer(u[i], u[i])
-        gram = gram + np.outer(u[i], u[i])
-        bmat = bmat - np.outer(u[i], feat_grad[i])
-    ups, gram, bmat = ups / n, gram / n, bmat / n
-    ups_inv = np.linalg.inv(ups)
-    gram_inv = np.linalg.inv(gram)
-    omega_inv = np.linalg.inv(bmat.T @ ups_inv @ bmat)
-    pi = np.zeros(p)
-    phi = -np.diag(omega_inv).copy()
-    for i in range(n):
-        xi = u[i] @ ups_inv @ u[i] / n
-        d_tilde = bmat.T @ gram_inv @ u[i]
-        d_star = bmat.T @ ups_inv @ u[i]
-        eta = -feat_grad[i] - d_tilde
-        pi = pi + xi * resid[i] * (omega_inv @ eta)
-        inner = omega_inv @ (d_star * resid[i] ** 2 + feat_grad[i])
-        phi = phi + xi * inner**2
-    bias = float(pi @ pi) / n
-    var = float(np.sum(phi))
-    return bias + var, bias, var
-
-
 class TestCriterionFormulas:
     def test_target_direction_matches_literal_loop(self):
         u, feat_grad, resid, target = _random_instance(11, n=40, k=3, p=2)
@@ -127,17 +85,6 @@ class TestCriterionFormulas:
         score, bias, var = sgmm_components(u, feat_grad, resid, target)
         assert score == bias + var
 
-    def test_coefficient_summed_matches_hand_instance(self):
-        got = coefficientwise_components(HAND_U, HAND_GRAD, HAND_RESID)
-        want = _literal_coefficient_summed(HAND_U, HAND_GRAD, HAND_RESID)
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
-
-    def test_coefficient_summed_matches_literal_loop_random(self):
-        u, feat_grad, resid, _ = _random_instance(13, n=30, k=4, p=2)
-        got = coefficientwise_components(u, feat_grad, resid)
-        want = _literal_coefficient_summed(u, feat_grad, resid)
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
-
     def test_criteria_invariant_to_instrument_basis_change(self):
         # Every ingredient (leverage, projections, omega) transforms so the
         # criterion is unchanged by an invertible recombination of the
@@ -146,14 +93,9 @@ class TestCriterionFormulas:
         rng = np.random.default_rng(15)
         amat = np.eye(3) + 0.3 * rng.normal(size=(3, 3))
         base_t = sgmm_components(u, feat_grad, resid, target)
-        base_c = coefficientwise_components(u, feat_grad, resid)
         np.testing.assert_allclose(
             sgmm_components(u @ amat, feat_grad, resid, target),
             base_t, rtol=1e-8,
-        )
-        np.testing.assert_allclose(
-            coefficientwise_components(u @ amat, feat_grad, resid),
-            base_c, rtol=1e-8,
         )
 
     def test_zero_residuals_raise(self):
@@ -161,8 +103,6 @@ class TestCriterionFormulas:
         zeros = np.zeros(20)
         with pytest.raises(SingularUpsilonBlock, match="K=2"):
             sgmm_components(u, feat_grad, zeros, target)
-        with pytest.raises(SingularUpsilonBlock, match="K=2"):
-            coefficientwise_components(u, feat_grad, zeros)
 
 
 def test_leverage_table_rows_are_prefix_leverages():
@@ -172,7 +112,7 @@ def test_leverage_table_rows_are_prefix_leverages():
     u, feat_grad, _, _ = _random_instance(17, n=n, k=k, p=2)
     rng = np.random.default_rng(18)
     u = u @ (np.diag(np.arange(1.0, k + 1)) + 0.5 * np.triu(rng.normal(size=(k, k)), 1))
-    table = _cross_products(u, feat_grad).leverage
+    table = _cross_products(u, -(u.T @ feat_grad) / n).leverage
     assert table.shape == (k, n)
     for kk in range(1, k + 1):
         u_k = u[:, :kk]
@@ -257,6 +197,17 @@ class TestScan:
             select_k(scenario1_ds, bridge, SieveSpec(), k_bar)
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+    def test_select_and_fit_builds_bridge_features_twice(self):
+        # Three feature matrices (observed, treated, untreated) for the scan
+        # and three for the fit at K*, whatever the scan's length or the
+        # polish's evaluation count. K* exceeds the bridge dimension in this
+        # draw, so the polish runs.
+        ds = generate(ScenarioConfig("II", 800), 0, 0)
+        bridge, calls = _counting_bridge()
+        fit, _ = select_and_fit(ds, bridge, SieveSpec(), k_bar=12)
+        assert fit.k > BRIDGE.n_params
+        assert len(calls) == 6
 
     def test_kbar_at_bridge_dimension_is_single_candidate(self, scenario1_ds):
         diag = select_k(scenario1_ds, BRIDGE, SieveSpec(), k_bar=4)

@@ -1,4 +1,5 @@
-"""Replication loop: thread-count invariance, study equivalences, method checks."""
+"""Replication loop: thread-count invariance, study equivalences, method checks,
+and the frozen-design fit of the misspecification study."""
 
 from __future__ import annotations
 
@@ -8,14 +9,27 @@ import math
 import pytest
 
 from proxigmm import (
+    OutcomeBridge,
     ScenarioConfig,
+    SieveSpec,
+    build_basis,
+    estimate_upsilon,
+    fit_initial,
+    fit_with_weight,
+    generate,
+    joint_score,
+    orthonormalize,
+    regularize_moments,
     run_misspec_study,
     run_replications,
     run_study,
+    select_k,
     summarize,
+    transform_column,
 )
+from proxigmm import gmm, simulation
 from proxigmm.errors import DimensionMismatch
-from proxigmm.simulation import METHODS
+from proxigmm.simulation import DEFAULT_K_BAR, METHODS
 
 
 def _assert_same(a: list[dict], b: list[dict]) -> None:
@@ -98,3 +112,35 @@ def test_median_ci_length_resists_fallback_reps():
     (row,) = summarize(records, config)
     assert math.isfinite(row.median_ci_length)
     assert row.median_ci_length < 1e-3 * row.mean_ci_length
+
+
+def test_frozen_design_fit_uses_the_floored_root_directly(monkeypatch):
+    # Reference: the public two-step calls on the clean draw, then a fixed
+    # weight fit on the distorted draw that eigendecomposes the floored
+    # weight for its root. The frozen-design fit takes that root from the
+    # decomposition, so the two agree to rounding.
+    config, spec, bridge = ScenarioConfig("II", 800), SieveSpec(), OutcomeBridge.linear(1, 1)
+    draws, want = [], []
+    for rep in range(10):
+        clean = generate(config, 0, rep)
+        distorted = transform_column(clean, "w1", "moderate")
+        k_star = select_k(clean, bridge, spec, DEFAULT_K_BAR).k_star
+        basis = orthonormalize(build_basis(clean, spec, k_star))
+        init = fit_initial(clean, basis, bridge)
+        scores = joint_score(clean, basis, bridge, init.gamma_hat, init.tau_hat)
+        decomp = regularize_moments(estimate_upsilon(scores))
+        want.append(fit_with_weight(distorted, basis, bridge, decomp.floored_weight()))
+        draws.append((clean, distorted))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the floored weight needs no second decomposition")
+
+    monkeypatch.setattr(gmm, "fit_with_weight", refuse)
+    monkeypatch.setattr(simulation, "fit_with_weight", refuse, raising=False)
+    for (clean, distorted), ref in zip(draws, want):
+        got = simulation._frozen_design_fit(
+            clean, distorted, spec, DEFAULT_K_BAR, gmm.DEFAULT_REL_THRESHOLD
+        )
+        assert got["k_star"] == ref.k
+        assert got["tau_hat"] == pytest.approx(ref.tau_hat, rel=0, abs=1e-8)
+        assert got["se_tau"] == pytest.approx(ref.se_tau, rel=1e-6)
