@@ -5,13 +5,18 @@ confounder, a logistic treatment, Gaussian proxies on each side, and a
 linear outcome; the two study scenarios differ only in whether the proxy
 and outcome noise scales depend on the covariate. Replications are keyed
 by (base_seed, replication index, stream), with one counter-based stream
-per random variable, so results are bit-identical for any thread count and
+per random variable, so results are bit-identical for any worker count and
 platform.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import os
+import sys
+import traceback
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,14 +196,103 @@ def _method_records(rep: int, methods: tuple[str, ...], run) -> list[dict]:
     return out
 
 
+# The replication function of the pool a worker process serves; set in the
+# worker only, by ``_init_worker``.
+_worker_rep = None
+
+# Python 3.12 and later warn in the parent when they fork a process that
+# runs other threads. Here those are a multi-threaded BLAS's pool, which
+# OpenBLAS (numpy's and scipy's wheels) shuts down and rebuilds across a
+# fork, and the child runs only ``one_rep``, so the warning is silenced
+# around pool start. Threads of the caller's own are not covered: a caller
+# that runs them should keep ``threads=1``.
+_FORK_WITH_THREADS = r"This process .* is multi-threaded, use of fork\(\)"
+
+
+class _WorkerTraceback(Exception):
+    """The traceback of an exception raised in a worker process."""
+
+
+def _init_worker(one_rep) -> None:
+    global _worker_rep
+    _worker_rep = one_rep
+
+
+def _rep_in_worker(rep: int) -> tuple[list[dict] | None, list[tuple], tuple | None]:
+    """One replication in a worker: its records, the warnings it raised, and
+    the exception that ended it with that exception's traceback, if any."""
+    records = error = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            records = _worker_rep(rep)
+        except Exception as exc:
+            error = exc, traceback.format_exc()
+    return records, [(w.message, w.category, w.filename, w.lineno) for w in caught], error
+
+
+def _warn_again(caught: list[tuple]) -> None:
+    """Emit warnings recorded in a worker as if this process had raised them.
+
+    Each goes through this process's filters with the module name and
+    once-per-location registry of the module that raised it, as in the
+    serial loop. A warning from a file no loaded module owns gets the
+    defaults ``warn_explicit`` derives from the file name; an explicit
+    ``module=None`` would drop it.
+    """
+    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+    for message, category, filename, lineno in caught:
+        module = modules.get(filename)
+        origin = {} if module is None else {
+            "module": module.__name__,
+            "registry": vars(module).setdefault("__warningregistry__", {}),
+        }
+        warnings.warn_explicit(message, category, filename, lineno, **origin)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; the machine's count where the OS cannot say."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _replicate(reps: int, threads: int, one_rep) -> list[dict]:
-    """Records of ``one_rep(rep)`` for every replication, in replication order."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(one_rep, range(reps)))
+    """Records of ``one_rep(rep)`` for every replication, in replication order.
+
+    ``threads`` is the number of worker processes, capped at ``reps`` and
+    at the CPUs this process may run on. With one, or where the platform
+    cannot fork (Windows), the replications run in this process. Workers
+    are forked, so they inherit ``one_rep`` and everything it closes over
+    without pickling or importing anything, and each replication seeds
+    itself, so the records do not depend on which worker ran it. A worker
+    behaves like the serial loop: the warnings a replication raised are
+    emitted here, in replication order, and then the exception that ended
+    it, if any, is raised here with its type, chained to its worker
+    traceback.
+    """
+    if min(threads, reps) <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        workers = 1
     else:
-        chunks = [one_rep(rep) for rep in range(reps)]
-    return [rec for chunk in chunks for rec in chunk]
+        workers = min(threads, reps, _usable_cpus())
+    if workers <= 1:
+        return [rec for rep in range(reps) for rec in one_rep(rep)]
+    out = []
+    with ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker, initargs=(one_rep,),
+    ) as pool:
+        # Every worker is forked at the first submission, which ``map`` makes.
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", _FORK_WITH_THREADS, DeprecationWarning)
+            results = pool.map(_rep_in_worker, range(reps))
+        for records, caught, error in results:
+            _warn_again(caught)
+            if error is not None:
+                exc, worker_traceback = error
+                raise exc from _WorkerTraceback(worker_traceback)
+            out.extend(records)
+    return out
 
 
 def run_replications(
@@ -213,8 +307,11 @@ def run_replications(
 ) -> list[dict]:
     """Per-replication estimation records for a grid of methods.
 
-    A method failure inside a replication is recorded, not raised. Thread
-    count affects speed only; records and their order are identical.
+    A method failure inside a replication is recorded, not raised; any
+    other exception propagates. ``threads`` is the number of worker
+    processes the replications run in (see ``_replicate``); it affects
+    speed only: the records and their order are identical for any count,
+    and warnings raised in a worker are emitted in this process.
     """
     _check_methods(methods)
     spec = sieve_spec if sieve_spec is not None else SieveSpec()
@@ -344,7 +441,8 @@ def run_misspec_study(
     column, so the summary isolates what proxy misspecification does to an
     otherwise well-tuned estimator rather than mixing in its effect on the
     tuning stage. Baseline methods carry no tuning stage to freeze and see
-    the transformed column everywhere.
+    the transformed column everywhere. ``threads`` counts worker processes,
+    as in ``run_replications``; the summaries are identical for any count.
     """
     if level not in MISSPEC_LEVELS:
         raise DimensionMismatch(f"unknown level {level!r}; choose from {MISSPEC_LEVELS}")
