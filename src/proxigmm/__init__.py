@@ -16,7 +16,6 @@ from .baselines import (
     p2sls,
     pdr,
     pipw,
-    plugin,
     rgmm,
 )
 from .bridges import DgpCoefficients, OutcomeBridge, TreatmentBridge, true_bridge_params
@@ -95,7 +94,6 @@ __all__ = [
     "p2sls",
     "pdr",
     "pipw",
-    "plugin",
     "regularize_moments",
     "rgmm",
     "run_bspline_study",

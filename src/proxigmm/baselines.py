@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.optimize
-from scipy.stats import norm
 
 from .bridges import OutcomeBridge, TreatmentBridge
 from .data import Dataset
@@ -27,7 +26,7 @@ from .errors import (
     SingularVariance,
     WeakRank,
 )
-from .gmm import WALD_CRITICAL_5PCT
+from .gmm import WALD_CRITICAL_5PCT, _Moments
 
 _NEWTON_MAX_ITER = 50
 _NEWTON_TOL = 1e-10
@@ -53,11 +52,12 @@ class EstimateReport:
     aux: dict = field(default_factory=dict)
 
     def ci95(self) -> tuple[float, float]:
-        z = norm.ppf(0.975)
+        z = WALD_CRITICAL_5PCT
         return (self.tau_hat - z * self.se_tau, self.tau_hat + z * self.se_tau)
 
-    def wald_reject(self, null_tau: float = 0.0) -> bool:
-        return abs(self.tau_hat - null_tau) > WALD_CRITICAL_5PCT * self.se_tau
+    def wald_reject(self) -> bool:
+        """Whether the 5% two-sided Wald test rejects tau = 0."""
+        return abs(self.tau_hat) > WALD_CRITICAL_5PCT * self.se_tau
 
     def to_json(self) -> str:
         aux = {
@@ -127,58 +127,51 @@ def naive_gformula(ds: Dataset) -> EstimateReport:
     )
 
 
-def plugin(ds: Dataset, bridge: OutcomeBridge, instruments: np.ndarray) -> EstimateReport:
-    """Exactly identified bridge fit with a plug-in contrast mean.
+def _canonical_bridge_fit(ds: Dataset) -> tuple[_Moments, np.ndarray]:
+    """Moments of the linear outcome bridge instrumented by (1, z, a, x), and
+    the bridge coefficients that zero them.
 
-    Solves the empirical moment conditions instrumenting the outcome
-    residual with the given columns (one instrument per bridge parameter),
-    then averages the fitted treatment contrast. The standard error comes
-    from the joint sandwich of the bridge moments and the contrast moment.
+    Raises :class:`DimensionMismatch` unless there is one instrument per
+    bridge parameter, that is as many z proxies as w proxies.
     """
-    feats = bridge.grad(ds.w, ds.a, ds.x)
-    m = np.asarray(instruments, dtype=float)
-    if m.ndim != 2 or m.shape[0] != ds.n:
-        raise DimensionMismatch("instruments must be an (n, p) matrix")
-    p = feats.shape[1]
-    if m.shape[1] != p:
+    bridge = OutcomeBridge.linear(ds.w.shape[1], ds.x.shape[1])
+    instruments = np.column_stack([np.ones(ds.n), ds.z, ds.a, ds.x])
+    p = bridge.n_params
+    if instruments.shape[1] != p:
         raise DimensionMismatch(
-            f"need exactly {p} instruments for {p} bridge parameters, got {m.shape[1]}"
+            f"need exactly {p} instruments for {p} bridge parameters, got {instruments.shape[1]}"
         )
-    cross = m.T @ feats / ds.n
+    moments = _Moments.build(ds, instruments, bridge)
     try:
-        gamma = scipy.linalg.solve(cross, m.T @ ds.y / ds.n)
+        gamma = scipy.linalg.solve(-moments.jac[:p, :p], moments.const[:p])
     except scipy.linalg.LinAlgError as exc:
         raise SingularSystem("instrument/feature cross-moment matrix is singular") from exc
-    cgrad = bridge.contrast_grad(ds.w, ds.x)
-    tau = float(cgrad.mean(axis=0) @ gamma)
-    resid = ds.y - feats @ gamma
-    scores = np.column_stack([m * resid[:, None], tau - cgrad @ gamma])
-    jac = np.zeros((p + 1, p + 1))
-    jac[:p, :p] = -cross
-    jac[p, :p] = -cgrad.mean(axis=0)
-    jac[p, p] = 1.0
-    return EstimateReport(
-        method="plugin",
-        tau_hat=tau,
-        se_tau=_stacked_se(scores, jac, p, "moment"),
-        n=ds.n,
-        aux={"gamma_hat": gamma},
-    )
+    return moments, gamma
 
 
-def rgmm(ds: Dataset, bridge: OutcomeBridge | None = None) -> EstimateReport:
+def rgmm(ds: Dataset) -> EstimateReport:
     """Exactly identified proxy GMM with the canonical instrument set.
 
-    Instruments the outcome residual with (1, z, a, x). Requires as many
-    treatment-side proxies as outcome-side ones so the system is square.
+    Instruments the outcome residual of the linear bridge over (1, w, a, x)
+    with (1, z, a, x), one instrument per bridge parameter, solves those
+    moment conditions and averages the fitted treatment contrast. Requires
+    as many treatment-side proxies as outcome-side ones so the system is
+    square. The standard error comes from the joint sandwich of the bridge
+    moments and the contrast moment.
     """
-    if bridge is None:
-        bridge = OutcomeBridge.linear(ds.w.shape[1], ds.x.shape[1])
-    instruments = np.column_stack([np.ones(ds.n), ds.z, ds.a, ds.x])
-    report = plugin(ds, bridge, instruments)
+    moments, gamma = _canonical_bridge_fit(ds)
+    tau = float(moments.contrast_mean @ gamma)
+    resid = ds.y - moments.feats @ gamma
+    # One product with the contrast features, as in pdr: moments.scores
+    # differences two products, which rounds the contrast column differently.
+    cgrad = moments.treated - moments.untreated
+    scores = np.column_stack([moments.u * resid[:, None], tau - cgrad @ gamma])
     return EstimateReport(
-        method="rgmm", tau_hat=report.tau_hat, se_tau=report.se_tau,
-        n=ds.n, aux=report.aux,
+        method="rgmm",
+        tau_hat=tau,
+        se_tau=_stacked_se(scores, moments.jac, gamma.shape[0], "moment"),
+        n=ds.n,
+        aux={"gamma_hat": gamma},
     )
 
 
@@ -236,40 +229,45 @@ def _newton_starts(dim: int) -> list[np.ndarray]:
     return starts
 
 
-def _solve_pipw_theta(ds: Dataset) -> tuple[np.ndarray, TreatmentBridge]:
-    sign, basis_c, basis_b, target = _pipw_system(ds)
+def _solve_pipw_theta(ds: Dataset):
+    """Treatment-bridge coefficients that balance the reweighting moments.
+
+    Returns ``(theta, q, system)``: the coefficients, the bridge values at
+    them, and the ``(sign, basis_c, basis_b, target)`` arrays of
+    :func:`_pipw_system`, so callers build neither again.
+    """
+    system = sign, basis_c, basis_b, target = _pipw_system(ds)
     if basis_c.shape[1] != basis_b.shape[1]:
         raise DimensionMismatch(
             "reweighting moments need equally many z and w proxies"
         )
     bridge = TreatmentBridge()
 
-    def residual(theta):
+    def balance(theta):
+        """Bridge values at ``theta`` and the balancing residual there."""
         # Overflow to inf (and inf*0 = nan) for extreme trial points is
         # expected; callers reject non-finite residuals rather than warn.
         with np.errstate(over="ignore", invalid="ignore"):
             q = bridge.q(ds.z, ds.a, ds.x, theta)
-            return (basis_c * (sign * q)[:, None]).mean(axis=0) - target
-
-    def jacobian(theta):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _balancing_jacobian(basis_c, basis_b, bridge.q(ds.z, ds.a, ds.x, theta))
+            return q, (basis_c * (sign * q)[:, None]).mean(axis=0) - target
 
     best_norm = np.inf
     tried = 0
     for start in _newton_starts(basis_b.shape[1]):
         theta = start.copy()
-        res = residual(theta)
+        q, res = balance(theta)
         tried += 1
         for _ in range(_NEWTON_MAX_ITER):
             if np.max(np.abs(res)) < _NEWTON_TOL:
-                return theta, bridge
+                return theta, q, system
+            with np.errstate(over="ignore", invalid="ignore"):
+                jac = _balancing_jacobian(basis_c, basis_b, q)
             try:
                 # An ill-conditioned balancing Jacobian produces steps with
                 # no usable digits; give up on this start like a singular one.
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-                    step = scipy.linalg.solve(jacobian(theta), -res)
+                    step = scipy.linalg.solve(jac, -res)
             except (scipy.linalg.LinAlgError, scipy.linalg.LinAlgWarning):
                 break
             scale = 1.0
@@ -279,13 +277,13 @@ def _solve_pipw_theta(ds: Dataset) -> tuple[np.ndarray, TreatmentBridge]:
                 norm0 = np.linalg.norm(res)
                 for _ in range(30):
                     cand = theta + scale * step
-                    cand_res = residual(cand)
+                    cand_q, cand_res = balance(cand)
                     if np.all(np.isfinite(cand_res)) and np.linalg.norm(cand_res) < norm0:
                         break
                     scale *= 0.5
                 else:
                     break
-            theta, res = cand, cand_res
+            theta, q, res = cand, cand_q, cand_res
         best_norm = min(best_norm, float(np.max(np.abs(res))))
 
     # The balancing system can lack an exact root in finite samples (a
@@ -294,7 +292,7 @@ def _solve_pipw_theta(ds: Dataset) -> tuple[np.ndarray, TreatmentBridge]:
     # squared moment norm, so fall back to a least-squares minimizer and
     # accept it when the remaining imbalance is moderate.
     def clipped(theta):
-        r = residual(theta)
+        r = balance(theta)[1]
         return np.where(np.isfinite(r), r, _MINNORM_SENTINEL)
 
     best = None
@@ -304,9 +302,9 @@ def _solve_pipw_theta(ds: Dataset) -> tuple[np.ndarray, TreatmentBridge]:
         )
         if best is None or sol.cost < best.cost:
             best = sol
-    res = residual(best.x)
+    q, res = balance(best.x)
     if np.all(np.isfinite(res)) and np.max(np.abs(res)) < _MINNORM_ACCEPT:
-        return best.x, bridge
+        return best.x, q, system
     raise NoConvergence(
         f"reweighting solver failed from {tried} starts "
         f"(best exact-root residual sup-norm {best_norm:.3e}; "
@@ -321,9 +319,7 @@ def pipw(ds: Dataset) -> EstimateReport:
     moments, then averages the signed reweighted outcome. The standard
     error stacks the bridge moments with the reweighting moment.
     """
-    theta, bridge = _solve_pipw_theta(ds)
-    sign, basis_c, basis_b, target = _pipw_system(ds)
-    q = bridge.q(ds.z, ds.a, ds.x, theta)
+    theta, q, (sign, basis_c, basis_b, target) = _solve_pipw_theta(ds)
     tau = float(np.mean(sign * q * ds.y))
     t_dim = theta.shape[0]
     scores = np.column_stack(
@@ -342,39 +338,33 @@ def pipw(ds: Dataset) -> EstimateReport:
     )
 
 
-def pdr(ds: Dataset, bridge: OutcomeBridge | None = None) -> EstimateReport:
+def pdr(ds: Dataset) -> EstimateReport:
     """Proximal doubly robust estimator.
 
     Combines the outcome-bridge contrast with a reweighted residual
     correction; consistent if either bridge is correctly specified. The
-    standard error stacks both bridges' moments with the combination
-    moment.
+    outcome bridge is fitted as in :func:`rgmm`. The standard error stacks
+    both bridges' moments with the combination moment.
     """
-    if bridge is None:
-        bridge = OutcomeBridge.linear(ds.w.shape[1], ds.x.shape[1])
-    gamma_report = rgmm(ds, bridge)
-    gamma = np.asarray(gamma_report.aux["gamma_hat"])
-    theta, t_bridge = _solve_pipw_theta(ds)
-    sign, basis_c, basis_b, target = _pipw_system(ds)
-    feats = bridge.grad(ds.w, ds.a, ds.x)
-    cgrad = bridge.contrast_grad(ds.w, ds.x)
-    q = t_bridge.q(ds.z, ds.a, ds.x, theta)
+    moments, gamma = _canonical_bridge_fit(ds)
+    theta, q, (sign, basis_c, basis_b, target) = _solve_pipw_theta(ds)
+    feats = moments.feats
+    cgrad = moments.treated - moments.untreated
     resid = ds.y - feats @ gamma
     contrib = cgrad @ gamma + sign * q * resid
     tau = float(np.mean(contrib))
-    instruments = np.column_stack([np.ones(ds.n), ds.z, ds.a, ds.x])
-    p = feats.shape[1]
+    p = gamma.shape[0]
     t_dim = theta.shape[0]
     scores = np.column_stack(
         [
-            instruments * resid[:, None],
+            moments.u * resid[:, None],
             basis_c * (sign * q)[:, None] - target,
             tau - contrib,
         ]
     )
     dim = p + t_dim + 1
     jac = np.zeros((dim, dim))
-    jac[:p, :p] = -(instruments.T @ feats) / ds.n
+    jac[:p, :p] = moments.jac[:p, :p]
     jac[p : p + t_dim, p : p + t_dim] = _balancing_jacobian(basis_c, basis_b, q)
     jac[dim - 1, :p] = (-cgrad + (sign * q)[:, None] * feats).mean(axis=0)
     jac[dim - 1, p : p + t_dim] = ((q - 1.0) * resid) @ basis_b / ds.n

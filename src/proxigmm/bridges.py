@@ -40,11 +40,10 @@ class OutcomeBridge:
 
     n_params: int
     grad_fn: Callable[..., np.ndarray]
-    params: np.ndarray | None = None
     feature_names: tuple[str, ...] = ()
 
     @staticmethod
-    def linear(d_w: int = 1, d_x: int = 1, params=None) -> "OutcomeBridge":
+    def linear(d_w: int = 1, d_x: int = 1) -> "OutcomeBridge":
         """Bridge linear in an intercept, the W block, treatment, and X."""
         names = (
             "const",
@@ -61,15 +60,12 @@ class OutcomeBridge:
         return OutcomeBridge(
             n_params=2 + d_w + d_x,
             grad_fn=feats,
-            params=None if params is None else np.asarray(params, dtype=float),
             feature_names=names,
         )
 
-    def _resolve(self, params) -> np.ndarray:
-        if params is None:
-            params = self.params
-        if params is None:
-            raise DimensionMismatch("bridge has no parameters set")
+    def _checked(self, params) -> np.ndarray:
+        """``params`` as a float vector; raises :class:`DimensionMismatch`
+        unless it holds ``n_params`` values."""
         params = np.asarray(params, dtype=float).reshape(-1)
         if params.shape[0] != self.n_params:
             raise DimensionMismatch(
@@ -81,21 +77,14 @@ class OutcomeBridge:
         """Parameter gradient of h, shape (n, n_params); the same at any parameters."""
         return np.asarray(self.grad_fn(w, a, x), dtype=float)
 
-    def h(self, w, a, x, params=None) -> np.ndarray:
+    def h(self, w, a, x, params) -> np.ndarray:
         """Bridge values, shape (n,)."""
-        params = self._resolve(params)
-        return self.grad(w, a, x) @ params
+        return self.grad(w, a, x) @ self._checked(params)
 
-    def contrast(self, w, x, params=None) -> np.ndarray:
+    def contrast(self, w, x, params) -> np.ndarray:
         """Treatment contrast h(w, 1, x) - h(w, 0, x), shape (n,)."""
         ones = np.ones(_as_block(w).shape[0])
         return self.h(w, ones, x, params) - self.h(w, 0.0 * ones, x, params)
-
-    def contrast_grad(self, w, x) -> np.ndarray:
-        """Parameter gradient of the treatment contrast, shape (n, n_params);
-        the same at any parameters."""
-        ones = np.ones(_as_block(w).shape[0])
-        return self.grad(w, ones, x) - self.grad(w, 0.0 * ones, x)
 
 
 @dataclass(frozen=True)
@@ -107,15 +96,13 @@ class TreatmentBridge:
     an inverse propensity reweighting for whichever arm the unit is in.
     """
 
-    params: np.ndarray | None = None
-
-    def q(self, z, a, x, params=None) -> np.ndarray:
+    def q(self, z, a, x, params) -> np.ndarray:
         """Bridge values, shape (n,); always > 1."""
         z2 = _as_block(z)
         a1 = np.asarray(a, dtype=float).reshape(-1)
         x2 = _as_block(x, n=a1.shape[0])
         b = np.column_stack([np.ones(a1.shape[0]), z2, a1, x2])
-        params = np.asarray(self.params if params is None else params, dtype=float).reshape(-1)
+        params = np.asarray(params, dtype=float).reshape(-1)
         if params.shape[0] != b.shape[1]:
             raise DimensionMismatch(
                 f"expected {b.shape[1]} treatment-bridge parameters, got {params.shape[0]}"

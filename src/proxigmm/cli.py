@@ -41,7 +41,6 @@ from .simulation import (
     summarize,
 )
 
-_SIM_BRIDGE_DIM = OutcomeBridge.linear(1, 1).n_params  # simulated data: one w, one x
 _DATA_ERRORS = (EmptyData, MissingColumn, NonBinaryTreatment, NonFiniteValue, UnknownColumn)
 
 _SUMMARY_COLUMNS = (
@@ -127,6 +126,13 @@ def _config_error(message: str) -> int:
     return 2
 
 
+def _kmax_error(kmax: int, bridge: OutcomeBridge) -> str | None:
+    """The config error for a moment cap below the bridge dimension, if any."""
+    if kmax < bridge.n_params:
+        return f"kmax must be at least the bridge dimension {bridge.n_params}, got {kmax}"
+    return None
+
+
 def _check_study_opts(opts, runs_gmm_div: bool) -> str | None:
     if opts.reps < 1:
         return f"reps must be at least 1, got {opts.reps}"
@@ -134,8 +140,9 @@ def _check_study_opts(opts, runs_gmm_div: bool) -> str | None:
         return f"n must be at least 1, got {opts.n}"
     if opts.threads < 1:
         return f"threads must be at least 1, got {opts.threads}"
-    if runs_gmm_div and opts.kmax < _SIM_BRIDGE_DIM:
-        return f"kmax must be at least the bridge dimension {_SIM_BRIDGE_DIM}, got {opts.kmax}"
+    if runs_gmm_div:
+        # Simulated data has one w proxy and one covariate.
+        return _kmax_error(opts.kmax, OutcomeBridge.linear(1, 1))
     return None
 
 
@@ -174,10 +181,8 @@ def cmd_simulate(opts) -> int:
 def cmd_estimate(opts) -> int:
     ds = load_csv(opts.data, _roles(opts))
     bridge = OutcomeBridge.linear(ds.w.shape[1], ds.x.shape[1])
-    if opts.method == "gmm-div" and opts.kmax < bridge.n_params:
-        return _config_error(
-            f"kmax must be at least the bridge dimension {bridge.n_params}, got {opts.kmax}"
-        )
+    if opts.method == "gmm-div" and (err := _kmax_error(opts.kmax, bridge)):
+        return _config_error(err)
     os.makedirs(opts.out_dir, exist_ok=True)
     if opts.method == "gmm-div":
         fit, diag = select_and_fit(ds, bridge, _sieve_spec(opts), opts.kmax)
@@ -198,10 +203,8 @@ def cmd_estimate(opts) -> int:
 def cmd_select_k(opts) -> int:
     ds = load_csv(opts.data, _roles(opts))
     bridge = OutcomeBridge.linear(ds.w.shape[1], ds.x.shape[1])
-    if opts.kmax < bridge.n_params:
-        return _config_error(
-            f"kmax must be at least the bridge dimension {bridge.n_params}, got {opts.kmax}"
-        )
+    if err := _kmax_error(opts.kmax, bridge):
+        return _config_error(err)
     diag = select_k(ds, bridge, _sieve_spec(opts), opts.kmax)
     os.makedirs(opts.out_dir, exist_ok=True)
     path = _write_loss_curve(opts.out_dir, diag)

@@ -11,8 +11,9 @@ basis, then an optimally weighted fit whose weight is the spectrally
 regularized inverse of the estimated moment covariance.
 
 Spectral regularization uses an eigenvalue floor: eigenvalues of the moment
-covariance below ``rel_threshold`` times the largest are raised to that
-floor before inverting. Directions above the floor get their usual optimal
+covariance below ``SPECTRAL_FLOOR`` (1e-8) times the largest are raised to
+that floor before inverting; every fit, polish and variance uses this one
+constant. Directions above the floor get their usual optimal
 weight (so with nothing below the floor this is exactly unregularized
 optimal GMM), while near-degenerate directions are capped instead of
 amplified. The contrast moment is exactly degenerate at the initial
@@ -29,15 +30,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .bridges import OutcomeBridge
 from .data import Dataset
 from .errors import RankDeficientJacobian, SingularVariance, TooFewMoments
 from .sieve import BasisMatrix, orthonormalize
 
-DEFAULT_REL_THRESHOLD = 1e-8
-WALD_CRITICAL_5PCT = float(norm.ppf(0.975))
+SPECTRAL_FLOOR = 1e-8
+# Two-sided 5% normal critical value: every interval is 95% and every Wald
+# decision is at the 5% level.
+WALD_CRITICAL_5PCT = float(ndtri(0.975))
 # Damped-Newton polish of the continuously updated objective: relative
 # finite-difference step, small-coordinate floor as a fraction of the
 # largest coordinate, initial (deliberately conservative) step length,
@@ -101,7 +104,6 @@ class GmmFit:
     n: int
     v_hat: np.ndarray
     objective_value: float
-    rel_threshold: float
 
     def to_json(self) -> str:
         d = {
@@ -176,7 +178,7 @@ def joint_score(
 ) -> np.ndarray:
     """Per-observation scores at (gamma, tau), shape (n, K+1); the last
     column is the contrast moment."""
-    gamma = bridge._resolve(gamma)
+    gamma = bridge._checked(gamma)
     return _Moments.build(ds, basis.u, bridge).scores(np.r_[gamma, tau])
 
 
@@ -185,12 +187,10 @@ def estimate_upsilon(scores: np.ndarray) -> np.ndarray:
     return scores.T @ scores / scores.shape[0]
 
 
-def regularize_moments(
-    upsilon: np.ndarray, rel_threshold: float = DEFAULT_REL_THRESHOLD
-) -> MomentDecomposition:
+def regularize_moments(upsilon: np.ndarray) -> MomentDecomposition:
     """Eigendecompose a moment covariance and mark the retained directions.
 
-    ``threshold_used`` is ``rel_threshold`` times the largest eigenvalue;
+    ``threshold_used`` is ``SPECTRAL_FLOOR`` times the largest eigenvalue;
     ``k1`` counts eigenvalues strictly above it.
     """
     vals, vecs = scipy.linalg.eigh(np.asarray(upsilon, dtype=float))
@@ -199,7 +199,7 @@ def regularize_moments(
     lam_max = float(vals[0])
     if lam_max <= 0.0:
         raise TooFewMoments("moment covariance has no positive eigenvalue")
-    threshold = rel_threshold * lam_max
+    threshold = SPECTRAL_FLOOR * lam_max
     k1 = int(np.sum(vals > threshold))
     return MomentDecomposition(eigvals=vals, eigvecs=vecs, threshold_used=threshold, k1=k1)
 
@@ -242,13 +242,13 @@ def _general_sandwich(
     return bread_inv @ meat @ bread_inv
 
 
-def _continuous_update_objective(moments: _Moments, rel_threshold: float):
+def _continuous_update_objective(moments: _Moments):
     """Build the moment objective with the covariance re-evaluated per trial point."""
 
     def objective(beta: np.ndarray) -> float:
         scores = moments.scores(beta)
         try:
-            decomp = regularize_moments(estimate_upsilon(scores), rel_threshold)
+            decomp = regularize_moments(estimate_upsilon(scores))
             floored = decomp._floored()
         except (TooFewMoments, scipy.linalg.LinAlgError):
             return float("inf")
@@ -298,7 +298,7 @@ def _central_differences(
 
 
 def _refine_continuous_update(
-    moments: _Moments, start: np.ndarray, rel_threshold: float
+    moments: _Moments, start: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Polish a two-step solution with a damped Newton step of the
     continuously updated objective.
@@ -318,7 +318,7 @@ def _refine_continuous_update(
     halving achieves a decrease, so the refinement never leaves a solution
     that is already optimal in this metric.
     """
-    objective = _continuous_update_objective(moments, rel_threshold)
+    objective = _continuous_update_objective(moments)
     start_val = float(objective(start))
     if not np.isfinite(start_val):
         return start, start_val
@@ -371,7 +371,6 @@ def _fixed_weight_fit(moments: _Moments, weight: np.ndarray, w_half: np.ndarray)
         n=n,
         v_hat=v_hat,
         objective_value=obj,
-        rel_threshold=0.0,
     )
 
 
@@ -406,26 +405,21 @@ def fit_initial(ds: Dataset, basis: BasisMatrix, bridge: OutcomeBridge) -> GmmFi
     return fit_with_weight(ds, basis, bridge, np.eye(basis.k + 1))
 
 
-def _first_step_decomposition(moments: _Moments, rel_threshold: float) -> MomentDecomposition:
+def _first_step_decomposition(moments: _Moments) -> MomentDecomposition:
     """Floored decomposition of the moment covariance at the identity-weight
     estimates, which need one least-squares solve and no variance."""
     init, _ = _least_squares(moments.jac, moments.const, np.eye(moments.jac.shape[0]))
-    return regularize_moments(estimate_upsilon(moments.scores(init)), rel_threshold)
+    return regularize_moments(estimate_upsilon(moments.scores(init)))
 
 
-def fit_optimal(
-    ds: Dataset,
-    basis: BasisMatrix,
-    bridge: OutcomeBridge,
-    rel_threshold: float = DEFAULT_REL_THRESHOLD,
-) -> GmmFit:
+def fit_optimal(ds: Dataset, basis: BasisMatrix, bridge: OutcomeBridge) -> GmmFit:
     """Optimally weighted fit: two-step, then a continuous-updating polish.
 
     The moment system (feature matrices, Jacobian and constant) is built
     once, and every step below reads it. Step one takes the identity-weight
     estimates, one least-squares solve with no variance; the moment
     covariance at those estimates is eigendecomposed and inverted with
-    eigenvalues floored at ``rel_threshold`` times the largest, which
+    eigenvalues floored at ``SPECTRAL_FLOOR`` times the largest, which
     regularizes directions whose sample variance is negligible (including
     the structurally degenerate contrast direction of a
     parameter-constant-contrast bridge) instead of letting them dominate
@@ -444,10 +438,10 @@ def fit_optimal(
     """
     basis = _prepare(basis)
     moments = _Moments.build(ds, basis.u, bridge)
-    decomp = _first_step_decomposition(moments, rel_threshold)
+    decomp = _first_step_decomposition(moments)
     beta, obj = _least_squares(moments.jac, moments.const, decomp.floored_weight_sqrt())
     if basis.k > bridge.n_params:
-        beta, obj = _refine_continuous_update(moments, beta, rel_threshold)
+        beta, obj = _refine_continuous_update(moments, beta)
     p = beta.shape[0] - 1
     fit = GmmFit(
         gamma_hat=beta[:p],
@@ -459,7 +453,6 @@ def fit_optimal(
         n=ds.n,
         v_hat=np.empty((0, 0)),
         objective_value=obj,
-        rel_threshold=rel_threshold,
     )
     return _variance(fit, moments)
 
@@ -470,8 +463,9 @@ def variance(
     """Recompute the sandwich variance at the fit's estimates.
 
     The moment covariance is re-evaluated at the final estimates,
-    redecomposed at the fit's spectral threshold, and the variance is the
-    inverse of the Jacobian quadratic form in the floored weight. Raises
+    redecomposed with eigenvalues floored at ``SPECTRAL_FLOOR`` times the
+    largest, and the variance is the inverse of the Jacobian quadratic form
+    in the floored weight, whatever weight the fit itself used. Raises
     :class:`SingularVariance` when that quadratic form cannot be inverted.
     """
     basis = _prepare(basis)
@@ -480,7 +474,7 @@ def variance(
 
 def _variance(fit: GmmFit, moments: _Moments) -> GmmFit:
     scores = moments.scores(np.r_[fit.gamma_hat, fit.tau_hat])
-    decomp = regularize_moments(estimate_upsilon(scores), fit.rel_threshold)
+    decomp = regularize_moments(estimate_upsilon(scores))
     jac = moments.jac
     bread = jac.T @ decomp.floored_weight() @ jac
     try:
@@ -496,15 +490,15 @@ def _variance(fit: GmmFit, moments: _Moments) -> GmmFit:
     return replace(fit, se_gamma=se[:p], se_tau=float(se[p]), v_hat=v_hat)
 
 
-def confidence_interval(fit: GmmFit, level: float = 0.95) -> tuple[float, float]:
-    """Two-sided normal confidence interval for the treatment effect."""
-    z = norm.ppf(0.5 + level / 2)
+def confidence_interval(fit: GmmFit) -> tuple[float, float]:
+    """Two-sided 95% normal confidence interval for the treatment effect."""
+    z = WALD_CRITICAL_5PCT
     return (fit.tau_hat - z * fit.se_tau, fit.tau_hat + z * fit.se_tau)
 
 
-def wald_test(fit: GmmFit, null_tau: float = 0.0) -> tuple[float, bool]:
-    """Wald statistic for tau against a null value and its 5% decision."""
+def wald_test(fit: GmmFit) -> tuple[float, bool]:
+    """Wald statistic for tau against zero and its 5% decision."""
     if fit.se_tau <= 0.0:
         raise SingularVariance("standard error for tau is not positive")
-    stat = (fit.tau_hat - null_tau) / fit.se_tau
+    stat = fit.tau_hat / fit.se_tau
     return float(stat), bool(abs(stat) > WALD_CRITICAL_5PCT)

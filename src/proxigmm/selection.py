@@ -34,7 +34,7 @@ from .errors import (
     RankDeficientJacobian,
     SingularUpsilonBlock,
 )
-from .gmm import DEFAULT_REL_THRESHOLD, GmmFit, _least_squares, _Moments, fit_optimal
+from .gmm import GmmFit, _least_squares, _Moments, fit_optimal
 from .sieve import SieveSpec, build_basis, orthonormalize
 
 _CANDIDATE_FAILURES = (SingularUpsilonBlock, RankDeficientJacobian)
@@ -229,11 +229,7 @@ def select_k(
 
 
 def select_and_fit(
-    ds: Dataset,
-    bridge: OutcomeBridge,
-    spec: SieveSpec,
-    k_bar: int,
-    rel_threshold: float = DEFAULT_REL_THRESHOLD,
+    ds: Dataset, bridge: OutcomeBridge, spec: SieveSpec, k_bar: int
 ) -> tuple[GmmFit, SelectionDiagnostics]:
     """Run the moment-count scan, then the optimally weighted fit at K*."""
     diag = select_k(ds, bridge, spec, k_bar)
@@ -241,5 +237,5 @@ def select_and_fit(
     # match it only to rounding (bit for bit only when K* is k_bar), and the
     # fit at K* must not depend on the cap it was selected under.
     basis = orthonormalize(build_basis(ds, spec, diag.k_star))
-    fit = fit_optimal(ds, basis, bridge, rel_threshold)
+    fit = fit_optimal(ds, basis, bridge)
     return fit, diag

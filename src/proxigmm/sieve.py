@@ -2,7 +2,8 @@
 
 Basis columns are products of a treatment indicator power (0 or 1) and one
 univariate function per continuous variable: a polynomial power of the
-standardized value, or a B-spline bump. Terms are enumerated in a fixed
+standardized value, or a cubic B-spline bump. Every continuous term also
+enters multiplied by the treatment indicator. Terms are enumerated in a fixed
 order so that the first K columns of a larger basis always equal the
 K-column basis (nested prefixes), which is what the moment-count scan
 relies on.
@@ -33,6 +34,7 @@ STRUCTURES = ("tensor", "additive")
 # treated as numerically zero.
 _ZERO_TOL = 1e-12
 _RANK_TOL = 1e-10
+_SPLINE_DEGREE = 3
 
 
 @dataclass(frozen=True)
@@ -60,21 +62,17 @@ class VarFit:
 class SieveSpec:
     """Configuration and fitted state for an instrument basis.
 
-    Degree/knot settings may be a single int (applied to every variable in
-    the block) or a per-variable tuple. ``include_treatment_interactions``
-    controls products of the treatment indicator with continuous terms;
-    the plain treatment column is always part of the family. ``var_fits``
-    holds per-variable fitted state (Z variables first, then X) and is
-    ``None`` until :func:`fit_sieve` runs.
+    ``z_degrees`` and ``x_degrees`` are the polynomial degree of every Z and
+    every X variable; ``interior_knots`` is the interior knot count of every
+    variable's spline. ``var_fits`` holds per-variable fitted state (Z
+    variables first, then X) and is ``None`` until :func:`fit_sieve` runs.
     """
 
     family: str = "power"
     structure: str = "tensor"
-    z_degrees: int | tuple[int, ...] = 3
-    x_degrees: int | tuple[int, ...] = 3
-    interior_knots: int | tuple[int, ...] = 2
-    spline_degree: int = 3
-    include_treatment_interactions: bool = True
+    z_degrees: int = 3
+    x_degrees: int = 3
+    interior_knots: int = 2
     var_fits: tuple[VarFit, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -112,24 +110,12 @@ class BasisMatrix:
         return self.u.shape[0]
 
 
-def _per_var(setting: int | tuple[int, ...], count: int, label: str) -> list[int]:
-    if isinstance(setting, int):
-        return [setting] * count
-    vals = list(setting)
-    if len(vals) != count:
-        raise DimensionMismatch(f"{label}: got {len(vals)} entries for {count} variables")
-    return vals
-
-
 def fit_sieve(spec: SieveSpec, ds: Dataset) -> SieveSpec:
     """Learn per-variable standardization or knot placement from data."""
     fits: list[VarFit] = []
-    z_deg = _per_var(spec.z_degrees, ds.z.shape[1], "z_degrees")
-    x_deg = _per_var(spec.x_degrees, ds.x.shape[1], "x_degrees")
-    knots = _per_var(spec.interior_knots, ds.z.shape[1] + ds.x.shape[1], "interior_knots")
-    cols = [(nm, "z", ds.z[:, j], z_deg[j]) for j, nm in enumerate(ds.z_names)]
-    cols += [(nm, "x", ds.x[:, j], x_deg[j]) for j, nm in enumerate(ds.x_names)]
-    for pos, (name, block, col, degree) in enumerate(cols):
+    cols = [(nm, "z", ds.z[:, j], spec.z_degrees) for j, nm in enumerate(ds.z_names)]
+    cols += [(nm, "x", ds.x[:, j], spec.x_degrees) for j, nm in enumerate(ds.x_names)]
+    for name, block, col, degree in cols:
         if spec.family == "power":
             mean = float(np.mean(col))
             sd = float(np.std(col))
@@ -137,14 +123,14 @@ def fit_sieve(spec: SieveSpec, ds: Dataset) -> SieveSpec:
                 raise DegenerateColumn(f"variable {name!r} is constant; cannot standardize")
             fits.append(VarFit(name=name, block=block, levels=degree, mean=mean, sd=sd))
         else:
-            m = knots[pos]
+            m = spec.interior_knots
             lo, hi = float(np.min(col)), float(np.max(col))
             if hi - lo < _ZERO_TOL:
                 raise DegenerateColumn(f"variable {name!r} is constant; cannot place knots")
             interior = np.quantile(col, [(j + 1) / (m + 1) for j in range(m)]) if m else np.array([])
-            deg = spec.spline_degree
-            knot_vec = np.r_[np.full(deg + 1, lo), interior, np.full(deg + 1, hi)]
-            n_bumps = m + deg  # one bump dropped as redundant with the constant
+            clamped = _SPLINE_DEGREE + 1  # repeated boundary knots
+            knot_vec = np.r_[np.full(clamped, lo), interior, np.full(clamped, hi)]
+            n_bumps = m + _SPLINE_DEGREE  # one bump dropped as redundant with the constant
             fits.append(
                 VarFit(name=name, block=block, levels=n_bumps,
                        knots=tuple(float(t) for t in knot_vec), lo=lo, hi=hi)
@@ -173,8 +159,6 @@ def _terms(spec: SieveSpec) -> list[tuple[int, tuple[int, ...]]]:
                 slots = active + a_exp
                 if slots < 2:
                     continue
-                if a_exp and not spec.include_treatment_interactions:
-                    continue
                 if spec.structure == "additive" and active > 1:
                     continue
                 inter.append((a_exp, tuple(lv)))
@@ -202,10 +186,10 @@ def _term_name(spec: SieveSpec, term: tuple[int, tuple[int, ...]]) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _spline_design(f: VarFit, values: np.ndarray, degree: int) -> np.ndarray:
+def _spline_design(f: VarFit, values: np.ndarray) -> np.ndarray:
     """All B-spline bumps (including the dropped first one) at clamped values."""
     clipped = np.clip(values, f.lo, f.hi)
-    dm = BSpline.design_matrix(clipped, np.asarray(f.knots), degree)
+    dm = BSpline.design_matrix(clipped, np.asarray(f.knots), _SPLINE_DEGREE)
     return np.asarray(dm.todense())
 
 
@@ -216,7 +200,7 @@ def _univariate_levels(spec: SieveSpec, f: VarFit, values: np.ndarray) -> np.nda
     if spec.family == "power":
         std = (values - f.mean) / f.sd
         return np.column_stack([std**lv for lv in range(1, f.levels + 1)])
-    return _spline_design(f, values, spec.spline_degree)[:, 1 : f.levels + 1]
+    return _spline_design(f, values)[:, 1 : f.levels + 1]
 
 
 def _raw_columns(
@@ -350,8 +334,6 @@ def spec_to_json(spec: SieveSpec) -> str:
         "z_degrees": spec.z_degrees,
         "x_degrees": spec.x_degrees,
         "interior_knots": spec.interior_knots,
-        "spline_degree": spec.spline_degree,
-        "include_treatment_interactions": spec.include_treatment_interactions,
         "var_fits": None
         if spec.var_fits is None
         else [vars(f) | {"knots": list(f.knots)} for f in spec.var_fits],
@@ -363,9 +345,6 @@ def spec_from_json(text: str) -> SieveSpec:
     """Inverse of :func:`spec_to_json`."""
     d = json.loads(text)
     fits = d.pop("var_fits")
-    for key in ("z_degrees", "x_degrees", "interior_knots"):
-        if isinstance(d[key], list):
-            d[key] = tuple(d[key])
     spec = SieveSpec(**d)
     if fits is not None:
         spec = replace(

@@ -27,7 +27,6 @@ from .bridges import DgpCoefficients, OutcomeBridge
 from .data import Dataset, transform_column
 from .errors import DimensionMismatch, ProxiGmmError
 from .gmm import (
-    DEFAULT_REL_THRESHOLD,
     GmmFit,
     _first_step_decomposition,
     _fixed_weight_fit,
@@ -97,7 +96,13 @@ def _streams(seed, rep: int | None) -> dict[str, np.random.Generator]:
     }
 
 
-def _generate_full(config: ScenarioConfig, seed, rep: int | None = None):
+def generate(config: ScenarioConfig, seed, rep: int | None = None) -> Dataset:
+    """Draw one dataset; the confounder stays internal to the generator.
+
+    ``seed`` plus an optional replication index key the random streams, so
+    ``generate(cfg, s, r)`` is reproducible elementwise regardless of how
+    many replications run or in what order.
+    """
     rngs = _streams(seed, rep)
     n = config.n
     coef = config.coefficients
@@ -113,18 +118,7 @@ def _generate_full(config: ScenarioConfig, seed, rep: int | None = None):
     w = w0 + wx * x + wu * u + s2 * ndtri(_uniform_open(rngs["noise_w"], n))
     y0, ya, yw, yx, yu = coef.outcome
     y = y0 + ya * a + yw * w + yx * x + yu * u + s3 * ndtri(_uniform_open(rngs["noise_y"], n))
-    ds = Dataset(y=y, a=a, z=z, w=w, x=x)
-    return ds, {"u": u, "prob": prob}
-
-
-def generate(config: ScenarioConfig, seed, rep: int | None = None) -> Dataset:
-    """Draw one dataset; the confounder stays internal to the generator.
-
-    ``seed`` plus an optional replication index key the random streams, so
-    ``generate(cfg, s, r)`` is reproducible elementwise regardless of how
-    many replications run or in what order.
-    """
-    return _generate_full(config, seed, rep)[0]
+    return Dataset(y=y, a=a, z=z, w=w, x=x)
 
 
 @dataclass(frozen=True)
@@ -165,11 +159,10 @@ def _fit_record(fit: GmmFit, k_star: int) -> dict:
     }
 
 
-def _run_method(ds: Dataset, method: str, k_bar: int, rel_threshold: float,
-                spec: SieveSpec) -> dict:
+def _run_method(ds: Dataset, method: str, k_bar: int, spec: SieveSpec) -> dict:
     if method == "gmm-div":
         bridge = OutcomeBridge.linear(ds.w.shape[1], ds.x.shape[1])
-        fit, diag = select_and_fit(ds, bridge, spec, k_bar, rel_threshold)
+        fit, diag = select_and_fit(ds, bridge, spec, k_bar)
         return _fit_record(fit, diag.k_star)
     report = BASELINES[method](ds)
     lo, hi = report.ci95()
@@ -301,7 +294,6 @@ def run_replications(
     reps: int,
     base_seed: int,
     k_bar: int = DEFAULT_K_BAR,
-    rel_threshold: float = DEFAULT_REL_THRESHOLD,
     sieve_spec: SieveSpec | None = None,
     threads: int = 1,
 ) -> list[dict]:
@@ -319,7 +311,7 @@ def run_replications(
     def one_rep(rep: int) -> list[dict]:
         ds = generate(config, base_seed, rep)
         return _method_records(
-            rep, methods, lambda m: _run_method(ds, m, k_bar, rel_threshold, spec)
+            rep, methods, lambda m: _run_method(ds, m, k_bar, spec)
         )
 
     return _replicate(reps, threads, one_rep)
@@ -399,7 +391,6 @@ def _frozen_design_fit(
     ds_distorted: Dataset,
     spec: SieveSpec,
     k_bar: int,
-    rel_threshold: float,
 ) -> dict:
     """Moment-selected fit whose tuning stage is frozen on the clean data.
 
@@ -411,7 +402,7 @@ def _frozen_design_fit(
     bridge = OutcomeBridge.linear(ds_clean.w.shape[1], ds_clean.x.shape[1])
     diag = select_k(ds_clean, bridge, spec, k_bar)
     basis = orthonormalize(build_basis(ds_clean, spec, diag.k_star))
-    decomp = _first_step_decomposition(_Moments.build(ds_clean, basis.u, bridge), rel_threshold)
+    decomp = _first_step_decomposition(_Moments.build(ds_clean, basis.u, bridge))
     fit = _fixed_weight_fit(
         _Moments.build(ds_distorted, basis.u, bridge),
         decomp.floored_weight(),
@@ -427,7 +418,6 @@ def run_misspec_study(
     base_seed: int = 0,
     methods: tuple[str, ...] = ("gmm-div", "pdr"),
     k_bar: int = DEFAULT_K_BAR,
-    rel_threshold: float = DEFAULT_REL_THRESHOLD,
     sieve_spec: SieveSpec | None = None,
     threads: int = 1,
 ) -> list[ReplicationSummary]:
@@ -451,7 +441,7 @@ def run_misspec_study(
     if level == "correct":
         records = run_replications(
             config, methods, reps, base_seed, k_bar=k_bar,
-            rel_threshold=rel_threshold, sieve_spec=sieve_spec, threads=threads,
+            sieve_spec=sieve_spec, threads=threads,
         )
         return summarize(records, config)
     spec = sieve_spec if sieve_spec is not None else SieveSpec()
@@ -462,8 +452,8 @@ def run_misspec_study(
 
         def run(method: str) -> dict:
             if method == "gmm-div":
-                return _frozen_design_fit(ds_clean, ds_distorted, spec, k_bar, rel_threshold)
-            return _run_method(ds_distorted, method, k_bar, rel_threshold, spec)
+                return _frozen_design_fit(ds_clean, ds_distorted, spec, k_bar)
+            return _run_method(ds_distorted, method, k_bar, spec)
 
         return _method_records(rep, methods, run)
 

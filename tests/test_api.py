@@ -8,10 +8,13 @@ it uses, so deleting one fails here before it breaks a traced run.
 from __future__ import annotations
 
 import inspect
+import subprocess
+import sys
+from pathlib import Path
 
 import proxigmm
 import proxigmm.selection
-from proxigmm import MomentDecomposition, OutcomeBridge, SieveSpec
+from proxigmm import EstimateReport, MomentDecomposition, OutcomeBridge, SieveSpec
 
 
 def test_every_exported_name_resolves():
@@ -34,13 +37,31 @@ def test_tracer_call_shapes_exist():
         "variance": ("fit", "ds", "basis", "bridge"),
         "confidence_interval": ("fit",),
         "wald_test": ("fit",),
+        **{name: ("ds",) for name in ("naive_gformula", "rgmm", "p2sls", "pipw", "pdr")},
     }
     for name, args in shapes.items():
         inspect.signature(getattr(proxigmm, name)).bind(*args)
     inspect.signature(proxigmm.run_replications).bind(
         "config", "methods", 1, 0, k_bar=12, threads=1
     )
+    inspect.signature(OutcomeBridge.linear).bind(1, 1)
+    inspect.signature(EstimateReport.ci95).bind("report")
+    inspect.signature(EstimateReport.wald_reject).bind("report")
     assert callable(MomentDecomposition.floored_weight)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about half a second of import time, and the normal
+    # quantile the intervals need comes from scipy.special.
+    src = str(Path(proxigmm.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import proxigmm, proxigmm.cli; "
+        "print(proxigmm.__file__); print('scipy.stats' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert out == [proxigmm.__file__, "False"]
 
 
 def test_select_k_looks_up_the_patched_sieve_names(scenario1_ds, monkeypatch):

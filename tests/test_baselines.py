@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import make_gaussian_dataset
 from proxigmm import (
     EstimateReport,
     ScenarioConfig,
@@ -18,6 +19,7 @@ from proxigmm import (
     pipw,
     rgmm,
 )
+from proxigmm.errors import DimensionMismatch
 from proxigmm.simulation import BASELINES
 
 
@@ -74,6 +76,15 @@ def test_registry_entry_reports_its_name(method, scenario1_ds):
     assert isinstance(report, EstimateReport)
     assert report.method == method
     assert np.isfinite(report.tau_hat) and report.se_tau > 0
+
+
+@pytest.mark.parametrize("estimator", [rgmm, pdr])
+def test_outcome_bridge_needs_one_instrument_per_parameter(estimator):
+    # Two z proxies and one w: five instruments (1, z1, z2, a, x) for the
+    # four coefficients of the bridge over (1, w, a, x).
+    ds = make_gaussian_dataset(d_z=2, d_w=1)
+    with pytest.raises(DimensionMismatch, match="need exactly 4 instruments .* got 5"):
+        estimator(ds)
 
 
 @pytest.mark.parametrize("estimator", [pipw, pdr])

@@ -82,22 +82,6 @@ class TestOutcomeBridge:
         fd = finite_difference(lambda g: linear_bridge.h(w, a, x, g), gamma)
         np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8)
 
-    def test_contrast_gradient_matches_finite_differences(self, linear_bridge, rng):
-        w, x = rng.normal(size=4), rng.normal(size=4)
-        gamma = rng.normal(size=4)
-        fd = finite_difference(lambda g: linear_bridge.contrast(w, x, g), gamma)
-        np.testing.assert_allclose(
-            linear_bridge.contrast_grad(w, x), fd, rtol=1e-6, atol=1e-8
-        )
-
-    def test_stored_params_used_when_argument_omitted(self):
-        bridge = OutcomeBridge.linear(1, 1, params=GAMMA_STAR)
-        assert bridge.h([1.0], [1.0], [0.0])[0] == pytest.approx(2.0)
-
-    def test_missing_params_rejected(self, linear_bridge):
-        with pytest.raises(DimensionMismatch):
-            linear_bridge.h([1.0], [1.0], [0.0])
-
     def test_wrong_param_length_rejected(self, linear_bridge):
         with pytest.raises(DimensionMismatch, match="4"):
             linear_bridge.h([1.0], [1.0], [0.0], params=[1.0, 2.0])

@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import make_gaussian_dataset
 from proxigmm import (
     OutcomeBridge,
     ScenarioConfig,
@@ -72,6 +73,16 @@ def test_missing_column_is_a_data_error(csv_path, tmp_path):
     assert code == 3
 
 
+def test_unequal_proxy_counts_are_a_numeric_failure(tmp_path, capsys):
+    path = tmp_path / "two_z.csv"
+    write_csv(make_gaussian_dataset(d_z=2, d_w=1), str(path))
+    argv = ["estimate", "--data", str(path), "--outcome", "y", "--treatment", "a",
+            "--proxies-z", "z1,z2", "--proxies-w", "w1", "--covariates", "x1",
+            "--method", "rgmm", "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 4
+    assert "need exactly 4 instruments" in capsys.readouterr().err
+
+
 def test_constant_instrument_is_a_numeric_failure(csv_path, tmp_path):
     ds = load_csv(str(csv_path), ROLES)
     flat = tmp_path / "flat.csv"
@@ -91,6 +102,11 @@ def test_simulate_reruns_are_byte_identical(tmp_path):
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert set(outputs[0]) == {"summary.csv", "estimates.csv", "k_histogram.csv"}
     assert outputs[0] == outputs[1]
+    rows = list(csv.DictReader(outputs[0]["estimates.csv"].decode().splitlines()))
+    assert rows
+    for row in rows:
+        for col in ("tau_hat", "se_tau", "ci_lo", "ci_hi"):
+            float(row[col])  # raises ValueError on a cell that is not a plain number
 
 
 STUDIES = {
@@ -106,6 +122,17 @@ def test_kmax_below_bridge_dimension_is_a_config_error(study, tmp_path, capsys):
     assert code == 2
     assert "bridge dimension 4" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", [["estimate", "--method", "gmm-div"], ["select-k"]])
+def test_kmax_below_bridge_dimension_of_data_is_a_config_error(
+    command, csv_path, tmp_path, capsys
+):
+    out = tmp_path / "out"
+    code = main([*command, *_data_flags(csv_path), "--kmax", "3", "--out-dir", str(out)])
+    assert code == 2
+    assert "kmax must be at least the bridge dimension 4, got 3" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_kmax_is_not_checked_without_gmm_div(tmp_path):

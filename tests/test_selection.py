@@ -142,7 +142,8 @@ def _prefix_score_parts(ds, u):
     init = fit_initial(ds, basis, BRIDGE)
     resid = ds.y - BRIDGE.h(ds.w, ds.a, ds.x, init.gamma_hat)
     feat_grad = BRIDGE.grad(ds.w, ds.a, ds.x)
-    target = BRIDGE.contrast_grad(ds.w, ds.x).mean(axis=0)
+    ones = np.ones(ds.n)
+    target = (BRIDGE.grad(ds.w, ones, ds.x) - BRIDGE.grad(ds.w, 0.0 * ones, ds.x)).mean(axis=0)
     return u, feat_grad, resid, target
 
 

@@ -69,11 +69,6 @@ class TestTermOrdering:
         spec = fit_sieve(SieveSpec(z_degrees=1, x_degrees=0), scenario1_ds)
         # constant, treatment, z1, and the a*z1 interaction
         assert total_terms(spec) == 4
-        plain = fit_sieve(
-            SieveSpec(z_degrees=1, x_degrees=0, include_treatment_interactions=False),
-            scenario1_ds,
-        )
-        assert total_terms(plain) == 3
 
     def test_total_terms_of_unfitted_spec_needs_data(self, scenario1_ds):
         with pytest.raises(DimensionMismatch, match="unfitted"):

@@ -385,9 +385,7 @@ def test_frozen_design_fit_uses_the_floored_root_directly(monkeypatch):
     monkeypatch.setattr(gmm, "fit_with_weight", refuse)
     monkeypatch.setattr(simulation, "fit_with_weight", refuse, raising=False)
     for (clean, distorted), ref in zip(draws, want):
-        got = simulation._frozen_design_fit(
-            clean, distorted, spec, DEFAULT_K_BAR, gmm.DEFAULT_REL_THRESHOLD
-        )
+        got = simulation._frozen_design_fit(clean, distorted, spec, DEFAULT_K_BAR)
         assert got["k_star"] == ref.k
         assert got["tau_hat"] == pytest.approx(ref.tau_hat, rel=0, abs=1e-8)
         assert got["se_tau"] == pytest.approx(ref.se_tau, rel=1e-6)
