@@ -8,7 +8,12 @@ them; that map and the feature matrices behind the scores are built once
 per dataset, instruments and bridge, and every fit step reads them.
 Fitting proceeds in two steps: an identity-weight fit on the orthonormalized
 basis, then an optimally weighted fit whose weight is the spectrally
-regularized inverse of the estimated moment covariance.
+regularized inverse of the estimated moment covariance. Above the exactly
+identified count, a damped Newton step of the continuously updated
+objective polishes the result. The moment covariance is quadratic in the
+parameters, so the polish builds one O(n (K(p+1))²) Gram per fit; every
+objective evaluation after that does no work in n, and the whole
+finite-difference stencil is evaluated in one batched call.
 
 Spectral regularization uses an eigenvalue floor: eigenvalues of the moment
 covariance below ``SPECTRAL_FLOOR`` (1e-8) times the largest are raised to
@@ -242,24 +247,97 @@ def _general_sandwich(
     return bread_inv @ meat @ bread_inv
 
 
-def _continuous_update_objective(moments: _Moments):
-    """Build the moment objective with the covariance re-evaluated per trial point."""
+def _gram_moments(moments: _Moments):
+    """Build the mean moments and their covariance as a function of a
+    (B, p+1) stack of points ``beta = (gamma, tau)``, returning the (B, K+1)
+    means ``const + jac @ beta`` and the (B, K+1, K+1) covariances
+    ``estimate_upsilon(moments.scores(beta))``.
 
-    def objective(beta: np.ndarray) -> float:
-        scores = moments.scores(beta)
-        try:
-            decomp = regularize_moments(estimate_upsilon(scores))
-            floored = decomp._floored()
-        except (TooFewMoments, scipy.linalg.LinAlgError):
-            return float("inf")
-        # Projected and summed in ascending eigenvalue order, with the
-        # eigenvectors as contiguous rows: the polish's second differences
-        # magnify this value's rounding by 1/h², and this order and layout
-        # keep polished estimates bit-identical to the behaviour fingerprint.
-        rows = np.ascontiguousarray(decomp.eigvecs[:, ::-1].T)
-        proj = rows @ scores.mean(axis=0)
-        value = float(proj @ (proj / floored[::-1]))
-        return value if np.isfinite(value) else float("inf")
+    The scores are linear in the bridge. Sieve score k is
+    ``u_ik (y_i, feats_i) · (1, -gamma)``, and the contrast score is
+    ``g_K(beta) - d_i · gamma``, with ``g_K`` the mean contrast moment and
+    ``d_i`` the treatment contrast of the features less its mean. So every
+    covariance entry is a quadratic form in ``(1, -gamma)`` and ``gamma``
+    over blocks of the Gram ``G = Phi'Phi / n`` of
+    ``Phi_i = [u_i ⊗ (y_i, feats_i), d_i]``, plus the ``g_K`` terms. ``G``
+    is built here once in O(n (K(p+1))²); an evaluation does no work in n.
+    Centering ``d_i`` keeps the contrast entries accurate: the default
+    bridge's contrast score ``tau - gamma_a`` is the same for every unit
+    and near zero at the fit, and a Gram of the uncentred ``(d_i, 1)``
+    would form its square as ``gamma_a² - 2 gamma_a tau + tau²``.
+    """
+    n, k = moments.u.shape
+    p1 = moments.jac.shape[1]
+    p = p1 - 1
+    outcome = np.column_stack([moments.y, moments.feats])
+    phi = np.hstack([
+        (moments.u[:, :, None] * outcome[:, None, :]).reshape(n, k * p1),
+        moments.treated - moments.untreated - moments.contrast_mean,
+    ])
+    gram = phi.T @ phi / n
+    # Rows index the covariance entry, columns a pair of block coordinates.
+    sieve = gram[: k * p1, : k * p1].reshape(k, p1, k, p1).transpose(0, 2, 1, 3)
+    sieve = sieve.reshape(k * k, p1 * p1)
+    cross = gram[: k * p1, k * p1 :].reshape(k, p1 * p)
+    spread = gram[k * p1 :, k * p1 :].reshape(p * p)
+
+    def evaluate(betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        b = betas.shape[0]
+        gamma = betas[:, :-1]
+        weights = np.concatenate([np.ones((b, 1)), -gamma], axis=1)
+
+        def pairs(left, right):
+            return (left[:, :, None] * right[:, None, :]).reshape(b, -1)
+
+        # einsum rather than matmul: each point's arithmetic is then the
+        # same whatever the batch size.
+        g_bar = moments.const + np.einsum("bj,ij->bi", betas, moments.jac)
+        upsilon = np.empty((b, k + 1, k + 1))
+        upsilon[:, :k, :k] = np.einsum(
+            "bc,ec->be", pairs(weights, weights), sieve
+        ).reshape(b, k, k)
+        upsilon[:, :k, k] = (
+            np.einsum("bc,ec->be", pairs(weights, -gamma), cross) + g_bar[:, :k] * g_bar[:, k:]
+        )
+        upsilon[:, k, :k] = upsilon[:, :k, k]
+        upsilon[:, k, k] = np.einsum("bc,c->b", pairs(gamma, gamma), spread) + g_bar[:, k] ** 2
+        return g_bar, upsilon
+
+    return evaluate
+
+
+def _continuous_update_objective(moments: _Moments):
+    """Build the moment objective with the covariance re-evaluated per trial
+    point, as a function of a (B, p+1) stack of points returning B values.
+
+    After one O(n (K(p+1))²) Gram build (:func:`_gram_moments`), an
+    evaluation does no work in n: the mean moments and covariances of the
+    whole stack come from the Gram, one stacked ``eigh`` decomposes the
+    covariances, and eigenvalues are floored at ``SPECTRAL_FLOOR`` times
+    each point's largest. A point whose covariance is not finite or has no
+    positive eigenvalue reads ``inf``, as does every point of a stack whose
+    ``eigh`` fails.
+    """
+    gram_moments = _gram_moments(moments)
+    eye = np.eye(moments.jac.shape[0])
+
+    def objective(betas: np.ndarray) -> np.ndarray:
+        # Overflow and NaN are expected at far-off points; such points read
+        # inf below.
+        with np.errstate(all="ignore"):
+            g_bar, upsilon = gram_moments(betas)
+            usable = np.isfinite(upsilon).all(axis=(1, 2))
+            upsilon[~usable] = eye
+            try:
+                vals, vecs = np.linalg.eigh(upsilon)
+            except np.linalg.LinAlgError:
+                return np.full(betas.shape[0], np.inf)
+            lam_max = vals[:, -1:]
+            usable &= lam_max[:, 0] > 0.0
+            proj = np.einsum("bji,bj->bi", vecs, g_bar)
+            values = np.sum(proj * proj / np.maximum(vals, SPECTRAL_FLOOR * lam_max), axis=1)
+        values[~(usable & np.isfinite(values))] = np.inf
+        return values
 
     return objective
 
@@ -268,29 +346,35 @@ def _central_differences(
     fn, x: np.ndarray, steps: np.ndarray, value: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and Hessian of ``fn`` at ``x`` by central differences, given
-    ``value = fn(x)``.
+    ``value = fn(x)``; ``fn`` maps a (B, p) stack of points to B values.
 
     The gradient is the central difference at ``x``; the Hessian is the
     central difference of that gradient between ``x ± h_j e_j``, averaged
-    over both differencing orders. Each distinct point is evaluated once:
-    ``x ± h_i e_i``, ``x ± 2 h_i e_i`` and ``x ± h_i e_i ± h_j e_j`` for
-    ``i < j``, which is ``2p² + 2p`` points besides ``x``. The derivatives
-    are exact on a quadratic.
+    over both differencing orders. Each distinct point is evaluated once,
+    all in one batched call: ``x ± h_i e_i``, ``x ± 2 h_i e_i`` and
+    ``x ± h_i e_i ± h_j e_j`` for ``i < j``, which is ``2p² + 2p`` points
+    besides ``x``. The derivatives are exact on a quadratic.
     """
     p = x.size
     shift = np.diag(steps)
     twice = 2 * steps
+    points = []
+    for i in range(p):
+        points += [x + shift[i], x - shift[i], x + shift[i] + shift[i], x - shift[i] - shift[i]]
+        for j in range(i):
+            points += [
+                x + si * shift[i] + sj * shift[j]
+                for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))
+            ]
+    values = iter(fn(np.array(points)))
     grad = np.empty(p)
     hess = np.empty((p, p))
     for i in range(p):
-        grad[i] = (fn(x + shift[i]) - fn(x - shift[i])) / twice[i]
-        far_up, far_down = fn(x + shift[i] + shift[i]), fn(x - shift[i] - shift[i])
+        up, down, far_up, far_down = (next(values) for _ in range(4))
+        grad[i] = (up - down) / twice[i]
         hess[i, i] = ((far_up - value) / twice[i] - (value - far_down) / twice[i]) / twice[i]
         for j in range(i):
-            pp, pm, mp, mm = (
-                fn(x + si * shift[i] + sj * shift[j])
-                for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))
-            )
+            pp, pm, mp, mm = (next(values) for _ in range(4))
             i_then_j = ((pp - mp) / twice[i] - (pm - mm) / twice[i]) / twice[j]
             j_then_i = ((pp - pm) / twice[j] - (mp - mm) / twice[j]) / twice[i]
             hess[i, j] = hess[j, i] = 0.5 * (i_then_j + j_then_i)
@@ -309,17 +393,20 @@ def _refine_continuous_update(
     single half step of Newton's method on that objective captures the
     correction while staying in the neighborhood of the two-step solution;
     iterating the update to the exact minimizer trades the removed bias
-    for noticeably heavier sampling tails in modest samples. After the
-    objective at the start, the gradient and curvature come from one
-    central-difference stencil (:func:`_central_differences`, ``2p² + 2p``
-    further objective evaluations for ``p`` parameters), the curvature is
-    shifted to be positive definite when needed, the step is halved until the objective decreases, at most
-    ``_POLISH_BACKTRACKS`` times, and the update is dropped entirely if no
-    halving achieves a decrease, so the refinement never leaves a solution
-    that is already optimal in this metric.
+    for noticeably heavier sampling tails in modest samples. The objective
+    costs one O(n (K(p+1))²) Gram build, after which no evaluation depends
+    on n (:func:`_continuous_update_objective`). After the objective at the
+    start, the gradient and curvature come from one central-difference
+    stencil (:func:`_central_differences`, ``2p² + 2p`` further points for
+    ``p`` parameters, evaluated in one batch), the curvature is shifted to
+    be positive definite when needed, the step is halved until the
+    objective decreases, at most ``_POLISH_BACKTRACKS`` times, and the
+    update is dropped entirely if no halving achieves a decrease, so the
+    refinement never leaves a solution that is already optimal in this
+    metric.
     """
     objective = _continuous_update_objective(moments)
-    start_val = float(objective(start))
+    start_val = float(objective(start[None])[0])
     if not np.isfinite(start_val):
         return start, start_val
     magnitude = float(np.max(np.abs(start)))
@@ -343,7 +430,7 @@ def _refine_continuous_update(
     t = _POLISH_STEP
     for _ in range(_POLISH_BACKTRACKS):
         candidate = start + t * step
-        value = float(objective(candidate))
+        value = float(objective(candidate[None])[0])
         if value <= start_val + _POLISH_SLOPE_FRACTION * t * slope:
             return candidate, value
         t *= 0.5
@@ -428,13 +515,15 @@ def fit_optimal(ds: Dataset, basis: BasisMatrix, bridge: OutcomeBridge) -> GmmFi
     Newton step of the quadratic form with the covariance continuously
     re-evaluated, and floored by the same rule, at the trial parameters,
     which removes the bias that accumulates in the frozen-weight solution
-    as moments are added. The polish evaluates that objective at most
-    ``2p² + 2p + 1 + _POLISH_BACKTRACKS`` times for ``p`` parameters
-    (bridge coefficients and the effect). At an exactly identified count
-    the two-step solution already zeroes every moment, so the polish is
-    skipped. The reported variance re-evaluates the moment covariance at
-    the final estimates and applies the same floored inverse as the
-    sandwich core.
+    as moments are added. The polish builds one O(n (K(p+1))²) Gram of the
+    moment features, after which no objective evaluation does work in n. It
+    evaluates the objective at most ``2p² + 2p + 1 + _POLISH_BACKTRACKS``
+    points for ``p`` parameters (bridge coefficients and the effect), the
+    ``2p² + 2p`` of its finite-difference stencil in one batched call. At
+    an exactly identified count the two-step solution already zeroes every
+    moment, so the polish is skipped. The reported variance re-evaluates
+    the moment covariance at the final estimates and applies the same
+    floored inverse as the sandwich core.
     """
     basis = _prepare(basis)
     moments = _Moments.build(ds, basis.u, bridge)

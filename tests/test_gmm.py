@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -236,27 +237,108 @@ class TestContinuousUpdatePolish:
         ds = generate(ScenarioConfig("II", 800), 0, 0)
         return ds, _basis(ds, 12), OutcomeBridge.linear(1, 1)
 
+    @pytest.fixture(scope="class")
+    def polished_moments(self, polished_case):
+        ds, basis, bridge = polished_case
+        fit = fit_optimal(ds, basis, bridge)
+        return gmm._Moments.build(ds, basis.u, bridge), np.r_[fit.gamma_hat, fit.tau_hat]
+
+    @pytest.mark.parametrize("interacted", [False, True], ids=["linear", "interacted"])
+    def test_gram_moments_match_the_scores(self, polished_case, interacted, rng):
+        ds, basis, bridge = polished_case
+        if interacted:
+            # An a·w feature makes the treatment contrast vary across units,
+            # which the default bridge's contrast does not.
+            def feats(w, a, x):
+                base = OutcomeBridge.linear(1, 1).grad(w, a, x)
+                return np.column_stack([base, base[:, 2] * base[:, 1]])
+
+            bridge = OutcomeBridge(n_params=5, grad_fn=feats)
+        fit = fit_optimal(ds, basis, bridge)
+        beta_hat = np.r_[fit.gamma_hat, fit.tau_hat]
+        moments = gmm._Moments.build(ds, basis.u, bridge)
+        points = np.vstack([beta_hat, beta_hat + rng.normal(size=(3, beta_hat.size))])
+        g_bars, upsilons = gmm._gram_moments(moments)(points)
+        values = gmm._continuous_update_objective(moments)(points)
+        for beta, g_bar, upsilon, value in zip(points, g_bars, upsilons, values):
+            # Reference: the covariance and floored quadratic form computed
+            # from the n scores at each point.
+            scores = moments.scores(beta)
+            direct = estimate_upsilon(scores)
+            scale = np.max(np.abs(direct))
+            np.testing.assert_allclose(upsilon, direct, rtol=0, atol=1e-12 * scale)
+            np.testing.assert_allclose(g_bar, scores.mean(axis=0), rtol=0, atol=1e-12 * scale)
+            want = g_bar @ regularize_moments(direct).floored_weight() @ g_bar
+            assert value == pytest.approx(want, rel=1e-10)
+
+    def test_batch_equals_points_one_at_a_time(self, polished_moments, rng):
+        moments, beta_hat = polished_moments
+        points = beta_hat + 0.05 * rng.normal(size=(9, beta_hat.size))
+        objective = gmm._continuous_update_objective(moments)
+        one_at_a_time = [objective(beta[None])[0] for beta in points]
+        np.testing.assert_array_equal(objective(points), one_at_a_time)
+
+    def test_polish_never_recomputes_the_scores(self, polished_moments, monkeypatch):
+        moments, beta_hat = polished_moments
+        objective = gmm._continuous_update_objective(moments)
+        want = objective(beta_hat[None])
+
+        def refuse(self, beta):
+            raise AssertionError("the polish reads the Gram, not the n scores")
+
+        monkeypatch.setattr(gmm._Moments, "scores", refuse)
+        np.testing.assert_array_equal(objective(beta_hat[None]), want)
+        beta, value = gmm._refine_continuous_update(moments, beta_hat + 0.01)
+        assert np.isfinite(value) and not np.array_equal(beta, beta_hat + 0.01)
+
+    def test_non_finite_points_read_inf_silently(self, polished_moments, scenario1_ds):
+        moments, beta_hat = polished_moments
+        overflow = beta_hat.copy()
+        overflow[1] = 1e200
+        points = np.vstack([beta_hat, overflow, np.full(beta_hat.size, np.nan), beta_hat])
+        # An identically zero outcome zeroes every score at beta = 0, so the
+        # covariance there has no positive eigenvalue.
+        silent = replace(scenario1_ds, y=np.zeros(scenario1_ds.n))
+        silent_moments = gmm._Moments.build(
+            silent, _basis(silent, 6).u, OutcomeBridge.linear(1, 1)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = gmm._continuous_update_objective(moments)(points)
+            degenerate = gmm._continuous_update_objective(silent_moments)(
+                np.zeros((2, beta_hat.size))
+            )
+        assert np.all(np.isfinite(values[[0, 3]]))
+        assert values[0] == values[3]
+        assert np.all(values[[1, 2]] == np.inf)
+        assert np.all(degenerate == np.inf)
+
     def test_stencil_is_exact_on_a_quadratic(self, rng):
         p = 5
         root = rng.normal(size=(p, p))
         a, b = root @ root.T + np.eye(p), rng.normal(size=p)
         x = rng.normal(size=p)
+        points = []
 
         def quadratic(v):
-            return float(0.5 * v @ a @ v + b @ v)
+            points.append(len(v))
+            return 0.5 * np.einsum("bi,ij,bj->b", v, a, v) + v @ b
 
-        grad, hess = gmm._central_differences(quadratic, x, np.full(p, 0.1), quadratic(x))
+        value = quadratic(x[None])[0]
+        grad, hess = gmm._central_differences(quadratic, x, np.full(p, 0.1), value)
         np.testing.assert_allclose(grad, b + a @ x, atol=1e-9)
         np.testing.assert_allclose(hess, a, atol=1e-9)
+        # The start point, then the whole stencil in one batch.
+        assert points == [1, 2 * p * p + 2 * p]
 
     def test_non_finite_start_costs_one_evaluation(self, polished_case, monkeypatch):
         ds, basis, bridge = polished_case
-        calls = []
+        points = []
 
         def infinite(*args):
-            def objective(beta):
-                calls.append(1)
-                return float("inf")
+            def objective(betas):
+                points.append(len(betas))
+                return np.full(len(betas), np.inf)
 
             return objective
 
@@ -265,42 +347,36 @@ class TestContinuousUpdatePolish:
         moments = gmm._Moments.build(ds, basis.u, bridge)
         beta, value = gmm._refine_continuous_update(moments, start)
         assert beta is start and value == float("inf")
-        assert len(calls) == 1
+        assert points == [1]
 
-    def test_objective_evaluations_bounded(self, polished_case, monkeypatch):
-        ds, basis, bridge = polished_case
+    @staticmethod
+    def _count_points(monkeypatch) -> list[int]:
+        """Record the number of points of every objective evaluation."""
         build = gmm._continuous_update_objective
-        calls = []
+        points = []
 
         def counted(*args):
             objective = build(*args)
 
-            def wrapped(beta):
-                calls.append(1)
-                return objective(beta)
+            def wrapped(betas):
+                points.append(len(betas))
+                return objective(betas)
 
             return wrapped
 
         monkeypatch.setattr(gmm, "_continuous_update_objective", counted)
+        return points
+
+    def test_objective_evaluations_bounded(self, polished_case, monkeypatch):
+        ds, basis, bridge = polished_case
+        points = self._count_points(monkeypatch)
         fit_optimal(ds, basis, bridge)
         p = bridge.n_params + 1
-        assert 0 < len(calls) <= 2 * p * p + 2 * p + 1 + gmm._POLISH_BACKTRACKS
+        assert 0 < sum(points) <= 2 * p * p + 2 * p + 1 + gmm._POLISH_BACKTRACKS
 
     def test_bridge_features_built_once_per_polish(self, polished_case, monkeypatch):
         ds, basis, bridge = polished_case
-        build = gmm._continuous_update_objective
-        evaluations = []
-
-        def counted_objective(*args):
-            objective = build(*args)
-
-            def wrapped(beta):
-                evaluations.append(1)
-                return objective(beta)
-
-            return wrapped
-
-        monkeypatch.setattr(gmm, "_continuous_update_objective", counted_objective)
+        points = self._count_points(monkeypatch)
         feature_builds = {}
         for k in (bridge.n_params, basis.k):
             calls = []
@@ -312,11 +388,11 @@ class TestContinuousUpdatePolish:
             fit_optimal(ds, _basis(ds, k), replace(bridge, grad_fn=counted))
             feature_builds[k] = len(calls)
         # The exactly identified fit skips the polish; the polished one
-        # evaluates the objective dozens of times. Either way the three
+        # evaluates the objective at dozens of points. Either way the three
         # feature matrices (observed, treated, untreated) are built once
         # per fit, and every step reads them.
         p = bridge.n_params + 1
-        assert len(evaluations) >= 2 * p * p + 2 * p + 1
+        assert sum(points) >= 2 * p * p + 2 * p + 1
         assert feature_builds == {bridge.n_params: 3, basis.k: 3}
 
     def test_polish_lowers_the_continuous_update_objective(self, polished_case):
@@ -332,8 +408,9 @@ class TestContinuousUpdatePolish:
         polished = np.r_[fit.gamma_hat, fit.tau_hat]
         assert not np.array_equal(polished, two_step)
         objective = gmm._continuous_update_objective(moments)
-        assert objective(polished) < objective(two_step)
-        assert fit.objective_value == objective(polished)
+        at_polished, at_two_step = objective(np.vstack([polished, two_step]))
+        assert at_polished < at_two_step
+        assert fit.objective_value == at_polished
 
 
 class TestInference:
