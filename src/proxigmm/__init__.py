@@ -44,8 +44,6 @@ from .sieve import (
     BasisMatrix,
     SieveSpec,
     build_basis,
-    evaluate_basis,
-    fit_sieve,
     orthonormalize,
 )
 from .simulation import (
@@ -80,10 +78,8 @@ __all__ = [
     "build_basis",
     "confidence_interval",
     "estimate_upsilon",
-    "evaluate_basis",
     "fit_initial",
     "fit_optimal",
-    "fit_sieve",
     "fit_with_weight",
     "generate",
     "joint_score",

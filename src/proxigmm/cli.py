@@ -117,10 +117,6 @@ def _roles(opts) -> VariableRoles:
     )
 
 
-def _sieve_spec(opts) -> SieveSpec:
-    return SieveSpec(family=opts.sieve, structure=opts.structure)
-
-
 def _config_error(message: str) -> int:
     print(f"config error: {message}", file=sys.stderr)
     return 2
@@ -185,7 +181,7 @@ def cmd_estimate(opts) -> int:
         return _config_error(err)
     os.makedirs(opts.out_dir, exist_ok=True)
     if opts.method == "gmm-div":
-        fit, diag = select_and_fit(ds, bridge, _sieve_spec(opts), opts.kmax)
+        fit, diag = select_and_fit(ds, bridge, SieveSpec(family=opts.sieve), opts.kmax)
         payload = json.loads(fit.to_json())
         payload["k_star"] = diag.k_star
         report = json.dumps(payload)
@@ -205,7 +201,7 @@ def cmd_select_k(opts) -> int:
     bridge = OutcomeBridge.linear(ds.w.shape[1], ds.x.shape[1])
     if err := _kmax_error(opts.kmax, bridge):
         return _config_error(err)
-    diag = select_k(ds, bridge, _sieve_spec(opts), opts.kmax)
+    diag = select_k(ds, bridge, SieveSpec(family=opts.sieve), opts.kmax)
     os.makedirs(opts.out_dir, exist_ok=True)
     path = _write_loss_curve(opts.out_dir, diag)
     print(path)
@@ -257,7 +253,6 @@ def _add_data_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--proxies-w", required=True, help="comma-separated column names")
     parser.add_argument("--covariates", default="", help="comma-separated column names")
     parser.add_argument("--sieve", choices=("power", "bspline"), default="power")
-    parser.add_argument("--structure", choices=("tensor", "additive"), default="tensor")
     parser.add_argument("--kmax", type=int, default=DEFAULT_K_BAR)
 
 

@@ -35,7 +35,7 @@ from .errors import (
     SingularUpsilonBlock,
 )
 from .gmm import GmmFit, _least_squares, _Moments, fit_optimal
-from .sieve import SieveSpec, build_basis, orthonormalize
+from .sieve import BasisMatrix, SieveSpec, build_basis, orthonormalize
 
 _CANDIDATE_FAILURES = (SingularUpsilonBlock, RankDeficientJacobian)
 
@@ -174,9 +174,10 @@ def select_k(
     """Scan moment counts from the bridge dimension up to ``k_bar``.
 
     Candidate K is scored on the first K columns of the orthonormalized
-    ``k_bar`` basis, at the identity-weight estimates on those columns. If
-    :func:`orthonormalize` finds a dependent column, its longest accepted
-    prefix is orthonormalized instead. Candidates beyond it, or whose
+    ``k_bar`` basis, built on ``ds`` itself, at the identity-weight
+    estimates on those columns. If :func:`orthonormalize` finds a dependent
+    column, the longest accepted prefix of that same basis is
+    orthonormalized instead. Candidates beyond it, or whose
     criterion is singular, score infinity; if every candidate does, raises
     :class:`AllCandidatesSingular`. Ties resolve to the smallest K.
 
@@ -198,7 +199,10 @@ def select_k(
     try:
         basis = orthonormalize(raw)
     except RankDeficient as exc:
-        basis = orthonormalize(build_basis(ds, raw.spec, exc.full_rank_prefix))
+        # Prefixes are nested bit for bit, so the accepted prefix of this
+        # basis is the basis build_basis would give at that size.
+        j = exc.full_rank_prefix
+        basis = orthonormalize(BasisMatrix(u=raw.u[:, :j], term_names=raw.term_names[:j]))
     moments = _Moments.build(ds, basis.u, bridge)
     target = moments.contrast_mean
     cross = _cross_products(basis.u, moments.jac[:-1, :-1])

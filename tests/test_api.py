@@ -7,6 +7,7 @@ it uses, so deleting one fails here before it breaks a traced run.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import proxigmm
 import proxigmm.selection
-from proxigmm import EstimateReport, MomentDecomposition, OutcomeBridge, SieveSpec
+from proxigmm import BasisMatrix, EstimateReport, MomentDecomposition, OutcomeBridge, SieveSpec
 
 
 def test_every_exported_name_resolves():
@@ -41,6 +42,9 @@ def test_tracer_call_shapes_exist():
     }
     for name, args in shapes.items():
         inspect.signature(getattr(proxigmm, name)).bind(*args)
+    inspect.signature(SieveSpec).bind()
+    # The tracer records the size of every basis it times as ``out.u.nbytes``.
+    assert "u" in {f.name for f in dataclasses.fields(BasisMatrix)}
     inspect.signature(proxigmm.run_replications).bind(
         "config", "methods", 1, 0, k_bar=12, threads=1
     )

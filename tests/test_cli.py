@@ -18,6 +18,7 @@ from proxigmm import (
     generate,
     load_csv,
     select_and_fit,
+    select_k,
     write_csv,
 )
 from proxigmm.cli import build_parser, main
@@ -55,6 +56,27 @@ def test_estimate_reports_the_library_estimate(method, csv_path, tmp_path):
     else:
         expected = BASELINES[method](ds).tau_hat
     assert report["tau_hat"] == expected
+
+
+@pytest.mark.parametrize("command", ["select-k", "estimate"])
+def test_sieve_flag_picks_the_basis_family(command, csv_path, tmp_path, capsys):
+    code = main([command, *_data_flags(csv_path), "--sieve", "bspline",
+                 "--out-dir", str(tmp_path)])
+    assert code == 0
+    ds = load_csv(str(csv_path), ROLES)
+    bridge = OutcomeBridge.linear(1, 1)
+    want = select_k(ds, bridge, SieveSpec(family="bspline"), DEFAULT_K_BAR)
+    power = select_k(ds, bridge, SieveSpec(), DEFAULT_K_BAR)
+    # On this dataset the two families pick different moment counts, so the
+    # reported K* shows which basis the command scanned.
+    assert want.k_star != power.k_star
+    if command == "select-k":
+        assert f"selected K = {want.k_star}" in capsys.readouterr().out
+    else:
+        assert json.loads((tmp_path / "report.json").read_text())["k_star"] == want.k_star
+    with open(tmp_path / "loss_curve.csv", newline="") as fh:
+        scores = [float(row["score"]) for row in csv.DictReader(fh)]
+    np.testing.assert_array_equal(scores, want.scores)
 
 
 def test_unknown_method_is_a_config_error(tmp_path):

@@ -49,12 +49,7 @@ class TestJointScore:
     def test_single_observation_oracle(self):
         ds = _single_row_dataset()
         bridge = OutcomeBridge.linear(1, 1)
-        raw = BasisMatrix(
-            u=np.array([[1.0, 2.0]]),
-            whitening=np.eye(2),
-            term_names=("1", "t"),
-            spec=SieveSpec(),
-        )
+        raw = BasisMatrix(u=np.array([[1.0, 2.0]]), term_names=("1", "t"))
         gamma = np.array([0.5, 1.0, 0.25, -1.0])
         # h = 0.5 + 2.0 + 0.25 - 0.5 = 2.25, residual = 0.75, contrast = 0.25
         scores = joint_score(ds, raw, bridge, gamma, tau=0.6)
@@ -172,12 +167,7 @@ class TestFitProperties:
     def test_whitening_invariance_of_optimal_fit(self, scenario2_ds, linear_bridge, rng):
         raw = build_basis(scenario2_ds, SieveSpec(), 9)
         scale = np.diag(0.5 + rng.random(9) * 4.0)
-        rescaled = BasisMatrix(
-            u=raw.u @ scale,
-            whitening=raw.whitening @ scale,
-            term_names=raw.term_names,
-            spec=raw.spec,
-        )
+        rescaled = BasisMatrix(u=raw.u @ scale, term_names=raw.term_names)
         a = fit_optimal(scenario2_ds, orthonormalize(raw), linear_bridge)
         b = fit_optimal(scenario2_ds, orthonormalize(rescaled), linear_bridge)
         assert a.tau_hat == pytest.approx(b.tau_hat, abs=1e-7)

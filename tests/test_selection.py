@@ -136,8 +136,7 @@ def _prefix_score_parts(ds, u):
     """Criterion inputs on instrument columns ``u``, by the public calls."""
     k = u.shape[1]
     basis = BasisMatrix(
-        u=u, whitening=np.eye(k), term_names=tuple(map(str, range(k))),
-        spec=SieveSpec(), orthonormal=True,
+        u=u, term_names=tuple(map(str, range(k))), orthonormal=True,
     )
     init = fit_initial(ds, basis, BRIDGE)
     resid = ds.y - BRIDGE.h(ds.w, ds.a, ds.x, init.gamma_hat)
