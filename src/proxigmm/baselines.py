@@ -7,6 +7,8 @@ intervals account for every estimated nuisance parameter.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 import json
 import warnings
@@ -21,6 +23,7 @@ from .data import Dataset
 from .errors import (
     DimensionMismatch,
     NoConvergence,
+    ProxiGmmError,
     RankDeficientDesign,
     SingularSystem,
     SingularVariance,
@@ -229,13 +232,50 @@ def _newton_starts(dim: int) -> list[np.ndarray]:
     return starts
 
 
+# Treatment-bridge solves by dataset identity, shared by the calls inside
+# ``_one_treatment_solve_per_dataset``; None outside it.
+_shared_solves: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "_shared_solves", default=None
+)
+
+
+@contextlib.contextmanager
+def _one_treatment_solve_per_dataset():
+    """Within the block, :func:`pipw` and :func:`pdr` on one dataset share
+    one treatment-bridge solve, and a solve that failed fails again with
+    the same error."""
+    token = _shared_solves.set({})
+    try:
+        yield
+    finally:
+        _shared_solves.reset(token)
+
+
 def _solve_pipw_theta(ds: Dataset):
     """Treatment-bridge coefficients that balance the reweighting moments.
 
     Returns ``(theta, q, system)``: the coefficients, the bridge values at
     them, and the ``(sign, basis_c, basis_b, target)`` arrays of
-    :func:`_pipw_system`, so callers build neither again.
+    :func:`_pipw_system`, so callers build neither again. Inside
+    :func:`_one_treatment_solve_per_dataset` each dataset is solved once.
     """
+    shared = _shared_solves.get()
+    if shared is None:
+        return _solve_treatment_bridge(ds)
+    if id(ds) not in shared:
+        try:
+            outcome = _solve_treatment_bridge(ds)
+        except ProxiGmmError as exc:
+            outcome = exc
+        # Holding the dataset keeps its id from being reused in the block.
+        shared[id(ds)] = ds, outcome
+    outcome = shared[id(ds)][1]
+    if isinstance(outcome, ProxiGmmError):
+        raise outcome
+    return outcome
+
+
+def _solve_treatment_bridge(ds: Dataset):
     system = sign, basis_c, basis_b, target = _pipw_system(ds)
     if basis_c.shape[1] != basis_b.shape[1]:
         raise DimensionMismatch(

@@ -6,17 +6,23 @@ linear outcome; the two study scenarios differ only in whether the proxy
 and outcome noise scales depend on the covariate. Replications are keyed
 by (base_seed, replication index, stream), with one counter-based stream
 per random variable, so results are bit-identical for any worker count and
-platform.
+platform. Multi-worker calls run in one pool of forked worker processes
+that the process keeps and reuses (see ``_replicate``).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import multiprocessing
 import os
 import sys
+import threading
+import time
 import traceback
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,30 +179,30 @@ def _run_method(ds: Dataset, method: str, k_bar: int, spec: SieveSpec) -> dict:
 
 
 def _method_records(rep: int, methods: tuple[str, ...], run) -> list[dict]:
-    """One record per method of ``run(method)``; a method failure is recorded."""
+    """One record per method of ``run(method)``; a method failure is recorded.
+
+    ``pipw`` and ``pdr`` on one dataset share its treatment-bridge solve.
+    """
     out = []
-    for method in methods:
-        rec = {"rep": rep, "method": method}
-        try:
-            rec.update(run(method))
-            rec["error"] = None
-        except ProxiGmmError as exc:
-            rec.update(
-                tau_hat=np.nan, se_tau=np.nan, ci_lo=np.nan, ci_hi=np.nan,
-                reject=None, k_star=None, error=f"{type(exc).__name__}: {exc}",
-            )
-        out.append(rec)
+    with baselines._one_treatment_solve_per_dataset():
+        for method in methods:
+            rec = {"rep": rep, "method": method}
+            try:
+                rec.update(run(method))
+                rec["error"] = None
+            except ProxiGmmError as exc:
+                rec.update(
+                    tau_hat=np.nan, se_tau=np.nan, ci_lo=np.nan, ci_hi=np.nan,
+                    reject=None, k_star=None, error=f"{type(exc).__name__}: {exc}",
+                )
+            out.append(rec)
     return out
 
-
-# The replication function of the pool a worker process serves; set in the
-# worker only, by ``_init_worker``.
-_worker_rep = None
 
 # Python 3.12 and later warn in the parent when they fork a process that
 # runs other threads. Here those are a multi-threaded BLAS's pool, which
 # OpenBLAS (numpy's and scipy's wheels) shuts down and rebuilds across a
-# fork, and the child runs only ``one_rep``, so the warning is silenced
+# fork, and the child runs only replications, so the warning is silenced
 # around pool start. Threads of the caller's own are not covered: a caller
 # that runs them should keep ``threads=1``.
 _FORK_WITH_THREADS = r"This process .* is multi-threaded, use of fork\(\)"
@@ -206,19 +212,14 @@ class _WorkerTraceback(Exception):
     """The traceback of an exception raised in a worker process."""
 
 
-def _init_worker(one_rep) -> None:
-    global _worker_rep
-    _worker_rep = one_rep
-
-
-def _rep_in_worker(rep: int) -> tuple[list[dict] | None, list[tuple], tuple | None]:
-    """One replication in a worker: its records, the warnings it raised, and
+def _rep_in_worker(one_rep, rep: int) -> tuple[list[dict] | None, list[tuple], tuple | None]:
+    """``one_rep(rep)`` in a worker: its records, the warnings it raised, and
     the exception that ended it with that exception's traceback, if any."""
     records = error = None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            records = _worker_rep(rep)
+            records = one_rep(rep)
         except Exception as exc:
             error = exc, traceback.format_exc()
     return records, [(w.message, w.category, w.filename, w.lineno) for w in caught], error
@@ -250,20 +251,96 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+# The worker pool this process keeps for multi-worker calls, as (owner pid,
+# worker count, executor); None until a call needs one.
+_pool: tuple[int, int, ProcessPoolExecutor] | None = None
+
+# Held by a multi-worker call for as long as it uses the pool, and by
+# ``_retire_pool``, so no thread replaces or shuts down a pool another
+# thread's call is using. Reentrant, because a call retires a broken pool
+# while holding it.
+_pool_lock = threading.RLock()
+
+
+def _new_pool_lock() -> None:
+    """After a fork: a fresh lock, as the child has none of the threads that
+    may have held its parent's."""
+    global _pool_lock
+    _pool_lock = threading.RLock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_pool_lock)
+
+
+def _retire_pool() -> None:
+    """Forget the kept pool, and shut it down if this process owns it.
+
+    Waits for a call that uses the pool to finish. A forked child inherits
+    its parent's pool object but none of its workers, so there it is only
+    dropped.
+    """
+    global _pool
+    with _pool_lock:
+        kept, _pool = _pool, None
+        if kept is not None and kept[0] == os.getpid():
+            kept[2].shutdown(wait=True, cancel_futures=True)
+
+
+def _end_with_parent(parent: int) -> None:
+    """Worker initializer: end this worker once the process that forked it
+    is gone. A parent killed by a signal runs no exit hook, and its idle
+    workers would otherwise wait on their task queue for ever."""
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(1.0)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _kept_pool(workers: int) -> ProcessPoolExecutor:
+    """The kept pool of ``workers`` processes; a new one replaces a pool of
+    another size or of another process. Its workers fork at its first
+    submission. The caller holds ``_pool_lock``."""
+    global _pool
+    if _pool is None or _pool[:2] != (os.getpid(), workers):
+        _retire_pool()
+        executor = ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_end_with_parent, initargs=(os.getpid(),),
+        )
+        _pool = (os.getpid(), workers, executor)
+    return _pool[2]
+
+
 def _replicate(reps: int, threads: int, one_rep) -> list[dict]:
     """Records of ``one_rep(rep)`` for every replication, in replication order.
 
     ``threads`` is the number of worker processes, capped at ``reps`` and
-    at the CPUs this process may run on. With one, or where the platform
-    cannot fork (Windows), the replications run in this process. Workers
-    are forked, so they inherit ``one_rep`` and everything it closes over
-    without pickling or importing anything, and each replication seeds
-    itself, so the records do not depend on which worker ran it. A worker
-    behaves like the serial loop: the warnings a replication raised are
-    emitted here, in replication order, and then the exception that ended
-    it, if any, is raised here with its type, chained to its worker
-    traceback.
+    at the CPUs this process may run on; below 1 it is a
+    ``DimensionMismatch``. With one, or where the platform cannot fork
+    (Windows), the replications run in this process. Otherwise they run in
+    the pool this process keeps: its workers are forked at the first call
+    that needs them and serve every later call with the same worker count,
+    so they see module state (``generate``, ``BASELINES``, patches of
+    either) as it was when they were forked. Keeping the pool pays only in
+    a process that makes repeated multi-worker calls, such as a loop over
+    table cells or a benchmark's short chunks; a single call forks once
+    either way. A call with another count, a forked child's first call,
+    and the call after a pool broke (a worker died: ``BrokenProcessPool``)
+    fork a new pool; shutdown is left to the interpreter's exit.
+    Multi-worker calls from several threads of one process take the pool
+    one at a time. Each task carries ``one_rep``, which must pickle (a
+    module-level function, or a ``functools.partial`` of one), and each
+    replication seeds itself, so the records do not depend on which worker
+    ran it. A worker behaves like the serial loop: the warnings a
+    replication raised are emitted here, in replication order, and then the
+    exception that ended it, if any, is raised here with its type, chained
+    to its worker traceback.
     """
+    if threads < 1:
+        raise DimensionMismatch(f"threads must be at least 1, got {threads}")
     if min(threads, reps) <= 1 or "fork" not in multiprocessing.get_all_start_methods():
         workers = 1
     else:
@@ -271,21 +348,31 @@ def _replicate(reps: int, threads: int, one_rep) -> list[dict]:
     if workers <= 1:
         return [rec for rep in range(reps) for rec in one_rep(rep)]
     out = []
-    with ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_worker, initargs=(one_rep,),
-    ) as pool:
-        # Every worker is forked at the first submission, which ``map`` makes.
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", _FORK_WITH_THREADS, DeprecationWarning)
-            results = pool.map(_rep_in_worker, range(reps))
-        for records, caught, error in results:
-            _warn_again(caught)
-            if error is not None:
-                exc, worker_traceback = error
-                raise exc from _WorkerTraceback(worker_traceback)
-            out.extend(records)
+    with _pool_lock:
+        pool = _kept_pool(workers)
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", _FORK_WITH_THREADS, DeprecationWarning)
+                results = pool.map(_rep_in_worker, itertools.repeat(one_rep), range(reps))
+            try:
+                for records, caught, error in results:
+                    _warn_again(caught)
+                    if error is not None:
+                        exc, worker_traceback = error
+                        raise exc from _WorkerTraceback(worker_traceback)
+                    out.extend(records)
+            finally:
+                results.close()  # cancels the replications no worker has taken yet
+        except BrokenProcessPool:
+            _retire_pool()
+            raise
     return out
+
+
+def _replication(config, methods, base_seed, k_bar, spec, rep: int) -> list[dict]:
+    """Records of replication ``rep`` of a ``run_replications`` call."""
+    ds = generate(config, base_seed, rep)
+    return _method_records(rep, methods, lambda m: _run_method(ds, m, k_bar, spec))
 
 
 def run_replications(
@@ -301,20 +388,14 @@ def run_replications(
 
     A method failure inside a replication is recorded, not raised; any
     other exception propagates. ``threads`` is the number of worker
-    processes the replications run in (see ``_replicate``); it affects
-    speed only: the records and their order are identical for any count,
-    and warnings raised in a worker are emitted in this process.
+    processes the replications run in (see ``_replicate``), at least 1; it
+    affects speed only: the records and their order are identical for any
+    count, and warnings raised in a worker are emitted in this process.
     """
     _check_methods(methods)
     spec = sieve_spec if sieve_spec is not None else SieveSpec()
-
-    def one_rep(rep: int) -> list[dict]:
-        ds = generate(config, base_seed, rep)
-        return _method_records(
-            rep, methods, lambda m: _run_method(ds, m, k_bar, spec)
-        )
-
-    return _replicate(reps, threads, one_rep)
+    job = functools.partial(_replication, config, methods, base_seed, k_bar, spec)
+    return _replicate(reps, threads, job)
 
 
 def summarize(
@@ -411,6 +492,19 @@ def _frozen_design_fit(
     return _fit_record(fit, diag.k_star)
 
 
+def _misspec_replication(config, level, methods, base_seed, k_bar, spec, rep: int) -> list[dict]:
+    """Records of replication ``rep`` of a distorted-level misspecification study."""
+    ds_clean = generate(config, base_seed, rep)
+    ds_distorted = transform_column(ds_clean, "w1", level)
+
+    def run(method: str) -> dict:
+        if method == "gmm-div":
+            return _frozen_design_fit(ds_clean, ds_distorted, spec, k_bar)
+        return _run_method(ds_distorted, method, k_bar, spec)
+
+    return _method_records(rep, methods, run)
+
+
 def run_misspec_study(
     level: str,
     n: int = 800,
@@ -432,7 +526,8 @@ def run_misspec_study(
     otherwise well-tuned estimator rather than mixing in its effect on the
     tuning stage. Baseline methods carry no tuning stage to freeze and see
     the transformed column everywhere. ``threads`` counts worker processes,
-    as in ``run_replications``; the summaries are identical for any count.
+    at least 1, as in ``run_replications``; the summaries are identical for
+    any count.
     """
     if level not in MISSPEC_LEVELS:
         raise DimensionMismatch(f"unknown level {level!r}; choose from {MISSPEC_LEVELS}")
@@ -445,19 +540,17 @@ def run_misspec_study(
         )
         return summarize(records, config)
     spec = sieve_spec if sieve_spec is not None else SieveSpec()
+    job = functools.partial(
+        _misspec_replication, config, level, methods, base_seed, k_bar, spec
+    )
+    return summarize(_replicate(reps, threads, job), config)
 
-    def one_rep(rep: int) -> list[dict]:
-        ds_clean = generate(config, base_seed, rep)
-        ds_distorted = transform_column(ds_clean, "w1", level)
 
-        def run(method: str) -> dict:
-            if method == "gmm-div":
-                return _frozen_design_fit(ds_clean, ds_distorted, spec, k_bar)
-            return _run_method(ds_distorted, method, k_bar, spec)
-
-        return _method_records(rep, methods, run)
-
-    return summarize(_replicate(reps, threads, one_rep), config)
+def _bspline_replication(config, specs, base_seed, k_bar, reps, index: int) -> list[dict]:
+    """Records of replication ``index % reps`` with sieve ``specs[index // reps]``."""
+    return _replication(
+        config, ("gmm-div",), base_seed, k_bar, specs[index // reps], index % reps
+    )
 
 
 def run_bspline_study(
@@ -465,7 +558,7 @@ def run_bspline_study(
     reps: int = 500,
     base_seed: int = 0,
     k_bar: int = DEFAULT_K_BAR,
-    **kwargs,
+    threads: int = 1,
 ) -> dict[str, list[ReplicationSummary]]:
     """Scenario-II comparison of the power-series and B-spline bases.
 
@@ -473,18 +566,23 @@ def run_bspline_study(
     basis family, and returns summaries keyed by family name. The spline
     basis uses cubic pieces with no interior knots so that, at the default
     moment budget, the candidate list reaches the treatment-by-covariate
-    bumps that carry the efficiency gain.
+    bumps that carry the efficiency gain. Both families' replications run
+    in one ``_replicate`` call over ``threads`` worker processes, at least
+    1, as in ``run_replications``; the summaries are identical for any
+    count.
     """
     config = ScenarioConfig(scenario="II", n=n)
     specs = {
         "power": SieveSpec(family="power"),
         "bspline": SieveSpec(family="bspline", interior_knots=0),
     }
-    out = {}
-    for family, spec in specs.items():
-        records = run_replications(
-            config, ("gmm-div",), reps, base_seed, k_bar=k_bar,
-            sieve_spec=spec, **kwargs
-        )
-        out[family] = summarize(records, config)
-    return out
+    job = functools.partial(
+        _bspline_replication, config, tuple(specs.values()), base_seed, k_bar, reps
+    )
+    # One method, so one record per replication: family i holds the i-th
+    # block of ``reps`` records.
+    records = _replicate(len(specs) * reps, threads, job)
+    return {
+        family: summarize(records[i * reps:(i + 1) * reps], config)
+        for i, family in enumerate(specs)
+    }

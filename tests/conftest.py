@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from proxigmm import OutcomeBridge, ScenarioConfig, generate
+from proxigmm import OutcomeBridge, ScenarioConfig, generate, simulation
 
 settings.register_profile(
     "ci",
@@ -16,6 +16,19 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+
+@pytest.fixture(autouse=True)
+def fresh_worker_pool():
+    """Retire the kept replication pool before and after every test.
+
+    Workers see module state as of their fork, so a test that patches
+    ``generate`` or ``BASELINES`` gets workers forked after its patch, and
+    no test's workers outlive it.
+    """
+    simulation._retire_pool()
+    yield
+    simulation._retire_pool()
 
 
 @pytest.fixture(scope="session")

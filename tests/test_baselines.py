@@ -9,6 +9,7 @@ import pytest
 
 from helpers import make_gaussian_dataset
 from proxigmm import (
+    Dataset,
     EstimateReport,
     ScenarioConfig,
     TreatmentBridge,
@@ -19,7 +20,8 @@ from proxigmm import (
     pipw,
     rgmm,
 )
-from proxigmm.errors import DimensionMismatch
+from proxigmm import baselines
+from proxigmm.errors import DimensionMismatch, ProxiGmmError
 from proxigmm.simulation import BASELINES
 
 
@@ -96,3 +98,41 @@ def test_reweighting_solver_keeps_overflow_silent(estimator):
         warnings.simplefilter("error")
         report = estimator(ds)
     assert np.isfinite(report.tau_hat)
+
+
+def _outcome(estimator, ds):
+    """A report's estimate, SE and treatment-bridge fit, or its error as recorded."""
+    try:
+        report = estimator(ds)
+    except ProxiGmmError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return report.tau_hat, report.se_tau, report.aux["theta_hat"].tolist()
+
+
+def test_pipw_and_pdr_share_one_treatment_solve(monkeypatch):
+    base = make_gaussian_dataset()
+    datasets = [
+        generate(ScenarioConfig("II", 800), 0, 3),
+        generate(ScenarioConfig("II", 800), 0, 17),  # minimum-norm fallback
+        make_gaussian_dataset(d_z=2, d_w=1),  # pdr fails before its solve
+        # Treated exactly where x1 > 0: the solve fails, pdr's outcome fit does not.
+        Dataset(y=base.y, a=(base.x[:, 0] > 0).astype(float), z=base.z, w=base.w, x=base.x),
+    ]
+    alone = [{est: _outcome(est, ds) for est in (pipw, pdr)} for ds in datasets]
+    assert alone[3][pipw] == alone[3][pdr] and alone[3][pipw].startswith("NoConvergence")
+    assert alone[2][pipw] != alone[2][pdr]
+    solved = []
+    real = baselines._solve_treatment_bridge
+    monkeypatch.setattr(
+        baselines, "_solve_treatment_bridge", lambda ds: solved.append(ds) or real(ds)
+    )
+    for order in ((pipw, pdr), (pdr, pipw)):
+        solved.clear()
+        with baselines._one_treatment_solve_per_dataset():
+            shared = [{est: _outcome(est, ds) for est in order} for ds in datasets]
+        assert shared == alone
+        assert [id(ds) for ds in solved] == [id(ds) for ds in datasets]
+    solved.clear()
+    _outcome(pipw, datasets[0])
+    _outcome(pipw, datasets[0])
+    assert len(solved) == 2  # outside the block every call solves

@@ -1,6 +1,6 @@
-"""Replication loop: worker-count invariance and worker behaviour, study
-equivalences, method checks, and the frozen-design fit of the
-misspecification study."""
+"""Replication loop: worker-count invariance, worker behaviour and the kept
+worker pool's lifetime, study equivalences, method checks, and the
+frozen-design fit of the misspecification study."""
 
 from __future__ import annotations
 
@@ -8,7 +8,14 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import pickle
+import select
+import signal
+import threading
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -32,7 +39,7 @@ from proxigmm import (
     summarize,
     transform_column,
 )
-from proxigmm import gmm, simulation
+from proxigmm import baselines, gmm, simulation
 from proxigmm.errors import DimensionMismatch, SingularSystem
 from proxigmm.simulation import DEFAULT_K_BAR, METHODS
 
@@ -211,6 +218,223 @@ def test_pool_start_tolerates_the_fork_with_threads_warning(monkeypatch, two_cpu
     assert log == []
 
 
+def _pid_rep(rep):
+    return [{"rep": rep, "pid": os.getpid()}]
+
+
+def _worker_pids() -> set[int]:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def _served_by(records) -> set[int]:
+    return {r["pid"] for r in records}
+
+
+pool_test = pytest.mark.skipif(not _CAN_FORK, reason="no process pool without fork")
+
+
+@pool_test
+def test_consecutive_calls_share_the_workers(two_cpus):
+    first = simulation._replicate(6, 2, _pid_rep)
+    workers = _worker_pids()
+    second = simulation._replicate(6, 2, _pid_rep)
+    assert len(workers) == 2 and os.getpid() not in workers
+    assert _served_by(first) <= workers and _served_by(second) <= workers
+    assert _worker_pids() == workers
+    assert [r["rep"] for r in second] == list(range(6))
+
+
+@pool_test
+def test_reused_pool_runs_each_calls_own_job(two_cpus):
+    calls = [
+        lambda threads: run_replications(
+            ScenarioConfig("I", 200), ("naive", "rgmm"), 4, 1, threads=threads),
+        lambda threads: run_replications(
+            ScenarioConfig("II", 400), ("gmm-div", "pdr", "pipw"), 4, 7, k_bar=8,
+            threads=threads),
+        lambda threads: _rows(run_misspec_study(
+            "minor", n=300, reps=4, base_seed=2, k_bar=6, threads=threads)),
+    ]
+    serial = [call(1) for call in calls]
+    assert _worker_pids() == set()
+    pooled = []
+    for call in calls:
+        pooled.append(call(2))
+        if len(pooled) == 1:
+            workers = _worker_pids()
+        assert _worker_pids() == workers
+    for one, two in zip(serial, pooled):
+        _assert_same(one, two)
+
+
+@pool_test
+def test_another_worker_count_forks_a_new_pool(monkeypatch):
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 3)
+    simulation._replicate(6, 2, _pid_rep)
+    two = _worker_pids()
+    three_records = simulation._replicate(6, 3, _pid_rep)
+    three = _worker_pids()
+    assert len(two) == 2 and len(three) == 3 and not two & three
+    assert _served_by(three_records) <= three
+    simulation._replicate(6, 2, _pid_rep)
+    assert len(_worker_pids()) == 2 and not _worker_pids() & (two | three)
+
+
+def _slow_pid_rep(rep):
+    time.sleep(0.05)
+    return _pid_rep(rep)
+
+
+@pool_test
+def test_calls_from_two_threads_take_the_pool_in_turn(monkeypatch):
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 3)
+    started = threading.Event()
+
+    def first():
+        started.set()
+        return simulation._replicate(12, 2, _slow_pid_rep)
+
+    def second():
+        assert started.wait(timeout=60)
+        deadline = time.monotonic() + 60
+        while simulation._pool is None:  # until the first call holds its pool
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        return simulation._replicate(12, 3, _slow_pid_rep)
+
+    with ThreadPoolExecutor(2) as callers:
+        calls = [callers.submit(first), callers.submit(second)]
+        two, three = (call.result(timeout=60) for call in calls)
+    assert [r["rep"] for r in two] == [r["rep"] for r in three] == list(range(12))
+    assert len(_served_by(two)) == 2 and len(_served_by(three)) == 3
+    assert not _served_by(two) & _served_by(three)
+
+
+def _kill_own_worker(rep):
+    if rep == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _pid_rep(rep)
+
+
+@pool_test
+def test_a_broken_pool_is_replaced(two_cpus):
+    simulation._replicate(4, 2, _pid_rep)
+    before = _worker_pids()
+    with pytest.raises(BrokenProcessPool):
+        simulation._replicate(4, 2, _kill_own_worker)
+    records = simulation._replicate(4, 2, _pid_rep)
+    assert [r["rep"] for r in records] == list(range(4))
+    assert _served_by(records) <= _worker_pids()
+    assert len(_worker_pids()) == 2 and not _worker_pids() & before
+
+
+@pool_test
+def test_a_forked_child_keeps_off_its_parents_pool(two_cpus):
+    simulation._replicate(4, 2, _pid_rep)
+    pool, workers = simulation._pool, _worker_pids()
+    # Another thread holds the pool's lock across the fork, as one whose
+    # call is in flight would; the child must not wait for it.
+    held, release = threading.Event(), threading.Event()
+
+    def hold_the_lock():
+        with simulation._pool_lock:
+            held.set()
+            release.wait()
+
+    holder = threading.Thread(target=hold_the_lock)
+    holder.start()
+    assert held.wait(timeout=60)
+    read_end, write_end = os.pipe()
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", simulation._FORK_WITH_THREADS, DeprecationWarning)
+        child = os.fork()
+    if child == 0:  # pragma: no cover - runs in the child, which reports through the pipe
+        code = 1
+        try:
+            os.close(read_end)
+            records = simulation._replicate(4, 2, _pid_rep)
+            # A bare fork keeps the parent's workers on the child's list.
+            mine = _worker_pids() - workers
+            with os.fdopen(write_end, "wb") as out:
+                pickle.dump((records, mine), out)
+            code = 0
+        finally:
+            simulation._retire_pool()
+            os._exit(code)
+    release.set()
+    holder.join(timeout=60)
+    assert not holder.is_alive()
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as pipe:
+        if not select.select([pipe], [], [], 60)[0]:
+            os.kill(child, signal.SIGKILL)
+            os.waitpid(child, 0)
+            pytest.fail("the child's call did not finish within 60 s")
+        records, child_workers = pickle.load(pipe)
+    _, status = os.waitpid(child, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert [r["rep"] for r in records] == list(range(4))
+    assert len(child_workers) == 2 and _served_by(records) <= child_workers
+    assert simulation._pool is pool and _worker_pids() == workers
+    assert _served_by(simulation._replicate(4, 2, _pid_rep)) <= workers
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process; a zombie awaiting its reaper is not."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pool_test
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+def test_workers_end_with_a_killed_parent(two_cpus):
+    read_end, write_end = os.pipe()
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", simulation._FORK_WITH_THREADS, DeprecationWarning)
+        child = os.fork()
+    if child == 0:  # pragma: no cover - killed by the test while its pool idles
+        try:
+            os.close(read_end)
+            simulation._replicate(4, 2, _pid_rep)
+            with os.fdopen(write_end, "wb") as out:
+                pickle.dump(_worker_pids(), out)
+            time.sleep(60)
+        finally:
+            os._exit(1)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as pipe:
+        workers = pickle.load(pipe) if select.select([pipe], [], [], 60)[0] else set()
+    os.kill(child, signal.SIGKILL)
+    os.waitpid(child, 0)
+    deadline = time.monotonic() + 10
+    while any(map(_running, workers)) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    left = [pid for pid in workers if _running(pid)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert len(workers) == 2 and left == []
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+@pytest.mark.parametrize(
+    "study",
+    [
+        lambda threads: run_replications(
+            ScenarioConfig("I", 200), ("naive",), 2, 0, threads=threads),
+        lambda threads: run_misspec_study(
+            "minor", n=200, reps=2, methods=("naive",), threads=threads),
+        lambda threads: run_bspline_study(n=200, reps=2, threads=threads),
+    ],
+    ids=["run_replications", "run_misspec_study", "run_bspline_study"],
+)
+def test_worker_count_below_one_rejected(study, threads):
+    with pytest.raises(DimensionMismatch, match=f"threads must be at least 1, got {threads}"):
+        study(threads)
+
+
 @pytest.mark.parametrize(
     "study",
     [
@@ -328,6 +552,17 @@ def test_warnings_before_a_worker_error_reach_the_caller(monkeypatch, two_cpus):
         caught[threads] = [(str(w.message), w.category, w.filename, w.lineno) for w in log]
     assert caught[2] == caught[1]
     assert [message for message, *_ in caught[2]] == ["rep 1 warned", "rep 3 warned"]
+
+
+def test_one_treatment_solve_per_replication(monkeypatch):
+    solved = []
+    real = baselines._solve_treatment_bridge
+    monkeypatch.setattr(
+        baselines, "_solve_treatment_bridge", lambda ds: solved.append(ds.y[0]) or real(ds)
+    )
+    run_replications(ScenarioConfig("II", 400), ("pipw", "naive", "pdr"), 3, 0)
+    run_misspec_study("minor", n=400, reps=3, base_seed=1, methods=("pdr", "pipw"))
+    assert len(solved) == 6 and len(set(solved)) == 6
 
 
 def test_correct_level_is_the_plain_scenario_ii_study():
