@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .bridges import OutcomeBridge, TreatmentBridge
+from .bridges import OutcomeBridge
 from .data import Dataset
 from .errors import (
     DimensionMismatch,
@@ -275,20 +275,27 @@ def _solve_pipw_theta(ds: Dataset):
     return outcome
 
 
+def _bridge_values(basis_b: np.ndarray, index_sign: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """:meth:`TreatmentBridge.q` at ``theta`` from its design ``basis_b`` =
+    (1, z, a, x) and index sign, built once per solve rather than per call."""
+    return 1.0 + np.exp(index_sign * (basis_b @ theta))
+
+
 def _solve_treatment_bridge(ds: Dataset):
     system = sign, basis_c, basis_b, target = _pipw_system(ds)
     if basis_c.shape[1] != basis_b.shape[1]:
         raise DimensionMismatch(
             "reweighting moments need equally many z and w proxies"
         )
-    bridge = TreatmentBridge()
+    # The bridge's index sign: -1 treated, +1 untreated (see TreatmentBridge).
+    index_sign = -sign
 
     def balance(theta):
         """Bridge values at ``theta`` and the balancing residual there."""
         # Overflow to inf (and inf*0 = nan) for extreme trial points is
         # expected; callers reject non-finite residuals rather than warn.
         with np.errstate(over="ignore", invalid="ignore"):
-            q = bridge.q(ds.z, ds.a, ds.x, theta)
+            q = _bridge_values(basis_b, index_sign, theta)
             return q, (basis_c * (sign * q)[:, None]).mean(axis=0) - target
 
     best_norm = np.inf

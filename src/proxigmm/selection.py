@@ -6,16 +6,20 @@ bridge fit: a squared higher-order bias term plus a variance term, both
 built from the identity-weight fit at that K. The scan walks K from the
 bridge dimension up to a cap and keeps the minimizer, preferring the
 smallest K on ties.
-Candidates are nested prefixes (Donald & Newey 2001), so the scan
-orthonormalizes the cap's basis once and scores each K on its leading K
-columns; a linearly dependent column makes only the longer candidates
-singular. Everything a prefix reads from the n observations except its
-residual-weighted covariance is built once per scan: the bridge
-projection -U'G/n and U'y/n, whose leading rows are the prefix's own,
-and a leverage table from the Cholesky factor of the instrument Gram
-matrix, whose leading block is the factor of the prefix's Gram. Each
-candidate then costs one O(nK²) covariance, small dense solves and a few
-n-vectors.
+Candidates are nested prefixes (Donald & Newey 2001), so the scan builds
+and orthonormalizes the cap's basis once and scores every K on its leading
+K columns in one batched pass; a linearly dependent column makes only the
+longer candidates singular. On orthonormal columns every prefix's Gram
+matrix is the identity, so an observation's leverage under prefix K is the
+sum of its first K squared entries over n, and the bridge projection
+-U'G/n of a prefix is the leading rows of the cap's. The identity-weight
+fits of all C candidates are one stacked SVD of their zero-padded moment
+systems, and their residuals one n×C product. Only each candidate's
+residual-weighted covariance, the one O(nK²) step, is formed in a loop;
+its Cholesky factor (padded with an identity block), the solves, the
+target directions, the two n×C projections and the bias and variance terms
+are stacked arrays. A candidate whose fit or covariance cannot be
+factorized scores infinity and leaves the others as they are.
 """
 
 from __future__ import annotations
@@ -31,13 +35,10 @@ from .errors import (
     AllCandidatesSingular,
     DimensionMismatch,
     RankDeficient,
-    RankDeficientJacobian,
     SingularUpsilonBlock,
 )
-from .gmm import GmmFit, _least_squares, _Moments, fit_optimal
+from .gmm import GmmFit, _Moments, fit_optimal
 from .sieve import BasisMatrix, SieveSpec, build_basis, orthonormalize
-
-_CANDIDATE_FAILURES = (SingularUpsilonBlock, RankDeficientJacobian)
 
 
 @dataclass(frozen=True)
@@ -58,80 +59,100 @@ class SelectionDiagnostics:
         ]
 
 
-@dataclass(frozen=True)
-class _CrossProducts:
-    """Instrument cross-products shared by every leading-column prefix.
+def _stacked_least_squares(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares solutions of the systems ``lhs[c] @ beta = rhs[c]``, and
+    whether each system has full column rank.
 
-    ``bmat`` is the bridge projection -U'G/n and ``gram_chol`` the lower
-    Cholesky factor of the Gram matrix U'U/n. Row K-1 of the (k, n)
-    ``leverage`` table is each observation's leverage u_i'Gram_K⁻¹u_i/n
-    under the K-column Gram: the factor of a leading block is the leading
-    block of the factor, so it is the cumulative sum over the first K rows
-    of (L⁻¹U')²/n.
+    One stacked SVD solves them all. The rank counts singular values above
+    eps times the largest, the rule of ``scipy.linalg.lstsq``; the
+    solution of a rank-deficient system is not meaningful.
     """
+    left, sing, right_t = np.linalg.svd(lhs, full_matrices=False)
+    full_rank = np.all(sing > np.finfo(float).eps * sing[:, :1], axis=1)
+    coef = np.einsum("cmj,cm->cj", left, rhs) / np.where(full_rank[:, None], sing, 1.0)
+    return np.einsum("cji,cj->ci", right_t, coef), full_rank
 
-    u: np.ndarray
-    bmat: np.ndarray
-    gram_chol: np.ndarray
-    leverage: np.ndarray
 
+def _stacked(factor, stack: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """``factor`` (a ``np.linalg`` function) of every matrix in ``stack``.
 
-def _cross_products(u: np.ndarray, bmat: np.ndarray) -> _CrossProducts:
-    """Build :class:`_CrossProducts` from ``u`` and its bridge projection
-    ``bmat``; raises :class:`SingularUpsilonBlock` when the Gram matrix
-    cannot be factorized."""
-    n, k = u.shape
+    If the stacked call fails, the matrices are factorized one at a time,
+    and each one that fails is marked in ``ok`` and gets the identity.
+    """
     try:
-        gram_chol = scipy.linalg.cholesky(u.T @ u / n, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularUpsilonBlock(
-            f"instrument Gram matrix is singular at K={k}"
-        ) from exc
-    whitened = scipy.linalg.solve_triangular(gram_chol, u.T, lower=True)
-    leverage = np.cumsum(whitened**2, axis=0) / n
-    return _CrossProducts(u=u, bmat=bmat, gram_chol=gram_chol, leverage=leverage)
+        return factor(stack)
+    except np.linalg.LinAlgError:
+        out = np.empty_like(stack)
+        for c, mat in enumerate(stack):
+            try:
+                out[c] = factor(mat)
+            except np.linalg.LinAlgError:
+                ok[c] = False
+                out[c] = np.eye(mat.shape[0])
+        return out
 
 
-def _target_direction(
-    cross: _CrossProducts,
-    k: int,
+def _prefix_leverages(u: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """(n, C) leverages under the leading ``ks[c]`` columns of orthonormal ``u``.
+
+    Column c holds u_i'(U_K'U_K/n)⁻¹u_i/n for the first K = ``ks[c]``
+    columns U_K. Their Gram matrix is the identity, so that is the sum of
+    u_i's first K squared entries over n: one product with a 0/1 matrix
+    that marks each prefix.
+    """
+    return (u * u) @ (np.arange(u.shape[1])[:, None] < ks) / u.shape[0]
+
+
+def _criterion(
+    u: np.ndarray,
+    bmat: np.ndarray,
     feat_grad: np.ndarray,
     resid: np.ndarray,
     target: np.ndarray,
-) -> tuple[float, float, float]:
-    """:func:`sgmm_components` on the leading ``k`` columns of ``cross``.
+    ks: np.ndarray,
+    ok: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scores, bias terms and variance terms of C candidates at once.
 
+    ``u`` is (n, k) with orthonormal columns (u'u/n is the identity) and
+    ``bmat`` its bridge projection -u'feat_grad/n. Candidate c instruments
+    with the leading ``ks[c]`` columns, has residuals ``resid[:, c]`` and is
+    scored only where ``ok[c]``. The formula is :func:`sgmm_components`'.
     The n×p projections of the gradient through the Gram and Υ metrics
-    enter only along t = Ω⁻¹·target, so two K-vector solves and two
-    n-vectors replace them.
+    enter only along t = Ω⁻¹·target, so each candidate needs two K-vector
+    solves and two n-vectors, and all candidates' solves and n-vectors are
+    stacked: each K×K covariance is padded to k×k with an identity block,
+    which leaves its Cholesky factor and its solves in the leading block,
+    and each K-row projection with zero rows. A candidate that is not ok,
+    or whose covariance or reduced-form matrix Ω cannot be factorized,
+    scores inf with NaN terms.
     """
-    n = resid.shape[0]
-    u = cross.u[:, :k]
-    bmat = cross.bmat[:k]
-    weighted = u * resid[:, None]
-    upsilon = weighted.T @ weighted / n
-    try:
-        cho = scipy.linalg.cho_factor(upsilon)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularUpsilonBlock(
-            f"residual-weighted moment covariance is singular at K={k}"
-        ) from exc
-    omega = bmat.T @ scipy.linalg.cho_solve(cho, bmat)
-    try:
-        t_dir = scipy.linalg.inv(omega) @ target
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularUpsilonBlock(
-            f"bridge-projection matrix is singular at K={k}"
-        ) from exc
-    direction = bmat @ t_dir
-    gram_part = u @ scipy.linalg.cho_solve((cross.gram_chol[:k, :k], True), direction)
-    upsilon_part = u @ scipy.linalg.cho_solve(cho, direction)
-    leverage = cross.leverage[k - 1]
-    pi = float((leverage * resid) @ (-(feat_grad @ t_dir) - gram_part))
+    n, k = u.shape
+    ok = ok.copy()
+    resid = np.where(ok, resid, 0.0)
+    upsilon = np.tile(np.eye(k), (ks.size, 1, 1))
+    for c in np.flatnonzero(ok):
+        weighted = u[:, : ks[c]] * resid[:, c, None]
+        upsilon[c, : ks[c], : ks[c]] = weighted.T @ weighted / n
+    chol = _stacked(np.linalg.cholesky, upsilon, ok)
+    bproj = bmat * (np.arange(k) < ks[:, None])[:, :, None]
+    whitened = np.linalg.solve(chol, bproj)
+    omega = whitened.transpose(0, 2, 1) @ whitened
+    t_dir = _stacked(np.linalg.inv, omega, ok) @ target
+    direction = np.einsum("ckp,cp->ck", bproj, t_dir)
+    upsilon_dir = np.linalg.solve(
+        chol.transpose(0, 2, 1), np.einsum("ckp,cp->ck", whitened, t_dir)[:, :, None]
+    )[:, :, 0]
+    gram_part = u @ direction.T
+    upsilon_part = u @ upsilon_dir.T
+    leverage = _prefix_leverages(u, ks)
+    pi = np.sum(leverage * resid * (-(feat_grad @ t_dir.T) - gram_part), axis=0)
     influence = upsilon_part * resid**2 - gram_part
-    bias_term = pi * pi / n
-    variance_term = float(leverage @ influence**2) - float(target @ t_dir)
-    return bias_term + variance_term, bias_term, variance_term
+    bias = pi * pi / n
+    var = np.sum(leverage * influence**2, axis=0) - t_dir @ target
+    score = bias + var
+    ok &= np.isfinite(score)
+    return np.where(ok, score, np.inf), np.where(ok, bias, np.nan), np.where(ok, var, np.nan)
 
 
 def sgmm_components(
@@ -158,14 +179,77 @@ def sgmm_components(
     instrument Gram matrix, which keeps observations in low-noise regions
     from dominating under heteroskedasticity.
 
+    The criterion does not depend on the instrument basis, so it is
+    computed as the one-candidate case of the scan's batched kernel on
+    ``u`` whitened by the Cholesky factor of its Gram matrix.
+
     Returns (score, bias_term, variance_term) where the score is their
     sum; the variance term may be negative in sample and is used as
-    computed. Raises :class:`SingularUpsilonBlock` when the
-    residual-weighted instrument covariance (or the Gram or reduced-form
-    matrix derived from it) cannot be factorized.
+    computed. Raises :class:`SingularUpsilonBlock` when the instrument
+    Gram matrix, the residual-weighted instrument covariance or the
+    reduced-form matrix derived from it cannot be factorized.
     """
-    cross = _cross_products(u, -(u.T @ feat_grad) / u.shape[0])
-    return _target_direction(cross, u.shape[1], feat_grad, resid, target)
+    n, k = u.shape
+    try:
+        gram_chol = scipy.linalg.cholesky(u.T @ u / n, lower=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise SingularUpsilonBlock(f"instrument Gram matrix is singular at K={k}") from exc
+    white = scipy.linalg.solve_triangular(gram_chol, u.T, lower=True).T
+    (score,), (bias,), (var,) = _criterion(
+        white, -(white.T @ feat_grad) / n, feat_grad, resid[:, None], target,
+        np.array([k]), np.array([True]),
+    )
+    if not np.isfinite(score):
+        raise SingularUpsilonBlock(
+            f"residual-weighted moment covariance or bridge-projection matrix "
+            f"is singular at K={k}"
+        )
+    return float(score), float(bias), float(var)
+
+
+def _scan(
+    ds: Dataset, bridge: OutcomeBridge, spec: SieveSpec, k_bar: int
+) -> tuple[SelectionDiagnostics, BasisMatrix]:
+    """:func:`select_k`, and the raw ``k_bar``-column basis it scanned."""
+    p = bridge.n_params
+    if k_bar < p:
+        raise DimensionMismatch(
+            f"k_bar={k_bar} is below the bridge dimension {p}"
+        )
+    raw = build_basis(ds, spec, k_bar)
+    try:
+        basis = orthonormalize(raw)
+    except RankDeficient as exc:
+        # Prefixes are nested bit for bit, so the accepted prefix of this
+        # basis is the basis build_basis would give at that size.
+        basis = orthonormalize(raw.leading(exc.full_rank_prefix))
+    grid = tuple(range(p, k_bar + 1))
+    scores = np.full(len(grid), np.inf)
+    bias_terms = np.full(len(grid), np.nan)
+    var_terms = np.full(len(grid), np.nan)
+    ks = np.arange(p, basis.k + 1)
+    if ks.size:
+        moments = _Moments.build(ds, basis.u, bridge)
+        # Candidate K's moments are the leading K sieve rows and the
+        # contrast row; the other rows are zeroed.
+        rows = np.arange(basis.k + 1)
+        keep = (rows < ks[:, None]) | (rows == basis.k)
+        beta, ok = _stacked_least_squares(moments.jac * keep[:, :, None], -moments.const * keep)
+        resid = moments.y[:, None] - moments.feats @ beta[:, :p].T
+        scores[: ks.size], bias_terms[: ks.size], var_terms[: ks.size] = _criterion(
+            basis.u, moments.jac[:-1, :-1], moments.feats, resid,
+            moments.contrast_mean, ks, ok,
+        )
+    if not np.any(np.isfinite(scores)):
+        raise AllCandidatesSingular(
+            f"all candidate moment counts {grid[0]}..{grid[-1]} were singular"
+        )
+    k_star = grid[int(np.argmin(scores))]
+    diag = SelectionDiagnostics(
+        k_grid=grid, scores=scores, bias_terms=bias_terms,
+        variance_terms=var_terms, k_star=k_star,
+    )
+    return diag, raw
 
 
 def select_k(
@@ -182,64 +266,32 @@ def select_k(
     :class:`AllCandidatesSingular`. Ties resolve to the smallest K.
 
     The moment system of the scanned basis (bridge gradient, contrast
-    target, moment Jacobian and U'y/n, as in :func:`fit_optimal`) and the
-    leverage table (:class:`_CrossProducts`) are built once per scan.
-    Each candidate then solves its identity-weight least squares on
-    the Jacobian's leading K sieve rows plus the contrast row, forms its
-    residual-weighted covariance on the leading K columns (the only
-    O(nK²) step), and scores the target direction with K-dimensional
-    solves and the leverage table's row K-1.
+    target, moment Jacobian and U'y/n, as in :func:`fit_optimal`) is built
+    once, and every candidate is scored in one batched pass: the
+    identity-weight fits on the Jacobian's leading K sieve rows plus the
+    contrast row are one stacked SVD, the residuals one n×C product, and
+    the criterion (:func:`sgmm_components`' formula) reads each
+    observation's leverages as sums of its squared basis entries. Each
+    candidate's residual-weighted covariance on its leading K columns is
+    the only O(nK²) step and the only per-candidate loop.
     """
-    p = bridge.n_params
-    if k_bar < p:
-        raise DimensionMismatch(
-            f"k_bar={k_bar} is below the bridge dimension {p}"
-        )
-    raw = build_basis(ds, spec, k_bar)
-    try:
-        basis = orthonormalize(raw)
-    except RankDeficient as exc:
-        # Prefixes are nested bit for bit, so the accepted prefix of this
-        # basis is the basis build_basis would give at that size.
-        j = exc.full_rank_prefix
-        basis = orthonormalize(BasisMatrix(u=raw.u[:, :j], term_names=raw.term_names[:j]))
-    moments = _Moments.build(ds, basis.u, bridge)
-    target = moments.contrast_mean
-    cross = _cross_products(basis.u, moments.jac[:-1, :-1])
-    grid = tuple(range(p, k_bar + 1))
-    scores = np.full(len(grid), np.inf)
-    bias_terms = np.full(len(grid), np.nan)
-    var_terms = np.full(len(grid), np.nan)
-    for i, k in enumerate(range(p, basis.k + 1)):
-        # Candidate K's moments: the leading K sieve rows and the contrast row.
-        rows = np.r_[:k, basis.k]
-        try:
-            beta, _ = _least_squares(moments.jac[rows], moments.const[rows], np.eye(k + 1))
-            resid = moments.y - moments.feats @ beta[:p]
-            scores[i], bias_terms[i], var_terms[i] = _target_direction(
-                cross, k, moments.feats, resid, target
-            )
-        except _CANDIDATE_FAILURES:
-            continue
-    if not np.any(np.isfinite(scores)):
-        raise AllCandidatesSingular(
-            f"all candidate moment counts {grid[0]}..{grid[-1]} were singular"
-        )
-    k_star = grid[int(np.argmin(scores))]
-    return SelectionDiagnostics(
-        k_grid=grid, scores=scores, bias_terms=bias_terms,
-        variance_terms=var_terms, k_star=k_star,
-    )
+    return _scan(ds, bridge, spec, k_bar)[0]
 
 
 def select_and_fit(
     ds: Dataset, bridge: OutcomeBridge, spec: SieveSpec, k_bar: int
 ) -> tuple[GmmFit, SelectionDiagnostics]:
-    """Run the moment-count scan, then the optimally weighted fit at K*."""
-    diag = select_k(ds, bridge, spec, k_bar)
-    # A fresh K*-column QR rather than the scan's leading columns: those
+    """Run the moment-count scan, then the optimally weighted fit at K*.
+
+    The sieve is built once: the fit orthonormalizes the leading K*
+    columns of the raw basis the scan built, which are
+    ``build_basis(ds, spec, K*)`` bit for bit.
+    """
+    diag, raw = _scan(ds, bridge, spec, k_bar)
+    # A fresh K*-column QR rather than the scan's orthonormal columns: those
     # match it only to rounding (bit for bit only when K* is k_bar), and the
-    # fit at K* must not depend on the cap it was selected under.
-    basis = orthonormalize(build_basis(ds, spec, diag.k_star))
+    # fit at K* must not depend on the cap it was selected under. The raw
+    # columns it factorizes are the K*-column basis itself.
+    basis = orthonormalize(raw.leading(diag.k_star))
     fit = fit_optimal(ds, basis, bridge)
     return fit, diag

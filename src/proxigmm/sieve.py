@@ -21,7 +21,7 @@ canonical term name (so `a*x^2` precedes `a*z*x`, which precedes `a*z^2`).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -78,6 +78,11 @@ class BasisMatrix:
     @property
     def n(self) -> int:
         return self.u.shape[0]
+
+    def leading(self, k: int) -> BasisMatrix:
+        """The first ``k`` columns. Of a basis from :func:`build_basis` they
+        are, bit for bit, the basis it builds at ``k``."""
+        return replace(self, u=self.u[:, :k], term_names=self.term_names[:k])
 
 
 def _univariate_levels(spec: SieveSpec, name: str, col: np.ndarray) -> np.ndarray:

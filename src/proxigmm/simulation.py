@@ -13,7 +13,6 @@ that the process keeps and reuses (see ``_replicate``).
 from __future__ import annotations
 
 import functools
-import itertools
 import multiprocessing
 import os
 import sys
@@ -21,7 +20,7 @@ import threading
 import time
 import traceback
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
@@ -40,8 +39,8 @@ from .gmm import (
     confidence_interval,
     wald_test,
 )
-from .selection import select_and_fit, select_k
-from .sieve import SieveSpec, build_basis, orthonormalize
+from .selection import _scan, select_and_fit
+from .sieve import SieveSpec, orthonormalize
 
 SCENARIOS = ("I", "II")
 # Reference estimators by method name; "gmm-div" is the moment-selected fit.
@@ -337,7 +336,8 @@ def _replicate(reps: int, threads: int, one_rep) -> list[dict]:
     ran it. A worker behaves like the serial loop: the warnings a
     replication raised are emitted here, in replication order, and then the
     exception that ended it, if any, is raised here with its type, chained
-    to its worker traceback.
+    to its worker traceback. A call that raises first cancels the
+    replications no worker has taken and waits for those under way.
     """
     if threads < 1:
         raise DimensionMismatch(f"threads must be at least 1, got {threads}")
@@ -350,22 +350,29 @@ def _replicate(reps: int, threads: int, one_rep) -> list[dict]:
     out = []
     with _pool_lock:
         pool = _kept_pool(workers)
+        futures = []
         try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", _FORK_WITH_THREADS, DeprecationWarning)
-                results = pool.map(_rep_in_worker, itertools.repeat(one_rep), range(reps))
-            try:
-                for records, caught, error in results:
-                    _warn_again(caught)
-                    if error is not None:
-                        exc, worker_traceback = error
-                        raise exc from _WorkerTraceback(worker_traceback)
-                    out.extend(records)
-            finally:
-                results.close()  # cancels the replications no worker has taken yet
+                for rep in range(reps):
+                    futures.append(pool.submit(_rep_in_worker, one_rep, rep))
+            for future in futures:
+                records, caught, error = future.result()
+                _warn_again(caught)
+                if error is not None:
+                    exc, worker_traceback = error
+                    raise exc from _WorkerTraceback(worker_traceback)
+                out.extend(records)
         except BrokenProcessPool:
             _retire_pool()
             raise
+        finally:
+            # However the call ends, the replications no worker has taken
+            # are cancelled and the ones under way run out here, so the
+            # next call finds the pool idle.
+            for future in futures:
+                future.cancel()
+            wait(futures)
     return out
 
 
@@ -478,11 +485,13 @@ def _frozen_design_fit(
     The moment count and the floored optimal weight are computed from
     ``ds_clean``; only the final bridge refit sees ``ds_distorted``. The
     instrument basis involves only columns the distortion never touches,
-    so the two datasets share it row for row.
+    so the two datasets share it row for row. As in ``select_and_fit``, the
+    fit orthonormalizes the leading K* columns of the raw basis the scan
+    built.
     """
     bridge = OutcomeBridge.linear(ds_clean.w.shape[1], ds_clean.x.shape[1])
-    diag = select_k(ds_clean, bridge, spec, k_bar)
-    basis = orthonormalize(build_basis(ds_clean, spec, diag.k_star))
+    diag, raw = _scan(ds_clean, bridge, spec, k_bar)
+    basis = orthonormalize(raw.leading(diag.k_star))
     decomp = _first_step_decomposition(_Moments.build(ds_clean, basis.u, bridge))
     fit = _fixed_weight_fit(
         _Moments.build(ds_distorted, basis.u, bridge),

@@ -136,3 +136,25 @@ def test_pipw_and_pdr_share_one_treatment_solve(monkeypatch):
     _outcome(pipw, datasets[0])
     _outcome(pipw, datasets[0])
     assert len(solved) == 2  # outside the block every call solves
+
+
+@pytest.mark.parametrize("rep", [3, 34], ids=["newton", "minimum-norm-fallback"])
+def test_treatment_solve_matches_one_that_calls_the_bridge(monkeypatch, rep):
+    # The solve evaluates q from a design and index sign built once per
+    # solve. A solve that calls TreatmentBridge().q at every trial point
+    # gives the same theta and q bit for bit, both when Newton converges
+    # and on a rep that falls back to the minimum-norm search, which makes
+    # about 2,000 evaluations.
+    ds = generate(ScenarioConfig("II", 800), 3, rep)
+    theta, q, _ = baselines._solve_treatment_bridge(ds)
+    calls = []
+
+    def bridge_q(basis_b, index_sign, theta):
+        calls.append(1)
+        return TreatmentBridge().q(ds.z, ds.a, ds.x, theta)
+
+    monkeypatch.setattr(baselines, "_bridge_values", bridge_q)
+    ref_theta, ref_q, _ = baselines._solve_treatment_bridge(ds)
+    assert np.array_equal(theta, ref_theta)
+    assert np.array_equal(q, ref_q)
+    assert (len(calls) > 1000) == (rep == 34)

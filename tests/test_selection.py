@@ -1,9 +1,9 @@
 """Moment-count selection: the criterion formula and the scan over candidates.
 
 The criterion is locked against a literal per-observation transcription of
-its formula (explicit loops and inverses, no shared code). The one-QR scan
-is locked against the per-candidate path it replaced (a fresh QR and
-identity-weight fit at every K), written out here.
+its formula (explicit loops and inverses, no shared code). The batched
+one-QR scan is locked against a per-candidate path (a fresh QR and
+identity-weight fit at every K, each scored alone), written out here.
 """
 
 from __future__ import annotations
@@ -12,9 +12,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from proxigmm import gmm, selection, sieve, simulation
 from proxigmm.bridges import OutcomeBridge
-from proxigmm.data import Dataset
+from proxigmm.data import Dataset, transform_column
 from proxigmm.errors import (
     AllCandidatesSingular,
     DimensionMismatch,
@@ -23,7 +25,9 @@ from proxigmm.errors import (
 )
 from proxigmm.gmm import fit_initial, fit_optimal
 from proxigmm.selection import (
-    _cross_products,
+    _criterion,
+    _prefix_leverages,
+    _stacked_least_squares,
     select_and_fit,
     select_k,
     sgmm_components,
@@ -106,19 +110,58 @@ class TestCriterionFormulas:
 
 
 def test_leverage_table_rows_are_prefix_leverages():
-    # Row K-1 of the once-per-scan table is the leverage under the K-column
-    # Gram, on a basis whose columns are correlated and unequally scaled.
+    # Column K-1 of the scan's leverage table for K = 1..6, read off the
+    # orthonormalized basis, is the literal diagonal of U_K G_K⁻¹ U_K'/n for
+    # the leading K raw columns, which are correlated and unequally scaled:
+    # the QR keeps each prefix's span, and a leverage depends on the span
+    # alone.
     n, k = 60, 6
-    u, feat_grad, _, _ = _random_instance(17, n=n, k=k, p=2)
+    u, _, _, _ = _random_instance(17, n=n, k=k, p=2)
     rng = np.random.default_rng(18)
     u = u @ (np.diag(np.arange(1.0, k + 1)) + 0.5 * np.triu(rng.normal(size=(k, k)), 1))
-    table = _cross_products(u, -(u.T @ feat_grad) / n).leverage
-    assert table.shape == (k, n)
+    basis = orthonormalize(BasisMatrix(u=u, term_names=tuple(map(str, range(k)))))
+    table = _prefix_leverages(basis.u, np.arange(1, k + 1))
+    assert table.shape == (n, k)
     for kk in range(1, k + 1):
         u_k = u[:, :kk]
-        gram_k = u_k.T @ u_k / n
-        want = np.einsum("ik,ki->i", u_k, np.linalg.solve(gram_k, u_k.T)) / n
-        np.testing.assert_allclose(table[kk - 1], want, rtol=1e-12)
+        gram_inv = np.linalg.inv(u_k.T @ u_k / n)
+        want = np.diag(u_k @ gram_inv @ u_k.T) / n
+        np.testing.assert_allclose(table[:, kk - 1], want, rtol=1e-12)
+
+
+class TestBatchedKernel:
+    def test_least_squares_flags_only_the_rank_deficient_system(self):
+        rng = np.random.default_rng(23)
+        lhs = rng.normal(size=(3, 7, 5))
+        rhs = rng.normal(size=(3, 7))
+        lhs[1, :, 2] = 0.0  # the middle system does not identify coordinate 2
+        beta, ok = _stacked_least_squares(lhs, rhs)
+        assert ok.tolist() == [True, False, True]
+        assert scipy.linalg.lstsq(lhs[1], rhs[1])[2] == 4
+        for c in (0, 2):
+            want, _, rank, _ = scipy.linalg.lstsq(lhs[c], rhs[c])
+            assert rank == 5
+            np.testing.assert_allclose(beta[c], want, rtol=1e-12)
+
+    def test_failing_candidates_in_the_middle_score_inf_alone(self):
+        # Of five stacked candidates, the second failed its rank check and
+        # the fourth has a singular covariance (its Cholesky fails); the
+        # others score as they do alone.
+        n, k = 60, 7
+        u, feat_grad, _, target = _random_instance(24, n=n, k=k, p=2)
+        u = orthonormalize(BasisMatrix(u=u, term_names=tuple(map(str, range(k))))).u
+        ks = np.arange(3, 8)
+        resid = np.random.default_rng(25).normal(size=(n, ks.size)) + 0.5
+        resid[:, 3] = 0.0
+        ok = np.array([True, False, True, True, True])
+        scores, bias, var = _criterion(
+            u, -(u.T @ feat_grad) / n, feat_grad, resid, target, ks, ok
+        )
+        assert np.isinf(scores[[1, 3]]).all()
+        assert np.isnan(bias[[1, 3]]).all() and np.isnan(var[[1, 3]]).all()
+        for c in (0, 2, 4):
+            want = sgmm_components(u[:, : ks[c]], feat_grad, resid[:, c], target)
+            np.testing.assert_allclose((scores[c], bias[c], var[c]), want, rtol=1e-12)
 
 
 def _counting_bridge():
@@ -146,12 +189,12 @@ def _prefix_score_parts(ds, u):
     return u, feat_grad, resid, target
 
 
-def _per_candidate_scan(ds, k_bar):
+def _per_candidate_scan(ds, spec, k_bar):
     """The scan with a fresh QR and identity-weight fit at every candidate."""
     p = BRIDGE.n_params
     scores = []
     for k in range(p, k_bar + 1):
-        u = orthonormalize(build_basis(ds, SieveSpec(), k)).u
+        u = orthonormalize(build_basis(ds, spec, k)).u
         scores.append(sgmm_components(*_prefix_score_parts(ds, u))[0])
     scores = np.array(scores)
     return scores, p + int(np.argmin(scores))
@@ -178,15 +221,21 @@ class TestScan:
             np.testing.assert_allclose((score, bias, var), sgmm_components(*parts), rtol=1e-12)
 
     @pytest.mark.parametrize(
-        "config, k_bar, reps",
-        [(ScenarioConfig("II", 800), 12, range(20)), (ScenarioConfig("II", 800), 30, [0])],
-        ids=["II800-k12", "II800-k30"],
+        "config, spec, k_bar, reps",
+        [
+            (ScenarioConfig("I", 400), SieveSpec(), 12, range(20)),
+            (ScenarioConfig("II", 800), SieveSpec(), 12, range(20)),
+            (ScenarioConfig("II", 800), SieveSpec(), 30, [0]),
+            (ScenarioConfig("II", 3200), SieveSpec(), 20, range(3)),
+            (ScenarioConfig("II", 800), SieveSpec(family="bspline", interior_knots=0), 12, range(10)),
+        ],
+        ids=["I400-k12", "II800-k12", "II800-k30", "II3200-k20", "II800-bspline-k12"],
     )
-    def test_matches_per_candidate_refit(self, config, k_bar, reps):
+    def test_matches_per_candidate_refit(self, config, spec, k_bar, reps):
         for rep in reps:
             ds = generate(config, 0, rep)
-            want_scores, want_k = _per_candidate_scan(ds, k_bar)
-            diag = select_k(ds, BRIDGE, SieveSpec(), k_bar)
+            want_scores, want_k = _per_candidate_scan(ds, spec, k_bar)
+            diag = select_k(ds, BRIDGE, spec, k_bar)
             np.testing.assert_allclose(diag.scores, want_scores, rtol=1e-10, atol=0)
             assert diag.k_star == want_k, rep
 
@@ -299,6 +348,31 @@ class TestSelectAndFit:
         )
         assert fit.tau_hat == direct.tau_hat
         np.testing.assert_array_equal(fit.gamma_hat, direct.gamma_hat)
+
+    @pytest.mark.parametrize(
+        "fit",
+        [
+            lambda ds: select_and_fit(ds, BRIDGE, SieveSpec(), 12),
+            lambda ds: simulation._frozen_design_fit(
+                ds, transform_column(ds, "w1", "moderate"), SieveSpec(), 12
+            ),
+        ],
+        ids=["select_and_fit", "frozen_design_fit"],
+    )
+    def test_sieve_built_once_per_fit(self, monkeypatch, fit):
+        # One basis build for the scan; one QR for the scan and one, of the
+        # leading K* columns of the same raw basis, for the fit at K*.
+        calls = {"build_basis": 0, "orthonormalize": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(sieve, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            for module in (sieve, selection, simulation, gmm):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+        fit(generate(ScenarioConfig("II", 800), 0, 0))
+        assert calls == {"build_basis": 1, "orthonormalize": 2}
 
     def test_low_noise_scenario_prefers_smallest_count(self):
         # In the homoskedastic design extra moments buy no efficiency, so

@@ -5,6 +5,7 @@ frozen-design fit of the misspecification study."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import multiprocessing
 import os
@@ -326,6 +327,30 @@ def test_a_broken_pool_is_replaced(two_cpus):
     assert [r["rep"] for r in records] == list(range(4))
     assert _served_by(records) <= _worker_pids()
     assert len(_worker_pids()) == 2 and not _worker_pids() & before
+
+
+def _marked_rep(directory, rep):
+    """Rep 0 fails at once; every other rep marks its start in ``directory``,
+    works for 0.2 s, then marks its end."""
+    if rep == 0:
+        raise RuntimeError("rep 0 failed")
+    (directory / f"start-{rep}").touch()
+    time.sleep(0.2)
+    (directory / f"end-{rep}").touch()
+    return [{"rep": rep}]
+
+
+@pool_test
+def test_a_failed_call_returns_after_its_started_replications(two_cpus, tmp_path):
+    # The pool has already handed the replications after rep 0 to workers
+    # when rep 0's error arrives. They cannot be cancelled, so the call
+    # waits for them: a later call would otherwise queue behind them.
+    with pytest.raises(RuntimeError, match="rep 0 failed"):
+        simulation._replicate(40, 2, functools.partial(_marked_rep, tmp_path))
+    started = {p.name.split("-")[1] for p in tmp_path.glob("start-*")}
+    ended = {p.name.split("-")[1] for p in tmp_path.glob("end-*")}
+    assert started and started == ended
+    assert len(started) < 39  # the replications no worker had taken were cancelled
 
 
 @pool_test
