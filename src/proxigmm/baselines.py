@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .bridges import OutcomeBridge
 from .data import Dataset
@@ -342,9 +341,13 @@ def _solve_treatment_bridge(ds: Dataset):
         r = balance(theta)[1]
         return np.where(np.isfinite(r), r, _MINNORM_SENTINEL)
 
+    # Imported here: scipy.optimize adds about 0.2 s to a cold start, and
+    # only this fallback uses it.
+    from scipy.optimize import least_squares
+
     best = None
     for start in _newton_starts(basis_b.shape[1]):
-        sol = scipy.optimize.least_squares(
+        sol = least_squares(
             clipped, start, method="lm", max_nfev=20_000
         )
         if best is None or sol.cost < best.cost:

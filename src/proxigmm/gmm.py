@@ -270,10 +270,12 @@ def _gram_moments(moments: _Moments):
     p1 = moments.jac.shape[1]
     p = p1 - 1
     outcome = np.column_stack([moments.y, moments.feats])
-    phi = np.hstack([
-        (moments.u[:, :, None] * outcome[:, None, :]).reshape(n, k * p1),
-        moments.treated - moments.untreated - moments.contrast_mean,
-    ])
+    # Column k' * p1 + j of Phi is u_k' * outcome_j: one strided write per
+    # outcome column fills the Kronecker block in place.
+    phi = np.empty((n, k * p1 + p))
+    for j in range(p1):
+        np.multiply(moments.u, outcome[:, j, None], out=phi[:, j : k * p1 : p1])
+    phi[:, k * p1 :] = moments.treated - moments.untreated - moments.contrast_mean
     gram = phi.T @ phi / n
     # Rows index the covariance entry, columns a pair of block coordinates.
     sieve = gram[: k * p1, : k * p1].reshape(k, p1, k, p1).transpose(0, 2, 1, 3)

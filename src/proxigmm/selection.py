@@ -131,8 +131,11 @@ def _criterion(
     ok = ok.copy()
     resid = np.where(ok, resid, 0.0)
     upsilon = np.tile(np.eye(k), (ks.size, 1, 1))
+    # One buffer serves every candidate, viewed as a contiguous (n, K) block.
+    buf = np.empty(n * k)
     for c in np.flatnonzero(ok):
-        weighted = u[:, : ks[c]] * resid[:, c, None]
+        weighted = buf[: n * ks[c]].reshape(n, ks[c])
+        np.multiply(u[:, : ks[c]], resid[:, c, None], out=weighted)
         upsilon[c, : ks[c], : ks[c]] = weighted.T @ weighted / n
     chol = _stacked(np.linalg.cholesky, upsilon, ok)
     bproj = bmat * (np.arange(k) < ks[:, None])[:, :, None]

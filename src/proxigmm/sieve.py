@@ -26,8 +26,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from scipy.interpolate import BSpline
-
 from .data import Dataset
 from .errors import DegenerateColumn, DimensionMismatch, KTooLarge, RankDeficient
 
@@ -102,6 +100,10 @@ def _univariate_levels(spec: SieveSpec, name: str, col: np.ndarray) -> np.ndarra
     interior = np.quantile(col, [(j + 1) / (m + 1) for j in range(m)]) if m else np.array([])
     clamped = _SPLINE_DEGREE + 1  # repeated boundary knots
     knots = np.r_[np.full(clamped, lo), interior, np.full(clamped, hi)]
+    # Imported here: scipy.interpolate adds about 0.2 s to a cold start, and
+    # only the B-spline family uses it.
+    from scipy.interpolate import BSpline
+
     design = BSpline.design_matrix(col, knots, _SPLINE_DEGREE)
     return np.asarray(design.todense())[:, 1:]
 
@@ -192,7 +194,7 @@ def orthonormalize(b: BasisMatrix) -> BasisMatrix:
     n = b.u.shape[0]
     q, r = scipy.linalg.qr(b.u / np.sqrt(n), mode="economic")
     diag = np.diag(r)
-    q = q * np.where(diag < 0, -1.0, 1.0)
+    q *= np.where(diag < 0, -1.0, 1.0)
     diag = np.abs(diag)
     # R's leading block is the prefix's own R, so prefix k passes when
     # min(diag[:k]) >= tol * max(diag[:k]); once a prefix fails, all longer do.
@@ -204,4 +206,5 @@ def orthonormalize(b: BasisMatrix) -> BasisMatrix:
             f"columns (relative pivot {diag[j] / np.max(diag[: j + 1]):.2e})",
             full_rank_prefix=j,
         )
-    return BasisMatrix(u=np.sqrt(n) * q, term_names=b.term_names, orthonormal=True)
+    q *= np.sqrt(n)
+    return BasisMatrix(u=q, term_names=b.term_names, orthonormal=True)

@@ -233,6 +233,8 @@ def _warn_again(caught: list[tuple]) -> None:
     defaults ``warn_explicit`` derives from the file name; an explicit
     ``module=None`` would drop it.
     """
+    if not caught:
+        return
     modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
     for message, category, filename, lineno in caught:
         module = modules.get(filename)

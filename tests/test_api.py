@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import proxigmm
 import proxigmm.selection
 from proxigmm import BasisMatrix, EstimateReport, MomentDecomposition, OutcomeBridge, SieveSpec
@@ -54,18 +56,67 @@ def test_tracer_call_shapes_exist():
     assert callable(MomentDecomposition.floored_weight)
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about half a second of import time, and the normal
-    # quantile the intervals need comes from scipy.special.
-    src = str(Path(proxigmm.__file__).resolve().parents[1])
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import proxigmm, proxigmm.cli; "
-        "print(proxigmm.__file__); print('scipy.stats' in sys.modules)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+_SRC = str(Path(proxigmm.__file__).resolve().parents[1])
+# scipy modules the common paths must not load: scipy.stats costs about half
+# a second of import time (the normal quantile comes from scipy.special);
+# scipy.optimize and scipy.interpolate (which pulls in scipy.sparse) about
+# 0.2 s, and only the minimum-norm fallback and the B-spline sieve use them.
+_OPTIONAL_SCIPY = ("scipy.stats", "scipy.optimize", "scipy.interpolate", "scipy.sparse")
+
+
+def _fresh_interpreter(code: str) -> list[str]:
+    """Run ``code`` in a new interpreter that turns warnings into errors and
+    imports ``proxigmm`` from this checkout; return its output's words."""
+    prelude = "import sys; sys.path.insert(0, sys.argv[1]); import proxigmm, proxigmm.cli\n"
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-c", prelude + code, _SRC],
+        capture_output=True, text=True, check=True,
     ).stdout.split()
-    assert out == [proxigmm.__file__, "False"]
+
+
+def test_common_paths_leave_optional_scipy_modules_unloaded():
+    code = f"""
+from proxigmm import OutcomeBridge, ScenarioConfig, SieveSpec, generate, pdr, pipw, rgmm
+from proxigmm import select_and_fit
+ds = generate(ScenarioConfig("II", 800), 3, 3)  # Newton converges
+select_and_fit(ds, OutcomeBridge.linear(1, 1), SieveSpec(), 12)
+for estimator in (rgmm, pipw, pdr):
+    estimator(ds)
+print(proxigmm.__file__)
+print(*[name in sys.modules for name in {_OPTIONAL_SCIPY!r}])
+"""
+    assert _fresh_interpreter(code) == [proxigmm.__file__] + ["False"] * len(_OPTIONAL_SCIPY)
+
+
+_FIRST_USE_SETUP = (
+    "import hashlib\n"
+    "from proxigmm import ScenarioConfig, SieveSpec, build_basis, generate\n"
+    "from proxigmm.baselines import _solve_treatment_bridge\n"
+)
+
+
+@pytest.mark.parametrize(
+    "module, arrays",
+    [
+        ("scipy.interpolate",
+         "[build_basis(generate(ScenarioConfig('II', 800), 3, 5), SieveSpec('bspline', 2), 12).u]"),
+        # Newton finds no root on this rep, as in test_baselines.
+        ("scipy.optimize", "_solve_treatment_bridge(generate(ScenarioConfig('II', 800), 3, 34))[:2]"),
+    ],
+    ids=["bspline-basis", "minimum-norm-fallback"],
+)
+def test_first_use_in_a_fresh_interpreter_loads_its_module(module, arrays):
+    # The path imports its module at first use and returns, bit for bit,
+    # the arrays it returns in this process.
+    digest = f"hashlib.sha256(b''.join(a.tobytes() for a in {arrays})).hexdigest()"
+    namespace = {}
+    exec(_FIRST_USE_SETUP, namespace)
+    expected = eval(digest, namespace)
+    code = _FIRST_USE_SETUP + (
+        f"before = {module!r} in sys.modules\n"
+        f"print(before, {digest}, {module!r} in sys.modules)"
+    )
+    assert _fresh_interpreter(code) == ["False", expected, "True"]
 
 
 def test_select_k_looks_up_the_patched_sieve_names(scenario1_ds, monkeypatch):
