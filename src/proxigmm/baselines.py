@@ -11,11 +11,9 @@ import contextlib
 import contextvars
 import itertools
 import json
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .bridges import OutcomeBridge
 from .data import Dataset
@@ -85,8 +83,8 @@ def _stacked_se(scores: np.ndarray, jac: np.ndarray, idx: int, system: str) -> f
     n = scores.shape[0]
     upsilon = scores.T @ scores / n
     try:
-        jinv = scipy.linalg.inv(jac)
-    except scipy.linalg.LinAlgError as exc:
+        jinv = np.linalg.inv(jac)
+    except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"stacked {system} Jacobian is singular") from exc
     v = jinv @ upsilon @ jinv.T
     var = v[idx, idx]
@@ -111,8 +109,8 @@ def naive_gformula(ds: Dataset) -> EstimateReport:
     design = np.column_stack([np.ones(ds.n), ds.a, ds.w, ds.z, ds.x])
     gram = design.T @ design
     try:
-        gram_inv = scipy.linalg.inv(gram)
-    except scipy.linalg.LinAlgError as exc:
+        gram_inv = np.linalg.inv(gram)
+    except np.linalg.LinAlgError as exc:
         raise RankDeficientDesign("regression design matrix is singular") from exc
     if np.linalg.matrix_rank(design) < design.shape[1]:
         raise RankDeficientDesign("regression design matrix is rank deficient")
@@ -145,8 +143,8 @@ def _canonical_bridge_fit(ds: Dataset) -> tuple[_Moments, np.ndarray]:
         )
     moments = _Moments.build(ds, instruments, bridge)
     try:
-        gamma = scipy.linalg.solve(-moments.jac[:p, :p], moments.const[:p])
-    except scipy.linalg.LinAlgError as exc:
+        gamma = np.linalg.solve(-moments.jac[:p, :p], moments.const[:p])
+    except np.linalg.LinAlgError as exc:
         raise SingularSystem("instrument/feature cross-moment matrix is singular") from exc
     return moments, gamma
 
@@ -194,14 +192,20 @@ def p2sls(ds: Dataset) -> EstimateReport:
     gram_inst = inst.T @ inst
     if np.linalg.matrix_rank(gram_inst) < inst.shape[1]:
         raise WeakRank("instrument matrix is rank deficient")
-    proj = inst @ scipy.linalg.solve(gram_inst, inst.T @ regressors, assume_a="pos")
+    try:
+        # The Cholesky factor checks that the instrument Gram matrix is
+        # positive definite, as the first-stage solve requires.
+        np.linalg.cholesky(gram_inst)
+        proj = inst @ np.linalg.solve(gram_inst, inst.T @ regressors)
+    except np.linalg.LinAlgError as exc:
+        raise WeakRank("instrument Gram matrix is not positive definite") from exc
     gram = proj.T @ regressors
     try:
-        beta = scipy.linalg.solve(gram, proj.T @ ds.y)
-    except scipy.linalg.LinAlgError as exc:
+        beta = np.linalg.solve(gram, proj.T @ ds.y)
+        gram_inv = np.linalg.inv(gram)
+    except np.linalg.LinAlgError as exc:
         raise WeakRank("projected design is singular") from exc
     resid = ds.y - regressors @ beta
-    gram_inv = scipy.linalg.inv(gram)
     meat = (proj * resid[:, None] ** 2).T @ proj
     v = gram_inv @ meat @ gram_inv.T
     return EstimateReport(
@@ -308,14 +312,17 @@ def _solve_treatment_bridge(ds: Dataset):
                 return theta, q, system
             with np.errstate(over="ignore", invalid="ignore"):
                 jac = _balancing_jacobian(basis_c, basis_b, q)
+            # An ill-conditioned balancing Jacobian (reciprocal 1-norm
+            # condition number below eps) produces steps with no usable
+            # digits; give up on this start like a singular one.
             try:
-                # An ill-conditioned balancing Jacobian produces steps with
-                # no usable digits; give up on this start like a singular one.
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-                    step = scipy.linalg.solve(jac, -res)
-            except (scipy.linalg.LinAlgError, scipy.linalg.LinAlgWarning):
+                jinv = np.linalg.inv(jac)
+            except np.linalg.LinAlgError:
                 break
+            rcond = 1.0 / (np.abs(jac).sum(axis=0).max() * np.abs(jinv).sum(axis=0).max())
+            if not rcond >= np.finfo(float).eps:
+                break
+            step = np.linalg.solve(jac, -res)
             scale = 1.0
             # Residuals of extreme trial points overflow their squared norm
             # to inf, which correctly ranks them as no improvement.
@@ -341,8 +348,8 @@ def _solve_treatment_bridge(ds: Dataset):
         r = balance(theta)[1]
         return np.where(np.isfinite(r), r, _MINNORM_SENTINEL)
 
-    # Imported here: scipy.optimize adds about 0.2 s to a cold start, and
-    # only this fallback uses it.
+    # Imported here: scipy.optimize, with the rest of scipy it loads, adds
+    # about 0.5 s to a cold start, and only this fallback uses it.
     from scipy.optimize import least_squares
 
     best = None

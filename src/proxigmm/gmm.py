@@ -34,8 +34,6 @@ import json
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
-from scipy.special import ndtri
 
 from .bridges import OutcomeBridge
 from .data import Dataset
@@ -43,9 +41,9 @@ from .errors import RankDeficientJacobian, SingularVariance, TooFewMoments
 from .sieve import BasisMatrix, orthonormalize
 
 SPECTRAL_FLOOR = 1e-8
-# Two-sided 5% normal critical value: every interval is 95% and every Wald
-# decision is at the 5% level.
-WALD_CRITICAL_5PCT = float(ndtri(0.975))
+# Two-sided 5% normal critical value, the standard normal 0.975 quantile:
+# every interval is 95% and every Wald decision is at the 5% level.
+WALD_CRITICAL_5PCT = 1.959963984540054
 # Damped-Newton polish of the continuously updated objective: relative
 # finite-difference step, small-coordinate floor as a fraction of the
 # largest coordinate, initial (deliberately conservative) step length,
@@ -196,9 +194,12 @@ def regularize_moments(upsilon: np.ndarray) -> MomentDecomposition:
     """Eigendecompose a moment covariance and mark the retained directions.
 
     ``threshold_used`` is ``SPECTRAL_FLOOR`` times the largest eigenvalue;
-    ``k1`` counts eigenvalues strictly above it.
+    ``k1`` counts eigenvalues strictly above it. Raises ``ValueError`` when
+    ``upsilon`` is not finite.
     """
-    vals, vecs = scipy.linalg.eigh(np.asarray(upsilon, dtype=float))
+    upsilon = np.asarray(upsilon, dtype=float)
+    _check_finite(upsilon)
+    vals, vecs = np.linalg.eigh(upsilon)
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
     lam_max = float(vals[0])
@@ -207,6 +208,13 @@ def regularize_moments(upsilon: np.ndarray) -> MomentDecomposition:
     threshold = SPECTRAL_FLOOR * lam_max
     k1 = int(np.sum(vals > threshold))
     return MomentDecomposition(eigvals=vals, eigvecs=vecs, threshold_used=threshold, k1=k1)
+
+
+def _check_finite(*arrays: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every entry of ``arrays`` is finite:
+    LAPACK returns garbage for such input, and its SVD can spin forever."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("array must not contain infs or NaNs")
 
 
 def _prepare(basis: BasisMatrix) -> BasisMatrix:
@@ -218,13 +226,16 @@ def _least_squares(
 ) -> tuple[np.ndarray, float]:
     """Minimizer and value of ``|w_half @ (const + jac @ beta)|²``.
 
-    Raises :class:`RankDeficientJacobian` when the moments do not identify
-    ``beta``.
+    The rank counts singular values above eps times the largest (LAPACK
+    ``gelsd`` with ``rcond`` eps). Raises :class:`RankDeficientJacobian`
+    when the moments do not identify ``beta``, and ``ValueError`` when they
+    or the weight are not finite.
     """
     p1 = jac.shape[1]
     lhs = w_half @ jac
     rhs = -(w_half @ const)
-    beta, _, rank, _ = scipy.linalg.lstsq(lhs, rhs)
+    _check_finite(lhs, rhs)
+    beta, _, rank, _ = np.linalg.lstsq(lhs, rhs, rcond=np.finfo(float).eps)
     if rank < p1:
         raise RankDeficientJacobian(
             f"moment Jacobian has rank {rank} < {p1}; instruments do not "
@@ -240,8 +251,8 @@ def _general_sandwich(
     """Asymptotic variance for a fixed (possibly suboptimal) weight."""
     bread = jac.T @ weight @ jac
     try:
-        bread_inv = scipy.linalg.inv(bread)
-    except scipy.linalg.LinAlgError as exc:
+        bread_inv = np.linalg.inv(bread)
+    except np.linalg.LinAlgError as exc:
         raise SingularVariance("weighted Jacobian cross-product is singular") from exc
     meat = jac.T @ weight @ upsilon @ weight @ jac
     return bread_inv @ meat @ bread_inv
@@ -419,12 +430,12 @@ def _refine_continuous_update(
     if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
         return start, start_val
     p = start.size
-    eigenvalues = scipy.linalg.eigvalsh(hess)
+    eigenvalues = np.linalg.eigvalsh(hess)
     if eigenvalues[0] <= 0.0:
         hess = hess + (abs(eigenvalues[0]) + 1e-8 * max(eigenvalues[-1], 1.0)) * np.eye(p)
     try:
-        step = -scipy.linalg.solve(hess, grad, assume_a="sym")
-    except scipy.linalg.LinAlgError:
+        step = -np.linalg.solve(hess, grad)
+    except np.linalg.LinAlgError:
         return start, start_val
     slope = float(grad @ step)
     if not np.isfinite(slope) or slope >= 0.0:
@@ -476,7 +487,9 @@ def fit_with_weight(
     basis first when needed.
     """
     basis = _prepare(basis)
-    vals, vecs = scipy.linalg.eigh(np.asarray(weight, dtype=float))
+    weight = np.asarray(weight, dtype=float)
+    _check_finite(weight)
+    vals, vecs = np.linalg.eigh(weight)
     if np.min(vals) < -1e-10 * max(np.max(np.abs(vals)), 1.0):
         raise SingularVariance("weight matrix is not positive semidefinite")
     w_half = (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
@@ -569,12 +582,12 @@ def _variance(fit: GmmFit, moments: _Moments) -> GmmFit:
     jac = moments.jac
     bread = jac.T @ decomp.floored_weight() @ jac
     try:
-        chol = scipy.linalg.cho_factor(bread)
-        v_hat = scipy.linalg.cho_solve(chol, np.eye(bread.shape[0]))
-    except scipy.linalg.LinAlgError as exc:
+        chol_inv = np.linalg.inv(np.linalg.cholesky(bread))
+    except np.linalg.LinAlgError as exc:
         raise SingularVariance(
             "floored-weight Jacobian quadratic form is singular"
         ) from exc
+    v_hat = chol_inv.T @ chol_inv
     dv = np.diag(v_hat)
     se = np.sqrt(np.maximum(dv, 0.0) / moments.y.shape[0])
     p = fit.gamma_hat.shape[0]

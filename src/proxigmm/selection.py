@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .bridges import OutcomeBridge
 from .data import Dataset
@@ -64,7 +63,7 @@ def _stacked_least_squares(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray
     whether each system has full column rank.
 
     One stacked SVD solves them all. The rank counts singular values above
-    eps times the largest, the rule of ``scipy.linalg.lstsq``; the
+    eps times the largest, the rule of ``gmm._least_squares``; the
     solution of a rank-deficient system is not meaningful.
     """
     left, sing, right_t = np.linalg.svd(lhs, full_matrices=False)
@@ -194,10 +193,10 @@ def sgmm_components(
     """
     n, k = u.shape
     try:
-        gram_chol = scipy.linalg.cholesky(u.T @ u / n, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        gram_chol = np.linalg.cholesky(u.T @ u / n)
+    except np.linalg.LinAlgError as exc:
         raise SingularUpsilonBlock(f"instrument Gram matrix is singular at K={k}") from exc
-    white = scipy.linalg.solve_triangular(gram_chol, u.T, lower=True).T
+    white = np.linalg.solve(gram_chol, u.T).T
     (score,), (bias,), (var,) = _criterion(
         white, -(white.T @ feat_grad) / n, feat_grad, resid[:, None], target,
         np.array([k]), np.array([True]),

@@ -24,7 +24,6 @@ import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .data import Dataset
 from .errors import DegenerateColumn, DimensionMismatch, KTooLarge, RankDeficient
@@ -100,8 +99,9 @@ def _univariate_levels(spec: SieveSpec, name: str, col: np.ndarray) -> np.ndarra
     interior = np.quantile(col, [(j + 1) / (m + 1) for j in range(m)]) if m else np.array([])
     clamped = _SPLINE_DEGREE + 1  # repeated boundary knots
     knots = np.r_[np.full(clamped, lo), interior, np.full(clamped, hi)]
-    # Imported here: scipy.interpolate adds about 0.2 s to a cold start, and
-    # only the B-spline family uses it.
+    # Imported here: scipy.interpolate, with the rest of scipy it loads,
+    # adds about 0.6 s to a cold start, and only the B-spline family uses
+    # it; every other path of the package needs numpy alone.
     from scipy.interpolate import BSpline
 
     design = BSpline.design_matrix(col, knots, _SPLINE_DEGREE)
@@ -192,7 +192,7 @@ def orthonormalize(b: BasisMatrix) -> BasisMatrix:
     right after that prefix.
     """
     n = b.u.shape[0]
-    q, r = scipy.linalg.qr(b.u / np.sqrt(n), mode="economic")
+    q, r = np.linalg.qr(b.u / np.sqrt(n))
     diag = np.diag(r)
     q *= np.where(diag < 0, -1.0, 1.0)
     diag = np.abs(diag)

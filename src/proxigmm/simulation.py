@@ -25,7 +25,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, ndtri
 
 from . import baselines
 from .bridges import DgpCoefficients, OutcomeBridge
@@ -101,6 +100,110 @@ def _streams(seed, rep: int | None) -> dict[str, np.random.Generator]:
     }
 
 
+# The normal quantile of Cephes ``ndtri`` (public domain), the algorithm of
+# ``scipy.special.ndtri``: a rational function of (p - 1/2)² where
+# exp(-2) < p <= 1 - exp(-2), and of 1/sqrt(-2 log p) in the tails, with a
+# second pair of polynomials once that root reaches 8 (p below exp(-32)).
+# Each denominator's leading coefficient is 1 and is left out.
+_NDTRI_TAIL = 0.13533528323661269189  # exp(-2)
+_NDTRI_SQRT_2PI = 2.50662827463100050242
+_NDTRI_CENTRAL = (
+    (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+     1.39312609387279679503e1, -1.23916583867381258016e0),
+    (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+     -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+     1.59056225126211695515e1, -1.18331621121330003142e0),
+)
+_NDTRI_NEAR = (
+    (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+     4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+     -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4),
+    (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+     1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+     -3.80806407691578277194e-2, -9.33259480895457427372e-4),
+)
+_NDTRI_FAR = (
+    (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+     1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+     3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9),
+    (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+     2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+     2.89247864745380683936e-6, 6.79019408009981274425e-9),
+)
+
+
+def _horner(t: np.ndarray, coefs) -> tuple[np.ndarray, np.ndarray]:
+    """Numerator and denominator of ``coefs`` at ``t`` by Horner's rule, in
+    Cephes' operation order (``polevl``, and ``p1evl`` for the monic
+    denominator)."""
+    num, den = coefs
+    p = np.full_like(t, num[0])
+    for c in num[1:]:
+        p *= t
+        p += c
+    q = t + den[0]
+    for c in den[1:]:
+        q *= t
+        q += c
+    return p, q
+
+
+def _ndtri(p: np.ndarray) -> np.ndarray:
+    """Standard normal quantile of every entry of ``p``.
+
+    Cephes ``ndtri`` step for step, so the central region is bit-identical
+    to ``scipy.special.ndtri``; in the tails numpy's ``log`` differs from
+    the C library's in the last bit on some inputs, which moves a result by
+    a few ulp. 0 maps to -inf, 1 to inf, and anything outside [0, 1] to
+    NaN. The central formula is evaluated on every entry, which costs less
+    than gathering the central three quarters of a normal draw; only the
+    tails are gathered.
+    """
+    p = np.asarray(p, dtype=float)
+    # Entries outside (0, 1) overflow or take logs of non-positive numbers
+    # below; they are NaN by then and are set to Cephes' values at the end.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        y = p - 0.5
+        y2 = y * y
+        out, den = _horner(y2, _NDTRI_CENTRAL)
+        out *= y2
+        out /= den
+        out *= y
+        out += y
+        out *= _NDTRI_SQRT_2PI
+        # Index arrays gather and scatter the scattered tail entries several
+        # times faster than a boolean mask.
+        tail = np.flatnonzero(~((p > _NDTRI_TAIL) & (p <= 1.0 - _NDTRI_TAIL)))
+        pt = p[tail]
+        upper = pt > 0.5
+        x = np.log(np.where(upper, 1.0 - pt, pt))
+        x *= -2.0
+        np.sqrt(x, out=x)
+        x0 = np.log(x)
+        x0 /= x
+        np.subtract(x, x0, out=x0)
+        z = 1.0 / x
+        num, den = _horner(z, _NDTRI_NEAR)
+        far = x >= 8.0
+        if far.any():
+            num[far], den[far] = _horner(z[far], _NDTRI_FAR)
+        num *= z
+        num /= den
+        np.subtract(x0, num, out=x0)
+    x0 = np.where(upper, x0, -x0)
+    x0[pt == 0.0] = -np.inf
+    x0[pt == 1.0] = np.inf
+    out[tail] = x0
+    return out
+
+
+def _expit(t: np.ndarray) -> np.ndarray:
+    """Logistic function, ``scipy.special.expit``'s formula 1 / (1 + exp(-t))."""
+    # exp(-t) overflows to inf for t below about -709, where the result is 0.
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-t))
+
+
 def generate(config: ScenarioConfig, seed, rep: int | None = None) -> Dataset:
     """Draw one dataset; the confounder stays internal to the generator.
 
@@ -111,18 +214,21 @@ def generate(config: ScenarioConfig, seed, rep: int | None = None) -> Dataset:
     rngs = _streams(seed, rep)
     n = config.n
     coef = config.coefficients
-    x = ndtri(_uniform_open(rngs["x"], n))
-    u = ndtri(_uniform_open(rngs["u"], n))
+    # Every normal draw goes through one quantile call.
+    normal = ("x", "u", "noise_z", "noise_w", "noise_y")
+    x, u, e_z, e_w, e_y = _ndtri(
+        np.concatenate([_uniform_open(rngs[name], n) for name in normal])
+    ).reshape(len(normal), n)
     a0, ax, au = coef.treatment_logit
-    prob = expit(a0 + ax * x + au * u)
+    prob = _expit(a0 + ax * x + au * u)
     a = (_uniform_open(rngs["a"], n) < prob).astype(float)
     s1, s2, s3 = config.noise_scales(x)
     z0, za, zx, zu = coef.z_proxy
-    z = z0 + za * a + zx * x + zu * u + s1 * ndtri(_uniform_open(rngs["noise_z"], n))
+    z = z0 + za * a + zx * x + zu * u + s1 * e_z
     w0, wx, wu = coef.w_proxy
-    w = w0 + wx * x + wu * u + s2 * ndtri(_uniform_open(rngs["noise_w"], n))
+    w = w0 + wx * x + wu * u + s2 * e_w
     y0, ya, yw, yx, yu = coef.outcome
-    y = y0 + ya * a + yw * w + yx * x + yu * u + s3 * ndtri(_uniform_open(rngs["noise_y"], n))
+    y = y0 + ya * a + yw * w + yx * x + yu * u + s3 * e_y
     return Dataset(y=y, a=a, z=z, w=w, x=x)
 
 

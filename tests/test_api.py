@@ -57,11 +57,6 @@ def test_tracer_call_shapes_exist():
 
 
 _SRC = str(Path(proxigmm.__file__).resolve().parents[1])
-# scipy modules the common paths must not load: scipy.stats costs about half
-# a second of import time (the normal quantile comes from scipy.special);
-# scipy.optimize and scipy.interpolate (which pulls in scipy.sparse) about
-# 0.2 s, and only the minimum-norm fallback and the B-spline sieve use them.
-_OPTIONAL_SCIPY = ("scipy.stats", "scipy.optimize", "scipy.interpolate", "scipy.sparse")
 
 
 def _fresh_interpreter(code: str) -> list[str]:
@@ -75,17 +70,20 @@ def _fresh_interpreter(code: str) -> list[str]:
 
 
 def test_common_paths_leave_optional_scipy_modules_unloaded():
-    code = f"""
-from proxigmm import OutcomeBridge, ScenarioConfig, SieveSpec, generate, pdr, pipw, rgmm
-from proxigmm import select_and_fit
+    # The common paths need numpy alone: importing scipy.linalg or
+    # scipy.special costs about a third of a second of start-up each.
+    # Only the minimum-norm fallback and the B-spline sieve import scipy.
+    code = """
+from proxigmm import OutcomeBridge, ScenarioConfig, SieveSpec, generate, select_and_fit
+from proxigmm.simulation import BASELINES
 ds = generate(ScenarioConfig("II", 800), 3, 3)  # Newton converges
 select_and_fit(ds, OutcomeBridge.linear(1, 1), SieveSpec(), 12)
-for estimator in (rgmm, pipw, pdr):
+for estimator in BASELINES.values():
     estimator(ds)
-print(proxigmm.__file__)
-print(*[name in sys.modules for name in {_OPTIONAL_SCIPY!r}])
+print(proxigmm.__file__, len(BASELINES))
+print(*sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
-    assert _fresh_interpreter(code) == [proxigmm.__file__] + ["False"] * len(_OPTIONAL_SCIPY)
+    assert _fresh_interpreter(code) == [proxigmm.__file__, "5"]
 
 
 _FIRST_USE_SETUP = (

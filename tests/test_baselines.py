@@ -20,8 +20,8 @@ from proxigmm import (
     pipw,
     rgmm,
 )
-from proxigmm import baselines
-from proxigmm.errors import DimensionMismatch, ProxiGmmError
+from proxigmm import baselines, run_replications
+from proxigmm.errors import DimensionMismatch, ProxiGmmError, WeakRank
 from proxigmm.simulation import BASELINES
 
 
@@ -158,3 +158,69 @@ def test_treatment_solve_matches_one_that_calls_the_bridge(monkeypatch, rep):
     assert np.array_equal(theta, ref_theta)
     assert np.array_equal(q, ref_q)
     assert (len(calls) > 1000) == (rep == 34)
+
+
+class _FallbackTaken(Exception):
+    pass
+
+
+# The II/800 seed-3 reps among 0-543 on which damped Newton finds no root
+# from any start, and the solve takes the minimum-norm fallback.
+_FALLBACK_REPS = [34, 62, 170, 214, 287, 308, 422, 520, 543]
+
+
+def test_newton_gives_up_on_the_same_reps(monkeypatch):
+    # Newton abandons a start whose balancing Jacobian is singular or has a
+    # reciprocal 1-norm condition number below eps. Moving that rule moves
+    # which reps reach the fallback, which is stubbed out here.
+    import scipy.optimize
+
+    def fallback(*args, **kwargs):
+        raise _FallbackTaken
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", fallback)
+    taken = []
+    for rep in range(544):
+        try:
+            baselines._solve_treatment_bridge(generate(ScenarioConfig("II", 800), 3, rep))
+        except _FallbackTaken:
+            taken.append(rep)
+    assert taken == _FALLBACK_REPS
+
+
+@pytest.mark.parametrize("rcond, steps", [(1e-17, False), (1e-15, True)])
+def test_newton_abandons_a_start_whose_jacobian_is_ill_conditioned(monkeypatch, rcond, steps):
+    # A diagonal Jacobian with entries 1 and rcond has reciprocal 1-norm
+    # condition number rcond. Below eps every start is given up before its
+    # first Newton solve; above it the solve runs.
+    import scipy.optimize
+
+    def fallback(*args, **kwargs):
+        raise _FallbackTaken
+
+    solves = []
+    real_solve = np.linalg.solve
+    monkeypatch.setattr(scipy.optimize, "least_squares", fallback)
+    monkeypatch.setattr(
+        baselines, "_balancing_jacobian", lambda *args: np.diag([1.0, 1.0, 1.0, rcond])
+    )
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or real_solve(*a))
+    with pytest.raises(_FallbackTaken):
+        baselines._solve_treatment_bridge(generate(ScenarioConfig("II", 800), 3, 3))
+    assert bool(solves) == steps
+
+
+@pytest.mark.parametrize("factorization", ["cholesky", "inv"])
+def test_p2sls_factorization_failure_is_a_recorded_weak_rank(monkeypatch, factorization):
+    # cholesky checks that the first-stage instrument Gram matrix is
+    # positive definite; inv inverts the projected design for the sandwich.
+    # Either failing is a WeakRank, which a Monte Carlo call records.
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("injected")
+
+    monkeypatch.setattr(np.linalg, factorization, fail)
+    config = ScenarioConfig("I", 400)
+    with pytest.raises(WeakRank):
+        p2sls(generate(config, 0, 0))
+    records = run_replications(config, ("p2sls",), 2, 0)
+    assert [rec["error"].split(":")[0] for rec in records] == ["WeakRank", "WeakRank"]

@@ -29,7 +29,7 @@ from proxigmm import (
     wald_test,
 )
 from proxigmm import gmm
-from proxigmm.errors import SingularVariance, TooFewMoments
+from proxigmm.errors import RankDeficientJacobian, SingularVariance, TooFewMoments
 from proxigmm.gmm import WALD_CRITICAL_5PCT
 
 GAMMA_STAR, _ = true_bridge_params()
@@ -111,6 +111,50 @@ class TestRegularizeMoments:
     def test_zero_covariance_rejected(self):
         with pytest.raises(TooFewMoments):
             regularize_moments(np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_covariance_rejected(self, bad):
+        # LAPACK's eigh returns finite garbage for a NaN off the diagonal.
+        upsilon = np.eye(3)
+        upsilon[0, 2] = upsilon[2, 0] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            regularize_moments(upsilon)
+
+
+class TestLeastSquares:
+    # The rank counts singular values above eps times the largest, and a
+    # diagonal system's singular values are its diagonal, exactly.
+    def test_singular_value_just_above_eps_counts(self):
+        # 3e-16 is above eps, though below the 5 eps of numpy's default rule.
+        jac = np.diag([1.0, 1.0, 1.0, 1.0, 3e-16])
+        beta, _ = gmm._least_squares(jac, np.ones(5), np.eye(5))
+        np.testing.assert_array_equal(beta, -1.0 / np.diag(jac))
+
+    def test_singular_value_below_eps_makes_the_jacobian_rank_deficient(self):
+        jac = np.diag([1.0, 1.0, 1.0, 1.0, 1e-16])
+        with pytest.raises(RankDeficientJacobian, match="rank 4 < 5"):
+            gmm._least_squares(jac, np.ones(5), np.eye(5))
+
+    def test_weight_that_drops_moments_leaves_the_fit_unidentified(
+        self, scenario1_ds, linear_bridge
+    ):
+        # Three weighted moments for five parameters (four bridge, one effect).
+        weight = np.diag([1.0, 1.0, 1.0, 0.0, 0.0])
+        with pytest.raises(RankDeficientJacobian, match="rank 3 < 5"):
+            fit_with_weight(scenario1_ds, _basis(scenario1_ds, 4), linear_bridge, weight)
+
+    def test_non_finite_weight_rejected(self, scenario1_ds, linear_bridge):
+        weight = np.eye(5)
+        weight[1, 3] = weight[3, 1] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            fit_with_weight(scenario1_ds, _basis(scenario1_ds, 4), linear_bridge, weight)
+
+    def test_non_finite_system_rejected(self):
+        # LAPACK's SVD least squares can spin without end on a non-finite
+        # matrix, so the check runs before it. A NaN right-hand side is used
+        # here, which without the check returns NaN instead of hanging.
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            gmm._least_squares(np.eye(3), np.array([1.0, np.nan, 1.0]), np.eye(3))
 
 
 class TestExactlyIdentified:
