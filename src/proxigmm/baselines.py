@@ -31,6 +31,9 @@ from .gmm import WALD_CRITICAL_5PCT, _Moments
 _NEWTON_MAX_ITER = 50
 _NEWTON_TOL = 1e-10
 _NEWTON_START_MAGNITUDE = 0.5
+# Backtracking scales tried after the full Newton step: 2^-1, ..., 2^-29,
+# the values a loop halving 1.0 forms.
+_NEWTON_HALVINGS = np.ldexp(1.0, -np.arange(1, 30))
 # Minimum-norm fallback: placeholder residual where the moment is not
 # finite, and the largest acceptable per-moment imbalance at the minimizer.
 # The cut must sit below 1: a dataset with no untreated (or no treated)
@@ -159,7 +162,7 @@ def rgmm(ds: Dataset) -> EstimateReport:
     square. The standard error comes from the joint sandwich of the bridge
     moments and the contrast moment.
     """
-    moments, gamma = _canonical_bridge_fit(ds)
+    moments, gamma = _fit_once(_canonical_bridge_fit, ds)
     tau = float(moments.contrast_mean @ gamma)
     resid = ds.y - moments.feats @ gamma
     # One product with the contrast features, as in pdr: moments.scores
@@ -235,117 +238,149 @@ def _newton_starts(dim: int) -> list[np.ndarray]:
     return starts
 
 
-# Treatment-bridge solves by dataset identity, shared by the calls inside
-# ``_one_treatment_solve_per_dataset``; None outside it.
-_shared_solves: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
-    "_shared_solves", default=None
+# Bridge fits by fit and dataset identity, shared by the calls inside
+# ``_one_bridge_fit_per_dataset``; None outside it.
+_shared_fits: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "_shared_fits", default=None
 )
 
 
 @contextlib.contextmanager
-def _one_treatment_solve_per_dataset():
-    """Within the block, :func:`pipw` and :func:`pdr` on one dataset share
-    one treatment-bridge solve, and a solve that failed fails again with
-    the same error."""
-    token = _shared_solves.set({})
+def _one_bridge_fit_per_dataset():
+    """Within the block, each bridge of one dataset is fitted once:
+    :func:`rgmm` and :func:`pdr` share the canonical outcome-bridge fit,
+    :func:`pipw` and :func:`pdr` the treatment-bridge solve, and a fit that
+    failed fails again with the same error."""
+    token = _shared_fits.set({})
     try:
         yield
     finally:
-        _shared_solves.reset(token)
+        _shared_fits.reset(token)
 
 
-def _solve_pipw_theta(ds: Dataset):
-    """Treatment-bridge coefficients that balance the reweighting moments.
-
-    Returns ``(theta, q, system)``: the coefficients, the bridge values at
-    them, and the ``(sign, basis_c, basis_b, target)`` arrays of
-    :func:`_pipw_system`, so callers build neither again. Inside
-    :func:`_one_treatment_solve_per_dataset` each dataset is solved once.
-    """
-    shared = _shared_solves.get()
+def _fit_once(fit, ds: Dataset):
+    """``fit(ds)``; inside :func:`_one_bridge_fit_per_dataset` each fit runs
+    once per dataset, and later calls return its result or raise its error."""
+    shared = _shared_fits.get()
     if shared is None:
-        return _solve_treatment_bridge(ds)
-    if id(ds) not in shared:
+        return fit(ds)
+    key = fit, id(ds)
+    if key not in shared:
         try:
-            outcome = _solve_treatment_bridge(ds)
+            outcome = fit(ds)
         except ProxiGmmError as exc:
             outcome = exc
         # Holding the dataset keeps its id from being reused in the block.
-        shared[id(ds)] = ds, outcome
-    outcome = shared[id(ds)][1]
+        shared[key] = ds, outcome
+    outcome = shared[key][1]
     if isinstance(outcome, ProxiGmmError):
         raise outcome
     return outcome
 
 
-def _bridge_values(basis_b: np.ndarray, index_sign: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """:meth:`TreatmentBridge.q` at ``theta`` from its design ``basis_b`` =
-    (1, z, a, x) and index sign, built once per solve rather than per call."""
-    return 1.0 + np.exp(index_sign * (basis_b @ theta))
+def _bridge_values(signed_b: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """:meth:`TreatmentBridge.q` at ``theta`` from its design (1, z, a, x)
+    with the index sign folded in, built once per solve rather than per call."""
+    return 1.0 + np.exp(signed_b @ theta)
 
 
 def _solve_treatment_bridge(ds: Dataset):
+    """Treatment-bridge coefficients that balance the reweighting moments.
+
+    Returns ``(theta, q, system)``: the coefficients, the bridge values at
+    them, and the ``(sign, basis_c, basis_b, target)`` arrays of
+    :func:`_pipw_system`, so callers build neither again.
+
+    Damped Newton runs from ``theta = 0`` and from the ``2^min(p-1, 3)``
+    points with every coordinate ±0.5 that vary the signs of the up to
+    three coordinates after the intercept (:func:`_newton_starts`), and
+    returns at the first point whose residual sup-norm is below
+    ``_NEWTON_TOL``. A start is abandoned when its
+    balancing Jacobian is singular or its reciprocal 1-norm condition
+    number is below eps, since such a step has no usable digits. Each step
+    is backtracked: the full step is tried first, and when it does not
+    lower the residual's Euclidean norm, the halvings ``2^-1, ..., 2^-29``
+    (the scales a loop halving the step forms) are scored in one batch and
+    the first trial point with a finite residual of lower norm is taken; if
+    there is none, the start is abandoned. The batch forms the residuals by
+    matrix products, which round differently from a single evaluation, so
+    it could rank a point differently from a loop over the halvings only
+    if that point's norm equals the current one to within rounding. The
+    accepted point is evaluated again alone, through :func:`_bridge_values`,
+    so what is carried forward is bit for bit what that loop carries; the
+    tests hold the loop as a reference.
+
+    The balancing system can lack an exact root in finite samples (a
+    heavy-tailed analogue of separation in logistic regression). The
+    exactly identified GMM fit is still the minimizer of the squared moment
+    norm, so when no start converges a Levenberg-Marquardt least-squares
+    search runs from every start, and its best minimizer is accepted when
+    every moment's imbalance there is below ``_MINNORM_ACCEPT`` (0.5);
+    otherwise the solve raises :class:`NoConvergence`.
+    """
     system = sign, basis_c, basis_b, target = _pipw_system(ds)
     if basis_c.shape[1] != basis_b.shape[1]:
         raise DimensionMismatch(
             "reweighting moments need equally many z and w proxies"
         )
-    # The bridge's index sign: -1 treated, +1 untreated (see TreatmentBridge).
-    index_sign = -sign
+    n = ds.n
+    # The moments weight basis_c by (-1)^(1-A) q, and the bridge's index
+    # sign is -1 treated, +1 untreated (see TreatmentBridge). Folding the
+    # signs into the designs is exact: rounding commutes with negation.
+    signed_c = sign[:, None] * basis_c
+    signed_b = -sign[:, None] * basis_b
 
     def balance(theta):
         """Bridge values at ``theta`` and the balancing residual there."""
-        # Overflow to inf (and inf*0 = nan) for extreme trial points is
-        # expected; callers reject non-finite residuals rather than warn.
-        with np.errstate(over="ignore", invalid="ignore"):
-            q = _bridge_values(basis_b, index_sign, theta)
-            return q, (basis_c * (sign * q)[:, None]).mean(axis=0) - target
+        q = _bridge_values(signed_b, theta)
+        return q, np.add.reduce(signed_c * q[:, None], axis=0) / n - target
+
+    def first_halving(theta, step, norm0):
+        """Index into ``_NEWTON_HALVINGS`` of the first trial point whose
+        residual is finite with norm below ``norm0``, scored for all points
+        in one batch, or None."""
+        q = 1.0 + np.exp((theta + _NEWTON_HALVINGS[:, None] * step) @ signed_b.T)
+        res = q @ signed_c / n - target
+        lower = np.isfinite(res).all(axis=1) & (np.linalg.norm(res, axis=1) < norm0)
+        return np.argmax(lower) if lower.any() else None
 
     best_norm = np.inf
     tried = 0
-    for start in _newton_starts(basis_b.shape[1]):
-        theta = start.copy()
-        q, res = balance(theta)
-        tried += 1
-        for _ in range(_NEWTON_MAX_ITER):
-            if np.max(np.abs(res)) < _NEWTON_TOL:
-                return theta, q, system
-            with np.errstate(over="ignore", invalid="ignore"):
+    # Overflow to inf (and inf*0 = nan) at extreme trial points is expected.
+    # A non-finite residual, or one whose squared norm overflows to inf,
+    # ranks as no improvement.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in _newton_starts(basis_b.shape[1]):
+            theta = start.copy()
+            q, res = balance(theta)
+            tried += 1
+            for _ in range(_NEWTON_MAX_ITER):
+                if np.max(np.abs(res)) < _NEWTON_TOL:
+                    return theta, q, system
                 jac = _balancing_jacobian(basis_c, basis_b, q)
-            # An ill-conditioned balancing Jacobian (reciprocal 1-norm
-            # condition number below eps) produces steps with no usable
-            # digits; give up on this start like a singular one.
-            try:
-                jinv = np.linalg.inv(jac)
-            except np.linalg.LinAlgError:
-                break
-            rcond = 1.0 / (np.abs(jac).sum(axis=0).max() * np.abs(jinv).sum(axis=0).max())
-            if not rcond >= np.finfo(float).eps:
-                break
-            step = np.linalg.solve(jac, -res)
-            scale = 1.0
-            # Residuals of extreme trial points overflow their squared norm
-            # to inf, which correctly ranks them as no improvement.
-            with np.errstate(over="ignore"):
-                norm0 = np.linalg.norm(res)
-                for _ in range(30):
-                    cand = theta + scale * step
-                    cand_q, cand_res = balance(cand)
-                    if np.all(np.isfinite(cand_res)) and np.linalg.norm(cand_res) < norm0:
-                        break
-                    scale *= 0.5
-                else:
+                try:
+                    jinv = np.linalg.inv(jac)
+                except np.linalg.LinAlgError:
                     break
-            theta, q, res = cand, cand_q, cand_res
-        best_norm = min(best_norm, float(np.max(np.abs(res))))
+                rcond = 1.0 / (np.abs(jac).sum(axis=0).max() * np.abs(jinv).sum(axis=0).max())
+                if not rcond >= np.finfo(float).eps:
+                    break
+                step = np.linalg.solve(jac, -res)
+                norm0 = np.linalg.norm(res)
+                cand = theta + step
+                cand_q, cand_res = balance(cand)
+                if not (np.all(np.isfinite(cand_res)) and np.linalg.norm(cand_res) < norm0):
+                    halving = first_halving(theta, step, norm0)
+                    if halving is None:
+                        break
+                    cand = theta + _NEWTON_HALVINGS[halving] * step
+                    cand_q, cand_res = balance(cand)
+                theta, q, res = cand, cand_q, cand_res
+            best_norm = min(best_norm, float(np.max(np.abs(res))))
 
-    # The balancing system can lack an exact root in finite samples (a
-    # heavy-tailed analogue of separation in logistic regression). The
-    # exactly identified GMM fit is still defined as the minimizer of the
-    # squared moment norm, so fall back to a least-squares minimizer and
-    # accept it when the remaining imbalance is moderate.
     def clipped(theta):
-        r = balance(theta)[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = balance(theta)[1]
         return np.where(np.isfinite(r), r, _MINNORM_SENTINEL)
 
     # Imported here: scipy.optimize, with the rest of scipy it loads, adds
@@ -359,7 +394,8 @@ def _solve_treatment_bridge(ds: Dataset):
         )
         if best is None or sol.cost < best.cost:
             best = sol
-    q, res = balance(best.x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q, res = balance(best.x)
     if np.all(np.isfinite(res)) and np.max(np.abs(res)) < _MINNORM_ACCEPT:
         return best.x, q, system
     raise NoConvergence(
@@ -376,7 +412,7 @@ def pipw(ds: Dataset) -> EstimateReport:
     moments, then averages the signed reweighted outcome. The standard
     error stacks the bridge moments with the reweighting moment.
     """
-    theta, q, (sign, basis_c, basis_b, target) = _solve_pipw_theta(ds)
+    theta, q, (sign, basis_c, basis_b, target) = _fit_once(_solve_treatment_bridge, ds)
     tau = float(np.mean(sign * q * ds.y))
     t_dim = theta.shape[0]
     scores = np.column_stack(
@@ -403,8 +439,8 @@ def pdr(ds: Dataset) -> EstimateReport:
     outcome bridge is fitted as in :func:`rgmm`. The standard error stacks
     both bridges' moments with the combination moment.
     """
-    moments, gamma = _canonical_bridge_fit(ds)
-    theta, q, (sign, basis_c, basis_b, target) = _solve_pipw_theta(ds)
+    moments, gamma = _fit_once(_canonical_bridge_fit, ds)
+    theta, q, (sign, basis_c, basis_b, target) = _fit_once(_solve_treatment_bridge, ds)
     feats = moments.feats
     cgrad = moments.treated - moments.untreated
     resid = ds.y - feats @ gamma

@@ -30,6 +30,7 @@ bounded weight and the fit separates cleanly.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, replace
 
@@ -355,6 +356,29 @@ def _continuous_update_objective(moments: _Moments):
     return objective
 
 
+@functools.cache
+def _stencil_coefficients(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only coefficients ``(first, second)`` of the ``2p² + 2p`` points
+    ``(x + first * h) + second * h`` of :func:`_central_differences`, in its
+    order. Each row is a signed unit vector whose zeros carry its sign, so
+    each point rounds as adding its displacements ``±h_i e_i`` one at a
+    time does; a point with one displacement adds ``-0.0 * h``, which
+    leaves every float as it is."""
+    unit = np.eye(p)
+    nothing = np.full(p, -0.0)
+    first, second = [], []
+    for i in range(p):
+        first += [unit[i], -unit[i], unit[i], -unit[i]]
+        second += [nothing, nothing, unit[i], -unit[i]]
+        for j in range(i):
+            for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                first.append(si * unit[i])
+                second.append(sj * unit[j])
+    first, second = np.array(first), np.array(second)
+    first.flags.writeable = second.flags.writeable = False
+    return first, second
+
+
 def _central_differences(
     fn, x: np.ndarray, steps: np.ndarray, value: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -366,20 +390,14 @@ def _central_differences(
     over both differencing orders. Each distinct point is evaluated once,
     all in one batched call: ``x ± h_i e_i``, ``x ± 2 h_i e_i`` and
     ``x ± h_i e_i ± h_j e_j`` for ``i < j``, which is ``2p² + 2p`` points
-    besides ``x``. The derivatives are exact on a quadratic.
+    besides ``x``. The stack is formed in one array operation from
+    coefficients built once per ``p`` (:func:`_stencil_coefficients`). The
+    derivatives are exact on a quadratic.
     """
     p = x.size
-    shift = np.diag(steps)
     twice = 2 * steps
-    points = []
-    for i in range(p):
-        points += [x + shift[i], x - shift[i], x + shift[i] + shift[i], x - shift[i] - shift[i]]
-        for j in range(i):
-            points += [
-                x + si * shift[i] + sj * shift[j]
-                for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))
-            ]
-    values = iter(fn(np.array(points)))
+    first, second = _stencil_coefficients(p)
+    values = iter(fn((x + first * steps) + second * steps))
     grad = np.empty(p)
     hess = np.empty((p, p))
     for i in range(p):

@@ -286,10 +286,11 @@ def _run_method(ds: Dataset, method: str, k_bar: int, spec: SieveSpec) -> dict:
 def _method_records(rep: int, methods: tuple[str, ...], run) -> list[dict]:
     """One record per method of ``run(method)``; a method failure is recorded.
 
-    ``pipw`` and ``pdr`` on one dataset share its treatment-bridge solve.
+    ``rgmm`` and ``pdr`` on one dataset share its outcome-bridge fit, and
+    ``pipw`` and ``pdr`` its treatment-bridge solve.
     """
     out = []
-    with baselines._one_treatment_solve_per_dataset():
+    with baselines._one_bridge_fit_per_dataset():
         for method in methods:
             rec = {"rep": rep, "method": method}
             try:

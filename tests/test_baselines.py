@@ -101,12 +101,12 @@ def test_reweighting_solver_keeps_overflow_silent(estimator):
 
 
 def _outcome(estimator, ds):
-    """A report's estimate, SE and treatment-bridge fit, or its error as recorded."""
+    """A report's estimate, SE and bridge fits, or its error as recorded."""
     try:
         report = estimator(ds)
     except ProxiGmmError as exc:
         return f"{type(exc).__name__}: {exc}"
-    return report.tau_hat, report.se_tau, report.aux["theta_hat"].tolist()
+    return report.tau_hat, report.se_tau, {key: val.tolist() for key, val in report.aux.items()}
 
 
 def test_pipw_and_pdr_share_one_treatment_solve(monkeypatch):
@@ -128,7 +128,7 @@ def test_pipw_and_pdr_share_one_treatment_solve(monkeypatch):
     )
     for order in ((pipw, pdr), (pdr, pipw)):
         solved.clear()
-        with baselines._one_treatment_solve_per_dataset():
+        with baselines._one_bridge_fit_per_dataset():
             shared = [{est: _outcome(est, ds) for est in order} for ds in datasets]
         assert shared == alone
         assert [id(ds) for ds in solved] == [id(ds) for ds in datasets]
@@ -138,26 +138,58 @@ def test_pipw_and_pdr_share_one_treatment_solve(monkeypatch):
     assert len(solved) == 2  # outside the block every call solves
 
 
+def test_rgmm_and_pdr_share_one_outcome_bridge_fit(monkeypatch):
+    datasets = [
+        generate(ScenarioConfig("II", 800), 0, 3),
+        generate(ScenarioConfig("II", 800), 0, 17),  # pdr: minimum-norm fallback
+        make_gaussian_dataset(d_z=2, d_w=1),  # five instruments, four parameters
+    ]
+    alone = [{est: _outcome(est, ds) for est in (rgmm, pdr)} for ds in datasets]
+    assert alone[2][rgmm] == alone[2][pdr] and alone[2][rgmm].startswith("DimensionMismatch")
+    fitted = []
+    real = baselines._canonical_bridge_fit
+    monkeypatch.setattr(
+        baselines, "_canonical_bridge_fit", lambda ds: fitted.append(ds) or real(ds)
+    )
+    for order in ((rgmm, pdr), (pdr, rgmm)):
+        fitted.clear()
+        with baselines._one_bridge_fit_per_dataset():
+            shared = [{est: _outcome(est, ds) for est in order} for ds in datasets]
+        assert shared == alone
+        assert [id(ds) for ds in fitted] == [id(ds) for ds in datasets]
+    fitted.clear()
+    _outcome(rgmm, datasets[0])
+    _outcome(pdr, datasets[0])
+    assert len(fitted) == 2  # outside the block every call fits
+
+
 @pytest.mark.parametrize("rep", [3, 34], ids=["newton", "minimum-norm-fallback"])
 def test_treatment_solve_matches_one_that_calls_the_bridge(monkeypatch, rep):
-    # The solve evaluates q from a design and index sign built once per
-    # solve. A solve that calls TreatmentBridge().q at every trial point
+    # The solve evaluates q from a signed design built once per solve. A
+    # solve that calls TreatmentBridge().q at every point it evaluates alone
     # gives the same theta and q bit for bit, both when Newton converges
-    # and on a rep that falls back to the minimum-norm search, which makes
-    # about 2,000 evaluations.
+    # and on a rep that falls back to the minimum-norm search, which runs
+    # once from each of the nine starts.
+    import scipy.optimize
+
     ds = generate(ScenarioConfig("II", 800), 3, rep)
     theta, q, _ = baselines._solve_treatment_bridge(ds)
-    calls = []
+    searches = []
+    least_squares = scipy.optimize.least_squares
 
-    def bridge_q(basis_b, index_sign, theta):
-        calls.append(1)
+    def counted(*args, **kwargs):
+        searches.append(1)
+        return least_squares(*args, **kwargs)
+
+    def bridge_q(signed_b, theta):
         return TreatmentBridge().q(ds.z, ds.a, ds.x, theta)
 
     monkeypatch.setattr(baselines, "_bridge_values", bridge_q)
+    monkeypatch.setattr(scipy.optimize, "least_squares", counted)
     ref_theta, ref_q, _ = baselines._solve_treatment_bridge(ds)
     assert np.array_equal(theta, ref_theta)
     assert np.array_equal(q, ref_q)
-    assert (len(calls) > 1000) == (rep == 34)
+    assert len(searches) == (9 if rep == 34 else 0)
 
 
 class _FallbackTaken(Exception):
@@ -186,6 +218,120 @@ def test_newton_gives_up_on_the_same_reps(monkeypatch):
         except _FallbackTaken:
             taken.append(rep)
     assert taken == _FALLBACK_REPS
+
+
+def _solve_with_halving_loop(ds):
+    """Damped Newton on the treatment bridge as a loop that halves each step
+    and evaluates every trial point alone, with the moments as a column
+    mean and the signs applied per evaluation.
+
+    Returns the ``(theta, q)`` carried into every Newton iteration, and the
+    root's ``(theta, q)``, or None when every start gives up.
+    """
+    sign, basis_c, basis_b, target = baselines._pipw_system(ds)
+
+    def balance(theta):
+        q = 1.0 + np.exp(-sign * (basis_b @ theta))
+        return q, (basis_c * (sign * q)[:, None]).mean(axis=0) - target
+
+    carried = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in baselines._newton_starts(basis_b.shape[1]):
+            theta = start.copy()
+            q, res = balance(theta)
+            for _ in range(baselines._NEWTON_MAX_ITER):
+                if np.max(np.abs(res)) < baselines._NEWTON_TOL:
+                    return carried, (theta, q)
+                carried.append((theta, q))
+                jac = -(basis_c * (q - 1.0)[:, None]).T @ basis_b / ds.n
+                try:
+                    jinv = np.linalg.inv(jac)
+                except np.linalg.LinAlgError:
+                    break
+                rcond = 1.0 / (np.abs(jac).sum(axis=0).max() * np.abs(jinv).sum(axis=0).max())
+                if not rcond >= np.finfo(float).eps:
+                    break
+                step = np.linalg.solve(jac, -res)
+                norm0 = np.linalg.norm(res)
+                scale = 1.0
+                for _ in range(30):
+                    cand = theta + scale * step
+                    cand_q, cand_res = balance(cand)
+                    if np.all(np.isfinite(cand_res)) and np.linalg.norm(cand_res) < norm0:
+                        break
+                    scale *= 0.5
+                else:
+                    break
+                theta, q, res = cand, cand_q, cand_res
+    return carried, None
+
+
+def _carried_by_solve(monkeypatch, ds):
+    """:func:`_solve_with_halving_loop`'s outputs, read off the shipped solve
+    with the minimum-norm fallback stubbed out: every Newton iteration's
+    Jacobian is built from the ``q`` it carries, which one evaluation of
+    ``_bridge_values`` made from its ``theta``."""
+    import scipy.optimize
+
+    def fallback(*args, **kwargs):
+        raise _FallbackTaken
+
+    made, carried = {}, []
+    bridge_values, jacobian = baselines._bridge_values, baselines._balancing_jacobian
+
+    def values(signed_b, theta):
+        q = bridge_values(signed_b, theta)
+        made[id(q)] = theta, q  # holding q keeps its id unique
+        return q
+
+    def traced_jacobian(basis_c, basis_b, q):
+        carried.append(made[id(q)])
+        return jacobian(basis_c, basis_b, q)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scipy.optimize, "least_squares", fallback)
+        patch.setattr(baselines, "_bridge_values", values)
+        patch.setattr(baselines, "_balancing_jacobian", traced_jacobian)
+        try:
+            theta, q, _ = baselines._solve_treatment_bridge(ds)
+        except _FallbackTaken:
+            return carried, None
+    return carried, (theta, q)
+
+
+# The I/400 seed-3 reps among 0-999 on which damped Newton finds no root.
+_I400_FALLBACK_REPS = [103, 532, 746, 792]
+
+
+@pytest.mark.parametrize(
+    "scenario, n, reps",
+    [
+        ("II", 800, _FALLBACK_REPS),
+        ("II", 800, range(41)),
+        ("I", 400, _I400_FALLBACK_REPS),
+    ],
+    ids=["II-800-fallback", "II-800-0-40", "I-400-fallback"],
+)
+def test_batched_halving_carries_what_the_halving_loop_carries(monkeypatch, scenario, n, reps):
+    # The solve scores a step's halvings in one batch and evaluates the
+    # accepted one alone. Every Newton iteration must start from the theta
+    # and q of the loop that tries the halvings one by one, bit for bit,
+    # on reps where Newton converges and on reps where every start gives up.
+    gave_up = []
+    for rep in reps:
+        ds = generate(ScenarioConfig(scenario, n), 3, rep)
+        ref_carried, ref_root = _solve_with_halving_loop(ds)
+        carried, root = _carried_by_solve(monkeypatch, ds)
+        assert len(carried) == len(ref_carried)
+        for (theta, q), (ref_theta, ref_q) in zip(carried, ref_carried):
+            assert np.array_equal(theta, ref_theta) and np.array_equal(q, ref_q)
+        assert (root is None) == (ref_root is None)
+        if root is None:
+            gave_up.append(rep)
+        else:
+            assert np.array_equal(root[0], ref_root[0]) and np.array_equal(root[1], ref_root[1])
+    fallback = list(reps) in (_FALLBACK_REPS, _I400_FALLBACK_REPS)
+    assert gave_up == (list(reps) if fallback else [34])
 
 
 @pytest.mark.parametrize("rcond, steps", [(1e-17, False), (1e-15, True)])

@@ -365,6 +365,33 @@ class TestContinuousUpdatePolish:
         # The start point, then the whole stencil in one batch.
         assert points == [1, 2 * p * p + 2 * p]
 
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_stencil_is_the_one_added_point_by_point(self, rng, p):
+        # The stencil adds each point's displacements h_i e_i one at a time.
+        # Zeros of x and of negated displacements keep their signs, which
+        # the byte comparison checks.
+        x = rng.normal(size=p)
+        x[rng.integers(p)] = -0.0
+        steps = rng.uniform(1e-3, 1.0, size=p)
+        shift = np.diag(steps)
+        expected = []
+        for i in range(p):
+            expected += [x + shift[i], x - shift[i], x + shift[i] + shift[i], x - shift[i] - shift[i]]
+            for j in range(i):
+                expected += [
+                    x + si * shift[i] + sj * shift[j]
+                    for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))
+                ]
+        stencils = []
+
+        def record(points):
+            stencils.append(points)
+            return np.zeros(len(points))
+
+        gmm._central_differences(record, x, steps, 0.0)
+        (points,) = stencils
+        assert points.tobytes() == np.array(expected).tobytes()
+
     def test_non_finite_start_costs_one_evaluation(self, polished_case, monkeypatch):
         ds, basis, bridge = polished_case
         points = []

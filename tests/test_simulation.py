@@ -590,6 +590,16 @@ def test_one_treatment_solve_per_replication(monkeypatch):
     assert len(solved) == 6 and len(set(solved)) == 6
 
 
+def test_one_outcome_bridge_fit_per_replication(monkeypatch):
+    fitted = []
+    real = baselines._canonical_bridge_fit
+    monkeypatch.setattr(
+        baselines, "_canonical_bridge_fit", lambda ds: fitted.append(ds.y[0]) or real(ds)
+    )
+    run_replications(ScenarioConfig("II", 400), ("rgmm", "naive", "pdr"), 3, 0)
+    assert len(fitted) == 3 and len(set(fitted)) == 3
+
+
 def test_correct_level_is_the_plain_scenario_ii_study():
     methods = ("gmm-div", "pdr")
     misspec = run_misspec_study("correct", n=400, reps=4, base_seed=3, methods=methods)
