@@ -51,10 +51,8 @@ from .simulation import (
     ScenarioConfig,
     generate,
     k_histogram,
-    run_bspline_study,
     run_misspec_study,
     run_replications,
-    run_study,
     summarize,
 )
 
@@ -92,10 +90,8 @@ __all__ = [
     "pipw",
     "regularize_moments",
     "rgmm",
-    "run_bspline_study",
     "run_misspec_study",
     "run_replications",
-    "run_study",
     "select_and_fit",
     "select_k",
     "sgmm_components",

@@ -2,8 +2,8 @@
 
 Subcommands are thin adapters over the library: ``simulate`` reproduces
 Monte Carlo table cells, ``estimate`` fits a dataset from CSV, ``select-k``
-writes the moment-count loss curve, ``misspec`` and ``bspline-study`` run
-the corresponding robustness studies. Exit codes: 0 success, 2 bad
+writes the moment-count loss curve, and ``misspec`` runs a scenario-II cell
+with a distorted outcome proxy. Exit codes: 0 success, 2 bad
 configuration, 3 data problems, 4 numeric failure. Output files are plain
 CSV/JSON with full-precision floats, so repeated runs are byte-identical.
 """
@@ -27,7 +27,7 @@ from .errors import (
     UnknownColumn,
 )
 from .selection import select_and_fit, select_k
-from .sieve import SieveSpec
+from .sieve import SieveSpec, family_size
 from .simulation import (
     BASELINES,
     DEFAULT_K_BAR,
@@ -36,7 +36,6 @@ from .simulation import (
     ScenarioConfig,
     k_histogram,
     run_replications,
-    run_bspline_study,
     run_misspec_study,
     summarize,
 )
@@ -122,10 +121,13 @@ def _config_error(message: str) -> int:
     return 2
 
 
-def _kmax_error(kmax: int, bridge: OutcomeBridge) -> str | None:
-    """The config error for a moment cap below the bridge dimension, if any."""
+def _kmax_error(kmax: int, bridge: OutcomeBridge, n_vars: int) -> str | None:
+    """The config error for a moment cap below the bridge dimension, or above
+    the size of the sieve over ``n_vars`` variables, if any."""
     if kmax < bridge.n_params:
         return f"kmax must be at least the bridge dimension {bridge.n_params}, got {kmax}"
+    if kmax > (size := family_size(n_vars)):
+        return f"kmax must be at most the {size} sieve terms, got {kmax}"
     return None
 
 
@@ -137,8 +139,8 @@ def _check_study_opts(opts, runs_gmm_div: bool) -> str | None:
     if opts.threads < 1:
         return f"threads must be at least 1, got {opts.threads}"
     if runs_gmm_div:
-        # Simulated data has one w proxy and one covariate.
-        return _kmax_error(opts.kmax, OutcomeBridge.linear(1, 1))
+        # Simulated data has one proxy on each side and one covariate.
+        return _kmax_error(opts.kmax, OutcomeBridge.linear(1, 1), 2)
     return None
 
 
@@ -177,11 +179,12 @@ def cmd_simulate(opts) -> int:
 def cmd_estimate(opts) -> int:
     ds = load_csv(opts.data, _roles(opts))
     bridge = OutcomeBridge.linear(ds.w.shape[1], ds.x.shape[1])
-    if opts.method == "gmm-div" and (err := _kmax_error(opts.kmax, bridge)):
+    n_vars = ds.z.shape[1] + ds.x.shape[1]
+    if opts.method == "gmm-div" and (err := _kmax_error(opts.kmax, bridge, n_vars)):
         return _config_error(err)
     os.makedirs(opts.out_dir, exist_ok=True)
     if opts.method == "gmm-div":
-        fit, diag = select_and_fit(ds, bridge, SieveSpec(family=opts.sieve), opts.kmax)
+        fit, diag = select_and_fit(ds, bridge, SieveSpec(), opts.kmax)
         payload = json.loads(fit.to_json())
         payload["k_star"] = diag.k_star
         report = json.dumps(payload)
@@ -199,9 +202,9 @@ def cmd_estimate(opts) -> int:
 def cmd_select_k(opts) -> int:
     ds = load_csv(opts.data, _roles(opts))
     bridge = OutcomeBridge.linear(ds.w.shape[1], ds.x.shape[1])
-    if err := _kmax_error(opts.kmax, bridge):
+    if err := _kmax_error(opts.kmax, bridge, ds.z.shape[1] + ds.x.shape[1]):
         return _config_error(err)
-    diag = select_k(ds, bridge, SieveSpec(family=opts.sieve), opts.kmax)
+    diag = select_k(ds, bridge, SieveSpec(), opts.kmax)
     os.makedirs(opts.out_dir, exist_ok=True)
     path = _write_loss_curve(opts.out_dir, diag)
     print(path)
@@ -226,25 +229,6 @@ def cmd_misspec(opts) -> int:
     return 0
 
 
-def cmd_bspline_study(opts) -> int:
-    err = _check_study_opts(opts, runs_gmm_div=True)
-    if err:
-        return _config_error(err)
-    results = run_bspline_study(
-        n=opts.n, reps=opts.reps, base_seed=opts.seed,
-        k_bar=opts.kmax, threads=opts.threads,
-    )
-    os.makedirs(opts.out_dir, exist_ok=True)
-    rows = [
-        row
-        for family, summaries in results.items()
-        for row in _summary_rows(summaries, family)
-    ]
-    path = _write_summary(opts.out_dir, opts.format, ("family", *_SUMMARY_COLUMNS), rows)
-    print(path)
-    return 0
-
-
 def _add_data_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--data", required=True, help="input CSV path")
     parser.add_argument("--outcome", required=True)
@@ -252,7 +236,6 @@ def _add_data_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--proxies-z", required=True, help="comma-separated column names")
     parser.add_argument("--proxies-w", required=True, help="comma-separated column names")
     parser.add_argument("--covariates", default="", help="comma-separated column names")
-    parser.add_argument("--sieve", choices=("power", "bspline"), default="power")
     parser.add_argument("--kmax", type=int, default=DEFAULT_K_BAR)
 
 
@@ -302,11 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_study_flags(p)
     _add_common_output(p)
     p.set_defaults(func=cmd_misspec)
-
-    p = sub.add_parser("bspline-study", help="power-series vs B-spline comparison")
-    _add_study_flags(p)
-    _add_common_output(p)
-    p.set_defaults(func=cmd_bspline_study)
 
     return parser
 

@@ -468,30 +468,6 @@ def _refine_continuous_update(
     return start, start_val
 
 
-def _fixed_weight_fit(moments: _Moments, weight: np.ndarray, w_half: np.ndarray) -> GmmFit:
-    """Fit under ``weight = w_half.T @ w_half`` with its general sandwich variance."""
-    beta, obj = _least_squares(moments.jac, moments.const, w_half)
-    upsilon = estimate_upsilon(moments.scores(beta))
-    v_hat = _general_sandwich(moments.jac, weight, upsilon)
-    dv = np.diag(v_hat)
-    if np.any(dv < -1e-8 * max(np.max(np.abs(dv)), 1.0)):
-        raise SingularVariance("sandwich variance has a negative diagonal entry")
-    n, k = moments.u.shape
-    se = np.sqrt(np.maximum(dv, 0.0) / n)
-    p = beta.shape[0] - 1
-    return GmmFit(
-        gamma_hat=beta[:p],
-        tau_hat=float(beta[p]),
-        se_gamma=se[:p],
-        se_tau=float(se[p]),
-        k=k,
-        k1=k + 1,
-        n=n,
-        v_hat=v_hat,
-        objective_value=obj,
-    )
-
-
 def fit_with_weight(
     ds: Dataset,
     basis: BasisMatrix,
@@ -511,7 +487,26 @@ def fit_with_weight(
     if np.min(vals) < -1e-10 * max(np.max(np.abs(vals)), 1.0):
         raise SingularVariance("weight matrix is not positive semidefinite")
     w_half = (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
-    return _fixed_weight_fit(_Moments.build(ds, basis.u, bridge), weight, w_half)
+    moments = _Moments.build(ds, basis.u, bridge)
+    beta, obj = _least_squares(moments.jac, moments.const, w_half)
+    upsilon = estimate_upsilon(moments.scores(beta))
+    v_hat = _general_sandwich(moments.jac, weight, upsilon)
+    dv = np.diag(v_hat)
+    if np.any(dv < -1e-8 * max(np.max(np.abs(dv)), 1.0)):
+        raise SingularVariance("sandwich variance has a negative diagonal entry")
+    se = np.sqrt(np.maximum(dv, 0.0) / ds.n)
+    p = beta.shape[0] - 1
+    return GmmFit(
+        gamma_hat=beta[:p],
+        tau_hat=float(beta[p]),
+        se_gamma=se[:p],
+        se_tau=float(se[p]),
+        k=basis.k,
+        k1=basis.k + 1,
+        n=ds.n,
+        v_hat=v_hat,
+        objective_value=obj,
+    )
 
 
 def fit_initial(ds: Dataset, basis: BasisMatrix, bridge: OutcomeBridge) -> GmmFit:

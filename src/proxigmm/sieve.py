@@ -1,16 +1,15 @@
 """Sieve instrument bases over (Z, A, X) with nested, deterministic ordering.
 
 Basis columns are products of a treatment indicator power (0 or 1) and one
-univariate function per continuous variable: a cubic polynomial power of the
-standardized value, or a cubic B-spline bump. Every continuous term also
-enters multiplied by the treatment indicator. Terms are enumerated in a fixed
-order so that the first K columns of a larger basis always equal the
-K-column basis (nested prefixes), which is what the moment-count scan
-relies on.
+cubic polynomial power of each standardized continuous variable. Every
+continuous term also enters multiplied by the treatment indicator. Terms
+are enumerated in a fixed order so that the first K columns of a larger
+basis always equal the K-column basis (nested prefixes), which is what the
+moment-count scan relies on.
 
-A basis is built on, and evaluated only on, the dataset it instruments: each
-variable's standardization or knot placement is computed from that dataset
-when the basis is built, and is not kept.
+A basis is built on, and evaluated only on, the dataset it instruments:
+each variable's standardization is computed from that dataset when the
+basis is built, and is not kept.
 
 Ordering: constant, treatment main effect, then single-variable terms by
 ascending level with Z variables before X within a level, then interaction
@@ -26,15 +25,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset
-from .errors import DegenerateColumn, DimensionMismatch, KTooLarge, RankDeficient
-
-FAMILIES = ("power", "bspline")
+from .errors import DegenerateColumn, KTooLarge, RankDeficient
 
 # Relative tolerance below which a basis column or an R diagonal entry is
 # treated as numerically zero.
 _ZERO_TOL = 1e-12
 _RANK_TOL = 1e-10
-_SPLINE_DEGREE = 3
 _POWER_DEGREE = 3
 
 
@@ -42,18 +38,18 @@ _POWER_DEGREE = 3
 class SieveSpec:
     """Which instrument basis to build.
 
-    ``family`` is ``"power"`` (powers 1..3 of each standardized variable) or
-    ``"bspline"`` (cubic B-spline bumps on ``interior_knots`` quantile knots
-    per variable). The spec holds no data: :func:`build_basis` places the
-    standardization or the knots on the dataset it instruments.
+    The power series (powers 1..3 of each standardized variable) is the one
+    family, so the spec holds nothing; :func:`build_basis`,
+    :func:`~proxigmm.selection.select_k` and
+    :func:`~proxigmm.selection.select_and_fit` still take it.
     """
 
-    family: str = "power"
-    interior_knots: int = 2
 
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise DimensionMismatch(f"unknown family {self.family!r}")
+def family_size(n_vars: int) -> int:
+    """Number of terms in the sieve over ``n_vars`` continuous variables:
+    every treatment power (0 or 1) times every level 0..3 of each variable,
+    2·4^d for d variables."""
+    return 2 * (_POWER_DEGREE + 1) ** n_vars
 
 
 @dataclass(frozen=True)
@@ -82,86 +78,63 @@ class BasisMatrix:
         return replace(self, u=self.u[:, :k], term_names=self.term_names[:k])
 
 
-def _univariate_levels(spec: SieveSpec, name: str, col: np.ndarray) -> np.ndarray:
-    """Columns for levels 1, 2, ... of one variable: powers of its standardized
-    value, or every spline bump but the first (all of them sum to one)."""
-    if spec.family == "power":
-        mean = float(np.mean(col))
-        sd = float(np.std(col))
-        if sd < _ZERO_TOL:
-            raise DegenerateColumn(f"variable {name!r} is constant; cannot standardize")
-        std = (col - mean) / sd
-        return np.column_stack([std**lv for lv in range(1, _POWER_DEGREE + 1)])
-    m = spec.interior_knots
-    lo, hi = float(np.min(col)), float(np.max(col))
-    if hi - lo < _ZERO_TOL:
-        raise DegenerateColumn(f"variable {name!r} is constant; cannot place knots")
-    interior = np.quantile(col, [(j + 1) / (m + 1) for j in range(m)]) if m else np.array([])
-    clamped = _SPLINE_DEGREE + 1  # repeated boundary knots
-    knots = np.r_[np.full(clamped, lo), interior, np.full(clamped, hi)]
-    # Imported here: scipy.interpolate, with the rest of scipy it loads,
-    # adds about 0.6 s to a cold start, and only the B-spline family uses
-    # it; every other path of the package needs numpy alone.
-    from scipy.interpolate import BSpline
-
-    design = BSpline.design_matrix(col, knots, _SPLINE_DEGREE)
-    return np.asarray(design.todense())[:, 1:]
+def _univariate_levels(name: str, col: np.ndarray) -> np.ndarray:
+    """Columns for levels 1, 2, 3 of one variable: powers of its
+    standardized value."""
+    mean = float(np.mean(col))
+    sd = float(np.std(col))
+    if sd < _ZERO_TOL:
+        raise DegenerateColumn(f"variable {name!r} is constant; cannot standardize")
+    std = (col - mean) / sd
+    return np.column_stack([std**lv for lv in range(1, _POWER_DEGREE + 1)])
 
 
-def _terms(
-    spec: SieveSpec, names: list[str], levels: int
-) -> list[tuple[int, tuple[int, ...]]]:
-    """Enumerate (a_exponent, per-variable levels) in basis order, with
-    ``levels`` univariate functions per variable."""
+def _terms(names: list[str]) -> list[tuple[int, tuple[int, ...]]]:
+    """Enumerate all (a_exponent, per-variable levels) in basis order."""
     d = len(names)
     singles = [
         (0, tuple(level if i == j else 0 for i in range(d)))
-        for level in range(1, levels + 1)
+        for level in range(1, _POWER_DEGREE + 1)
         for j in range(d)
     ]
     inter = [
         (a_exp, lv)
-        for lv in itertools.product(range(levels + 1), repeat=d)
+        for lv in itertools.product(range(_POWER_DEGREE + 1), repeat=d)
         for a_exp in (0, 1)
         if a_exp + sum(1 for level in lv if level) >= 2
     ]
-    inter.sort(key=lambda t: (t[0] + sum(t[1]), _term_name(spec, names, t)))
+    inter.sort(key=lambda t: (t[0] + sum(t[1]), _term_name(names, t)))
     return [(0, (0,) * d), (1, (0,) * d), *singles, *inter]
 
 
-def _term_name(spec: SieveSpec, names: list[str], term: tuple[int, tuple[int, ...]]) -> str:
+def _term_name(names: list[str], term: tuple[int, tuple[int, ...]]) -> str:
     a_exp, levels = term
     parts = ["a"] * a_exp
     for name, lv in zip(names, levels):
-        if lv == 0:
-            continue
-        if spec.family == "power":
+        if lv:
             parts.append(name if lv == 1 else f"{name}^{lv}")
-        else:
-            parts.append(f"{name}:b{lv}")
     return "*".join(parts) if parts else "1"
 
 
 def build_basis(ds: Dataset, spec: SieveSpec, k: int) -> BasisMatrix:
     """Evaluate the first ``k`` basis terms on the rows of ``ds``.
 
-    Each variable is standardized (power family) or given its knots
-    (B-spline family) from ``ds`` itself, so the basis describes ``ds``
-    only. Raises :class:`KTooLarge` when the term family has fewer than
-    ``k`` members and :class:`DegenerateColumn` when a variable is constant
-    or a generated column is numerically zero.
+    Each variable is standardized from ``ds`` itself, so the basis
+    describes ``ds`` only. Raises :class:`KTooLarge` when the sieve has
+    fewer than ``k`` terms (:func:`family_size`) and
+    :class:`DegenerateColumn` when a variable is constant or a generated
+    column is numerically zero.
     """
     if k < 1:
         raise KTooLarge(f"k must be at least 1, got {k}")
     cols = [(nm, ds.z[:, j]) for j, nm in enumerate(ds.z_names)]
     cols += [(nm, ds.x[:, j]) for j, nm in enumerate(ds.x_names)]
-    per_var = [_univariate_levels(spec, name, col) for name, col in cols]
+    size = family_size(len(cols))
+    if k > size:
+        raise KTooLarge(f"k={k} exceeds the {size} available terms")
+    per_var = [_univariate_levels(name, col) for name, col in cols]
     names = [name for name, _ in cols]
-    # Every variable has as many levels as the first, and z is never empty.
-    terms = _terms(spec, names, per_var[0].shape[1])
-    if k > len(terms):
-        raise KTooLarge(f"k={k} exceeds the {len(terms)} available terms")
-    terms = terms[:k]
+    terms = _terms(names)[:k]
     n = ds.a.shape[0]
     u = np.empty((n, k))
     for c, (a_exp, levels) in enumerate(terms):
@@ -172,7 +145,7 @@ def build_basis(ds: Dataset, spec: SieveSpec, k: int) -> BasisMatrix:
             if lv:
                 col = col * per_var[j][:, lv - 1]
         u[:, c] = col
-    term_names = tuple(_term_name(spec, names, t) for t in terms)
+    term_names = tuple(_term_name(names, t) for t in terms)
     scale = np.max(np.abs(u), axis=0)
     dead = np.nonzero(scale < _ZERO_TOL)[0]
     if dead.size:

@@ -8,6 +8,10 @@ by (base_seed, replication index, stream), with one counter-based stream
 per random variable, so results are bit-identical for any worker count and
 platform. Multi-worker calls run in one pool of forked worker processes
 that the process keeps and reuses (see ``_replicate``).
+
+Both studies run one replication loop (``_replication``): draw the dataset,
+distort its outcome proxy for a misspecification level other than
+"correct", and run every method on what results.
 """
 
 from __future__ import annotations
@@ -28,18 +32,11 @@ import numpy as np
 
 from . import baselines
 from .bridges import DgpCoefficients, OutcomeBridge
-from .data import Dataset, transform_column
+from .data import TRANSFORM_KINDS, Dataset, transform_column
 from .errors import DimensionMismatch, ProxiGmmError
-from .gmm import (
-    GmmFit,
-    _first_step_decomposition,
-    _fixed_weight_fit,
-    _Moments,
-    confidence_interval,
-    wald_test,
-)
-from .selection import _scan, select_and_fit
-from .sieve import SieveSpec, orthonormalize
+from .gmm import GmmFit, confidence_interval, wald_test
+from .selection import select_and_fit
+from .sieve import SieveSpec
 
 SCENARIOS = ("I", "II")
 # Reference estimators by method name; "gmm-div" is the moment-selected fit.
@@ -51,7 +48,7 @@ BASELINES = {
     "pdr": baselines.pdr,
 }
 METHODS = (*BASELINES, "gmm-div")
-MISSPEC_LEVELS = ("correct", "minor", "moderate", "significant")
+MISSPEC_LEVELS = ("correct", *TRANSFORM_KINDS)
 DEFAULT_K_BAR = 12
 
 # Stream ids within one replication, in draw order.
@@ -270,10 +267,10 @@ def _fit_record(fit: GmmFit, k_star: int) -> dict:
     }
 
 
-def _run_method(ds: Dataset, method: str, k_bar: int, spec: SieveSpec) -> dict:
+def _run_method(ds: Dataset, method: str, k_bar: int) -> dict:
     if method == "gmm-div":
         bridge = OutcomeBridge.linear(ds.w.shape[1], ds.x.shape[1])
-        fit, diag = select_and_fit(ds, bridge, spec, k_bar)
+        fit, diag = select_and_fit(ds, bridge, SieveSpec(), k_bar)
         return _fit_record(fit, diag.k_star)
     report = BASELINES[method](ds)
     lo, hi = report.ci95()
@@ -485,10 +482,13 @@ def _replicate(reps: int, threads: int, one_rep) -> list[dict]:
     return out
 
 
-def _replication(config, methods, base_seed, k_bar, spec, rep: int) -> list[dict]:
-    """Records of replication ``rep`` of a ``run_replications`` call."""
+def _replication(config, level, methods, base_seed, k_bar, rep: int) -> list[dict]:
+    """Records of replication ``rep``, with the outcome proxy ``w1`` distorted
+    at misspecification ``level`` unless it is "correct"."""
     ds = generate(config, base_seed, rep)
-    return _method_records(rep, methods, lambda m: _run_method(ds, m, k_bar, spec))
+    if level != "correct":
+        ds = transform_column(ds, "w1", level)
+    return _method_records(rep, methods, lambda m: _run_method(ds, m, k_bar))
 
 
 def run_replications(
@@ -497,7 +497,6 @@ def run_replications(
     reps: int,
     base_seed: int,
     k_bar: int = DEFAULT_K_BAR,
-    sieve_spec: SieveSpec | None = None,
     threads: int = 1,
 ) -> list[dict]:
     """Per-replication estimation records for a grid of methods.
@@ -509,8 +508,7 @@ def run_replications(
     count, and warnings raised in a worker are emitted in this process.
     """
     _check_methods(methods)
-    spec = sieve_spec if sieve_spec is not None else SieveSpec()
-    job = functools.partial(_replication, config, methods, base_seed, k_bar, spec)
+    job = functools.partial(_replication, config, "correct", methods, base_seed, k_bar)
     return _replicate(reps, threads, job)
 
 
@@ -571,58 +569,6 @@ def k_histogram(records: list[dict]) -> dict[int, int]:
     return dict(sorted(counts.items()))
 
 
-def run_study(
-    config: ScenarioConfig,
-    methods: tuple[str, ...] = METHODS,
-    reps: int = 500,
-    base_seed: int = 0,
-    **kwargs,
-) -> list[ReplicationSummary]:
-    """Full Monte Carlo table cell: replicate, estimate, summarize."""
-    records = run_replications(config, methods, reps, base_seed, **kwargs)
-    return summarize(records, config)
-
-
-def _frozen_design_fit(
-    ds_clean: Dataset,
-    ds_distorted: Dataset,
-    spec: SieveSpec,
-    k_bar: int,
-) -> dict:
-    """Moment-selected fit whose tuning stage is frozen on the clean data.
-
-    The moment count and the floored optimal weight are computed from
-    ``ds_clean``; only the final bridge refit sees ``ds_distorted``. The
-    instrument basis involves only columns the distortion never touches,
-    so the two datasets share it row for row. As in ``select_and_fit``, the
-    fit orthonormalizes the leading K* columns of the raw basis the scan
-    built.
-    """
-    bridge = OutcomeBridge.linear(ds_clean.w.shape[1], ds_clean.x.shape[1])
-    diag, raw = _scan(ds_clean, bridge, spec, k_bar)
-    basis = orthonormalize(raw.leading(diag.k_star))
-    decomp = _first_step_decomposition(_Moments.build(ds_clean, basis.u, bridge))
-    fit = _fixed_weight_fit(
-        _Moments.build(ds_distorted, basis.u, bridge),
-        decomp.floored_weight(),
-        decomp.floored_weight_sqrt(),
-    )
-    return _fit_record(fit, diag.k_star)
-
-
-def _misspec_replication(config, level, methods, base_seed, k_bar, spec, rep: int) -> list[dict]:
-    """Records of replication ``rep`` of a distorted-level misspecification study."""
-    ds_clean = generate(config, base_seed, rep)
-    ds_distorted = transform_column(ds_clean, "w1", level)
-
-    def run(method: str) -> dict:
-        if method == "gmm-div":
-            return _frozen_design_fit(ds_clean, ds_distorted, spec, k_bar)
-        return _run_method(ds_distorted, method, k_bar, spec)
-
-    return _method_records(rep, methods, run)
-
-
 def run_misspec_study(
     level: str,
     n: int = 800,
@@ -630,77 +576,23 @@ def run_misspec_study(
     base_seed: int = 0,
     methods: tuple[str, ...] = ("gmm-div", "pdr"),
     k_bar: int = DEFAULT_K_BAR,
-    sieve_spec: SieveSpec | None = None,
     threads: int = 1,
 ) -> list[ReplicationSummary]:
-    """Scenario-II study with the outcome proxy distorted at the fitting stage.
+    """Scenario-II study with the outcome proxy ``w1`` distorted.
 
-    ``level`` is one of "correct", "minor", "moderate", "significant"; the
-    first runs the standard pipeline on untouched data. For the distorted
-    levels the moment-selected GMM freezes its tuning on the clean draw:
-    the moment count and the optimal weight come from the undistorted
-    replication, and only the bridge refit sees the transformed proxy
-    column, so the summary isolates what proxy misspecification does to an
-    otherwise well-tuned estimator rather than mixing in its effect on the
-    tuning stage. Baseline methods carry no tuning stage to freeze and see
-    the transformed column everywhere. ``threads`` counts worker processes,
-    at least 1, as in ``run_replications``; the summaries are identical for
-    any count.
+    ``level`` is one of ``MISSPEC_LEVELS``. Each replication is the one
+    ``run_replications`` runs, except that for a level other than
+    "correct" the drawn dataset's ``w1`` is transformed at that level
+    (:func:`~proxigmm.data.transform_column`) before any method sees it:
+    every method, the moment-count scan of ``gmm-div`` included, runs on
+    the distorted data, as it would on data whose outcome bridge is
+    misspecified. So the "correct" level is ``run_replications`` on the
+    scenario-II cell. ``threads`` counts worker processes, at least 1, as
+    in ``run_replications``; the summaries are identical for any count.
     """
     if level not in MISSPEC_LEVELS:
         raise DimensionMismatch(f"unknown level {level!r}; choose from {MISSPEC_LEVELS}")
     _check_methods(methods)
     config = ScenarioConfig(scenario="II", n=n)
-    if level == "correct":
-        records = run_replications(
-            config, methods, reps, base_seed, k_bar=k_bar,
-            sieve_spec=sieve_spec, threads=threads,
-        )
-        return summarize(records, config)
-    spec = sieve_spec if sieve_spec is not None else SieveSpec()
-    job = functools.partial(
-        _misspec_replication, config, level, methods, base_seed, k_bar, spec
-    )
+    job = functools.partial(_replication, config, level, methods, base_seed, k_bar)
     return summarize(_replicate(reps, threads, job), config)
-
-
-def _bspline_replication(config, specs, base_seed, k_bar, reps, index: int) -> list[dict]:
-    """Records of replication ``index % reps`` with sieve ``specs[index // reps]``."""
-    return _replication(
-        config, ("gmm-div",), base_seed, k_bar, specs[index // reps], index % reps
-    )
-
-
-def run_bspline_study(
-    n: int = 800,
-    reps: int = 500,
-    base_seed: int = 0,
-    k_bar: int = DEFAULT_K_BAR,
-    threads: int = 1,
-) -> dict[str, list[ReplicationSummary]]:
-    """Scenario-II comparison of the power-series and B-spline bases.
-
-    Runs the moment-selected GMM twice per replication grid, once per
-    basis family, and returns summaries keyed by family name. The spline
-    basis uses cubic pieces with no interior knots so that, at the default
-    moment budget, the candidate list reaches the treatment-by-covariate
-    bumps that carry the efficiency gain. Both families' replications run
-    in one ``_replicate`` call over ``threads`` worker processes, at least
-    1, as in ``run_replications``; the summaries are identical for any
-    count.
-    """
-    config = ScenarioConfig(scenario="II", n=n)
-    specs = {
-        "power": SieveSpec(family="power"),
-        "bspline": SieveSpec(family="bspline", interior_knots=0),
-    }
-    job = functools.partial(
-        _bspline_replication, config, tuple(specs.values()), base_seed, k_bar, reps
-    )
-    # One method, so one record per replication: family i holds the i-th
-    # block of ``reps`` records.
-    records = _replicate(len(specs) * reps, threads, job)
-    return {
-        family: summarize(records[i * reps:(i + 1) * reps], config)
-        for i, family in enumerate(specs)
-    }

@@ -69,26 +69,43 @@ def _fresh_interpreter(code: str) -> list[str]:
     ).stdout.split()
 
 
-def test_common_paths_leave_optional_scipy_modules_unloaded():
+def test_common_paths_leave_optional_scipy_modules_unloaded(tmp_path):
     # The common paths need numpy alone: importing scipy.linalg or
     # scipy.special costs about a third of a second of start-up each.
-    # Only the minimum-norm fallback and the B-spline sieve import scipy.
-    code = """
-from proxigmm import OutcomeBridge, ScenarioConfig, SieveSpec, generate, select_and_fit
+    # Only the minimum-norm fallback imports scipy; none of these inputs
+    # reaches it.
+    code = f"""
+import contextlib, io
+from proxigmm import (
+    OutcomeBridge, ScenarioConfig, SieveSpec, generate, select_and_fit, write_csv,
+)
+from proxigmm.cli import main
 from proxigmm.simulation import BASELINES
 ds = generate(ScenarioConfig("II", 800), 3, 3)  # Newton converges
 select_and_fit(ds, OutcomeBridge.linear(1, 1), SieveSpec(), 12)
 for estimator in BASELINES.values():
     estimator(ds)
-print(proxigmm.__file__, len(BASELINES))
+data = {str(tmp_path / "data.csv")!r}
+write_csv(generate(ScenarioConfig("II", 300), 1), data)
+flags = ["--data", data, "--outcome", "y", "--treatment", "a", "--proxies-z", "z1",
+         "--proxies-w", "w1", "--covariates", "x1"]
+runs = [
+    ["simulate", "--n", "200", "--reps", "2"],
+    ["misspec", "--level", "minor", "--n", "200", "--reps", "2"],
+    ["estimate", *flags],
+    ["select-k", *flags],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main([*argv, "--out-dir", {str(tmp_path)!r}]) for argv in runs]
+print(proxigmm.__file__, len(BASELINES), *codes)
 print(*sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
-    assert _fresh_interpreter(code) == [proxigmm.__file__, "5"]
+    assert _fresh_interpreter(code) == [proxigmm.__file__, "5", "0", "0", "0", "0"]
 
 
 _FIRST_USE_SETUP = (
     "import hashlib\n"
-    "from proxigmm import ScenarioConfig, SieveSpec, build_basis, generate\n"
+    "from proxigmm import ScenarioConfig, generate\n"
     "from proxigmm.baselines import _solve_treatment_bridge\n"
 )
 
@@ -96,12 +113,10 @@ _FIRST_USE_SETUP = (
 @pytest.mark.parametrize(
     "module, arrays",
     [
-        ("scipy.interpolate",
-         "[build_basis(generate(ScenarioConfig('II', 800), 3, 5), SieveSpec('bspline', 2), 12).u]"),
         # Newton finds no root on this rep, as in test_baselines.
         ("scipy.optimize", "_solve_treatment_bridge(generate(ScenarioConfig('II', 800), 3, 34))[:2]"),
     ],
-    ids=["bspline-basis", "minimum-norm-fallback"],
+    ids=["minimum-norm-fallback"],
 )
 def test_first_use_in_a_fresh_interpreter_loads_its_module(module, arrays):
     # The path imports its module at first use and returns, bit for bit,

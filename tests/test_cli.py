@@ -18,7 +18,6 @@ from proxigmm import (
     generate,
     load_csv,
     select_and_fit,
-    select_k,
     write_csv,
 )
 from proxigmm.cli import build_parser, main
@@ -56,27 +55,6 @@ def test_estimate_reports_the_library_estimate(method, csv_path, tmp_path):
     else:
         expected = BASELINES[method](ds).tau_hat
     assert report["tau_hat"] == expected
-
-
-@pytest.mark.parametrize("command", ["select-k", "estimate"])
-def test_sieve_flag_picks_the_basis_family(command, csv_path, tmp_path, capsys):
-    code = main([command, *_data_flags(csv_path), "--sieve", "bspline",
-                 "--out-dir", str(tmp_path)])
-    assert code == 0
-    ds = load_csv(str(csv_path), ROLES)
-    bridge = OutcomeBridge.linear(1, 1)
-    want = select_k(ds, bridge, SieveSpec(family="bspline"), DEFAULT_K_BAR)
-    power = select_k(ds, bridge, SieveSpec(), DEFAULT_K_BAR)
-    # On this dataset the two families pick different moment counts, so the
-    # reported K* shows which basis the command scanned.
-    assert want.k_star != power.k_star
-    if command == "select-k":
-        assert f"selected K = {want.k_star}" in capsys.readouterr().out
-    else:
-        assert json.loads((tmp_path / "report.json").read_text())["k_star"] == want.k_star
-    with open(tmp_path / "loss_curve.csv", newline="") as fh:
-        scores = [float(row["score"]) for row in csv.DictReader(fh)]
-    np.testing.assert_array_equal(scores, want.scores)
 
 
 def test_unknown_method_is_a_config_error(tmp_path):
@@ -134,16 +112,25 @@ def test_simulate_reruns_are_byte_identical(tmp_path):
 STUDIES = {
     "simulate": ["simulate", "--methods", "gmm-div", "--n", "200"],
     "misspec": ["misspec", "--level", "minor", "--n", "200"],
-    "bspline-study": ["bspline-study", "--n", "200"],
+}
+
+# Moment caps outside [bridge dimension, sieve size] and their errors, for
+# data with one proxy on each side and one covariate: a bridge of 4
+# parameters and a sieve of 2·4² terms.
+BAD_KMAX = {
+    3: "kmax must be at least the bridge dimension 4, got 3",
+    40: "kmax must be at most the 32 sieve terms, got 40",
 }
 
 
 @pytest.mark.parametrize("study", STUDIES)
 def test_kmax_below_bridge_dimension_is_a_config_error(study, tmp_path, capsys):
-    code = main([*STUDIES[study], "--reps", "1", "--kmax", "3", "--out-dir", str(tmp_path)])
-    assert code == 2
-    assert "bridge dimension 4" in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
+    for kmax, message in BAD_KMAX.items():
+        code = main([*STUDIES[study], "--reps", "1", "--kmax", str(kmax),
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command", [["estimate", "--method", "gmm-div"], ["select-k"]])
@@ -151,10 +138,12 @@ def test_kmax_below_bridge_dimension_of_data_is_a_config_error(
     command, csv_path, tmp_path, capsys
 ):
     out = tmp_path / "out"
-    code = main([*command, *_data_flags(csv_path), "--kmax", "3", "--out-dir", str(out)])
-    assert code == 2
-    assert "kmax must be at least the bridge dimension 4, got 3" in capsys.readouterr().err
-    assert not out.exists()
+    for kmax, message in BAD_KMAX.items():
+        code = main([*command, *_data_flags(csv_path), "--kmax", str(kmax),
+                     "--out-dir", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_kmax_is_not_checked_without_gmm_div(tmp_path):
@@ -165,8 +154,7 @@ def test_kmax_is_not_checked_without_gmm_div(tmp_path):
 
 @pytest.mark.parametrize(
     "study, fmt",
-    [("simulate", "csv"), ("simulate", "json"), ("misspec", "csv"), ("misspec", "json"),
-     ("bspline-study", "csv")],
+    [("simulate", "csv"), ("simulate", "json"), ("misspec", "csv"), ("misspec", "json")],
 )
 def test_summary_reports_median_ci_length(study, fmt, tmp_path):
     argv = [*STUDIES[study], "--reps", "2", "--format", fmt, "--out-dir", str(tmp_path)]
@@ -177,16 +165,3 @@ def test_summary_reports_median_ci_length(study, fmt, tmp_path):
         with open(tmp_path / "summary.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
     assert rows and all(np.isfinite(float(row["length_median"])) for row in rows)
-
-
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_bspline_study_writes_the_requested_format(fmt, tmp_path):
-    argv = [*STUDIES["bspline-study"], "--reps", "2", "--format", fmt, "--out-dir", str(tmp_path)]
-    assert main(argv) == 0
-    assert [p.name for p in tmp_path.iterdir()] == [f"summary.{fmt}"]
-    if fmt == "json":
-        rows = json.loads((tmp_path / "summary.json").read_text())
-    else:
-        with open(tmp_path / "summary.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-    assert sorted(row["family"] for row in rows) == ["bspline", "power"]

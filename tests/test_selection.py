@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from proxigmm import gmm, selection, sieve, simulation
+from proxigmm import gmm, selection, sieve
 from proxigmm.bridges import OutcomeBridge
-from proxigmm.data import Dataset, transform_column
+from proxigmm.data import Dataset
 from proxigmm.errors import (
     AllCandidatesSingular,
     DimensionMismatch,
@@ -227,9 +227,8 @@ class TestScan:
             (ScenarioConfig("II", 800), SieveSpec(), 12, range(20)),
             (ScenarioConfig("II", 800), SieveSpec(), 30, [0]),
             (ScenarioConfig("II", 3200), SieveSpec(), 20, range(3)),
-            (ScenarioConfig("II", 800), SieveSpec(family="bspline", interior_knots=0), 12, range(10)),
         ],
-        ids=["I400-k12", "II800-k12", "II800-k30", "II3200-k20", "II800-bspline-k12"],
+        ids=["I400-k12", "II800-k12", "II800-k30", "II3200-k20"],
     )
     def test_matches_per_candidate_refit(self, config, spec, k_bar, reps):
         for rep in reps:
@@ -353,11 +352,8 @@ class TestSelectAndFit:
         "fit",
         [
             lambda ds: select_and_fit(ds, BRIDGE, SieveSpec(), 12),
-            lambda ds: simulation._frozen_design_fit(
-                ds, transform_column(ds, "w1", "moderate"), SieveSpec(), 12
-            ),
         ],
-        ids=["select_and_fit", "frozen_design_fit"],
+        ids=["select_and_fit"],
     )
     def test_sieve_built_once_per_fit(self, monkeypatch, fit):
         # One basis build for the scan; one QR for the scan and one, of the
@@ -368,7 +364,7 @@ class TestSelectAndFit:
                 calls[_name] += 1
                 return _real(*args)
 
-            for module in (sieve, selection, simulation, gmm):
+            for module in (sieve, selection, gmm):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted)
         fit(generate(ScenarioConfig("II", 800), 0, 0))

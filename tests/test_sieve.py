@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.interpolate import BSpline
 
 from helpers import make_gaussian_dataset
-from proxigmm import BasisMatrix, SieveSpec, build_basis, orthonormalize
-from proxigmm.errors import DegenerateColumn, DimensionMismatch, KTooLarge, RankDeficient
+from proxigmm import BasisMatrix, SieveSpec, build_basis, orthonormalize, sieve
+from proxigmm.errors import DegenerateColumn, KTooLarge, RankDeficient
 
 FIRST_TWELVE = [
     "1",
@@ -45,17 +44,11 @@ class TestTermOrdering:
     def test_prefixes_are_nested_bit_for_bit(self, scenario2_ds):
         # The moment-count fit orthonormalizes the leading K* columns of the
         # scan's basis in place of building the K*-column basis.
-        specs = (
-            SieveSpec(),
-            SieveSpec(family="bspline", interior_knots=0),
-            SieveSpec(family="bspline", interior_knots=2),
-        )
-        for spec in specs:
-            full = build_basis(scenario2_ds, spec, 30)
-            for k in range(1, 31):
-                sub, lead = build_basis(scenario2_ds, spec, k), full.leading(k)
-                np.testing.assert_array_equal(lead.u, sub.u)
-                assert lead.term_names == sub.term_names
+        full = build_basis(scenario2_ds, SieveSpec(), 30)
+        for k in range(1, 31):
+            sub, lead = build_basis(scenario2_ds, SieveSpec(), k), full.leading(k)
+            np.testing.assert_array_equal(lead.u, sub.u)
+            assert lead.term_names == sub.term_names
 
     def test_orthonormalized_prefixes_stay_nested(self, scenario2_ds):
         full = orthonormalize(build_basis(scenario2_ds, SieveSpec(), 12))
@@ -63,8 +56,15 @@ class TestTermOrdering:
         np.testing.assert_allclose(full.u[:, :4], sub.u, atol=1e-10)
 
     def test_k_beyond_family_rejected(self, scenario1_ds):
-        with pytest.raises(KTooLarge):
-            build_basis(scenario1_ds, SieveSpec(), 99)
+        assert build_basis(scenario1_ds, SieveSpec(), 32).k == 32
+        with pytest.raises(KTooLarge, match="k=33 exceeds the 32 available terms"):
+            build_basis(scenario1_ds, SieveSpec(), 33)
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_family_size_counts_the_enumerated_terms(self, d):
+        names = [f"v{j}" for j in range(d)]
+        terms = sieve._terms(names)
+        assert sieve.family_size(d) == len(terms) == len(set(terms))
 
     def test_k_below_one_rejected(self, scenario1_ds):
         with pytest.raises(KTooLarge):
@@ -145,35 +145,3 @@ class TestDegenerateInputs:
         bad = replace(ds, z=np.ones_like(ds.z))
         with pytest.raises(DegenerateColumn, match="'z1'"):
             build_basis(bad, SieveSpec(), 4)
-
-    def test_constant_column_rejected_for_splines(self):
-        ds = make_gaussian_dataset(n=40, seed=3)
-        from dataclasses import replace
-
-        bad = replace(ds, x=np.zeros_like(ds.x))
-        with pytest.raises(DegenerateColumn):
-            build_basis(bad, SieveSpec(family="bspline"), 4)
-
-
-class TestSplineFamily:
-    def test_bspline_columns_built_and_named(self, scenario2_ds):
-        b = build_basis(scenario2_ds, SieveSpec(family="bspline", interior_knots=0), 8)
-        assert b.u.shape == (scenario2_ds.n, 8)
-        assert b.term_names[0] == "1"
-        assert any(":b" in t for t in b.term_names)
-
-    def test_columns_match_scipy_bsplines_on_quantile_knots(self, scenario2_ds):
-        b = build_basis(scenario2_ds, SieveSpec(family="bspline", interior_knots=2), 12)
-        x = scenario2_ds.x[:, 0]
-        knots = np.r_[[x.min()] * 4, np.quantile(x, [1 / 3, 2 / 3]), [x.max()] * 4]
-        bumps = [BSpline(knots, np.eye(6)[j], 3)(x) for j in range(6)]
-        for j in range(1, 6):
-            np.testing.assert_allclose(b.u[:, b.term_names.index(f"x1:b{j}")], bumps[j], atol=1e-12)
-        columns = [b.u[:, b.term_names.index(f"x1:b{j}")] for j in range(1, 6)]
-        np.testing.assert_allclose(bumps[0] + np.sum(columns, axis=0), 1.0, atol=1e-12)
-
-
-class TestSpecSerialization:
-    def test_unknown_family_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            SieveSpec(family="fourier")

@@ -1,6 +1,6 @@
 """Replication loop: worker-count invariance, worker behaviour and the kept
 worker pool's lifetime, study equivalences, method checks, and the
-frozen-design fit of the misspecification study."""
+misspecification study's runs on the distorted data."""
 
 from __future__ import annotations
 
@@ -24,23 +24,15 @@ from proxigmm import (
     OutcomeBridge,
     ScenarioConfig,
     SieveSpec,
-    build_basis,
-    estimate_upsilon,
-    fit_initial,
-    fit_with_weight,
     generate,
-    joint_score,
-    orthonormalize,
-    regularize_moments,
-    run_bspline_study,
     run_misspec_study,
     run_replications,
-    run_study,
-    select_k,
+    select_and_fit,
     summarize,
     transform_column,
 )
-from proxigmm import baselines, gmm, simulation
+from proxigmm import baselines, simulation
+from proxigmm.data import TRANSFORM_KINDS
 from proxigmm.errors import DimensionMismatch, SingularSystem
 from proxigmm.simulation import DEFAULT_K_BAR, METHODS
 
@@ -68,9 +60,8 @@ def test_scenario_i_cell_reproduces_coverage_and_bias():
     # Monte Carlo SEs of the mean; the naive estimator ignores the
     # confounding and must undercover.
     reps = 200
-    rows = run_study(
-        ScenarioConfig("I", 400), methods=("naive", "rgmm", "gmm-div"), reps=reps, base_seed=0
-    )
+    config = ScenarioConfig("I", 400)
+    rows = summarize(run_replications(config, ("naive", "rgmm", "gmm-div"), reps, 0), config)
     cell = {row.method: row for row in rows}
     for method in ("rgmm", "gmm-div"):
         row = cell[method]
@@ -117,14 +108,6 @@ def test_records_identical_across_worker_counts(two_cpus, config, methods, reps,
         (rep, m) for rep in range(reps) for m in methods
     ]
     _assert_same(one, two)
-
-
-def test_bspline_study_identical_across_worker_counts(two_cpus):
-    one = run_bspline_study(n=400, reps=3, base_seed=2, threads=1)
-    two = run_bspline_study(n=400, reps=3, base_seed=2, threads=2)
-    assert one.keys() == two.keys() == {"power", "bspline"}
-    for family in one:
-        _assert_same(_rows(one[family]), _rows(two[family]))
 
 
 # Whether this platform runs the process pool; where it cannot fork, the
@@ -451,9 +434,8 @@ def test_workers_end_with_a_killed_parent(two_cpus):
             ScenarioConfig("I", 200), ("naive",), 2, 0, threads=threads),
         lambda threads: run_misspec_study(
             "minor", n=200, reps=2, methods=("naive",), threads=threads),
-        lambda threads: run_bspline_study(n=200, reps=2, threads=threads),
     ],
-    ids=["run_replications", "run_misspec_study", "run_bspline_study"],
+    ids=["run_replications", "run_misspec_study"],
 )
 def test_worker_count_below_one_rejected(study, threads):
     with pytest.raises(DimensionMismatch, match=f"threads must be at least 1, got {threads}"):
@@ -602,9 +584,37 @@ def test_one_outcome_bridge_fit_per_replication(monkeypatch):
 
 def test_correct_level_is_the_plain_scenario_ii_study():
     methods = ("gmm-div", "pdr")
+    config = ScenarioConfig("II", 400)
     misspec = run_misspec_study("correct", n=400, reps=4, base_seed=3, methods=methods)
-    plain = run_study(ScenarioConfig("II", 400), methods=methods, reps=4, base_seed=3)
+    plain = summarize(run_replications(config, methods, 4, 3), config)
     _assert_same(_rows(misspec), _rows(plain))
+
+
+@pytest.mark.parametrize("level", TRANSFORM_KINDS)
+def test_distorted_level_runs_every_method_on_the_distorted_data(monkeypatch, level):
+    # Each record is, bit for bit, the method run on the replication's draw
+    # with w1 distorted: gmm-div selects K and fits on the distorted data.
+    summarized = []
+    real = simulation.summarize
+    monkeypatch.setattr(
+        simulation, "summarize",
+        lambda records, config: summarized.append(records) or real(records, config),
+    )
+    config, bridge = ScenarioConfig("II", 400), OutcomeBridge.linear(1, 1)
+    run_misspec_study(level, n=400, reps=4, base_seed=3, methods=("gmm-div", "pdr"))
+    (records,) = summarized
+    assert [(r["rep"], r["method"]) for r in records] == [
+        (rep, m) for rep in range(4) for m in ("gmm-div", "pdr")
+    ]
+    for rec in records:
+        ds = transform_column(generate(config, 3, rec["rep"]), "w1", level)
+        if rec["method"] == "gmm-div":
+            fit, diag = select_and_fit(ds, bridge, SieveSpec(), DEFAULT_K_BAR)
+            want = (fit.tau_hat, fit.se_tau, diag.k_star)
+        else:
+            report = baselines.pdr(ds)
+            want = (report.tau_hat, report.se_tau, None)
+        assert (rec["tau_hat"], rec["se_tau"], rec["k_star"]) == want
 
 
 @pytest.mark.parametrize(
@@ -629,33 +639,3 @@ def test_median_ci_length_resists_fallback_reps():
     (row,) = summarize(records, config)
     assert math.isfinite(row.median_ci_length)
     assert row.median_ci_length < 1e-3 * row.mean_ci_length
-
-
-def test_frozen_design_fit_uses_the_floored_root_directly(monkeypatch):
-    # Reference: the public two-step calls on the clean draw, then a fixed
-    # weight fit on the distorted draw that eigendecomposes the floored
-    # weight for its root. The frozen-design fit takes that root from the
-    # decomposition, so the two agree to rounding.
-    config, spec, bridge = ScenarioConfig("II", 800), SieveSpec(), OutcomeBridge.linear(1, 1)
-    draws, want = [], []
-    for rep in range(10):
-        clean = generate(config, 0, rep)
-        distorted = transform_column(clean, "w1", "moderate")
-        k_star = select_k(clean, bridge, spec, DEFAULT_K_BAR).k_star
-        basis = orthonormalize(build_basis(clean, spec, k_star))
-        init = fit_initial(clean, basis, bridge)
-        scores = joint_score(clean, basis, bridge, init.gamma_hat, init.tau_hat)
-        decomp = regularize_moments(estimate_upsilon(scores))
-        want.append(fit_with_weight(distorted, basis, bridge, decomp.floored_weight()))
-        draws.append((clean, distorted))
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the floored weight needs no second decomposition")
-
-    monkeypatch.setattr(gmm, "fit_with_weight", refuse)
-    monkeypatch.setattr(simulation, "fit_with_weight", refuse, raising=False)
-    for (clean, distorted), ref in zip(draws, want):
-        got = simulation._frozen_design_fit(clean, distorted, spec, DEFAULT_K_BAR)
-        assert got["k_star"] == ref.k
-        assert got["tau_hat"] == pytest.approx(ref.tau_hat, rel=0, abs=1e-8)
-        assert got["se_tau"] == pytest.approx(ref.se_tau, rel=1e-6)
