@@ -51,6 +51,7 @@ from .simulation import (
     ScenarioConfig,
     generate,
     k_histogram,
+    run_misspec_replications,
     run_misspec_study,
     run_replications,
     summarize,
@@ -90,6 +91,7 @@ __all__ = [
     "pipw",
     "regularize_moments",
     "rgmm",
+    "run_misspec_replications",
     "run_misspec_study",
     "run_replications",
     "select_and_fit",

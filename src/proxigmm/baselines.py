@@ -7,8 +7,6 @@ intervals account for every estimated nuisance parameter.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -20,13 +18,12 @@ from .data import Dataset
 from .errors import (
     DimensionMismatch,
     NoConvergence,
-    ProxiGmmError,
     RankDeficientDesign,
     SingularSystem,
     SingularVariance,
     WeakRank,
 )
-from .gmm import WALD_CRITICAL_5PCT, _Moments
+from .gmm import WALD_CRITICAL_5PCT, _bridge_features, _fit_once, _Moments
 
 _NEWTON_MAX_ITER = 50
 _NEWTON_TOL = 1e-10
@@ -144,7 +141,7 @@ def _canonical_bridge_fit(ds: Dataset) -> tuple[_Moments, np.ndarray]:
         raise DimensionMismatch(
             f"need exactly {p} instruments for {p} bridge parameters, got {instruments.shape[1]}"
         )
-    moments = _Moments.build(ds, instruments, bridge)
+    moments = _Moments.instrument(_bridge_features(ds, bridge), instruments)
     try:
         gamma = np.linalg.solve(-moments.jac[:p, :p], moments.const[:p])
     except np.linalg.LinAlgError as exc:
@@ -163,12 +160,12 @@ def rgmm(ds: Dataset) -> EstimateReport:
     moments and the contrast moment.
     """
     moments, gamma = _fit_once(_canonical_bridge_fit, ds)
-    tau = float(moments.contrast_mean @ gamma)
-    resid = ds.y - moments.feats @ gamma
+    f = moments.features
+    tau = float(f.contrast_mean @ gamma)
+    resid = ds.y - f.feats @ gamma
     # One product with the contrast features, as in pdr: moments.scores
     # differences two products, which rounds the contrast column differently.
-    cgrad = moments.treated - moments.untreated
-    scores = np.column_stack([moments.u * resid[:, None], tau - cgrad @ gamma])
+    scores = np.column_stack([moments.u * resid[:, None], tau - f.contrast @ gamma])
     return EstimateReport(
         method="rgmm",
         tau_hat=tau,
@@ -238,46 +235,6 @@ def _newton_starts(dim: int) -> list[np.ndarray]:
     return starts
 
 
-# Bridge fits by fit and dataset identity, shared by the calls inside
-# ``_one_bridge_fit_per_dataset``; None outside it.
-_shared_fits: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
-    "_shared_fits", default=None
-)
-
-
-@contextlib.contextmanager
-def _one_bridge_fit_per_dataset():
-    """Within the block, each bridge of one dataset is fitted once:
-    :func:`rgmm` and :func:`pdr` share the canonical outcome-bridge fit,
-    :func:`pipw` and :func:`pdr` the treatment-bridge solve, and a fit that
-    failed fails again with the same error."""
-    token = _shared_fits.set({})
-    try:
-        yield
-    finally:
-        _shared_fits.reset(token)
-
-
-def _fit_once(fit, ds: Dataset):
-    """``fit(ds)``; inside :func:`_one_bridge_fit_per_dataset` each fit runs
-    once per dataset, and later calls return its result or raise its error."""
-    shared = _shared_fits.get()
-    if shared is None:
-        return fit(ds)
-    key = fit, id(ds)
-    if key not in shared:
-        try:
-            outcome = fit(ds)
-        except ProxiGmmError as exc:
-            outcome = exc
-        # Holding the dataset keeps its id from being reused in the block.
-        shared[key] = ds, outcome
-    outcome = shared[key][1]
-    if isinstance(outcome, ProxiGmmError):
-        raise outcome
-    return outcome
-
-
 def _bridge_values(signed_b: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """:meth:`TreatmentBridge.q` at ``theta`` from its design (1, z, a, x)
     with the index sign folded in, built once per solve rather than per call."""
@@ -329,11 +286,16 @@ def _solve_treatment_bridge(ds: Dataset):
     # signs into the designs is exact: rounding commutes with negation.
     signed_c = sign[:, None] * basis_c
     signed_b = -sign[:, None] * basis_b
+    # The residual's column sums add the rows in order, as an axis-0
+    # reduction of the (n, p) product does, but accumulate along the
+    # contiguous rows of its transpose: the axis-0 reduction runs one
+    # p-element inner loop per row.
+    signed_c_rows = np.ascontiguousarray(signed_c.T)
 
     def balance(theta):
         """Bridge values at ``theta`` and the balancing residual there."""
         q = _bridge_values(signed_b, theta)
-        return q, np.add.reduce(signed_c * q[:, None], axis=0) / n - target
+        return q, np.add.accumulate(signed_c_rows * q, axis=1)[:, -1] / n - target
 
     def first_halving(theta, step, norm0):
         """Index into ``_NEWTON_HALVINGS`` of the first trial point whose
@@ -441,8 +403,7 @@ def pdr(ds: Dataset) -> EstimateReport:
     """
     moments, gamma = _fit_once(_canonical_bridge_fit, ds)
     theta, q, (sign, basis_c, basis_b, target) = _fit_once(_solve_treatment_bridge, ds)
-    feats = moments.feats
-    cgrad = moments.treated - moments.untreated
+    feats, cgrad = moments.features.feats, moments.features.contrast
     resid = ds.y - feats @ gamma
     contrib = cgrad @ gamma + sign * q * resid
     tau = float(np.mean(contrib))

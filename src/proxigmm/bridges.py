@@ -27,6 +27,13 @@ def _as_block(arr, n: int | None = None) -> np.ndarray:
     return out
 
 
+def _linear_features(w, a, x) -> np.ndarray:
+    """The features ``(1, w, a, x)`` of :meth:`OutcomeBridge.linear`."""
+    w2, x2 = _as_block(w), _as_block(x, n=np.size(a))
+    a1 = np.asarray(a, dtype=float).reshape(-1)
+    return np.column_stack([np.ones(a1.shape[0]), w2, a1, x2])
+
+
 @dataclass(frozen=True)
 class OutcomeBridge:
     """Outcome-side bridge function ``h(w, a, x; params) = grad(w, a, x) @ params``.
@@ -52,14 +59,9 @@ class OutcomeBridge:
             *[f"x{j + 1}" for j in range(d_x)],
         )
 
-        def feats(w, a, x):
-            w2, x2 = _as_block(w), _as_block(x, n=np.size(a))
-            a1 = np.asarray(a, dtype=float).reshape(-1)
-            return np.column_stack([np.ones(a1.shape[0]), w2, a1, x2])
-
         return OutcomeBridge(
             n_params=2 + d_w + d_x,
-            grad_fn=feats,
+            grad_fn=_linear_features,
             feature_names=names,
         )
 

@@ -35,8 +35,8 @@ from .simulation import (
     MISSPEC_LEVELS,
     ScenarioConfig,
     k_histogram,
+    run_misspec_replications,
     run_replications,
-    run_misspec_study,
     summarize,
 )
 
@@ -216,16 +216,21 @@ def cmd_misspec(opts) -> int:
     err = _check_study_opts(opts, runs_gmm_div=True)
     if err:
         return _config_error(err)
-    summaries = run_misspec_study(
+    records = run_misspec_replications(
         level=opts.level, n=opts.n, reps=opts.reps, base_seed=opts.seed,
         k_bar=opts.kmax, threads=opts.threads,
     )
+    config = ScenarioConfig(scenario="II", n=opts.n)
     os.makedirs(opts.out_dir, exist_ok=True)
-    path = _write_summary(
-        opts.out_dir, opts.format, ("level", *_SUMMARY_COLUMNS),
-        _summary_rows(summaries, opts.level),
-    )
-    print(path)
+    paths = [
+        _write_summary(
+            opts.out_dir, opts.format, ("level", *_SUMMARY_COLUMNS),
+            _summary_rows(summarize(records, config), opts.level),
+        ),
+        _write_estimates(opts.out_dir, records),
+        _write_k_histogram(opts.out_dir, records),
+    ]
+    print("\n".join(paths))
     return 0
 
 

@@ -4,8 +4,9 @@ The moment vector stacks K sieve moments, instrumenting the outcome
 residual ``y - h`` with basis columns of (Z, A, X), and one contrast moment
 tying the target parameter to the mean treatment contrast of the bridge.
 The bridge is linear in its parameters, so the mean moments are affine in
-them; that map and the feature matrices behind the scores are built once
-per dataset, instruments and bridge, and every fit step reads them.
+them. The feature matrices behind the scores are built once per dataset
+and bridge, that affine map once per instrument matrix, and every fit step
+reads them.
 Fitting proceeds in two steps: an identity-weight fit on the orthonormalized
 basis, then an optimally weighted fit whose weight is the spectrally
 regularized inverse of the estimated moment covariance. Above the exactly
@@ -30,6 +31,8 @@ bounded weight and the fit separates cleanly.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import json
 from dataclasses import dataclass, replace
@@ -38,7 +41,7 @@ import numpy as np
 
 from .bridges import OutcomeBridge
 from .data import Dataset
-from .errors import RankDeficientJacobian, SingularVariance, TooFewMoments
+from .errors import ProxiGmmError, RankDeficientJacobian, SingularVariance, TooFewMoments
 from .sieve import BasisMatrix, orthonormalize
 
 SPECTRAL_FLOOR = 1e-8
@@ -125,56 +128,132 @@ class GmmFit:
 
 
 @dataclass(frozen=True)
+class _Features:
+    """An outcome bridge's feature matrices on one dataset.
+
+    The features at the observed treatment (``feats``), at a = 1
+    (``treated``) and at a = 0 (``untreated``) do not depend on the
+    parameters or on the instruments, so they are built once per dataset
+    and bridge, and every moment system instrumenting that bridge on that
+    dataset reads them. ``contrast`` is ``treated - untreated`` and
+    ``contrast_mean`` its column mean, the mean parameter gradient of the
+    treatment contrast.
+    """
+
+    y: np.ndarray
+    feats: np.ndarray
+    treated: np.ndarray
+    untreated: np.ndarray
+    contrast: np.ndarray
+    contrast_mean: np.ndarray
+
+    @classmethod
+    def build(cls, ds: Dataset, bridge: OutcomeBridge) -> _Features:
+        ones = np.ones(ds.n)
+        feats = bridge.grad(ds.w, ds.a, ds.x)
+        treated = bridge.grad(ds.w, ones, ds.x)
+        untreated = bridge.grad(ds.w, 0.0 * ones, ds.x)
+        contrast = treated - untreated
+        return cls(ds.y, feats, treated, untreated, contrast, contrast.mean(axis=0))
+
+
+@dataclass(frozen=True)
 class _Moments:
     """The stacked moments of a linear bridge on one instrument matrix.
 
     With ``beta = (gamma, tau)`` the mean moment vector is affine,
     ``const + jac @ beta``: the K sieve rows instrument the outcome residual
     with ``u`` and the last row is ``tau`` minus the mean treatment contrast.
-    The feature matrices at the observed treatment (``feats``), at a = 1
-    (``treated``) and at a = 0 (``untreated``) do not depend on ``beta``, so
-    every fit step, the polish, the variance and the moment-count scan read
-    them from one object built per dataset, instruments and bridge.
+    The bridge's feature matrices (:class:`_Features`) are built once per
+    dataset and bridge; a moment system adds one instrument matrix to them,
+    so the moment-count scan and the fit at the K it selects instrument the
+    same features, and every fit step, the polish and the variance read
+    them from one object.
     """
 
+    features: _Features
     u: np.ndarray
-    y: np.ndarray
-    feats: np.ndarray
-    treated: np.ndarray
-    untreated: np.ndarray
     jac: np.ndarray
     const: np.ndarray
 
     @classmethod
     def build(cls, ds: Dataset, u: np.ndarray, bridge: OutcomeBridge) -> _Moments:
-        ones = np.ones(ds.n)
-        feats = bridge.grad(ds.w, ds.a, ds.x)
-        treated = bridge.grad(ds.w, ones, ds.x)
-        untreated = bridge.grad(ds.w, 0.0 * ones, ds.x)
-        k, p = u.shape[1], feats.shape[1]
-        jac = np.zeros((k + 1, p + 1))
-        jac[:k, :p] = -(u.T @ feats) / ds.n
-        jac[k, :p] = -(treated - untreated).mean(axis=0)
-        jac[k, p] = 1.0
-        const = np.r_[u.T @ ds.y / ds.n, 0.0]
-        return cls(u, ds.y, feats, treated, untreated, jac, const)
+        return cls.instrument(_Features.build(ds, bridge), u)
 
-    @property
-    def contrast_mean(self) -> np.ndarray:
-        """Mean parameter gradient of the treatment contrast."""
-        return -self.jac[-1, :-1]
+    @classmethod
+    def instrument(cls, features: _Features, u: np.ndarray) -> _Moments:
+        """The moments of ``features`` instrumented by the columns of ``u``."""
+        n, k = u.shape
+        p = features.feats.shape[1]
+        jac = np.zeros((k + 1, p + 1))
+        jac[:k, :p] = -(u.T @ features.feats) / n
+        jac[k, :p] = -features.contrast_mean
+        jac[k, p] = 1.0
+        const = np.r_[u.T @ features.y / n, 0.0]
+        return cls(features, u, jac, const)
 
     def scores(self, beta: np.ndarray) -> np.ndarray:
         """Per-observation scores at ``beta``, shape (n, K+1): residual times
         each instrument, then ``tau`` minus the treatment contrast."""
+        f = self.features
         gamma, tau = beta[:-1], beta[-1]
-        resid = self.y - self.feats @ gamma
-        contrast = self.treated @ gamma - self.untreated @ gamma
-        k = self.u.shape[1]
-        s = np.empty((self.y.shape[0], k + 1))
+        resid = f.y - f.feats @ gamma
+        contrast = f.treated @ gamma - f.untreated @ gamma
+        n, k = self.u.shape
+        s = np.empty((n, k + 1))
         s[:, :k] = self.u * resid[:, None]
         s[:, k] = tau - contrast
         return s
+
+
+# Fits and bridge features by (function, dataset identity, further
+# arguments), shared by the calls inside ``_one_bridge_fit_per_dataset``;
+# None outside it.
+_shared_fits: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "_shared_fits", default=None
+)
+
+
+@contextlib.contextmanager
+def _one_bridge_fit_per_dataset():
+    """Within the block, each bridge of one dataset is fitted once and its
+    features are built once: ``rgmm`` and ``pdr`` share the canonical
+    outcome-bridge fit, ``pipw`` and ``pdr`` the treatment-bridge solve,
+    and that outcome-bridge fit and the moment-count scan the linear
+    bridge's features (:func:`_bridge_features`). A fit that failed fails
+    again with the same error."""
+    token = _shared_fits.set({})
+    try:
+        yield
+    finally:
+        _shared_fits.reset(token)
+
+
+def _fit_once(fit, ds: Dataset, *args):
+    """``fit(ds, *args)``; inside :func:`_one_bridge_fit_per_dataset` it runs
+    once per dataset and arguments, and later calls return its result or
+    raise its error."""
+    shared = _shared_fits.get()
+    if shared is None:
+        return fit(ds, *args)
+    key = fit, id(ds), *args
+    if key not in shared:
+        try:
+            outcome = fit(ds, *args)
+        except ProxiGmmError as exc:
+            outcome = exc
+        # Holding the dataset keeps its id from being reused in the block.
+        shared[key] = ds, outcome
+    outcome = shared[key][1]
+    if isinstance(outcome, ProxiGmmError):
+        raise outcome
+    return outcome
+
+
+def _bridge_features(ds: Dataset, bridge: OutcomeBridge) -> _Features:
+    """The features of ``bridge`` on ``ds``; inside
+    :func:`_one_bridge_fit_per_dataset`, built once per dataset and bridge."""
+    return _fit_once(_Features.build, ds, bridge)
 
 
 def joint_score(
@@ -278,16 +357,17 @@ def _gram_moments(moments: _Moments):
     and near zero at the fit, and a Gram of the uncentred ``(d_i, 1)``
     would form its square as ``gamma_a² - 2 gamma_a tau + tau²``.
     """
+    f = moments.features
     n, k = moments.u.shape
     p1 = moments.jac.shape[1]
     p = p1 - 1
-    outcome = np.column_stack([moments.y, moments.feats])
+    outcome = np.column_stack([f.y, f.feats])
     # Column k' * p1 + j of Phi is u_k' * outcome_j: one strided write per
     # outcome column fills the Kronecker block in place.
     phi = np.empty((n, k * p1 + p))
     for j in range(p1):
         np.multiply(moments.u, outcome[:, j, None], out=phi[:, j : k * p1 : p1])
-    phi[:, k * p1 :] = moments.treated - moments.untreated - moments.contrast_mean
+    phi[:, k * p1 :] = f.contrast - f.contrast_mean
     gram = phi.T @ phi / n
     # Rows index the covariance entry, columns a pair of block coordinates.
     sieve = gram[: k * p1, : k * p1].reshape(k, p1, k, p1).transpose(0, 2, 1, 3)
@@ -554,20 +634,25 @@ def fit_optimal(ds: Dataset, basis: BasisMatrix, bridge: OutcomeBridge) -> GmmFi
     floored inverse as the sandwich core.
     """
     basis = _prepare(basis)
-    moments = _Moments.build(ds, basis.u, bridge)
+    return _fit_optimal(_Moments.build(ds, basis.u, bridge))
+
+
+def _fit_optimal(moments: _Moments) -> GmmFit:
+    """:func:`fit_optimal` on a moment system already built."""
+    n, k = moments.u.shape
     decomp = _first_step_decomposition(moments)
     beta, obj = _least_squares(moments.jac, moments.const, decomp.floored_weight_sqrt())
-    if basis.k > bridge.n_params:
-        beta, obj = _refine_continuous_update(moments, beta)
     p = beta.shape[0] - 1
+    if k > p:
+        beta, obj = _refine_continuous_update(moments, beta)
     fit = GmmFit(
         gamma_hat=beta[:p],
         tau_hat=float(beta[p]),
         se_gamma=np.full(p, np.nan),
         se_tau=float("nan"),
-        k=basis.k,
+        k=k,
         k1=decomp.k1,
-        n=ds.n,
+        n=n,
         v_hat=np.empty((0, 0)),
         objective_value=obj,
     )
@@ -602,7 +687,7 @@ def _variance(fit: GmmFit, moments: _Moments) -> GmmFit:
         ) from exc
     v_hat = chol_inv.T @ chol_inv
     dv = np.diag(v_hat)
-    se = np.sqrt(np.maximum(dv, 0.0) / moments.y.shape[0])
+    se = np.sqrt(np.maximum(dv, 0.0) / moments.u.shape[0])
     p = fit.gamma_hat.shape[0]
     return replace(fit, se_gamma=se[:p], se_tau=float(se[p]), v_hat=v_hat)
 

@@ -15,11 +15,15 @@ sum of its first K squared entries over n, and the bridge projection
 -U'G/n of a prefix is the leading rows of the cap's. The identity-weight
 fits of all C candidates are one stacked SVD of their zero-padded moment
 systems, and their residuals one n×C product. Only each candidate's
-residual-weighted covariance, the one O(nK²) step, is formed in a loop;
-its Cholesky factor (padded with an identity block), the solves, the
-target directions, the two n×C projections and the bias and variance terms
-are stacked arrays. A candidate whose fit or covariance cannot be
-factorized scores infinity and leaves the others as they are.
+residual-weighted covariance, the one O(nK²) step, is formed in a loop,
+from contiguous column-major blocks of the basis and the residuals; its
+Cholesky factor (padded with an identity block), the solves, the target
+directions, the two n×C projections and the bias and variance terms are
+stacked arrays. A candidate whose fit or covariance cannot be factorized
+scores infinity and leaves the others as they are.
+
+The bridge's feature matrices are built once per dataset: the fit at the
+selected K instruments the ones the scan read.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .errors import (
     RankDeficient,
     SingularUpsilonBlock,
 )
-from .gmm import GmmFit, _Moments, fit_optimal
+from .gmm import GmmFit, _bridge_features, _Features, _fit_optimal, _Moments
 from .sieve import BasisMatrix, SieveSpec, build_basis, orthonormalize
 
 
@@ -102,6 +106,30 @@ def _prefix_leverages(u: np.ndarray, ks: np.ndarray) -> np.ndarray:
     return (u * u) @ (np.arange(u.shape[1])[:, None] < ks) / u.shape[0]
 
 
+def _candidate_covariances(
+    u: np.ndarray, resid: np.ndarray, ks: np.ndarray, ok: np.ndarray
+) -> np.ndarray:
+    """(C, k, k) residual-weighted covariances of the candidates.
+
+    Candidate c's leading ``ks[c]`` block is ``U_K' diag(r_c²) U_K / n`` for
+    the leading K columns U_K of ``u`` and residuals r_c = ``resid[:, c]``;
+    the rest, and every block of a candidate that is not ``ok``, is the
+    identity. This is the scan's one O(nK²) step per candidate. One buffer
+    serves every candidate, viewed as a contiguous column-major (n, K)
+    block and filled from column-major copies of ``u`` and ``resid``, so
+    every operand is read and written contiguously.
+    """
+    n, k = u.shape
+    upsilon = np.tile(np.eye(k), (ks.size, 1, 1))
+    cols, resid_cols = np.asfortranarray(u), np.asfortranarray(resid)
+    buf = np.empty(n * k)
+    for c in np.flatnonzero(ok):
+        weighted = buf[: n * ks[c]].reshape(ks[c], n).T
+        np.multiply(cols[:, : ks[c]], resid_cols[:, c, None], out=weighted)
+        upsilon[c, : ks[c], : ks[c]] = weighted.T @ weighted / n
+    return upsilon
+
+
 def _criterion(
     u: np.ndarray,
     bmat: np.ndarray,
@@ -129,14 +157,7 @@ def _criterion(
     n, k = u.shape
     ok = ok.copy()
     resid = np.where(ok, resid, 0.0)
-    upsilon = np.tile(np.eye(k), (ks.size, 1, 1))
-    # One buffer serves every candidate, viewed as a contiguous (n, K) block.
-    buf = np.empty(n * k)
-    for c in np.flatnonzero(ok):
-        weighted = buf[: n * ks[c]].reshape(n, ks[c])
-        np.multiply(u[:, : ks[c]], resid[:, c, None], out=weighted)
-        upsilon[c, : ks[c], : ks[c]] = weighted.T @ weighted / n
-    chol = _stacked(np.linalg.cholesky, upsilon, ok)
+    chol = _stacked(np.linalg.cholesky, _candidate_covariances(u, resid, ks, ok), ok)
     bproj = bmat * (np.arange(k) < ks[:, None])[:, :, None]
     whitened = np.linalg.solve(chol, bproj)
     omega = whitened.transpose(0, 2, 1) @ whitened
@@ -211,8 +232,9 @@ def sgmm_components(
 
 def _scan(
     ds: Dataset, bridge: OutcomeBridge, spec: SieveSpec, k_bar: int
-) -> tuple[SelectionDiagnostics, BasisMatrix]:
-    """:func:`select_k`, and the raw ``k_bar``-column basis it scanned."""
+) -> tuple[SelectionDiagnostics, BasisMatrix, _Features]:
+    """:func:`select_k`, the raw ``k_bar``-column basis it scanned, and the
+    bridge features it instrumented."""
     p = bridge.n_params
     if k_bar < p:
         raise DimensionMismatch(
@@ -225,22 +247,23 @@ def _scan(
         # Prefixes are nested bit for bit, so the accepted prefix of this
         # basis is the basis build_basis would give at that size.
         basis = orthonormalize(raw.leading(exc.full_rank_prefix))
+    features = _bridge_features(ds, bridge)
     grid = tuple(range(p, k_bar + 1))
     scores = np.full(len(grid), np.inf)
     bias_terms = np.full(len(grid), np.nan)
     var_terms = np.full(len(grid), np.nan)
     ks = np.arange(p, basis.k + 1)
     if ks.size:
-        moments = _Moments.build(ds, basis.u, bridge)
+        moments = _Moments.instrument(features, basis.u)
         # Candidate K's moments are the leading K sieve rows and the
         # contrast row; the other rows are zeroed.
         rows = np.arange(basis.k + 1)
         keep = (rows < ks[:, None]) | (rows == basis.k)
         beta, ok = _stacked_least_squares(moments.jac * keep[:, :, None], -moments.const * keep)
-        resid = moments.y[:, None] - moments.feats @ beta[:, :p].T
+        resid = features.y[:, None] - features.feats @ beta[:, :p].T
         scores[: ks.size], bias_terms[: ks.size], var_terms[: ks.size] = _criterion(
-            basis.u, moments.jac[:-1, :-1], moments.feats, resid,
-            moments.contrast_mean, ks, ok,
+            basis.u, moments.jac[:-1, :-1], features.feats, resid,
+            features.contrast_mean, ks, ok,
         )
     if not np.any(np.isfinite(scores)):
         raise AllCandidatesSingular(
@@ -251,7 +274,7 @@ def _scan(
         k_grid=grid, scores=scores, bias_terms=bias_terms,
         variance_terms=var_terms, k_star=k_star,
     )
-    return diag, raw
+    return diag, raw, features
 
 
 def select_k(
@@ -268,7 +291,7 @@ def select_k(
     :class:`AllCandidatesSingular`. Ties resolve to the smallest K.
 
     The moment system of the scanned basis (bridge gradient, contrast
-    target, moment Jacobian and U'y/n, as in :func:`fit_optimal`) is built
+    target, moment Jacobian and U'y/n, as in :func:`~proxigmm.gmm.fit_optimal`) is built
     once, and every candidate is scored in one batched pass: the
     identity-weight fits on the Jacobian's leading K sieve rows plus the
     contrast row are one stacked SVD, the residuals one n×C product, and
@@ -285,15 +308,16 @@ def select_and_fit(
 ) -> tuple[GmmFit, SelectionDiagnostics]:
     """Run the moment-count scan, then the optimally weighted fit at K*.
 
-    The sieve is built once: the fit orthonormalizes the leading K*
-    columns of the raw basis the scan built, which are
-    ``build_basis(ds, spec, K*)`` bit for bit.
+    The sieve and the bridge features are built once: the fit
+    orthonormalizes the leading K* columns of the raw basis the scan built,
+    which are ``build_basis(ds, spec, K*)`` bit for bit, and instruments
+    the scan's bridge features with them, as :func:`~proxigmm.gmm.fit_optimal`
+    on that basis would.
     """
-    diag, raw = _scan(ds, bridge, spec, k_bar)
+    diag, raw, features = _scan(ds, bridge, spec, k_bar)
     # A fresh K*-column QR rather than the scan's orthonormal columns: those
     # match it only to rounding (bit for bit only when K* is k_bar), and the
     # fit at K* must not depend on the cap it was selected under. The raw
     # columns it factorizes are the K*-column basis itself.
     basis = orthonormalize(raw.leading(diag.k_star))
-    fit = fit_optimal(ds, basis, bridge)
-    return fit, diag
+    return _fit_optimal(_Moments.instrument(features, basis.u)), diag

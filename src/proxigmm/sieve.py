@@ -9,16 +9,24 @@ moment-count scan relies on.
 
 A basis is built on, and evaluated only on, the dataset it instruments:
 each variable's standardization is computed from that dataset when the
-basis is built, and is not kept.
+basis is built, and is not kept. The basis is column-major: each column is
+written in place as the product of its factors (the treatment, then each
+variable's level, in variable order), so a leading prefix is one
+contiguous block and the moment-count scan reads every column contiguously.
 
 Ordering: constant, treatment main effect, then single-variable terms by
 ascending level with Z variables before X within a level, then interaction
 terms by ascending total level, breaking ties lexicographically by the
 canonical term name (so `a*x^2` precedes `a*z*x`, which precedes `a*z^2`).
+The order is enumerated lazily, one total level at a time, and stops at
+the requested count, so a basis over many variables never lists the
+2·4^d terms of its whole family; the first k terms and their names are
+computed once per variable names and k.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 
@@ -78,42 +86,77 @@ class BasisMatrix:
         return replace(self, u=self.u[:, :k], term_names=self.term_names[:k])
 
 
-def _univariate_levels(name: str, col: np.ndarray) -> np.ndarray:
-    """Columns for levels 1, 2, 3 of one variable: powers of its
-    standardized value."""
+def _univariate_levels(name: str, col: np.ndarray) -> list[np.ndarray]:
+    """Levels 1, 2, 3 of one variable: powers of its standardized value."""
     mean = float(np.mean(col))
     sd = float(np.std(col))
     if sd < _ZERO_TOL:
         raise DegenerateColumn(f"variable {name!r} is constant; cannot standardize")
     std = (col - mean) / sd
-    return np.column_stack([std**lv for lv in range(1, _POWER_DEGREE + 1)])
+    return [std**lv for lv in range(1, _POWER_DEGREE + 1)]
 
 
-def _terms(names: list[str]) -> list[tuple[int, tuple[int, ...]]]:
-    """Enumerate all (a_exponent, per-variable levels) in basis order."""
+def _level_vectors(d: int, total: int):
+    """Every tuple of ``d`` levels in 0..3 that sums to ``total``, in
+    lexicographic order."""
+    if total > _POWER_DEGREE * d:
+        return
+    if d == 0:
+        yield ()
+        return
+    for first in range(min(total, _POWER_DEGREE) + 1):
+        for rest in _level_vectors(d - 1, total - first):
+            yield (first, *rest)
+
+
+def _term_order(names: tuple[str, ...]):
+    """Every (a_exponent, per-variable levels) in basis order, lazily: each
+    total level's interactions are listed and sorted only when reached."""
     d = len(names)
-    singles = [
-        (0, tuple(level if i == j else 0 for i in range(d)))
-        for level in range(1, _POWER_DEGREE + 1)
-        for j in range(d)
-    ]
-    inter = [
-        (a_exp, lv)
-        for lv in itertools.product(range(_POWER_DEGREE + 1), repeat=d)
-        for a_exp in (0, 1)
-        if a_exp + sum(1 for level in lv if level) >= 2
-    ]
-    inter.sort(key=lambda t: (t[0] + sum(t[1]), _term_name(names, t)))
-    return [(0, (0,) * d), (1, (0,) * d), *singles, *inter]
+    yield 0, (0,) * d
+    yield 1, (0,) * d
+    for level in range(1, _POWER_DEGREE + 1):
+        for j in range(d):
+            yield 0, tuple(level if i == j else 0 for i in range(d))
+    for total in range(2, _POWER_DEGREE * d + 2):
+        inter = [
+            (a_exp, lv)
+            for a_exp in (0, 1)
+            for lv in _level_vectors(d, total - a_exp)
+            if a_exp + sum(1 for level in lv if level) >= 2
+        ]
+        inter.sort(key=lambda t: _term_name(names, t))
+        yield from inter
 
 
-def _term_name(names: list[str], term: tuple[int, tuple[int, ...]]) -> str:
+def _terms(names: tuple[str, ...], k: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The first ``k`` (a_exponent, per-variable levels) in basis order."""
+    return list(itertools.islice(_term_order(names), k))
+
+
+def _term_name(names: tuple[str, ...], term: tuple[int, tuple[int, ...]]) -> str:
     a_exp, levels = term
     parts = ["a"] * a_exp
     for name, lv in zip(names, levels):
         if lv:
             parts.append(name if lv == 1 else f"{name}^{lv}")
     return "*".join(parts) if parts else "1"
+
+
+@functools.lru_cache(maxsize=32)
+def _layout(names: tuple[str, ...], k: int) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]:
+    """``(factors, term_names)`` of the first ``k`` basis columns over ``names``.
+
+    Column c is the product, in order, of the columns that ``factors[c]``
+    indexes in (treatment, levels 1..3 of the first variable, levels 1..3
+    of the second, ...); the constant has no factor.
+    """
+    terms = _terms(names, k)
+    factors = tuple(
+        (0,) * a_exp + tuple(j * _POWER_DEGREE + lv for j, lv in enumerate(levels) if lv)
+        for a_exp, levels in terms
+    )
+    return factors, tuple(_term_name(names, t) for t in terms)
 
 
 def build_basis(ds: Dataset, spec: SieveSpec, k: int) -> BasisMatrix:
@@ -132,20 +175,21 @@ def build_basis(ds: Dataset, spec: SieveSpec, k: int) -> BasisMatrix:
     size = family_size(len(cols))
     if k > size:
         raise KTooLarge(f"k={k} exceeds the {size} available terms")
-    per_var = [_univariate_levels(name, col) for name, col in cols]
-    names = [name for name, _ in cols]
-    terms = _terms(names)[:k]
-    n = ds.a.shape[0]
-    u = np.empty((n, k))
-    for c, (a_exp, levels) in enumerate(terms):
-        col = np.ones(n)
-        if a_exp:
-            col = col * ds.a
-        for j, lv in enumerate(levels):
-            if lv:
-                col = col * per_var[j][:, lv - 1]
-        u[:, c] = col
-    term_names = tuple(_term_name(names, t) for t in terms)
+    factor_cols = [ds.a]
+    for name, col in cols:
+        factor_cols += _univariate_levels(name, col)
+    plan, term_names = _layout(tuple(name for name, _ in cols), k)
+    u = np.empty((ds.a.shape[0], k), order="F")
+    for c, factors in enumerate(plan):
+        col = u[:, c]
+        if not factors:
+            col.fill(1.0)
+        elif len(factors) == 1:
+            col[...] = factor_cols[factors[0]]
+        else:
+            np.multiply(factor_cols[factors[0]], factor_cols[factors[1]], out=col)
+            for f in factors[2:]:
+                np.multiply(col, factor_cols[f], out=col)
     scale = np.max(np.abs(u), axis=0)
     dead = np.nonzero(scale < _ZERO_TOL)[0]
     if dead.size:

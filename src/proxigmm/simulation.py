@@ -34,7 +34,7 @@ from . import baselines
 from .bridges import DgpCoefficients, OutcomeBridge
 from .data import TRANSFORM_KINDS, Dataset, transform_column
 from .errors import DimensionMismatch, ProxiGmmError
-from .gmm import GmmFit, confidence_interval, wald_test
+from .gmm import GmmFit, _one_bridge_fit_per_dataset, confidence_interval, wald_test
 from .selection import select_and_fit
 from .sieve import SieveSpec
 
@@ -283,11 +283,12 @@ def _run_method(ds: Dataset, method: str, k_bar: int) -> dict:
 def _method_records(rep: int, methods: tuple[str, ...], run) -> list[dict]:
     """One record per method of ``run(method)``; a method failure is recorded.
 
-    ``rgmm`` and ``pdr`` on one dataset share its outcome-bridge fit, and
-    ``pipw`` and ``pdr`` its treatment-bridge solve.
+    ``rgmm`` and ``pdr`` on one dataset share its outcome-bridge fit,
+    ``pipw`` and ``pdr`` its treatment-bridge solve, and that outcome-bridge
+    fit and ``gmm-div`` the linear bridge's features.
     """
     out = []
-    with baselines._one_bridge_fit_per_dataset():
+    with _one_bridge_fit_per_dataset():
         for method in methods:
             rec = {"rep": rep, "method": method}
             try:
@@ -569,7 +570,7 @@ def k_histogram(records: list[dict]) -> dict[int, int]:
     return dict(sorted(counts.items()))
 
 
-def run_misspec_study(
+def run_misspec_replications(
     level: str,
     n: int = 800,
     reps: int = 500,
@@ -577,8 +578,9 @@ def run_misspec_study(
     methods: tuple[str, ...] = ("gmm-div", "pdr"),
     k_bar: int = DEFAULT_K_BAR,
     threads: int = 1,
-) -> list[ReplicationSummary]:
-    """Scenario-II study with the outcome proxy ``w1`` distorted.
+) -> list[dict]:
+    """Per-replication records of a scenario-II cell with the outcome proxy
+    ``w1`` distorted.
 
     ``level`` is one of ``MISSPEC_LEVELS``. Each replication is the one
     ``run_replications`` runs, except that for a level other than
@@ -588,11 +590,25 @@ def run_misspec_study(
     the distorted data, as it would on data whose outcome bridge is
     misspecified. So the "correct" level is ``run_replications`` on the
     scenario-II cell. ``threads`` counts worker processes, at least 1, as
-    in ``run_replications``; the summaries are identical for any count.
+    in ``run_replications``; the records are identical for any count.
     """
     if level not in MISSPEC_LEVELS:
         raise DimensionMismatch(f"unknown level {level!r}; choose from {MISSPEC_LEVELS}")
     _check_methods(methods)
     config = ScenarioConfig(scenario="II", n=n)
     job = functools.partial(_replication, config, level, methods, base_seed, k_bar)
-    return summarize(_replicate(reps, threads, job), config)
+    return _replicate(reps, threads, job)
+
+
+def run_misspec_study(
+    level: str,
+    n: int = 800,
+    reps: int = 500,
+    base_seed: int = 0,
+    methods: tuple[str, ...] = ("gmm-div", "pdr"),
+    k_bar: int = DEFAULT_K_BAR,
+    threads: int = 1,
+) -> list[ReplicationSummary]:
+    """Per-method summaries of :func:`run_misspec_replications`' records."""
+    records = run_misspec_replications(level, n, reps, base_seed, methods, k_bar, threads)
+    return summarize(records, ScenarioConfig(scenario="II", n=n))

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from proxigmm import Dataset
+from proxigmm import BasisMatrix, Dataset, sieve
 
 
 def make_gaussian_dataset(
@@ -57,3 +59,47 @@ def finite_difference(fn, point: np.ndarray, eps: float = 1e-6) -> np.ndarray:
             2 * eps
         )
     return grad
+
+
+def eager_terms(names: tuple[str, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """Every (a_exponent, per-variable levels) of the sieve over ``names`` in
+    basis order, enumerated in full and sorted at once: the reference for
+    the lazy order of ``sieve._terms``."""
+    d = len(names)
+    singles = [
+        (0, tuple(level if i == j else 0 for i in range(d)))
+        for level in range(1, 4)
+        for j in range(d)
+    ]
+    inter = [
+        (a_exp, lv)
+        for lv in itertools.product(range(4), repeat=d)
+        for a_exp in (0, 1)
+        if a_exp + sum(1 for level in lv if level) >= 2
+    ]
+    inter.sort(key=lambda t: (t[0] + sum(t[1]), sieve._term_name(names, t)))
+    return [(0, (0,) * d), (1, (0,) * d), *singles, *inter]
+
+
+def row_major_basis(ds: Dataset, k: int) -> BasisMatrix:
+    """``build_basis`` written as a row-major matrix, one temporary column
+    per term, from the eager term order: the reference for the column-major
+    basis."""
+    cols = [(nm, ds.z[:, j]) for j, nm in enumerate(ds.z_names)]
+    cols += [(nm, ds.x[:, j]) for j, nm in enumerate(ds.x_names)]
+    per_var = []
+    for _, col in cols:
+        std = (col - float(np.mean(col))) / float(np.std(col))
+        per_var.append(np.column_stack([std**lv for lv in range(1, 4)]))
+    names = tuple(name for name, _ in cols)
+    terms = eager_terms(names)[:k]
+    u = np.empty((ds.n, k))
+    for c, (a_exp, levels) in enumerate(terms):
+        col = np.ones(ds.n)
+        if a_exp:
+            col = col * ds.a
+        for j, lv in enumerate(levels):
+            if lv:
+                col = col * per_var[j][:, lv - 1]
+        u[:, c] = col
+    return BasisMatrix(u=u, term_names=tuple(sieve._term_name(names, t) for t in terms))

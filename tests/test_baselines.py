@@ -20,7 +20,7 @@ from proxigmm import (
     pipw,
     rgmm,
 )
-from proxigmm import baselines, run_replications
+from proxigmm import baselines, gmm, run_replications
 from proxigmm.errors import DimensionMismatch, ProxiGmmError, WeakRank
 from proxigmm.simulation import BASELINES
 
@@ -128,7 +128,7 @@ def test_pipw_and_pdr_share_one_treatment_solve(monkeypatch):
     )
     for order in ((pipw, pdr), (pdr, pipw)):
         solved.clear()
-        with baselines._one_bridge_fit_per_dataset():
+        with gmm._one_bridge_fit_per_dataset():
             shared = [{est: _outcome(est, ds) for est in order} for ds in datasets]
         assert shared == alone
         assert [id(ds) for ds in solved] == [id(ds) for ds in datasets]
@@ -153,7 +153,7 @@ def test_rgmm_and_pdr_share_one_outcome_bridge_fit(monkeypatch):
     )
     for order in ((rgmm, pdr), (pdr, rgmm)):
         fitted.clear()
-        with baselines._one_bridge_fit_per_dataset():
+        with gmm._one_bridge_fit_per_dataset():
             shared = [{est: _outcome(est, ds) for est in order} for ds in datasets]
         assert shared == alone
         assert [id(ds) for ds in fitted] == [id(ds) for ds in datasets]

@@ -165,3 +165,12 @@ def test_summary_reports_median_ci_length(study, fmt, tmp_path):
         with open(tmp_path / "summary.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
     assert rows and all(np.isfinite(float(row["length_median"])) for row in rows)
+    # Both studies also write every record and the K* histogram of gmm-div.
+    summary = f"summary.{fmt}"
+    assert {p.name for p in tmp_path.iterdir()} == {summary, "estimates.csv", "k_histogram.csv"}
+    with open(tmp_path / "estimates.csv", newline="") as fh:
+        estimates = list(csv.DictReader(fh))
+    with open(tmp_path / "k_histogram.csv", newline="") as fh:
+        histogram = list(csv.DictReader(fh))
+    assert len(estimates) == 2 * len(rows)
+    assert sum(int(row["count"]) for row in histogram) == 2

@@ -25,6 +25,7 @@ from proxigmm.errors import (
 )
 from proxigmm.gmm import fit_initial, fit_optimal
 from proxigmm.selection import (
+    _candidate_covariances,
     _criterion,
     _prefix_leverages,
     _stacked_least_squares,
@@ -129,7 +130,39 @@ def test_leverage_table_rows_are_prefix_leverages():
         np.testing.assert_allclose(table[:, kk - 1], want, rtol=1e-12)
 
 
+def _row_major_covariances(u, resid, ks, ok):
+    """The candidates' residual-weighted covariances, each formed from a
+    row-major (n, K) block of strided slices of ``u`` and ``resid``: the
+    reference for the column-major blocks of the scan."""
+    n, k = u.shape
+    upsilon = np.tile(np.eye(k), (ks.size, 1, 1))
+    buf = np.empty(n * k)
+    for c in np.flatnonzero(ok):
+        weighted = buf[: n * ks[c]].reshape(n, ks[c])
+        np.multiply(u[:, : ks[c]], resid[:, c, None], out=weighted)
+        upsilon[c, : ks[c], : ks[c]] = weighted.T @ weighted / n
+    return upsilon
+
+
 class TestBatchedKernel:
+    @pytest.mark.parametrize(
+        "config, k_bar",
+        [(ScenarioConfig("I", 400), 12), (ScenarioConfig("II", 800), 12),
+         (ScenarioConfig("II", 800), 30), (ScenarioConfig("II", 3200), 20)],
+        ids=["I400-k12", "II800-k12", "II800-k30", "II3200-k20"],
+    )
+    def test_candidate_covariances_match_the_row_major_loop(self, config, k_bar):
+        for rep in range(3):
+            ds = generate(config, 0, rep)
+            u = orthonormalize(build_basis(ds, SieveSpec(), k_bar)).u
+            ks = np.arange(BRIDGE.n_params, k_bar + 1)
+            rng = np.random.default_rng(rep)
+            resid = rng.normal(size=(ds.n, ks.size)) * (1.0 + np.abs(ds.w))
+            ok = rng.random(ks.size) < 0.8
+            np.testing.assert_array_equal(
+                _candidate_covariances(u, resid, ks, ok), _row_major_covariances(u, resid, ks, ok)
+            )
+
     def test_least_squares_flags_only_the_rank_deficient_system(self):
         rng = np.random.default_rng(23)
         lhs = rng.normal(size=(3, 7, 5))
@@ -246,16 +279,16 @@ class TestScan:
             counts.append(len(calls))
         assert counts[0] == counts[1]
 
-    def test_select_and_fit_builds_bridge_features_twice(self):
-        # Three feature matrices (observed, treated, untreated) for the scan
-        # and three for the fit at K*, whatever the scan's length or the
+    def test_select_and_fit_builds_bridge_features_once(self):
+        # Three feature matrices (observed, treated, untreated), which the
+        # scan and the fit at K* both read, whatever the scan's length or the
         # polish's evaluation count. K* exceeds the bridge dimension in this
         # draw, so the polish runs.
         ds = generate(ScenarioConfig("II", 800), 0, 0)
         bridge, calls = _counting_bridge()
         fit, _ = select_and_fit(ds, bridge, SieveSpec(), k_bar=12)
         assert fit.k > BRIDGE.n_params
-        assert len(calls) == 6
+        assert len(calls) == 3
 
     def test_kbar_at_bridge_dimension_is_single_candidate(self, scenario1_ds):
         diag = select_k(scenario1_ds, BRIDGE, SieveSpec(), k_bar=4)

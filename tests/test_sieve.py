@@ -7,8 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import make_gaussian_dataset
-from proxigmm import BasisMatrix, SieveSpec, build_basis, orthonormalize, sieve
+from helpers import eager_terms, make_gaussian_dataset, row_major_basis
+from proxigmm import (
+    BasisMatrix,
+    Dataset,
+    OutcomeBridge,
+    SieveSpec,
+    build_basis,
+    orthonormalize,
+    sieve,
+)
 from proxigmm.errors import DegenerateColumn, KTooLarge, RankDeficient
 
 FIRST_TWELVE = [
@@ -62,13 +70,70 @@ class TestTermOrdering:
 
     @pytest.mark.parametrize("d", range(1, 6))
     def test_family_size_counts_the_enumerated_terms(self, d):
-        names = [f"v{j}" for j in range(d)]
-        terms = sieve._terms(names)
+        names = tuple(f"v{j}" for j in range(d))
+        terms = eager_terms(names)
         assert sieve.family_size(d) == len(terms) == len(set(terms))
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_lazy_order_is_every_prefix_of_the_eager_enumeration(self, d):
+        names = tuple(f"v{j}" for j in range(d))
+        eager = eager_terms(names)
+        lazy = sieve._term_order(names)
+        for k, term in enumerate(eager, start=1):
+            assert next(lazy) == term, f"term {k}"
+        assert next(lazy, None) is None
+        # _terms stops at k, also inside a total level's interactions.
+        singles_end = 2 + 3 * d
+        for k in {1, 2, singles_end, singles_end + 1, singles_end + 2,
+                  len(eager) // 3, len(eager) // 2, len(eager) - 1, len(eager)}:
+            assert sieve._terms(names, k) == eager[:k]
+
+    def test_many_covariates_build_without_listing_the_family(self):
+        # The sieve over 52 variables has 2·4^52 terms; the first k are
+        # listed one total level at a time and the rest never.
+        rng = np.random.default_rng(5)
+        n, d_x = 300, 50
+        ds = Dataset(
+            y=rng.normal(size=n), a=(rng.random(n) < 0.5).astype(float),
+            z=rng.normal(size=(n, 2)), w=rng.normal(size=(n, 2)), x=rng.normal(size=(n, d_x)),
+            z_names=("z1", "z2"), w_names=("w1", "w2"),
+            x_names=tuple(f"x{j + 1}" for j in range(d_x)),
+        )
+        k = OutcomeBridge.linear(2, d_x).n_params + 12
+        b = build_basis(ds, SieveSpec(), k)
+        variables = [*ds.z_names, *ds.x_names]
+        squares = k - 2 - len(variables)
+        assert b.u.shape == (n, k) and b.u.flags.f_contiguous
+        assert b.term_names == ("1", "a", *variables, *(f"{v}^2" for v in variables[:squares]))
+        x7 = ds.x[:, 6]
+        np.testing.assert_array_equal(
+            b.u[:, b.term_names.index("x7")], (x7 - np.mean(x7)) / np.std(x7)
+        )
 
     def test_k_below_one_rejected(self, scenario1_ds):
         with pytest.raises(KTooLarge):
             build_basis(scenario1_ds, SieveSpec(), 0)
+
+
+class TestColumnMajorLayout:
+    @pytest.mark.parametrize("fixture", ["scenario1_ds", "scenario2_ds"])
+    @pytest.mark.parametrize("k", [1, 4, 12, 32])
+    def test_matches_the_row_major_reference_bit_for_bit(self, fixture, k, request):
+        ds = request.getfixturevalue(fixture)
+        b, ref = build_basis(ds, SieveSpec(), k), row_major_basis(ds, k)
+        assert b.u.flags.f_contiguous
+        np.testing.assert_array_equal(b.u, ref.u)
+        assert b.term_names == ref.term_names
+
+    @pytest.mark.parametrize("d_z, d_x", [(1, 1), (2, 1), (1, 2), (2, 2), (1, 3)])
+    def test_random_data_matches_the_row_major_reference(self, d_z, d_x):
+        ds = make_gaussian_dataset(n=60, seed=d_z + 10 * d_x, d_z=d_z, d_x=d_x)
+        full = build_basis(ds, SieveSpec(), sieve.family_size(d_z + d_x))
+        ref = row_major_basis(ds, full.k)
+        np.testing.assert_array_equal(full.u, ref.u)
+        assert full.term_names == ref.term_names
+        for k in range(1, full.k + 1, 7):
+            np.testing.assert_array_equal(build_basis(ds, SieveSpec(), k).u, ref.u[:, :k])
 
 
 class TestPowerFamily:

@@ -31,7 +31,7 @@ from proxigmm import (
     summarize,
     transform_column,
 )
-from proxigmm import baselines, simulation
+from proxigmm import baselines, gmm, simulation
 from proxigmm.data import TRANSFORM_KINDS
 from proxigmm.errors import DimensionMismatch, SingularSystem
 from proxigmm.simulation import DEFAULT_K_BAR, METHODS
@@ -580,6 +580,19 @@ def test_one_outcome_bridge_fit_per_replication(monkeypatch):
     )
     run_replications(ScenarioConfig("II", 400), ("rgmm", "naive", "pdr"), 3, 0)
     assert len(fitted) == 3 and len(set(fitted)) == 3
+
+
+def test_one_bridge_feature_build_per_replication(monkeypatch):
+    # gmm-div's scan, its fit at K* and the rgmm/pdr outcome-bridge fit all
+    # read the linear bridge's features, built once per replication.
+    built = []
+    real = gmm._Features.build
+    monkeypatch.setattr(
+        gmm._Features, "build",
+        classmethod(lambda cls, ds, bridge: built.append(ds.y[0]) or real(ds, bridge)),
+    )
+    run_replications(ScenarioConfig("II", 400), ("gmm-div", "rgmm", "naive", "pdr"), 3, 0)
+    assert len(built) == 3 and len(set(built)) == 3
 
 
 def test_correct_level_is_the_plain_scenario_ii_study():
