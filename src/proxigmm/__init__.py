@@ -18,8 +18,8 @@ from .baselines import (
     pipw,
     rgmm,
 )
-from .bridges import DgpCoefficients, OutcomeBridge, TreatmentBridge, true_bridge_params
-from .data import Dataset, VariableRoles, load_csv, transform_column, write_csv
+from .bridges import DgpCoefficients, OutcomeBridge, true_bridge_params
+from .data import Dataset, VariableRoles, load_csv, transform_column
 from .errors import ProxiGmmError
 from .gmm import (
     GmmFit,
@@ -52,7 +52,6 @@ from .simulation import (
     generate,
     k_histogram,
     run_misspec_replications,
-    run_misspec_study,
     run_replications,
     summarize,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "ScenarioConfig",
     "SelectionDiagnostics",
     "SieveSpec",
-    "TreatmentBridge",
     "VariableRoles",
     "build_basis",
     "confidence_interval",
@@ -92,7 +90,6 @@ __all__ = [
     "regularize_moments",
     "rgmm",
     "run_misspec_replications",
-    "run_misspec_study",
     "run_replications",
     "select_and_fit",
     "select_k",
@@ -102,5 +99,4 @@ __all__ = [
     "true_bridge_params",
     "variance",
     "wald_test",
-    "write_csv",
 ]

@@ -23,7 +23,7 @@ from .errors import (
     SingularVariance,
     WeakRank,
 )
-from .gmm import WALD_CRITICAL_5PCT, _bridge_features, _fit_once, _Moments
+from .gmm import WALD_CRITICAL_5PCT, _fit_once, _Moments
 
 _NEWTON_MAX_ITER = 50
 _NEWTON_TOL = 1e-10
@@ -141,7 +141,7 @@ def _canonical_bridge_fit(ds: Dataset) -> tuple[_Moments, np.ndarray]:
         raise DimensionMismatch(
             f"need exactly {p} instruments for {p} bridge parameters, got {instruments.shape[1]}"
         )
-    moments = _Moments.instrument(_bridge_features(ds, bridge), instruments)
+    moments = _Moments.build(ds, instruments, bridge)
     try:
         gamma = np.linalg.solve(-moments.jac[:p, :p], moments.const[:p])
     except np.linalg.LinAlgError as exc:
@@ -236,8 +236,9 @@ def _newton_starts(dim: int) -> list[np.ndarray]:
 
 
 def _bridge_values(signed_b: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """:meth:`TreatmentBridge.q` at ``theta`` from its design (1, z, a, x)
-    with the index sign folded in, built once per solve rather than per call."""
+    """The treatment bridge ``q = 1 + exp(s(a) * theta @ (1, z, a, x))`` at
+    ``theta``, where ``s(a)`` is -1 treated and +1 untreated, from its design
+    with that sign folded in, built once per solve rather than per call."""
     return 1.0 + np.exp(signed_b @ theta)
 
 
@@ -282,7 +283,7 @@ def _solve_treatment_bridge(ds: Dataset):
         )
     n = ds.n
     # The moments weight basis_c by (-1)^(1-A) q, and the bridge's index
-    # sign is -1 treated, +1 untreated (see TreatmentBridge). Folding the
+    # sign is -1 treated, +1 untreated (see _bridge_values). Folding the
     # signs into the designs is exact: rounding commutes with negation.
     signed_c = sign[:, None] * basis_c
     signed_b = -sign[:, None] * basis_b

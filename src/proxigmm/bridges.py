@@ -2,8 +2,9 @@
 
 The outcome bridge ``h(w, a, x)`` is the confounding adjustment whose sieve
 moments the GMM machinery fits; the treatment bridge ``q(z, a, x)`` is an
-inverse-propensity analogue built from the treatment-side proxy. Both
-default to the linear/logistic families under which closed-form true
+inverse-propensity analogue built from the treatment-side proxy, which the
+reweighting baselines solve for (``baselines._solve_treatment_bridge``).
+Both default to the linear/logistic families under which closed-form true
 parameters exist for the linear-Gaussian generative model, and those closed
 forms are exposed through :func:`true_bridge_params`.
 """
@@ -47,23 +48,11 @@ class OutcomeBridge:
 
     n_params: int
     grad_fn: Callable[..., np.ndarray]
-    feature_names: tuple[str, ...] = ()
 
     @staticmethod
     def linear(d_w: int = 1, d_x: int = 1) -> "OutcomeBridge":
         """Bridge linear in an intercept, the W block, treatment, and X."""
-        names = (
-            "const",
-            *[f"w{j + 1}" for j in range(d_w)],
-            "a",
-            *[f"x{j + 1}" for j in range(d_x)],
-        )
-
-        return OutcomeBridge(
-            n_params=2 + d_w + d_x,
-            grad_fn=_linear_features,
-            feature_names=names,
-        )
+        return OutcomeBridge(n_params=2 + d_w + d_x, grad_fn=_linear_features)
 
     def _checked(self, params) -> np.ndarray:
         """``params`` as a float vector; raises :class:`DimensionMismatch`
@@ -78,39 +67,6 @@ class OutcomeBridge:
     def grad(self, w, a, x) -> np.ndarray:
         """Parameter gradient of h, shape (n, n_params); the same at any parameters."""
         return np.asarray(self.grad_fn(w, a, x), dtype=float)
-
-    def h(self, w, a, x, params) -> np.ndarray:
-        """Bridge values, shape (n,)."""
-        return self.grad(w, a, x) @ self._checked(params)
-
-    def contrast(self, w, x, params) -> np.ndarray:
-        """Treatment contrast h(w, 1, x) - h(w, 0, x), shape (n,)."""
-        ones = np.ones(_as_block(w).shape[0])
-        return self.h(w, ones, x, params) - self.h(w, 0.0 * ones, x, params)
-
-
-@dataclass(frozen=True)
-class TreatmentBridge:
-    """Treatment-side bridge ``q(z, a, x; params) = 1 + exp(s(a) * index)``.
-
-    The linear index is ``params @ (1, z, a, x)`` and ``s(a)`` is +1 for
-    untreated, -1 for treated, so q is always above 1 and plays the role of
-    an inverse propensity reweighting for whichever arm the unit is in.
-    """
-
-    def q(self, z, a, x, params) -> np.ndarray:
-        """Bridge values, shape (n,); always > 1."""
-        z2 = _as_block(z)
-        a1 = np.asarray(a, dtype=float).reshape(-1)
-        x2 = _as_block(x, n=a1.shape[0])
-        b = np.column_stack([np.ones(a1.shape[0]), z2, a1, x2])
-        params = np.asarray(params, dtype=float).reshape(-1)
-        if params.shape[0] != b.shape[1]:
-            raise DimensionMismatch(
-                f"expected {b.shape[1]} treatment-bridge parameters, got {params.shape[0]}"
-            )
-        sign = np.where(a1 > 0.5, -1.0, 1.0)
-        return 1.0 + np.exp(sign * (b @ params))
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,15 @@ A :class:`Dataset` holds one observation block per variable role: outcome
 ``y``, binary treatment ``a``, outcome proxies ``w``, treatment proxies
 ``z``, and measured covariates ``x``. Arrays are validated once at
 construction and frozen, so estimators downstream never re-check them.
+Because a dataset never changes, it also keeps what is computed on it: the
+bridge fits and features of ``gmm._fit_once``, shared by every call that
+passes the same dataset.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,6 +68,11 @@ class Dataset:
     ``y`` and ``a`` have shape ``(n,)``; ``z``, ``w``, ``x`` have shape
     ``(n, d)`` where ``d`` may be zero only for ``x``. All values are finite
     and ``a`` is exactly 0/1. Arrays are read-only after construction.
+
+    ``_derived`` holds the fits computed on this dataset
+    (``gmm._fit_once``). It is not a field, so a dataset made from this one
+    by ``dataclasses.replace`` or :func:`transform_column` starts without
+    them.
     """
 
     y: np.ndarray
@@ -125,21 +133,11 @@ class Dataset:
         object.__setattr__(self, "z_names", tuple(self.z_names))
         object.__setattr__(self, "w_names", tuple(self.w_names))
         object.__setattr__(self, "x_names", tuple(self.x_names))
+        object.__setattr__(self, "_derived", {})
 
     @property
     def n(self) -> int:
         return self.y.shape[0]
-
-    def column(self, name: str) -> np.ndarray:
-        """Return a single observation column by its name."""
-        if name == self.y_name:
-            return self.y
-        if name == self.a_name:
-            return self.a
-        for names, block in ((self.z_names, self.z), (self.w_names, self.w), (self.x_names, self.x)):
-            if name in names:
-                return block[:, names.index(name)]
-        raise UnknownColumn(f"no column named {name!r}")
 
 
 def load_csv(path: str, roles: VariableRoles) -> Dataset:
@@ -204,17 +202,6 @@ def load_csv(path: str, roles: VariableRoles) -> Dataset:
         z_names=tuple(roles.proxies_z), w_names=tuple(roles.proxies_w),
         x_names=tuple(roles.covariates),
     )
-
-
-def write_csv(ds: Dataset, path: str) -> None:
-    """Write a dataset back to CSV with round-trip exact float formatting."""
-    header = [ds.y_name, ds.a_name, *ds.z_names, *ds.w_names, *ds.x_names]
-    mat = np.column_stack([ds.y, ds.a, ds.z, ds.w, ds.x])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in mat:
-            writer.writerow([repr(float(v)) for v in row])
 
 
 def _transform_values(values: np.ndarray, kind: str) -> np.ndarray:

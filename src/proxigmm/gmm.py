@@ -5,8 +5,9 @@ residual ``y - h`` with basis columns of (Z, A, X), and one contrast moment
 tying the target parameter to the mean treatment contrast of the bridge.
 The bridge is linear in its parameters, so the mean moments are affine in
 them. The feature matrices behind the scores are built once per dataset
-and bridge, that affine map once per instrument matrix, and every fit step
-reads them.
+and bridge and kept on the dataset (:func:`_fit_once`), so the moment-count
+scan, every public fit step and the baselines' outcome-bridge fit read one
+build; the affine map is built once per instrument matrix.
 Fitting proceeds in two steps: an identity-weight fit on the orthonormalized
 basis, then an optimally weighted fit whose weight is the spectrally
 regularized inverse of the estimated moment covariance. Above the exactly
@@ -31,8 +32,6 @@ bounded weight and the fit separates cleanly.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import functools
 import json
 from dataclasses import dataclass, replace
@@ -164,11 +163,11 @@ class _Moments:
     With ``beta = (gamma, tau)`` the mean moment vector is affine,
     ``const + jac @ beta``: the K sieve rows instrument the outcome residual
     with ``u`` and the last row is ``tau`` minus the mean treatment contrast.
-    The bridge's feature matrices (:class:`_Features`) are built once per
-    dataset and bridge; a moment system adds one instrument matrix to them,
-    so the moment-count scan and the fit at the K it selects instrument the
-    same features, and every fit step, the polish and the variance read
-    them from one object.
+    A moment system adds one instrument matrix to the bridge's feature
+    matrices (:class:`_Features`), which :meth:`build` reads from the
+    dataset (:func:`_bridge_features`): every moment system of one bridge on
+    one dataset, whatever its instruments, reads the same features, and
+    every fit step, the polish and the variance read them from one object.
     """
 
     features: _Features
@@ -178,11 +177,8 @@ class _Moments:
 
     @classmethod
     def build(cls, ds: Dataset, u: np.ndarray, bridge: OutcomeBridge) -> _Moments:
-        return cls.instrument(_Features.build(ds, bridge), u)
-
-    @classmethod
-    def instrument(cls, features: _Features, u: np.ndarray) -> _Moments:
-        """The moments of ``features`` instrumented by the columns of ``u``."""
+        """The moments of ``bridge`` on ``ds`` instrumented by the columns of ``u``."""
+        features = _bridge_features(ds, bridge)
         n, k = u.shape
         p = features.feats.shape[1]
         jac = np.zeros((k + 1, p + 1))
@@ -206,53 +202,33 @@ class _Moments:
         return s
 
 
-# Fits and bridge features by (function, dataset identity, further
-# arguments), shared by the calls inside ``_one_bridge_fit_per_dataset``;
-# None outside it.
-_shared_fits: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
-    "_shared_fits", default=None
-)
-
-
-@contextlib.contextmanager
-def _one_bridge_fit_per_dataset():
-    """Within the block, each bridge of one dataset is fitted once and its
-    features are built once: ``rgmm`` and ``pdr`` share the canonical
-    outcome-bridge fit, ``pipw`` and ``pdr`` the treatment-bridge solve,
-    and that outcome-bridge fit and the moment-count scan the linear
-    bridge's features (:func:`_bridge_features`). A fit that failed fails
-    again with the same error."""
-    token = _shared_fits.set({})
-    try:
-        yield
-    finally:
-        _shared_fits.reset(token)
-
-
 def _fit_once(fit, ds: Dataset, *args):
-    """``fit(ds, *args)``; inside :func:`_one_bridge_fit_per_dataset` it runs
-    once per dataset and arguments, and later calls return its result or
-    raise its error."""
-    shared = _shared_fits.get()
-    if shared is None:
-        return fit(ds, *args)
-    key = fit, id(ds), *args
-    if key not in shared:
+    """``fit(ds, *args)``, run once per dataset and arguments.
+
+    The outcome is kept on the dataset (``Dataset._derived``), keyed by
+    ``(fit, *args)``, and every later call with that dataset returns it, or
+    raises it again if the fit raised a :class:`ProxiGmmError`. So ``rgmm``
+    and ``pdr`` share the canonical outcome-bridge fit of a dataset, ``pipw``
+    and ``pdr`` its treatment-bridge solve, and every moment system of a
+    bridge its features, for any caller that passes the same dataset. A
+    dataset derived from another starts with nothing kept.
+    """
+    derived = ds._derived
+    key = fit, *args
+    if key not in derived:
         try:
-            outcome = fit(ds, *args)
+            derived[key] = fit(ds, *args)
         except ProxiGmmError as exc:
-            outcome = exc
-        # Holding the dataset keeps its id from being reused in the block.
-        shared[key] = ds, outcome
-    outcome = shared[key][1]
+            derived[key] = exc
+    outcome = derived[key]
     if isinstance(outcome, ProxiGmmError):
         raise outcome
     return outcome
 
 
 def _bridge_features(ds: Dataset, bridge: OutcomeBridge) -> _Features:
-    """The features of ``bridge`` on ``ds``; inside
-    :func:`_one_bridge_fit_per_dataset`, built once per dataset and bridge."""
+    """The features of ``bridge`` on ``ds``, built once per dataset and
+    bridge (:func:`_fit_once`)."""
     return _fit_once(_Features.build, ds, bridge)
 
 
@@ -610,9 +586,10 @@ def _first_step_decomposition(moments: _Moments) -> MomentDecomposition:
 def fit_optimal(ds: Dataset, basis: BasisMatrix, bridge: OutcomeBridge) -> GmmFit:
     """Optimally weighted fit: two-step, then a continuous-updating polish.
 
-    The moment system (feature matrices, Jacobian and constant) is built
-    once, and every step below reads it. Step one takes the identity-weight
-    estimates, one least-squares solve with no variance; the moment
+    The moment system (Jacobian and constant, over the bridge features the
+    dataset keeps) is built once, and every step below reads it. Step one
+    takes the identity-weight estimates, one least-squares solve with no
+    variance; the moment
     covariance at those estimates is eigendecomposed and inverted with
     eigenvalues floored at ``SPECTRAL_FLOOR`` times the largest, which
     regularizes directions whose sample variance is negligible (including

@@ -22,8 +22,9 @@ directions, the two n×C projections and the bias and variance terms are
 stacked arrays. A candidate whose fit or covariance cannot be factorized
 scores infinity and leaves the others as they are.
 
-The bridge's feature matrices are built once per dataset: the fit at the
-selected K instruments the ones the scan read.
+The bridge's feature matrices are kept on the dataset
+(``gmm._bridge_features``): the scan, the fit at the selected K and any
+other fit of that bridge on that dataset read one build.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import (
     RankDeficient,
     SingularUpsilonBlock,
 )
-from .gmm import GmmFit, _bridge_features, _Features, _fit_optimal, _Moments
+from .gmm import GmmFit, _fit_optimal, _Moments
 from .sieve import BasisMatrix, SieveSpec, build_basis, orthonormalize
 
 
@@ -232,9 +233,8 @@ def sgmm_components(
 
 def _scan(
     ds: Dataset, bridge: OutcomeBridge, spec: SieveSpec, k_bar: int
-) -> tuple[SelectionDiagnostics, BasisMatrix, _Features]:
-    """:func:`select_k`, the raw ``k_bar``-column basis it scanned, and the
-    bridge features it instrumented."""
+) -> tuple[SelectionDiagnostics, BasisMatrix]:
+    """:func:`select_k` and the raw ``k_bar``-column basis it scanned."""
     p = bridge.n_params
     if k_bar < p:
         raise DimensionMismatch(
@@ -247,14 +247,14 @@ def _scan(
         # Prefixes are nested bit for bit, so the accepted prefix of this
         # basis is the basis build_basis would give at that size.
         basis = orthonormalize(raw.leading(exc.full_rank_prefix))
-    features = _bridge_features(ds, bridge)
     grid = tuple(range(p, k_bar + 1))
     scores = np.full(len(grid), np.inf)
     bias_terms = np.full(len(grid), np.nan)
     var_terms = np.full(len(grid), np.nan)
     ks = np.arange(p, basis.k + 1)
     if ks.size:
-        moments = _Moments.instrument(features, basis.u)
+        moments = _Moments.build(ds, basis.u, bridge)
+        features = moments.features
         # Candidate K's moments are the leading K sieve rows and the
         # contrast row; the other rows are zeroed.
         rows = np.arange(basis.k + 1)
@@ -274,7 +274,7 @@ def _scan(
         k_grid=grid, scores=scores, bias_terms=bias_terms,
         variance_terms=var_terms, k_star=k_star,
     )
-    return diag, raw, features
+    return diag, raw
 
 
 def select_k(
@@ -308,16 +308,16 @@ def select_and_fit(
 ) -> tuple[GmmFit, SelectionDiagnostics]:
     """Run the moment-count scan, then the optimally weighted fit at K*.
 
-    The sieve and the bridge features are built once: the fit
-    orthonormalizes the leading K* columns of the raw basis the scan built,
-    which are ``build_basis(ds, spec, K*)`` bit for bit, and instruments
-    the scan's bridge features with them, as :func:`~proxigmm.gmm.fit_optimal`
-    on that basis would.
+    The sieve is built once: the fit orthonormalizes the leading K* columns
+    of the raw basis the scan built, which are ``build_basis(ds, spec, K*)``
+    bit for bit, as :func:`~proxigmm.gmm.fit_optimal` on that basis would.
+    The bridge features are built once too: the scan and the fit read the
+    ones the dataset keeps.
     """
-    diag, raw, features = _scan(ds, bridge, spec, k_bar)
+    diag, raw = _scan(ds, bridge, spec, k_bar)
     # A fresh K*-column QR rather than the scan's orthonormal columns: those
     # match it only to rounding (bit for bit only when K* is k_bar), and the
     # fit at K* must not depend on the cap it was selected under. The raw
     # columns it factorizes are the K*-column basis itself.
     basis = orthonormalize(raw.leading(diag.k_star))
-    return _fit_optimal(_Moments.instrument(features, basis.u)), diag
+    return _fit_optimal(_Moments.build(ds, basis.u, bridge)), diag

@@ -11,7 +11,9 @@ that the process keeps and reuses (see ``_replicate``).
 
 Both studies run one replication loop (``_replication``): draw the dataset,
 distort its outcome proxy for a misspecification level other than
-"correct", and run every method on what results.
+"correct", and run every method on what results. The methods of one
+replication share its bridge fits because they share its dataset, which
+keeps them (``gmm._fit_once``).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from . import baselines
 from .bridges import DgpCoefficients, OutcomeBridge
 from .data import TRANSFORM_KINDS, Dataset, transform_column
 from .errors import DimensionMismatch, ProxiGmmError
-from .gmm import GmmFit, _one_bridge_fit_per_dataset, confidence_interval, wald_test
+from .gmm import GmmFit, confidence_interval, wald_test
 from .selection import select_and_fit
 from .sieve import SieveSpec
 
@@ -281,25 +283,19 @@ def _run_method(ds: Dataset, method: str, k_bar: int) -> dict:
 
 
 def _method_records(rep: int, methods: tuple[str, ...], run) -> list[dict]:
-    """One record per method of ``run(method)``; a method failure is recorded.
-
-    ``rgmm`` and ``pdr`` on one dataset share its outcome-bridge fit,
-    ``pipw`` and ``pdr`` its treatment-bridge solve, and that outcome-bridge
-    fit and ``gmm-div`` the linear bridge's features.
-    """
+    """One record per method of ``run(method)``; a method failure is recorded."""
     out = []
-    with _one_bridge_fit_per_dataset():
-        for method in methods:
-            rec = {"rep": rep, "method": method}
-            try:
-                rec.update(run(method))
-                rec["error"] = None
-            except ProxiGmmError as exc:
-                rec.update(
-                    tau_hat=np.nan, se_tau=np.nan, ci_lo=np.nan, ci_hi=np.nan,
-                    reject=None, k_star=None, error=f"{type(exc).__name__}: {exc}",
-                )
-            out.append(rec)
+    for method in methods:
+        rec = {"rep": rep, "method": method}
+        try:
+            rec.update(run(method))
+            rec["error"] = None
+        except ProxiGmmError as exc:
+            rec.update(
+                tau_hat=np.nan, se_tau=np.nan, ci_lo=np.nan, ci_hi=np.nan,
+                reject=None, k_star=None, error=f"{type(exc).__name__}: {exc}",
+            )
+        out.append(rec)
     return out
 
 
@@ -598,17 +594,3 @@ def run_misspec_replications(
     config = ScenarioConfig(scenario="II", n=n)
     job = functools.partial(_replication, config, level, methods, base_seed, k_bar)
     return _replicate(reps, threads, job)
-
-
-def run_misspec_study(
-    level: str,
-    n: int = 800,
-    reps: int = 500,
-    base_seed: int = 0,
-    methods: tuple[str, ...] = ("gmm-div", "pdr"),
-    k_bar: int = DEFAULT_K_BAR,
-    threads: int = 1,
-) -> list[ReplicationSummary]:
-    """Per-method summaries of :func:`run_misspec_replications`' records."""
-    records = run_misspec_replications(level, n, reps, base_seed, methods, k_bar, threads)
-    return summarize(records, ScenarioConfig(scenario="II", n=n))

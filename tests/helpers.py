@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import csv
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
 from proxigmm import BasisMatrix, Dataset, sieve
+from proxigmm.bridges import _as_block
+from proxigmm.errors import DimensionMismatch
 
 
 def make_gaussian_dataset(
@@ -103,3 +107,39 @@ def row_major_basis(ds: Dataset, k: int) -> BasisMatrix:
                 col = col * per_var[j][:, lv - 1]
         u[:, c] = col
     return BasisMatrix(u=u, term_names=tuple(sieve._term_name(names, t) for t in terms))
+
+
+def write_csv(ds: Dataset, path: str) -> None:
+    """Write a dataset to CSV with round-trip exact float formatting."""
+    header = [ds.y_name, ds.a_name, *ds.z_names, *ds.w_names, *ds.x_names]
+    mat = np.column_stack([ds.y, ds.a, ds.z, ds.w, ds.x])
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in mat:
+            writer.writerow([repr(float(v)) for v in row])
+
+
+@dataclass(frozen=True)
+class TreatmentBridge:
+    """Treatment-side bridge ``q(z, a, x; params) = 1 + exp(s(a) * index)``.
+
+    The linear index is ``params @ (1, z, a, x)`` and ``s(a)`` is +1 for
+    untreated, -1 for treated, so q is always above 1 and plays the role of
+    an inverse propensity reweighting for whichever arm the unit is in. The
+    reference for ``baselines._bridge_values``.
+    """
+
+    def q(self, z, a, x, params) -> np.ndarray:
+        """Bridge values, shape (n,); always > 1."""
+        z2 = _as_block(z)
+        a1 = np.asarray(a, dtype=float).reshape(-1)
+        x2 = _as_block(x, n=a1.shape[0])
+        b = np.column_stack([np.ones(a1.shape[0]), z2, a1, x2])
+        params = np.asarray(params, dtype=float).reshape(-1)
+        if params.shape[0] != b.shape[1]:
+            raise DimensionMismatch(
+                f"expected {b.shape[1]} treatment-bridge parameters, got {params.shape[0]}"
+            )
+        sign = np.where(a1 > 0.5, -1.0, 1.0)
+        return 1.0 + np.exp(sign * (b @ params))

@@ -15,12 +15,34 @@ from pathlib import Path
 
 import pytest
 
+from helpers import write_csv
 import proxigmm
 import proxigmm.selection
-from proxigmm import BasisMatrix, EstimateReport, MomentDecomposition, OutcomeBridge, SieveSpec
+from proxigmm import (
+    BasisMatrix,
+    EstimateReport,
+    MomentDecomposition,
+    OutcomeBridge,
+    ScenarioConfig,
+    SieveSpec,
+    generate,
+)
+
+EXPORTS = [
+    "BasisMatrix", "Dataset", "DgpCoefficients", "EstimateReport", "GmmFit",
+    "MomentDecomposition", "OutcomeBridge", "ProxiGmmError", "ReplicationSummary",
+    "ScenarioConfig", "SelectionDiagnostics", "SieveSpec", "VariableRoles", "build_basis",
+    "confidence_interval", "estimate_upsilon", "fit_initial", "fit_optimal",
+    "fit_with_weight", "generate", "joint_score", "k_histogram", "load_csv",
+    "naive_gformula", "orthonormalize", "p2sls", "pdr", "pipw", "regularize_moments",
+    "rgmm", "run_misspec_replications", "run_replications", "select_and_fit", "select_k",
+    "sgmm_components", "summarize", "transform_column", "true_bridge_params", "variance",
+    "wald_test",
+]
 
 
 def test_every_exported_name_resolves():
+    assert proxigmm.__all__ == EXPORTS
     missing = [name for name in proxigmm.__all__ if not hasattr(proxigmm, name)]
     assert missing == []
 
@@ -74,19 +96,18 @@ def test_common_paths_leave_optional_scipy_modules_unloaded(tmp_path):
     # scipy.special costs about a third of a second of start-up each.
     # Only the minimum-norm fallback imports scipy; none of these inputs
     # reaches it.
+    data = str(tmp_path / "data.csv")
+    write_csv(generate(ScenarioConfig("II", 300), 1), data)
     code = f"""
 import contextlib, io
-from proxigmm import (
-    OutcomeBridge, ScenarioConfig, SieveSpec, generate, select_and_fit, write_csv,
-)
+from proxigmm import OutcomeBridge, ScenarioConfig, SieveSpec, generate, select_and_fit
 from proxigmm.cli import main
 from proxigmm.simulation import BASELINES
 ds = generate(ScenarioConfig("II", 800), 3, 3)  # Newton converges
 select_and_fit(ds, OutcomeBridge.linear(1, 1), SieveSpec(), 12)
 for estimator in BASELINES.values():
     estimator(ds)
-data = {str(tmp_path / "data.csv")!r}
-write_csv(generate(ScenarioConfig("II", 300), 1), data)
+data = {data!r}
 flags = ["--data", data, "--outcome", "y", "--treatment", "a", "--proxies-z", "z1",
          "--proxies-w", "w1", "--covariates", "x1"]
 runs = [

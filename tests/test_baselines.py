@@ -7,12 +7,11 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import make_gaussian_dataset
+from helpers import TreatmentBridge, make_gaussian_dataset
 from proxigmm import (
     Dataset,
     EstimateReport,
     ScenarioConfig,
-    TreatmentBridge,
     generate,
     naive_gformula,
     p2sls,
@@ -20,7 +19,7 @@ from proxigmm import (
     pipw,
     rgmm,
 )
-from proxigmm import baselines, gmm, run_replications
+from proxigmm import baselines, run_replications
 from proxigmm.errors import DimensionMismatch, ProxiGmmError, WeakRank
 from proxigmm.simulation import BASELINES
 
@@ -109,58 +108,51 @@ def _outcome(estimator, ds):
     return report.tau_hat, report.se_tau, {key: val.tolist() for key, val in report.aux.items()}
 
 
-def test_pipw_and_pdr_share_one_treatment_solve(monkeypatch):
+def _treatment_cases() -> list[Dataset]:
+    """New datasets, which no call has fitted, for the sharing tests."""
     base = make_gaussian_dataset()
-    datasets = [
+    return [
         generate(ScenarioConfig("II", 800), 0, 3),
         generate(ScenarioConfig("II", 800), 0, 17),  # minimum-norm fallback
         make_gaussian_dataset(d_z=2, d_w=1),  # pdr fails before its solve
         # Treated exactly where x1 > 0: the solve fails, pdr's outcome fit does not.
         Dataset(y=base.y, a=(base.x[:, 0] > 0).astype(float), z=base.z, w=base.w, x=base.x),
     ]
-    alone = [{est: _outcome(est, ds) for est in (pipw, pdr)} for ds in datasets]
+
+
+def _share_one_fit(monkeypatch, name, estimators, cases):
+    """Check that ``estimators``, called in either order on a dataset,
+    report what each reports alone on a dataset of its own, and that they
+    and every later call run the patched ``baselines.<name>`` once per
+    dataset. Returns the reports alone, by case."""
+    alone = [dict(zip(estimators, map(_outcome, estimators, pair)))
+             for pair in zip(*(cases() for _ in estimators))]
+    ran = []
+    real = getattr(baselines, name)
+    monkeypatch.setattr(baselines, name, lambda ds: ran.append(ds) or real(ds))
+    for order in (estimators, estimators[::-1]):
+        ran.clear()
+        datasets = cases()
+        shared = [{est: _outcome(est, ds) for est in order} for ds in datasets]
+        assert shared == alone
+        for est in estimators:
+            _outcome(est, datasets[0])  # the dataset keeps the fit
+        assert [id(ds) for ds in ran] == [id(ds) for ds in datasets]
+    return alone
+
+
+def test_pipw_and_pdr_share_one_treatment_solve(monkeypatch):
+    alone = _share_one_fit(monkeypatch, "_solve_treatment_bridge", (pipw, pdr), _treatment_cases)
     assert alone[3][pipw] == alone[3][pdr] and alone[3][pipw].startswith("NoConvergence")
     assert alone[2][pipw] != alone[2][pdr]
-    solved = []
-    real = baselines._solve_treatment_bridge
-    monkeypatch.setattr(
-        baselines, "_solve_treatment_bridge", lambda ds: solved.append(ds) or real(ds)
-    )
-    for order in ((pipw, pdr), (pdr, pipw)):
-        solved.clear()
-        with gmm._one_bridge_fit_per_dataset():
-            shared = [{est: _outcome(est, ds) for est in order} for ds in datasets]
-        assert shared == alone
-        assert [id(ds) for ds in solved] == [id(ds) for ds in datasets]
-    solved.clear()
-    _outcome(pipw, datasets[0])
-    _outcome(pipw, datasets[0])
-    assert len(solved) == 2  # outside the block every call solves
 
 
 def test_rgmm_and_pdr_share_one_outcome_bridge_fit(monkeypatch):
-    datasets = [
-        generate(ScenarioConfig("II", 800), 0, 3),
-        generate(ScenarioConfig("II", 800), 0, 17),  # pdr: minimum-norm fallback
-        make_gaussian_dataset(d_z=2, d_w=1),  # five instruments, four parameters
-    ]
-    alone = [{est: _outcome(est, ds) for est in (rgmm, pdr)} for ds in datasets]
+    # Case 1 is pdr's minimum-norm fallback; case 2 has five instruments
+    # for four parameters.
+    cases = lambda: _treatment_cases()[:3]
+    alone = _share_one_fit(monkeypatch, "_canonical_bridge_fit", (rgmm, pdr), cases)
     assert alone[2][rgmm] == alone[2][pdr] and alone[2][rgmm].startswith("DimensionMismatch")
-    fitted = []
-    real = baselines._canonical_bridge_fit
-    monkeypatch.setattr(
-        baselines, "_canonical_bridge_fit", lambda ds: fitted.append(ds) or real(ds)
-    )
-    for order in ((rgmm, pdr), (pdr, rgmm)):
-        fitted.clear()
-        with gmm._one_bridge_fit_per_dataset():
-            shared = [{est: _outcome(est, ds) for est in order} for ds in datasets]
-        assert shared == alone
-        assert [id(ds) for ds in fitted] == [id(ds) for ds in datasets]
-    fitted.clear()
-    _outcome(rgmm, datasets[0])
-    _outcome(pdr, datasets[0])
-    assert len(fitted) == 2  # outside the block every call fits
 
 
 @pytest.mark.parametrize("rep", [3, 34], ids=["newton", "minimum-norm-fallback"])

@@ -5,12 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import finite_difference
+from helpers import TreatmentBridge, finite_difference
 from proxigmm import (
     DgpCoefficients,
     OutcomeBridge,
     ScenarioConfig,
-    TreatmentBridge,
     generate,
     true_bridge_params,
 )
@@ -57,39 +56,42 @@ class TestTrueBridgeParams:
 
 class TestOutcomeBridge:
     def test_value_at_true_params(self, linear_bridge):
-        h = linear_bridge.h(w=[1.0], a=[1.0], x=[0.0], params=GAMMA_STAR)
+        h = linear_bridge.grad(w=[1.0], a=[1.0], x=[0.0]) @ GAMMA_STAR
         assert h[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_params_give_zero_bridge(self, linear_bridge):
-        h = linear_bridge.h(w=[3.0, -1.0], a=[1.0, 0.0], x=[2.0, 0.5], params=np.zeros(4))
+        h = linear_bridge.grad(w=[3.0, -1.0], a=[1.0, 0.0], x=[2.0, 0.5]) @ np.zeros(4)
         np.testing.assert_array_equal(h, [0.0, 0.0])
 
     def test_feature_names(self, linear_bridge):
-        assert linear_bridge.feature_names == ("const", "w1", "a", "x1")
+        # The features are (const, w1, a, x1), in that order.
+        np.testing.assert_array_equal(
+            linear_bridge.grad(w=[3.0], a=[1.0], x=[2.0]), [[1.0, 3.0, 1.0, 2.0]]
+        )
         assert linear_bridge.n_params == 4
 
     def test_contrast_is_treatment_coefficient_for_linear_family(self, linear_bridge):
         w = np.array([0.3, -2.0, 5.0])
         x = np.array([1.0, 0.0, -1.0])
-        np.testing.assert_allclose(
-            linear_bridge.contrast(w, x, GAMMA_STAR), np.full(3, 0.5), atol=1e-12
-        )
+        ones = np.ones(3)
+        contrast = (linear_bridge.grad(w, ones, x) - linear_bridge.grad(w, 0.0 * ones, x)) @ GAMMA_STAR
+        np.testing.assert_allclose(contrast, np.full(3, 0.5), atol=1e-12)
 
     def test_gradient_matches_finite_differences(self, linear_bridge, rng):
         w, a, x = rng.normal(size=3), np.array([1.0, 0.0, 1.0]), rng.normal(size=3)
         gamma = rng.normal(size=4)
         grad = linear_bridge.grad(w, a, x)
-        fd = finite_difference(lambda g: linear_bridge.h(w, a, x, g), gamma)
+        fd = finite_difference(lambda g: linear_bridge.grad(w, a, x) @ g, gamma)
         np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8)
 
     def test_wrong_param_length_rejected(self, linear_bridge):
         with pytest.raises(DimensionMismatch, match="4"):
-            linear_bridge.h([1.0], [1.0], [0.0], params=[1.0, 2.0])
+            linear_bridge._checked([1.0, 2.0])
 
     def test_residual_uncorrelated_with_instruments_at_true_params(self):
         ds = generate(ScenarioConfig(scenario="I", n=200_000), 7, 0)
         bridge = OutcomeBridge.linear(1, 1)
-        resid = ds.y - bridge.h(ds.w, ds.a, ds.x, GAMMA_STAR)
+        resid = ds.y - bridge.grad(ds.w, ds.a, ds.x) @ GAMMA_STAR
         inst = np.column_stack([np.ones(ds.n), ds.z, ds.a, ds.x])
         moments = inst * resid[:, None]
         mean = moments.mean(axis=0)

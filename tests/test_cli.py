@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import make_gaussian_dataset
+from helpers import make_gaussian_dataset, write_csv
 from proxigmm import (
     OutcomeBridge,
     ScenarioConfig,
@@ -18,7 +18,6 @@ from proxigmm import (
     generate,
     load_csv,
     select_and_fit,
-    write_csv,
 )
 from proxigmm.cli import build_parser, main
 from proxigmm.simulation import BASELINES, DEFAULT_K_BAR, METHODS

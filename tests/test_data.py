@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from proxigmm import Dataset, VariableRoles, load_csv, transform_column, write_csv
+from helpers import write_csv
+from proxigmm import Dataset, VariableRoles, load_csv, transform_column
 from proxigmm.errors import (
     EmptyData,
     MissingColumn,
@@ -92,16 +93,6 @@ class TestDataset:
         with pytest.raises(NonFiniteValue):
             Dataset(y=[1.0], a=[0.0], z=[[math.inf]], w=[[1.0]], x=[[0.0]])
 
-    def test_column_lookup_by_name(self):
-        ds = _tiny_dataset()
-        np.testing.assert_array_equal(ds.column("w1"), [1.5, -4.0, 0.0])
-        np.testing.assert_array_equal(ds.column("y"), [1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(ds.column("a"), [0.0, 1.0, 0.0])
-
-    def test_unknown_column_name_raises(self):
-        with pytest.raises(UnknownColumn, match="'q9'"):
-            _tiny_dataset().column("q9")
-
     def test_name_count_must_match_block_width(self):
         with pytest.raises(MissingColumn):
             Dataset(y=[1.0], a=[0.0], z=[[1.0, 2.0]], w=[[1.0]], x=[[0.0]])
@@ -115,7 +106,7 @@ class TestCsvRoundTrip:
         p.write_text("y,a,z1,w1,x1\n1.0,0,0.1,1.5,2.0\n2.0,1,0.2,-4.0,0.5\n3.0,0,0.3,0.0,1.0\n")
         ds = load_csv(str(p), self.ROLES)
         assert ds.n == 3
-        np.testing.assert_allclose(ds.column("w1"), [1.5, -4.0, 0.0])
+        np.testing.assert_allclose(ds.w[:, 0], [1.5, -4.0, 0.0])
 
     def test_write_then_load_is_byte_exact(self, tmp_path, scenario1_ds):
         first = tmp_path / "a.csv"
@@ -162,25 +153,25 @@ class TestTransforms:
     def test_minor_oracle(self):
         ds = transform_column(_tiny_dataset(), "w1", "minor")
         # 2 -> 2.4 pattern: v + 0.1 v^2 at v = 1.5, -4, 0
-        np.testing.assert_allclose(ds.column("w1"), [1.725, -2.4, 0.0])
+        np.testing.assert_allclose(ds.w[:, 0], [1.725, -2.4, 0.0])
 
     def test_minor_value_two_maps_to_2_4(self):
         ds = Dataset(y=[0.0], a=[0.0], z=[[0.0]], w=[[2.0]], x=[[0.0]])
         out = transform_column(ds, "w1", "minor")
-        assert out.column("w1")[0] == pytest.approx(2.4, abs=1e-12)
+        assert out.w[:, 0][0] == pytest.approx(2.4, abs=1e-12)
 
     def test_significant_oracle(self):
         ds = transform_column(_tiny_dataset(), "w1", "significant")
-        np.testing.assert_allclose(ds.column("w1"), [math.sqrt(1.5) + 1.0, 3.0, 1.0])
+        np.testing.assert_allclose(ds.w[:, 0], [math.sqrt(1.5) + 1.0, 3.0, 1.0])
 
     def test_moderate_zero_fixed_point(self):
         ds = transform_column(_tiny_dataset(), "w1", "moderate")
-        assert ds.column("w1")[2] == 0.0
+        assert ds.w[:, 0][2] == 0.0
 
     def test_original_dataset_untouched(self):
         ds = _tiny_dataset()
         transform_column(ds, "w1", "significant")
-        np.testing.assert_array_equal(ds.column("w1"), [1.5, -4.0, 0.0])
+        np.testing.assert_array_equal(ds.w[:, 0], [1.5, -4.0, 0.0])
 
     @pytest.mark.parametrize("name", ["z1", "x1", "y", "a"])
     def test_only_outcome_proxies_transformable(self, name):

@@ -24,6 +24,7 @@ from proxigmm import (
     orthonormalize,
     regularize_moments,
     rgmm,
+    select_k,
     true_bridge_params,
     variance,
     wald_test,
@@ -59,7 +60,9 @@ class TestJointScore:
     def test_contrast_column_centers_exactly_at_mean_contrast(self, scenario1_ds, linear_bridge):
         basis = _basis(scenario1_ds, 6)
         gamma = np.array([0.1, 1.2, 0.4, 1.5])
-        tau = float(linear_bridge.contrast(scenario1_ds.w, scenario1_ds.x, gamma).mean())
+        w, x, ones = scenario1_ds.w, scenario1_ds.x, np.ones(scenario1_ds.n)
+        contrast = linear_bridge.grad(w, ones, x) @ gamma - linear_bridge.grad(w, 0.0 * ones, x) @ gamma
+        tau = float(contrast.mean())
         scores = joint_score(scenario1_ds, basis, linear_bridge, gamma, tau)
         np.testing.assert_allclose(scores[:, -1], np.zeros(scenario1_ds.n), atol=1e-14)
 
@@ -178,7 +181,8 @@ class TestExactlyIdentified:
 class TestNoiselessRecovery:
     def test_initial_fit_recovers_true_bridge(self, scenario1_ds, linear_bridge):
         exact = replace(
-            scenario1_ds, y=linear_bridge.h(scenario1_ds.w, scenario1_ds.a, scenario1_ds.x, GAMMA_STAR)
+            scenario1_ds,
+            y=linear_bridge.grad(scenario1_ds.w, scenario1_ds.a, scenario1_ds.x) @ GAMMA_STAR,
         )
         fit = fit_initial(exact, _basis(exact, 6), linear_bridge)
         np.testing.assert_allclose(fit.gamma_hat, GAMMA_STAR, atol=1e-8)
@@ -500,3 +504,24 @@ class TestInference:
         fit = fit_optimal(scenario1_ds, _basis(scenario1_ds, 4), linear_bridge)
         with pytest.raises(SingularVariance):
             wald_test(replace(fit, se_tau=0.0))
+
+
+def test_public_fit_steps_share_one_feature_build(monkeypatch, linear_bridge):
+    # The dataset keeps the linear bridge's features: the scan, every
+    # public fit step and rgmm's canonical fit read one build. A dataset no
+    # call has fitted, so the count starts at zero.
+    ds = generate(ScenarioConfig("II", 400), 11, 0)
+    built = []
+    real = gmm._Features.build
+    monkeypatch.setattr(
+        gmm._Features, "build",
+        classmethod(lambda cls, ds, bridge: built.append(1) or real(ds, bridge)),
+    )
+    diag = select_k(ds, linear_bridge, SieveSpec(), 8)
+    basis = _basis(ds, diag.k_star)
+    fit = fit_optimal(ds, basis, linear_bridge)
+    variance(fit, ds, basis, linear_bridge)
+    joint_score(ds, basis, linear_bridge, fit.gamma_hat, fit.tau_hat)
+    fit_with_weight(ds, basis, linear_bridge, np.eye(basis.k + 1))
+    rgmm(ds)
+    assert len(built) == 1

@@ -215,7 +215,7 @@ def _prefix_score_parts(ds, u):
         u=u, term_names=tuple(map(str, range(k))), orthonormal=True,
     )
     init = fit_initial(ds, basis, BRIDGE)
-    resid = ds.y - BRIDGE.h(ds.w, ds.a, ds.x, init.gamma_hat)
+    resid = ds.y - BRIDGE.grad(ds.w, ds.a, ds.x) @ init.gamma_hat
     feat_grad = BRIDGE.grad(ds.w, ds.a, ds.x)
     ones = np.ones(ds.n)
     target = (BRIDGE.grad(ds.w, ones, ds.x) - BRIDGE.grad(ds.w, 0.0 * ones, ds.x)).mean(axis=0)

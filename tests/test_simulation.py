@@ -25,7 +25,7 @@ from proxigmm import (
     ScenarioConfig,
     SieveSpec,
     generate,
-    run_misspec_study,
+    run_misspec_replications,
     run_replications,
     select_and_fit,
     summarize,
@@ -48,10 +48,6 @@ def _assert_same(a: list[dict], b: list[dict]) -> None:
                 assert isinstance(vb, float) and math.isnan(vb), (key, ra, rb)
             else:
                 assert va == vb, (key, ra, rb)
-
-
-def _rows(summaries) -> list[dict]:
-    return [dataclasses.asdict(s) for s in summaries]
 
 
 def test_scenario_i_cell_reproduces_coverage_and_bias():
@@ -82,9 +78,9 @@ def test_records_identical_across_thread_counts():
 
 
 def test_misspec_study_identical_across_thread_counts():
-    one = run_misspec_study("moderate", n=400, reps=4, base_seed=3, threads=1)
-    two = run_misspec_study("moderate", n=400, reps=4, base_seed=3, threads=2)
-    _assert_same(_rows(one), _rows(two))
+    one = run_misspec_replications("moderate", n=400, reps=4, base_seed=3, threads=1)
+    two = run_misspec_replications("moderate", n=400, reps=4, base_seed=3, threads=2)
+    _assert_same(one, two)
 
 
 @pytest.fixture
@@ -236,8 +232,8 @@ def test_reused_pool_runs_each_calls_own_job(two_cpus):
         lambda threads: run_replications(
             ScenarioConfig("II", 400), ("gmm-div", "pdr", "pipw"), 4, 7, k_bar=8,
             threads=threads),
-        lambda threads: _rows(run_misspec_study(
-            "minor", n=300, reps=4, base_seed=2, k_bar=6, threads=threads)),
+        lambda threads: run_misspec_replications(
+            "minor", n=300, reps=4, base_seed=2, k_bar=6, threads=threads),
     ]
     serial = [call(1) for call in calls]
     assert _worker_pids() == set()
@@ -432,7 +428,7 @@ def test_workers_end_with_a_killed_parent(two_cpus):
     [
         lambda threads: run_replications(
             ScenarioConfig("I", 200), ("naive",), 2, 0, threads=threads),
-        lambda threads: run_misspec_study(
+        lambda threads: run_misspec_replications(
             "minor", n=200, reps=2, methods=("naive",), threads=threads),
     ],
     ids=["run_replications", "run_misspec_study"],
@@ -447,7 +443,7 @@ def test_worker_count_below_one_rejected(study, threads):
     [
         lambda threads: run_replications(
             ScenarioConfig("II", 200), ("naive",), 4, 0, threads=threads),
-        lambda threads: run_misspec_study(
+        lambda threads: run_misspec_replications(
             "minor", n=200, reps=4, methods=("naive",), threads=threads),
     ],
     ids=["run_replications", "run_misspec_study"],
@@ -568,7 +564,7 @@ def test_one_treatment_solve_per_replication(monkeypatch):
         baselines, "_solve_treatment_bridge", lambda ds: solved.append(ds.y[0]) or real(ds)
     )
     run_replications(ScenarioConfig("II", 400), ("pipw", "naive", "pdr"), 3, 0)
-    run_misspec_study("minor", n=400, reps=3, base_seed=1, methods=("pdr", "pipw"))
+    run_misspec_replications("minor", n=400, reps=3, base_seed=1, methods=("pdr", "pipw"))
     assert len(solved) == 6 and len(set(solved)) == 6
 
 
@@ -595,27 +591,52 @@ def test_one_bridge_feature_build_per_replication(monkeypatch):
     assert len(built) == 3 and len(set(built)) == 3
 
 
+@pytest.mark.parametrize(
+    "derive",
+    [
+        lambda ds: transform_column(ds, "w1", "minor"),
+        lambda ds: dataclasses.replace(ds, y=2.0 * ds.y),
+    ],
+    ids=["transform_column", "replace"],
+)
+def test_derived_dataset_starts_without_results(monkeypatch, derive):
+    # A dataset keeps its fits, but one derived from it starts with none:
+    # its records are those of a copy no call has fitted, and its bridge
+    # features are built again.
+    methods, config = ("gmm-div", "rgmm", "pipw", "pdr"), ScenarioConfig("II", 400)
+    built = []
+    real = gmm._Features.build
+    monkeypatch.setattr(
+        gmm._Features, "build",
+        classmethod(lambda cls, ds, bridge: built.append(1) or real(ds, bridge)),
+    )
+
+    def records(ds):
+        return [simulation._run_method(ds, m, DEFAULT_K_BAR) for m in methods]
+
+    ds = generate(config, 5, 0)
+    records(ds)
+    assert len(built) == 1
+    got = records(derive(ds))
+    assert len(built) == 2
+    assert got == records(derive(generate(config, 5, 0)))
+
+
 def test_correct_level_is_the_plain_scenario_ii_study():
     methods = ("gmm-div", "pdr")
     config = ScenarioConfig("II", 400)
-    misspec = run_misspec_study("correct", n=400, reps=4, base_seed=3, methods=methods)
-    plain = summarize(run_replications(config, methods, 4, 3), config)
-    _assert_same(_rows(misspec), _rows(plain))
+    misspec = run_misspec_replications("correct", n=400, reps=4, base_seed=3, methods=methods)
+    _assert_same(misspec, run_replications(config, methods, 4, 3))
 
 
 @pytest.mark.parametrize("level", TRANSFORM_KINDS)
-def test_distorted_level_runs_every_method_on_the_distorted_data(monkeypatch, level):
+def test_distorted_level_runs_every_method_on_the_distorted_data(level):
     # Each record is, bit for bit, the method run on the replication's draw
     # with w1 distorted: gmm-div selects K and fits on the distorted data.
-    summarized = []
-    real = simulation.summarize
-    monkeypatch.setattr(
-        simulation, "summarize",
-        lambda records, config: summarized.append(records) or real(records, config),
-    )
     config, bridge = ScenarioConfig("II", 400), OutcomeBridge.linear(1, 1)
-    run_misspec_study(level, n=400, reps=4, base_seed=3, methods=("gmm-div", "pdr"))
-    (records,) = summarized
+    records = run_misspec_replications(
+        level, n=400, reps=4, base_seed=3, methods=("gmm-div", "pdr")
+    )
     assert [(r["rep"], r["method"]) for r in records] == [
         (rep, m) for rep in range(4) for m in ("gmm-div", "pdr")
     ]
@@ -634,7 +655,7 @@ def test_distorted_level_runs_every_method_on_the_distorted_data(monkeypatch, le
     "study",
     [
         lambda: run_replications(ScenarioConfig("I", 50), ("naive", "bogus"), 1, 0),
-        lambda: run_misspec_study("minor", n=50, reps=1, methods=("bogus",)),
+        lambda: run_misspec_replications("minor", n=50, reps=1, methods=("bogus",)),
     ],
     ids=["run_replications", "run_misspec_study"],
 )
