@@ -34,7 +34,7 @@ def _records(config: ScenarioConfig, k_bar: int, args, polish: bool) -> list[dic
         gmm._refine_continuous_update = refine
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--reps", type=int, default=500)
     parser.add_argument("--seed", type=int, default=2024)
@@ -42,7 +42,7 @@ def main() -> None:
     parser.add_argument(
         "--cell", action="append", required=True, metavar="SCENARIO:N:K_BAR"
     )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     print("cell           arm     abs_bias  sd       rmse     coverage")
     for cell in args.cell:
         scenario, n, k_bar = cell.split(":")

@@ -14,7 +14,7 @@ import argparse
 import functools
 import hashlib
 
-from proxigmm import ScenarioConfig, run_misspec_replications, run_replications
+from proxigmm import ScenarioConfig, run_replications
 from proxigmm.simulation import METHODS, MISSPEC_LEVELS
 
 FIELDS = ("rep", "method", "tau_hat", "se_tau", "ci_lo", "ci_hi", "reject", "k_star", "error")
@@ -43,7 +43,7 @@ def main(argv=None) -> None:
             run_replications, ScenarioConfig("II", 3200), ("gmm-div",), reps, seed,
             k_bar=20, threads=2),
         **{f"misspec {level} II/800 all": functools.partial(
-            run_misspec_replications, level, 800, reps, seed, METHODS)
+            run_replications, ScenarioConfig("II", 800, distortion=level), METHODS, reps, seed)
            for level in MISSPEC_LEVELS},
     }
     for name, run in cells.items():

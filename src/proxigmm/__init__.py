@@ -38,7 +38,6 @@ from .selection import (
     SelectionDiagnostics,
     select_and_fit,
     select_k,
-    sgmm_components,
 )
 from .sieve import (
     BasisMatrix,
@@ -51,7 +50,6 @@ from .simulation import (
     ScenarioConfig,
     generate,
     k_histogram,
-    run_misspec_replications,
     run_replications,
     summarize,
 )
@@ -89,11 +87,9 @@ __all__ = [
     "pipw",
     "regularize_moments",
     "rgmm",
-    "run_misspec_replications",
     "run_replications",
     "select_and_fit",
     "select_k",
-    "sgmm_components",
     "summarize",
     "transform_column",
     "true_bridge_params",

@@ -3,9 +3,11 @@
 Subcommands are thin adapters over the library: ``simulate`` reproduces
 Monte Carlo table cells, ``estimate`` fits a dataset from CSV, ``select-k``
 writes the moment-count loss curve, and ``misspec`` runs a scenario-II cell
-with a distorted outcome proxy. Exit codes: 0 success, 2 bad
-configuration, 3 data problems, 4 numeric failure. Output files are plain
-CSV/JSON with full-precision floats, so repeated runs are byte-identical.
+with a distorted outcome proxy (``ScenarioConfig(distortion=...)``). Both
+studies go through one runner (``_run_study``) over ``run_replications``.
+Exit codes: 0 success, 2 bad configuration, 3 data problems, 4 numeric
+failure. Output files are plain CSV/JSON with full-precision floats, so
+repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .simulation import (
     MISSPEC_LEVELS,
     ScenarioConfig,
     k_histogram,
-    run_misspec_replications,
     run_replications,
     summarize,
 )
@@ -144,6 +145,32 @@ def _check_study_opts(opts, runs_gmm_div: bool) -> str | None:
     return None
 
 
+def _run_study(opts, methods, scenario: str, distortion: str = "correct", **leading) -> int:
+    """Run one study cell and write its summary, with the ``leading``
+    columns first, its ``estimates.csv`` and, when it runs ``gmm-div``, its
+    ``k_histogram.csv``."""
+    err = _check_study_opts(opts, "gmm-div" in methods)
+    if err:
+        return _config_error(err)
+    config = ScenarioConfig(scenario=scenario, n=opts.n, distortion=distortion)
+    records = run_replications(
+        config, methods, reps=opts.reps, base_seed=opts.seed,
+        k_bar=opts.kmax, threads=opts.threads,
+    )
+    os.makedirs(opts.out_dir, exist_ok=True)
+    paths = [
+        _write_summary(
+            opts.out_dir, opts.format, (*leading, *_SUMMARY_COLUMNS),
+            _summary_rows(summarize(records, config), *leading.values()),
+        ),
+        _write_estimates(opts.out_dir, records),
+    ]
+    if "gmm-div" in methods:
+        paths.append(_write_k_histogram(opts.out_dir, records))
+    print("\n".join(paths))
+    return 0
+
+
 def cmd_simulate(opts) -> int:
     if opts.methods.strip() == "all":
         methods = METHODS
@@ -154,26 +181,7 @@ def cmd_simulate(opts) -> int:
         return _config_error(f"methods: unknown {unknown}; choose from {METHODS}")
     if not methods:
         return _config_error("methods: none given")
-    err = _check_study_opts(opts, "gmm-div" in methods)
-    if err:
-        return _config_error(err)
-    config = ScenarioConfig(scenario=opts.scenario, n=opts.n)
-    records = run_replications(
-        config, methods, reps=opts.reps, base_seed=opts.seed,
-        k_bar=opts.kmax, threads=opts.threads,
-    )
-    os.makedirs(opts.out_dir, exist_ok=True)
-    paths = [
-        _write_summary(
-            opts.out_dir, opts.format, _SUMMARY_COLUMNS,
-            _summary_rows(summarize(records, config)),
-        ),
-        _write_estimates(opts.out_dir, records),
-    ]
-    if "gmm-div" in methods:
-        paths.append(_write_k_histogram(opts.out_dir, records))
-    print("\n".join(paths))
-    return 0
+    return _run_study(opts, methods, opts.scenario)
 
 
 def cmd_estimate(opts) -> int:
@@ -213,25 +221,7 @@ def cmd_select_k(opts) -> int:
 
 
 def cmd_misspec(opts) -> int:
-    err = _check_study_opts(opts, runs_gmm_div=True)
-    if err:
-        return _config_error(err)
-    records = run_misspec_replications(
-        level=opts.level, n=opts.n, reps=opts.reps, base_seed=opts.seed,
-        k_bar=opts.kmax, threads=opts.threads,
-    )
-    config = ScenarioConfig(scenario="II", n=opts.n)
-    os.makedirs(opts.out_dir, exist_ok=True)
-    paths = [
-        _write_summary(
-            opts.out_dir, opts.format, ("level", *_SUMMARY_COLUMNS),
-            _summary_rows(summarize(records, config), opts.level),
-        ),
-        _write_estimates(opts.out_dir, records),
-        _write_k_histogram(opts.out_dir, records),
-    ]
-    print("\n".join(paths))
-    return 0
+    return _run_study(opts, ("gmm-div", "pdr"), "II", opts.level, level=opts.level)
 
 
 def _add_data_flags(parser: argparse.ArgumentParser) -> None:

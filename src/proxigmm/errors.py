@@ -92,10 +92,6 @@ class NoConvergence(ProxiGmmError):
 # moment-count selection
 
 
-class SingularUpsilonBlock(ProxiGmmError):
-    """The bridge-moment covariance block is singular at a candidate K."""
-
-
 class AllCandidatesSingular(ProxiGmmError):
     """Every candidate moment count produced a singular criterion."""
 

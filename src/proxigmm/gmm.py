@@ -202,16 +202,25 @@ class _Moments:
         return s
 
 
+def _bare_copy(exc: ProxiGmmError) -> ProxiGmmError:
+    """A new error of ``exc``'s type with its arguments and attributes, and
+    with no traceback or chained error."""
+    copy = type(exc).__new__(type(exc), *exc.args)
+    copy.__dict__.update(vars(exc))
+    return copy
+
+
 def _fit_once(fit, ds: Dataset, *args):
     """``fit(ds, *args)``, run once per dataset and arguments.
 
     The outcome is kept on the dataset (``Dataset._derived``), keyed by
     ``(fit, *args)``, and every later call with that dataset returns it, or
-    raises it again if the fit raised a :class:`ProxiGmmError`. So ``rgmm``
-    and ``pdr`` share the canonical outcome-bridge fit of a dataset, ``pipw``
-    and ``pdr`` its treatment-bridge solve, and every moment system of a
-    bridge its features, for any caller that passes the same dataset. A
-    dataset derived from another starts with nothing kept.
+    raises an error of the same type and message if the fit raised a
+    :class:`ProxiGmmError`. So ``rgmm`` and ``pdr`` share the canonical
+    outcome-bridge fit of a dataset, ``pipw`` and ``pdr`` its
+    treatment-bridge solve, and every moment system of a bridge its
+    features, for any caller that passes the same dataset. A dataset
+    derived from another starts with nothing kept.
     """
     derived = ds._derived
     key = fit, *args
@@ -219,10 +228,14 @@ def _fit_once(fit, ds: Dataset, *args):
         try:
             derived[key] = fit(ds, *args)
         except ProxiGmmError as exc:
-            derived[key] = exc
+            # A raised error's traceback holds frames whose locals hold
+            # ``ds``: the dataset keeps, and raises, only bare copies, so it
+            # is freed as soon as its last reference goes.
+            derived[key] = _bare_copy(exc)
+            raise
     outcome = derived[key]
     if isinstance(outcome, ProxiGmmError):
-        raise outcome
+        raise _bare_copy(outcome)
     return outcome
 
 

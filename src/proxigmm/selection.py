@@ -35,12 +35,7 @@ import numpy as np
 
 from .bridges import OutcomeBridge
 from .data import Dataset
-from .errors import (
-    AllCandidatesSingular,
-    DimensionMismatch,
-    RankDeficient,
-    SingularUpsilonBlock,
-)
+from .errors import AllCandidatesSingular, DimensionMismatch, RankDeficient
 from .gmm import GmmFit, _fit_optimal, _Moments
 from .sieve import BasisMatrix, SieveSpec, build_basis, orthonormalize
 
@@ -144,8 +139,24 @@ def _criterion(
 
     ``u`` is (n, k) with orthonormal columns (u'u/n is the identity) and
     ``bmat`` its bridge projection -u'feat_grad/n. Candidate c instruments
-    with the leading ``ks[c]`` columns, has residuals ``resid[:, c]`` and is
-    scored only where ``ok[c]``. The formula is :func:`sgmm_components`'.
+    with the leading ``ks[c]`` columns, has residuals ``resid[:, c]`` (the
+    outcome residuals at its identity-weight estimates) and is scored only
+    where ``ok[c]``. ``feat_grad`` is the (n, p) parameter gradient of the
+    bridge and ``target`` the (p,) direction whose mean squared error the
+    criterion estimates: for ATE work, the average gradient of the
+    treatment contrast, so the score tracks the causal estimate itself
+    rather than every bridge coefficient.
+
+    The bias term squares a leverage-weighted covariance between the
+    residuals and the part of the bridge gradient that the instruments
+    cannot replicate (the sieve-approximation error that generates
+    higher-order bias). The variance term is a leverage-weighted sum of
+    squared influence contributions in the target direction, recentred by
+    the first-order variance; it may be negative in sample and is used as
+    computed. Leverage is measured through the unweighted instrument Gram
+    matrix, which keeps observations in low-noise regions from dominating
+    under heteroskedasticity. The score is the sum of the two terms.
+
     The n×p projections of the gradient through the Gram and Υ metrics
     enter only along t = Ω⁻¹·target, so each candidate needs two K-vector
     solves and two n-vectors, and all candidates' solves and n-vectors are
@@ -177,58 +188,6 @@ def _criterion(
     score = bias + var
     ok &= np.isfinite(score)
     return np.where(ok, score, np.inf), np.where(ok, bias, np.nan), np.where(ok, var, np.nan)
-
-
-def sgmm_components(
-    u: np.ndarray,
-    feat_grad: np.ndarray,
-    resid: np.ndarray,
-    target: np.ndarray,
-) -> tuple[float, float, float]:
-    """Criterion value from instrument matrix, bridge gradient, residuals.
-
-    ``u`` is (n, K), ``feat_grad`` the (n, p) parameter gradient of the
-    bridge at the identity-weight estimates, ``resid`` the (n,) outcome
-    residuals there, and ``target`` the (p,) direction whose mean squared
-    error the criterion estimates — for ATE work, the average gradient of
-    the treatment contrast, so the score tracks the causal estimate itself
-    rather than every bridge coefficient.
-
-    The bias term squares a leverage-weighted covariance between the
-    residuals and the part of the bridge gradient that the instruments
-    cannot replicate (the sieve-approximation error that generates
-    higher-order bias). The variance term is a leverage-weighted sum of
-    squared influence contributions in the target direction, recentred by
-    the first-order variance; leverage is measured through the unweighted
-    instrument Gram matrix, which keeps observations in low-noise regions
-    from dominating under heteroskedasticity.
-
-    The criterion does not depend on the instrument basis, so it is
-    computed as the one-candidate case of the scan's batched kernel on
-    ``u`` whitened by the Cholesky factor of its Gram matrix.
-
-    Returns (score, bias_term, variance_term) where the score is their
-    sum; the variance term may be negative in sample and is used as
-    computed. Raises :class:`SingularUpsilonBlock` when the instrument
-    Gram matrix, the residual-weighted instrument covariance or the
-    reduced-form matrix derived from it cannot be factorized.
-    """
-    n, k = u.shape
-    try:
-        gram_chol = np.linalg.cholesky(u.T @ u / n)
-    except np.linalg.LinAlgError as exc:
-        raise SingularUpsilonBlock(f"instrument Gram matrix is singular at K={k}") from exc
-    white = np.linalg.solve(gram_chol, u.T).T
-    (score,), (bias,), (var,) = _criterion(
-        white, -(white.T @ feat_grad) / n, feat_grad, resid[:, None], target,
-        np.array([k]), np.array([True]),
-    )
-    if not np.isfinite(score):
-        raise SingularUpsilonBlock(
-            f"residual-weighted moment covariance or bridge-projection matrix "
-            f"is singular at K={k}"
-        )
-    return float(score), float(bias), float(var)
 
 
 def _scan(
@@ -295,7 +254,7 @@ def select_k(
     once, and every candidate is scored in one batched pass: the
     identity-weight fits on the Jacobian's leading K sieve rows plus the
     contrast row are one stacked SVD, the residuals one n×C product, and
-    the criterion (:func:`sgmm_components`' formula) reads each
+    the criterion (:func:`_criterion`) reads each
     observation's leverages as sums of its squared basis entries. Each
     candidate's residual-weighted covariance on its leading K columns is
     the only O(nK²) step and the only per-candidate loop.

@@ -9,11 +9,12 @@ per random variable, so results are bit-identical for any worker count and
 platform. Multi-worker calls run in one pool of forked worker processes
 that the process keeps and reuses (see ``_replicate``).
 
-Both studies run one replication loop (``_replication``): draw the dataset,
-distort its outcome proxy for a misspecification level other than
-"correct", and run every method on what results. The methods of one
-replication share its bridge fits because they share its dataset, which
-keeps them (``gmm._fit_once``).
+A misspecification level is part of the cell (``ScenarioConfig.distortion``):
+``generate`` distorts the outcome proxy after drawing the outcome from the
+true one, so the scenario study and the misspecification study run one
+replication loop (``_replication``) over one kind of cell. The methods of
+one replication share its bridge fits because they share its dataset,
+which keeps them (``gmm._fit_once``).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import baselines
 from .bridges import DgpCoefficients, OutcomeBridge
-from .data import TRANSFORM_KINDS, Dataset, transform_column
+from .data import TRANSFORM_KINDS, Dataset, _transform_values
 from .errors import DimensionMismatch, ProxiGmmError
 from .gmm import GmmFit, confidence_interval, wald_test
 from .selection import select_and_fit
@@ -59,23 +60,33 @@ _STREAMS = ("x", "u", "a", "noise_z", "noise_w", "noise_y")
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One simulation cell: coefficients, noise scenario, sample size.
+    """One simulation cell: coefficients, noise scenario, sample size and
+    outcome-proxy distortion.
 
     Scenario "I" uses unit noise scales everywhere; scenario "II" keeps the
     treatment-proxy noise at 1 but shrinks the outcome-proxy and outcome
     noise as the covariate moves away from zero, which is what makes
-    higher-order instruments informative.
+    higher-order instruments informative. ``distortion`` is one of
+    ``MISSPEC_LEVELS``: at a level other than "correct" every method sees
+    the outcome proxy ``w1`` transformed at that level
+    (:func:`~proxigmm.data.transform_column`) while the outcome follows the
+    true one, as on data whose outcome bridge is misspecified.
     """
 
     scenario: str = "I"
     n: int = 400
     coefficients: DgpCoefficients = field(default_factory=DgpCoefficients)
+    distortion: str = "correct"
 
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
             raise DimensionMismatch(f"unknown scenario {self.scenario!r}")
         if self.n < 1:
             raise DimensionMismatch("sample size must be positive")
+        if self.distortion not in MISSPEC_LEVELS:
+            raise DimensionMismatch(
+                f"unknown level {self.distortion!r}; choose from {MISSPEC_LEVELS}"
+            )
 
     def noise_scales(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         ones = np.ones_like(x)
@@ -208,7 +219,8 @@ def generate(config: ScenarioConfig, seed, rep: int | None = None) -> Dataset:
 
     ``seed`` plus an optional replication index key the random streams, so
     ``generate(cfg, s, r)`` is reproducible elementwise regardless of how
-    many replications run or in what order.
+    many replications run or in what order. The outcome proxy is distorted
+    at ``config.distortion`` after the outcome is drawn from the true one.
     """
     rngs = _streams(seed, rep)
     n = config.n
@@ -228,6 +240,8 @@ def generate(config: ScenarioConfig, seed, rep: int | None = None) -> Dataset:
     w = w0 + wx * x + wu * u + s2 * e_w
     y0, ya, yw, yx, yu = coef.outcome
     y = y0 + ya * a + yw * w + yx * x + yu * u + s3 * e_y
+    if config.distortion != "correct":
+        w = _transform_values(w, config.distortion)
     return Dataset(y=y, a=a, z=z, w=w, x=x)
 
 
@@ -235,9 +249,9 @@ def generate(config: ScenarioConfig, seed, rep: int | None = None) -> Dataset:
 class ReplicationSummary:
     """Aggregate Monte Carlo metrics for one method in one study cell.
 
-    ``sd`` is the sample standard deviation of the point estimates and
-    ``rmse`` is defined as sqrt(abs_bias^2 + sd^2). ``degenerate_sd`` marks
-    a single-replication cell whose spread is reported as 0.
+    ``sd`` is the sample standard deviation of the point estimates, 0 for
+    a single replication, and ``rmse`` is defined as
+    sqrt(abs_bias^2 + sd^2).
     """
 
     scenario: str
@@ -251,7 +265,6 @@ class ReplicationSummary:
     coverage: float
     power: float
     reps_converged: int
-    degenerate_sd: bool = False
 
 
 def _check_methods(methods: tuple[str, ...]) -> None:
@@ -479,12 +492,9 @@ def _replicate(reps: int, threads: int, one_rep) -> list[dict]:
     return out
 
 
-def _replication(config, level, methods, base_seed, k_bar, rep: int) -> list[dict]:
-    """Records of replication ``rep``, with the outcome proxy ``w1`` distorted
-    at misspecification ``level`` unless it is "correct"."""
+def _replication(config, methods, base_seed, k_bar, rep: int) -> list[dict]:
+    """Records of replication ``rep``: every method on its one dataset."""
     ds = generate(config, base_seed, rep)
-    if level != "correct":
-        ds = transform_column(ds, "w1", level)
     return _method_records(rep, methods, lambda m: _run_method(ds, m, k_bar))
 
 
@@ -498,23 +508,22 @@ def run_replications(
 ) -> list[dict]:
     """Per-replication estimation records for a grid of methods.
 
-    A method failure inside a replication is recorded, not raised; any
-    other exception propagates. ``threads`` is the number of worker
-    processes the replications run in (see ``_replicate``), at least 1; it
-    affects speed only: the records and their order are identical for any
-    count, and warnings raised in a worker are emitted in this process.
+    Every study cell runs here, a misspecified one included
+    (``ScenarioConfig(distortion=...)``). A method failure inside a
+    replication is recorded, not raised; any other exception propagates.
+    ``threads`` is the number of worker processes the replications run in
+    (see ``_replicate``), at least 1; it affects speed only: the records
+    and their order are identical for any count, and warnings raised in a
+    worker are emitted in this process.
     """
     _check_methods(methods)
-    job = functools.partial(_replication, config, "correct", methods, base_seed, k_bar)
+    job = functools.partial(_replication, config, methods, base_seed, k_bar)
     return _replicate(reps, threads, job)
 
 
-def summarize(
-    records: list[dict], config: ScenarioConfig, tau0: float | None = None
-) -> list[ReplicationSummary]:
+def summarize(records: list[dict], config: ScenarioConfig) -> list[ReplicationSummary]:
     """Aggregate per-replication records into per-method summaries."""
-    if tau0 is None:
-        tau0 = config.coefficients.true_ate
+    tau0 = config.coefficients.true_ate
     methods = []
     for rec in records:
         if rec["method"] not in methods:
@@ -529,7 +538,7 @@ def summarize(
                     abs_bias=np.nan, sd=np.nan, rmse=np.nan,
                     mean_ci_length=np.nan, median_ci_length=np.nan,
                     coverage=np.nan, power=np.nan,
-                    reps_converged=0, degenerate_sd=True,
+                    reps_converged=0,
                 )
             )
             continue
@@ -538,8 +547,7 @@ def summarize(
         hi = np.array([r["ci_hi"] for r in good])
         reject = np.array([bool(r["reject"]) for r in good])
         abs_bias = float(abs(tau.mean() - tau0))
-        degenerate = tau.size < 2
-        sd = 0.0 if degenerate else float(tau.std(ddof=1))
+        sd = 0.0 if tau.size < 2 else float(tau.std(ddof=1))
         out.append(
             ReplicationSummary(
                 scenario=config.scenario, n=config.n, method=method,
@@ -550,7 +558,6 @@ def summarize(
                 coverage=float(np.mean((lo <= tau0) & (tau0 <= hi))),
                 power=float(reject.mean()),
                 reps_converged=int(tau.size),
-                degenerate_sd=degenerate,
             )
         )
     return out
@@ -564,33 +571,3 @@ def k_histogram(records: list[dict]) -> dict[int, int]:
         if k is not None:
             counts[k] = counts.get(k, 0) + 1
     return dict(sorted(counts.items()))
-
-
-def run_misspec_replications(
-    level: str,
-    n: int = 800,
-    reps: int = 500,
-    base_seed: int = 0,
-    methods: tuple[str, ...] = ("gmm-div", "pdr"),
-    k_bar: int = DEFAULT_K_BAR,
-    threads: int = 1,
-) -> list[dict]:
-    """Per-replication records of a scenario-II cell with the outcome proxy
-    ``w1`` distorted.
-
-    ``level`` is one of ``MISSPEC_LEVELS``. Each replication is the one
-    ``run_replications`` runs, except that for a level other than
-    "correct" the drawn dataset's ``w1`` is transformed at that level
-    (:func:`~proxigmm.data.transform_column`) before any method sees it:
-    every method, the moment-count scan of ``gmm-div`` included, runs on
-    the distorted data, as it would on data whose outcome bridge is
-    misspecified. So the "correct" level is ``run_replications`` on the
-    scenario-II cell. ``threads`` counts worker processes, at least 1, as
-    in ``run_replications``; the records are identical for any count.
-    """
-    if level not in MISSPEC_LEVELS:
-        raise DimensionMismatch(f"unknown level {level!r}; choose from {MISSPEC_LEVELS}")
-    _check_methods(methods)
-    config = ScenarioConfig(scenario="II", n=n)
-    job = functools.partial(_replication, config, level, methods, base_seed, k_bar)
-    return _replicate(reps, threads, job)

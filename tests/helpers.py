@@ -11,6 +11,7 @@ import numpy as np
 from proxigmm import BasisMatrix, Dataset, sieve
 from proxigmm.bridges import _as_block
 from proxigmm.errors import DimensionMismatch
+from proxigmm.selection import _criterion
 
 
 def make_gaussian_dataset(
@@ -143,3 +144,21 @@ class TreatmentBridge:
             )
         sign = np.where(a1 > 0.5, -1.0, 1.0)
         return 1.0 + np.exp(sign * (b @ params))
+
+
+def one_candidate_criterion(u, feat_grad, resid, target) -> tuple[float, float, float]:
+    """(score, bias_term, variance_term) of the moment-count criterion on
+    instrument columns ``u`` of any basis, with outcome residuals ``resid``.
+
+    The criterion does not depend on the instrument basis, so it is the
+    one-candidate case of the scan's batched kernel on ``u`` whitened by
+    the Cholesky factor of its Gram matrix. A candidate whose covariance
+    cannot be factorized scores inf with NaN terms.
+    """
+    n, k = u.shape
+    white = np.linalg.solve(np.linalg.cholesky(u.T @ u / n), u.T).T
+    (score,), (bias,), (var,) = _criterion(
+        white, -(white.T @ feat_grad) / n, feat_grad, resid[:, None], target,
+        np.array([k]), np.array([True]),
+    )
+    return float(score), float(bias), float(var)

@@ -35,9 +35,8 @@ EXPORTS = [
     "confidence_interval", "estimate_upsilon", "fit_initial", "fit_optimal",
     "fit_with_weight", "generate", "joint_score", "k_histogram", "load_csv",
     "naive_gformula", "orthonormalize", "p2sls", "pdr", "pipw", "regularize_moments",
-    "rgmm", "run_misspec_replications", "run_replications", "select_and_fit", "select_k",
-    "sgmm_components", "summarize", "transform_column", "true_bridge_params", "variance",
-    "wald_test",
+    "rgmm", "run_replications", "select_and_fit", "select_k", "summarize",
+    "transform_column", "true_bridge_params", "variance", "wald_test",
 ]
 
 

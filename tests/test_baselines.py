@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -153,6 +155,28 @@ def test_rgmm_and_pdr_share_one_outcome_bridge_fit(monkeypatch):
     cases = lambda: _treatment_cases()[:3]
     alone = _share_one_fit(monkeypatch, "_canonical_bridge_fit", (rgmm, pdr), cases)
     assert alone[2][rgmm] == alone[2][pdr] and alone[2][rgmm].startswith("DimensionMismatch")
+
+
+def test_a_dataset_whose_fit_raised_is_freed_at_once(monkeypatch):
+    # The dataset keeps the error of its failed outcome-bridge fit, and
+    # later calls raise the same type and message without fitting again;
+    # yet the tracebacks, whose frames hold the dataset, leave it to be
+    # freed without a cyclic collection.
+    ran = []
+    real = baselines._canonical_bridge_fit
+    monkeypatch.setattr(baselines, "_canonical_bridge_fit", lambda ds: ran.append(1) or real(ds))
+    gc.disable()
+    try:
+        ds = make_gaussian_dataset(d_z=2, d_w=1)
+        ref = weakref.ref(ds)
+        first = _outcome(rgmm, ds)
+        assert first.startswith("DimensionMismatch: need exactly 4 instruments")
+        assert _outcome(rgmm, ds) == _outcome(pdr, ds) == first
+        assert ran == [1]
+        del ds
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("rep", [3, 34], ids=["newton", "minimum-norm-fallback"])

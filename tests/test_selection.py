@@ -14,15 +14,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from helpers import one_candidate_criterion
 from proxigmm import gmm, selection, sieve
 from proxigmm.bridges import OutcomeBridge
 from proxigmm.data import Dataset
-from proxigmm.errors import (
-    AllCandidatesSingular,
-    DimensionMismatch,
-    RankDeficient,
-    SingularUpsilonBlock,
-)
+from proxigmm.errors import AllCandidatesSingular, DimensionMismatch, RankDeficient
 from proxigmm.gmm import fit_initial, fit_optimal
 from proxigmm.selection import (
     _candidate_covariances,
@@ -31,7 +27,6 @@ from proxigmm.selection import (
     _stacked_least_squares,
     select_and_fit,
     select_k,
-    sgmm_components,
 )
 from proxigmm.sieve import BasisMatrix, SieveSpec, build_basis, orthonormalize
 from proxigmm.simulation import ScenarioConfig, generate
@@ -81,13 +76,13 @@ def _literal_target_direction(u, feat_grad, resid, target):
 class TestCriterionFormulas:
     def test_target_direction_matches_literal_loop(self):
         u, feat_grad, resid, target = _random_instance(11, n=40, k=3, p=2)
-        got = sgmm_components(u, feat_grad, resid, target)
+        got = one_candidate_criterion(u, feat_grad, resid, target)
         want = _literal_target_direction(u, feat_grad, resid, target)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
     def test_target_direction_score_is_sum_of_terms(self):
         u, feat_grad, resid, target = _random_instance(12, n=35, k=4, p=3)
-        score, bias, var = sgmm_components(u, feat_grad, resid, target)
+        score, bias, var = one_candidate_criterion(u, feat_grad, resid, target)
         assert score == bias + var
 
     def test_criteria_invariant_to_instrument_basis_change(self):
@@ -97,17 +92,17 @@ class TestCriterionFormulas:
         u, feat_grad, resid, target = _random_instance(14, n=50, k=3, p=2)
         rng = np.random.default_rng(15)
         amat = np.eye(3) + 0.3 * rng.normal(size=(3, 3))
-        base_t = sgmm_components(u, feat_grad, resid, target)
+        base_t = one_candidate_criterion(u, feat_grad, resid, target)
         np.testing.assert_allclose(
-            sgmm_components(u @ amat, feat_grad, resid, target),
+            one_candidate_criterion(u @ amat, feat_grad, resid, target),
             base_t, rtol=1e-8,
         )
 
-    def test_zero_residuals_raise(self):
+    def test_zero_residuals_score_inf(self):
+        # Zero residuals make the residual-weighted covariance singular.
         u, feat_grad, _, target = _random_instance(16, n=20, k=2, p=1)
-        zeros = np.zeros(20)
-        with pytest.raises(SingularUpsilonBlock, match="K=2"):
-            sgmm_components(u, feat_grad, zeros, target)
+        score, bias, var = one_candidate_criterion(u, feat_grad, np.zeros(20), target)
+        assert score == np.inf and np.isnan(bias) and np.isnan(var)
 
 
 def test_leverage_table_rows_are_prefix_leverages():
@@ -193,7 +188,7 @@ class TestBatchedKernel:
         assert np.isinf(scores[[1, 3]]).all()
         assert np.isnan(bias[[1, 3]]).all() and np.isnan(var[[1, 3]]).all()
         for c in (0, 2, 4):
-            want = sgmm_components(u[:, : ks[c]], feat_grad, resid[:, c], target)
+            want = one_candidate_criterion(u[:, : ks[c]], feat_grad, resid[:, c], target)
             np.testing.assert_allclose((scores[c], bias[c], var[c]), want, rtol=1e-12)
 
 
@@ -228,7 +223,7 @@ def _per_candidate_scan(ds, spec, k_bar):
     scores = []
     for k in range(p, k_bar + 1):
         u = orthonormalize(build_basis(ds, spec, k)).u
-        scores.append(sgmm_components(*_prefix_score_parts(ds, u))[0])
+        scores.append(one_candidate_criterion(*_prefix_score_parts(ds, u))[0])
     scores = np.array(scores)
     return scores, p + int(np.argmin(scores))
 
@@ -251,7 +246,9 @@ class TestScan:
         for k, bias, var, score, _ in rows:
             assert score == pytest.approx(bias + var, rel=1e-12)
             parts = _prefix_score_parts(scenario1_ds, basis.u[:, :k])
-            np.testing.assert_allclose((score, bias, var), sgmm_components(*parts), rtol=1e-12)
+            np.testing.assert_allclose(
+                (score, bias, var), one_candidate_criterion(*parts), rtol=1e-12
+            )
 
     @pytest.mark.parametrize(
         "config, spec, k_bar, reps",
@@ -357,7 +354,7 @@ class TestScan:
         assert np.all(np.isnan(diag.bias_terms[3:]))
         basis = orthonormalize(build_basis(ds, SieveSpec(), 6))
         for k, score in zip(diag.k_grid[:3], diag.scores[:3]):
-            want = sgmm_components(*_prefix_score_parts(ds, basis.u[:, :k]))[0]
+            want = one_candidate_criterion(*_prefix_score_parts(ds, basis.u[:, :k]))[0]
             np.testing.assert_allclose(score, want, rtol=1e-12)
 
     def test_scan_deterministic(self, scenario1_ds):

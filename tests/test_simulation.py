@@ -25,7 +25,6 @@ from proxigmm import (
     ScenarioConfig,
     SieveSpec,
     generate,
-    run_misspec_replications,
     run_replications,
     select_and_fit,
     summarize,
@@ -77,9 +76,15 @@ def test_records_identical_across_thread_counts():
     _assert_same(one, two)
 
 
+def _misspec(level, n, reps, base_seed=0, methods=("gmm-div", "pdr"), **kwargs):
+    """The records of a scenario-II cell with ``w1`` distorted at ``level``."""
+    config = ScenarioConfig("II", n, distortion=level)
+    return run_replications(config, methods, reps, base_seed, **kwargs)
+
+
 def test_misspec_study_identical_across_thread_counts():
-    one = run_misspec_replications("moderate", n=400, reps=4, base_seed=3, threads=1)
-    two = run_misspec_replications("moderate", n=400, reps=4, base_seed=3, threads=2)
+    one = _misspec("moderate", n=400, reps=4, base_seed=3, threads=1)
+    two = _misspec("moderate", n=400, reps=4, base_seed=3, threads=2)
     _assert_same(one, two)
 
 
@@ -232,7 +237,7 @@ def test_reused_pool_runs_each_calls_own_job(two_cpus):
         lambda threads: run_replications(
             ScenarioConfig("II", 400), ("gmm-div", "pdr", "pipw"), 4, 7, k_bar=8,
             threads=threads),
-        lambda threads: run_misspec_replications(
+        lambda threads: _misspec(
             "minor", n=300, reps=4, base_seed=2, k_bar=6, threads=threads),
     ]
     serial = [call(1) for call in calls]
@@ -428,7 +433,7 @@ def test_workers_end_with_a_killed_parent(two_cpus):
     [
         lambda threads: run_replications(
             ScenarioConfig("I", 200), ("naive",), 2, 0, threads=threads),
-        lambda threads: run_misspec_replications(
+        lambda threads: _misspec(
             "minor", n=200, reps=2, methods=("naive",), threads=threads),
     ],
     ids=["run_replications", "run_misspec_study"],
@@ -443,7 +448,7 @@ def test_worker_count_below_one_rejected(study, threads):
     [
         lambda threads: run_replications(
             ScenarioConfig("II", 200), ("naive",), 4, 0, threads=threads),
-        lambda threads: run_misspec_replications(
+        lambda threads: _misspec(
             "minor", n=200, reps=4, methods=("naive",), threads=threads),
     ],
     ids=["run_replications", "run_misspec_study"],
@@ -564,7 +569,7 @@ def test_one_treatment_solve_per_replication(monkeypatch):
         baselines, "_solve_treatment_bridge", lambda ds: solved.append(ds.y[0]) or real(ds)
     )
     run_replications(ScenarioConfig("II", 400), ("pipw", "naive", "pdr"), 3, 0)
-    run_misspec_replications("minor", n=400, reps=3, base_seed=1, methods=("pdr", "pipw"))
+    _misspec("minor", n=400, reps=3, base_seed=1, methods=("pdr", "pipw"))
     assert len(solved) == 6 and len(set(solved)) == 6
 
 
@@ -625,7 +630,7 @@ def test_derived_dataset_starts_without_results(monkeypatch, derive):
 def test_correct_level_is_the_plain_scenario_ii_study():
     methods = ("gmm-div", "pdr")
     config = ScenarioConfig("II", 400)
-    misspec = run_misspec_replications("correct", n=400, reps=4, base_seed=3, methods=methods)
+    misspec = _misspec("correct", n=400, reps=4, base_seed=3, methods=methods)
     _assert_same(misspec, run_replications(config, methods, 4, 3))
 
 
@@ -634,12 +639,15 @@ def test_distorted_level_runs_every_method_on_the_distorted_data(level):
     # Each record is, bit for bit, the method run on the replication's draw
     # with w1 distorted: gmm-div selects K and fits on the distorted data.
     config, bridge = ScenarioConfig("II", 400), OutcomeBridge.linear(1, 1)
-    records = run_misspec_replications(
-        level, n=400, reps=4, base_seed=3, methods=("gmm-div", "pdr")
-    )
+    records = _misspec(level, n=400, reps=4, base_seed=3)
     assert [(r["rep"], r["method"]) for r in records] == [
         (rep, m) for rep in range(4) for m in ("gmm-div", "pdr")
     ]
+    for rep in range(4):
+        got = generate(dataclasses.replace(config, distortion=level), 3, rep)
+        want = transform_column(generate(config, 3, rep), "w1", level)
+        for block in ("y", "a", "z", "w", "x"):
+            assert (getattr(got, block) == getattr(want, block)).all(), block
     for rec in records:
         ds = transform_column(generate(config, 3, rec["rep"]), "w1", level)
         if rec["method"] == "gmm-div":
@@ -651,11 +659,19 @@ def test_distorted_level_runs_every_method_on_the_distorted_data(level):
         assert (rec["tau_hat"], rec["se_tau"], rec["k_star"]) == want
 
 
+def test_unknown_distortion_rejected():
+    with pytest.raises(
+        DimensionMismatch,
+        match=r"unknown level 'extreme'; choose from \('correct', 'minor', 'moderate', ",
+    ):
+        ScenarioConfig("II", 400, distortion="extreme")
+
+
 @pytest.mark.parametrize(
     "study",
     [
         lambda: run_replications(ScenarioConfig("I", 50), ("naive", "bogus"), 1, 0),
-        lambda: run_misspec_replications("minor", n=50, reps=1, methods=("bogus",)),
+        lambda: _misspec("minor", n=50, reps=1, methods=("bogus",)),
     ],
     ids=["run_replications", "run_misspec_study"],
 )
