@@ -19,7 +19,7 @@ from .baselines import (
     rgmm,
 )
 from .bridges import DgpCoefficients, OutcomeBridge, true_bridge_params
-from .data import Dataset, VariableRoles, load_csv, transform_column
+from .data import Dataset, VariableRoles, load_csv
 from .errors import ProxiGmmError
 from .gmm import (
     GmmFit,
@@ -91,7 +91,6 @@ __all__ = [
     "select_and_fit",
     "select_k",
     "summarize",
-    "transform_column",
     "true_bridge_params",
     "variance",
     "wald_test",

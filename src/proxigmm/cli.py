@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -74,10 +75,17 @@ def _summary_rows(summaries, *leading):
         ]
 
 
+def _json_value(value):
+    """``value``, with a NaN or infinite float as None: JSON has no such numbers."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _write_summary(out_dir: str, fmt: str, header: tuple[str, ...], rows) -> str:
     if fmt == "json":
         path = os.path.join(out_dir, "summary.json")
-        payload = [dict(zip(header, row)) for row in rows]
+        payload = [dict(zip(header, map(_json_value, row))) for row in rows]
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
@@ -232,11 +240,7 @@ def _add_data_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--proxies-w", required=True, help="comma-separated column names")
     parser.add_argument("--covariates", default="", help="comma-separated column names")
     parser.add_argument("--kmax", type=int, default=DEFAULT_K_BAR)
-
-
-def _add_common_output(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out-dir", default=".")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _add_study_flags(parser: argparse.ArgumentParser) -> None:
@@ -248,6 +252,8 @@ def _add_study_flags(parser: argparse.ArgumentParser) -> None:
         "--threads", type=int, default=1,
         help="worker processes; records identical for any count (default 1)",
     )
+    parser.add_argument("--out-dir", default=".")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,24 +267,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", choices=("I", "II"), default="I")
     p.add_argument("--methods", default=",".join(METHODS))
     _add_study_flags(p)
-    _add_common_output(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate", help="fit an effect estimate on a CSV dataset")
     _add_data_flags(p)
     p.add_argument("--method", choices=METHODS, default="gmm-div")
-    _add_common_output(p)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("select-k", help="write the moment-count loss curve")
     _add_data_flags(p)
-    _add_common_output(p)
     p.set_defaults(func=cmd_select_k)
 
     p = sub.add_parser("misspec", help="misspecified outcome-proxy study")
     p.add_argument("--level", choices=MISSPEC_LEVELS, required=True)
     _add_study_flags(p)
-    _add_common_output(p)
     p.set_defaults(func=cmd_misspec)
 
     return parser

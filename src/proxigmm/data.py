@@ -1,4 +1,4 @@
-"""Dataset container, CSV loading, and proxy-column transforms.
+"""Dataset container and CSV loading.
 
 A :class:`Dataset` holds one observation block per variable role: outcome
 ``y``, binary treatment ``a``, outcome proxies ``w``, treatment proxies
@@ -12,7 +12,7 @@ passes the same dataset.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,8 +23,6 @@ from .errors import (
     NonFiniteValue,
     UnknownColumn,
 )
-
-TRANSFORM_KINDS = ("minor", "moderate", "significant")
 
 
 @dataclass(frozen=True)
@@ -71,8 +69,7 @@ class Dataset:
 
     ``_derived`` holds the fits computed on this dataset
     (``gmm._fit_once``). It is not a field, so a dataset made from this one
-    by ``dataclasses.replace`` or :func:`transform_column` starts without
-    them.
+    by ``dataclasses.replace`` starts without them.
     """
 
     y: np.ndarray
@@ -203,31 +200,3 @@ def load_csv(path: str, roles: VariableRoles) -> Dataset:
         x_names=tuple(roles.covariates),
     )
 
-
-def _transform_values(values: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "minor":
-        return values + 0.1 * values**2
-    if kind == "moderate":
-        return values + 0.5 * values**2
-    if kind == "significant":
-        return np.sqrt(np.abs(values)) + 1.0
-    raise UnknownColumn(f"unknown transform kind {kind!r}; choose from {TRANSFORM_KINDS}")
-
-
-def transform_column(ds: Dataset, name: str, kind: str) -> Dataset:
-    """Return a new dataset with one outcome-proxy column distorted.
-
-    ``kind`` selects the distortion applied elementwise to column ``name``
-    of the ``w`` block: ``minor`` adds a tenth of the square, ``moderate``
-    adds half of the square, ``significant`` replaces the value with
-    ``sqrt(|v|) + 1``. Only ``w`` columns may be transformed; any other
-    name raises :class:`UnknownColumn`.
-    """
-    if name not in ds.w_names:
-        raise UnknownColumn(
-            f"column {name!r} is not an outcome proxy; transformable: {list(ds.w_names)}"
-        )
-    j = ds.w_names.index(name)
-    w = ds.w.copy()
-    w[:, j] = _transform_values(w[:, j], kind)
-    return replace(ds, w=w)

@@ -31,7 +31,7 @@ class EmptyData(ProxiGmmError):
 
 
 class UnknownColumn(ProxiGmmError):
-    """A requested column name does not exist in the dataset."""
+    """A column name is assigned to more than one variable role."""
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +53,11 @@ class RankDeficient(ProxiGmmError):
     def __init__(self, message: str, full_rank_prefix: int) -> None:
         super().__init__(message)
         self.full_rank_prefix = full_rank_prefix
+
+    def __reduce__(self):
+        # ``args`` holds the message alone; copies and unpickling call
+        # ``__init__`` with the prefix as well.
+        return type(self), (*self.args, self.full_rank_prefix), self.__dict__
 
 
 class DimensionMismatch(ProxiGmmError):

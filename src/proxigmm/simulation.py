@@ -10,11 +10,12 @@ platform. Multi-worker calls run in one pool of forked worker processes
 that the process keeps and reuses (see ``_replicate``).
 
 A misspecification level is part of the cell (``ScenarioConfig.distortion``):
-``generate`` distorts the outcome proxy after drawing the outcome from the
-true one, so the scenario study and the misspecification study run one
-replication loop (``_replication``) over one kind of cell. The methods of
-one replication share its bridge fits because they share its dataset,
-which keeps them (``gmm._fit_once``).
+``generate`` distorts the outcome proxy by that level's formula
+(``_DISTORTIONS``) after drawing the outcome from the true one, so the
+scenario study and the misspecification study run one replication loop
+(``_replication``) over one kind of cell. The methods of one replication
+share its bridge fits because they share its dataset, which keeps them
+(``gmm._fit_once``).
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ import numpy as np
 
 from . import baselines
 from .bridges import DgpCoefficients, OutcomeBridge
-from .data import TRANSFORM_KINDS, Dataset, _transform_values
+from .data import Dataset
 from .errors import DimensionMismatch, ProxiGmmError
-from .gmm import GmmFit, confidence_interval, wald_test
+from .gmm import confidence_interval, wald_test
 from .selection import select_and_fit
 from .sieve import SieveSpec
 
@@ -51,7 +52,15 @@ BASELINES = {
     "pdr": baselines.pdr,
 }
 METHODS = (*BASELINES, "gmm-div")
-MISSPEC_LEVELS = ("correct", *TRANSFORM_KINDS)
+# The outcome proxy at each misspecification level, as a function of the
+# true one.
+_DISTORTIONS = {
+    "correct": lambda w: w,
+    "minor": lambda w: w + 0.1 * w**2,
+    "moderate": lambda w: w + 0.5 * w**2,
+    "significant": lambda w: np.sqrt(np.abs(w)) + 1.0,
+}
+MISSPEC_LEVELS = tuple(_DISTORTIONS)
 DEFAULT_K_BAR = 12
 
 # Stream ids within one replication, in draw order.
@@ -68,9 +77,10 @@ class ScenarioConfig:
     noise as the covariate moves away from zero, which is what makes
     higher-order instruments informative. ``distortion`` is one of
     ``MISSPEC_LEVELS``: at a level other than "correct" every method sees
-    the outcome proxy ``w1`` transformed at that level
-    (:func:`~proxigmm.data.transform_column`) while the outcome follows the
-    true one, as on data whose outcome bridge is misspecified.
+    the outcome proxy ``w1`` distorted at that level ("minor" adds a tenth
+    of its square, "moderate" half of its square, "significant" replaces
+    it with sqrt(|w1|) + 1) while the outcome follows the true one, as on
+    data whose outcome bridge is misspecified.
     """
 
     scenario: str = "I"
@@ -240,9 +250,7 @@ def generate(config: ScenarioConfig, seed, rep: int | None = None) -> Dataset:
     w = w0 + wx * x + wu * u + s2 * e_w
     y0, ya, yw, yx, yu = coef.outcome
     y = y0 + ya * a + yw * w + yx * x + yu * u + s3 * e_y
-    if config.distortion != "correct":
-        w = _transform_values(w, config.distortion)
-    return Dataset(y=y, a=a, z=z, w=w, x=x)
+    return Dataset(y=y, a=a, z=z, w=_DISTORTIONS[config.distortion](w), x=x)
 
 
 @dataclass(frozen=True)
@@ -271,45 +279,6 @@ def _check_methods(methods: tuple[str, ...]) -> None:
     for m in methods:
         if m not in METHODS:
             raise DimensionMismatch(f"unknown method {m!r}; choose from {METHODS}")
-
-
-def _fit_record(fit: GmmFit, k_star: int) -> dict:
-    lo, hi = confidence_interval(fit)
-    _, reject = wald_test(fit)
-    return {
-        "tau_hat": fit.tau_hat, "se_tau": fit.se_tau,
-        "ci_lo": lo, "ci_hi": hi, "reject": reject, "k_star": k_star,
-    }
-
-
-def _run_method(ds: Dataset, method: str, k_bar: int) -> dict:
-    if method == "gmm-div":
-        bridge = OutcomeBridge.linear(ds.w.shape[1], ds.x.shape[1])
-        fit, diag = select_and_fit(ds, bridge, SieveSpec(), k_bar)
-        return _fit_record(fit, diag.k_star)
-    report = BASELINES[method](ds)
-    lo, hi = report.ci95()
-    return {
-        "tau_hat": report.tau_hat, "se_tau": report.se_tau,
-        "ci_lo": lo, "ci_hi": hi, "reject": report.wald_reject(), "k_star": None,
-    }
-
-
-def _method_records(rep: int, methods: tuple[str, ...], run) -> list[dict]:
-    """One record per method of ``run(method)``; a method failure is recorded."""
-    out = []
-    for method in methods:
-        rec = {"rep": rep, "method": method}
-        try:
-            rec.update(run(method))
-            rec["error"] = None
-        except ProxiGmmError as exc:
-            rec.update(
-                tau_hat=np.nan, se_tau=np.nan, ci_lo=np.nan, ci_hi=np.nan,
-                reject=None, k_star=None, error=f"{type(exc).__name__}: {exc}",
-            )
-        out.append(rec)
-    return out
 
 
 # Python 3.12 and later warn in the parent when they fork a process that
@@ -492,10 +461,37 @@ def _replicate(reps: int, threads: int, one_rep) -> list[dict]:
     return out
 
 
+def _method_record(ds: Dataset, method: str, k_bar: int) -> dict:
+    """The estimate fields and ``error`` of ``method`` on ``ds``; a
+    :class:`ProxiGmmError` is recorded as ``"<type>: <message>"`` with NaN
+    estimates."""
+    try:
+        if method == "gmm-div":
+            bridge = OutcomeBridge.linear(ds.w.shape[1], ds.x.shape[1])
+            fit, diag = select_and_fit(ds, bridge, SieveSpec(), k_bar)
+            lo, hi = confidence_interval(fit)
+            _, reject = wald_test(fit)
+            tau, se, k_star = fit.tau_hat, fit.se_tau, diag.k_star
+        else:
+            report = BASELINES[method](ds)
+            lo, hi = report.ci95()
+            reject = report.wald_reject()
+            tau, se, k_star = report.tau_hat, report.se_tau, None
+    except ProxiGmmError as exc:
+        return {
+            "tau_hat": np.nan, "se_tau": np.nan, "ci_lo": np.nan, "ci_hi": np.nan,
+            "reject": None, "k_star": None, "error": f"{type(exc).__name__}: {exc}",
+        }
+    return {
+        "tau_hat": tau, "se_tau": se, "ci_lo": lo, "ci_hi": hi,
+        "reject": reject, "k_star": k_star, "error": None,
+    }
+
+
 def _replication(config, methods, base_seed, k_bar, rep: int) -> list[dict]:
     """Records of replication ``rep``: every method on its one dataset."""
     ds = generate(config, base_seed, rep)
-    return _method_records(rep, methods, lambda m: _run_method(ds, m, k_bar))
+    return [{"rep": rep, "method": m, **_method_record(ds, m, k_bar)} for m in methods]
 
 
 def run_replications(

@@ -36,7 +36,7 @@ EXPORTS = [
     "fit_with_weight", "generate", "joint_score", "k_histogram", "load_csv",
     "naive_gformula", "orthonormalize", "p2sls", "pdr", "pipw", "regularize_moments",
     "rgmm", "run_replications", "select_and_fit", "select_k", "summarize",
-    "transform_column", "true_bridge_params", "variance", "wald_test",
+    "true_bridge_params", "variance", "wald_test",
 ]
 
 

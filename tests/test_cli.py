@@ -20,6 +20,7 @@ from proxigmm import (
     select_and_fit,
 )
 from proxigmm.cli import build_parser, main
+from proxigmm.errors import SingularSystem
 from proxigmm.simulation import BASELINES, DEFAULT_K_BAR, METHODS
 
 ROLES = VariableRoles(
@@ -120,6 +121,34 @@ BAD_KMAX = {
     3: "kmax must be at least the bridge dimension 4, got 3",
     40: "kmax must be at most the 32 sieve terms, got 40",
 }
+
+
+def test_summary_json_writes_null_where_no_replication_converged(monkeypatch, tmp_path):
+    def always_singular(ds):
+        raise SingularSystem("no estimate")
+
+    monkeypatch.setitem(BASELINES, "naive", always_singular)
+    argv = ["simulate", "--methods", "naive", "--n", "50", "--reps", "2",
+            "--format", "json", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    (row,) = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
+    assert row["reps_converged"] == 0
+    estimates = ("bias", "se", "rmse", "length", "length_median", "cp", "power")
+    assert {row[c] for c in estimates} == {None}
+
+
+@pytest.mark.parametrize("command", ["estimate", "select-k"])
+def test_format_is_a_usage_error_for_data_commands(command, csv_path, tmp_path, capsys):
+    # Only the studies write a summary in a choice of format.
+    with pytest.raises(SystemExit) as exit_:
+        main([command, *_data_flags(csv_path), "--format", "json", "--out-dir", str(tmp_path)])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("study", STUDIES)

@@ -1,7 +1,9 @@
-"""Dataset container, CSV IO, and proxy-distortion transforms."""
+"""Dataset container, CSV IO, and the outcome-proxy distortions of
+misspecified cells."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,14 +12,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import write_csv
-from proxigmm import Dataset, VariableRoles, load_csv, transform_column
+from proxigmm import Dataset, ScenarioConfig, VariableRoles, generate, load_csv
 from proxigmm.errors import (
+    DimensionMismatch,
     EmptyData,
     MissingColumn,
     NonBinaryTreatment,
     NonFiniteValue,
     UnknownColumn,
 )
+from proxigmm.simulation import _DISTORTIONS, MISSPEC_LEVELS
 
 
 def _tiny_dataset() -> Dataset:
@@ -150,43 +154,50 @@ class TestCsvRoundTrip:
 
 
 class TestTransforms:
+    # The distortion formulas of simulation.generate, checked against values
+    # and formulas written out here.
+    W = np.array([1.5, -4.0, 0.0])
+
     def test_minor_oracle(self):
-        ds = transform_column(_tiny_dataset(), "w1", "minor")
         # 2 -> 2.4 pattern: v + 0.1 v^2 at v = 1.5, -4, 0
-        np.testing.assert_allclose(ds.w[:, 0], [1.725, -2.4, 0.0])
+        np.testing.assert_allclose(_DISTORTIONS["minor"](self.W), [1.725, -2.4, 0.0])
 
     def test_minor_value_two_maps_to_2_4(self):
-        ds = Dataset(y=[0.0], a=[0.0], z=[[0.0]], w=[[2.0]], x=[[0.0]])
-        out = transform_column(ds, "w1", "minor")
-        assert out.w[:, 0][0] == pytest.approx(2.4, abs=1e-12)
+        assert _DISTORTIONS["minor"](np.array([2.0]))[0] == pytest.approx(2.4, abs=1e-12)
 
     def test_significant_oracle(self):
-        ds = transform_column(_tiny_dataset(), "w1", "significant")
-        np.testing.assert_allclose(ds.w[:, 0], [math.sqrt(1.5) + 1.0, 3.0, 1.0])
+        np.testing.assert_allclose(
+            _DISTORTIONS["significant"](self.W), [math.sqrt(1.5) + 1.0, 3.0, 1.0]
+        )
 
     def test_moderate_zero_fixed_point(self):
-        ds = transform_column(_tiny_dataset(), "w1", "moderate")
-        assert ds.w[:, 0][2] == 0.0
+        assert _DISTORTIONS["moderate"](self.W)[2] == 0.0
 
     def test_original_dataset_untouched(self):
-        ds = _tiny_dataset()
-        transform_column(ds, "w1", "significant")
-        np.testing.assert_array_equal(ds.w[:, 0], [1.5, -4.0, 0.0])
+        # No level writes into the true proxy; the correct level returns it.
+        w = self.W.copy()
+        for distort in _DISTORTIONS.values():
+            distort(w)
+        np.testing.assert_array_equal(w, self.W)
+        assert _DISTORTIONS["correct"](w) is w
 
     @pytest.mark.parametrize("name", ["z1", "x1", "y", "a"])
     def test_only_outcome_proxies_transformable(self, name):
-        with pytest.raises(UnknownColumn):
-            transform_column(_tiny_dataset(), name, "minor")
+        # Every other column is drawn as in the plain cell, the outcome
+        # included: it follows the true proxy. ``name[0]`` is its block.
+        plain = getattr(generate(ScenarioConfig("II", 50), 1, 0), name[0])
+        for level in MISSPEC_LEVELS:
+            ds = generate(ScenarioConfig("II", 50, distortion=level), 1, 0)
+            assert np.array_equal(getattr(ds, name[0]), plain), level
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(UnknownColumn, match="kind"):
-            transform_column(_tiny_dataset(), "w1", "extreme")
+        # A cell derived from a valid one is checked as well.
+        with pytest.raises(DimensionMismatch, match="unknown level 'extreme'"):
+            dataclasses.replace(ScenarioConfig("II", 50), distortion="extreme")
 
     @given(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
     def test_transform_formulas_pointwise(self, v):
-        ds = Dataset(y=[0.0], a=[0.0], z=[[0.0]], w=[[v]], x=[[0.0]])
-        assert transform_column(ds, "w1", "minor").w[0, 0] == pytest.approx(v + 0.1 * v * v)
-        assert transform_column(ds, "w1", "moderate").w[0, 0] == pytest.approx(v + 0.5 * v * v)
-        assert transform_column(ds, "w1", "significant").w[0, 0] == pytest.approx(
-            math.sqrt(abs(v)) + 1.0
-        )
+        w = np.array([v])
+        assert _DISTORTIONS["minor"](w)[0] == pytest.approx(v + 0.1 * v * v)
+        assert _DISTORTIONS["moderate"](w)[0] == pytest.approx(v + 0.5 * v * v)
+        assert _DISTORTIONS["significant"](w)[0] == pytest.approx(math.sqrt(abs(v)) + 1.0)

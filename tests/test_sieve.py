@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -192,6 +195,21 @@ class TestOrthonormalize:
         assert info.value.full_rank_prefix == 2
         pivot = float(str(info.value).rsplit("relative pivot ", 1)[1].rstrip(")"))
         assert 0 < pivot < 1e-10
+
+    @pytest.mark.parametrize("clone", [copy.copy, lambda e: pickle.loads(pickle.dumps(e))],
+                             ids=["copy", "pickle"])
+    def test_rank_deficiency_survives_copy_and_pickle(self, rng, clone):
+        c = rng.normal(size=50)
+        b = BasisMatrix(u=np.column_stack([np.ones(50), c, c]), term_names=("1", "c", "c2"))
+        with pytest.raises(RankDeficient) as info:
+            orthonormalize(b)
+        err = info.value
+        again = clone(err)
+        assert type(again) is RankDeficient and again is not err
+        assert (again.args, str(again), again.full_rank_prefix) == (
+            err.args, str(err), err.full_rank_prefix
+        )
+        assert err.full_rank_prefix == 2
 
     @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=2**32 - 1))
     def test_random_bases_orthonormalize(self, k, seed):

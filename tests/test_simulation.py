@@ -18,6 +18,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
+import numpy as np
 import pytest
 
 from proxigmm import (
@@ -28,11 +29,9 @@ from proxigmm import (
     run_replications,
     select_and_fit,
     summarize,
-    transform_column,
 )
 from proxigmm import baselines, gmm, simulation
-from proxigmm.data import TRANSFORM_KINDS
-from proxigmm.errors import DimensionMismatch, SingularSystem
+from proxigmm.errors import DimensionMismatch, RankDeficient, SingularSystem
 from proxigmm.simulation import DEFAULT_K_BAR, METHODS
 
 
@@ -311,6 +310,24 @@ def test_a_broken_pool_is_replaced(two_cpus):
     assert [r["rep"] for r in records] == list(range(4))
     assert _served_by(records) <= _worker_pids()
     assert len(_worker_pids()) == 2 and not _worker_pids() & before
+
+
+def _rank_deficient_rep(rep):
+    if rep == 1:
+        raise RankDeficient("rep 1 is rank deficient", full_rank_prefix=3)
+    return _pid_rep(rep)
+
+
+@pool_test
+def test_an_error_with_attributes_crosses_from_a_worker(two_cpus):
+    # RankDeficient takes its prefix in __init__ beside the message; it
+    # reaches the caller with both, and the pool stays usable.
+    simulation._replicate(2, 2, _pid_rep)
+    pool = simulation._pool
+    with pytest.raises(RankDeficient, match="rep 1 is rank deficient") as raised:
+        simulation._replicate(2, 2, _rank_deficient_rep)
+    assert raised.value.full_rank_prefix == 3
+    assert simulation._pool is pool
 
 
 def _marked_rep(directory, rep):
@@ -599,10 +616,10 @@ def test_one_bridge_feature_build_per_replication(monkeypatch):
 @pytest.mark.parametrize(
     "derive",
     [
-        lambda ds: transform_column(ds, "w1", "minor"),
+        lambda ds: dataclasses.replace(ds, w=ds.w + 0.1 * ds.w**2),
         lambda ds: dataclasses.replace(ds, y=2.0 * ds.y),
     ],
-    ids=["transform_column", "replace"],
+    ids=["replace-w", "replace"],
 )
 def test_derived_dataset_starts_without_results(monkeypatch, derive):
     # A dataset keeps its fits, but one derived from it starts with none:
@@ -617,7 +634,7 @@ def test_derived_dataset_starts_without_results(monkeypatch, derive):
     )
 
     def records(ds):
-        return [simulation._run_method(ds, m, DEFAULT_K_BAR) for m in methods]
+        return [simulation._method_record(ds, m, DEFAULT_K_BAR) for m in methods]
 
     ds = generate(config, 5, 0)
     records(ds)
@@ -634,22 +651,36 @@ def test_correct_level_is_the_plain_scenario_ii_study():
     _assert_same(misspec, run_replications(config, methods, 4, 3))
 
 
-@pytest.mark.parametrize("level", TRANSFORM_KINDS)
+# The outcome proxy at each distorted level, in closed form.
+DISTORTED_W = {
+    "minor": lambda w: w + 0.1 * w**2,
+    "moderate": lambda w: w + 0.5 * w**2,
+    "significant": lambda w: np.sqrt(np.abs(w)) + 1.0,
+}
+
+
+@pytest.mark.parametrize("level", DISTORTED_W)
 def test_distorted_level_runs_every_method_on_the_distorted_data(level):
-    # Each record is, bit for bit, the method run on the replication's draw
-    # with w1 distorted: gmm-div selects K and fits on the distorted data.
+    # Each record is, bit for bit, the method run on the replication's
+    # plain draw with w1 distorted by the closed form: gmm-div selects K
+    # and fits on the distorted data.
     config, bridge = ScenarioConfig("II", 400), OutcomeBridge.linear(1, 1)
     records = _misspec(level, n=400, reps=4, base_seed=3)
     assert [(r["rep"], r["method"]) for r in records] == [
         (rep, m) for rep in range(4) for m in ("gmm-div", "pdr")
     ]
+
+    def distorted(rep):
+        plain = generate(config, 3, rep)
+        return dataclasses.replace(plain, w=DISTORTED_W[level](plain.w))
+
     for rep in range(4):
         got = generate(dataclasses.replace(config, distortion=level), 3, rep)
-        want = transform_column(generate(config, 3, rep), "w1", level)
+        want = distorted(rep)
         for block in ("y", "a", "z", "w", "x"):
             assert (getattr(got, block) == getattr(want, block)).all(), block
     for rec in records:
-        ds = transform_column(generate(config, 3, rec["rep"]), "w1", level)
+        ds = distorted(rec["rep"])
         if rec["method"] == "gmm-div":
             fit, diag = select_and_fit(ds, bridge, SieveSpec(), DEFAULT_K_BAR)
             want = (fit.tau_hat, fit.se_tau, diag.k_star)
