@@ -147,6 +147,8 @@ def _check_study_opts(opts, runs_gmm_div: bool) -> str | None:
         return f"n must be at least 1, got {opts.n}"
     if opts.threads < 1:
         return f"threads must be at least 1, got {opts.threads}"
+    if opts.seed < 0:
+        return f"seed must be non-negative, got {opts.seed}"
     if runs_gmm_div:
         # Simulated data has one proxy on each side and one covariate.
         return _kmax_error(opts.kmax, OutcomeBridge.linear(1, 1), 2)
@@ -192,15 +194,23 @@ def cmd_simulate(opts) -> int:
     return _run_study(opts, methods, opts.scenario)
 
 
-def cmd_estimate(opts) -> int:
+def _load(opts):
+    """The CSV's dataset, linear bridge and sieve variable count, and the
+    moment cap: ``--kmax``, or ``DEFAULT_K_BAR`` capped at the sieve size."""
     ds = load_csv(opts.data, _roles(opts))
     bridge = OutcomeBridge.linear(ds.w.shape[1], ds.x.shape[1])
     n_vars = ds.z.shape[1] + ds.x.shape[1]
-    if opts.method == "gmm-div" and (err := _kmax_error(opts.kmax, bridge, n_vars)):
+    kmax = min(DEFAULT_K_BAR, family_size(n_vars)) if opts.kmax is None else opts.kmax
+    return ds, bridge, n_vars, kmax
+
+
+def cmd_estimate(opts) -> int:
+    ds, bridge, n_vars, kmax = _load(opts)
+    if opts.method == "gmm-div" and (err := _kmax_error(kmax, bridge, n_vars)):
         return _config_error(err)
     os.makedirs(opts.out_dir, exist_ok=True)
     if opts.method == "gmm-div":
-        fit, diag = select_and_fit(ds, bridge, SieveSpec(), opts.kmax)
+        fit, diag = select_and_fit(ds, bridge, SieveSpec(), kmax)
         payload = json.loads(fit.to_json())
         payload["k_star"] = diag.k_star
         report = json.dumps(payload)
@@ -216,11 +226,10 @@ def cmd_estimate(opts) -> int:
 
 
 def cmd_select_k(opts) -> int:
-    ds = load_csv(opts.data, _roles(opts))
-    bridge = OutcomeBridge.linear(ds.w.shape[1], ds.x.shape[1])
-    if err := _kmax_error(opts.kmax, bridge, ds.z.shape[1] + ds.x.shape[1]):
+    ds, bridge, n_vars, kmax = _load(opts)
+    if err := _kmax_error(kmax, bridge, n_vars):
         return _config_error(err)
-    diag = select_k(ds, bridge, SieveSpec(), opts.kmax)
+    diag = select_k(ds, bridge, SieveSpec(), kmax)
     os.makedirs(opts.out_dir, exist_ok=True)
     path = _write_loss_curve(opts.out_dir, diag)
     print(path)
@@ -239,7 +248,7 @@ def _add_data_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--proxies-z", required=True, help="comma-separated column names")
     parser.add_argument("--proxies-w", required=True, help="comma-separated column names")
     parser.add_argument("--covariates", default="", help="comma-separated column names")
-    parser.add_argument("--kmax", type=int, default=DEFAULT_K_BAR)
+    parser.add_argument("--kmax", type=int, help=f"default {DEFAULT_K_BAR}, or the sieve size if less")
     parser.add_argument("--out-dir", default=".")
 
 

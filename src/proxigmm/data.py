@@ -141,6 +141,7 @@ def load_csv(path: str, roles: VariableRoles) -> Dataset:
     """Read a CSV file and assemble a validated :class:`Dataset`.
 
     Raises :class:`MissingColumn` if a role name is absent from the header,
+    :class:`UnknownColumn` if it appears there more than once,
     :class:`NonFiniteValue` (with row index and column name) for cells that
     do not parse to finite numbers, :class:`NonBinaryTreatment` for a
     treatment value other than 0/1, and :class:`EmptyData` for a file with
@@ -159,6 +160,9 @@ def load_csv(path: str, roles: VariableRoles) -> Dataset:
     missing = [c for c in roles.all_names() if c not in header]
     if missing:
         raise MissingColumn(f"{path}: missing columns {missing}")
+    repeated = [c for c in roles.all_names() if header.count(c) > 1]
+    if repeated:
+        raise UnknownColumn(f"{path}: columns {repeated} appear more than once in the header")
     idx = {c: header.index(c) for c in roles.all_names()}
 
     def parse(colname: str) -> np.ndarray:

@@ -31,7 +31,8 @@ class EmptyData(ProxiGmmError):
 
 
 class UnknownColumn(ProxiGmmError):
-    """A column name is assigned to more than one variable role."""
+    """A column name is assigned to more than one variable role, or a
+    role's column appears more than once in a file's header."""
 
 
 # ---------------------------------------------------------------------------

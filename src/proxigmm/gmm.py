@@ -32,7 +32,6 @@ bounded weight and the fit separates cleanly.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, replace
 
@@ -425,59 +424,26 @@ def _continuous_update_objective(moments: _Moments):
     return objective
 
 
-@functools.cache
-def _stencil_coefficients(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only coefficients ``(first, second)`` of the ``2p² + 2p`` points
-    ``(x + first * h) + second * h`` of :func:`_central_differences`, in its
-    order. Each row is a signed unit vector whose zeros carry its sign, so
-    each point rounds as adding its displacements ``±h_i e_i`` one at a
-    time does; a point with one displacement adds ``-0.0 * h``, which
-    leaves every float as it is."""
-    unit = np.eye(p)
-    nothing = np.full(p, -0.0)
-    first, second = [], []
-    for i in range(p):
-        first += [unit[i], -unit[i], unit[i], -unit[i]]
-        second += [nothing, nothing, unit[i], -unit[i]]
-        for j in range(i):
-            for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                first.append(si * unit[i])
-                second.append(sj * unit[j])
-    first, second = np.array(first), np.array(second)
-    first.flags.writeable = second.flags.writeable = False
-    return first, second
-
-
 def _central_differences(
     fn, x: np.ndarray, steps: np.ndarray, value: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and Hessian of ``fn`` at ``x`` by central differences, given
     ``value = fn(x)``; ``fn`` maps a (B, p) stack of points to B values.
-
-    The gradient is the central difference at ``x``; the Hessian is the
-    central difference of that gradient between ``x ± h_j e_j``, averaged
-    over both differencing orders. Each distinct point is evaluated once,
-    all in one batched call: ``x ± h_i e_i``, ``x ± 2 h_i e_i`` and
-    ``x ± h_i e_i ± h_j e_j`` for ``i < j``, which is ``2p² + 2p`` points
-    besides ``x``. The stack is formed in one array operation from
-    coefficients built once per ``p`` (:func:`_stencil_coefficients`). The
-    derivatives are exact on a quadratic.
+    One batched call evaluates the ``2p² + 2p`` points ``x ± h_i e_i``,
+    ``x ± 2 h_i e_i`` and ``x ± h_i e_i ± h_j e_j`` (``i > j``); the
+    gradient is ``(f(x + h_i) - f(x - h_i)) / 2h_i``, the Hessian's diagonal
+    ``(f(x + 2h_i) - 2f(x) + f(x - 2h_i)) / 4h_i²`` and its off-diagonal
+    ``(f(++) - f(+-) - f(-+) + f(--)) / 4h_i h_j``, exact on a quadratic.
     """
-    p = x.size
-    twice = 2 * steps
-    first, second = _stencil_coefficients(p)
-    values = iter(fn((x + first * steps) + second * steps))
-    grad = np.empty(p)
-    hess = np.empty((p, p))
-    for i in range(p):
-        up, down, far_up, far_down = (next(values) for _ in range(4))
-        grad[i] = (up - down) / twice[i]
-        hess[i, i] = ((far_up - value) / twice[i] - (value - far_down) / twice[i]) / twice[i]
-        for j in range(i):
-            pp, pm, mp, mm = (next(values) for _ in range(4))
-            i_then_j = ((pp - mp) / twice[i] - (pm - mm) / twice[i]) / twice[j]
-            j_then_i = ((pp - pm) / twice[j] - (mp - mm) / twice[j]) / twice[i]
-            hess[i, j] = hess[j, i] = 0.5 * (i_then_j + j_then_i)
+    shift = np.diag(steps)
+    rows, cols = np.tril_indices(x.size, -1)
+    corners = [si * shift[rows] + sj * shift[cols] for si in (1, -1) for sj in (1, -1)]
+    values = fn(x + np.concatenate([shift, -shift, 2 * shift, -2 * shift, *corners]))
+    up, down, far_up, far_down = values[: 4 * x.size].reshape(4, -1)
+    pp, pm, mp, mm = values[4 * x.size :].reshape(4, -1)
+    grad = (up - down) / (2 * steps)
+    hess = np.diag((far_up - 2 * value + far_down) / (4 * steps**2))
+    hess[rows, cols] = hess[cols, rows] = (pp - pm - mp + mm) / (4 * steps[rows] * steps[cols])
     return grad, hess
 
 
@@ -516,10 +482,9 @@ def _refine_continuous_update(
     grad, hess = _central_differences(objective, start, steps, start_val)
     if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
         return start, start_val
-    p = start.size
     eigenvalues = np.linalg.eigvalsh(hess)
     if eigenvalues[0] <= 0.0:
-        hess = hess + (abs(eigenvalues[0]) + 1e-8 * max(eigenvalues[-1], 1.0)) * np.eye(p)
+        hess = hess + (abs(eigenvalues[0]) + 1e-8 * max(eigenvalues[-1], 1.0)) * np.eye(start.size)
     try:
         step = -np.linalg.solve(hess, grad)
     except np.linalg.LinAlgError:
@@ -602,26 +567,21 @@ def fit_optimal(ds: Dataset, basis: BasisMatrix, bridge: OutcomeBridge) -> GmmFi
     The moment system (Jacobian and constant, over the bridge features the
     dataset keeps) is built once, and every step below reads it. Step one
     takes the identity-weight estimates, one least-squares solve with no
-    variance; the moment
-    covariance at those estimates is eigendecomposed and inverted with
-    eigenvalues floored at ``SPECTRAL_FLOOR`` times the largest, which
-    regularizes directions whose sample variance is negligible (including
-    the structurally degenerate contrast direction of a
-    parameter-constant-contrast bridge) instead of letting them dominate
-    the weight. When the moment count exceeds the
-    parameter count, the two-step solution is then polished by a damped
-    Newton step of the quadratic form with the covariance continuously
-    re-evaluated, and floored by the same rule, at the trial parameters,
-    which removes the bias that accumulates in the frozen-weight solution
-    as moments are added. The polish builds one O(n (K(p+1))²) Gram of the
-    moment features, after which no objective evaluation does work in n. It
-    evaluates the objective at most ``2p² + 2p + 1 + _POLISH_BACKTRACKS``
-    points for ``p`` parameters (bridge coefficients and the effect), the
-    ``2p² + 2p`` of its finite-difference stencil in one batched call. At
-    an exactly identified count the two-step solution already zeroes every
-    moment, so the polish is skipped. The reported variance re-evaluates
-    the moment covariance at the final estimates and applies the same
-    floored inverse as the sandwich core.
+    variance; the moment covariance at those estimates is eigendecomposed
+    and inverted with eigenvalues floored at ``SPECTRAL_FLOOR`` times the
+    largest, which regularizes directions whose sample variance is
+    negligible (including the structurally degenerate contrast direction of
+    a parameter-constant-contrast bridge) instead of letting them dominate
+    the weight. When the moment count exceeds the parameter count, one
+    damped Newton step of the continuously updated objective, its
+    covariance floored by the same rule at the trial parameters, polishes
+    the two-step solution (:func:`_refine_continuous_update`, whose
+    finite-difference stencil is one batched call); it removes the bias
+    that accumulates in the frozen-weight solution as moments are added.
+    At an exactly identified count the two-step solution already zeroes
+    every moment, so the polish is skipped. The reported variance
+    re-evaluates the moment covariance at the final estimates and applies
+    the same floored inverse as the sandwich core.
     """
     basis = _prepare(basis)
     return _fit_optimal(_Moments.build(ds, basis.u, bridge))

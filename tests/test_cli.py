@@ -21,6 +21,7 @@ from proxigmm import (
 )
 from proxigmm.cli import build_parser, main
 from proxigmm.errors import SingularSystem
+from proxigmm.sieve import family_size
 from proxigmm.simulation import BASELINES, DEFAULT_K_BAR, METHODS
 
 ROLES = VariableRoles(
@@ -28,10 +29,10 @@ ROLES = VariableRoles(
 )
 
 
-def _data_flags(path, proxies_w="w1") -> list[str]:
+def _data_flags(path, proxies_w="w1", covariates="x1") -> list[str]:
     return [
         "--data", str(path), "--outcome", "y", "--treatment", "a",
-        "--proxies-z", "z1", "--proxies-w", proxies_w, "--covariates", "x1",
+        "--proxies-z", "z1", "--proxies-w", proxies_w, "--covariates", covariates,
     ]
 
 
@@ -71,6 +72,15 @@ def test_missing_column_is_a_data_error(csv_path, tmp_path):
     code = main(["estimate", *_data_flags(csv_path, proxies_w="w9"),
                  "--out-dir", str(tmp_path)])
     assert code == 3
+
+
+def test_role_column_repeated_in_header_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "twice.csv"
+    path.write_text("y,a,z1,w1,x1,y\n1.0,0,0.1,1.5,2.0,9.0\n")
+    out = tmp_path / "out"
+    assert main(["estimate", *_data_flags(path), "--out-dir", str(out)]) == 3
+    assert "['y'] appear more than once" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unequal_proxy_counts_are_a_numeric_failure(tmp_path, capsys):
@@ -172,6 +182,48 @@ def test_kmax_below_bridge_dimension_of_data_is_a_config_error(
         assert code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("study", STUDIES)
+def test_negative_seed_is_a_config_error(study, tmp_path, capsys):
+    code = main([*STUDIES[study], "--reps", "1", "--seed", "-1", "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.fixture(scope="module")
+def bare_csv_path(tmp_path_factory):
+    """One z and one w proxy and no covariates: a sieve of 8 terms."""
+    ds = generate(ScenarioConfig("II", 300), 4, 0)
+    bare = dataclasses.replace(ds, x=np.empty((ds.n, 0)), x_names=())
+    path = tmp_path_factory.mktemp("bare") / "bare.csv"
+    write_csv(bare, str(path))
+    return path
+
+
+@pytest.mark.parametrize("command", [["estimate", "--method", "gmm-div"], ["select-k"]])
+def test_default_kmax_is_capped_at_the_sieve_size(command, bare_csv_path, tmp_path):
+    assert family_size(1) == 8 < DEFAULT_K_BAR
+    argv = [*command, *_data_flags(bare_csv_path, covariates=""), "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    with open(tmp_path / "loss_curve.csv", newline="") as fh:
+        assert max(int(row["K"]) for row in csv.DictReader(fh)) == 8
+    if command[0] == "estimate":
+        ds = load_csv(str(bare_csv_path), VariableRoles("y", "a", ("z1",), ("w1",)))
+        expected = select_and_fit(ds, OutcomeBridge.linear(1, 0), SieveSpec(), 8)[0]
+        assert json.loads((tmp_path / "report.json").read_text())["tau_hat"] == expected.tau_hat
+
+
+@pytest.mark.parametrize("command", [["estimate", "--method", "gmm-div"], ["select-k"]])
+def test_explicit_kmax_above_the_sieve_size_is_a_config_error(
+    command, bare_csv_path, tmp_path, capsys
+):
+    argv = [*command, *_data_flags(bare_csv_path, covariates=""), "--kmax", str(DEFAULT_K_BAR),
+            "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert f"kmax must be at most the 8 sieve terms, got {DEFAULT_K_BAR}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_kmax_is_not_checked_without_gmm_div(tmp_path):

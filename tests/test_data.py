@@ -140,6 +140,15 @@ class TestCsvRoundTrip:
         with pytest.raises(MissingColumn, match=r"w1"):
             load_csv(str(p), self.ROLES)
 
+    def test_role_column_repeated_in_header_is_ambiguous(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_text("y,a,z1,w1,x1,y\n1.0,0,0.1,1.5,2.0,9.0\n")
+        with pytest.raises(UnknownColumn, match=r"\['y'\] appear more than once"):
+            load_csv(str(p), self.ROLES)
+        # A repeated column that no role names is not read, so it is no error.
+        p.write_text("y,a,z1,w1,x1,v,v\n1.0,0,0.1,1.5,2.0,3.0,4.0\n")
+        assert load_csv(str(p), self.ROLES).y.tolist() == [1.0]
+
     def test_corrupt_cell_names_row_and_column(self, tmp_path):
         p = tmp_path / "c.csv"
         p.write_text("y,a,z1,w1,x1\n1.0,0,0.1,oops,2.0\n")

@@ -370,31 +370,34 @@ class TestContinuousUpdatePolish:
         assert points == [1, 2 * p * p + 2 * p]
 
     @pytest.mark.parametrize("p", range(1, 7))
-    def test_stencil_is_the_one_added_point_by_point(self, rng, p):
-        # The stencil adds each point's displacements h_i e_i one at a time.
-        # Zeros of x and of negated displacements keep their signs, which
-        # the byte comparison checks.
+    def test_stencil_evaluates_each_point_once(self, rng, p):
+        # One call evaluates x ± h_i e_i, x ± 2 h_i e_i and x ± h_i e_i ± h_j e_j
+        # (i > j), each once, in any order and up to rounding.
         x = rng.normal(size=p)
-        x[rng.integers(p)] = -0.0
         steps = rng.uniform(1e-3, 1.0, size=p)
         shift = np.diag(steps)
-        expected = []
-        for i in range(p):
-            expected += [x + shift[i], x - shift[i], x + shift[i] + shift[i], x - shift[i] - shift[i]]
-            for j in range(i):
-                expected += [
-                    x + si * shift[i] + sj * shift[j]
-                    for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))
-                ]
-        stencils = []
+        expected = [x + s * shift[i] for i in range(p) for s in (1, -1, 2, -2)]
+        expected += [
+            x + si * shift[i] + sj * shift[j]
+            for i in range(p)
+            for j in range(i)
+            for si in (1, -1)
+            for sj in (1, -1)
+        ]
+        expected = np.array(expected)
+        calls = []
 
         def record(points):
-            stencils.append(points)
+            calls.append(points)
             return np.zeros(len(points))
 
         gmm._central_differences(record, x, steps, 0.0)
-        (points,) = stencils
-        assert points.tobytes() == np.array(expected).tobytes()
+        (points,) = calls
+        assert points.shape == expected.shape == (2 * p * p + 2 * p, p)
+        tol = 1e-15 * np.abs(expected).max()
+        close = np.all(np.abs(points[:, None] - expected[None]) <= tol, axis=2)
+        # A bijection: every evaluated point is one expected point, and back.
+        assert np.all(close.sum(axis=0) == 1) and np.all(close.sum(axis=1) == 1)
 
     def test_non_finite_start_costs_one_evaluation(self, polished_case, monkeypatch):
         ds, basis, bridge = polished_case
