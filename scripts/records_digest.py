@@ -1,11 +1,13 @@
-"""Print one SHA-256 digest per Monte Carlo cell over all its records.
+"""Print one SHA-256 digest per Monte Carlo cell and method over its records.
 
 Run ``PYTHONPATH=src python scripts/records_digest.py --seed S --reps R`` on
-two trees and ``diff`` the output: equal lines mean bit-identical records.
-A digest covers each record's rep, method, tau_hat, se_tau, ci_lo, ci_hi,
-reject, k_star and error, floats as ``float.hex``. The cells are I/400 and
-II/800 with every method, II/3200 ``gmm-div`` at ``k_bar`` 20 on 2 workers,
-and every misspecification level (II/800, every method).
+two trees and ``diff`` the output: equal lines mean bit-identical records,
+so a change that moves one method's rounding leaves every other method's
+lines equal. A digest covers each of the method's records' rep, method,
+tau_hat, se_tau, ci_lo, ci_hi, reject, k_star and error, floats as
+``float.hex``. The cells are I/400 and II/800 with every method, II/3200
+``gmm-div`` at ``k_bar`` 20 on 2 workers, and every misspecification level
+(II/800, every method).
 """
 
 from __future__ import annotations
@@ -47,7 +49,10 @@ def main(argv=None) -> None:
            for level in MISSPEC_LEVELS},
     }
     for name, run in cells.items():
-        print(f"{digest(run())}  {name}", flush=True)
+        records = run()
+        for method in dict.fromkeys(rec["method"] for rec in records):
+            mine = [rec for rec in records if rec["method"] == method]
+            print(f"{digest(mine)}  {name}  {method}", flush=True)
 
 
 if __name__ == "__main__":

@@ -3,6 +3,11 @@
 Each estimator returns an :class:`EstimateReport` with a sandwich standard
 error derived from its own stacked estimating equations, so confidence
 intervals account for every estimated nuisance parameter.
+
+Each bridge has one fit per dataset: ``rgmm``, ``p2sls`` and ``pdr`` read
+one IV fit of the outcome bridge (so with as many z as w proxies ``p2sls``
+equals ``rgmm``), and ``pipw`` and ``pdr`` one treatment-bridge solve, which
+balances the outcome bridge's features.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .errors import (
     SingularVariance,
     WeakRank,
 )
-from .gmm import WALD_CRITICAL_5PCT, _fit_once, _Moments
+from .gmm import WALD_CRITICAL_5PCT, _bridge_features, _fit_once, _Moments
 
 _NEWTON_MAX_ITER = 50
 _NEWTON_TOL = 1e-10
@@ -88,7 +93,7 @@ def _stacked_se(scores: np.ndarray, jac: np.ndarray, idx: int, system: str) -> f
         raise SingularSystem(f"stacked {system} Jacobian is singular") from exc
     v = jinv @ upsilon @ jinv.T
     var = v[idx, idx]
-    if not np.isfinite(var) or var < 0.0:
+    if not (np.isfinite(var) and var > 0.0):
         raise SingularVariance("sandwich variance is not positive at the target")
     return float(np.sqrt(var / n))
 
@@ -127,26 +132,70 @@ def naive_gformula(ds: Dataset) -> EstimateReport:
     )
 
 
-def _canonical_bridge_fit(ds: Dataset) -> tuple[_Moments, np.ndarray]:
-    """Moments of the linear outcome bridge instrumented by (1, z, a, x), and
-    the bridge coefficients that zero them.
+def _instruments(ds: Dataset) -> np.ndarray:
+    """The columns ``(1, z, a, x)``: the instruments of the outcome bridge's
+    IV fit, and the design of the treatment bridge."""
+    return np.column_stack([np.ones(ds.n), ds.z, ds.a, ds.x])
 
-    Raises :class:`DimensionMismatch` unless there is one instrument per
-    bridge parameter, that is as many z proxies as w proxies.
+
+def _linear_bridge(ds: Dataset) -> OutcomeBridge:
+    """The linear outcome bridge over ``(1, w, a, x)``."""
+    return OutcomeBridge.linear(ds.w.shape[1], ds.x.shape[1])
+
+
+def _require_exact_identification(ds: Dataset) -> None:
+    """Raises :class:`DimensionMismatch` unless there are as many z as w
+    proxies, so one instrument per bridge parameter."""
+    p, k = 2 + ds.w.shape[1] + ds.x.shape[1], 2 + ds.z.shape[1] + ds.x.shape[1]
+    if k != p:
+        raise DimensionMismatch(f"need exactly {p} instruments for {p} bridge parameters, got {k}")
+
+
+def _canonical_bridge_fit(ds: Dataset) -> tuple[_Moments, np.ndarray]:
+    """The IV fit of the linear outcome bridge: its moments, and the bridge
+    coefficients that zero them.
+
+    With as many z as w proxies the moments are instrumented by
+    ``(1, z, a, x)``, one instrument per bridge parameter; with more z
+    proxies, by the least-squares projection of the bridge features on those
+    columns, which is two-stage least squares. Raises :class:`WeakRank` with
+    fewer z than w proxies.
     """
-    bridge = OutcomeBridge.linear(ds.w.shape[1], ds.x.shape[1])
-    instruments = np.column_stack([np.ones(ds.n), ds.z, ds.a, ds.x])
-    p = bridge.n_params
-    if instruments.shape[1] != p:
-        raise DimensionMismatch(
-            f"need exactly {p} instruments for {p} bridge parameters, got {instruments.shape[1]}"
+    if ds.z.shape[1] < ds.w.shape[1]:
+        raise WeakRank(
+            f"{ds.z.shape[1]} instruments cannot identify {ds.w.shape[1]} proxy regressors"
         )
+    bridge = _linear_bridge(ds)
+    instruments = _instruments(ds)
+    p = bridge.n_params
+    if instruments.shape[1] > p:
+        first_stage = np.linalg.lstsq(instruments, _bridge_features(ds, bridge).feats, rcond=None)
+        instruments = instruments @ first_stage[0]
     moments = _Moments.build(ds, instruments, bridge)
     try:
         gamma = np.linalg.solve(-moments.jac[:p, :p], moments.const[:p])
     except np.linalg.LinAlgError as exc:
         raise SingularSystem("instrument/feature cross-moment matrix is singular") from exc
     return moments, gamma
+
+
+def _outcome_bridge_report(ds: Dataset, method: str) -> EstimateReport:
+    """The average fitted treatment contrast of :func:`_canonical_bridge_fit`,
+    with the joint sandwich of the bridge moments and the contrast moment."""
+    moments, gamma = _fit_once(_canonical_bridge_fit, ds)
+    f = moments.features
+    tau = float(f.contrast_mean @ gamma)
+    resid = ds.y - f.feats @ gamma
+    # One product with the contrast features, as in pdr: moments.scores
+    # differences two products, which rounds the contrast column differently.
+    scores = np.column_stack([moments.u * resid[:, None], tau - f.contrast @ gamma])
+    return EstimateReport(
+        method=method,
+        tau_hat=tau,
+        se_tau=_stacked_se(scores, moments.jac, gamma.shape[0], "moment"),
+        n=ds.n,
+        aux={"gamma_hat": gamma},
+    )
 
 
 def rgmm(ds: Dataset) -> EstimateReport:
@@ -156,74 +205,26 @@ def rgmm(ds: Dataset) -> EstimateReport:
     with (1, z, a, x), one instrument per bridge parameter, solves those
     moment conditions and averages the fitted treatment contrast. Requires
     as many treatment-side proxies as outcome-side ones so the system is
-    square. The standard error comes from the joint sandwich of the bridge
-    moments and the contrast moment.
+    square, and raises :class:`DimensionMismatch` otherwise. The standard
+    error comes from the joint sandwich of the bridge moments and the
+    contrast moment. A dataset shares this fit across ``rgmm``, ``p2sls``
+    and ``pdr``, so ``rgmm`` equals :func:`p2sls`.
     """
-    moments, gamma = _fit_once(_canonical_bridge_fit, ds)
-    f = moments.features
-    tau = float(f.contrast_mean @ gamma)
-    resid = ds.y - f.feats @ gamma
-    # One product with the contrast features, as in pdr: moments.scores
-    # differences two products, which rounds the contrast column differently.
-    scores = np.column_stack([moments.u * resid[:, None], tau - f.contrast @ gamma])
-    return EstimateReport(
-        method="rgmm",
-        tau_hat=tau,
-        se_tau=_stacked_se(scores, moments.jac, gamma.shape[0], "moment"),
-        n=ds.n,
-        aux={"gamma_hat": gamma},
-    )
+    _require_exact_identification(ds)
+    return _outcome_bridge_report(ds, "rgmm")
 
 
 def p2sls(ds: Dataset) -> EstimateReport:
     """Two-stage least squares using z to instrument w.
 
-    Regressors (1, a, x, w); instruments (1, a, x, z). The treatment
-    coefficient estimates the effect; its standard error is the usual
+    Regressors (1, w, a, x); instruments (1, z, a, x). The treatment
+    coefficient estimates the effect; its standard error is the
     heteroskedasticity-robust 2SLS sandwich with residuals taken at the
-    original regressors.
+    original regressors. A dataset shares this fit across ``rgmm``,
+    ``p2sls`` and ``pdr``, so with as many z as w proxies ``p2sls`` equals
+    :func:`rgmm`; fewer z than w proxies raise :class:`WeakRank`.
     """
-    if ds.z.shape[1] < ds.w.shape[1]:
-        raise WeakRank(
-            f"{ds.z.shape[1]} instruments cannot identify {ds.w.shape[1]} proxy regressors"
-        )
-    regressors = np.column_stack([np.ones(ds.n), ds.a, ds.x, ds.w])
-    inst = np.column_stack([np.ones(ds.n), ds.a, ds.x, ds.z])
-    gram_inst = inst.T @ inst
-    if np.linalg.matrix_rank(gram_inst) < inst.shape[1]:
-        raise WeakRank("instrument matrix is rank deficient")
-    try:
-        # The Cholesky factor checks that the instrument Gram matrix is
-        # positive definite, as the first-stage solve requires.
-        np.linalg.cholesky(gram_inst)
-        proj = inst @ np.linalg.solve(gram_inst, inst.T @ regressors)
-    except np.linalg.LinAlgError as exc:
-        raise WeakRank("instrument Gram matrix is not positive definite") from exc
-    gram = proj.T @ regressors
-    try:
-        beta = np.linalg.solve(gram, proj.T @ ds.y)
-        gram_inv = np.linalg.inv(gram)
-    except np.linalg.LinAlgError as exc:
-        raise WeakRank("projected design is singular") from exc
-    resid = ds.y - regressors @ beta
-    meat = (proj * resid[:, None] ** 2).T @ proj
-    v = gram_inv @ meat @ gram_inv.T
-    return EstimateReport(
-        method="p2sls",
-        tau_hat=float(beta[1]),
-        se_tau=float(np.sqrt(v[1, 1])),
-        n=ds.n,
-        aux={"coefficients": beta},
-    )
-
-
-def _pipw_system(ds: Dataset):
-    sign = np.where(ds.a > 0.5, 1.0, -1.0)  # (-1)^(1-A)
-    basis_c = np.column_stack([np.ones(ds.n), ds.w, ds.a, ds.x])
-    basis_b = np.column_stack([np.ones(ds.n), ds.z, ds.a, ds.x])
-    target = np.zeros(basis_c.shape[1])
-    target[1 + ds.w.shape[1]] = 1.0
-    return sign, basis_c, basis_b, target
+    return _outcome_bridge_report(ds, "p2sls")
 
 
 def _newton_starts(dim: int) -> list[np.ndarray]:
@@ -245,9 +246,14 @@ def _bridge_values(signed_b: np.ndarray, theta: np.ndarray) -> np.ndarray:
 def _solve_treatment_bridge(ds: Dataset):
     """Treatment-bridge coefficients that balance the reweighting moments.
 
-    Returns ``(theta, q, system)``: the coefficients, the bridge values at
-    them, and the ``(sign, basis_c, basis_b, target)`` arrays of
-    :func:`_pipw_system`, so callers build neither again.
+    The balancing moments are ``E[(-1)^(1-A) q b] = E[b(1) - b(0)]`` for
+    each feature ``b`` of the linear outcome bridge. Returns
+    ``(theta, q, system)``: the coefficients, the bridge values at them, and
+    the moments' ``(sign, basis_c, basis_b, target)``, so callers build
+    none of them again: ``(-1)^(1-A)``, the outcome bridge's features
+    ``(1, w, a, x)`` (:func:`gmm._bridge_features`), the treatment bridge's
+    design ``(1, z, a, x)`` (:func:`_instruments`), and the features' mean
+    contrast.
 
     Damped Newton runs from ``theta = 0`` and from the ``2^min(p-1, 3)``
     points with every coordinate ±0.5 that vary the signs of the up to
@@ -276,11 +282,15 @@ def _solve_treatment_bridge(ds: Dataset):
     every moment's imbalance there is below ``_MINNORM_ACCEPT`` (0.5);
     otherwise the solve raises :class:`NoConvergence`.
     """
-    system = sign, basis_c, basis_b, target = _pipw_system(ds)
+    features = _bridge_features(ds, _linear_bridge(ds))
+    basis_c, target = features.feats, features.contrast_mean
+    basis_b = _instruments(ds)
     if basis_c.shape[1] != basis_b.shape[1]:
         raise DimensionMismatch(
             "reweighting moments need equally many z and w proxies"
         )
+    sign = np.where(ds.a > 0.5, 1.0, -1.0)  # (-1)^(1-A)
+    system = sign, basis_c, basis_b, target
     n = ds.n
     # The moments weight basis_c by (-1)^(1-A) q, and the bridge's index
     # sign is -1 treated, +1 untreated (see _bridge_values). Folding the
@@ -399,12 +409,18 @@ def pdr(ds: Dataset) -> EstimateReport:
 
     Combines the outcome-bridge contrast with a reweighted residual
     correction; consistent if either bridge is correctly specified. The
-    outcome bridge is fitted as in :func:`rgmm`. The standard error stacks
-    both bridges' moments with the combination moment.
+    outcome bridge is :func:`rgmm`'s fit and the treatment bridge
+    :func:`pipw`'s solve, both shared with those estimators on the same
+    dataset; like :func:`rgmm` it raises :class:`DimensionMismatch` unless
+    there are as many z as w proxies. The standard error stacks both
+    bridges' moments with the combination moment.
     """
+    _require_exact_identification(ds)
     moments, gamma = _fit_once(_canonical_bridge_fit, ds)
-    theta, q, (sign, basis_c, basis_b, target) = _fit_once(_solve_treatment_bridge, ds)
-    feats, cgrad = moments.features.feats, moments.features.contrast
+    # The treatment bridge balances the outcome bridge's features, so
+    # ``feats`` is ``moments.features.feats``.
+    theta, q, (sign, feats, basis_b, target) = _fit_once(_solve_treatment_bridge, ds)
+    cgrad = moments.features.contrast
     resid = ds.y - feats @ gamma
     contrib = cgrad @ gamma + sign * q * resid
     tau = float(np.mean(contrib))
@@ -413,14 +429,14 @@ def pdr(ds: Dataset) -> EstimateReport:
     scores = np.column_stack(
         [
             moments.u * resid[:, None],
-            basis_c * (sign * q)[:, None] - target,
+            feats * (sign * q)[:, None] - target,
             tau - contrib,
         ]
     )
     dim = p + t_dim + 1
     jac = np.zeros((dim, dim))
     jac[:p, :p] = moments.jac[:p, :p]
-    jac[p : p + t_dim, p : p + t_dim] = _balancing_jacobian(basis_c, basis_b, q)
+    jac[p : p + t_dim, p : p + t_dim] = _balancing_jacobian(feats, basis_b, q)
     jac[dim - 1, :p] = (-cgrad + (sign * q)[:, None] * feats).mean(axis=0)
     jac[dim - 1, p : p + t_dim] = ((q - 1.0) * resid) @ basis_b / ds.n
     jac[dim - 1, dim - 1] = 1.0

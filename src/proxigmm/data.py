@@ -30,7 +30,7 @@ class VariableRoles:
     """Names assigning file columns to model roles.
 
     ``covariates`` may be empty; every other role needs at least one name,
-    and no name may appear under two roles.
+    no role may list a name twice, and no name may appear under two roles.
     """
 
     outcome: str
@@ -44,6 +44,11 @@ class VariableRoles:
             raise MissingColumn("outcome and treatment column names are required")
         if not self.proxies_z or not self.proxies_w:
             raise MissingColumn("at least one proxy column is required per side")
+        for role in ("proxies_z", "proxies_w", "covariates"):
+            listed = getattr(self, role)
+            repeated = sorted({c for c in listed if listed.count(c) > 1})
+            if repeated:
+                raise UnknownColumn(f"{role} lists a column more than once: {repeated}")
         names = self.all_names()
         dup = {c for c in names if names.count(c) > 1}
         if dup:

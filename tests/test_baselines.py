@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import warnings
 import weakref
@@ -22,7 +23,7 @@ from proxigmm import (
     rgmm,
 )
 from proxigmm import baselines, run_replications
-from proxigmm.errors import DimensionMismatch, ProxiGmmError, WeakRank
+from proxigmm.errors import DimensionMismatch, ProxiGmmError, SingularSystem, SingularVariance
 from proxigmm.simulation import BASELINES
 
 
@@ -30,12 +31,38 @@ class TestOracles:
     @pytest.mark.parametrize("fixture", ["scenario1_ds", "scenario2_ds"])
     def test_rgmm_equals_p2sls_when_just_identified(self, fixture, request):
         # With one z and one w both solve Z'(y - Xb) = 0 for regressors
-        # (1, w, a, x) and instruments (1, z, a, x), and both sandwiches
-        # reduce to the heteroskedasticity-robust just-identified IV form.
+        # (1, w, a, x) and instruments (1, z, a, x): they read one fit and
+        # one sandwich, so they agree bit for bit.
         ds = request.getfixturevalue(fixture)
         a, b = rgmm(ds), p2sls(ds)
-        assert a.tau_hat == pytest.approx(b.tau_hat, rel=1e-10, abs=1e-12)
-        assert a.se_tau == pytest.approx(b.se_tau, rel=1e-9)
+        assert a.tau_hat == b.tau_hat
+        assert a.se_tau == b.se_tau
+        assert np.array_equal(a.aux["gamma_hat"], b.aux["gamma_hat"])
+
+    @pytest.mark.parametrize("d_z", [2, 3])
+    def test_overidentified_p2sls_is_textbook_2sls(self, d_z):
+        ds = make_gaussian_dataset(d_z=d_z, d_w=1)
+        regressors = np.column_stack([np.ones(ds.n), ds.w, ds.a, ds.x])
+        inst = np.column_stack([np.ones(ds.n), ds.z, ds.a, ds.x])
+        fitted = inst @ np.linalg.solve(inst.T @ inst, inst.T @ regressors)
+        bread = np.linalg.inv(fitted.T @ regressors)
+        beta = bread @ (fitted.T @ ds.y)
+        resid = ds.y - regressors @ beta
+        v = bread @ ((fitted * resid[:, None] ** 2).T @ fitted) @ bread.T
+        a_col = 1 + ds.w.shape[1]
+        report = p2sls(ds)
+        np.testing.assert_allclose(report.aux["gamma_hat"], beta, rtol=1e-10)
+        assert report.tau_hat == pytest.approx(beta[a_col], rel=1e-10)
+        assert report.se_tau == pytest.approx(np.sqrt(v[a_col, a_col]), rel=1e-10)
+
+    def test_a_repeated_z_proxy_leaves_p2sls_unchanged(self):
+        # The first stage projects on the instruments' column space, which a
+        # repeated z column does not change.
+        ds = make_gaussian_dataset(d_z=1, d_w=1)
+        twice = dataclasses.replace(ds, z=np.repeat(ds.z, 2, axis=1), z_names=("z1", "z2"))
+        a, b = p2sls(ds), p2sls(twice)
+        assert b.tau_hat == pytest.approx(a.tau_hat, rel=1e-10)
+        assert b.se_tau == pytest.approx(a.se_tau, rel=1e-10)
 
     def test_naive_matches_lstsq_with_hc0(self, scenario2_ds):
         ds = scenario2_ds
@@ -64,13 +91,28 @@ class TestOracles:
         theta = ipw.aux["theta_hat"]
         np.testing.assert_array_equal(dr.aux["theta_hat"], theta)
         q = TreatmentBridge().q(ds.z, ds.a, ds.x, theta)
-        sign = np.where(ds.a > 0.5, 1.0, -1.0)
-        feats = np.column_stack([np.ones(ds.n), ds.w, ds.a, ds.x])
-        e_a = np.zeros(feats.shape[1])
-        e_a[1 + ds.w.shape[1]] = 1.0
+        sign, feats, _, e_a = _balancing_system(ds)
         imbalance = (feats * (sign * q)[:, None]).mean(axis=0) - e_a
         gap = dr.tau_hat - ipw.tau_hat
         assert gap == pytest.approx(-dr.aux["gamma_hat"] @ imbalance, abs=1e-12)
+
+
+def _balancing_system(ds):
+    """The treatment bridge's balancing moments E[(-1)^(1-A) q b] = e_a over
+    the features b = (1, w, a, x), with q over (1, z, a, x): returns
+    ``(sign, features, design, e_a)``."""
+    sign = np.where(ds.a > 0.5, 1.0, -1.0)
+    feats = np.column_stack([np.ones(ds.n), ds.w, ds.a, ds.x])
+    design = np.column_stack([np.ones(ds.n), ds.z, ds.a, ds.x])
+    e_a = np.zeros(feats.shape[1])
+    e_a[1 + ds.w.shape[1]] = 1.0
+    return sign, feats, design, e_a
+
+
+def test_stacked_se_rejects_a_zero_variance():
+    scores = np.zeros((10, 2))
+    with pytest.raises(SingularVariance, match="not positive"):
+        baselines._stacked_se(scores, np.eye(2), 1, "test")
 
 
 @pytest.mark.parametrize("method", list(BASELINES))
@@ -149,29 +191,35 @@ def test_pipw_and_pdr_share_one_treatment_solve(monkeypatch):
     assert alone[2][pipw] != alone[2][pdr]
 
 
-def test_rgmm_and_pdr_share_one_outcome_bridge_fit(monkeypatch):
+def test_rgmm_p2sls_and_pdr_share_one_outcome_bridge_fit(monkeypatch):
     # Case 1 is pdr's minimum-norm fallback; case 2 has five instruments
-    # for four parameters.
+    # for four parameters, which only p2sls fits.
     cases = lambda: _treatment_cases()[:3]
-    alone = _share_one_fit(monkeypatch, "_canonical_bridge_fit", (rgmm, pdr), cases)
+    alone = _share_one_fit(monkeypatch, "_canonical_bridge_fit", (rgmm, p2sls, pdr), cases)
     assert alone[2][rgmm] == alone[2][pdr] and alone[2][rgmm].startswith("DimensionMismatch")
+    assert all(alone[case][rgmm] == alone[case][p2sls] for case in (0, 1))
+    assert np.isfinite(alone[2][p2sls][0])
 
 
 def test_a_dataset_whose_fit_raised_is_freed_at_once(monkeypatch):
-    # The dataset keeps the error of its failed outcome-bridge fit, and
-    # later calls raise the same type and message without fitting again;
-    # yet the tracebacks, whose frames hold the dataset, leave it to be
-    # freed without a cyclic collection.
+    # The dataset keeps the error of its failed outcome-bridge fit (one z
+    # proxy cannot identify two w proxies), and later calls raise the same
+    # type and message without fitting again; yet the tracebacks, whose
+    # frames hold the dataset, leave it to be freed without a cyclic
+    # collection.
     ran = []
     real = baselines._canonical_bridge_fit
     monkeypatch.setattr(baselines, "_canonical_bridge_fit", lambda ds: ran.append(1) or real(ds))
     gc.disable()
     try:
-        ds = make_gaussian_dataset(d_z=2, d_w=1)
+        ds = make_gaussian_dataset(d_z=1, d_w=2)
         ref = weakref.ref(ds)
-        first = _outcome(rgmm, ds)
-        assert first.startswith("DimensionMismatch: need exactly 4 instruments")
-        assert _outcome(rgmm, ds) == _outcome(pdr, ds) == first
+        first = _outcome(p2sls, ds)
+        assert first.startswith("WeakRank: 1 instruments cannot identify 2")
+        assert _outcome(p2sls, ds) == first
+        # rgmm and pdr reject the dataset before they reach the fit.
+        assert _outcome(rgmm, ds) == _outcome(pdr, ds)
+        assert _outcome(rgmm, ds).startswith("DimensionMismatch: need exactly 5 instruments")
         assert ran == [1]
         del ds
         assert ref() is None
@@ -244,7 +292,7 @@ def _solve_with_halving_loop(ds):
     Returns the ``(theta, q)`` carried into every Newton iteration, and the
     root's ``(theta, q)``, or None when every start gives up.
     """
-    sign, basis_c, basis_b, target = baselines._pipw_system(ds)
+    sign, basis_c, basis_b, target = _balancing_system(ds)
 
     def balance(theta):
         q = 1.0 + np.exp(-sign * (basis_b @ theta))
@@ -372,17 +420,15 @@ def test_newton_abandons_a_start_whose_jacobian_is_ill_conditioned(monkeypatch, 
     assert bool(solves) == steps
 
 
-@pytest.mark.parametrize("factorization", ["cholesky", "inv"])
-def test_p2sls_factorization_failure_is_a_recorded_weak_rank(monkeypatch, factorization):
-    # cholesky checks that the first-stage instrument Gram matrix is
-    # positive definite; inv inverts the projected design for the sandwich.
-    # Either failing is a WeakRank, which a Monte Carlo call records.
+def test_p2sls_factorization_failure_is_a_recorded_singular_system(monkeypatch):
+    # inv inverts the stacked Jacobian for the sandwich. Its failing is a
+    # SingularSystem, which a Monte Carlo call records.
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("injected")
 
-    monkeypatch.setattr(np.linalg, factorization, fail)
+    monkeypatch.setattr(np.linalg, "inv", fail)
     config = ScenarioConfig("I", 400)
-    with pytest.raises(WeakRank):
+    with pytest.raises(SingularSystem, match="stacked moment Jacobian is singular"):
         p2sls(generate(config, 0, 0))
     records = run_replications(config, ("p2sls",), 2, 0)
-    assert [rec["error"].split(":")[0] for rec in records] == ["WeakRank", "WeakRank"]
+    assert [rec["error"].split(":")[0] for rec in records] == ["SingularSystem"] * 2

@@ -83,6 +83,16 @@ def test_role_column_repeated_in_header_is_a_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_column_repeated_within_a_role_is_a_data_error(csv_path, tmp_path, capsys):
+    argv = ["estimate", "--data", str(csv_path), "--outcome", "y", "--treatment", "a",
+            "--proxies-z", "z1,z1", "--proxies-w", "w1", "--covariates", "x1",
+            "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "proxies_z lists a column more than once: ['z1']" in err
+    assert "more than one role" not in err
+
+
 def test_unequal_proxy_counts_are_a_numeric_failure(tmp_path, capsys):
     path = tmp_path / "two_z.csv"
     write_csv(make_gaussian_dataset(d_z=2, d_w=1), str(path))

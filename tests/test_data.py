@@ -62,6 +62,13 @@ class TestVariableRoles:
         with pytest.raises(UnknownColumn, match="more than one role"):
             VariableRoles("y", "a", ("dup",), ("dup",))
 
+    @pytest.mark.parametrize("role", ["proxies_z", "proxies_w", "covariates"])
+    def test_name_repeated_within_a_role_is_named_with_its_role(self, role):
+        base = dict(outcome="y", treatment="a", proxies_z=("z1",), proxies_w=("w1",))
+        base[role] = (f"{role}_col", "other", f"{role}_col")
+        with pytest.raises(UnknownColumn, match=rf"{role} lists a column more than once: \['{role}_col'\]"):
+            VariableRoles(**base)
+
 
 class TestDataset:
     def test_shapes_and_counts(self):

@@ -6,6 +6,8 @@ import importlib.util
 import re
 from pathlib import Path
 
+from proxigmm.simulation import METHODS
+
 _SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -19,16 +21,22 @@ def _script(name: str):
 def test_records_digest_prints_one_digest_per_cell(capsys):
     _script("records_digest").main(["--seed", "3", "--reps", "2"])
     lines = capsys.readouterr().out.splitlines()
-    digests = {cell: digest for digest, cell in (line.split("  ", 1) for line in lines)}
+    digests = {}
+    for line in lines:
+        digest, cell, method = line.split("  ")
+        digests.setdefault(cell, {})[method] = digest
+    assert len(lines) == sum(map(len, digests.values()))
     assert list(digests) == [
         "I/400 all", "II/800 all", "II/3200 gmm-div k_bar 20, 2 workers",
         *(f"misspec {level} II/800 all"
           for level in ("correct", "minor", "moderate", "significant")),
     ]
-    assert all(re.fullmatch("[0-9a-f]{64}", d) for d in digests.values())
-    # The undistorted misspecification cell is the II/800 cell.
+    for cell, by_method in digests.items():
+        assert list(by_method) == (["gmm-div"] if "3200" in cell else list(METHODS))
+        assert all(re.fullmatch("[0-9a-f]{64}", d) for d in by_method.values())
+    # The undistorted misspecification cell is the II/800 cell, method by method.
     assert digests["misspec correct II/800 all"] == digests["II/800 all"]
-    assert len(set(digests.values())) == 6
+    assert len({d for by_method in digests.values() for d in by_method.values()}) == 5 * len(METHODS) + 1
 
 
 def test_polish_on_off_reports_both_arms(capsys):

@@ -596,7 +596,7 @@ def test_one_outcome_bridge_fit_per_replication(monkeypatch):
     monkeypatch.setattr(
         baselines, "_canonical_bridge_fit", lambda ds: fitted.append(ds.y[0]) or real(ds)
     )
-    run_replications(ScenarioConfig("II", 400), ("rgmm", "naive", "pdr"), 3, 0)
+    run_replications(ScenarioConfig("II", 400), ("rgmm", "naive", "p2sls", "pdr"), 3, 0)
     assert len(fitted) == 3 and len(set(fitted)) == 3
 
 
