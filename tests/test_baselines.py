@@ -420,15 +420,26 @@ def test_newton_abandons_a_start_whose_jacobian_is_ill_conditioned(monkeypatch, 
     assert bool(solves) == steps
 
 
-def test_p2sls_factorization_failure_is_a_recorded_singular_system(monkeypatch):
-    # inv inverts the stacked Jacobian for the sandwich. Its failing is a
-    # SingularSystem, which a Monte Carlo call records.
+@pytest.mark.parametrize(
+    "factorization, message",
+    [
+        ("solve", "instrument/feature cross-moment matrix is singular"),
+        ("inv", "stacked moment Jacobian is singular"),
+    ],
+    ids=["solve", "inv"],
+)
+def test_p2sls_factorization_failure_is_a_recorded_singular_system(
+    monkeypatch, factorization, message
+):
+    # solve fits the outcome bridge; inv inverts the stacked Jacobian for
+    # the sandwich. Either failing is a SingularSystem, which a Monte Carlo
+    # call records.
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("injected")
 
-    monkeypatch.setattr(np.linalg, "inv", fail)
+    monkeypatch.setattr(np.linalg, factorization, fail)
     config = ScenarioConfig("I", 400)
-    with pytest.raises(SingularSystem, match="stacked moment Jacobian is singular"):
+    with pytest.raises(SingularSystem, match=message):
         p2sls(generate(config, 0, 0))
     records = run_replications(config, ("p2sls",), 2, 0)
     assert [rec["error"].split(":")[0] for rec in records] == ["SingularSystem"] * 2
