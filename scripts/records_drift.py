@@ -1,0 +1,96 @@
+"""Print how far each Monte Carlo cell's records moved from another tree's.
+
+From the repository root, with ``PARENT`` a checkout of the commit to
+compare against (``git archive`` or ``git clone``):
+
+    PYTHONPATH=src python scripts/records_drift.py PARENT --seed 3 --reps 200
+
+Each tree runs the cells of ``record_cells.py`` (those of
+``records_digest.py``) in an interpreter of its own, on its own ``src``.
+One line per cell and method gives the number of records, how many are
+bit-identical (every field of ``records_digest.py``'s digest), how many
+changed their error, K* or Wald decision, the largest |change in tau_hat|
+and the largest relative change in se_tau over the records both trees
+estimated.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+from record_cells import encode
+
+_HERE = Path(__file__).resolve().parent
+# Runs in a fresh interpreter: argv is (src, scripts, seed, reps). Prints
+# the pickled records of every cell and the path proxigmm was loaded from.
+_CHILD = """
+import pickle, sys
+sys.path[:0] = sys.argv[1:3]
+import proxigmm
+from record_cells import cells
+records = {name: run() for name, run in cells(int(sys.argv[3]), int(sys.argv[4])).items()}
+pickle.dump((proxigmm.__file__, records), sys.stdout.buffer)
+"""
+
+
+def run_tree(root: Path, seed: int, reps: int) -> dict[str, list[dict]]:
+    """Every cell's records as the tree at ``root`` computes them."""
+    src = (root / "src").resolve()
+    out = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(src), str(_HERE), str(seed), str(reps)],
+        stdout=subprocess.PIPE, check=True,
+    ).stdout
+    loaded, records = pickle.loads(out)
+    if not Path(loaded).resolve().is_relative_to(src):
+        raise RuntimeError(f"expected proxigmm from {src}, loaded {loaded}")
+    return records
+
+
+def _relative(old: float, new: float) -> float:
+    """|new - old| / |old|: 0 when the two are equal, inf from a zero ``old``."""
+    if old == new:
+        return 0.0
+    return abs(new - old) / abs(old) if old else math.inf
+
+
+def drift(old: list[dict], new: list[dict]) -> tuple:
+    """(records, identical, error flips, K* flips, reject flips, max
+    |dtau|, max relative dSE) of one method's records in two trees."""
+    if [(r["rep"], r["method"]) for r in old] != [(r["rep"], r["method"]) for r in new]:
+        raise RuntimeError("the trees' records are not the same replications")
+    pairs = list(zip(old, new))
+    both = [(a, b) for a, b in pairs if a["error"] is None and b["error"] is None]
+    return (
+        len(pairs),
+        sum(encode(a) == encode(b) for a, b in pairs),
+        *(sum(a[key] != b[key] for a, b in pairs) for key in ("error", "k_star", "reject")),
+        max((abs(b["tau_hat"] - a["tau_hat"]) for a, b in both), default=0.0),
+        max((_relative(a["se_tau"], b["se_tau"]) for a, b in both), default=0.0),
+    )
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="root of the tree to compare against")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--reps", type=int, default=200)
+    opts = parser.parse_args(argv)
+    old = run_tree(opts.parent, opts.seed, opts.reps)
+    new = run_tree(_HERE.parent, opts.seed, opts.reps)
+    print(f"{'cell':<38}{'method':<9}{'records':>8}{'identical':>10}{'error':>6}{'k*':>4}"
+          f"{'reject':>7}{'max|dtau|':>11}{'max|dSE|/SE':>13}")
+    for cell, records in new.items():
+        for method in dict.fromkeys(rec["method"] for rec in records):
+            mine = [[r for r in recs if r["method"] == method] for recs in (old[cell], records)]
+            n, same, errors, ks, rejects, dtau, dse = drift(*mine)
+            print(f"{cell:<38}{method:<9}{n:>8}{same:>10}{errors:>6}{ks:>4}{rejects:>7}"
+                  f"{dtau:>11.1e}{dse:>13.1e}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

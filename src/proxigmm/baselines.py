@@ -1,8 +1,8 @@
 """Reference estimators: naive regression, proxy GMM/2SLS/IPW/DR.
 
-Each estimator returns an :class:`EstimateReport` with a sandwich standard
-error derived from its own stacked estimating equations, so confidence
-intervals account for every estimated nuisance parameter.
+Each estimator's standard error is the sandwich of its own stacked estimating
+equations (:func:`_stacked_se`), so its :mod:`gmm` interval and Wald test
+account for every estimated nuisance parameter.
 
 Each bridge has one fit per dataset: ``rgmm``, ``p2sls`` and ``pdr`` read
 one IV fit of the outcome bridge (so with as many z as w proxies ``p2sls``
@@ -28,7 +28,7 @@ from .errors import (
     SingularVariance,
     WeakRank,
 )
-from .gmm import WALD_CRITICAL_5PCT, _bridge_features, _fit_once, _Moments
+from .gmm import _bridge_features, _fit_once, _Moments, confidence_interval, wald_test
 
 _NEWTON_MAX_ITER = 50
 _NEWTON_TOL = 1e-10
@@ -48,7 +48,8 @@ _MINNORM_ACCEPT = 0.5
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Point estimate, standard error, and auxiliary parameter values."""
+    """Point estimate, standard error, and auxiliary parameter values, with
+    the interval and Wald test of :func:`gmm.confidence_interval` and :func:`gmm.wald_test`."""
 
     method: str
     tau_hat: float
@@ -57,12 +58,11 @@ class EstimateReport:
     aux: dict = field(default_factory=dict)
 
     def ci95(self) -> tuple[float, float]:
-        z = WALD_CRITICAL_5PCT
-        return (self.tau_hat - z * self.se_tau, self.tau_hat + z * self.se_tau)
+        return confidence_interval(self)
 
     def wald_reject(self) -> bool:
         """Whether the 5% two-sided Wald test rejects tau = 0."""
-        return abs(self.tau_hat) > WALD_CRITICAL_5PCT * self.se_tau
+        return wald_test(self)[1]
 
     def to_json(self) -> str:
         aux = {
@@ -107,26 +107,20 @@ def naive_gformula(ds: Dataset) -> EstimateReport:
     """Outcome regression treating both proxies as ordinary confounders.
 
     OLS of y on (1, a, w, z, x); the treatment coefficient is the effect
-    estimate and its standard error is the HC0 sandwich. Biased whenever
-    the unmeasured confounder moves the proxies, which is the scenario the
-    proximal estimators exist for.
+    estimate and its standard error is the HC0 sandwich (:func:`_stacked_se`).
+    A rank-deficient design raises :class:`RankDeficientDesign`. Biased
+    whenever the unmeasured confounder moves the proxies, which is the
+    scenario the proximal estimators exist for.
     """
     design = np.column_stack([np.ones(ds.n), ds.a, ds.w, ds.z, ds.x])
-    gram = design.T @ design
-    try:
-        gram_inv = np.linalg.inv(gram)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficientDesign("regression design matrix is singular") from exc
-    if np.linalg.matrix_rank(design) < design.shape[1]:
+    beta, _, rank, _ = np.linalg.lstsq(design, ds.y, rcond=None)
+    if rank < design.shape[1]:
         raise RankDeficientDesign("regression design matrix is rank deficient")
-    beta = gram_inv @ (design.T @ ds.y)
     resid = ds.y - design @ beta
-    meat = (design * resid[:, None] ** 2).T @ design
-    v = gram_inv @ meat @ gram_inv
     return EstimateReport(
         method="naive",
         tau_hat=float(beta[1]),
-        se_tau=float(np.sqrt(v[1, 1])),
+        se_tau=_stacked_se(design * resid[:, None], -(design.T @ design) / ds.n, 1, "regression"),
         n=ds.n,
         aux={"coefficients": beta},
     )
@@ -159,7 +153,7 @@ def _canonical_bridge_fit(ds: Dataset) -> tuple[_Moments, np.ndarray]:
     ``(1, z, a, x)``, one instrument per bridge parameter; with more z
     proxies, by the least-squares projection of the bridge features on those
     columns, which is two-stage least squares. Raises :class:`WeakRank` with
-    fewer z than w proxies.
+    fewer z than w proxies or a first stage of lower rank than the bridge.
     """
     if ds.z.shape[1] < ds.w.shape[1]:
         raise WeakRank(
@@ -170,6 +164,8 @@ def _canonical_bridge_fit(ds: Dataset) -> tuple[_Moments, np.ndarray]:
     p = bridge.n_params
     if instruments.shape[1] > p:
         first_stage = np.linalg.lstsq(instruments, _bridge_features(ds, bridge).feats, rcond=None)
+        if first_stage[2] < p:
+            raise WeakRank(f"instruments of rank {first_stage[2]} cannot identify {p} parameters")
         instruments = instruments @ first_stage[0]
     moments = _Moments.build(ds, instruments, bridge)
     try:
@@ -253,7 +249,7 @@ def _solve_treatment_bridge(ds: Dataset):
     none of them again: ``(-1)^(1-A)``, the outcome bridge's features
     ``(1, w, a, x)`` (:func:`gmm._bridge_features`), the treatment bridge's
     design ``(1, z, a, x)`` (:func:`_instruments`), and the features' mean
-    contrast.
+    contrast. It needs as many z as w proxies (:func:`_require_exact_identification`).
 
     Damped Newton runs from ``theta = 0`` and from the ``2^min(p-1, 3)``
     points with every coordinate ±0.5 that vary the signs of the up to
@@ -282,13 +278,10 @@ def _solve_treatment_bridge(ds: Dataset):
     every moment's imbalance there is below ``_MINNORM_ACCEPT`` (0.5);
     otherwise the solve raises :class:`NoConvergence`.
     """
+    _require_exact_identification(ds)
     features = _bridge_features(ds, _linear_bridge(ds))
     basis_c, target = features.feats, features.contrast_mean
     basis_b = _instruments(ds)
-    if basis_c.shape[1] != basis_b.shape[1]:
-        raise DimensionMismatch(
-            "reweighting moments need equally many z and w proxies"
-        )
     sign = np.where(ds.a > 0.5, 1.0, -1.0)  # (-1)^(1-A)
     system = sign, basis_c, basis_b, target
     n = ds.n
@@ -382,8 +375,9 @@ def pipw(ds: Dataset) -> EstimateReport:
     """Proximal inverse probability weighting.
 
     Fits the treatment-side bridge by damped Newton on its balancing
-    moments, then averages the signed reweighted outcome. The standard
-    error stacks the bridge moments with the reweighting moment.
+    moments, then averages the signed reweighted outcome; like :func:`rgmm`
+    and :func:`pdr` it needs as many z as w proxies. The standard error
+    stacks the bridge moments with the reweighting moment.
     """
     theta, q, (sign, basis_c, basis_b, target) = _fit_once(_solve_treatment_bridge, ds)
     tau = float(np.mean(sign * q * ds.y))
@@ -412,14 +406,13 @@ def pdr(ds: Dataset) -> EstimateReport:
     outcome bridge is :func:`rgmm`'s fit and the treatment bridge
     :func:`pipw`'s solve, both shared with those estimators on the same
     dataset; like :func:`rgmm` it raises :class:`DimensionMismatch` unless
-    there are as many z as w proxies. The standard error stacks both
-    bridges' moments with the combination moment.
+    there are as many z as w proxies, which the solve checks before the fit.
+    The standard error stacks both bridges' moments with the combination moment.
     """
-    _require_exact_identification(ds)
-    moments, gamma = _fit_once(_canonical_bridge_fit, ds)
+    theta, q, (sign, feats, basis_b, target) = _fit_once(_solve_treatment_bridge, ds)
     # The treatment bridge balances the outcome bridge's features, so
     # ``feats`` is ``moments.features.feats``.
-    theta, q, (sign, feats, basis_b, target) = _fit_once(_solve_treatment_bridge, ds)
+    moments, gamma = _fit_once(_canonical_bridge_fit, ds)
     cgrad = moments.features.contrast
     resid = ds.y - feats @ gamma
     contrib = cgrad @ gamma + sign * q * resid

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     EmptyData,
     MissingColumn,
     NonBinaryTreatment,
@@ -104,9 +105,7 @@ class Dataset:
             if arr.ndim == 1:
                 arr = arr.reshape(-1, 1)
             if arr.shape[0] != n and not (arr.size == 0 and name == "x"):
-                raise NonFiniteValue(
-                    f"block {name!r} has {arr.shape[0]} rows, expected {n}"
-                )
+                raise DimensionMismatch(f"block {name!r} has {arr.shape[0]} rows, expected {n}")
             if arr.size == 0:
                 arr = np.empty((n, 0))
             if len(names) != arr.shape[1]:
@@ -116,7 +115,7 @@ class Dataset:
                 )
             blocks[name] = _freeze(arr)
         if a.shape[0] != n:
-            raise NonFiniteValue("treatment column length differs from outcome")
+            raise DimensionMismatch("treatment column length differs from outcome")
         for label, arr in (("y", y), ("a", a), *blocks.items()):
             if not np.all(np.isfinite(arr)):
                 bad = np.argwhere(~np.isfinite(arr))[0]

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from typing import Protocol
 
 import numpy as np
 
@@ -642,14 +643,19 @@ def _variance(fit: GmmFit, moments: _Moments) -> GmmFit:
     return replace(fit, se_gamma=se[:p], se_tau=float(se[p]), v_hat=v_hat)
 
 
-def confidence_interval(fit: GmmFit) -> tuple[float, float]:
-    """Two-sided 95% normal confidence interval for the treatment effect."""
+class _Estimate(Protocol):
+    tau_hat: float
+    se_tau: float
+
+
+def confidence_interval(fit: _Estimate) -> tuple[float, float]:
+    """95% two-sided normal interval for tau from any estimate's ``tau_hat`` and ``se_tau``."""
     z = WALD_CRITICAL_5PCT
     return (fit.tau_hat - z * fit.se_tau, fit.tau_hat + z * fit.se_tau)
 
 
-def wald_test(fit: GmmFit) -> tuple[float, bool]:
-    """Wald statistic for tau against zero and its 5% decision."""
+def wald_test(fit: _Estimate) -> tuple[float, bool]:
+    """Wald statistic for tau = 0 and its 5% decision from any ``tau_hat`` and ``se_tau``."""
     if fit.se_tau <= 0.0:
         raise SingularVariance("standard error for tau is not positive")
     stat = fit.tau_hat / fit.se_tau

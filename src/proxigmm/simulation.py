@@ -113,6 +113,8 @@ def _uniform_open(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def _streams(seed, rep: int | None) -> dict[str, np.random.Generator]:
     entropy = (int(seed),) if rep is None else (int(seed), int(rep))
+    if min(entropy) < 0:
+        raise DimensionMismatch(f"seed and replication index must be non-negative, got {entropy}")
     children = np.random.SeedSequence(entropy).spawn(len(_STREAMS))
     return {
         name: np.random.Generator(np.random.Philox(child))
@@ -229,8 +231,9 @@ def generate(config: ScenarioConfig, seed, rep: int | None = None) -> Dataset:
 
     ``seed`` plus an optional replication index key the random streams, so
     ``generate(cfg, s, r)`` is reproducible elementwise regardless of how
-    many replications run or in what order. The outcome proxy is distorted
-    at ``config.distortion`` after the outcome is drawn from the true one.
+    many replications run or in what order; either one negative raises
+    :class:`DimensionMismatch`. The outcome proxy is distorted at
+    ``config.distortion`` after the outcome is drawn from the true one.
     """
     rngs = _streams(seed, rep)
     n = config.n
@@ -468,22 +471,19 @@ def _method_record(ds: Dataset, method: str, k_bar: int) -> dict:
     try:
         if method == "gmm-div":
             bridge = OutcomeBridge.linear(ds.w.shape[1], ds.x.shape[1])
-            fit, diag = select_and_fit(ds, bridge, SieveSpec(), k_bar)
-            lo, hi = confidence_interval(fit)
-            _, reject = wald_test(fit)
-            tau, se, k_star = fit.tau_hat, fit.se_tau, diag.k_star
+            estimate, diag = select_and_fit(ds, bridge, SieveSpec(), k_bar)
+            k_star = diag.k_star
         else:
-            report = BASELINES[method](ds)
-            lo, hi = report.ci95()
-            reject = report.wald_reject()
-            tau, se, k_star = report.tau_hat, report.se_tau, None
+            estimate, k_star = BASELINES[method](ds), None
+        lo, hi = confidence_interval(estimate)
+        _, reject = wald_test(estimate)
     except ProxiGmmError as exc:
         return {
             "tau_hat": np.nan, "se_tau": np.nan, "ci_lo": np.nan, "ci_hi": np.nan,
             "reject": None, "k_star": None, "error": f"{type(exc).__name__}: {exc}",
         }
     return {
-        "tau_hat": tau, "se_tau": se, "ci_lo": lo, "ci_hi": hi,
+        "tau_hat": estimate.tau_hat, "se_tau": estimate.se_tau, "ci_lo": lo, "ci_hi": hi,
         "reject": reject, "k_star": k_star, "error": None,
     }
 

@@ -22,8 +22,15 @@ from proxigmm import (
     pipw,
     rgmm,
 )
-from proxigmm import baselines, run_replications
-from proxigmm.errors import DimensionMismatch, ProxiGmmError, SingularSystem, SingularVariance
+from proxigmm import baselines, run_replications, simulation
+from proxigmm.errors import (
+    DimensionMismatch,
+    ProxiGmmError,
+    RankDeficientDesign,
+    SingularSystem,
+    SingularVariance,
+    WeakRank,
+)
 from proxigmm.simulation import BASELINES
 
 
@@ -63,6 +70,15 @@ class TestOracles:
         a, b = p2sls(ds), p2sls(twice)
         assert b.tau_hat == pytest.approx(a.tau_hat, rel=1e-10)
         assert b.se_tau == pytest.approx(a.se_tau, rel=1e-10)
+
+    def test_instruments_of_too_low_rank_are_a_weak_rank(self):
+        # Three copies of z1 against two w proxies: five instruments
+        # (1, z1, z1, z1, a, x) of rank 4 for the five bridge coefficients
+        # over (1, w1, w2, a, x), so the first stage identifies nothing.
+        ds = make_gaussian_dataset(d_z=3, d_w=2)
+        copies = dataclasses.replace(ds, z=np.repeat(ds.z[:, :1], 3, axis=1))
+        with pytest.raises(WeakRank, match="instruments of rank 4 cannot identify 5 parameters"):
+            p2sls(copies)
 
     def test_naive_matches_lstsq_with_hc0(self, scenario2_ds):
         ds = scenario2_ds
@@ -116,6 +132,46 @@ def test_stacked_se_rejects_a_zero_variance():
 
 
 @pytest.mark.parametrize("method", list(BASELINES))
+def test_an_all_zero_outcome_has_no_standard_error(method, scenario1_ds):
+    # Every score is zero, so no baseline has a positive variance to report.
+    silent = dataclasses.replace(scenario1_ds, y=np.zeros(scenario1_ds.n))
+    with pytest.raises(SingularVariance, match="sandwich variance is not positive"):
+        BASELINES[method](silent)
+
+
+def _with_z_near_w(ds, scale):
+    """``ds`` with z replaced by w plus ``scale`` times fixed normal noise."""
+    noise = np.random.default_rng(1).standard_normal(ds.w.shape)
+    return dataclasses.replace(ds, z=ds.w + scale * noise)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-13, 1e-12])
+def test_naive_rejects_the_designs_matrix_rank_calls_deficient(scale):
+    # The design (1, a, w, z, x) loses a column's worth of rank as z nears
+    # w; naive rejects exactly the designs that matrix_rank, with its
+    # default tolerance, ranks below their width. At I/400 seed 0 the two
+    # noise scales straddle that tolerance.
+    ds = _with_z_near_w(generate(ScenarioConfig("I", 400), 0, 0), scale)
+    design = np.column_stack([np.ones(ds.n), ds.a, ds.w, ds.z, ds.x])
+    if np.linalg.matrix_rank(design) < design.shape[1]:
+        with pytest.raises(RankDeficientDesign, match="regression design matrix is rank deficient"):
+            naive_gformula(ds)
+    else:
+        assert scale > 0.0 and naive_gformula(ds).se_tau > 0.0
+
+
+def test_a_rank_deficient_naive_design_is_a_recorded_error(monkeypatch):
+    real = simulation.generate
+    monkeypatch.setattr(
+        simulation, "generate", lambda *args: _with_z_near_w(real(*args), 0.0)
+    )
+    records = run_replications(ScenarioConfig("I", 400), ("naive",), 2, 0)
+    assert [rec["error"] for rec in records] == [
+        "RankDeficientDesign: regression design matrix is rank deficient"
+    ] * 2
+
+
+@pytest.mark.parametrize("method", list(BASELINES))
 def test_registry_entry_reports_its_name(method, scenario1_ds):
     report = BASELINES[method](scenario1_ds)
     assert isinstance(report, EstimateReport)
@@ -158,7 +214,7 @@ def _treatment_cases() -> list[Dataset]:
     return [
         generate(ScenarioConfig("II", 800), 0, 3),
         generate(ScenarioConfig("II", 800), 0, 17),  # minimum-norm fallback
-        make_gaussian_dataset(d_z=2, d_w=1),  # pdr fails before its solve
+        make_gaussian_dataset(d_z=2, d_w=1),  # the solve rejects it before it builds
         # Treated exactly where x1 > 0: the solve fails, pdr's outcome fit does not.
         Dataset(y=base.y, a=(base.x[:, 0] > 0).astype(float), z=base.z, w=base.w, x=base.x),
     ]
@@ -188,7 +244,8 @@ def _share_one_fit(monkeypatch, name, estimators, cases):
 def test_pipw_and_pdr_share_one_treatment_solve(monkeypatch):
     alone = _share_one_fit(monkeypatch, "_solve_treatment_bridge", (pipw, pdr), _treatment_cases)
     assert alone[3][pipw] == alone[3][pdr] and alone[3][pipw].startswith("NoConvergence")
-    assert alone[2][pipw] != alone[2][pdr]
+    assert alone[2][pipw] == alone[2][pdr]
+    assert alone[2][pipw].startswith("DimensionMismatch: need exactly 4 instruments")
 
 
 def test_rgmm_p2sls_and_pdr_share_one_outcome_bridge_fit(monkeypatch):

@@ -108,6 +108,20 @@ class TestDataset:
         with pytest.raises(MissingColumn):
             Dataset(y=[1.0], a=[0.0], z=[[1.0, 2.0]], w=[[1.0]], x=[[0.0]])
 
+    @pytest.mark.parametrize(
+        "shape,message",
+        [
+            (dict(z=[[0.0]] * 4), "block 'z' has 4 rows, expected 5"),
+            (dict(a=[0.0, 1.0, 0.0]), "treatment column length differs from outcome"),
+        ],
+        ids=["block-rows", "treatment-length"],
+    )
+    def test_a_block_of_the_wrong_length_is_a_dimension_mismatch(self, shape, message):
+        arrays = dict(y=[1.0] * 5, a=[0.0, 1.0] * 2 + [0.0], z=[[0.0]] * 5, w=[[1.0]] * 5,
+                      x=[[0.0]] * 5)
+        with pytest.raises(DimensionMismatch, match=message):
+            Dataset(**{**arrays, **shape})
+
 
 class TestCsvRoundTrip:
     ROLES = VariableRoles("y", "a", ("z1",), ("w1",), ("x1",))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 from proxigmm.simulation import METHODS
@@ -12,9 +13,15 @@ _SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def _script(name: str):
+    """The script's module, loaded as ``python scripts/<name>.py`` loads it,
+    with ``scripts`` first on the import path."""
     spec = importlib.util.spec_from_file_location(name, _SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    sys.path.insert(0, str(_SCRIPTS))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(_SCRIPTS))
     return module
 
 
@@ -37,6 +44,20 @@ def test_records_digest_prints_one_digest_per_cell(capsys):
     # The undistorted misspecification cell is the II/800 cell, method by method.
     assert digests["misspec correct II/800 all"] == digests["II/800 all"]
     assert len({d for by_method in digests.values() for d in by_method.values()}) == 5 * len(METHODS) + 1
+
+
+def test_records_drift_of_a_tree_against_itself_is_nil(capsys):
+    _script("records_drift").main([str(_SCRIPTS.parent), "--seed", "3", "--reps", "2"])
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header.split() == [
+        "cell", "method", "records", "identical", "error", "k*", "reject", "max|dtau|", "max|dSE|/SE",
+    ]
+    rows = [line.rsplit(None, 7) for line in lines]
+    assert len(rows) == 6 * len(METHODS) + 1
+    cells = {row[0].rsplit(None, 1)[0] for row in rows}
+    assert len(cells) == 7 and "II/3200 gmm-div k_bar 20, 2 workers" in cells
+    for row in rows:
+        assert row[1:] == ["2", "2", "0", "0", "0", "0.0e+00", "0.0e+00"]
 
 
 def test_polish_on_off_reports_both_arms(capsys):

@@ -690,6 +690,20 @@ def test_distorted_level_runs_every_method_on_the_distorted_data(level):
         assert (rec["tau_hat"], rec["se_tau"], rec["k_star"]) == want
 
 
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda: generate(ScenarioConfig(), -1),
+        lambda: generate(ScenarioConfig(), 0, -1),
+        lambda: run_replications(ScenarioConfig("I", 50), ("naive",), 2, -1),
+    ],
+    ids=["seed", "replication-index", "run_replications-seed"],
+)
+def test_negative_seed_or_index_rejected(draw):
+    with pytest.raises(DimensionMismatch, match="must be non-negative"):
+        draw()
+
+
 def test_unknown_distortion_rejected():
     with pytest.raises(
         DimensionMismatch,
