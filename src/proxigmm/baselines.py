@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,8 +129,11 @@ def naive_gformula(ds: Dataset) -> EstimateReport:
 
 def _instruments(ds: Dataset) -> np.ndarray:
     """The columns ``(1, z, a, x)``: the instruments of the outcome bridge's
-    IV fit, and the design of the treatment bridge."""
-    return np.column_stack([np.ones(ds.n), ds.z, ds.a, ds.x])
+    IV fit, and the design of the treatment bridge. Callers read it through
+    :func:`gmm._fit_once`, so a dataset builds it once; it is read-only."""
+    cols = np.column_stack([np.ones(ds.n), ds.z, ds.a, ds.x])
+    cols.flags.writeable = False
+    return cols
 
 
 def _linear_bridge(ds: Dataset) -> OutcomeBridge:
@@ -160,7 +164,7 @@ def _canonical_bridge_fit(ds: Dataset) -> tuple[_Moments, np.ndarray]:
             f"{ds.z.shape[1]} instruments cannot identify {ds.w.shape[1]} proxy regressors"
         )
     bridge = _linear_bridge(ds)
-    instruments = _instruments(ds)
+    instruments = _fit_once(_instruments, ds)
     p = bridge.n_params
     if instruments.shape[1] > p:
         first_stage = np.linalg.lstsq(instruments, _bridge_features(ds, bridge).feats, rcond=None)
@@ -223,13 +227,14 @@ def p2sls(ds: Dataset) -> EstimateReport:
     return _outcome_bridge_report(ds, "p2sls")
 
 
-def _newton_starts(dim: int) -> list[np.ndarray]:
-    starts = [np.zeros(dim)]
+def _newton_starts(dim: int) -> Iterator[np.ndarray]:
+    """The solver's starts in order, made as they are reached: a solve that
+    converges from the first never builds the rest."""
+    yield np.zeros(dim)
     for pattern in itertools.product((1.0, -1.0), repeat=min(dim - 1, 3)):
         signs = np.ones(dim)
         signs[1 : 1 + len(pattern)] = pattern
-        starts.append(_NEWTON_START_MAGNITUDE * signs)
-    return starts
+        yield _NEWTON_START_MAGNITUDE * signs
 
 
 def _bridge_values(signed_b: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -281,7 +286,7 @@ def _solve_treatment_bridge(ds: Dataset):
     _require_exact_identification(ds)
     features = _bridge_features(ds, _linear_bridge(ds))
     basis_c, target = features.feats, features.contrast_mean
-    basis_b = _instruments(ds)
+    basis_b = _fit_once(_instruments, ds)
     sign = np.where(ds.a > 0.5, 1.0, -1.0)  # (-1)^(1-A)
     system = sign, basis_c, basis_b, target
     n = ds.n

@@ -32,7 +32,13 @@ def _linear_features(w, a, x) -> np.ndarray:
     """The features ``(1, w, a, x)`` of :meth:`OutcomeBridge.linear`."""
     w2, x2 = _as_block(w), _as_block(x, n=np.size(a))
     a1 = np.asarray(a, dtype=float).reshape(-1)
-    return np.column_stack([np.ones(a1.shape[0]), w2, a1, x2])
+    d_w = w2.shape[1]
+    feats = np.empty((a1.shape[0], 2 + d_w + x2.shape[1]))
+    feats[:, 0] = 1.0
+    feats[:, 1 : 1 + d_w] = w2
+    feats[:, 1 + d_w] = a1
+    feats[:, 2 + d_w :] = x2
+    return feats
 
 
 @dataclass(frozen=True)

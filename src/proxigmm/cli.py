@@ -115,10 +115,11 @@ def _write_loss_curve(out_dir: str, diag) -> str:
 
 
 def _roles(opts) -> VariableRoles:
-    split = lambda s: tuple(part for part in s.split(",") if part) if s else ()
+    # load_csv strips header cells, so every role name is stripped too.
+    split = lambda s: tuple(name for part in s.split(",") if (name := part.strip())) if s else ()
     return VariableRoles(
-        outcome=opts.outcome,
-        treatment=opts.treatment,
+        outcome=opts.outcome.strip(),
+        treatment=opts.treatment.strip(),
         proxies_z=split(opts.proxies_z),
         proxies_w=split(opts.proxies_w),
         covariates=split(opts.covariates),

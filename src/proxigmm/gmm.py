@@ -10,9 +10,10 @@ scan, every public fit step and the baselines' outcome-bridge fit read one
 build; the affine map is built once per instrument matrix.
 Fitting proceeds in two steps: an identity-weight fit on the orthonormalized
 basis, then an optimally weighted fit whose weight is the spectrally
-regularized inverse of the estimated moment covariance. Above the exactly
-identified count, a damped Newton step of the continuously updated
-objective polishes the result. The moment covariance is quadratic in the
+regularized inverse of the estimated moment covariance, polished by a
+damped Newton step of the continuously updated objective. At the exactly
+identified count the first step is the fit, since such an estimate does
+not depend on its weight. The moment covariance is quadratic in the
 parameters, so the polish builds one O(n (K(p+1))²) Gram per fit; every
 objective evaluation after that does no work in n, and the whole
 finite-difference stencil is evaluated in one batched call.
@@ -98,7 +99,10 @@ class GmmFit:
     ``se_gamma`` / ``se_tau`` are per-observation-scaled standard errors
     (``sqrt(diag(v_hat) / n)``). ``k`` is the number of sieve moments used,
     ``k1`` the count of moment-covariance eigenvalues above the spectral
-    threshold at the estimation step.
+    threshold at the first-step estimates. From :func:`fit_optimal` at K
+    equal to the parameter count, the first-step estimates are the fit, so
+    ``k1`` comes from the variance's decomposition at them and
+    ``objective_value`` is their identity-weight moment norm.
     """
 
     gamma_hat: np.ndarray
@@ -185,7 +189,7 @@ class _Moments:
         jac[:k, :p] = -(u.T @ features.feats) / n
         jac[k, :p] = -features.contrast_mean
         jac[k, p] = 1.0
-        const = np.r_[u.T @ features.y / n, 0.0]
+        const = np.append(u.T @ features.y / n, 0.0)
         return cls(features, u, jac, const)
 
     def scores(self, beta: np.ndarray) -> np.ndarray:
@@ -555,32 +559,26 @@ def fit_initial(ds: Dataset, basis: BasisMatrix, bridge: OutcomeBridge) -> GmmFi
     return fit_with_weight(ds, basis, bridge, np.eye(basis.k + 1))
 
 
-def _first_step_decomposition(moments: _Moments) -> MomentDecomposition:
-    """Floored decomposition of the moment covariance at the identity-weight
-    estimates, which need one least-squares solve and no variance."""
-    init, _ = _least_squares(moments.jac, moments.const, np.eye(moments.jac.shape[0]))
-    return regularize_moments(estimate_upsilon(moments.scores(init)))
-
-
 def fit_optimal(ds: Dataset, basis: BasisMatrix, bridge: OutcomeBridge) -> GmmFit:
     """Optimally weighted fit: two-step, then a continuous-updating polish.
 
     The moment system (Jacobian and constant, over the bridge features the
     dataset keeps) is built once, and every step below reads it. Step one
     takes the identity-weight estimates, one least-squares solve with no
-    variance; the moment covariance at those estimates is eigendecomposed
-    and inverted with eigenvalues floored at ``SPECTRAL_FLOOR`` times the
-    largest, which regularizes directions whose sample variance is
-    negligible (including the structurally degenerate contrast direction of
-    a parameter-constant-contrast bridge) instead of letting them dominate
-    the weight. When the moment count exceeds the parameter count, one
-    damped Newton step of the continuously updated objective, its
-    covariance floored by the same rule at the trial parameters, polishes
-    the two-step solution (:func:`_refine_continuous_update`, whose
-    finite-difference stencil is one batched call); it removes the bias
-    that accumulates in the frozen-weight solution as moments are added.
-    At an exactly identified count the two-step solution already zeroes
-    every moment, so the polish is skipped. The reported variance
+    variance. At an exactly identified count (K equal to the parameter
+    count p) those estimates zero every moment, and an exactly identified
+    GMM estimate does not depend on its weight (Hansen 1982), so they are
+    the fit. Above it, the moment covariance at those estimates is
+    eigendecomposed and inverted with eigenvalues floored at
+    ``SPECTRAL_FLOOR`` times the largest, which regularizes directions whose
+    sample variance is negligible (including the structurally degenerate
+    contrast direction of a parameter-constant-contrast bridge) instead of
+    letting them dominate the weight; the floored-weight solution is then
+    polished by one damped Newton step of the continuously updated
+    objective, its covariance floored by the same rule at the trial
+    parameters (:func:`_refine_continuous_update`, whose finite-difference
+    stencil is one batched call); it removes the bias that accumulates in
+    the frozen-weight solution as moments are added. The reported variance
     re-evaluates the moment covariance at the final estimates and applies
     the same floored inverse as the sandwich core.
     """
@@ -589,25 +587,28 @@ def fit_optimal(ds: Dataset, basis: BasisMatrix, bridge: OutcomeBridge) -> GmmFi
 
 
 def _fit_optimal(moments: _Moments) -> GmmFit:
-    """:func:`fit_optimal` on a moment system already built."""
+    """:func:`fit_optimal` on a moment system already built. At K = p the
+    variance's decomposition is the first step's, and gives ``k1``."""
     n, k = moments.u.shape
-    decomp = _first_step_decomposition(moments)
-    beta, obj = _least_squares(moments.jac, moments.const, decomp.floored_weight_sqrt())
+    beta, obj = _least_squares(moments.jac, moments.const, np.eye(k + 1))
     p = beta.shape[0] - 1
+    first = None
     if k > p:
+        first = regularize_moments(estimate_upsilon(moments.scores(beta)))
+        beta, obj = _least_squares(moments.jac, moments.const, first.floored_weight_sqrt())
         beta, obj = _refine_continuous_update(moments, beta)
-    fit = GmmFit(
+    v_hat, se, final = _sandwich(moments, beta)
+    return GmmFit(
         gamma_hat=beta[:p],
         tau_hat=float(beta[p]),
-        se_gamma=np.full(p, np.nan),
-        se_tau=float("nan"),
+        se_gamma=se[:p],
+        se_tau=float(se[p]),
         k=k,
-        k1=decomp.k1,
+        k1=(final if first is None else first).k1,
         n=n,
-        v_hat=np.empty((0, 0)),
+        v_hat=v_hat,
         objective_value=obj,
     )
-    return _variance(fit, moments)
 
 
 def variance(
@@ -626,8 +627,17 @@ def variance(
 
 
 def _variance(fit: GmmFit, moments: _Moments) -> GmmFit:
-    scores = moments.scores(np.r_[fit.gamma_hat, fit.tau_hat])
-    decomp = regularize_moments(estimate_upsilon(scores))
+    v_hat, se, _ = _sandwich(moments, np.append(fit.gamma_hat, fit.tau_hat))
+    p = fit.gamma_hat.shape[0]
+    return replace(fit, se_gamma=se[:p], se_tau=float(se[p]), v_hat=v_hat)
+
+
+def _sandwich(
+    moments: _Moments, beta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, MomentDecomposition]:
+    """The floored-weight variance at ``beta``, its per-observation-scaled
+    standard errors, and the decomposition of the moment covariance there."""
+    decomp = regularize_moments(estimate_upsilon(moments.scores(beta)))
     jac = moments.jac
     bread = jac.T @ decomp.floored_weight() @ jac
     try:
@@ -637,10 +647,8 @@ def _variance(fit: GmmFit, moments: _Moments) -> GmmFit:
             "floored-weight Jacobian quadratic form is singular"
         ) from exc
     v_hat = chol_inv.T @ chol_inv
-    dv = np.diag(v_hat)
-    se = np.sqrt(np.maximum(dv, 0.0) / moments.u.shape[0])
-    p = fit.gamma_hat.shape[0]
-    return replace(fit, se_gamma=se[:p], se_tau=float(se[p]), v_hat=v_hat)
+    se = np.sqrt(np.maximum(np.diag(v_hat), 0.0) / moments.u.shape[0])
+    return v_hat, se, decomp
 
 
 class _Estimate(Protocol):

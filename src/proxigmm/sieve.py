@@ -87,13 +87,15 @@ class BasisMatrix:
 
 
 def _univariate_levels(name: str, col: np.ndarray) -> list[np.ndarray]:
-    """Levels 1, 2, 3 of one variable: powers of its standardized value."""
+    """Levels 1, 2, 3 of one variable: powers of its standardized value,
+    formed by multiplication (``std**3`` would call libm ``pow``)."""
     mean = float(np.mean(col))
     sd = float(np.std(col))
     if sd < _ZERO_TOL:
         raise DegenerateColumn(f"variable {name!r} is constant; cannot standardize")
     std = (col - mean) / sd
-    return [std**lv for lv in range(1, _POWER_DEGREE + 1)]
+    square = std * std
+    return [std, square, square * std]
 
 
 def _level_vectors(d: int, total: int):

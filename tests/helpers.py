@@ -95,7 +95,7 @@ def row_major_basis(ds: Dataset, k: int) -> BasisMatrix:
     per_var = []
     for _, col in cols:
         std = (col - float(np.mean(col))) / float(np.std(col))
-        per_var.append(np.column_stack([std**lv for lv in range(1, 4)]))
+        per_var.append(np.column_stack([std, std * std, std * std * std]))
     names = tuple(name for name, _ in cols)
     terms = eager_terms(names)[:k]
     u = np.empty((ds.n, k))

@@ -258,6 +258,21 @@ def test_rgmm_p2sls_and_pdr_share_one_outcome_bridge_fit(monkeypatch):
     assert np.isfinite(alone[2][p2sls][0])
 
 
+def test_the_proximal_baselines_build_the_instrument_columns_once(monkeypatch):
+    # (1, z, a, x) instruments the outcome-bridge fit and is the treatment
+    # bridge's design; the dataset keeps one read-only copy for both.
+    ds = generate(ScenarioConfig("II", 400), 11, 0)
+    built = []
+    real = baselines._instruments
+    monkeypatch.setattr(baselines, "_instruments", lambda ds: built.append(1) or real(ds))
+    for estimator in (rgmm, p2sls, pipw, pdr):
+        estimator(ds)
+    assert len(built) == 1
+    moments, _ = baselines._fit_once(baselines._canonical_bridge_fit, ds)
+    assert moments.u is baselines._fit_once(baselines._solve_treatment_bridge, ds)[2][2]
+    assert not moments.u.flags.writeable
+
+
 def test_a_dataset_whose_fit_raised_is_freed_at_once(monkeypatch):
     # The dataset keeps the error of its failed outcome-bridge fit (one z
     # proxy cannot identify two w proxies), and later calls raise the same

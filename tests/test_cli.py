@@ -74,6 +74,23 @@ def test_missing_column_is_a_data_error(csv_path, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("method", ["naive", "gmm-div"])
+def test_spaces_around_role_names_are_ignored(method, tmp_path):
+    # load_csv strips header cells, so the names given for them are
+    # stripped too, in comma-separated lists as in single names.
+    path = tmp_path / "data.csv"
+    write_csv(make_gaussian_dataset(n=300, d_z=2), str(path))
+    reports = []
+    for y, a, z, w, x in (("y", "a", "z1,z2", "w1", "x1"), (" y", "a ", " z1, z2 ", " w1", "x1 ,")):
+        out = tmp_path / f"out{len(reports)}"
+        code = main(["estimate", "--data", str(path), "--outcome", y, "--treatment", a,
+                     "--proxies-z", z, "--proxies-w", w, "--covariates", x,
+                     "--method", method, "--out-dir", str(out)])
+        assert code == 0
+        reports.append((out / "report.json").read_text())
+    assert reports[0] == reports[1]
+
+
 def test_role_column_repeated_in_header_is_a_data_error(tmp_path, capsys):
     path = tmp_path / "twice.csv"
     path.write_text("y,a,z1,w1,x1,y\n1.0,0,0.1,1.5,2.0,9.0\n")

@@ -178,6 +178,28 @@ class TestExactlyIdentified:
         np.testing.assert_allclose(scores.mean(axis=0), np.zeros(5), atol=1e-10)
 
 
+@pytest.mark.parametrize("scenario, n", [("I", 400), ("II", 800)])
+def test_an_exactly_identified_fit_is_the_first_step(scenario, n, linear_bridge, monkeypatch):
+    # At K = p the identity-weight estimates zero every moment, so no
+    # weight can move them: the fit decomposes one moment covariance, for
+    # its variance, and that one is the first step's.
+    ds = generate(ScenarioConfig(scenario, n), 5, 0)
+    basis = _basis(ds, linear_bridge.n_params)
+    init = fit_initial(ds, basis, linear_bridge)
+    first_step = regularize_moments(
+        estimate_upsilon(joint_score(ds, basis, linear_bridge, init.gamma_hat, init.tau_hat))
+    )
+    calls = []
+    real = gmm.regularize_moments
+    monkeypatch.setattr(gmm, "regularize_moments", lambda ups: calls.append(1) or real(ups))
+    fit = fit_optimal(ds, basis, linear_bridge)
+    assert len(calls) == 1
+    assert fit.tau_hat == init.tau_hat
+    np.testing.assert_array_equal(fit.gamma_hat, init.gamma_hat)
+    assert fit.k1 == first_step.k1 == linear_bridge.n_params
+    assert fit.objective_value == init.objective_value
+
+
 class TestNoiselessRecovery:
     def test_initial_fit_recovers_true_bridge(self, scenario1_ds, linear_bridge):
         exact = replace(
@@ -462,6 +484,24 @@ class TestContinuousUpdatePolish:
         p = bridge.n_params + 1
         assert sum(points) >= 2 * p * p + 2 * p + 1
         assert feature_builds == {bridge.n_params: 3, basis.k: 3}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_objective_is_one_where_the_floor_does_not_bind(self, polished_moments, seed):
+        # The linear bridge's contrast score tau - gamma_a is the same for
+        # every unit, so Upsilon = blockdiag(C, 0) + g g' and Upsilon e_K =
+        # g_K g: wherever g_K is not 0 and no eigenvalue is floored,
+        # g' Upsilon^-1 g = g' e_K / g_K = 1, whatever the point.
+        moments, beta_hat = polished_moments
+        point = beta_hat + 0.01 * np.random.default_rng(seed).normal(size=beta_hat.size)
+        point[-1] += 0.05
+        g_bar, upsilon = gmm._gram_moments(moments)(point[None])
+        vals = np.linalg.eigvalsh(upsilon[0])
+        assert g_bar[0, -1] != 0.0 and vals[0] > gmm.SPECTRAL_FLOOR * vals[-1]
+        value = gmm._continuous_update_objective(moments)(point[None])[0]
+        assert value == pytest.approx(1.0, abs=1e-10)
+        # At the fit the contrast moment is near 0 and its direction
+        # floored, so there the objective is well below 1.
+        assert gmm._continuous_update_objective(moments)(beta_hat[None])[0] < 0.1
 
     def test_polish_lowers_the_continuous_update_objective(self, polished_case):
         ds, basis, bridge = polished_case
