@@ -1,8 +1,8 @@
 """Reference estimators: naive regression, proxy GMM/2SLS/IPW/DR.
 
 Each estimator's standard error is the sandwich of its own stacked estimating
-equations (:func:`_stacked_se`), so its :mod:`gmm` interval and Wald test
-account for every estimated nuisance parameter.
+equations (:mod:`gmm`'s identity-weight fit, or :func:`_stacked_se`), so its
+:mod:`gmm` interval and Wald test account for every estimated nuisance parameter.
 
 Each bridge has one fit per dataset: ``rgmm``, ``p2sls`` and ``pdr`` read
 one IV fit of the outcome bridge (so with as many z as w proxies ``p2sls``
@@ -29,7 +29,8 @@ from .errors import (
     SingularVariance,
     WeakRank,
 )
-from .gmm import _bridge_features, _fit_once, _Moments, confidence_interval, wald_test
+from .gmm import GmmFit, _bridge_features, _fit_identity, _fit_once, _Moments
+from .gmm import confidence_interval, wald_test
 
 _NEWTON_MAX_ITER = 50
 _NEWTON_TOL = 1e-10
@@ -149,15 +150,16 @@ def _require_exact_identification(ds: Dataset) -> None:
         raise DimensionMismatch(f"need exactly {p} instruments for {p} bridge parameters, got {k}")
 
 
-def _canonical_bridge_fit(ds: Dataset) -> tuple[_Moments, np.ndarray]:
-    """The IV fit of the linear outcome bridge: its moments, and the bridge
-    coefficients that zero them.
+def _canonical_bridge_fit(ds: Dataset) -> tuple[_Moments, GmmFit]:
+    """The IV fit of the linear outcome bridge: its moments, and their
+    identity-weight fit and sandwich (:func:`gmm._fit_identity`).
 
     With as many z as w proxies the moments are instrumented by
     ``(1, z, a, x)``, one instrument per bridge parameter; with more z
     proxies, by the least-squares projection of the bridge features on those
     columns, which is two-stage least squares. Raises :class:`WeakRank` with
-    fewer z than w proxies or a first stage of lower rank than the bridge.
+    fewer z than w proxies or a first stage of lower rank than the bridge,
+    and :class:`RankDeficientJacobian` when the moments do not identify it.
     """
     if ds.z.shape[1] < ds.w.shape[1]:
         raise WeakRank(
@@ -172,29 +174,20 @@ def _canonical_bridge_fit(ds: Dataset) -> tuple[_Moments, np.ndarray]:
             raise WeakRank(f"instruments of rank {first_stage[2]} cannot identify {p} parameters")
         instruments = instruments @ first_stage[0]
     moments = _Moments.build(ds, instruments, bridge)
-    try:
-        gamma = np.linalg.solve(-moments.jac[:p, :p], moments.const[:p])
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem("instrument/feature cross-moment matrix is singular") from exc
-    return moments, gamma
+    return moments, _fit_identity(moments)
 
 
 def _outcome_bridge_report(ds: Dataset, method: str) -> EstimateReport:
-    """The average fitted treatment contrast of :func:`_canonical_bridge_fit`,
-    with the joint sandwich of the bridge moments and the contrast moment."""
-    moments, gamma = _fit_once(_canonical_bridge_fit, ds)
-    f = moments.features
-    tau = float(f.contrast_mean @ gamma)
-    resid = ds.y - f.feats @ gamma
-    # One product with the contrast features, as in pdr: moments.scores
-    # differences two products, which rounds the contrast column differently.
-    scores = np.column_stack([moments.u * resid[:, None], tau - f.contrast @ gamma])
+    """The effect estimate and sandwich SE of :func:`_canonical_bridge_fit`."""
+    fit = _fit_once(_canonical_bridge_fit, ds)[1]
+    if not (np.isfinite(fit.se_tau) and fit.se_tau > 0.0):
+        raise SingularVariance("sandwich variance is not positive at the target")
     return EstimateReport(
         method=method,
-        tau_hat=tau,
-        se_tau=_stacked_se(scores, moments.jac, gamma.shape[0], "moment"),
+        tau_hat=fit.tau_hat,
+        se_tau=fit.se_tau,
         n=ds.n,
-        aux={"gamma_hat": gamma},
+        aux={"gamma_hat": fit.gamma_hat},
     )
 
 
@@ -207,8 +200,8 @@ def rgmm(ds: Dataset) -> EstimateReport:
     as many treatment-side proxies as outcome-side ones so the system is
     square, and raises :class:`DimensionMismatch` otherwise. The standard
     error comes from the joint sandwich of the bridge moments and the
-    contrast moment. A dataset shares this fit across ``rgmm``, ``p2sls``
-    and ``pdr``, so ``rgmm`` equals :func:`p2sls`.
+    contrast moment (:func:`gmm._fit_identity`). A dataset shares this fit
+    across ``rgmm``, ``p2sls`` and ``pdr``, so ``rgmm`` equals :func:`p2sls`.
     """
     _require_exact_identification(ds)
     return _outcome_bridge_report(ds, "rgmm")
@@ -417,7 +410,8 @@ def pdr(ds: Dataset) -> EstimateReport:
     theta, q, (sign, feats, basis_b, target) = _fit_once(_solve_treatment_bridge, ds)
     # The treatment bridge balances the outcome bridge's features, so
     # ``feats`` is ``moments.features.feats``.
-    moments, gamma = _fit_once(_canonical_bridge_fit, ds)
+    moments, fit = _fit_once(_canonical_bridge_fit, ds)
+    gamma = fit.gamma_hat
     cgrad = moments.features.contrast
     resid = ds.y - feats @ gamma
     contrib = cgrad @ gamma + sign * q * resid

@@ -22,6 +22,7 @@ import sys
 from .bridges import OutcomeBridge
 from .data import VariableRoles, load_csv
 from .errors import (
+    DimensionMismatch,
     EmptyData,
     MissingColumn,
     NonBinaryTreatment,
@@ -37,6 +38,7 @@ from .simulation import (
     METHODS,
     MISSPEC_LEVELS,
     ScenarioConfig,
+    _check_methods,
     k_histogram,
     run_replications,
     summarize,
@@ -114,15 +116,19 @@ def _write_loss_curve(out_dir: str, diag) -> str:
     return path
 
 
+def _names(listed: str) -> tuple[str, ...]:
+    """The names of a comma-separated list, each stripped, empty ones dropped."""
+    return tuple(name for part in listed.split(",") if (name := part.strip()))
+
+
 def _roles(opts) -> VariableRoles:
     # load_csv strips header cells, so every role name is stripped too.
-    split = lambda s: tuple(name for part in s.split(",") if (name := part.strip())) if s else ()
     return VariableRoles(
         outcome=opts.outcome.strip(),
         treatment=opts.treatment.strip(),
-        proxies_z=split(opts.proxies_z),
-        proxies_w=split(opts.proxies_w),
-        covariates=split(opts.covariates),
+        proxies_z=_names(opts.proxies_z),
+        proxies_w=_names(opts.proxies_w),
+        covariates=_names(opts.covariates),
     )
 
 
@@ -183,15 +189,13 @@ def _run_study(opts, methods, scenario: str, distortion: str = "correct", **lead
 
 
 def cmd_simulate(opts) -> int:
-    if opts.methods.strip() == "all":
-        methods = METHODS
-    else:
-        methods = tuple(m for m in opts.methods.split(",") if m)
-    unknown = [m for m in methods if m not in METHODS]
-    if unknown:
-        return _config_error(f"methods: unknown {unknown}; choose from {METHODS}")
+    methods = METHODS if opts.methods.strip() == "all" else _names(opts.methods)
     if not methods:
         return _config_error("methods: none given")
+    try:
+        _check_methods(methods)
+    except DimensionMismatch as exc:
+        return _config_error(str(exc))
     return _run_study(opts, methods, opts.scenario)
 
 

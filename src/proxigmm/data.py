@@ -151,7 +151,8 @@ def load_csv(path: str, roles: VariableRoles) -> Dataset:
     treatment value other than 0/1, and :class:`EmptyData` for a file with
     no observation rows.
     """
-    with open(path, newline="") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheets write first.
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -111,7 +111,7 @@ class RankDeficientDesign(ProxiGmmError):
 
 
 class SingularSystem(ProxiGmmError):
-    """An exactly identified estimating-equation system is singular."""
+    """A baseline's stacked Jacobian is singular (``baselines._stacked_se``)."""
 
 
 class WeakRank(ProxiGmmError):

@@ -7,8 +7,9 @@ The bridge is linear in its parameters, so the mean moments are affine in
 them. The feature matrices behind the scores are built once per dataset
 and bridge and kept on the dataset (:func:`_fit_once`), so the moment-count
 scan, every public fit step and the baselines' outcome-bridge fit read one
-build; the affine map is built once per instrument matrix.
-Fitting proceeds in two steps: an identity-weight fit on the orthonormalized
+build; the affine map is built once per instrument matrix. A fixed-weight
+fit and its sandwich are :func:`_fit`, whose identity-weight entry also fits
+the baselines' outcome bridge. Fitting proceeds in two steps: an identity-weight fit on the orthonormalized
 basis, then an optimally weighted fit whose weight is the spectrally
 regularized inverse of the estimated moment covariance, polished by a
 damped Newton step of the continuously updated objective. At the exactly
@@ -318,19 +319,6 @@ def _least_squares(
     return beta, float(g_final @ (w_half.T @ (w_half @ g_final)))
 
 
-def _general_sandwich(
-    jac: np.ndarray, weight: np.ndarray, upsilon: np.ndarray
-) -> np.ndarray:
-    """Asymptotic variance for a fixed (possibly suboptimal) weight."""
-    bread = jac.T @ weight @ jac
-    try:
-        bread_inv = np.linalg.inv(bread)
-    except np.linalg.LinAlgError as exc:
-        raise SingularVariance("weighted Jacobian cross-product is singular") from exc
-    meat = jac.T @ weight @ upsilon @ weight @ jac
-    return bread_inv @ meat @ bread_inv
-
-
 def _gram_moments(moments: _Moments):
     """Build the mean moments and their covariance as a function of a
     (B, p+1) stack of points ``beta = (gamma, tau)``, returning the (B, K+1)
@@ -526,26 +514,7 @@ def fit_with_weight(
     if np.min(vals) < -1e-10 * max(np.max(np.abs(vals)), 1.0):
         raise SingularVariance("weight matrix is not positive semidefinite")
     w_half = (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
-    moments = _Moments.build(ds, basis.u, bridge)
-    beta, obj = _least_squares(moments.jac, moments.const, w_half)
-    upsilon = estimate_upsilon(moments.scores(beta))
-    v_hat = _general_sandwich(moments.jac, weight, upsilon)
-    dv = np.diag(v_hat)
-    if np.any(dv < -1e-8 * max(np.max(np.abs(dv)), 1.0)):
-        raise SingularVariance("sandwich variance has a negative diagonal entry")
-    se = np.sqrt(np.maximum(dv, 0.0) / ds.n)
-    p = beta.shape[0] - 1
-    return GmmFit(
-        gamma_hat=beta[:p],
-        tau_hat=float(beta[p]),
-        se_gamma=se[:p],
-        se_tau=float(se[p]),
-        k=basis.k,
-        k1=basis.k + 1,
-        n=ds.n,
-        v_hat=v_hat,
-        objective_value=obj,
-    )
+    return _fit(_Moments.build(ds, basis.u, bridge), weight, w_half)
 
 
 def fit_initial(ds: Dataset, basis: BasisMatrix, bridge: OutcomeBridge) -> GmmFit:
@@ -555,8 +524,40 @@ def fit_initial(ds: Dataset, basis: BasisMatrix, bridge: OutcomeBridge) -> GmmFi
     estimating equations; with K larger it is the usual first-step GMM
     whose estimates feed the moment-covariance estimate.
     """
-    basis = _prepare(basis)
-    return fit_with_weight(ds, basis, bridge, np.eye(basis.k + 1))
+    return _fit_identity(_Moments.build(ds, _prepare(basis).u, bridge))
+
+
+def _fit_identity(moments: _Moments) -> GmmFit:
+    """:func:`_fit` under the identity weight."""
+    eye = np.eye(moments.jac.shape[0])
+    return _fit(moments, eye, eye)
+
+
+def _fit(moments: _Moments, weight: np.ndarray, w_half: np.ndarray) -> GmmFit:
+    """The fit under a fixed ``weight`` with symmetric square root ``w_half``,
+    and its general sandwich at the moment covariance there."""
+    beta, obj = _least_squares(moments.jac, moments.const, w_half)
+    upsilon = estimate_upsilon(moments.scores(beta))
+    jac = moments.jac
+    try:
+        bread_inv = np.linalg.inv(jac.T @ weight @ jac)
+    except np.linalg.LinAlgError as exc:
+        raise SingularVariance("weighted Jacobian cross-product is singular") from exc
+    v_hat = bread_inv @ (jac.T @ weight @ upsilon @ weight @ jac) @ bread_inv
+    dv = np.diag(v_hat)
+    if np.any(dv < -1e-8 * max(np.max(np.abs(dv)), 1.0)):
+        raise SingularVariance("sandwich variance has a negative diagonal entry")
+    n, k = moments.u.shape
+    return _gmm_fit(moments, beta, obj, v_hat, np.sqrt(np.maximum(dv, 0.0) / n), k + 1)
+
+
+def _gmm_fit(moments: _Moments, beta, obj: float, v_hat, se, k1: int) -> GmmFit:
+    """The :class:`GmmFit` of ``beta = (gamma, tau)`` on ``moments``."""
+    (n, k), p = moments.u.shape, beta.shape[0] - 1
+    return GmmFit(
+        gamma_hat=beta[:p], tau_hat=float(beta[p]), se_gamma=se[:p], se_tau=float(se[p]),
+        k=k, k1=k1, n=n, v_hat=v_hat, objective_value=obj,
+    )
 
 
 def fit_optimal(ds: Dataset, basis: BasisMatrix, bridge: OutcomeBridge) -> GmmFit:
@@ -589,26 +590,15 @@ def fit_optimal(ds: Dataset, basis: BasisMatrix, bridge: OutcomeBridge) -> GmmFi
 def _fit_optimal(moments: _Moments) -> GmmFit:
     """:func:`fit_optimal` on a moment system already built. At K = p the
     variance's decomposition is the first step's, and gives ``k1``."""
-    n, k = moments.u.shape
+    k = moments.u.shape[1]
     beta, obj = _least_squares(moments.jac, moments.const, np.eye(k + 1))
-    p = beta.shape[0] - 1
     first = None
-    if k > p:
+    if k > beta.shape[0] - 1:
         first = regularize_moments(estimate_upsilon(moments.scores(beta)))
         beta, obj = _least_squares(moments.jac, moments.const, first.floored_weight_sqrt())
         beta, obj = _refine_continuous_update(moments, beta)
     v_hat, se, final = _sandwich(moments, beta)
-    return GmmFit(
-        gamma_hat=beta[:p],
-        tau_hat=float(beta[p]),
-        se_gamma=se[:p],
-        se_tau=float(se[p]),
-        k=k,
-        k1=(final if first is None else first).k1,
-        n=n,
-        v_hat=v_hat,
-        objective_value=obj,
-    )
+    return _gmm_fit(moments, beta, obj, v_hat, se, (final if first is None else first).k1)
 
 
 def variance(

@@ -282,6 +282,8 @@ def _check_methods(methods: tuple[str, ...]) -> None:
     for m in methods:
         if m not in METHODS:
             raise DimensionMismatch(f"unknown method {m!r}; choose from {METHODS}")
+    if repeated := sorted({m for m in methods if methods.count(m) > 1}):
+        raise DimensionMismatch(f"methods {repeated} are named more than once")
 
 
 # Python 3.12 and later warn in the parent when they fork a process that
@@ -507,6 +509,7 @@ def run_replications(
     Every study cell runs here, a misspecified one included
     (``ScenarioConfig(distortion=...)``). A method failure inside a
     replication is recorded, not raised; any other exception propagates.
+    An unknown method, or one named twice, raises :class:`DimensionMismatch`.
     ``threads`` is the number of worker processes the replications run in
     (see ``_replicate``), at least 1; it affects speed only: the records
     and their order are identical for any count, and warnings raised in a

@@ -12,11 +12,18 @@ import pytest
 
 from helpers import TreatmentBridge, make_gaussian_dataset
 from proxigmm import (
+    BasisMatrix,
     Dataset,
     EstimateReport,
+    OutcomeBridge,
     ScenarioConfig,
+    SieveSpec,
+    build_basis,
+    fit_initial,
+    fit_optimal,
     generate,
     naive_gformula,
+    orthonormalize,
     p2sls,
     pdr,
     pipw,
@@ -27,7 +34,6 @@ from proxigmm.errors import (
     DimensionMismatch,
     ProxiGmmError,
     RankDeficientDesign,
-    SingularSystem,
     SingularVariance,
     WeakRank,
 )
@@ -45,6 +51,31 @@ class TestOracles:
         assert a.tau_hat == b.tau_hat
         assert a.se_tau == b.se_tau
         assert np.array_equal(a.aux["gamma_hat"], b.aux["gamma_hat"])
+
+    @pytest.mark.parametrize("fixture", ["scenario1_ds", "scenario2_ds"])
+    def test_rgmm_is_the_identity_weight_fit_on_its_orthonormal_instruments(
+        self, fixture, request
+    ):
+        # Exactly identified, the fit and its sandwich J^-1 Upsilon J^-T do
+        # not change when the instruments (1, z, a, x) are rotated.
+        ds = request.getfixturevalue(fixture)
+        inst = np.column_stack([np.ones(ds.n), ds.z, ds.a, ds.x])
+        basis = orthonormalize(BasisMatrix(inst, ("1", "z1", "a", "x1")))
+        fit, report = fit_initial(ds, basis, OutcomeBridge.linear(1, 1)), rgmm(ds)
+        assert report.tau_hat == pytest.approx(fit.tau_hat, rel=0, abs=1e-12)
+        assert report.se_tau == pytest.approx(fit.se_tau, rel=1e-12)
+
+    @pytest.mark.parametrize("fixture", ["scenario1_ds", "scenario2_ds"])
+    def test_gmm_div_at_the_bridge_dimension_is_rgmm(self, fixture, request):
+        # The sieve's first p terms (1, a, z1, x1) span rgmm's instruments.
+        # The floor on the contrast direction leaves the SE about 1e-7
+        # relative from rgmm's.
+        ds = request.getfixturevalue(fixture)
+        bridge = OutcomeBridge.linear(1, 1)
+        basis = orthonormalize(build_basis(ds, SieveSpec(), bridge.n_params))
+        fit, report = fit_optimal(ds, basis, bridge), rgmm(ds)
+        assert report.tau_hat == pytest.approx(fit.tau_hat, rel=0, abs=1e-12)
+        assert report.se_tau == pytest.approx(fit.se_tau, rel=1e-6)
 
     @pytest.mark.parametrize("d_z", [2, 3])
     def test_overidentified_p2sls_is_textbook_2sls(self, d_z):
@@ -492,26 +523,17 @@ def test_newton_abandons_a_start_whose_jacobian_is_ill_conditioned(monkeypatch, 
     assert bool(solves) == steps
 
 
-@pytest.mark.parametrize(
-    "factorization, message",
-    [
-        ("solve", "instrument/feature cross-moment matrix is singular"),
-        ("inv", "stacked moment Jacobian is singular"),
-    ],
-    ids=["solve", "inv"],
-)
-def test_p2sls_factorization_failure_is_a_recorded_singular_system(
-    monkeypatch, factorization, message
-):
-    # solve fits the outcome bridge; inv inverts the stacked Jacobian for
-    # the sandwich. Either failing is a SingularSystem, which a Monte Carlo
-    # call records.
+def test_p2sls_sandwich_failure_is_a_recorded_singular_variance(monkeypatch):
+    # The outcome-bridge fit is gmm's identity-weight fit, whose sandwich
+    # inverts the Jacobian's cross-product. Its failing is a
+    # SingularVariance, which a Monte Carlo call records.
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("injected")
 
-    monkeypatch.setattr(np.linalg, factorization, fail)
+    monkeypatch.setattr(np.linalg, "inv", fail)
     config = ScenarioConfig("I", 400)
-    with pytest.raises(SingularSystem, match=message):
+    message = "weighted Jacobian cross-product is singular"
+    with pytest.raises(SingularVariance, match=message):
         p2sls(generate(config, 0, 0))
     records = run_replications(config, ("p2sls",), 2, 0)
-    assert [rec["error"].split(":")[0] for rec in records] == ["SingularSystem"] * 2
+    assert [rec["error"] for rec in records] == [f"SingularVariance: {message}"] * 2

@@ -63,6 +63,27 @@ def test_unknown_method_is_a_config_error(tmp_path):
     assert code == 2
 
 
+def test_spaces_around_method_names_are_ignored(tmp_path):
+    estimates = []
+    for methods in ("rgmm,pdr", " rgmm, pdr "):
+        out = tmp_path / f"out{len(estimates)}"
+        code = main(["simulate", "--methods", methods, "--n", "200", "--reps", "2",
+                     "--out-dir", str(out)])
+        assert code == 0
+        estimates.append((out / "estimates.csv").read_text())
+    assert estimates[0] == estimates[1]
+
+
+def test_a_method_named_twice_is_a_config_error(tmp_path, capsys):
+    # Its records would be counted twice in the summary.
+    out = tmp_path / "out"
+    code = main(["simulate", "--methods", "rgmm,naive,rgmm", "--reps", "3",
+                 "--out-dir", str(out)])
+    assert code == 2
+    assert "config error: methods ['rgmm'] are named more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_threads_default_ignores_the_environment(monkeypatch):
     monkeypatch.setenv("PROXIGMM_THREADS", "2")
     assert build_parser().parse_args(["simulate"]).threads == 1

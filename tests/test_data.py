@@ -133,6 +133,16 @@ class TestCsvRoundTrip:
         assert ds.n == 3
         np.testing.assert_allclose(ds.w[:, 0], [1.5, -4.0, 0.0])
 
+    def test_a_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # Spreadsheets' "CSV UTF-8" files begin with a UTF-8 byte-order mark.
+        text = "y,a,z1,w1,x1\n1.0,0,0.1,1.5,2.0\n2.0,1,0.2,-4.0,0.5\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text)
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        ds = load_csv(str(marked), self.ROLES)
+        np.testing.assert_array_equal(ds.y, load_csv(str(plain), self.ROLES).y)
+
     def test_write_then_load_is_byte_exact(self, tmp_path, scenario1_ds):
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"

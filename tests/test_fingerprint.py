@@ -33,6 +33,11 @@ def _finite_or_none(value):
     return None if value is None or not math.isfinite(value) else value
 
 
+def test_every_fingerprinted_workload_has_a_cell():
+    # A workload added to the fingerprint without a cell here would go unchecked.
+    assert set(CELLS) == set(REFERENCE["workloads"])
+
+
 @pytest.mark.parametrize("workload", CELLS)
 def test_records_match_the_fingerprint(workload):
     config, methods, k_bar, threads = CELLS[workload]

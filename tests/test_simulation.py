@@ -690,6 +690,12 @@ def test_distorted_level_runs_every_method_on_the_distorted_data(level):
         assert (rec["tau_hat"], rec["se_tau"], rec["k_star"]) == want
 
 
+@pytest.mark.parametrize("methods", [("rgmm", "rgmm"), ("naive", "pdr", "naive")])
+def test_a_method_named_twice_is_rejected(methods):
+    with pytest.raises(DimensionMismatch, match="are named more than once"):
+        run_replications(ScenarioConfig("I", 50), methods, 3, 0)
+
+
 @pytest.mark.parametrize(
     "draw",
     [
