@@ -11,7 +11,8 @@ One line per cell and method gives the number of records, how many are
 bit-identical (every field of ``records_digest.py``'s digest), how many
 changed their error, K* or Wald decision, the largest |change in tau_hat|
 and the largest relative change in se_tau over the records both trees
-estimated.
+estimated. After the table, each cell and method whose records are not
+all bit-identical gets one more line with the first 10 changed rep indices.
 """
 
 from __future__ import annotations
@@ -84,12 +85,17 @@ def main(argv=None) -> None:
     new = run_tree(_HERE.parent, opts.seed, opts.reps)
     print(f"{'cell':<38}{'method':<9}{'records':>8}{'identical':>10}{'error':>6}{'k*':>4}"
           f"{'reject':>7}{'max|dtau|':>11}{'max|dSE|/SE':>13}")
+    changed = {}
     for cell, records in new.items():
         for method in dict.fromkeys(rec["method"] for rec in records):
             mine = [[r for r in recs if r["method"] == method] for recs in (old[cell], records)]
             n, same, errors, ks, rejects, dtau, dse = drift(*mine)
             print(f"{cell:<38}{method:<9}{n:>8}{same:>10}{errors:>6}{ks:>4}{rejects:>7}"
                   f"{dtau:>11.1e}{dse:>13.1e}", flush=True)
+            if same < n:
+                changed[cell, method] = [a["rep"] for a, b in zip(*mine) if encode(a) != encode(b)]
+    for (cell, method), reps in changed.items():
+        print(f"{cell:<38}{method:<9}changed reps: {' '.join(map(str, reps[:10]))}")
 
 
 if __name__ == "__main__":

@@ -9,15 +9,21 @@ and bridge and kept on the dataset (:func:`_fit_once`), so the moment-count
 scan, every public fit step and the baselines' outcome-bridge fit read one
 build; the affine map is built once per instrument matrix. A fixed-weight
 fit and its sandwich are :func:`_fit`, whose identity-weight entry also fits
-the baselines' outcome bridge. Fitting proceeds in two steps: an identity-weight fit on the orthonormalized
-basis, then an optimally weighted fit whose weight is the spectrally
-regularized inverse of the estimated moment covariance, polished by a
-damped Newton step of the continuously updated objective. At the exactly
-identified count the first step is the fit, since such an estimate does
-not depend on its weight. The moment covariance is quadratic in the
-parameters, so the polish builds one O(n (K(p+1))²) Gram per fit; every
-objective evaluation after that does no work in n, and the whole
-finite-difference stencil is evaluated in one batched call.
+the baselines' outcome bridge. Fitting proceeds in two steps: an
+identity-weight fit on the orthonormalized basis, then an optimally
+weighted fit whose weight is the spectrally regularized inverse of the
+estimated moment covariance, polished by a damped Newton step of the
+continuously updated objective. For the linear bridge that polish leaves
+the effect estimate where the second step put it (measured moves of at
+most 8e-8) and moves the bridge's other coefficients, so it changes the
+reported standard error, not tau: a stencil point that moves tau or the
+treatment coefficient alone reads an objective of exactly 1, so the step
+in those coordinates is noise. At the exactly identified count the first
+step is the fit, since such an estimate does not depend on its weight. The
+moment covariance is quadratic in the parameters, so the polish builds one
+O(n (K(p+1))²) Gram per fit; every objective evaluation after that does no
+work in n, and the whole finite-difference stencil is evaluated in one
+batched call.
 
 Spectral regularization uses an eigenvalue floor: eigenvalues of the moment
 covariance below ``SPECTRAL_FLOOR`` (1e-8) times the largest are raised to
@@ -446,13 +452,18 @@ def _refine_continuous_update(
     """Polish a two-step solution with a damped Newton step of the
     continuously updated objective.
 
-    Re-evaluating the moment covariance at the trial parameters (rather
-    than freezing it at the first step) removes the second-order bias a
-    fixed estimated weight acquires as the number of moments grows. A
-    single half step of Newton's method on that objective captures the
-    correction while staying in the neighborhood of the two-step solution;
-    iterating the update to the exact minimizer trades the removed bias
-    for noticeably heavier sampling tails in modest samples. The objective
+    The objective re-evaluates the moment covariance at the trial
+    parameters rather than freezing it at the first step. A single half
+    step of Newton's method on it stays in the neighborhood of the two-step
+    solution. For a bridge whose treatment contrast is parameter-constant
+    (the linear bridge) the step does not correct the effect estimate. A
+    stencil point that moves ``tau`` or the treatment coefficient alone
+    makes the contrast moment nonzero, and wherever it is nonzero and no
+    eigenvalue is floored the objective is exactly 1, whatever the point;
+    so the step in those coordinates is rounding noise. Measured at II/800
+    (K 12), II/3200 (K up to 20) and I/400, ``tau`` moved by at most 8e-8,
+    while the coefficients on 1, w and x moved by up to 0.08, and with them
+    the moment covariance behind the reported variance. The objective
     costs one O(n (K(p+1))²) Gram build, after which no evaluation depends
     on n (:func:`_continuous_update_objective`). After the objective at the
     start, the gradient and curvature come from one central-difference
@@ -578,10 +589,13 @@ def fit_optimal(ds: Dataset, basis: BasisMatrix, bridge: OutcomeBridge) -> GmmFi
     polished by one damped Newton step of the continuously updated
     objective, its covariance floored by the same rule at the trial
     parameters (:func:`_refine_continuous_update`, whose finite-difference
-    stencil is one batched call); it removes the bias that accumulates in
-    the frozen-weight solution as moments are added. The reported variance
-    re-evaluates the moment covariance at the final estimates and applies
-    the same floored inverse as the sandwich core.
+    stencil is one batched call). For the linear bridge the polish moves
+    the coefficients of the other features but leaves ``tau`` at its
+    second-step value (to within 8e-8 where measured; see that function),
+    so what it changes is the moment covariance behind the reported
+    variance, not the effect estimate. The reported variance re-evaluates
+    the moment covariance at the final estimates and applies the same
+    floored inverse as the sandwich core.
     """
     basis = _prepare(basis)
     return _fit_optimal(_Moments.build(ds, basis.u, bridge))

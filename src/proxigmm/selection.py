@@ -214,15 +214,15 @@ def _scan(
     if ks.size:
         moments = _Moments.build(ds, basis.u, bridge)
         features = moments.features
-        # Candidate K's moments are the leading K sieve rows and the
-        # contrast row; the other rows are zeroed.
-        rows = np.arange(basis.k + 1)
-        keep = (rows < ks[:, None]) | (rows == basis.k)
-        beta, ok = _stacked_least_squares(moments.jac * keep[:, :, None], -moments.const * keep)
-        resid = features.y[:, None] - features.feats @ beta[:, :p].T
+        # Candidate K's bridge fit reads its leading K sieve rows; the other
+        # rows are zeroed. The contrast row is left out: tau satisfies it
+        # exactly, so it never moves gamma.
+        bmat, const = moments.jac[:-1, :-1], moments.const[:-1]
+        keep = np.arange(basis.k) < ks[:, None]
+        gamma, ok = _stacked_least_squares(bmat * keep[:, :, None], -const * keep)
+        resid = features.y[:, None] - features.feats @ gamma.T
         scores[: ks.size], bias_terms[: ks.size], var_terms[: ks.size] = _criterion(
-            basis.u, moments.jac[:-1, :-1], features.feats, resid,
-            features.contrast_mean, ks, ok,
+            basis.u, bmat, features.feats, resid, features.contrast_mean, ks, ok,
         )
     if not np.any(np.isfinite(scores)):
         raise AllCandidatesSingular(
@@ -252,8 +252,8 @@ def select_k(
     The moment system of the scanned basis (bridge gradient, contrast
     target, moment Jacobian and U'y/n, as in :func:`~proxigmm.gmm.fit_optimal`) is built
     once, and every candidate is scored in one batched pass: the
-    identity-weight fits on the Jacobian's leading K sieve rows plus the
-    contrast row are one stacked SVD, the residuals one n×C product, and
+    identity-weight bridge fits on the Jacobian's leading K sieve rows are
+    one stacked SVD, the residuals one n×C product, and
     the criterion (:func:`_criterion`) reads each
     observation's leverages as sums of its squared basis entries. Each
     candidate's residual-weighted covariance on its leading K columns is

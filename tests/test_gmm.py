@@ -503,7 +503,8 @@ class TestContinuousUpdatePolish:
         # floored, so there the objective is well below 1.
         assert gmm._continuous_update_objective(moments)(beta_hat[None])[0] < 0.1
 
-    def test_polish_lowers_the_continuous_update_objective(self, polished_case):
+    @pytest.fixture(scope="class")
+    def polished_and_two_step(self, polished_case):
         ds, basis, bridge = polished_case
         init = fit_initial(ds, basis, bridge)
         scores = joint_score(ds, basis, bridge, init.gamma_hat, init.tau_hat)
@@ -512,13 +513,26 @@ class TestContinuousUpdatePolish:
         two_step, _ = gmm._least_squares(
             moments.jac, moments.const, decomp.floored_weight_sqrt()
         )
-        fit = fit_optimal(ds, basis, bridge)
+        return moments, fit_optimal(ds, basis, bridge), two_step
+
+    def test_polish_lowers_the_continuous_update_objective(self, polished_and_two_step):
+        moments, fit, two_step = polished_and_two_step
         polished = np.r_[fit.gamma_hat, fit.tau_hat]
         assert not np.array_equal(polished, two_step)
         objective = gmm._continuous_update_objective(moments)
         at_polished, at_two_step = objective(np.vstack([polished, two_step]))
         assert at_polished < at_two_step
         assert fit.objective_value == at_polished
+
+    def test_polish_moves_the_other_bridge_coefficients_not_tau(self, polished_and_two_step):
+        # Stencil points that move tau or the treatment coefficient alone
+        # read an objective of exactly 1, so the polish step in those
+        # coordinates is noise: tau_hat stays at its two-step value while
+        # the coefficients on 1, w and x move.
+        _, fit, two_step = polished_and_two_step
+        assert abs(fit.tau_hat - two_step[-1]) <= 1e-8
+        moved = np.abs(fit.gamma_hat - two_step[:-1])[[0, 1, 3]]
+        assert np.all(moved > 1e-3)
 
 
 class TestInference:

@@ -60,6 +60,33 @@ def test_records_drift_of_a_tree_against_itself_is_nil(capsys):
         assert row[1:] == ["2", "2", "0", "0", "0", "0.0e+00", "0.0e+00"]
 
 
+def test_records_drift_lists_the_first_changed_reps(capsys, monkeypatch):
+    # A stubbed pair of trees: naive moves on all 12 reps, pipw on reps 3
+    # and 5. After the table, each gets a line with its first 10 changed reps.
+    drift = _script("records_drift")
+
+    def tree(shift):
+        moved = {"naive": range(12), "pipw": (3, 5)}
+        return {"cell": [
+            {"rep": rep, "method": method, "tau_hat": 1.0 + shift * (rep in moved[method]),
+             "se_tau": 0.5, "ci_lo": 0.0, "ci_hi": 2.0, "reject": True, "k_star": None,
+             "error": None}
+            for rep in range(12) for method in moved
+        ]}
+
+    trees = iter([tree(0.0), tree(0.25)])
+    monkeypatch.setattr(drift, "run_tree", lambda root, seed, reps: next(trees))
+    drift.main(["parent"])
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:4] for line in lines[:2]] == [
+        ["cell", "naive", "12", "0"], ["cell", "pipw", "12", "10"],
+    ]
+    assert lines[2:] == [
+        f"{'cell':<38}{'naive':<9}changed reps: 0 1 2 3 4 5 6 7 8 9",
+        f"{'cell':<38}{'pipw':<9}changed reps: 3 5",
+    ]
+
+
 def test_polish_on_off_reports_both_arms(capsys):
     _script("polish_on_off").main(["--reps", "2", "--seed", "1", "--cell", "II:400:8"])
     lines = capsys.readouterr().out.splitlines()
