@@ -12,7 +12,9 @@ balances the outcome bridge's features.
 
 from __future__ import annotations
 
+import itertools
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +34,7 @@ from .gmm import confidence_interval, wald_test
 
 _NEWTON_MAX_ITER = 50
 _NEWTON_TOL = 1e-10
+_NEWTON_START_MAGNITUDE = 0.5
 # Backtracking scales tried after the full Newton step: 2^-1, ..., 2^-29,
 # the values a loop halving 1.0 forms.
 _NEWTON_HALVINGS = np.ldexp(1.0, -np.arange(1, 30))
@@ -217,6 +220,16 @@ def p2sls(ds: Dataset) -> EstimateReport:
     return _outcome_bridge_report(ds, "p2sls")
 
 
+def _newton_starts(dim: int) -> Iterator[np.ndarray]:
+    """The solver's starts in order, made as they are reached: a solve that
+    converges from the first never builds the rest."""
+    yield np.zeros(dim)
+    for pattern in itertools.product((1.0, -1.0), repeat=min(dim - 1, 3)):
+        signs = np.ones(dim)
+        signs[1 : 1 + len(pattern)] = pattern
+        yield _NEWTON_START_MAGNITUDE * signs
+
+
 def _bridge_values(signed_b: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """The treatment bridge ``q = 1 + exp(s(a) * theta @ (1, z, a, x))`` at
     ``theta``, where ``s(a)`` is -1 treated and +1 untreated, from its design
@@ -236,30 +249,34 @@ def _solve_treatment_bridge(ds: Dataset):
     design ``(1, z, a, x)`` (:func:`_instruments`), and the features' mean
     contrast. It needs as many z as w proxies (:func:`_require_exact_identification`).
 
-    Damped Newton runs once, from ``theta = 0``, and returns at the first
-    point whose residual sup-norm is below ``_NEWTON_TOL``. The search is
-    abandoned when its balancing Jacobian is singular or its reciprocal
-    1-norm condition number is below eps, since such a step has no usable
-    digits. Each step is backtracked: the full step is tried first, and
-    when it does not lower the residual's Euclidean norm, the halvings
-    ``2^-1, ..., 2^-29`` (the scales a loop halving the step forms) are
-    scored in one batch and the first trial point with a finite residual of
-    lower norm is taken; if there is none, the search is abandoned. The
-    batch forms the residuals by matrix products, which round differently
-    from a single evaluation, so it could rank a point differently from a
-    loop over the halvings only if that point's norm equals the current one
-    to within rounding. The accepted point is evaluated again alone,
-    through :func:`_bridge_values`, so what is carried forward is bit for
-    bit what that loop carries; the tests hold the loop as a reference.
+    Damped Newton runs from ``theta = 0`` and from the ``2^min(p-1, 3)``
+    points with every coordinate ±0.5 that vary the signs of the up to
+    three coordinates after the intercept (:func:`_newton_starts`), and
+    returns at the first point whose residual sup-norm is below
+    ``_NEWTON_TOL``. A start is abandoned when its
+    balancing Jacobian is singular or its reciprocal 1-norm condition
+    number is below eps, since such a step has no usable digits. Each step
+    is backtracked: the full step is tried first, and when it does not
+    lower the residual's Euclidean norm, the halvings ``2^-1, ..., 2^-29``
+    (the scales a loop halving the step forms) are scored in one batch and
+    the first trial point with a finite residual of lower norm is taken; if
+    there is none, the start is abandoned. The batch forms the residuals by
+    matrix products, which round differently from a single evaluation, so
+    it could rank a point differently from a loop over the halvings only
+    if that point's norm equals the current one to within rounding. The
+    accepted point is evaluated again alone, through :func:`_bridge_values`,
+    so what is carried forward is bit for bit what that loop carries; the
+    tests hold the loop as a reference.
 
     The balancing system can lack an exact root in finite samples (a
     heavy-tailed analogue of separation in logistic regression). The
     exactly identified GMM fit is still the minimizer of the squared moment
-    norm, so when Newton finds no root one Levenberg-Marquardt
-    least-squares search runs from ``theta = 0``, and its minimizer is
-    accepted when every moment's imbalance there is below
-    ``_MINNORM_ACCEPT`` (0.5); otherwise the solve raises
-    :class:`NoConvergence`.
+    norm, so when no start converges one Levenberg-Marquardt least-squares
+    search runs from ``theta = 0``, and its minimizer is accepted when
+    every moment's imbalance there is below ``_MINNORM_ACCEPT`` (0.5);
+    otherwise the solve raises :class:`NoConvergence`. On the datasets
+    measured, a search from any other Newton start ends at the same cost
+    to within rounding.
     """
     _require_exact_identification(ds)
     features = _bridge_features(ds, _linear_bridge(ds))
@@ -293,35 +310,39 @@ def _solve_treatment_bridge(ds: Dataset):
         lower = np.isfinite(res).all(axis=1) & (np.linalg.norm(res, axis=1) < norm0)
         return np.argmax(lower) if lower.any() else None
 
-    theta = np.zeros(basis_b.shape[1])
+    best_norm = np.inf
+    tried = 0
     # Overflow to inf (and inf*0 = nan) at extreme trial points is expected.
     # A non-finite residual, or one whose squared norm overflows to inf,
     # ranks as no improvement.
     with np.errstate(over="ignore", invalid="ignore"):
-        q, res = balance(theta)
-        for _ in range(_NEWTON_MAX_ITER):
-            if np.max(np.abs(res)) < _NEWTON_TOL:
-                return theta, q, system
-            jac = _balancing_jacobian(basis_c, basis_b, q)
-            try:
-                jinv = np.linalg.inv(jac)
-            except np.linalg.LinAlgError:
-                break
-            rcond = 1.0 / (np.abs(jac).sum(axis=0).max() * np.abs(jinv).sum(axis=0).max())
-            if not rcond >= np.finfo(float).eps:
-                break
-            step = np.linalg.solve(jac, -res)
-            norm0 = np.linalg.norm(res)
-            cand = theta + step
-            cand_q, cand_res = balance(cand)
-            if not (np.all(np.isfinite(cand_res)) and np.linalg.norm(cand_res) < norm0):
-                halving = first_halving(theta, step, norm0)
-                if halving is None:
+        for start in _newton_starts(basis_b.shape[1]):
+            theta = start.copy()
+            q, res = balance(theta)
+            tried += 1
+            for _ in range(_NEWTON_MAX_ITER):
+                if np.max(np.abs(res)) < _NEWTON_TOL:
+                    return theta, q, system
+                jac = _balancing_jacobian(basis_c, basis_b, q)
+                try:
+                    jinv = np.linalg.inv(jac)
+                except np.linalg.LinAlgError:
                     break
-                cand = theta + _NEWTON_HALVINGS[halving] * step
+                rcond = 1.0 / (np.abs(jac).sum(axis=0).max() * np.abs(jinv).sum(axis=0).max())
+                if not rcond >= np.finfo(float).eps:
+                    break
+                step = np.linalg.solve(jac, -res)
+                norm0 = np.linalg.norm(res)
+                cand = theta + step
                 cand_q, cand_res = balance(cand)
-            theta, q, res = cand, cand_q, cand_res
-    newton_norm = float(np.max(np.abs(res)))
+                if not (np.all(np.isfinite(cand_res)) and np.linalg.norm(cand_res) < norm0):
+                    halving = first_halving(theta, step, norm0)
+                    if halving is None:
+                        break
+                    cand = theta + _NEWTON_HALVINGS[halving] * step
+                    cand_q, cand_res = balance(cand)
+                theta, q, res = cand, cand_q, cand_res
+            best_norm = min(best_norm, float(np.max(np.abs(res))))
 
     def clipped(theta):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -338,7 +359,8 @@ def _solve_treatment_bridge(ds: Dataset):
     if np.all(np.isfinite(res)) and np.max(np.abs(res)) < _MINNORM_ACCEPT:
         return sol.x, q, system
     raise NoConvergence(
-        f"reweighting solver failed (damped-Newton residual sup-norm {newton_norm:.3e}; "
+        f"reweighting solver failed from {tried} starts "
+        f"(best exact-root residual sup-norm {best_norm:.3e}; "
         f"minimum-norm imbalance {float(np.max(np.abs(res))):.3e})"
     )
 

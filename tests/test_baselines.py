@@ -344,9 +344,9 @@ def test_treatment_solve_matches_one_that_calls_the_bridge(monkeypatch, rep):
     searches = []
     least_squares = scipy.optimize.least_squares
 
-    def counted(*args, **kwargs):
-        searches.append(1)
-        return least_squares(*args, **kwargs)
+    def counted(fun, start, **kwargs):
+        searches.append(start.copy())
+        return least_squares(fun, start, **kwargs)
 
     def bridge_q(signed_b, theta):
         return TreatmentBridge().q(ds.z, ds.a, ds.x, theta)
@@ -357,20 +357,21 @@ def test_treatment_solve_matches_one_that_calls_the_bridge(monkeypatch, rep):
     assert np.array_equal(theta, ref_theta)
     assert np.array_equal(q, ref_q)
     assert len(searches) == (1 if rep == 34 else 0)
+    assert all(np.array_equal(start, np.zeros_like(theta)) for start in searches)
 
 
 class _FallbackTaken(Exception):
     pass
 
 
-# The II/800 seed-3 reps among 0-543 on which damped Newton from theta = 0
-# finds no root, and the solve takes the minimum-norm fallback.
+# The II/800 seed-3 reps among 0-543 on which damped Newton finds no root
+# from any start, and the solve takes the minimum-norm fallback.
 _FALLBACK_REPS = [34, 62, 170, 214, 287, 308, 422, 520, 543]
 
 
 def test_newton_gives_up_on_the_same_reps(monkeypatch):
-    # Newton abandons its search when the balancing Jacobian is singular or
-    # has a reciprocal 1-norm condition number below eps. Moving that rule moves
+    # Newton abandons a start whose balancing Jacobian is singular or has a
+    # reciprocal 1-norm condition number below eps. Moving that rule moves
     # which reps reach the fallback, which is stubbed out here.
     import scipy.optimize
 
@@ -392,9 +393,8 @@ def _solve_with_halving_loop(ds):
     and evaluates every trial point alone, with the moments as a column
     mean and the signs applied per evaluation.
 
-    Returns the ``(theta, q)`` carried into every Newton iteration from
-    ``theta = 0``, and the root's ``(theta, q)``, or None when the search
-    gives up.
+    Returns the ``(theta, q)`` carried into every Newton iteration, and the
+    root's ``(theta, q)``, or None when every start gives up.
     """
     sign, basis_c, basis_b, target = _balancing_system(ds)
 
@@ -404,32 +404,33 @@ def _solve_with_halving_loop(ds):
 
     carried = []
     with np.errstate(over="ignore", invalid="ignore"):
-        theta = np.zeros(basis_b.shape[1])
-        q, res = balance(theta)
-        for _ in range(baselines._NEWTON_MAX_ITER):
-            if np.max(np.abs(res)) < baselines._NEWTON_TOL:
-                return carried, (theta, q)
-            carried.append((theta, q))
-            jac = -(basis_c * (q - 1.0)[:, None]).T @ basis_b / ds.n
-            try:
-                jinv = np.linalg.inv(jac)
-            except np.linalg.LinAlgError:
-                break
-            rcond = 1.0 / (np.abs(jac).sum(axis=0).max() * np.abs(jinv).sum(axis=0).max())
-            if not rcond >= np.finfo(float).eps:
-                break
-            step = np.linalg.solve(jac, -res)
-            norm0 = np.linalg.norm(res)
-            scale = 1.0
-            for _ in range(30):
-                cand = theta + scale * step
-                cand_q, cand_res = balance(cand)
-                if np.all(np.isfinite(cand_res)) and np.linalg.norm(cand_res) < norm0:
+        for start in baselines._newton_starts(basis_b.shape[1]):
+            theta = start.copy()
+            q, res = balance(theta)
+            for _ in range(baselines._NEWTON_MAX_ITER):
+                if np.max(np.abs(res)) < baselines._NEWTON_TOL:
+                    return carried, (theta, q)
+                carried.append((theta, q))
+                jac = -(basis_c * (q - 1.0)[:, None]).T @ basis_b / ds.n
+                try:
+                    jinv = np.linalg.inv(jac)
+                except np.linalg.LinAlgError:
                     break
-                scale *= 0.5
-            else:
-                break
-            theta, q, res = cand, cand_q, cand_res
+                rcond = 1.0 / (np.abs(jac).sum(axis=0).max() * np.abs(jinv).sum(axis=0).max())
+                if not rcond >= np.finfo(float).eps:
+                    break
+                step = np.linalg.solve(jac, -res)
+                norm0 = np.linalg.norm(res)
+                scale = 1.0
+                for _ in range(30):
+                    cand = theta + scale * step
+                    cand_q, cand_res = balance(cand)
+                    if np.all(np.isfinite(cand_res)) and np.linalg.norm(cand_res) < norm0:
+                        break
+                    scale *= 0.5
+                else:
+                    break
+                theta, q, res = cand, cand_q, cand_res
     return carried, None
 
 
@@ -483,7 +484,7 @@ def test_batched_halving_carries_what_the_halving_loop_carries(monkeypatch, scen
     # The solve scores a step's halvings in one batch and evaluates the
     # accepted one alone. Every Newton iteration must start from the theta
     # and q of the loop that tries the halvings one by one, bit for bit,
-    # on reps where Newton converges and on reps where it gives up.
+    # on reps where Newton converges and on reps where every start gives up.
     gave_up = []
     for rep in reps:
         ds = generate(ScenarioConfig(scenario, n), 3, rep)
@@ -504,7 +505,7 @@ def test_batched_halving_carries_what_the_halving_loop_carries(monkeypatch, scen
 @pytest.mark.parametrize("rcond, steps", [(1e-17, False), (1e-15, True)])
 def test_newton_abandons_a_start_whose_jacobian_is_ill_conditioned(monkeypatch, rcond, steps):
     # A diagonal Jacobian with entries 1 and rcond has reciprocal 1-norm
-    # condition number rcond. Below eps the search is given up before its
+    # condition number rcond. Below eps every start is given up before its
     # first Newton solve; above it the solve runs.
     import scipy.optimize
 
