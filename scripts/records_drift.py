@@ -11,8 +11,14 @@ One line per cell and method gives the number of records, how many are
 bit-identical (every field of ``records_digest.py``'s digest), how many
 changed their error, K* or Wald decision, the largest |change in tau_hat|
 and the largest relative change in se_tau over the records both trees
-estimated. After the table, each cell and method whose records are not
-all bit-identical gets one more line with the first 10 changed rep indices.
+estimated whose SE is not wild in either tree. An SE is wild when it is
+more than 10 times the median SE of its cell and method in its tree, the
+rule by which ``perfbench/bench.py`` flags a failed record. After the
+table, each cell and method with wild records gets one more line with
+their count and the same two maxima over them, so that their large moves
+do not hide the rounding-level drift of the others; then each cell and
+method whose records are not all bit-identical gets one more line with the
+first 10 changed rep indices.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 import argparse
 import math
 import pickle
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +34,8 @@ from pathlib import Path
 from record_cells import encode
 
 _HERE = Path(__file__).resolve().parent
+# An SE above this multiple of its cell and method's median SE is wild.
+_WILD_SE_FACTOR = 10.0
 # Runs in a fresh interpreter: argv is (src, scripts, seed, reps). Prints
 # the pickled records of every cell and the path proxigmm was loaded from.
 _CHILD = """
@@ -59,20 +68,49 @@ def _relative(old: float, new: float) -> float:
     return abs(new - old) / abs(old) if old else math.inf
 
 
-def drift(old: list[dict], new: list[dict]) -> tuple:
-    """(records, identical, error flips, K* flips, reject flips, max
-    |dtau|, max relative dSE) of one method's records in two trees."""
+def _wild(records: list[dict]) -> list[bool]:
+    """Whether each record estimated finite values with an SE above
+    ``_WILD_SE_FACTOR`` times the median SE of those that did."""
+    finite = [
+        r["error"] is None and math.isfinite(r["tau_hat"]) and math.isfinite(r["se_tau"])
+        for r in records
+    ]
+    ses = [r["se_tau"] for r, ok in zip(records, finite) if ok]
+    cut = _WILD_SE_FACTOR * statistics.median(ses) if ses else math.inf
+    return [ok and r["se_tau"] > cut for r, ok in zip(records, finite)]
+
+
+def _largest(pairs: list[tuple[dict, dict]]) -> tuple[float, float]:
+    """(max |dtau|, max relative dSE) over pairs of records."""
+    return (
+        max((abs(b["tau_hat"] - a["tau_hat"]) for a, b in pairs), default=0.0),
+        max((_relative(a["se_tau"], b["se_tau"]) for a, b in pairs), default=0.0),
+    )
+
+
+def drift(old: list[dict], new: list[dict]) -> tuple[tuple, tuple]:
+    """How one method's records moved between two trees.
+
+    Returns (records, identical, error flips, K* flips, reject flips, max
+    |dtau|, max relative dSE), the maxima over the records both trees
+    estimated with an SE wild in neither, and (records, max |dtau|, max
+    relative dSE) over those both estimated with an SE wild in either.
+    """
     if [(r["rep"], r["method"]) for r in old] != [(r["rep"], r["method"]) for r in new]:
         raise RuntimeError("the trees' records are not the same replications")
     pairs = list(zip(old, new))
-    both = [(a, b) for a, b in pairs if a["error"] is None and b["error"] is None]
+    both = [
+        (pair, a_wild or b_wild)
+        for pair, a_wild, b_wild in zip(pairs, _wild(old), _wild(new))
+        if pair[0]["error"] is None and pair[1]["error"] is None
+    ]
+    wild = [pair for pair, is_wild in both if is_wild]
     return (
         len(pairs),
         sum(encode(a) == encode(b) for a, b in pairs),
         *(sum(a[key] != b[key] for a, b in pairs) for key in ("error", "k_star", "reject")),
-        max((abs(b["tau_hat"] - a["tau_hat"]) for a, b in both), default=0.0),
-        max((_relative(a["se_tau"], b["se_tau"]) for a, b in both), default=0.0),
-    )
+        *_largest([pair for pair, is_wild in both if not is_wild]),
+    ), (len(wild), *_largest(wild))
 
 
 def main(argv=None) -> None:
@@ -85,15 +123,20 @@ def main(argv=None) -> None:
     new = run_tree(_HERE.parent, opts.seed, opts.reps)
     print(f"{'cell':<38}{'method':<9}{'records':>8}{'identical':>10}{'error':>6}{'k*':>4}"
           f"{'reject':>7}{'max|dtau|':>11}{'max|dSE|/SE':>13}")
-    changed = {}
+    wild, changed = {}, {}
     for cell, records in new.items():
         for method in dict.fromkeys(rec["method"] for rec in records):
             mine = [[r for r in recs if r["method"] == method] for recs in (old[cell], records)]
-            n, same, errors, ks, rejects, dtau, dse = drift(*mine)
+            (n, same, errors, ks, rejects, dtau, dse), wild_drift = drift(*mine)
             print(f"{cell:<38}{method:<9}{n:>8}{same:>10}{errors:>6}{ks:>4}{rejects:>7}"
                   f"{dtau:>11.1e}{dse:>13.1e}", flush=True)
+            if wild_drift[0]:
+                wild[cell, method] = wild_drift
             if same < n:
                 changed[cell, method] = [a["rep"] for a, b in zip(*mine) if encode(a) != encode(b)]
+    for (cell, method), (n, dtau, dse) in wild.items():
+        print(f"{cell:<38}{method:<9}wild SE: {n} records, max|dtau| {dtau:.1e}, "
+              f"max|dSE|/SE {dse:.1e}")
     for (cell, method), reps in changed.items():
         print(f"{cell:<38}{method:<9}changed reps: {' '.join(map(str, reps[:10]))}")
 

@@ -253,17 +253,18 @@ def _solve_treatment_bridge(ds: Dataset):
     points with every coordinate ±0.5 that vary the signs of the up to
     three coordinates after the intercept (:func:`_newton_starts`), and
     returns at the first point whose residual sup-norm is below
-    ``_NEWTON_TOL``. A start is abandoned when its
-    balancing Jacobian is singular or its reciprocal 1-norm condition
-    number is below eps, since such a step has no usable digits. Each step
-    is backtracked: the full step is tried first, and when it does not
-    lower the residual's Euclidean norm, the halvings ``2^-1, ..., 2^-29``
-    (the scales a loop halving the step forms) are scored in one batch and
-    the first trial point with a finite residual of lower norm is taken; if
-    there is none, the start is abandoned. The batch forms the residuals by
-    matrix products, which round differently from a single evaluation, so
-    it could rank a point differently from a loop over the halvings only
-    if that point's norm equals the current one to within rounding. The
+    ``_NEWTON_TOL``. Each iteration inverts its balancing Jacobian J once,
+    and abandons the start when J is singular or its reciprocal 1-norm
+    condition number is below eps, since such a step has no usable digits;
+    otherwise the same inverse takes the step ``-J⁻¹g``. Each step is
+    backtracked: the full step is tried first, and when it does not lower
+    the residual's Euclidean norm, the halvings ``2^-1, ..., 2^-29`` (the
+    scales a loop halving the step forms) are scored in one batch and the
+    first trial point with a finite residual of lower norm is taken; if
+    there is none, the start is abandoned. The batch's rows round
+    differently from the product at a single point, so it could rank a
+    point differently from a loop over the halvings only if that point's
+    norm equals the current one to within rounding. The
     accepted point is evaluated again alone, through :func:`_bridge_values`,
     so what is carried forward is bit for bit what that loop carries; the
     tests hold the loop as a reference.
@@ -290,16 +291,11 @@ def _solve_treatment_bridge(ds: Dataset):
     # signs into the designs is exact: rounding commutes with negation.
     signed_c = sign[:, None] * basis_c
     signed_b = -sign[:, None] * basis_b
-    # The residual's column sums add the rows in order, as an axis-0
-    # reduction of the (n, p) product does, but accumulate along the
-    # contiguous rows of its transpose: the axis-0 reduction runs one
-    # p-element inner loop per row.
-    signed_c_rows = np.ascontiguousarray(signed_c.T)
 
     def balance(theta):
         """Bridge values at ``theta`` and the balancing residual there."""
         q = _bridge_values(signed_b, theta)
-        return q, np.add.accumulate(signed_c_rows * q, axis=1)[:, -1] / n - target
+        return q, q @ signed_c / n - target
 
     def first_halving(theta, step, norm0):
         """Index into ``_NEWTON_HALVINGS`` of the first trial point whose
@@ -331,7 +327,7 @@ def _solve_treatment_bridge(ds: Dataset):
                 rcond = 1.0 / (np.abs(jac).sum(axis=0).max() * np.abs(jinv).sum(axis=0).max())
                 if not rcond >= np.finfo(float).eps:
                     break
-                step = np.linalg.solve(jac, -res)
+                step = -(jinv @ res)
                 norm0 = np.linalg.norm(res)
                 cand = theta + step
                 cand_q, cand_res = balance(cand)

@@ -17,10 +17,10 @@ fits of all C candidates are one stacked SVD of their zero-padded moment
 systems, and their residuals one n×C product. Only each candidate's
 residual-weighted covariance, the one O(nK²) step, is formed in a loop,
 from contiguous column-major blocks of the basis and the residuals; its
-Cholesky factor (padded with an identity block), the solves, the target
-directions, the two n×C projections and the bias and variance terms are
-stacked arrays. A candidate whose fit or covariance cannot be factorized
-scores infinity and leaves the others as they are.
+Cholesky factor (padded with an identity block), the factor's one inverse,
+the target directions, the n×C projections and the bias and variance terms
+are stacked arrays. A candidate whose fit or covariance cannot be
+factorized scores infinity and leaves the others as they are.
 
 The bridge's feature matrices are kept on the dataset
 (``gmm._bridge_features``): the scan, the fit at the selected K and any
@@ -158,11 +158,12 @@ def _criterion(
     under heteroskedasticity. The score is the sum of the two terms.
 
     The n×p projections of the gradient through the Gram and Υ metrics
-    enter only along t = Ω⁻¹·target, so each candidate needs two K-vector
-    solves and two n-vectors, and all candidates' solves and n-vectors are
-    stacked: each K×K covariance is padded to k×k with an identity block,
-    which leaves its Cholesky factor and its solves in the leading block,
-    and each K-row projection with zero rows. A candidate that is not ok,
+    enter only along t = Ω⁻¹·target, so each candidate needs two K-vectors
+    and two n-vectors. Υ = LL' is factorized once: from L⁻¹, Ω is
+    (L⁻¹B)'(L⁻¹B) and Υ⁻¹Bt is L⁻ᵀ(L⁻¹B)t. All candidates are stacked:
+    each K×K covariance is padded to k×k with an identity block, which
+    leaves L and L⁻¹ in the leading block, and each K-row projection with
+    zero rows. A candidate that is not ok,
     or whose covariance or reduced-form matrix Ω cannot be factorized,
     scores inf with NaN terms.
     """
@@ -170,14 +171,14 @@ def _criterion(
     ok = ok.copy()
     resid = np.where(ok, resid, 0.0)
     chol = _stacked(np.linalg.cholesky, _candidate_covariances(u, resid, ks, ok), ok)
+    chol_inv = _stacked(np.linalg.inv, chol, ok)
     bproj = bmat * (np.arange(k) < ks[:, None])[:, :, None]
-    whitened = np.linalg.solve(chol, bproj)
+    whitened = chol_inv @ bproj
     omega = whitened.transpose(0, 2, 1) @ whitened
     t_dir = _stacked(np.linalg.inv, omega, ok) @ target
     direction = np.einsum("ckp,cp->ck", bproj, t_dir)
-    upsilon_dir = np.linalg.solve(
-        chol.transpose(0, 2, 1), np.einsum("ckp,cp->ck", whitened, t_dir)[:, :, None]
-    )[:, :, 0]
+    whitened_dir = np.einsum("ckp,cp->ck", whitened, t_dir)
+    upsilon_dir = np.einsum("cjk,cj->ck", chol_inv, whitened_dir)
     gram_part = u @ direction.T
     upsilon_part = u @ upsilon_dir.T
     leverage = _prefix_leverages(u, ks)

@@ -30,7 +30,7 @@ import traceback
 import warnings
 from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,14 +63,16 @@ _DISTORTIONS = {
 MISSPEC_LEVELS = tuple(_DISTORTIONS)
 DEFAULT_K_BAR = 12
 
+# The structural coefficients of every simulation cell.
+_COEFFICIENTS = DgpCoefficients()
 # Stream ids within one replication, in draw order.
 _STREAMS = ("x", "u", "a", "noise_z", "noise_w", "noise_y")
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One simulation cell: coefficients, noise scenario, sample size and
-    outcome-proxy distortion.
+    """One simulation cell: noise scenario, sample size and outcome-proxy
+    distortion. Every cell draws from the default :class:`DgpCoefficients`.
 
     Scenario "I" uses unit noise scales everywhere; scenario "II" keeps the
     treatment-proxy noise at 1 but shrinks the outcome-proxy and outcome
@@ -85,7 +87,6 @@ class ScenarioConfig:
 
     scenario: str = "I"
     n: int = 400
-    coefficients: DgpCoefficients = field(default_factory=DgpCoefficients)
     distortion: str = "correct"
 
     def __post_init__(self) -> None:
@@ -237,7 +238,7 @@ def generate(config: ScenarioConfig, seed, rep: int | None = None) -> Dataset:
     """
     rngs = _streams(seed, rep)
     n = config.n
-    coef = config.coefficients
+    coef = _COEFFICIENTS
     # Every normal draw goes through one quantile call.
     normal = ("x", "u", "noise_z", "noise_w", "noise_y")
     x, u, e_z, e_w, e_y = _ndtri(
@@ -522,7 +523,7 @@ def run_replications(
 
 def summarize(records: list[dict], config: ScenarioConfig) -> list[ReplicationSummary]:
     """Aggregate per-replication records into per-method summaries."""
-    tau0 = config.coefficients.true_ate
+    tau0 = _COEFFICIENTS.true_ate
     methods = []
     for rec in records:
         if rec["method"] not in methods:

@@ -390,8 +390,8 @@ def test_newton_gives_up_on_the_same_reps(monkeypatch):
 
 def _solve_with_halving_loop(ds):
     """Damped Newton on the treatment bridge as a loop that halves each step
-    and evaluates every trial point alone, with the moments as a column
-    mean and the signs applied per evaluation.
+    and evaluates every trial point alone, with the signs applied per
+    evaluation.
 
     Returns the ``(theta, q)`` carried into every Newton iteration, and the
     root's ``(theta, q)``, or None when every start gives up.
@@ -400,7 +400,7 @@ def _solve_with_halving_loop(ds):
 
     def balance(theta):
         q = 1.0 + np.exp(-sign * (basis_b @ theta))
-        return q, (basis_c * (sign * q)[:, None]).mean(axis=0) - target
+        return q, q @ (sign[:, None] * basis_c) / ds.n - target
 
     carried = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -419,7 +419,7 @@ def _solve_with_halving_loop(ds):
                 rcond = 1.0 / (np.abs(jac).sum(axis=0).max() * np.abs(jinv).sum(axis=0).max())
                 if not rcond >= np.finfo(float).eps:
                     break
-                step = np.linalg.solve(jac, -res)
+                step = -(jinv @ res)
                 norm0 = np.linalg.norm(res)
                 scale = 1.0
                 for _ in range(30):
@@ -506,22 +506,44 @@ def test_batched_halving_carries_what_the_halving_loop_carries(monkeypatch, scen
 def test_newton_abandons_a_start_whose_jacobian_is_ill_conditioned(monkeypatch, rcond, steps):
     # A diagonal Jacobian with entries 1 and rcond has reciprocal 1-norm
     # condition number rcond. Below eps every start is given up before its
-    # first Newton solve; above it the solve runs.
+    # first Newton step; above it the step runs. Each start evaluates the
+    # bridge once at its own point, so any further evaluation is a step's
+    # trial point.
     import scipy.optimize
 
     def fallback(*args, **kwargs):
         raise _FallbackTaken
 
-    solves = []
-    real_solve = np.linalg.solve
+    evaluations = []
+    real_values = baselines._bridge_values
     monkeypatch.setattr(scipy.optimize, "least_squares", fallback)
     monkeypatch.setattr(
         baselines, "_balancing_jacobian", lambda *args: np.diag([1.0, 1.0, 1.0, rcond])
     )
-    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or real_solve(*a))
+    monkeypatch.setattr(
+        baselines, "_bridge_values", lambda *a: evaluations.append(1) or real_values(*a)
+    )
     with pytest.raises(_FallbackTaken):
         baselines._solve_treatment_bridge(generate(ScenarioConfig("II", 800), 3, 3))
-    assert bool(solves) == steps
+    starts = sum(1 for _ in baselines._newton_starts(4))
+    assert (len(evaluations) > starts) == steps
+
+
+def test_each_newton_step_factorizes_its_jacobian_once(monkeypatch):
+    # The step reuses the inverse that the conditioning check forms, so a
+    # Newton iteration makes one np.linalg factorization per Jacobian.
+    jacobians, factorizations = [], []
+    real_jacobian = baselines._balancing_jacobian
+    monkeypatch.setattr(
+        baselines, "_balancing_jacobian", lambda *a: jacobians.append(1) or real_jacobian(*a)
+    )
+    for name in ("inv", "solve"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda *a, real=real: factorizations.append(1) or real(*a)
+        )
+    baselines._solve_treatment_bridge(generate(ScenarioConfig("II", 800), 3, 3))
+    assert jacobians and len(factorizations) == len(jacobians)
 
 
 def test_p2sls_sandwich_failure_is_a_recorded_singular_variance(monkeypatch):

@@ -62,26 +62,35 @@ def test_records_drift_of_a_tree_against_itself_is_nil(capsys):
 
 def test_records_drift_lists_the_first_changed_reps(capsys, monkeypatch):
     # A stubbed pair of trees: naive moves on all 12 reps, pipw on reps 3
-    # and 5. After the table, each gets a line with its first 10 changed reps.
+    # and 5. pipw's rep 5 has an SE 100 times its method's median, and its
+    # tau_hat and SE move further than rep 3's. The table's maxima leave it
+    # out; after the table it gets a line of its own, and then each method
+    # gets a line with its first 10 changed reps.
     drift = _script("records_drift")
 
     def tree(shift):
         moved = {"naive": range(12), "pipw": (3, 5)}
         return {"cell": [
-            {"rep": rep, "method": method, "tau_hat": 1.0 + shift * (rep in moved[method]),
-             "se_tau": 0.5, "ci_lo": 0.0, "ci_hi": 2.0, "reject": True, "k_star": None,
-             "error": None}
+            {"rep": rep, "method": method,
+             "tau_hat": 1.0 + shift * (rep in moved[method]) * (4.0 if wild else 1.0),
+             "se_tau": 50.0 * (1.0 + 20.0 * shift) if wild else 0.5,
+             "ci_lo": 0.0, "ci_hi": 2.0, "reject": True, "k_star": None, "error": None}
             for rep in range(12) for method in moved
+            for wild in [method == "pipw" and rep == 5]
         ]}
 
     trees = iter([tree(0.0), tree(0.25)])
     monkeypatch.setattr(drift, "run_tree", lambda root, seed, reps: next(trees))
     drift.main(["parent"])
     header, *lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[:4] for line in lines[:2]] == [
-        ["cell", "naive", "12", "0"], ["cell", "pipw", "12", "10"],
+    assert [line.split()[:4] + line.split()[-2:] for line in lines[:2]] == [
+        ["cell", "naive", "12", "0", "2.5e-01", "0.0e+00"],
+        ["cell", "pipw", "12", "10", "2.5e-01", "0.0e+00"],
     ]
-    assert lines[2:] == [
+    assert lines[2] == (
+        f"{'cell':<38}{'pipw':<9}wild SE: 1 records, max|dtau| 1.0e+00, max|dSE|/SE 5.0e+00"
+    )
+    assert lines[3:] == [
         f"{'cell':<38}{'naive':<9}changed reps: 0 1 2 3 4 5 6 7 8 9",
         f"{'cell':<38}{'pipw':<9}changed reps: 3 5",
     ]
