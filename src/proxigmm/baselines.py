@@ -38,14 +38,18 @@ _NEWTON_START_MAGNITUDE = 0.5
 # Backtracking scales tried after the full Newton step: 2^-1, ..., 2^-29,
 # the values a loop halving 1.0 forms.
 _NEWTON_HALVINGS = np.ldexp(1.0, -np.arange(1, 30))
-# Minimum-norm fallback: placeholder residual where the moment is not
-# finite, and the largest acceptable per-moment imbalance at the minimizer.
-# The cut must sit below 1: a dataset with no untreated (or no treated)
-# units leaves the constant balancing slot at mean(q) > 1 forever, which
-# should surface as a solver failure, while genuine near-roots found by
-# the fallback on identifiable data sit well under this level.
-_MINNORM_SENTINEL = 1e6
+# Minimum-norm fallback: the largest acceptable per-moment imbalance at the
+# minimizer. The cut must sit below 1: a dataset with no untreated (or no
+# treated) units leaves the constant balancing slot at mean(q) > 1 forever,
+# which should surface as a solver failure, while genuine near-roots found
+# by the fallback on identifiable data sit well under this level.
 _MINNORM_ACCEPT = 0.5
+# Its Levenberg-Marquardt search: the tolerance of each stopping test
+# (MINPACK's default in scipy), the most residual evaluations, and the
+# initial damping relative to the largest diagonal entry of J'J.
+_LM_TOL = 1e-8
+_LM_MAX_EVALUATIONS = 20_000
+_LM_DAMPING = 1e-3
 
 
 @dataclass(frozen=True)
@@ -237,6 +241,51 @@ def _bridge_values(signed_b: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return 1.0 + np.exp(signed_b @ theta)
 
 
+def _levenberg_marquardt(balance, jacobian, theta: np.ndarray) -> np.ndarray:
+    """Minimize the squared norm of the residual ``balance(theta)[1]`` by
+    Levenberg-Marquardt from ``theta``; ``jacobian(q)`` is the residual's
+    Jacobian at a point whose ``balance`` is ``(q, residual)``.
+
+    Each iteration solves ``(J'J + mu I) h = -J'r`` for the step ``h``. A
+    trial point whose residual is finite with a lower norm is taken, and
+    the damping ``mu`` falls by the gain ratio's rule of Madsen, Nielsen
+    and Tingleff (2004); any other trial point, a non-finite one included,
+    is rejected, and ``mu`` rises by a factor that doubles with each
+    rejection in a row. The damping starts at ``_LM_DAMPING`` times the
+    largest diagonal entry of ``J'J``. The search stops, with MINPACK's
+    tests at tolerance ``_LM_TOL``, when every column of ``J`` is
+    orthogonal to the residual to within that cosine, when the step is that
+    small relative to ``theta``, when a taken step lowers the squared norm
+    by that fraction of it and predicted no more, or after
+    ``_LM_MAX_EVALUATIONS`` residual evaluations. Returns the last point taken.
+    """
+    q, res = balance(theta)
+    cost, jac = res @ res, jacobian(q)
+    damping, growth = _LM_DAMPING * np.max(np.sum(jac * jac, axis=0)), 2.0
+    for _ in range(_LM_MAX_EVALUATIONS - 1):
+        normal, grad = jac.T @ jac, jac.T @ res
+        if np.all(np.abs(grad) <= _LM_TOL * np.sqrt(cost * np.diag(normal))):
+            break
+        step = np.linalg.solve(normal + damping * np.eye(theta.size), -grad)
+        if np.linalg.norm(step) <= _LM_TOL * (_LM_TOL + np.linalg.norm(theta)):
+            break
+        cand = theta + step
+        cand_q, cand_res = balance(cand)
+        cand_cost = cand_res @ cand_res if np.all(np.isfinite(cand_res)) else np.inf
+        if not cand_cost < cost:
+            damping, growth = damping * growth, 2.0 * growth
+            continue
+        # Both reductions are of the squared norm, twice the usual cost.
+        actual, predicted = cost - cand_cost, step @ (damping * step - grad)
+        converged = max(actual, predicted) <= _LM_TOL * cost
+        damping *= max(1.0 / 3.0, 1.0 - (2.0 * actual / predicted - 1.0) ** 3)
+        growth = 2.0
+        theta, res, cost, jac = cand, cand_res, cand_cost, jacobian(cand_q)
+        if converged:
+            break
+    return theta
+
+
 def _solve_treatment_bridge(ds: Dataset):
     """Treatment-bridge coefficients that balance the reweighting moments.
 
@@ -272,8 +321,9 @@ def _solve_treatment_bridge(ds: Dataset):
     The balancing system can lack an exact root in finite samples (a
     heavy-tailed analogue of separation in logistic regression). The
     exactly identified GMM fit is still the minimizer of the squared moment
-    norm, so when no start converges one Levenberg-Marquardt least-squares
-    search runs from ``theta = 0``, and its minimizer is accepted when
+    norm, so when no start converges one Levenberg-Marquardt search
+    (:func:`_levenberg_marquardt`) runs from ``theta = 0`` on the same
+    residual and the analytic Jacobian, and its minimizer is accepted when
     every moment's imbalance there is below ``_MINNORM_ACCEPT`` (0.5);
     otherwise the solve raises :class:`NoConvergence`. On the datasets
     measured, a search from any other Newton start ends at the same cost
@@ -339,21 +389,14 @@ def _solve_treatment_bridge(ds: Dataset):
                     cand_q, cand_res = balance(cand)
                 theta, q, res = cand, cand_q, cand_res
             best_norm = min(best_norm, float(np.max(np.abs(res))))
-
-    def clipped(theta):
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = balance(theta)[1]
-        return np.where(np.isfinite(r), r, _MINNORM_SENTINEL)
-
-    # Imported here: scipy.optimize, with the rest of scipy it loads, adds
-    # about 0.5 s to a cold start, and only this fallback uses it.
-    from scipy.optimize import least_squares
-
-    sol = least_squares(clipped, np.zeros(basis_b.shape[1]), method="lm", max_nfev=20_000)
-    with np.errstate(over="ignore", invalid="ignore"):
-        q, res = balance(sol.x)
+        theta = _levenberg_marquardt(
+            balance,
+            lambda q: _balancing_jacobian(basis_c, basis_b, q),
+            np.zeros(basis_b.shape[1]),
+        )
+        q, res = balance(theta)
     if np.all(np.isfinite(res)) and np.max(np.abs(res)) < _MINNORM_ACCEPT:
-        return sol.x, q, system
+        return theta, q, system
     raise NoConvergence(
         f"reweighting solver failed from {tried} starts "
         f"(best exact-root residual sup-norm {best_norm:.3e}; "

@@ -424,26 +424,33 @@ def _continuous_update_objective(moments: _Moments):
 
 
 def _central_differences(
-    fn, x: np.ndarray, steps: np.ndarray, value: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian of ``fn`` at ``x`` by central differences, given
-    ``value = fn(x)``; ``fn`` maps a (B, p) stack of points to B values.
-    One batched call evaluates the ``2p² + 2p`` points ``x ± h_i e_i``,
-    ``x ± 2 h_i e_i`` and ``x ± h_i e_i ± h_j e_j`` (``i > j``); the
-    gradient is ``(f(x + h_i) - f(x - h_i)) / 2h_i``, the Hessian's diagonal
-    ``(f(x + 2h_i) - 2f(x) + f(x - 2h_i)) / 4h_i²`` and its off-diagonal
-    ``(f(++) - f(+-) - f(-+) + f(--)) / 4h_i h_j``, exact on a quadratic.
+    fn, x: np.ndarray, steps: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Value, gradient and Hessian of ``fn`` at ``x``, the latter two by
+    central differences; ``fn`` maps a (B, p) stack of points to B values.
+    One batched call evaluates ``x`` and the ``2p² + 2p`` points
+    ``x ± h_i e_i``, ``x ± 2 h_i e_i`` and ``x ± h_i e_i ± h_j e_j``
+    (``i > j``); the gradient is ``(f(x + h_i) - f(x - h_i)) / 2h_i``, the
+    Hessian's diagonal ``(f(x + 2h_i) - 2f(x) + f(x - 2h_i)) / 4h_i²`` and
+    its off-diagonal ``(f(++) - f(+-) - f(-+) + f(--)) / 4h_i h_j``, exact
+    on a quadratic.
     """
     shift = np.diag(steps)
     rows, cols = np.tril_indices(x.size, -1)
     corners = [si * shift[rows] + sj * shift[cols] for si in (1, -1) for sj in (1, -1)]
-    values = fn(x + np.concatenate([shift, -shift, 2 * shift, -2 * shift, *corners]))
-    up, down, far_up, far_down = values[: 4 * x.size].reshape(4, -1)
-    pp, pm, mp, mm = values[4 * x.size :].reshape(4, -1)
-    grad = (up - down) / (2 * steps)
-    hess = np.diag((far_up - 2 * value + far_down) / (4 * steps**2))
-    hess[rows, cols] = hess[cols, rows] = (pp - pm - mp + mm) / (4 * steps[rows] * steps[cols])
-    return grad, hess
+    values = fn(
+        x + np.concatenate([np.zeros((1, x.size)), shift, -shift, 2 * shift, -2 * shift, *corners])
+    )
+    value = float(values[0])
+    up, down, far_up, far_down = values[1 : 1 + 4 * x.size].reshape(4, -1)
+    pp, pm, mp, mm = values[1 + 4 * x.size :].reshape(4, -1)
+    # inf - inf is expected where points read inf; the caller checks the
+    # derivatives are finite.
+    with np.errstate(invalid="ignore"):
+        grad = (up - down) / (2 * steps)
+        hess = np.diag((far_up - 2 * value + far_down) / (4 * steps**2))
+        hess[rows, cols] = hess[cols, rows] = (pp - pm - mp + mm) / (4 * steps[rows] * steps[cols])
+    return value, grad, hess
 
 
 def _refine_continuous_update(
@@ -465,26 +472,24 @@ def _refine_continuous_update(
     while the coefficients on 1, w and x moved by up to 0.08, and with them
     the moment covariance behind the reported variance. The objective
     costs one O(n (K(p+1))²) Gram build, after which no evaluation depends
-    on n (:func:`_continuous_update_objective`). After the objective at the
-    start, the gradient and curvature come from one central-difference
-    stencil (:func:`_central_differences`, ``2p² + 2p`` further points for
-    ``p`` parameters, evaluated in one batch), the curvature is shifted to
-    be positive definite when needed, the step is halved until the
+    on n (:func:`_continuous_update_objective`). The objective at the
+    start, its gradient and its curvature come from one batched evaluation
+    of the start and a central-difference stencil around it
+    (:func:`_central_differences`, ``2p² + 2p`` further points for ``p``
+    parameters). The curvature is shifted to be positive definite when
+    needed, the step is halved until the
     objective decreases, at most ``_POLISH_BACKTRACKS`` times, and the
     update is dropped entirely if no halving achieves a decrease, so the
     refinement never leaves a solution that is already optimal in this
     metric.
     """
     objective = _continuous_update_objective(moments)
-    start_val = float(objective(start[None])[0])
-    if not np.isfinite(start_val):
-        return start, start_val
     magnitude = float(np.max(np.abs(start)))
     if magnitude == 0.0:
-        return start, start_val
+        return start, float(objective(start[None])[0])
     steps = _POLISH_FD_REL * np.maximum(np.abs(start), _POLISH_FD_FLOOR * magnitude)
-    grad, hess = _central_differences(objective, start, steps, start_val)
-    if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
+    start_val, grad, hess = _central_differences(objective, start, steps)
+    if not (np.isfinite(start_val) and np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
         return start, start_val
     eigenvalues = np.linalg.eigvalsh(hess)
     if eigenvalues[0] <= 0.0:

@@ -13,8 +13,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from helpers import write_csv
 import proxigmm
 import proxigmm.selection
@@ -91,10 +89,10 @@ def _fresh_interpreter(code: str) -> list[str]:
 
 
 def test_common_paths_leave_optional_scipy_modules_unloaded(tmp_path):
-    # The common paths need numpy alone: importing scipy.linalg or
-    # scipy.special costs about a third of a second of start-up each.
-    # Only the minimum-norm fallback imports scipy; none of these inputs
-    # reaches it.
+    # Every path needs numpy alone: importing scipy.linalg or scipy.special
+    # costs about a third of a second of start-up each, and scipy.optimize
+    # about 20 MB of memory. The inputs include a rep on which Newton finds
+    # no root, so pipw and pdr take the minimum-norm fallback.
     data = str(tmp_path / "data.csv")
     write_csv(generate(ScenarioConfig("II", 300), 1), data)
     code = f"""
@@ -102,10 +100,11 @@ import contextlib, io
 from proxigmm import OutcomeBridge, ScenarioConfig, SieveSpec, generate, select_and_fit
 from proxigmm.cli import main
 from proxigmm.simulation import BASELINES
-ds = generate(ScenarioConfig("II", 800), 3, 3)  # Newton converges
-select_and_fit(ds, OutcomeBridge.linear(1, 1), SieveSpec(), 12)
-for estimator in BASELINES.values():
-    estimator(ds)
+for rep in (3, 34):  # Newton converges on rep 3, not on rep 34
+    ds = generate(ScenarioConfig("II", 800), 3, rep)
+    select_and_fit(ds, OutcomeBridge.linear(1, 1), SieveSpec(), 12)
+    for estimator in BASELINES.values():
+        estimator(ds)
 data = {data!r}
 flags = ["--data", data, "--outcome", "y", "--treatment", "a", "--proxies-z", "z1",
          "--proxies-w", "w1", "--covariates", "x1"]
@@ -123,33 +122,21 @@ print(*sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
     assert _fresh_interpreter(code) == [proxigmm.__file__, "5", "0", "0", "0", "0"]
 
 
-_FIRST_USE_SETUP = (
-    "import hashlib\n"
-    "from proxigmm import ScenarioConfig, generate\n"
-    "from proxigmm.baselines import _solve_treatment_bridge\n"
-)
-
-
-@pytest.mark.parametrize(
-    "module, arrays",
-    [
-        # Newton finds no root on this rep, as in test_baselines.
-        ("scipy.optimize", "_solve_treatment_bridge(generate(ScenarioConfig('II', 800), 3, 34))[:2]"),
-    ],
-    ids=["minimum-norm-fallback"],
-)
-def test_first_use_in_a_fresh_interpreter_loads_its_module(module, arrays):
-    # The path imports its module at first use and returns, bit for bit,
-    # the arrays it returns in this process.
-    digest = f"hashlib.sha256(b''.join(a.tobytes() for a in {arrays})).hexdigest()"
-    namespace = {}
-    exec(_FIRST_USE_SETUP, namespace)
-    expected = eval(digest, namespace)
-    code = _FIRST_USE_SETUP + (
-        f"before = {module!r} in sys.modules\n"
-        f"print(before, {digest}, {module!r} in sys.modules)"
+def test_fallback_in_a_fresh_interpreter_returns_the_same_arrays():
+    # Newton finds no root on this rep, as in test_baselines. A fresh
+    # interpreter's minimum-norm fallback returns, bit for bit, the arrays
+    # it returns in this process, and loads no scipy module.
+    setup = (
+        "import hashlib\n"
+        "from proxigmm import ScenarioConfig, generate\n"
+        "from proxigmm.baselines import _solve_treatment_bridge\n"
+        "arrays = _solve_treatment_bridge(generate(ScenarioConfig('II', 800), 3, 34))[:2]\n"
+        "digest = hashlib.sha256(b''.join(a.tobytes() for a in arrays)).hexdigest()\n"
     )
-    assert _fresh_interpreter(code) == ["False", expected, "True"]
+    namespace = {}
+    exec(setup, namespace)
+    code = setup + "print(digest, *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert _fresh_interpreter(code) == [namespace["digest"]]
 
 
 def test_select_k_looks_up_the_patched_sieve_names(scenario1_ds, monkeypatch):

@@ -32,6 +32,7 @@ from proxigmm import (
 from proxigmm import baselines, run_replications, simulation
 from proxigmm.errors import (
     DimensionMismatch,
+    NoConvergence,
     ProxiGmmError,
     RankDeficientDesign,
     SingularVariance,
@@ -337,22 +338,20 @@ def test_treatment_solve_matches_one_that_calls_the_bridge(monkeypatch, rep):
     # gives the same theta and q bit for bit, both when Newton converges
     # and on a rep that falls back to the minimum-norm search, which runs
     # once, from theta = 0.
-    import scipy.optimize
-
     ds = generate(ScenarioConfig("II", 800), 3, rep)
     theta, q, _ = baselines._solve_treatment_bridge(ds)
     searches = []
-    least_squares = scipy.optimize.least_squares
+    search = baselines._levenberg_marquardt
 
-    def counted(fun, start, **kwargs):
+    def counted(balance, jacobian, start):
         searches.append(start.copy())
-        return least_squares(fun, start, **kwargs)
+        return search(balance, jacobian, start)
 
     def bridge_q(signed_b, theta):
         return TreatmentBridge().q(ds.z, ds.a, ds.x, theta)
 
     monkeypatch.setattr(baselines, "_bridge_values", bridge_q)
-    monkeypatch.setattr(scipy.optimize, "least_squares", counted)
+    monkeypatch.setattr(baselines, "_levenberg_marquardt", counted)
     ref_theta, ref_q, _ = baselines._solve_treatment_bridge(ds)
     assert np.array_equal(theta, ref_theta)
     assert np.array_equal(q, ref_q)
@@ -364,6 +363,11 @@ class _FallbackTaken(Exception):
     pass
 
 
+def _take_fallback(*args):
+    """Stands in for the minimum-norm search: raises :class:`_FallbackTaken`."""
+    raise _FallbackTaken
+
+
 # The II/800 seed-3 reps among 0-543 on which damped Newton finds no root
 # from any start, and the solve takes the minimum-norm fallback.
 _FALLBACK_REPS = [34, 62, 170, 214, 287, 308, 422, 520, 543]
@@ -373,12 +377,7 @@ def test_newton_gives_up_on_the_same_reps(monkeypatch):
     # Newton abandons a start whose balancing Jacobian is singular or has a
     # reciprocal 1-norm condition number below eps. Moving that rule moves
     # which reps reach the fallback, which is stubbed out here.
-    import scipy.optimize
-
-    def fallback(*args, **kwargs):
-        raise _FallbackTaken
-
-    monkeypatch.setattr(scipy.optimize, "least_squares", fallback)
+    monkeypatch.setattr(baselines, "_levenberg_marquardt", _take_fallback)
     taken = []
     for rep in range(544):
         try:
@@ -439,11 +438,6 @@ def _carried_by_solve(monkeypatch, ds):
     with the minimum-norm fallback stubbed out: every Newton iteration's
     Jacobian is built from the ``q`` it carries, which one evaluation of
     ``_bridge_values`` made from its ``theta``."""
-    import scipy.optimize
-
-    def fallback(*args, **kwargs):
-        raise _FallbackTaken
-
     made, carried = {}, []
     bridge_values, jacobian = baselines._bridge_values, baselines._balancing_jacobian
 
@@ -457,7 +451,7 @@ def _carried_by_solve(monkeypatch, ds):
         return jacobian(basis_c, basis_b, q)
 
     with monkeypatch.context() as patch:
-        patch.setattr(scipy.optimize, "least_squares", fallback)
+        patch.setattr(baselines, "_levenberg_marquardt", _take_fallback)
         patch.setattr(baselines, "_bridge_values", values)
         patch.setattr(baselines, "_balancing_jacobian", traced_jacobian)
         try:
@@ -502,6 +496,77 @@ def test_batched_halving_carries_what_the_halving_loop_carries(monkeypatch, scen
     assert gave_up == (list(reps) if fallback else [34])
 
 
+def _search_and_oracle(ds):
+    """The balancing residuals at the minimum-norm search's point and at
+    that of scipy's ``least_squares(method="lm")``, MINPACK with a
+    finite-difference Jacobian, run from the same start on the same
+    residual, a non-finite moment read as 1e6 (the oracle has no other way
+    to reject a point)."""
+    from scipy.optimize import least_squares
+
+    seen = []
+    search = baselines._levenberg_marquardt
+
+    def spy(balance, jacobian, start):
+        theta = search(balance, jacobian, start)
+        seen.append((balance, start.copy(), theta))
+        return theta
+
+    def sentinel(theta):
+        res = balance(theta)[1]
+        return np.where(np.isfinite(res), res, 1e6)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(baselines, "_levenberg_marquardt", spy)
+        try:
+            baselines._solve_treatment_bridge(ds)
+        except NoConvergence:
+            pass
+    ((balance, start, theta),) = seen
+    with np.errstate(over="ignore", invalid="ignore"):
+        oracle = least_squares(sentinel, start, method="lm", max_nfev=20_000).x
+        return balance(theta)[1], balance(oracle)[1]
+
+
+def _accepted(res):
+    return bool(np.all(np.isfinite(res)) and np.max(np.abs(res)) < baselines._MINNORM_ACCEPT)
+
+
+def test_minimum_norm_search_matches_minpack():
+    # On every seed-3 dataset where Newton finds no root, the search and
+    # MINPACK accept, and end at the same squared residual norm to within
+    # 1e-6 relative (measured: at most 2.3e-9). Where the balancing system
+    # has no near-root, both reject and the solve raises.
+    gaps = []
+    for scenario, n, reps in [("II", 800, _FALLBACK_REPS), ("I", 400, _I400_FALLBACK_REPS)]:
+        for rep in reps:
+            ours, oracle = _search_and_oracle(generate(ScenarioConfig(scenario, n), 3, rep))
+            assert _accepted(ours) and _accepted(oracle)
+            gaps.append(abs(ours @ ours - oracle @ oracle) / (oracle @ oracle))
+    assert len(gaps) == 13 and max(gaps) < 1e-6
+    separated = _treatment_cases()[3]
+    ours, oracle = _search_and_oracle(separated)
+    assert not _accepted(ours) and not _accepted(oracle)
+    with pytest.raises(NoConvergence, match="minimum-norm imbalance"):
+        baselines._solve_treatment_bridge(separated)
+
+
+def test_minimum_norm_search_rejects_a_non_finite_trial_point():
+    # A linear residual A theta - b whose first trial point reads nan: the
+    # search rejects it, raises its damping so that the next step is
+    # shorter, and still ends at the root.
+    a, b = np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([1.0, -2.0])
+    points = []
+
+    def balance(theta):
+        points.append(theta.copy())
+        return None, np.full(2, np.nan) if len(points) == 2 else a @ theta - b
+
+    theta = baselines._levenberg_marquardt(balance, lambda q: a, np.zeros(2))
+    np.testing.assert_allclose(theta, np.linalg.solve(a, b), rtol=1e-8)
+    assert np.linalg.norm(points[2]) < np.linalg.norm(points[1])
+
+
 @pytest.mark.parametrize("rcond, steps", [(1e-17, False), (1e-15, True)])
 def test_newton_abandons_a_start_whose_jacobian_is_ill_conditioned(monkeypatch, rcond, steps):
     # A diagonal Jacobian with entries 1 and rcond has reciprocal 1-norm
@@ -509,14 +574,9 @@ def test_newton_abandons_a_start_whose_jacobian_is_ill_conditioned(monkeypatch, 
     # first Newton step; above it the step runs. Each start evaluates the
     # bridge once at its own point, so any further evaluation is a step's
     # trial point.
-    import scipy.optimize
-
-    def fallback(*args, **kwargs):
-        raise _FallbackTaken
-
     evaluations = []
     real_values = baselines._bridge_values
-    monkeypatch.setattr(scipy.optimize, "least_squares", fallback)
+    monkeypatch.setattr(baselines, "_levenberg_marquardt", _take_fallback)
     monkeypatch.setattr(
         baselines, "_balancing_jacobian", lambda *args: np.diag([1.0, 1.0, 1.0, rcond])
     )

@@ -384,21 +384,22 @@ class TestContinuousUpdatePolish:
             points.append(len(v))
             return 0.5 * np.einsum("bi,ij,bj->b", v, a, v) + v @ b
 
-        value = quadratic(x[None])[0]
-        grad, hess = gmm._central_differences(quadratic, x, np.full(p, 0.1), value)
+        value, grad, hess = gmm._central_differences(quadratic, x, np.full(p, 0.1))
+        assert value == quadratic(x[None])[0]
         np.testing.assert_allclose(grad, b + a @ x, atol=1e-9)
         np.testing.assert_allclose(hess, a, atol=1e-9)
-        # The start point, then the whole stencil in one batch.
-        assert points == [1, 2 * p * p + 2 * p]
+        # The start point and the whole stencil in one batch, then the check.
+        assert points == [2 * p * p + 2 * p + 1, 1]
 
     @pytest.mark.parametrize("p", range(1, 7))
     def test_stencil_evaluates_each_point_once(self, rng, p):
-        # One call evaluates x ± h_i e_i, x ± 2 h_i e_i and x ± h_i e_i ± h_j e_j
-        # (i > j), each once, in any order and up to rounding.
+        # One call evaluates x, x ± h_i e_i, x ± 2 h_i e_i and
+        # x ± h_i e_i ± h_j e_j (i > j), each once, in any order and up to
+        # rounding, and x itself exactly.
         x = rng.normal(size=p)
         steps = rng.uniform(1e-3, 1.0, size=p)
         shift = np.diag(steps)
-        expected = [x + s * shift[i] for i in range(p) for s in (1, -1, 2, -2)]
+        expected = [x] + [x + s * shift[i] for i in range(p) for s in (1, -1, 2, -2)]
         expected += [
             x + si * shift[i] + sj * shift[j]
             for i in range(p)
@@ -413,9 +414,10 @@ class TestContinuousUpdatePolish:
             calls.append(points)
             return np.zeros(len(points))
 
-        gmm._central_differences(record, x, steps, 0.0)
+        gmm._central_differences(record, x, steps)
         (points,) = calls
-        assert points.shape == expected.shape == (2 * p * p + 2 * p, p)
+        assert points.shape == expected.shape == (2 * p * p + 2 * p + 1, p)
+        assert any(np.array_equal(point, x) for point in points)
         tol = 1e-15 * np.abs(expected).max()
         close = np.all(np.abs(points[:, None] - expected[None]) <= tol, axis=2)
         # A bijection: every evaluated point is one expected point, and back.
@@ -437,7 +439,9 @@ class TestContinuousUpdatePolish:
         moments = gmm._Moments.build(ds, basis.u, bridge)
         beta, value = gmm._refine_continuous_update(moments, start)
         assert beta is start and value == float("inf")
-        assert points == [1]
+        # The start rides in the stencil's batch; nothing is tried after it.
+        p = bridge.n_params + 1
+        assert points == [2 * p * p + 2 * p + 1]
 
     @staticmethod
     def _count_points(monkeypatch) -> list[int]:
