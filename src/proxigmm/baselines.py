@@ -1,8 +1,13 @@
 """Reference estimators: naive regression, proxy GMM/2SLS/IPW/DR.
 
-Each estimator's standard error is the sandwich of its own stacked estimating
+Each estimator's standard error is the sandwich of its stacked estimating
 equations (:mod:`gmm`'s identity-weight fit, or :func:`_stacked_se`), so its
 :mod:`gmm` interval and Wald test account for every estimated nuisance parameter.
+
+``pdr`` is ``pipw`` plus its imbalance correction: the treatment bridge
+balances the outcome bridge's features, whose contrast is the balancing
+target, so ``pdr``'s tau is ``pipw``'s minus ``gamma @ r(theta)``, with ``r``
+the balancing residual, and its standard error is ``pipw``'s.
 
 Each bridge has one fit per dataset: ``rgmm``, ``p2sls`` and ``pdr`` read
 one IV fit of the outcome bridge (so with as many z as w proxies ``p2sls``
@@ -154,9 +159,9 @@ def _require_exact_identification(ds: Dataset) -> None:
         raise DimensionMismatch(f"need exactly {p} instruments for {p} bridge parameters, got {k}")
 
 
-def _canonical_bridge_fit(ds: Dataset) -> tuple[_Moments, GmmFit]:
-    """The IV fit of the linear outcome bridge: its moments, and their
-    identity-weight fit and sandwich (:func:`gmm._fit_identity`).
+def _canonical_bridge_fit(ds: Dataset) -> GmmFit:
+    """The IV fit of the linear outcome bridge: the identity-weight fit of
+    its moments and its sandwich (:func:`gmm._fit_identity`).
 
     With as many z as w proxies the moments are instrumented by
     ``(1, z, a, x)``, one instrument per bridge parameter; with more z
@@ -177,13 +182,12 @@ def _canonical_bridge_fit(ds: Dataset) -> tuple[_Moments, GmmFit]:
         if first_stage[2] < p:
             raise WeakRank(f"instruments of rank {first_stage[2]} cannot identify {p} parameters")
         instruments = instruments @ first_stage[0]
-    moments = _Moments.build(ds, instruments, bridge)
-    return moments, _fit_identity(moments)
+    return _fit_identity(_Moments.build(ds, instruments, bridge))
 
 
 def _outcome_bridge_report(ds: Dataset, method: str) -> EstimateReport:
     """The effect estimate and sandwich SE of :func:`_canonical_bridge_fit`."""
-    fit = _fit_once(_canonical_bridge_fit, ds)[1]
+    fit = _fit_once(_canonical_bridge_fit, ds)
     if not (np.isfinite(fit.se_tau) and fit.se_tau > 0.0):
         raise SingularVariance("sandwich variance is not positive at the target")
     return EstimateReport(
@@ -434,43 +438,27 @@ def pipw(ds: Dataset) -> EstimateReport:
 def pdr(ds: Dataset) -> EstimateReport:
     """Proximal doubly robust estimator.
 
-    Combines the outcome-bridge contrast with a reweighted residual
-    correction; consistent if either bridge is correctly specified. The
-    outcome bridge is :func:`rgmm`'s fit and the treatment bridge
-    :func:`pipw`'s solve, both shared with those estimators on the same
-    dataset; like :func:`rgmm` it raises :class:`DimensionMismatch` unless
-    there are as many z as w proxies, which the solve checks before the fit.
-    The standard error stacks both bridges' moments with the combination moment.
+    Averages the outcome-bridge contrast plus the reweighted residual
+    ``(-1)^(1-A) q (y - h)``; consistent if either bridge is correctly
+    specified. The outcome bridge is :func:`rgmm`'s fit and the treatment
+    bridge :func:`pipw`'s solve, both shared with those estimators on the
+    same dataset; like :func:`rgmm` it raises :class:`DimensionMismatch`
+    unless there are as many z as w proxies, which the solve checks before the fit.
+
+    The linear bridge's contrast gradient is the balancing target ``e_a``,
+    so tau is ``pipw``'s minus ``gamma @ r(theta)``, with ``r(theta) =
+    mean((-1)^(1-A) q (1, w, a, x)) - e_a`` the balancing residual. Where
+    ``r = 0`` the stacked influence functions agree unit by unit, so the
+    standard error is ``pipw``'s; they differ only at a minimum-norm fallback.
     """
-    theta, q, (sign, feats, basis_b, target) = _fit_once(_solve_treatment_bridge, ds)
-    # The treatment bridge balances the outcome bridge's features, so
-    # ``feats`` is ``moments.features.feats``.
-    moments, fit = _fit_once(_canonical_bridge_fit, ds)
-    gamma = fit.gamma_hat
-    cgrad = moments.features.contrast
-    resid = ds.y - feats @ gamma
-    contrib = cgrad @ gamma + sign * q * resid
-    tau = float(np.mean(contrib))
-    p = gamma.shape[0]
-    t_dim = theta.shape[0]
-    scores = np.column_stack(
-        [
-            moments.u * resid[:, None],
-            feats * (sign * q)[:, None] - target,
-            tau - contrib,
-        ]
-    )
-    dim = p + t_dim + 1
-    jac = np.zeros((dim, dim))
-    jac[:p, :p] = moments.jac[:p, :p]
-    jac[p : p + t_dim, p : p + t_dim] = _balancing_jacobian(feats, basis_b, q)
-    jac[dim - 1, :p] = (-cgrad + (sign * q)[:, None] * feats).mean(axis=0)
-    jac[dim - 1, p : p + t_dim] = ((q - 1.0) * resid) @ basis_b / ds.n
-    jac[dim - 1, dim - 1] = 1.0
+    theta, q, (sign, feats, _, target) = _fit_once(_solve_treatment_bridge, ds)
+    gamma = _fit_once(_canonical_bridge_fit, ds).gamma_hat
+    ipw = pipw(ds)
+    imbalance = q @ (sign[:, None] * feats) / ds.n - target
     return EstimateReport(
         method="pdr",
-        tau_hat=tau,
-        se_tau=_stacked_se(scores, jac, dim - 1, "doubly robust"),
+        tau_hat=ipw.tau_hat - float(gamma @ imbalance),
+        se_tau=ipw.se_tau,
         n=ds.n,
         aux={"gamma_hat": gamma, "theta_hat": theta},
     )

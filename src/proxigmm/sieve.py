@@ -208,13 +208,16 @@ def orthonormalize(b: BasisMatrix) -> BasisMatrix:
     :class:`RankDeficient` when columns are linearly dependent beyond the
     drop tolerance; its ``full_rank_prefix`` is the longest leading prefix
     that this function would accept, and its message names the column
-    right after that prefix.
+    right after that prefix. Past the n-th of n rows every column is
+    dependent, with a zero pivot.
     """
     n = b.u.shape[0]
     q, r = np.linalg.qr(b.u / np.sqrt(n))
-    diag = np.diag(r)
-    q *= np.where(diag < 0, -1.0, 1.0)
-    diag = np.abs(diag)
+    signed = np.diag(r)
+    q *= np.where(signed < 0, -1.0, 1.0)
+    # R has min(n, k) diagonal entries: columns past the n-th pivot on 0.
+    diag = np.zeros(b.k)
+    diag[: signed.size] = np.abs(signed)
     # R's leading block is the prefix's own R, so prefix k passes when
     # min(diag[:k]) >= tol * max(diag[:k]); once a prefix fails, all longer do.
     passes = np.minimum.accumulate(diag) >= _RANK_TOL * np.maximum.accumulate(diag)

@@ -41,6 +41,15 @@ from proxigmm.errors import (
 from proxigmm.simulation import BASELINES
 
 
+# pdr's SE against the stacked doubly robust sandwich: at a Newton root
+# the two agree to rounding, and at the minimum-norm fallback they differ
+# through the balancing residual. The fallback bound is the largest gap
+# measured on this test's fallback cases, 5.33e-6 relative (II/800
+# "significant", seed 3, rep 85), rounded up.
+_ROOT_SE_REL = 1e-9
+_FALLBACK_SE_REL = 5.4e-6
+
+
 class TestOracles:
     @pytest.mark.parametrize("fixture", ["scenario1_ds", "scenario2_ds"])
     def test_rgmm_equals_p2sls_when_just_identified(self, fixture, request):
@@ -125,24 +134,31 @@ class TestOracles:
         assert report.se_tau == pytest.approx(np.sqrt(hc0[1, 1]), rel=1e-9)
 
     @pytest.mark.parametrize(
-        "scenario,n,rep",
-        [*[("I", 400, rep) for rep in range(5)], ("II", 800, 17), ("II", 800, 35)],
+        "config,seed,rep,se_rel",
+        [
+            *[pytest.param(ScenarioConfig("I", 400), 0, rep, _ROOT_SE_REL, id=f"I-400-{rep}")
+              for rep in range(5)],
+            *[pytest.param(ScenarioConfig("II", 800), 0, rep, _FALLBACK_SE_REL, id=f"II-800-{rep}")
+              for rep in (17, 35)],
+            *[pytest.param(ScenarioConfig("II", 800, distortion="significant"), 3, rep,
+                           _FALLBACK_SE_REL, id=f"II-800-significant-{rep}")
+              for rep in (0, 5, 7, 85)],
+        ],
     )
-    def test_pdr_minus_pipw_is_the_weighted_imbalance(self, scenario, n, rep):
-        # For the linear bridge h = (1, w, a, x) @ gamma, pdr's mean of
-        # contrast + (-1)^(1-A) q (y - h) is pipw's mean of (-1)^(1-A) q y
-        # minus gamma @ r(theta), with r(theta) = mean((-1)^(1-A) q (1, w,
-        # a, x)) - e_a the balancing residual. This holds at any theta, so
-        # also at the minimum-norm fallback of reps 17 and 35 at II/800.
-        ds = generate(ScenarioConfig(scenario, n), 0, rep)
-        ipw, dr = pipw(ds), pdr(ds)
-        theta = ipw.aux["theta_hat"]
-        np.testing.assert_array_equal(dr.aux["theta_hat"], theta)
-        q = TreatmentBridge().q(ds.z, ds.a, ds.x, theta)
-        sign, feats, _, e_a = _balancing_system(ds)
-        imbalance = (feats * (sign * q)[:, None]).mean(axis=0) - e_a
-        gap = dr.tau_hat - ipw.tau_hat
-        assert gap == pytest.approx(-dr.aux["gamma_hat"] @ imbalance, abs=1e-12)
+    def test_pdr_minus_pipw_is_the_weighted_imbalance(self, config, seed, rep, se_rel):
+        # pdr reports pipw's tau minus gamma @ r(theta), with r the
+        # balancing residual, and pipw's SE. The reference is the estimator
+        # as defined, the mean of contrast + (-1)^(1-A) q (y - h), with the
+        # sandwich of its own stacked moments (_stacked_doubly_robust). The
+        # SEs agree wherever Newton finds a root (I/400 reps 0-4), and
+        # differ through r(theta) at the minimum-norm fallback (the other
+        # reps), whose SEs, 2.6e4 to 3.4e5 here, carry no information.
+        ds = generate(config, seed, rep)
+        dr = pdr(ds)
+        tau, se, imbalance = _stacked_doubly_robust(ds, dr.aux["gamma_hat"], dr.aux["theta_hat"])
+        assert (np.max(np.abs(imbalance)) < 1e-10) == (se_rel == _ROOT_SE_REL)
+        assert dr.tau_hat == pytest.approx(tau, rel=0, abs=1e-12)
+        assert dr.se_tau == pytest.approx(se, rel=se_rel)
 
 
 def _balancing_system(ds):
@@ -155,6 +171,32 @@ def _balancing_system(ds):
     e_a = np.zeros(feats.shape[1])
     e_a[1 + ds.w.shape[1]] = 1.0
     return sign, feats, design, e_a
+
+
+def _stacked_doubly_robust(ds, gamma, theta):
+    """The doubly robust estimate at ``(gamma, theta)`` and its SE from the
+    sandwich of the stacked outcome-bridge IV moments, balancing moments and
+    combination moment; returns ``(tau, se, imbalance)``, with the
+    balancing residual at ``theta``."""
+    sign, feats, design, e_a = _balancing_system(ds)
+    q = TreatmentBridge().q(ds.z, ds.a, ds.x, theta)
+    n, p = feats.shape
+    resid = ds.y - feats @ gamma
+    contrib = e_a @ gamma + sign * q * resid
+    tau = contrib.mean()
+    imbalance = (feats * (sign * q)[:, None]).mean(axis=0) - e_a
+    scores = np.column_stack(
+        [design * resid[:, None], feats * (sign * q)[:, None] - e_a, tau - contrib]
+    )
+    jac = np.zeros((2 * p + 1, 2 * p + 1))
+    jac[:p, :p] = -design.T @ feats / n
+    jac[p:-1, p:-1] = -(feats * (q - 1.0)[:, None]).T @ design / n
+    jac[-1, :p] = imbalance
+    jac[-1, p:-1] = ((q - 1.0) * resid) @ design / n
+    jac[-1, -1] = 1.0
+    jinv = np.linalg.inv(jac)
+    v = jinv @ (scores.T @ scores / n) @ jinv.T
+    return tau, np.sqrt(v[-1, -1] / n), imbalance
 
 
 def test_stacked_se_rejects_a_zero_variance():
@@ -300,9 +342,9 @@ def test_the_proximal_baselines_build_the_instrument_columns_once(monkeypatch):
     for estimator in (rgmm, p2sls, pipw, pdr):
         estimator(ds)
     assert len(built) == 1
-    moments, _ = baselines._fit_once(baselines._canonical_bridge_fit, ds)
-    assert moments.u is baselines._fit_once(baselines._solve_treatment_bridge, ds)[2][2]
-    assert not moments.u.flags.writeable
+    kept = baselines._fit_once(baselines._instruments, ds)
+    assert kept is baselines._fit_once(baselines._solve_treatment_bridge, ds)[2][2]
+    assert not kept.flags.writeable
 
 
 def test_a_dataset_whose_fit_raised_is_freed_at_once(monkeypatch):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -15,9 +16,12 @@ from proxigmm import (
     BasisMatrix,
     Dataset,
     OutcomeBridge,
+    ScenarioConfig,
     SieveSpec,
     build_basis,
+    generate,
     orthonormalize,
+    select_k,
     sieve,
 )
 from proxigmm.errors import DegenerateColumn, KTooLarge, RankDeficient
@@ -195,6 +199,20 @@ class TestOrthonormalize:
         assert info.value.full_rank_prefix == 2
         pivot = float(str(info.value).rsplit("relative pivot ", 1)[1].rstrip(")"))
         assert 0 < pivot < 1e-10
+
+    def test_columns_beyond_the_row_count_are_dependent(self):
+        # Twelve columns on eight rows: R has only eight diagonal entries,
+        # so columns 9-12, dependent by construction, have no pivot of their
+        # own. The scan falls back to the prefix and scores every K above 8
+        # as infinite.
+        ds = generate(ScenarioConfig("II", 8), 1)
+        b = build_basis(ds, SieveSpec(), 12)
+        with pytest.raises(RankDeficient, match=re.escape(f"'{b.term_names[8]}'")) as info:
+            orthonormalize(b)
+        assert info.value.full_rank_prefix == 8 and "relative pivot 0.00e+00" in str(info.value)
+        assert orthonormalize(b.leading(8)).k == 8
+        scan = select_k(ds, OutcomeBridge.linear(1, 1), SieveSpec(), 12)
+        assert np.all(np.isinf(scan.scores[scan.k_grid.index(9):])) and scan.k_star <= 8
 
     @pytest.mark.parametrize("clone", [copy.copy, lambda e: pickle.loads(pickle.dumps(e))],
                              ids=["copy", "pickle"])
