@@ -7,11 +7,13 @@ compare against (``git archive`` or ``git clone``):
 
 Each tree runs the cells of ``record_cells.py`` (those of
 ``records_digest.py``) in an interpreter of its own, on its own ``src``.
-One line per cell and method gives the number of records, how many are
-bit-identical (every field of ``records_digest.py``'s digest), how many
-changed their error, K* or Wald decision, the largest |change in tau_hat|
-and the largest relative change in se_tau over the records both trees
-estimated whose SE is not wild in either tree. An SE is wild when it is
+One line per cell and method gives the number of records, how many carry
+an error in each tree (so that a change to an error path states the error
+traffic it rests on), how many are bit-identical (every field of
+``records_digest.py``'s digest), how many changed their error, K* or Wald
+decision, the largest |change in tau_hat| and the largest relative change
+in se_tau over the records both trees estimated whose SE is not wild in
+either tree. An SE is wild when it is
 more than 10 times the median SE of its cell and method in its tree, the
 rule by which ``perfbench/bench.py`` flags a failed record. After the
 table, each cell and method with wild records gets one more line with
@@ -91,10 +93,11 @@ def _largest(pairs: list[tuple[dict, dict]]) -> tuple[float, float]:
 def drift(old: list[dict], new: list[dict]) -> tuple[tuple, tuple]:
     """How one method's records moved between two trees.
 
-    Returns (records, identical, error flips, K* flips, reject flips, max
-    |dtau|, max relative dSE), the maxima over the records both trees
-    estimated with an SE wild in neither, and (records, max |dtau|, max
-    relative dSE) over those both estimated with an SE wild in either.
+    Returns (records, errors in ``old``, errors in ``new``, identical,
+    error flips, K* flips, reject flips, max |dtau|, max relative dSE), the
+    maxima over the records both trees estimated with an SE wild in
+    neither, and (records, max |dtau|, max relative dSE) over those both
+    estimated with an SE wild in either.
     """
     if [(r["rep"], r["method"]) for r in old] != [(r["rep"], r["method"]) for r in new]:
         raise RuntimeError("the trees' records are not the same replications")
@@ -107,6 +110,7 @@ def drift(old: list[dict], new: list[dict]) -> tuple[tuple, tuple]:
     wild = [pair for pair, is_wild in both if is_wild]
     return (
         len(pairs),
+        *(sum(r["error"] is not None for r in recs) for recs in (old, new)),
         sum(encode(a) == encode(b) for a, b in pairs),
         *(sum(a[key] != b[key] for a, b in pairs) for key in ("error", "k_star", "reject")),
         *_largest([pair for pair, is_wild in both if not is_wild]),
@@ -121,15 +125,15 @@ def main(argv=None) -> None:
     opts = parser.parse_args(argv)
     old = run_tree(opts.parent, opts.seed, opts.reps)
     new = run_tree(_HERE.parent, opts.seed, opts.reps)
-    print(f"{'cell':<38}{'method':<9}{'records':>8}{'identical':>10}{'error':>6}{'k*':>4}"
-          f"{'reject':>7}{'max|dtau|':>11}{'max|dSE|/SE':>13}")
+    print(f"{'cell':<38}{'method':<9}{'records':>8}{'errs-old':>9}{'errs-new':>9}"
+          f"{'identical':>10}{'error':>6}{'k*':>4}{'reject':>7}{'max|dtau|':>11}{'max|dSE|/SE':>13}")
     wild, changed = {}, {}
     for cell, records in new.items():
         for method in dict.fromkeys(rec["method"] for rec in records):
             mine = [[r for r in recs if r["method"] == method] for recs in (old[cell], records)]
-            (n, same, errors, ks, rejects, dtau, dse), wild_drift = drift(*mine)
-            print(f"{cell:<38}{method:<9}{n:>8}{same:>10}{errors:>6}{ks:>4}{rejects:>7}"
-                  f"{dtau:>11.1e}{dse:>13.1e}", flush=True)
+            (n, err_old, err_new, same, errors, ks, rejects, dtau, dse), wild_drift = drift(*mine)
+            print(f"{cell:<38}{method:<9}{n:>8}{err_old:>9}{err_new:>9}{same:>10}{errors:>6}"
+                  f"{ks:>4}{rejects:>7}{dtau:>11.1e}{dse:>13.1e}", flush=True)
             if wild_drift[0]:
                 wild[cell, method] = wild_drift
             if same < n:

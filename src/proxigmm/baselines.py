@@ -30,6 +30,7 @@ from .errors import (
     DimensionMismatch,
     NoConvergence,
     RankDeficientDesign,
+    RankDeficientJacobian,
     SingularSystem,
     SingularVariance,
     WeakRank,
@@ -166,9 +167,12 @@ def _canonical_bridge_fit(ds: Dataset) -> GmmFit:
     With as many z as w proxies the moments are instrumented by
     ``(1, z, a, x)``, one instrument per bridge parameter; with more z
     proxies, by the least-squares projection of the bridge features on those
-    columns, which is two-stage least squares. Raises :class:`WeakRank` with
-    fewer z than w proxies or a first stage of lower rank than the bridge,
-    and :class:`RankDeficientJacobian` when the moments do not identify it.
+    columns, which is two-stage least squares. Either way the fit reads
+    orthonormal columns spanning those instruments, so neither it, its
+    sandwich nor its rank test depends on the units of z or x. Raises
+    :class:`WeakRank` with fewer z than w proxies or a first stage of lower
+    rank than the bridge, and :class:`RankDeficientJacobian` when the
+    instruments do not identify it.
     """
     if ds.z.shape[1] < ds.w.shape[1]:
         raise WeakRank(
@@ -177,12 +181,25 @@ def _canonical_bridge_fit(ds: Dataset) -> GmmFit:
     bridge = _linear_bridge(ds)
     instruments = _fit_once(_instruments, ds)
     p = bridge.n_params
+    feats = None
     if instruments.shape[1] > p:
-        first_stage = np.linalg.lstsq(instruments, _bridge_features(ds, bridge).feats, rcond=None)
+        feats = _bridge_features(ds, bridge).feats
+        first_stage = np.linalg.lstsq(instruments, feats, rcond=None)
         if first_stage[2] < p:
             raise WeakRank(f"instruments of rank {first_stage[2]} cannot identify {p} parameters")
         instruments = instruments @ first_stage[0]
-    return _fit_identity(_Moments.build(ds, instruments, bridge))
+    q, r = np.linalg.qr(instruments)
+    # A pivot of R at rounding level (matrix_rank's tolerance) of the norm of
+    # what its column stands for (the instrument, whose norm is that of R's
+    # column, or the feature its first stage fits) marks, in any units, a
+    # column dependent on the earlier ones.
+    sizes = np.linalg.norm(r if feats is None else feats, axis=0)
+    tol = max(instruments.shape) * np.finfo(float).eps
+    if r.shape[0] < p or np.any(np.abs(np.diag(r)) <= tol * sizes):
+        raise RankDeficientJacobian(
+            "instruments do not identify the bridge: a QR pivot is at rounding level"
+        )
+    return _fit_identity(_Moments.build(ds, q, bridge))
 
 
 def _outcome_bridge_report(ds: Dataset, method: str) -> EstimateReport:

@@ -48,7 +48,7 @@ import numpy as np
 
 from .bridges import OutcomeBridge
 from .data import Dataset
-from .errors import ProxiGmmError, RankDeficientJacobian, SingularVariance, TooFewMoments
+from .errors import RankDeficientJacobian, SingularVariance, TooFewMoments
 from .sieve import BasisMatrix, orthonormalize
 
 SPECTRAL_FLOOR = 1e-8
@@ -213,41 +213,22 @@ class _Moments:
         return s
 
 
-def _bare_copy(exc: ProxiGmmError) -> ProxiGmmError:
-    """A new error of ``exc``'s type with its arguments and attributes, and
-    with no traceback or chained error."""
-    copy = type(exc).__new__(type(exc), *exc.args)
-    copy.__dict__.update(vars(exc))
-    return copy
-
-
 def _fit_once(fit, ds: Dataset, *args):
     """``fit(ds, *args)``, run once per dataset and arguments.
 
-    The outcome is kept on the dataset (``Dataset._derived``), keyed by
-    ``(fit, *args)``, and every later call with that dataset returns it, or
-    raises an error of the same type and message if the fit raised a
-    :class:`ProxiGmmError`. So ``rgmm`` and ``pdr`` share the canonical
-    outcome-bridge fit of a dataset, ``pipw`` and ``pdr`` its
-    treatment-bridge solve, and every moment system of a bridge its
-    features, for any caller that passes the same dataset. A dataset
-    derived from another starts with nothing kept.
+    What the fit returns is kept on the dataset (``Dataset._derived``),
+    keyed by ``(fit, *args)``, and every later call with that dataset
+    returns it. So ``rgmm`` and ``pdr`` share the canonical outcome-bridge
+    fit of a dataset, ``pipw`` and ``pdr`` its treatment-bridge solve, and
+    every moment system of a bridge its features, for any caller that
+    passes the same dataset. A fit that raises keeps nothing, so a later
+    call runs it again; every fit is deterministic, so that call raises the
+    same error. A dataset derived from another starts with nothing kept.
     """
-    derived = ds._derived
     key = fit, *args
-    if key not in derived:
-        try:
-            derived[key] = fit(ds, *args)
-        except ProxiGmmError as exc:
-            # A raised error's traceback holds frames whose locals hold
-            # ``ds``: the dataset keeps, and raises, only bare copies, so it
-            # is freed as soon as its last reference goes.
-            derived[key] = _bare_copy(exc)
-            raise
-    outcome = derived[key]
-    if isinstance(outcome, ProxiGmmError):
-        raise _bare_copy(outcome)
-    return outcome
+    if key not in ds._derived:
+        ds._derived[key] = fit(ds, *args)
+    return ds._derived[key]
 
 
 def _bridge_features(ds: Dataset, bridge: OutcomeBridge) -> _Features:

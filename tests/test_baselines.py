@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import itertools
 import warnings
 import weakref
 
@@ -35,6 +36,7 @@ from proxigmm.errors import (
     NoConvergence,
     ProxiGmmError,
     RankDeficientDesign,
+    RankDeficientJacobian,
     SingularVariance,
     WeakRank,
 )
@@ -74,6 +76,66 @@ class TestOracles:
         fit, report = fit_initial(ds, basis, OutcomeBridge.linear(1, 1)), rgmm(ds)
         assert report.tau_hat == pytest.approx(fit.tau_hat, rel=0, abs=1e-12)
         assert report.se_tau == pytest.approx(fit.se_tau, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "config, rep",
+        [(ScenarioConfig("I", 400), 0), (ScenarioConfig("II", 800), 1)],
+        ids=["I-400-0", "II-800-1"],
+    )
+    def test_rgmm_and_p2sls_do_not_depend_on_the_units_of_z_or_x(self, config, rep):
+        # Rescaling z or x rescales the instruments and the bridge's x
+        # coefficient; the effect and its SE stay where they were. Measured:
+        # at most 2.2e-7 absolute in tau and 3.2e-8 relative in SE, both at
+        # x * 1e-9.
+        ds = generate(config, 3, rep)
+        for estimator in (rgmm, p2sls):
+            base = estimator(ds)
+            for role, power in itertools.product("zx", (-9, -6, -3, 3, 6, 9)):
+                scaled = dataclasses.replace(ds, **{role: getattr(ds, role) * 10.0**power})
+                scaled = estimator(scaled)
+                assert scaled.tau_hat == pytest.approx(base.tau_hat, rel=0, abs=1e-6)
+                assert scaled.se_tau == pytest.approx(base.se_tau, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "config, rep",
+        [(ScenarioConfig("I", 400), 0), (ScenarioConfig("II", 800), 1)],
+        ids=["I-400-0", "II-800-1"],
+    )
+    def test_dependent_instruments_are_a_rank_deficient_jacobian_in_any_units(
+        self, config, rep
+    ):
+        # A z proxy equal to x, to x in other units, constant or zero leaves
+        # the instruments (1, z, a, x) linearly dependent, whatever their units.
+        ds = generate(config, 3, rep)
+        for z in (ds.x, 1e9 * ds.x, 1e-9 * ds.x, np.full_like(ds.z, 2.5), 0.0 * ds.z):
+            dependent = dataclasses.replace(ds, z=z)
+            for estimator in (rgmm, p2sls, pdr):
+                with pytest.raises(RankDeficientJacobian, match="do not identify"):
+                    estimator(dependent)
+
+    @pytest.mark.parametrize("rows", [2, 3])
+    def test_fewer_rows_than_instruments_is_a_rank_deficient_jacobian(self, rows):
+        # Four instruments (1, z, a, x) on fewer rows: R has a pivot per row
+        # only, and the columns past the last row are dependent.
+        ds = generate(ScenarioConfig("I", 400), 3, 0)
+        head = {role: getattr(ds, role)[:rows] for role in ("y", "a", "z", "w", "x")}
+        with pytest.raises(RankDeficientJacobian, match="do not identify"):
+            rgmm(dataclasses.replace(ds, **head))
+
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+    def test_a_proxy_orthogonal_to_every_instrument_is_a_rank_deficient_jacobian(
+        self, scale
+    ):
+        # Two z proxies: the first stage fits w by its projection on
+        # (1, z1, z2, a, x), which is zero up to rounding when w is
+        # orthogonal to all of them, so the projected instruments have
+        # rank 3 for the 4 bridge parameters, in any units of w.
+        ds = make_gaussian_dataset(d_z=2, d_w=1)
+        inst = np.column_stack([np.ones(ds.n), ds.z, ds.a, ds.x])
+        v = np.random.default_rng(1).standard_normal(ds.n)
+        w = v - inst @ np.linalg.lstsq(inst, v, rcond=None)[0]
+        with pytest.raises(RankDeficientJacobian, match="do not identify"):
+            p2sls(dataclasses.replace(ds, w=scale * w[:, None]))
 
     @pytest.mark.parametrize("fixture", ["scenario1_ds", "scenario2_ds"])
     def test_gmm_div_at_the_bridge_dimension_is_rgmm(self, fixture, request):
@@ -298,24 +360,38 @@ def _share_one_fit(monkeypatch, name, estimators, cases):
     """Check that ``estimators``, called in either order on a dataset,
     report what each reports alone on a dataset of its own, and that they
     and every later call run the patched ``baselines.<name>`` once per
-    dataset. Returns the reports alone, by case."""
+    dataset whose fit returns, and once per call that reaches it on a
+    dataset whose fit raises. Returns the reports alone, by case."""
     alone = [dict(zip(estimators, map(_outcome, estimators, pair)))
              for pair in zip(*(cases() for _ in estimators))]
-    ran = []
+    ran, raised = [], set()
     real = getattr(baselines, name)
-    monkeypatch.setattr(baselines, name, lambda ds: ran.append(ds) or real(ds))
+
+    def counted(ds):
+        ran.append(id(ds))
+        try:
+            return real(ds)
+        except ProxiGmmError:
+            raised.add(id(ds))
+            raise
+
+    monkeypatch.setattr(baselines, name, counted)
     for order in (estimators, estimators[::-1]):
         ran.clear()
+        raised.clear()
         datasets = cases()
         shared = [{est: _outcome(est, ds) for est in order} for ds in datasets]
         assert shared == alone
         for est in estimators:
             _outcome(est, datasets[0])  # the dataset keeps the fit
-        assert [id(ds) for ds in ran] == [id(ds) for ds in datasets]
+        assert id(datasets[0]) not in raised
+        calls = {id(ds): len(order) if id(ds) in raised else 1 for ds in datasets}
+        assert ran == [id(ds) for ds in datasets for _ in range(calls[id(ds)])]
     return alone
 
 
 def test_pipw_and_pdr_share_one_treatment_solve(monkeypatch):
+    # Cases 2 and 3 raise in the solve, which each of pipw and pdr reaches.
     alone = _share_one_fit(monkeypatch, "_solve_treatment_bridge", (pipw, pdr), _treatment_cases)
     assert alone[3][pipw] == alone[3][pdr] and alone[3][pipw].startswith("NoConvergence")
     assert alone[2][pipw] == alone[2][pdr]
@@ -348,11 +424,10 @@ def test_the_proximal_baselines_build_the_instrument_columns_once(monkeypatch):
 
 
 def test_a_dataset_whose_fit_raised_is_freed_at_once(monkeypatch):
-    # The dataset keeps the error of its failed outcome-bridge fit (one z
-    # proxy cannot identify two w proxies), and later calls raise the same
-    # type and message without fitting again; yet the tracebacks, whose
-    # frames hold the dataset, leave it to be freed without a cyclic
-    # collection.
+    # The dataset keeps nothing of its failed outcome-bridge fit (one z
+    # proxy cannot identify two w proxies), so a later call fits again and
+    # raises the same type and message; the tracebacks, whose frames hold
+    # the dataset, leave it to be freed without a cyclic collection.
     ran = []
     real = baselines._canonical_bridge_fit
     monkeypatch.setattr(baselines, "_canonical_bridge_fit", lambda ds: ran.append(1) or real(ds))
@@ -366,7 +441,7 @@ def test_a_dataset_whose_fit_raised_is_freed_at_once(monkeypatch):
         # rgmm and pdr reject the dataset before they reach the fit.
         assert _outcome(rgmm, ds) == _outcome(pdr, ds)
         assert _outcome(rgmm, ds).startswith("DimensionMismatch: need exactly 5 instruments")
-        assert ran == [1]
+        assert ran == [1, 1]
         del ds
         assert ref() is None
     finally:
@@ -609,13 +684,31 @@ def test_minimum_norm_search_rejects_a_non_finite_trial_point():
     assert np.linalg.norm(points[2]) < np.linalg.norm(points[1])
 
 
-@pytest.mark.parametrize("rcond, steps", [(1e-17, False), (1e-15, True)])
+@pytest.mark.parametrize("start", [(0.0, 0.0), (1e-6, 0.0)])
+def test_minimum_norm_search_stops_where_the_residual_is_orthogonal_to_the_jacobian(start):
+    # The residual (t0, t1, 1000) has no root and is stationary at the
+    # origin, where J'r = 0. At (1e-6, 0) the cosine of J's first column
+    # with r is 1e-9, below the tolerance, although the step there would
+    # be 1e-6, far above the step test's. Either way the gradient test
+    # stops the search at its start after one evaluation.
+    points = []
+
+    def balance(theta):
+        points.append(theta.copy())
+        return None, np.append(theta, 1e3)
+
+    start = np.array(start)
+    theta = baselines._levenberg_marquardt(balance, lambda q: np.eye(3, 2), start)
+    assert theta is start and len(points) == 1
+
+
+@pytest.mark.parametrize("rcond, steps", [(0.0, False), (1e-17, False), (1e-15, True)])
 def test_newton_abandons_a_start_whose_jacobian_is_ill_conditioned(monkeypatch, rcond, steps):
     # A diagonal Jacobian with entries 1 and rcond has reciprocal 1-norm
     # condition number rcond. Below eps every start is given up before its
-    # first Newton step; above it the step runs. Each start evaluates the
-    # bridge once at its own point, so any further evaluation is a step's
-    # trial point.
+    # first Newton step, at 0 because the Jacobian cannot be inverted at
+    # all; above it the step runs. Each start evaluates the bridge once at
+    # its own point, so any further evaluation is a step's trial point.
     evaluations = []
     real_values = baselines._bridge_values
     monkeypatch.setattr(baselines, "_levenberg_marquardt", _take_fallback)

@@ -50,18 +50,20 @@ def test_records_drift_of_a_tree_against_itself_is_nil(capsys):
     _script("records_drift").main([str(_SCRIPTS.parent), "--seed", "3", "--reps", "2"])
     header, *lines = capsys.readouterr().out.splitlines()
     assert header.split() == [
-        "cell", "method", "records", "identical", "error", "k*", "reject", "max|dtau|", "max|dSE|/SE",
+        "cell", "method", "records", "errs-old", "errs-new", "identical", "error", "k*", "reject",
+        "max|dtau|", "max|dSE|/SE",
     ]
-    rows = [line.rsplit(None, 7) for line in lines]
+    rows = [line.rsplit(None, 9) for line in lines]
     assert len(rows) == 6 * len(METHODS) + 1
     cells = {row[0].rsplit(None, 1)[0] for row in rows}
     assert len(cells) == 7 and "II/3200 gmm-div k_bar 20, 2 workers" in cells
     for row in rows:
-        assert row[1:] == ["2", "2", "0", "0", "0", "0.0e+00", "0.0e+00"]
+        assert row[1:] == ["2", "0", "0", "2", "0", "0", "0", "0.0e+00", "0.0e+00"]
 
 
 def test_records_drift_lists_the_first_changed_reps(capsys, monkeypatch):
-    # A stubbed pair of trees: naive moves on all 12 reps, pipw on reps 3
+    # A stubbed pair of trees: naive moves on all 12 reps, and its rep 11
+    # carries an error in the second tree only; pipw moves on reps 3
     # and 5. pipw's rep 5 has an SE 100 times its method's median, and its
     # tau_hat and SE move further than rep 3's. The table's maxima leave it
     # out; after the table it gets a line of its own, and then each method
@@ -74,7 +76,8 @@ def test_records_drift_lists_the_first_changed_reps(capsys, monkeypatch):
             {"rep": rep, "method": method,
              "tau_hat": 1.0 + shift * (rep in moved[method]) * (4.0 if wild else 1.0),
              "se_tau": 50.0 * (1.0 + 20.0 * shift) if wild else 0.5,
-             "ci_lo": 0.0, "ci_hi": 2.0, "reject": True, "k_star": None, "error": None}
+             "ci_lo": 0.0, "ci_hi": 2.0, "reject": True, "k_star": None,
+             "error": "NoConvergence: stub" if shift and method == "naive" and rep == 11 else None}
             for rep in range(12) for method in moved
             for wild in [method == "pipw" and rep == 5]
         ]}
@@ -83,9 +86,9 @@ def test_records_drift_lists_the_first_changed_reps(capsys, monkeypatch):
     monkeypatch.setattr(drift, "run_tree", lambda root, seed, reps: next(trees))
     drift.main(["parent"])
     header, *lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[:4] + line.split()[-2:] for line in lines[:2]] == [
-        ["cell", "naive", "12", "0", "2.5e-01", "0.0e+00"],
-        ["cell", "pipw", "12", "10", "2.5e-01", "0.0e+00"],
+    assert [line.split() for line in lines[:2]] == [
+        ["cell", "naive", "12", "0", "1", "0", "1", "0", "0", "2.5e-01", "0.0e+00"],
+        ["cell", "pipw", "12", "0", "0", "10", "0", "0", "0", "2.5e-01", "0.0e+00"],
     ]
     assert lines[2] == (
         f"{'cell':<38}{'pipw':<9}wild SE: 1 records, max|dtau| 1.0e+00, max|dSE|/SE 5.0e+00"
