@@ -18,7 +18,12 @@ more than 10 times the median SE of its cell and method in its tree, the
 rule by which ``perfbench/bench.py`` flags a failed record. After the
 table, each cell and method with wild records gets one more line with
 their count and the same two maxima over them, so that their large moves
-do not hide the rounding-level drift of the others; then each cell and
+do not hide the rounding-level drift of the others. For ``pipw`` and
+``pdr`` that line is split in two: the records whose treatment-bridge
+solve took the minimum-norm fallback in either tree, and the Newton roots
+the 10x rule flags with them. Each tree's interpreter finds its fallback
+solves by solving the dataset of each of its wild ``pipw``/``pdr`` records
+again with ``baselines._levenberg_marquardt`` wrapped. Then each cell and
 method whose records are not all bit-identical gets one more line with the
 first 10 changed rep indices.
 """
@@ -35,32 +40,75 @@ from pathlib import Path
 
 from record_cells import encode
 
+from proxigmm import baselines, generate
+
 _HERE = Path(__file__).resolve().parent
 # An SE above this multiple of its cell and method's median SE is wild.
 _WILD_SE_FACTOR = 10.0
+# The methods whose wild records are split by the treatment-bridge solver's path.
+_SOLVED = ("pipw", "pdr")
 # Runs in a fresh interpreter: argv is (src, scripts, seed, reps). Prints
-# the pickled records of every cell and the path proxigmm was loaded from.
+# the path proxigmm was loaded from, the pickled records of every cell and
+# the reps of each cell whose wild pipw/pdr records took the fallback.
 _CHILD = """
 import pickle, sys
 sys.path[:0] = sys.argv[1:3]
 import proxigmm
 from record_cells import cells
-records = {name: run() for name, run in cells(int(sys.argv[3]), int(sys.argv[4])).items()}
-pickle.dump((proxigmm.__file__, records), sys.stdout.buffer)
+from records_drift import wild_fallbacks
+records, fallbacks = {}, {}
+for name, run in cells(int(sys.argv[3]), int(sys.argv[4])).items():
+    records[name] = run()
+    fallbacks[name] = wild_fallbacks(run, records[name])
+pickle.dump((proxigmm.__file__, records, fallbacks), sys.stdout.buffer)
 """
 
 
-def run_tree(root: Path, seed: int, reps: int) -> dict[str, list[dict]]:
-    """Every cell's records as the tree at ``root`` computes them."""
+def fallback_reps(config, seed: int, reps) -> set[int]:
+    """The reps among ``reps`` of cell ``config`` and seed ``seed`` whose
+    dataset's treatment-bridge solve takes the minimum-norm fallback, seen
+    by solving it again with ``baselines._levenberg_marquardt`` wrapped.
+    Each of them must be a dataset whose solve returns."""
+    search, taken = baselines._levenberg_marquardt, set()
+
+    def spy(*args):
+        taken.add(rep)  # the rep whose solve is running
+        return search(*args)
+
+    baselines._levenberg_marquardt = spy
+    try:
+        for rep in reps:
+            baselines._solve_treatment_bridge(generate(config, seed, rep))
+    finally:
+        baselines._levenberg_marquardt = search
+    return taken
+
+
+def wild_fallbacks(run, records: list[dict]) -> set[int]:
+    """The reps whose ``pipw`` or ``pdr`` record among ``records`` has a wild
+    SE and whose solve took the fallback; ``run`` is the cell's call from
+    ``record_cells.cells``, ``run_replications`` with (config, methods,
+    reps, seed)."""
+    config, _, _, seed = run.args
+    wild = set()
+    for method in _SOLVED:
+        recs = [r for r in records if r["method"] == method]
+        wild |= {rec["rep"] for rec, is_wild in zip(recs, _wild(recs)) if is_wild}
+    return fallback_reps(config, seed, wild)
+
+
+def run_tree(root: Path, seed: int, reps: int) -> tuple[dict[str, list[dict]], dict[str, set]]:
+    """Every cell's records as the tree at ``root`` computes them, and each
+    cell's :func:`wild_fallbacks`."""
     src = (root / "src").resolve()
     out = subprocess.run(
         [sys.executable, "-c", _CHILD, str(src), str(_HERE), str(seed), str(reps)],
         stdout=subprocess.PIPE, check=True,
     ).stdout
-    loaded, records = pickle.loads(out)
+    loaded, records, fallbacks = pickle.loads(out)
     if not Path(loaded).resolve().is_relative_to(src):
         raise RuntimeError(f"expected proxigmm from {src}, loaded {loaded}")
-    return records
+    return records, fallbacks
 
 
 def _relative(old: float, new: float) -> float:
@@ -90,14 +138,14 @@ def _largest(pairs: list[tuple[dict, dict]]) -> tuple[float, float]:
     )
 
 
-def drift(old: list[dict], new: list[dict]) -> tuple[tuple, tuple]:
+def drift(old: list[dict], new: list[dict]) -> tuple[tuple, list]:
     """How one method's records moved between two trees.
 
     Returns (records, errors in ``old``, errors in ``new``, identical,
     error flips, K* flips, reject flips, max |dtau|, max relative dSE), the
     maxima over the records both trees estimated with an SE wild in
-    neither, and (records, max |dtau|, max relative dSE) over those both
-    estimated with an SE wild in either.
+    neither, and the pairs of records both estimated with an SE wild in
+    either.
     """
     if [(r["rep"], r["method"]) for r in old] != [(r["rep"], r["method"]) for r in new]:
         raise RuntimeError("the trees' records are not the same replications")
@@ -114,7 +162,7 @@ def drift(old: list[dict], new: list[dict]) -> tuple[tuple, tuple]:
         sum(encode(a) == encode(b) for a, b in pairs),
         *(sum(a[key] != b[key] for a, b in pairs) for key in ("error", "k_star", "reject")),
         *_largest([pair for pair, is_wild in both if not is_wild]),
-    ), (len(wild), *_largest(wild))
+    ), wild
 
 
 def main(argv=None) -> None:
@@ -123,8 +171,8 @@ def main(argv=None) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--reps", type=int, default=200)
     opts = parser.parse_args(argv)
-    old = run_tree(opts.parent, opts.seed, opts.reps)
-    new = run_tree(_HERE.parent, opts.seed, opts.reps)
+    old, old_fallbacks = run_tree(opts.parent, opts.seed, opts.reps)
+    new, new_fallbacks = run_tree(_HERE.parent, opts.seed, opts.reps)
     print(f"{'cell':<38}{'method':<9}{'records':>8}{'errs-old':>9}{'errs-new':>9}"
           f"{'identical':>10}{'error':>6}{'k*':>4}{'reject':>7}{'max|dtau|':>11}{'max|dSE|/SE':>13}")
     wild, changed = {}, {}
@@ -134,12 +182,20 @@ def main(argv=None) -> None:
             (n, err_old, err_new, same, errors, ks, rejects, dtau, dse), wild_drift = drift(*mine)
             print(f"{cell:<38}{method:<9}{n:>8}{err_old:>9}{err_new:>9}{same:>10}{errors:>6}"
                   f"{ks:>4}{rejects:>7}{dtau:>11.1e}{dse:>13.1e}", flush=True)
-            if wild_drift[0]:
-                wild[cell, method] = wild_drift
+            if wild_drift and method in _SOLVED:
+                fallbacks = old_fallbacks[cell] | new_fallbacks[cell]
+                for path, took in (("fallback", True), ("Newton root", False)):
+                    wild[cell, method, path] = [
+                        pair for pair in wild_drift if (pair[0]["rep"] in fallbacks) == took
+                    ]
+            elif wild_drift:
+                wild[cell, method, None] = wild_drift
             if same < n:
                 changed[cell, method] = [a["rep"] for a, b in zip(*mine) if encode(a) != encode(b)]
-    for (cell, method), (n, dtau, dse) in wild.items():
-        print(f"{cell:<38}{method:<9}wild SE: {n} records, max|dtau| {dtau:.1e}, "
+    for (cell, method, path), pairs in wild.items():
+        label = "wild SE" if path is None else f"wild SE, {path}"
+        dtau, dse = _largest(pairs)
+        print(f"{cell:<38}{method:<9}{label}: {len(pairs)} records, max|dtau| {dtau:.1e}, "
               f"max|dSE|/SE {dse:.1e}")
     for (cell, method), reps in changed.items():
         print(f"{cell:<38}{method:<9}changed reps: {' '.join(map(str, reps[:10]))}")

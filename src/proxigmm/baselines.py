@@ -12,7 +12,8 @@ the balancing residual, and its standard error is ``pipw``'s.
 Each bridge has one fit per dataset: ``rgmm``, ``p2sls`` and ``pdr`` read
 one IV fit of the outcome bridge (so with as many z as w proxies ``p2sls``
 equals ``rgmm``), and ``pipw`` and ``pdr`` one treatment-bridge solve, which
-balances the outcome bridge's features.
+balances the outcome bridge's features, and one ``pipw`` report, whose
+sandwich ``pdr`` reports.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ from .gmm import confidence_interval, wald_test
 
 _NEWTON_MAX_ITER = 50
 _NEWTON_TOL = 1e-10
+# Machine epsilon, looked up once rather than at every Newton step.
+_EPS = np.finfo(float).eps
 _NEWTON_START_MAGNITUDE = 0.5
 # Backtracking scales tried after the full Newton step: 2^-1, ..., 2^-29,
 # the values a loop halving 1.0 forms.
@@ -194,7 +197,7 @@ def _canonical_bridge_fit(ds: Dataset) -> GmmFit:
     # column, or the feature its first stage fits) marks, in any units, a
     # column dependent on the earlier ones.
     sizes = np.linalg.norm(r if feats is None else feats, axis=0)
-    tol = max(instruments.shape) * np.finfo(float).eps
+    tol = max(instruments.shape) * _EPS
     if r.shape[0] < p or np.any(np.abs(np.diag(r)) <= tol * sizes):
         raise RankDeficientJacobian(
             "instruments do not identify the bridge: a QR pivot is at rounding level"
@@ -349,6 +352,12 @@ def _solve_treatment_bridge(ds: Dataset):
     otherwise the solve raises :class:`NoConvergence`. On the datasets
     measured, a search from any other Newton start ends at the same cost
     to within rounding.
+
+    ``_NEWTON_TOL`` and ``_MINNORM_ACCEPT`` are absolute, in the units of
+    the features ``(1, w, a, x)`` that the moments balance. Rescaling w or
+    x by 10^±3 or 10^±6 leaves the root, and ``pipw``'s and ``pdr``'s
+    estimates, unchanged to rounding; at 10^±9 the solve can fall back or
+    fail instead.
     """
     _require_exact_identification(ds)
     features = _bridge_features(ds, _linear_bridge(ds))
@@ -388,7 +397,7 @@ def _solve_treatment_bridge(ds: Dataset):
             q, res = balance(theta)
             tried += 1
             for _ in range(_NEWTON_MAX_ITER):
-                if np.max(np.abs(res)) < _NEWTON_TOL:
+                if np.abs(res).max() < _NEWTON_TOL:
                     return theta, q, system
                 jac = _balancing_jacobian(basis_c, basis_b, q)
                 try:
@@ -396,20 +405,21 @@ def _solve_treatment_bridge(ds: Dataset):
                 except np.linalg.LinAlgError:
                     break
                 rcond = 1.0 / (np.abs(jac).sum(axis=0).max() * np.abs(jinv).sum(axis=0).max())
-                if not rcond >= np.finfo(float).eps:
+                if not rcond >= _EPS:
                     break
                 step = -(jinv @ res)
-                norm0 = np.linalg.norm(res)
+                # np.linalg.norm of a 1-D float vector, without its wrapper.
+                norm0 = np.sqrt(res @ res)
                 cand = theta + step
                 cand_q, cand_res = balance(cand)
-                if not (np.all(np.isfinite(cand_res)) and np.linalg.norm(cand_res) < norm0):
+                if not (np.isfinite(cand_res).all() and np.sqrt(cand_res @ cand_res) < norm0):
                     halving = first_halving(theta, step, norm0)
                     if halving is None:
                         break
                     cand = theta + _NEWTON_HALVINGS[halving] * step
                     cand_q, cand_res = balance(cand)
                 theta, q, res = cand, cand_q, cand_res
-            best_norm = min(best_norm, float(np.max(np.abs(res))))
+            best_norm = min(best_norm, float(np.abs(res).max()))
         theta = _levenberg_marquardt(
             balance,
             lambda q: _balancing_jacobian(basis_c, basis_b, q),
@@ -431,8 +441,16 @@ def pipw(ds: Dataset) -> EstimateReport:
     Fits the treatment-side bridge by damped Newton on its balancing
     moments, then averages the signed reweighted outcome; like :func:`rgmm`
     and :func:`pdr` it needs as many z as w proxies. The standard error
-    stacks the bridge moments with the reweighting moment.
+    stacks the bridge moments with the reweighting moment. A dataset keeps
+    the report (:func:`gmm._fit_once`), so every later ``pipw`` or
+    :func:`pdr` call on it shares that object, its ``aux`` arrays included,
+    and forms the sandwich no more.
     """
+    return _fit_once(_reweighting_report, ds)
+
+
+def _reweighting_report(ds: Dataset) -> EstimateReport:
+    """:func:`pipw`'s report: the reweighted mean and its stacked sandwich."""
     theta, q, (sign, basis_c, basis_b, target) = _fit_once(_solve_treatment_bridge, ds)
     tau = float(np.mean(sign * q * ds.y))
     t_dim = theta.shape[0]
@@ -459,8 +477,10 @@ def pdr(ds: Dataset) -> EstimateReport:
     ``(-1)^(1-A) q (y - h)``; consistent if either bridge is correctly
     specified. The outcome bridge is :func:`rgmm`'s fit and the treatment
     bridge :func:`pipw`'s solve, both shared with those estimators on the
-    same dataset; like :func:`rgmm` it raises :class:`DimensionMismatch`
-    unless there are as many z as w proxies, which the solve checks before the fit.
+    same dataset, and it reads ``pipw``'s kept report rather than forming
+    that sandwich again; like :func:`rgmm` it raises
+    :class:`DimensionMismatch` unless there are as many z as w proxies,
+    which the solve checks before the fit.
 
     The linear bridge's contrast gradient is the balancing target ``e_a``,
     so tau is ``pipw``'s minus ``gamma @ r(theta)``, with ``r(theta) =
@@ -470,7 +490,7 @@ def pdr(ds: Dataset) -> EstimateReport:
     """
     theta, q, (sign, feats, _, target) = _fit_once(_solve_treatment_bridge, ds)
     gamma = _fit_once(_canonical_bridge_fit, ds).gamma_hat
-    ipw = pipw(ds)
+    ipw = _fit_once(_reweighting_report, ds)
     imbalance = q @ (sign[:, None] * feats) / ds.n - target
     return EstimateReport(
         method="pdr",

@@ -219,11 +219,13 @@ def _fit_once(fit, ds: Dataset, *args):
     What the fit returns is kept on the dataset (``Dataset._derived``),
     keyed by ``(fit, *args)``, and every later call with that dataset
     returns it. So ``rgmm`` and ``pdr`` share the canonical outcome-bridge
-    fit of a dataset, ``pipw`` and ``pdr`` its treatment-bridge solve, and
-    every moment system of a bridge its features, for any caller that
-    passes the same dataset. A fit that raises keeps nothing, so a later
-    call runs it again; every fit is deterministic, so that call raises the
-    same error. A dataset derived from another starts with nothing kept.
+    fit of a dataset, ``pipw`` and ``pdr`` its treatment-bridge solve and
+    ``pipw``'s report (its reweighting sandwich formed once), and every
+    moment system of a bridge its features, for any caller that passes the
+    same dataset. What is kept is shared as it is, arrays included. A fit
+    that raises keeps nothing, so a later call runs it again; every fit is
+    deterministic, so that call raises the same error. A dataset derived
+    from another starts with nothing kept.
     """
     key = fit, *args
     if key not in ds._derived:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import re
 import sys
 from pathlib import Path
 
+from proxigmm import ScenarioConfig, run_replications
 from proxigmm.simulation import METHODS
 
 _SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -64,23 +66,26 @@ def test_records_drift_of_a_tree_against_itself_is_nil(capsys):
 def test_records_drift_lists_the_first_changed_reps(capsys, monkeypatch):
     # A stubbed pair of trees: naive moves on all 12 reps, and its rep 11
     # carries an error in the second tree only; pipw moves on reps 3
-    # and 5. pipw's rep 5 has an SE 100 times its method's median, and its
-    # tau_hat and SE move further than rep 3's. The table's maxima leave it
-    # out; after the table it gets a line of its own, and then each method
-    # gets a line with its first 10 changed reps.
+    # and 5. naive's rep 2 and pipw's reps 5 and 8 have SEs 100 times their
+    # method's median, and the moved ones' tau_hat and SE move further than
+    # the others'. The table's maxima leave them out; after the table they
+    # get lines of their own, pipw's split by the solver's path: the first
+    # tree's solve took the fallback on rep 5, and rep 8 is a Newton root.
+    # Then each method gets a line with its first 10 changed reps.
     drift = _script("records_drift")
 
     def tree(shift):
         moved = {"naive": range(12), "pipw": (3, 5)}
-        return {"cell": [
+        records = {"cell": [
             {"rep": rep, "method": method,
              "tau_hat": 1.0 + shift * (rep in moved[method]) * (4.0 if wild else 1.0),
-             "se_tau": 50.0 * (1.0 + 20.0 * shift) if wild else 0.5,
+             "se_tau": 50.0 * (1.0 + 20.0 * shift * (rep in moved[method])) if wild else 0.5,
              "ci_lo": 0.0, "ci_hi": 2.0, "reject": True, "k_star": None,
              "error": "NoConvergence: stub" if shift and method == "naive" and rep == 11 else None}
             for rep in range(12) for method in moved
-            for wild in [method == "pipw" and rep == 5]
+            for wild in [(method, rep) in {("naive", 2), ("pipw", 5), ("pipw", 8)}]
         ]}
+        return records, {"cell": set() if shift else {5}}
 
     trees = iter([tree(0.0), tree(0.25)])
     monkeypatch.setattr(drift, "run_tree", lambda root, seed, reps: next(trees))
@@ -90,13 +95,32 @@ def test_records_drift_lists_the_first_changed_reps(capsys, monkeypatch):
         ["cell", "naive", "12", "0", "1", "0", "1", "0", "0", "2.5e-01", "0.0e+00"],
         ["cell", "pipw", "12", "0", "0", "10", "0", "0", "0", "2.5e-01", "0.0e+00"],
     ]
-    assert lines[2] == (
-        f"{'cell':<38}{'pipw':<9}wild SE: 1 records, max|dtau| 1.0e+00, max|dSE|/SE 5.0e+00"
-    )
-    assert lines[3:] == [
+    assert lines[2:5] == [
+        f"{'cell':<38}{'naive':<9}wild SE: 1 records, max|dtau| 1.0e+00, max|dSE|/SE 5.0e+00",
+        f"{'cell':<38}{'pipw':<9}wild SE, fallback: 1 records, max|dtau| 1.0e+00, "
+        "max|dSE|/SE 5.0e+00",
+        f"{'cell':<38}{'pipw':<9}wild SE, Newton root: 1 records, max|dtau| 0.0e+00, "
+        "max|dSE|/SE 0.0e+00",
+    ]
+    assert lines[5:] == [
         f"{'cell':<38}{'naive':<9}changed reps: 0 1 2 3 4 5 6 7 8 9",
         f"{'cell':<38}{'pipw':<9}changed reps: 3 5",
     ]
+
+
+def test_records_drift_finds_the_wild_records_that_took_the_fallback():
+    # II/800 seed 3: Newton finds the root of rep 3, and no start reaches
+    # one on rep 34, whose solve takes the minimum-norm fallback. With both
+    # SEs wild against ten ordinary ones, the fallback is rep 34 alone.
+    drift = _script("records_drift")
+    run = functools.partial(run_replications, ScenarioConfig("II", 800), ("pipw",), 1, 3)
+    records = [
+        {"rep": rep, "method": "pipw", "tau_hat": 1.0, "se_tau": 50.0 if rep in (3, 34) else 0.5,
+         "error": None}
+        for rep in (*range(11), 34)
+    ]
+    assert drift.wild_fallbacks(run, records) == {34}
+    assert drift.fallback_reps(ScenarioConfig("II", 800), 3, [0, 3, 34]) == {34}
 
 
 def test_polish_on_off_reports_both_arms(capsys):
