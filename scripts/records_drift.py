@@ -26,6 +26,12 @@ solves by solving the dataset of each of its wild ``pipw``/``pdr`` records
 again with ``baselines._levenberg_marquardt`` wrapped. Then each cell and
 method whose records are not all bit-identical gets one more line with the
 first 10 changed rep indices.
+
+``gmm-div`` gets two lines per cell, and so two of each line after the
+table: ``gmm-div K*=p``, the records whose K* in the tree compared against
+is the bridge dimension p, where the fit is exactly identified, and
+``gmm-div K*>p``, every other record (those that tree could not fit
+included), where the fit is overidentified and polished.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from record_cells import encode
+from record_cells import cells, encode
 
 from proxigmm import baselines, generate
 
@@ -95,6 +101,24 @@ def wild_fallbacks(run, records: list[dict]) -> set[int]:
         recs = [r for r in records if r["method"] == method]
         wild |= {rec["rep"] for rec, is_wild in zip(recs, _wild(recs)) if is_wild}
     return fallback_reps(config, seed, wild)
+
+
+def _groups(cell: str, method: str, seed: int, old: list[dict], new: list[dict]) -> dict:
+    """One method's records in both trees, by the label of their table line:
+    ``gmm-div``'s split by whether K* in ``old`` is the bridge dimension p,
+    the count of the linear bridge's features (1, w, a, x) on the cell's
+    datasets (``cell`` names one of ``record_cells.cells``)."""
+    if method != "gmm-div":
+        return {method: (old, new)}
+    ds = generate(cells(seed, 1)[cell].args[0], seed, 0)
+    p = 2 + ds.w.shape[1] + ds.x.shape[1]
+    at_p = [rec["k_star"] == p for rec in old]
+    return {
+        f"{method} K*{sign}p": tuple(
+            [rec for rec, flag in zip(recs, at_p) if flag == want] for recs in (old, new)
+        )
+        for sign, want in (("=", True), (">", False))
+    }
 
 
 def run_tree(root: Path, seed: int, reps: int) -> tuple[dict[str, list[dict]], dict[str, set]]:
@@ -173,32 +197,36 @@ def main(argv=None) -> None:
     opts = parser.parse_args(argv)
     old, old_fallbacks = run_tree(opts.parent, opts.seed, opts.reps)
     new, new_fallbacks = run_tree(_HERE.parent, opts.seed, opts.reps)
-    print(f"{'cell':<38}{'method':<9}{'records':>8}{'errs-old':>9}{'errs-new':>9}"
+    print(f"{'cell':<38}{'method':<13}{'records':>8}{'errs-old':>9}{'errs-new':>9}"
           f"{'identical':>10}{'error':>6}{'k*':>4}{'reject':>7}{'max|dtau|':>11}{'max|dSE|/SE':>13}")
     wild, changed = {}, {}
     for cell, records in new.items():
         for method in dict.fromkeys(rec["method"] for rec in records):
             mine = [[r for r in recs if r["method"] == method] for recs in (old[cell], records)]
-            (n, err_old, err_new, same, errors, ks, rejects, dtau, dse), wild_drift = drift(*mine)
-            print(f"{cell:<38}{method:<9}{n:>8}{err_old:>9}{err_new:>9}{same:>10}{errors:>6}"
-                  f"{ks:>4}{rejects:>7}{dtau:>11.1e}{dse:>13.1e}", flush=True)
-            if wild_drift and method in _SOLVED:
-                fallbacks = old_fallbacks[cell] | new_fallbacks[cell]
-                for path, took in (("fallback", True), ("Newton root", False)):
-                    wild[cell, method, path] = [
-                        pair for pair in wild_drift if (pair[0]["rep"] in fallbacks) == took
+            for label, both in _groups(cell, method, opts.seed, *mine).items():
+                (n, err_old, err_new, same, errors, ks, rejects, dtau, dse), wild_drift = drift(
+                    *both)
+                print(f"{cell:<38}{label:<13}{n:>8}{err_old:>9}{err_new:>9}{same:>10}"
+                      f"{errors:>6}{ks:>4}{rejects:>7}{dtau:>11.1e}{dse:>13.1e}", flush=True)
+                if wild_drift and method in _SOLVED:
+                    fallbacks = old_fallbacks[cell] | new_fallbacks[cell]
+                    for path, took in (("fallback", True), ("Newton root", False)):
+                        wild[cell, label, path] = [
+                            pair for pair in wild_drift if (pair[0]["rep"] in fallbacks) == took
+                        ]
+                elif wild_drift:
+                    wild[cell, label, None] = wild_drift
+                if same < n:
+                    changed[cell, label] = [
+                        a["rep"] for a, b in zip(*both) if encode(a) != encode(b)
                     ]
-            elif wild_drift:
-                wild[cell, method, None] = wild_drift
-            if same < n:
-                changed[cell, method] = [a["rep"] for a, b in zip(*mine) if encode(a) != encode(b)]
-    for (cell, method, path), pairs in wild.items():
-        label = "wild SE" if path is None else f"wild SE, {path}"
+    for (cell, label, path), pairs in wild.items():
+        kind = "wild SE" if path is None else f"wild SE, {path}"
         dtau, dse = _largest(pairs)
-        print(f"{cell:<38}{method:<9}{label}: {len(pairs)} records, max|dtau| {dtau:.1e}, "
+        print(f"{cell:<38}{label:<13}{kind}: {len(pairs)} records, max|dtau| {dtau:.1e}, "
               f"max|dSE|/SE {dse:.1e}")
-    for (cell, method), reps in changed.items():
-        print(f"{cell:<38}{method:<9}changed reps: {' '.join(map(str, reps[:10]))}")
+    for (cell, label), reps in changed.items():
+        print(f"{cell:<38}{label:<13}changed reps: {' '.join(map(str, reps[:10]))}")
 
 
 if __name__ == "__main__":

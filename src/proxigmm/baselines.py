@@ -11,7 +11,8 @@ the balancing residual, and its standard error is ``pipw``'s.
 
 Each bridge has one fit per dataset: ``rgmm``, ``p2sls`` and ``pdr`` read
 one IV fit of the outcome bridge (so with as many z as w proxies ``p2sls``
-equals ``rgmm``), and ``pipw`` and ``pdr`` one treatment-bridge solve, which
+equals ``rgmm``, and both are the exactly identified fit that ``gmm-div``
+reads at K* = p), and ``pipw`` and ``pdr`` one treatment-bridge solve, which
 balances the outcome bridge's features, and one ``pipw`` report, whose
 sandwich ``pdr`` reports.
 """
@@ -36,7 +37,7 @@ from .errors import (
     SingularVariance,
     WeakRank,
 )
-from .gmm import GmmFit, _bridge_features, _fit_identity, _fit_once, _Moments
+from .gmm import GmmFit, _bridge_features, _exact_fit, _fit_identity, _fit_once, _Moments
 from .gmm import confidence_interval, wald_test
 
 _NEWTON_MAX_ITER = 50
@@ -165,40 +166,45 @@ def _require_exact_identification(ds: Dataset) -> None:
 
 def _canonical_bridge_fit(ds: Dataset) -> GmmFit:
     """The IV fit of the linear outcome bridge: the identity-weight fit of
-    its moments and its sandwich (:func:`gmm._fit_identity`).
+    its moments and its sandwich.
 
-    With as many z as w proxies the moments are instrumented by
-    ``(1, z, a, x)``, one instrument per bridge parameter; with more z
-    proxies, by the least-squares projection of the bridge features on those
-    columns, which is two-stage least squares. Either way the fit reads
-    orthonormal columns spanning those instruments, so neither it, its
-    sandwich nor its rank test depends on the units of z or x. Raises
-    :class:`WeakRank` with fewer z than w proxies or a first stage of lower
-    rank than the bridge, and :class:`RankDeficientJacobian` when the
-    instruments do not identify it.
+    With as many z as w proxies this is the exactly identified fit the
+    dataset keeps (:func:`gmm._exact_fit`): the sieve's first p terms
+    (1, a, z..., x...), standardized and orthonormalized, span the
+    instruments ``(1, z, a, x)``, one per bridge parameter, so it is also
+    the fit of ``gmm-div`` at K* = p. Degenerate instruments then raise
+    the sieve's errors: :class:`DegenerateColumn` for a constant z or x,
+    :class:`RankDeficient` for one dependent on the others or for fewer
+    rows than instruments. With more z proxies the moments are
+    instrumented by the least-squares projection of the bridge features on
+    ``(1, z, a, x)``, which is two-stage least squares, fitted on
+    orthonormal columns spanning them (:func:`gmm._fit_identity`). Either
+    way neither the fit, its sandwich nor its rank test depends on the
+    units of z or x. Raises :class:`WeakRank` with fewer z than w proxies
+    or a first stage of lower rank than the bridge, and, with more z than
+    w proxies, :class:`RankDeficientJacobian` when the instruments do not
+    identify it.
     """
     if ds.z.shape[1] < ds.w.shape[1]:
         raise WeakRank(
             f"{ds.z.shape[1]} instruments cannot identify {ds.w.shape[1]} proxy regressors"
         )
     bridge = _linear_bridge(ds)
+    if ds.z.shape[1] == ds.w.shape[1]:
+        return _fit_once(_exact_fit, ds, bridge)
     instruments = _fit_once(_instruments, ds)
     p = bridge.n_params
-    feats = None
-    if instruments.shape[1] > p:
-        feats = _bridge_features(ds, bridge).feats
-        first_stage = np.linalg.lstsq(instruments, feats, rcond=None)
-        if first_stage[2] < p:
-            raise WeakRank(f"instruments of rank {first_stage[2]} cannot identify {p} parameters")
-        instruments = instruments @ first_stage[0]
+    feats = _bridge_features(ds, bridge).feats
+    first_stage = np.linalg.lstsq(instruments, feats, rcond=None)
+    if first_stage[2] < p:
+        raise WeakRank(f"instruments of rank {first_stage[2]} cannot identify {p} parameters")
+    instruments = instruments @ first_stage[0]
     q, r = np.linalg.qr(instruments)
     # A pivot of R at rounding level (matrix_rank's tolerance) of the norm of
-    # what its column stands for (the instrument, whose norm is that of R's
-    # column, or the feature its first stage fits) marks, in any units, a
+    # the feature its column's first stage fits marks, in any units, a
     # column dependent on the earlier ones.
-    sizes = np.linalg.norm(r if feats is None else feats, axis=0)
     tol = max(instruments.shape) * _EPS
-    if r.shape[0] < p or np.any(np.abs(np.diag(r)) <= tol * sizes):
+    if r.shape[0] < p or np.any(np.abs(np.diag(r)) <= tol * np.linalg.norm(feats, axis=0)):
         raise RankDeficientJacobian(
             "instruments do not identify the bridge: a QR pivot is at rounding level"
         )
@@ -228,8 +234,12 @@ def rgmm(ds: Dataset) -> EstimateReport:
     as many treatment-side proxies as outcome-side ones so the system is
     square, and raises :class:`DimensionMismatch` otherwise. The standard
     error comes from the joint sandwich of the bridge moments and the
-    contrast moment (:func:`gmm._fit_identity`). A dataset shares this fit
-    across ``rgmm``, ``p2sls`` and ``pdr``, so ``rgmm`` equals :func:`p2sls`.
+    contrast moment, J⁻¹ΥJ⁻ᵀ. The fit is the dataset's kept exactly
+    identified fit (:func:`gmm._exact_fit`), on the sieve's first p terms,
+    which span (1, z, a, x), so a constant z or x raises
+    :class:`DegenerateColumn` and a dependent one :class:`RankDeficient`.
+    A dataset shares this fit across ``rgmm``, ``p2sls``, ``pdr`` and
+    ``gmm-div`` at K* = p, so ``rgmm`` equals :func:`p2sls` and that fit.
     """
     _require_exact_identification(ds)
     return _outcome_bridge_report(ds, "rgmm")
@@ -243,7 +253,11 @@ def p2sls(ds: Dataset) -> EstimateReport:
     heteroskedasticity-robust 2SLS sandwich with residuals taken at the
     original regressors. A dataset shares this fit across ``rgmm``,
     ``p2sls`` and ``pdr``, so with as many z as w proxies ``p2sls`` equals
-    :func:`rgmm`; fewer z than w proxies raise :class:`WeakRank`.
+    :func:`rgmm`, the kept exactly identified fit that ``gmm-div`` reads at
+    K* = p, and raises its errors. With more z than w proxies the fit is
+    two-stage least squares, and instruments that do not identify the
+    bridge raise :class:`RankDeficientJacobian`; fewer z than w proxies
+    raise :class:`WeakRank`.
     """
     return _outcome_bridge_report(ds, "p2sls")
 

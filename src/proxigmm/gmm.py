@@ -8,8 +8,7 @@ them. The feature matrices behind the scores are built once per dataset
 and bridge and kept on the dataset (:func:`_fit_once`), so the moment-count
 scan, every public fit step and the baselines' outcome-bridge fit read one
 build; the affine map is built once per instrument matrix. A fixed-weight
-fit and its sandwich are :func:`_fit`, whose identity-weight entry also fits
-the baselines' outcome bridge. Fitting proceeds in two steps: an
+fit and its sandwich are :func:`_fit`. Fitting proceeds in two steps: an
 identity-weight fit on the orthonormalized basis, then an optimally
 weighted fit whose weight is the spectrally regularized inverse of the
 estimated moment covariance, polished by a damped Newton step of the
@@ -18,24 +17,28 @@ the effect estimate where the second step put it (measured moves of at
 most 8e-8) and moves the bridge's other coefficients, so it changes the
 reported standard error, not tau: a stencil point that moves tau or the
 treatment coefficient alone reads an objective of exactly 1, so the step
-in those coordinates is noise. At the exactly identified count the first
-step is the fit, since such an estimate does not depend on its weight. The
-moment covariance is quadratic in the parameters, so the polish builds one
-O(n (K(p+1))²) Gram per fit; every objective evaluation after that does no
-work in n, and the whole finite-difference stencil is evaluated in one
-batched call.
+in those coordinates is noise. At the exactly identified count (K equal to
+the bridge dimension p) an estimate does not depend on its weight (Hansen
+1982), so the fit is the identity-weight fit and its sandwich
+J⁻¹ΥJ⁻ᵀ, with no weight and no floor. A dataset keeps that fit on the
+sieve's first p terms (:func:`_exact_fit`), and ``select_and_fit`` at
+K* = p, ``rgmm``, ``p2sls`` and ``pdr`` (with as many z as w proxies) all
+read it. The moment covariance is quadratic in the parameters, so the
+polish builds one O(n (K(p+1))²) Gram per fit; every objective evaluation
+after that does no work in n, and the whole finite-difference stencil is
+evaluated in one batched call.
 
 Spectral regularization uses an eigenvalue floor: eigenvalues of the moment
 covariance below ``SPECTRAL_FLOOR`` (1e-8) times the largest are raised to
-that floor before inverting; every fit, polish and variance uses this one
-constant. Directions above the floor get their usual optimal
-weight (so with nothing below the floor this is exactly unregularized
-optimal GMM), while near-degenerate directions are capped instead of
-amplified. The contrast moment is exactly degenerate at the initial
-estimates whenever the bridge's treatment contrast is parameter-constant
-(true for the default linear bridge), so a hard spectral cutoff would
-discard the one moment that identifies the target; the floor keeps it at a
-bounded weight and the fit separates cleanly.
+that floor before inverting; every overidentified fit, its polish and
+:func:`variance` use this one constant. Directions above the floor get
+their usual optimal weight (so with nothing below the floor this is
+exactly unregularized optimal GMM), while near-degenerate directions are
+capped instead of amplified. The contrast moment is exactly degenerate at
+the initial estimates whenever the bridge's treatment contrast is
+parameter-constant (true for the default linear bridge), so a hard
+spectral cutoff would discard the one moment that identifies the target;
+the floor keeps it at a bounded weight and the fit separates cleanly.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import numpy as np
 from .bridges import OutcomeBridge
 from .data import Dataset
 from .errors import RankDeficientJacobian, SingularVariance, TooFewMoments
-from .sieve import BasisMatrix, orthonormalize
+from .sieve import BasisMatrix, SieveSpec, build_basis, orthonormalize
 
 SPECTRAL_FLOOR = 1e-8
 # Two-sided 5% normal critical value, the standard normal 0.975 quantile:
@@ -106,10 +109,11 @@ class GmmFit:
     ``se_gamma`` / ``se_tau`` are per-observation-scaled standard errors
     (``sqrt(diag(v_hat) / n)``). ``k`` is the number of sieve moments used,
     ``k1`` the count of moment-covariance eigenvalues above the spectral
-    threshold at the first-step estimates. From :func:`fit_optimal` at K
-    equal to the parameter count, the first-step estimates are the fit, so
-    ``k1`` comes from the variance's decomposition at them and
-    ``objective_value`` is their identity-weight moment norm.
+    threshold at the first-step estimates. A fit under a fixed weight
+    (:func:`fit_initial`, :func:`fit_with_weight`) floors nothing, so its
+    ``k1`` is K + 1; so is that of :func:`fit_optimal` at K equal to the
+    parameter count, which is the identity-weight fit, whose
+    ``objective_value`` is its identity-weight moment norm.
     """
 
     gamma_hat: np.ndarray
@@ -563,13 +567,15 @@ def fit_optimal(ds: Dataset, basis: BasisMatrix, bridge: OutcomeBridge) -> GmmFi
     """Optimally weighted fit: two-step, then a continuous-updating polish.
 
     The moment system (Jacobian and constant, over the bridge features the
-    dataset keeps) is built once, and every step below reads it. Step one
-    takes the identity-weight estimates, one least-squares solve with no
-    variance. At an exactly identified count (K equal to the parameter
-    count p) those estimates zero every moment, and an exactly identified
-    GMM estimate does not depend on its weight (Hansen 1982), so they are
-    the fit. Above it, the moment covariance at those estimates is
-    eigendecomposed and inverted with eigenvalues floored at
+    dataset keeps) is built once, and every step below reads it. At an
+    exactly identified count (K equal to the parameter count p) the
+    identity-weight estimates zero every moment, and an exactly identified
+    GMM estimate does not depend on its weight (Hansen 1982), so the fit is
+    :func:`fit_initial`: those estimates, their sandwich J⁻¹ΥJ⁻ᵀ with no
+    weight and no floor, and ``k1`` = K + 1. Above it, step one takes the
+    identity-weight estimates, one least-squares solve with no variance;
+    the moment covariance at those estimates is eigendecomposed and
+    inverted with eigenvalues floored at
     ``SPECTRAL_FLOOR`` times the largest, which regularizes directions whose
     sample variance is negligible (including the structurally degenerate
     contrast direction of a parameter-constant-contrast bridge) instead of
@@ -581,26 +587,38 @@ def fit_optimal(ds: Dataset, basis: BasisMatrix, bridge: OutcomeBridge) -> GmmFi
     the coefficients of the other features but leaves ``tau`` at its
     second-step value (to within 8e-8 where measured; see that function),
     so what it changes is the moment covariance behind the reported
-    variance, not the effect estimate. The reported variance re-evaluates
-    the moment covariance at the final estimates and applies the same
-    floored inverse as the sandwich core.
+    variance, not the effect estimate. Above K = p the reported variance
+    re-evaluates the moment covariance at the final estimates and applies
+    the same floored inverse as the sandwich core (:func:`variance`).
     """
     basis = _prepare(basis)
     return _fit_optimal(_Moments.build(ds, basis.u, bridge))
 
 
 def _fit_optimal(moments: _Moments) -> GmmFit:
-    """:func:`fit_optimal` on a moment system already built. At K = p the
-    variance's decomposition is the first step's, and gives ``k1``."""
+    """:func:`fit_optimal` on a moment system already built."""
     k = moments.u.shape[1]
+    if k == moments.jac.shape[1] - 1:
+        return _fit_identity(moments)
     beta, obj = _least_squares(moments.jac, moments.const, np.eye(k + 1))
-    first = None
-    if k > beta.shape[0] - 1:
-        first = regularize_moments(estimate_upsilon(moments.scores(beta)))
-        beta, obj = _least_squares(moments.jac, moments.const, first.floored_weight_sqrt())
-        beta, obj = _refine_continuous_update(moments, beta)
-    v_hat, se, final = _sandwich(moments, beta)
-    return _gmm_fit(moments, beta, obj, v_hat, se, (final if first is None else first).k1)
+    first = regularize_moments(estimate_upsilon(moments.scores(beta)))
+    beta, obj = _least_squares(moments.jac, moments.const, first.floored_weight_sqrt())
+    beta, obj = _refine_continuous_update(moments, beta)
+    v_hat, se = _sandwich(moments, beta)
+    return _gmm_fit(moments, beta, obj, v_hat, se, first.k1)
+
+
+def _exact_fit(ds: Dataset, bridge: OutcomeBridge) -> GmmFit:
+    """The exactly identified fit of ``bridge`` on ``ds``: :func:`fit_optimal`
+    on the orthonormalized first ``p`` sieve terms, ``p`` the bridge
+    dimension, which is their identity-weight fit (:func:`fit_initial`).
+
+    Callers read it through :func:`_fit_once`, so a dataset fits it once:
+    ``select_and_fit`` at K* = p and the baselines' outcome-bridge fit with
+    as many z as w proxies (whose instruments (1, z, a, x) those terms
+    span) share it.
+    """
+    return fit_initial(ds, build_basis(ds, SieveSpec(), bridge.n_params), bridge)
 
 
 def variance(
@@ -611,7 +629,10 @@ def variance(
     The moment covariance is re-evaluated at the final estimates,
     redecomposed with eigenvalues floored at ``SPECTRAL_FLOOR`` times the
     largest, and the variance is the inverse of the Jacobian quadratic form
-    in the floored weight, whatever weight the fit itself used. Raises
+    in the floored weight, whatever weight the fit itself used. So at an
+    exactly identified count, where :func:`fit_optimal` reports the
+    unfloored sandwich, it differs from the fit's SE by the floor on the
+    contrast direction, about 1e-7 relative where measured. Raises
     :class:`SingularVariance` when that quadratic form cannot be inverted.
     """
     basis = _prepare(basis)
@@ -619,16 +640,14 @@ def variance(
 
 
 def _variance(fit: GmmFit, moments: _Moments) -> GmmFit:
-    v_hat, se, _ = _sandwich(moments, np.append(fit.gamma_hat, fit.tau_hat))
+    v_hat, se = _sandwich(moments, np.append(fit.gamma_hat, fit.tau_hat))
     p = fit.gamma_hat.shape[0]
     return replace(fit, se_gamma=se[:p], se_tau=float(se[p]), v_hat=v_hat)
 
 
-def _sandwich(
-    moments: _Moments, beta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, MomentDecomposition]:
-    """The floored-weight variance at ``beta``, its per-observation-scaled
-    standard errors, and the decomposition of the moment covariance there."""
+def _sandwich(moments: _Moments, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The floored-weight variance at ``beta`` and its per-observation-scaled
+    standard errors."""
     decomp = regularize_moments(estimate_upsilon(moments.scores(beta)))
     jac = moments.jac
     bread = jac.T @ decomp.floored_weight() @ jac
@@ -640,7 +659,7 @@ def _sandwich(
         ) from exc
     v_hat = chol_inv.T @ chol_inv
     se = np.sqrt(np.maximum(np.diag(v_hat), 0.0) / moments.u.shape[0])
-    return v_hat, se, decomp
+    return v_hat, se
 
 
 class _Estimate(Protocol):

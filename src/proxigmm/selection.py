@@ -36,7 +36,7 @@ import numpy as np
 from .bridges import OutcomeBridge
 from .data import Dataset
 from .errors import AllCandidatesSingular, DimensionMismatch, RankDeficient
-from .gmm import GmmFit, _fit_optimal, _Moments
+from .gmm import GmmFit, _exact_fit, _fit_once, _fit_optimal, _Moments
 from .sieve import BasisMatrix, SieveSpec, build_basis, orthonormalize
 
 
@@ -268,13 +268,20 @@ def select_and_fit(
 ) -> tuple[GmmFit, SelectionDiagnostics]:
     """Run the moment-count scan, then the optimally weighted fit at K*.
 
-    The sieve is built once: the fit orthonormalizes the leading K* columns
-    of the raw basis the scan built, which are ``build_basis(ds, spec, K*)``
-    bit for bit, as :func:`~proxigmm.gmm.fit_optimal` on that basis would.
-    The bridge features are built once too: the scan and the fit read the
-    ones the dataset keeps.
+    Above the bridge dimension p the sieve is built once: the fit
+    orthonormalizes the leading K* columns of the raw basis the scan built,
+    which are ``build_basis(ds, spec, K*)`` bit for bit, as
+    :func:`~proxigmm.gmm.fit_optimal` on that basis would. At K* = p the
+    fit is the exactly identified fit the dataset keeps
+    (``gmm._exact_fit``), which is that same fit bit for bit and the one
+    ``rgmm``, ``p2sls`` and ``pdr`` read; on a dataset no baseline has
+    fitted, it builds the p-column basis once more. The bridge features
+    are built once too: the scan and the fit read the ones the dataset
+    keeps.
     """
     diag, raw = _scan(ds, bridge, spec, k_bar)
+    if diag.k_star == bridge.n_params:
+        return _fit_once(_exact_fit, ds, bridge), diag
     # A fresh K*-column QR rather than the scan's orthonormal columns: those
     # match it only to rounding (bit for bit only when K* is k_bar), and the
     # fit at K* must not depend on the cap it was selected under. The raw

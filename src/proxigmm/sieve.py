@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -88,12 +89,21 @@ class BasisMatrix:
 
 def _univariate_levels(name: str, col: np.ndarray) -> list[np.ndarray]:
     """Levels 1, 2, 3 of one variable: powers of its standardized value,
-    formed by multiplication (``std**3`` would call libm ``pow``)."""
-    mean = float(np.mean(col))
-    sd = float(np.std(col))
-    if sd < _ZERO_TOL:
+    formed by multiplication (``std**3`` would call libm ``pow``).
+
+    The mean and standard deviation are the reductions ``np.mean`` and
+    ``np.std`` run, bit for bit, with the deviations formed once. A
+    variable is constant when its standard deviation is at most
+    ``_ZERO_TOL`` times its mean's magnitude (to first order, times its
+    root mean square), so the test does not depend on the variable's units.
+    """
+    n = col.shape[0]
+    mean = float(np.add.reduce(col) / n)
+    dev = col - mean
+    sd = math.sqrt(np.add.reduce(dev * dev) / n)
+    if sd <= _ZERO_TOL * abs(mean):
         raise DegenerateColumn(f"variable {name!r} is constant; cannot standardize")
-    std = (col - mean) / sd
+    std = dev / sd
     square = std * std
     return [std, square, square * std]
 

@@ -29,12 +29,15 @@ from proxigmm import (
     pdr,
     pipw,
     rgmm,
+    select_and_fit,
 )
-from proxigmm import baselines, run_replications, simulation
+from proxigmm import baselines, run_replications, selection, simulation
 from proxigmm.errors import (
+    DegenerateColumn,
     DimensionMismatch,
     NoConvergence,
     ProxiGmmError,
+    RankDeficient,
     RankDeficientDesign,
     RankDeficientJacobian,
     SingularVariance,
@@ -84,17 +87,28 @@ class TestOracles:
     )
     def test_rgmm_and_p2sls_do_not_depend_on_the_units_of_z_or_x(self, config, rep):
         # Rescaling z or x rescales the instruments and the bridge's x
-        # coefficient; the effect and its SE stay where they were. Measured:
-        # at most 2.2e-7 absolute in tau and 3.2e-8 relative in SE, both at
-        # x * 1e-9.
+        # coefficient; the effect and its SE stay where they were, and so
+        # do select_and_fit's, whose sieve standardizes z. Measured: at most
+        # 4.4e-7 absolute in tau and 7.0e-8 relative in SE, both at x * 1e-9,
+        # and at most 6.4e-12 and 9.8e-9 at any z scale. x also enters the
+        # bridge's features, whose least-squares solve is not equilibrated:
+        # at x * 10^+-12 or 10^+-13 tau moves by up to 2.5e-3, so x stops at
+        # 10^+-9.
         ds = generate(config, 3, rep)
-        for estimator in (rgmm, p2sls):
+        bridge = OutcomeBridge.linear(1, 1)
+
+        def gmm_div(ds):
+            return select_and_fit(ds, bridge, SieveSpec(), 12)[0]
+
+        scales = {"z": (-13, -12, -9, -6, -3, 3, 6, 9, 12, 13), "x": (-9, -6, -3, 3, 6, 9)}
+        for estimator, roles in ((rgmm, "zx"), (p2sls, "zx"), (gmm_div, "z")):
             base = estimator(ds)
-            for role, power in itertools.product("zx", (-9, -6, -3, 3, 6, 9)):
-                scaled = dataclasses.replace(ds, **{role: getattr(ds, role) * 10.0**power})
-                scaled = estimator(scaled)
-                assert scaled.tau_hat == pytest.approx(base.tau_hat, rel=0, abs=1e-6)
-                assert scaled.se_tau == pytest.approx(base.se_tau, rel=1e-6)
+            for role in roles:
+                for power in scales[role]:
+                    scaled = dataclasses.replace(ds, **{role: getattr(ds, role) * 10.0**power})
+                    scaled = estimator(scaled)
+                    assert scaled.tau_hat == pytest.approx(base.tau_hat, rel=0, abs=1e-6)
+                    assert scaled.se_tau == pytest.approx(base.se_tau, rel=1e-6)
 
     @pytest.mark.parametrize(
         "config, rep",
@@ -123,25 +137,32 @@ class TestOracles:
         [(ScenarioConfig("I", 400), 0), (ScenarioConfig("II", 800), 1)],
         ids=["I-400-0", "II-800-1"],
     )
-    def test_dependent_instruments_are_a_rank_deficient_jacobian_in_any_units(
-        self, config, rep
-    ):
-        # A z proxy equal to x, to x in other units, constant or zero leaves
-        # the instruments (1, z, a, x) linearly dependent, whatever their units.
+    def test_dependent_instruments_are_a_sieve_error_in_any_units(self, config, rep):
+        # A z proxy equal to x or to x in other units leaves the sieve's
+        # first p terms (1, a, z1, x1), which span the instruments
+        # (1, z, a, x), linearly dependent, whatever their units; a
+        # constant or zero z proxy cannot be standardized.
         ds = generate(config, 3, rep)
-        for z in (ds.x, 1e9 * ds.x, 1e-9 * ds.x, np.full_like(ds.z, 2.5), 0.0 * ds.z):
+        cases = [
+            (ds.x, RankDeficient, "'x1' is linearly dependent"),
+            (1e9 * ds.x, RankDeficient, "'x1' is linearly dependent"),
+            (1e-9 * ds.x, RankDeficient, "'x1' is linearly dependent"),
+            (np.full_like(ds.z, 2.5), DegenerateColumn, "'z1' is constant"),
+            (0.0 * ds.z, DegenerateColumn, "'z1' is constant"),
+        ]
+        for z, error, message in cases:
             dependent = dataclasses.replace(ds, z=z)
             for estimator in (rgmm, p2sls, pdr):
-                with pytest.raises(RankDeficientJacobian, match="do not identify"):
+                with pytest.raises(error, match=message):
                     estimator(dependent)
 
-    @pytest.mark.parametrize("rows", [2, 3])
-    def test_fewer_rows_than_instruments_is_a_rank_deficient_jacobian(self, rows):
-        # Four instruments (1, z, a, x) on fewer rows: R has a pivot per row
-        # only, and the columns past the last row are dependent.
+    @pytest.mark.parametrize("rows, column", [(2, "z1"), (3, "x1")])
+    def test_fewer_rows_than_instruments_is_rank_deficient(self, rows, column):
+        # Four instruments (1, a, z1, x1) on fewer rows: R has a pivot per
+        # row only, and the first column past the last row pivots on zero.
         ds = generate(ScenarioConfig("I", 400), 3, 0)
         head = {role: getattr(ds, role)[:rows] for role in ("y", "a", "z", "w", "x")}
-        with pytest.raises(RankDeficientJacobian, match="do not identify"):
+        with pytest.raises(RankDeficient, match=f"'{column}' is linearly dependent"):
             rgmm(dataclasses.replace(ds, **head))
 
     @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
@@ -161,15 +182,17 @@ class TestOracles:
 
     @pytest.mark.parametrize("fixture", ["scenario1_ds", "scenario2_ds"])
     def test_gmm_div_at_the_bridge_dimension_is_rgmm(self, fixture, request):
-        # The sieve's first p terms (1, a, z1, x1) span rgmm's instruments.
-        # The floor on the contrast direction leaves the SE about 1e-7
-        # relative from rgmm's.
+        # rgmm fits its instruments (1, z1, a, x1) on the sieve's first p
+        # terms (1, a, z1, x1), which span them, and at K = p fit_optimal is
+        # the identity-weight fit with its unfloored sandwich: the two are
+        # one fit, bit for bit.
         ds = request.getfixturevalue(fixture)
         bridge = OutcomeBridge.linear(1, 1)
         basis = orthonormalize(build_basis(ds, SieveSpec(), bridge.n_params))
         fit, report = fit_optimal(ds, basis, bridge), rgmm(ds)
-        assert report.tau_hat == pytest.approx(fit.tau_hat, rel=0, abs=1e-12)
-        assert report.se_tau == pytest.approx(fit.se_tau, rel=1e-6)
+        assert report.tau_hat == fit.tau_hat
+        assert report.se_tau == fit.se_tau
+        np.testing.assert_array_equal(report.aux["gamma_hat"], fit.gamma_hat)
 
     @pytest.mark.parametrize("d_z", [2, 3])
     def test_overidentified_p2sls_is_textbook_2sls(self, d_z):
@@ -378,19 +401,20 @@ def _treatment_cases() -> list[Dataset]:
     ]
 
 
-def _share_one_fit(monkeypatch, name, estimators, cases, reached=None):
+def _share_one_fit(monkeypatch, name, estimators, cases, reached=None, modules=(baselines,)):
     """Check that ``estimators``, called in either order on a dataset,
     report what each reports alone on a dataset of its own, and that they
-    and every later call run the patched ``baselines.<name>`` once per
+    and every later call run the patched ``<module>.<name>`` once per
     dataset whose fit returns, and once per call that reaches it on a
     dataset whose fit raises; a dataset made from the first with
     ``dataclasses.replace`` runs it once more. ``reached`` lists the cases
     whose calls reach it, every case by default; the first must be one.
-    Returns the reports alone, by case."""
+    ``modules`` lists the modules whose ``name`` is patched, all with one
+    counted function. Returns the reports alone, by case."""
     alone = [dict(zip(estimators, map(_outcome, estimators, pair)))
              for pair in zip(*(cases() for _ in estimators))]
     ran, raised, current = [], set(), [None]
-    real = getattr(baselines, name)
+    real = getattr(modules[0], name)
 
     def counted(*args):
         ran.append(current[0])
@@ -405,7 +429,8 @@ def _share_one_fit(monkeypatch, name, estimators, cases, reached=None):
         current[0] = id(ds)
         return _outcome(est, ds)
 
-    monkeypatch.setattr(baselines, name, counted)
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
     for order in (estimators, estimators[::-1]):
         ran.clear()
         raised.clear()
@@ -444,14 +469,31 @@ def test_pipw_and_pdr_form_one_reweighting_sandwich(monkeypatch):
     assert all(alone[case][pipw][1] == alone[case][pdr][1] for case in (0, 1))
 
 
+def _gmm_div(ds: Dataset) -> EstimateReport:
+    """``gmm-div``'s fit at k_bar 12 as a report, its bridge fit as ``aux``."""
+    bridge = OutcomeBridge.linear(ds.w.shape[1], ds.x.shape[1])
+    fit = select_and_fit(ds, bridge, SieveSpec(), 12)[0]
+    return EstimateReport("gmm-div", fit.tau_hat, fit.se_tau, ds.n, {"gamma_hat": fit.gamma_hat})
+
+
 def test_rgmm_p2sls_and_pdr_share_one_outcome_bridge_fit(monkeypatch):
     # Case 1 is pdr's minimum-norm fallback; case 2 has five instruments
-    # for four parameters, which only p2sls fits.
+    # for four parameters, which only p2sls fits. With as many z as w
+    # proxies the fit is the exactly identified one the dataset keeps, and
+    # gmm-div reads it where it selects K* = p: on I/400 seed 3 rep 0, not
+    # on case 0, which selects K* > p.
     cases = lambda: _treatment_cases()[:3]
     alone = _share_one_fit(monkeypatch, "_canonical_bridge_fit", (rgmm, p2sls, pdr), cases)
     assert alone[2][rgmm] == alone[2][pdr] and alone[2][rgmm].startswith("DimensionMismatch")
     assert all(alone[case][rgmm] == alone[case][p2sls] for case in (0, 1))
     assert np.isfinite(alone[2][p2sls][0])
+    cases = lambda: [generate(ScenarioConfig("I", 400), 3, 0), _treatment_cases()[0]]
+    estimators = (rgmm, p2sls, pdr, _gmm_div)
+    alone = _share_one_fit(
+        monkeypatch, "_exact_fit", estimators, cases, modules=(baselines, selection)
+    )
+    assert alone[0][_gmm_div] == alone[0][rgmm] == alone[0][p2sls]
+    assert alone[1][_gmm_div][0] != alone[1][rgmm][0]
 
 
 def test_the_proximal_baselines_build_the_instrument_columns_once(monkeypatch):

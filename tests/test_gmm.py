@@ -179,24 +179,24 @@ class TestExactlyIdentified:
 
 
 @pytest.mark.parametrize("scenario, n", [("I", 400), ("II", 800)])
-def test_an_exactly_identified_fit_is_the_first_step(scenario, n, linear_bridge, monkeypatch):
+def test_an_exactly_identified_fit_is_fit_initial(scenario, n, linear_bridge, monkeypatch):
     # At K = p the identity-weight estimates zero every moment, so no
-    # weight can move them: the fit decomposes one moment covariance, for
-    # its variance, and that one is the first step's.
+    # weight can move them, and their sandwich J^-1 Upsilon J^-T needs no
+    # weight either: the fit is fit_initial bit for bit, floors nothing and
+    # decomposes no moment covariance.
     ds = generate(ScenarioConfig(scenario, n), 5, 0)
     basis = _basis(ds, linear_bridge.n_params)
     init = fit_initial(ds, basis, linear_bridge)
-    first_step = regularize_moments(
-        estimate_upsilon(joint_score(ds, basis, linear_bridge, init.gamma_hat, init.tau_hat))
-    )
     calls = []
     real = gmm.regularize_moments
     monkeypatch.setattr(gmm, "regularize_moments", lambda ups: calls.append(1) or real(ups))
     fit = fit_optimal(ds, basis, linear_bridge)
-    assert len(calls) == 1
+    assert calls == []
     assert fit.tau_hat == init.tau_hat
     np.testing.assert_array_equal(fit.gamma_hat, init.gamma_hat)
-    assert fit.k1 == first_step.k1 == linear_bridge.n_params
+    assert fit.se_tau == init.se_tau
+    np.testing.assert_array_equal(fit.se_gamma, init.se_gamma)
+    assert fit.k1 == init.k1 == linear_bridge.n_params + 1
     assert fit.objective_value == init.objective_value
 
 

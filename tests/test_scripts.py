@@ -56,11 +56,23 @@ def test_records_drift_of_a_tree_against_itself_is_nil(capsys):
         "max|dtau|", "max|dSE|/SE",
     ]
     rows = [line.rsplit(None, 9) for line in lines]
-    assert len(rows) == 6 * len(METHODS) + 1
-    cells = {row[0].rsplit(None, 1)[0] for row in rows}
+    # Every cell has gmm-div, on two lines: K* = p and K* > p.
+    assert len(rows) == 6 * len(METHODS) + 1 + 7
+    labels = [row[0].split("  ")[-1].strip() for row in rows]
+    assert labels.count("gmm-div K*=p") == labels.count("gmm-div K*>p") == 7
+    assert "gmm-div" not in labels
+    cells = {row[0].split("  ")[0] for row in rows}
     assert len(cells) == 7 and "II/3200 gmm-div k_bar 20, 2 workers" in cells
-    for row in rows:
-        assert row[1:] == ["2", "0", "0", "2", "0", "0", "0", "0.0e+00", "0.0e+00"]
+    for row, label in zip(rows, labels):
+        if label.startswith("gmm-div"):
+            assert row[2:] == ["0", "0", row[1], "0", "0", "0", "0.0e+00", "0.0e+00"]
+        else:
+            assert row[1:] == ["2", "0", "0", "2", "0", "0", "0", "0.0e+00", "0.0e+00"]
+    split = {}
+    for row, label in zip(rows, labels):
+        if label.startswith("gmm-div"):
+            split.setdefault(row[0].split("  ")[0], []).append(int(row[1]))
+    assert all(sum(counts) == 2 for counts in split.values())
 
 
 def test_records_drift_lists_the_first_changed_reps(capsys, monkeypatch):
@@ -96,15 +108,52 @@ def test_records_drift_lists_the_first_changed_reps(capsys, monkeypatch):
         ["cell", "pipw", "12", "0", "0", "10", "0", "0", "0", "2.5e-01", "0.0e+00"],
     ]
     assert lines[2:5] == [
-        f"{'cell':<38}{'naive':<9}wild SE: 1 records, max|dtau| 1.0e+00, max|dSE|/SE 5.0e+00",
-        f"{'cell':<38}{'pipw':<9}wild SE, fallback: 1 records, max|dtau| 1.0e+00, "
+        f"{'cell':<38}{'naive':<13}wild SE: 1 records, max|dtau| 1.0e+00, max|dSE|/SE 5.0e+00",
+        f"{'cell':<38}{'pipw':<13}wild SE, fallback: 1 records, max|dtau| 1.0e+00, "
         "max|dSE|/SE 5.0e+00",
-        f"{'cell':<38}{'pipw':<9}wild SE, Newton root: 1 records, max|dtau| 0.0e+00, "
+        f"{'cell':<38}{'pipw':<13}wild SE, Newton root: 1 records, max|dtau| 0.0e+00, "
         "max|dSE|/SE 0.0e+00",
     ]
     assert lines[5:] == [
-        f"{'cell':<38}{'naive':<9}changed reps: 0 1 2 3 4 5 6 7 8 9",
-        f"{'cell':<38}{'pipw':<9}changed reps: 3 5",
+        f"{'cell':<38}{'naive':<13}changed reps: 0 1 2 3 4 5 6 7 8 9",
+        f"{'cell':<38}{'pipw':<13}changed reps: 3 5",
+    ]
+
+
+def test_records_drift_splits_gmm_div_by_the_k_star_of_the_tree_compared_against(
+    capsys, monkeypatch
+):
+    # A stubbed pair of I/400 trees (bridge dimension 4) with six gmm-div
+    # records. The first tree selects K* = 4 on reps 0, 1 and 4, 6 on reps
+    # 2 and 3, and fails rep 5. The second moves the SE of reps 0 and 1 and
+    # selects 4 on rep 2: that rep counts with K* > p, by the first tree's K*.
+    drift = _script("records_drift")
+    first_k = {0: 4, 1: 4, 2: 6, 3: 6, 4: 4, 5: None}
+
+    def tree(second):
+        recs = []
+        for rep, k_star in first_k.items():
+            if second and rep == 2:
+                k_star = 4
+            recs.append({
+                "rep": rep, "method": "gmm-div", "tau_hat": 1.0,
+                "se_tau": 0.5 * (1.0 + 1e-7 * (second and rep in (0, 1))),
+                "ci_lo": 0.0, "ci_hi": 2.0, "reject": True, "k_star": k_star,
+                "error": "RankDeficient: stub" if k_star is None else None,
+            })
+        return {"I/400 all": recs}, {"I/400 all": set()}
+
+    trees = iter([tree(False), tree(True)])
+    monkeypatch.setattr(drift, "run_tree", lambda root, seed, reps: next(trees))
+    drift.main(["parent", "--seed", "3"])
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[2:] for line in lines[:2]] == [
+        ["gmm-div", "K*=p", "3", "0", "0", "1", "0", "0", "0", "0.0e+00", "1.0e-07"],
+        ["gmm-div", "K*>p", "3", "1", "1", "2", "0", "1", "0", "0.0e+00", "0.0e+00"],
+    ]
+    assert lines[2:] == [
+        f"{'I/400 all':<38}{'gmm-div K*=p':<13}changed reps: 0 1",
+        f"{'I/400 all':<38}{'gmm-div K*>p':<13}changed reps: 2",
     ]
 
 

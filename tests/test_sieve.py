@@ -239,10 +239,23 @@ class TestOrthonormalize:
 
 
 class TestDegenerateInputs:
-    def test_constant_proxy_column_rejected(self):
+    @pytest.mark.parametrize("level", [0.0, 1e-13, 0.1, 1.0, 1e13])
+    def test_constant_proxy_column_rejected(self, level):
+        # Constant in any units: its deviations from its mean are zero or
+        # rounding of the mean, far below 1e-12 of the mean's magnitude.
         ds = make_gaussian_dataset(n=40, seed=3)
         from dataclasses import replace
 
-        bad = replace(ds, z=np.ones_like(ds.z))
+        bad = replace(ds, z=np.full_like(ds.z, level))
         with pytest.raises(DegenerateColumn, match="'z1'"):
             build_basis(bad, SieveSpec(), 4)
+
+    @pytest.mark.parametrize("scale", [1e-13, 1e13])
+    def test_a_varying_column_in_any_units_builds_the_same_basis(self, scale):
+        # Standardizing removes the units: the basis matches to rounding.
+        ds = make_gaussian_dataset(n=40, seed=3)
+        from dataclasses import replace
+
+        base = build_basis(ds, SieveSpec(), 8)
+        scaled = build_basis(replace(ds, z=scale * ds.z, x=scale * ds.x), SieveSpec(), 8)
+        np.testing.assert_allclose(scaled.u, base.u, rtol=1e-12, atol=1e-12)
