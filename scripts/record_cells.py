@@ -10,16 +10,18 @@ from __future__ import annotations
 
 import functools
 
-from proxigmm import ScenarioConfig, run_replications
+from proxigmm import ScenarioConfig, run_replications, simulation
 from proxigmm.simulation import METHODS, MISSPEC_LEVELS
-
-FIELDS = ("rep", "method", "tau_hat", "se_tau", "ci_lo", "ci_hi", "reject", "k_star", "error")
 
 
 def encode(rec: dict) -> str:
-    """The record's ``FIELDS``, floats as ``float.hex``, tab-separated: two
-    records are bit-identical when their encodings are equal."""
-    return "\t".join(v.hex() if isinstance(v, float) else repr(v) for v in map(rec.get, FIELDS))
+    """The record's ``simulation.RECORD_FIELDS``, floats as ``float.hex``,
+    tab-separated: two records are bit-identical when their encodings are
+    equal. The fields are looked up here, when a record is encoded, so
+    that ``records_drift.py`` can load ``cells`` against a tree that
+    predates them."""
+    fields = simulation.RECORD_FIELDS
+    return "\t".join(v.hex() if isinstance(v, float) else repr(v) for v in map(rec.get, fields))
 
 
 def cells(seed: int, reps: int) -> dict:

@@ -37,6 +37,7 @@ from .simulation import (
     DEFAULT_K_BAR,
     METHODS,
     MISSPEC_LEVELS,
+    RECORD_FIELDS,
     ScenarioConfig,
     _check_methods,
     k_histogram,
@@ -99,8 +100,7 @@ def _write_summary(out_dir: str, fmt: str, header: tuple[str, ...], rows) -> str
 
 def _write_estimates(out_dir: str, records) -> str:
     path = os.path.join(out_dir, "estimates.csv")
-    header = ("rep", "method", "tau_hat", "se_tau", "ci_lo", "ci_hi", "reject", "k_star", "error")
-    _write_rows(path, header, ([r[c] for c in header] for r in records))
+    _write_rows(path, RECORD_FIELDS, ([r[c] for c in RECORD_FIELDS] for r in records))
     return path
 
 

@@ -8,11 +8,14 @@ them. The feature matrices behind the scores are built once per dataset
 and bridge and kept on the dataset (:func:`_fit_once`), so the moment-count
 scan, every public fit step and the baselines' outcome-bridge fit read one
 build; the affine map is built once per instrument matrix. A fixed-weight
-fit and its sandwich are :func:`_fit`. Fitting proceeds in two steps: an
-identity-weight fit on the orthonormalized basis, then an optimally
-weighted fit whose weight is the spectrally regularized inverse of the
-estimated moment covariance, polished by a damped Newton step of the
-continuously updated objective. For the linear bridge that polish leaves
+fit and its sandwich are :func:`_fit`. Every weighted system W½J, of the
+fits, the floored sandwich and the moment-count scan, is one SVD on
+unit-norm columns (:func:`_solve`), which gives the estimates, the rank
+test and the bread (J'WJ)⁻¹ in any units of w, x and z. Fitting proceeds
+in two steps: an identity-weight fit on the orthonormalized basis, then an
+optimally weighted fit whose weight is the spectrally regularized inverse
+of the estimated moment covariance, polished by a damped Newton step of
+the continuously updated objective. For the linear bridge that polish leaves
 the effect estimate where the second step put it (measured moves of at
 most 8e-8) and moves the bridge's other coefficients, so it changes the
 reported standard error, not tau: a stencil point that moves tau or the
@@ -51,7 +54,7 @@ import numpy as np
 
 from .bridges import OutcomeBridge
 from .data import Dataset
-from .errors import RankDeficientJacobian, SingularVariance, TooFewMoments
+from .errors import ProxiGmmError, RankDeficientJacobian, SingularVariance, TooFewMoments
 from .sieve import BasisMatrix, SieveSpec, build_basis, orthonormalize
 
 SPECTRAL_FLOOR = 1e-8
@@ -145,19 +148,16 @@ class GmmFit:
 class _Features:
     """An outcome bridge's feature matrices on one dataset.
 
-    The features at the observed treatment (``feats``), at a = 1
-    (``treated``) and at a = 0 (``untreated``) do not depend on the
-    parameters or on the instruments, so they are built once per dataset
-    and bridge, and every moment system instrumenting that bridge on that
-    dataset reads them. ``contrast`` is ``treated - untreated`` and
-    ``contrast_mean`` its column mean, the mean parameter gradient of the
-    treatment contrast.
+    The features at the observed treatment (``feats``) and the treatment
+    contrast ``contrast``, the features at a = 1 less those at a = 0, do
+    not depend on the parameters or on the instruments, so they are built
+    once per dataset and bridge, and every moment system instrumenting that
+    bridge on that dataset reads them. ``contrast_mean`` is the contrast's
+    column mean, the mean parameter gradient of the treatment contrast.
     """
 
     y: np.ndarray
     feats: np.ndarray
-    treated: np.ndarray
-    untreated: np.ndarray
     contrast: np.ndarray
     contrast_mean: np.ndarray
 
@@ -165,10 +165,8 @@ class _Features:
     def build(cls, ds: Dataset, bridge: OutcomeBridge) -> _Features:
         ones = np.ones(ds.n)
         feats = bridge.grad(ds.w, ds.a, ds.x)
-        treated = bridge.grad(ds.w, ones, ds.x)
-        untreated = bridge.grad(ds.w, 0.0 * ones, ds.x)
-        contrast = treated - untreated
-        return cls(ds.y, feats, treated, untreated, contrast, contrast.mean(axis=0))
+        contrast = bridge.grad(ds.w, ones, ds.x) - bridge.grad(ds.w, 0.0 * ones, ds.x)
+        return cls(ds.y, feats, contrast, contrast.mean(axis=0))
 
 
 @dataclass(frozen=True)
@@ -209,11 +207,10 @@ class _Moments:
         f = self.features
         gamma, tau = beta[:-1], beta[-1]
         resid = f.y - f.feats @ gamma
-        contrast = f.treated @ gamma - f.untreated @ gamma
         n, k = self.u.shape
         s = np.empty((n, k + 1))
         s[:, :k] = self.u * resid[:, None]
-        s[:, k] = tau - contrast
+        s[:, k] = tau - f.contrast @ gamma
         return s
 
 
@@ -288,28 +285,48 @@ def _prepare(basis: BasisMatrix) -> BasisMatrix:
     return basis if basis.orthonormal else orthonormalize(basis)
 
 
+def _solve(lhs: np.ndarray, rhs: np.ndarray, error: type[ProxiGmmError]):
+    """Least-squares solutions of ``lhs @ beta = rhs``, the ranks of ``lhs``
+    and the inverses of ``lhs' lhs``, for one (m, q) system or a stack.
+
+    With S the column norms, one SVD ``lhs S⁻¹ = UΣV'`` gives the solution
+    S⁻¹VΣ⁻¹U'rhs and the inverse S⁻¹VΣ⁻²V'S⁻¹, so none of the three depends
+    on the units of a column. The rank counts singular values above eps
+    times the largest (a zero column is dependent); below q the solution
+    and inverse are not meaningful. Raises ``ValueError`` on non-finite
+    input and ``error``, the caller's type, when the SVD does not converge.
+    """
+    _check_finite(lhs, rhs)
+    norms = np.sqrt(np.square(lhs).sum(axis=-2))
+    scale = norms + (norms == 0.0)  # a zero column is scaled by 1
+    try:
+        left, sing, right_t = np.linalg.svd(lhs / scale[..., None, :], full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise error("the SVD of the weighted moment Jacobian did not converge") from exc
+    counted = sing > np.finfo(float).eps * sing[..., :1]
+    # Σ⁻¹V'S⁻¹, whose product with its transpose on the left is the inverse.
+    half_t = right_t / (np.where(counted, sing, 1.0)[..., :, None] * scale[..., None, :])
+    beta = ((rhs[..., None, :] @ left) @ half_t)[..., 0, :]
+    return beta, counted.sum(axis=-1), half_t.swapaxes(-1, -2) @ half_t
+
+
 def _least_squares(
     jac: np.ndarray, const: np.ndarray, w_half: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Minimizer and value of ``|w_half @ (const + jac @ beta)|²``.
-
-    The rank counts singular values above eps times the largest (LAPACK
-    ``gelsd`` with ``rcond`` eps). Raises :class:`RankDeficientJacobian`
-    when the moments do not identify ``beta``, and ``ValueError`` when they
-    or the weight are not finite.
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """Minimizer and value of ``|w_half @ (const + jac @ beta)|²``, and the
+    bread inverse (J'WJ)⁻¹ for W = ``w_half²``, from one :func:`_solve`.
+    Raises :class:`RankDeficientJacobian` when the moments do not identify
+    ``beta`` or the SVD fails.
     """
     p1 = jac.shape[1]
-    lhs = w_half @ jac
-    rhs = -(w_half @ const)
-    _check_finite(lhs, rhs)
-    beta, _, rank, _ = np.linalg.lstsq(lhs, rhs, rcond=np.finfo(float).eps)
+    beta, rank, bread_inv = _solve(w_half @ jac, -(w_half @ const), RankDeficientJacobian)
     if rank < p1:
         raise RankDeficientJacobian(
             f"moment Jacobian has rank {rank} < {p1}; instruments do not "
             "identify the bridge parameters"
         )
     g_final = const + jac @ beta
-    return beta, float(g_final @ (w_half.T @ (w_half @ g_final)))
+    return beta, float(g_final @ (w_half.T @ (w_half @ g_final))), bread_inv
 
 
 def _gram_moments(moments: _Moments):
@@ -517,7 +534,7 @@ def fit_with_weight(
     if np.min(vals) < -1e-10 * max(np.max(np.abs(vals)), 1.0):
         raise SingularVariance("weight matrix is not positive semidefinite")
     w_half = (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
-    return _fit(_Moments.build(ds, basis.u, bridge), weight, w_half)
+    return _fit(_Moments.build(ds, basis.u, bridge), w_half)
 
 
 def fit_initial(ds: Dataset, basis: BasisMatrix, bridge: OutcomeBridge) -> GmmFit:
@@ -532,21 +549,17 @@ def fit_initial(ds: Dataset, basis: BasisMatrix, bridge: OutcomeBridge) -> GmmFi
 
 def _fit_identity(moments: _Moments) -> GmmFit:
     """:func:`_fit` under the identity weight."""
-    eye = np.eye(moments.jac.shape[0])
-    return _fit(moments, eye, eye)
+    return _fit(moments, np.eye(moments.jac.shape[0]))
 
 
-def _fit(moments: _Moments, weight: np.ndarray, w_half: np.ndarray) -> GmmFit:
-    """The fit under a fixed ``weight`` with symmetric square root ``w_half``,
-    and its general sandwich at the moment covariance there."""
-    beta, obj = _least_squares(moments.jac, moments.const, w_half)
+def _fit(moments: _Moments, w_half: np.ndarray) -> GmmFit:
+    """The fit under the fixed weight W with symmetric square root
+    ``w_half``, and its general sandwich at the moment covariance there:
+    the solve's bread inverse (J'WJ)⁻¹ around the meat J'WΥWJ."""
+    beta, obj, bread_inv = _least_squares(moments.jac, moments.const, w_half)
     upsilon = estimate_upsilon(moments.scores(beta))
-    jac = moments.jac
-    try:
-        bread_inv = np.linalg.inv(jac.T @ weight @ jac)
-    except np.linalg.LinAlgError as exc:
-        raise SingularVariance("weighted Jacobian cross-product is singular") from exc
-    v_hat = bread_inv @ (jac.T @ weight @ upsilon @ weight @ jac) @ bread_inv
+    weighted = w_half @ moments.jac
+    v_hat = bread_inv @ (weighted.T @ w_half @ upsilon @ w_half @ weighted) @ bread_inv
     dv = np.diag(v_hat)
     if np.any(dv < -1e-8 * max(np.max(np.abs(dv)), 1.0)):
         raise SingularVariance("sandwich variance has a negative diagonal entry")
@@ -568,28 +581,17 @@ def fit_optimal(ds: Dataset, basis: BasisMatrix, bridge: OutcomeBridge) -> GmmFi
 
     The moment system (Jacobian and constant, over the bridge features the
     dataset keeps) is built once, and every step below reads it. At an
-    exactly identified count (K equal to the parameter count p) the
-    identity-weight estimates zero every moment, and an exactly identified
-    GMM estimate does not depend on its weight (Hansen 1982), so the fit is
-    :func:`fit_initial`: those estimates, their sandwich J⁻¹ΥJ⁻ᵀ with no
-    weight and no floor, and ``k1`` = K + 1. Above it, step one takes the
-    identity-weight estimates, one least-squares solve with no variance;
-    the moment covariance at those estimates is eigendecomposed and
-    inverted with eigenvalues floored at
-    ``SPECTRAL_FLOOR`` times the largest, which regularizes directions whose
-    sample variance is negligible (including the structurally degenerate
-    contrast direction of a parameter-constant-contrast bridge) instead of
-    letting them dominate the weight; the floored-weight solution is then
-    polished by one damped Newton step of the continuously updated
-    objective, its covariance floored by the same rule at the trial
-    parameters (:func:`_refine_continuous_update`, whose finite-difference
-    stencil is one batched call). For the linear bridge the polish moves
-    the coefficients of the other features but leaves ``tau`` at its
-    second-step value (to within 8e-8 where measured; see that function),
-    so what it changes is the moment covariance behind the reported
-    variance, not the effect estimate. Above K = p the reported variance
-    re-evaluates the moment covariance at the final estimates and applies
-    the same floored inverse as the sandwich core (:func:`variance`).
+    exactly identified count (K equal to the parameter count p) an estimate
+    does not depend on its weight (Hansen 1982), so the fit is
+    :func:`fit_initial`: its sandwich J⁻¹ΥJ⁻ᵀ has no weight and no floor,
+    and ``k1`` is K + 1. Above it, the identity-weight estimates (one solve,
+    no variance) give the moment covariance, whose inverse with eigenvalues
+    floored at ``SPECTRAL_FLOOR`` times the largest weights the second
+    step; the floor caps directions of negligible sample variance, the
+    contrast direction of the linear bridge included. One damped Newton
+    step of the continuously updated objective polishes that solution
+    (:func:`_refine_continuous_update`), and the reported variance is the
+    floored sandwich at the final estimates (:func:`variance`).
     """
     basis = _prepare(basis)
     return _fit_optimal(_Moments.build(ds, basis.u, bridge))
@@ -600,9 +602,9 @@ def _fit_optimal(moments: _Moments) -> GmmFit:
     k = moments.u.shape[1]
     if k == moments.jac.shape[1] - 1:
         return _fit_identity(moments)
-    beta, obj = _least_squares(moments.jac, moments.const, np.eye(k + 1))
+    beta, _, _ = _least_squares(moments.jac, moments.const, np.eye(k + 1))
     first = regularize_moments(estimate_upsilon(moments.scores(beta)))
-    beta, obj = _least_squares(moments.jac, moments.const, first.floored_weight_sqrt())
+    beta, _, _ = _least_squares(moments.jac, moments.const, first.floored_weight_sqrt())
     beta, obj = _refine_continuous_update(moments, beta)
     v_hat, se = _sandwich(moments, beta)
     return _gmm_fit(moments, beta, obj, v_hat, se, first.k1)
@@ -646,18 +648,14 @@ def _variance(fit: GmmFit, moments: _Moments) -> GmmFit:
 
 
 def _sandwich(moments: _Moments, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The floored-weight variance at ``beta`` and its per-observation-scaled
-    standard errors."""
+    """The floored-weight variance at ``beta``, (J'WJ)⁻¹ for the floored
+    weight W, from the :func:`_solve` of W½J, and its
+    per-observation-scaled standard errors."""
     decomp = regularize_moments(estimate_upsilon(moments.scores(beta)))
-    jac = moments.jac
-    bread = jac.T @ decomp.floored_weight() @ jac
-    try:
-        chol_inv = np.linalg.inv(np.linalg.cholesky(bread))
-    except np.linalg.LinAlgError as exc:
-        raise SingularVariance(
-            "floored-weight Jacobian quadratic form is singular"
-        ) from exc
-    v_hat = chol_inv.T @ chol_inv
+    weighted = decomp.floored_weight_sqrt() @ moments.jac
+    _, rank, v_hat = _solve(weighted, np.zeros(weighted.shape[0]), SingularVariance)
+    if rank < weighted.shape[1]:
+        raise SingularVariance("floored-weight Jacobian quadratic form is singular")
     se = np.sqrt(np.maximum(np.diag(v_hat), 0.0) / moments.u.shape[0])
     return v_hat, se
 

@@ -52,6 +52,11 @@ BASELINES = {
     "pdr": baselines.pdr,
 }
 METHODS = (*BASELINES, "gmm-div")
+# The fields of a replication record (``run_replications``), in the order
+# that the CLI's estimates table and the record scripts read them.
+RECORD_FIELDS = (
+    "rep", "method", "tau_hat", "se_tau", "ci_lo", "ci_hi", "reject", "k_star", "error",
+)
 # The outcome proxy at each misspecification level, as a function of the
 # true one.
 _DISTORTIONS = {

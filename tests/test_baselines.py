@@ -86,29 +86,44 @@ class TestOracles:
         ids=["I-400-0", "II-800-1"],
     )
     def test_rgmm_and_p2sls_do_not_depend_on_the_units_of_z_or_x(self, config, rep):
-        # Rescaling z or x rescales the instruments and the bridge's x
-        # coefficient; the effect and its SE stay where they were, and so
-        # do select_and_fit's, whose sieve standardizes z. Measured: at most
-        # 4.4e-7 absolute in tau and 7.0e-8 relative in SE, both at x * 1e-9,
-        # and at most 6.4e-12 and 9.8e-9 at any z scale. x also enters the
-        # bridge's features, whose least-squares solve is not equilibrated:
-        # at x * 10^+-12 or 10^+-13 tau moves by up to 2.5e-3, so x stops at
-        # 10^+-9.
+        # Rescaling z, x or w rescales the instruments or the bridge's
+        # features and coefficients; the effect and its SE stay where they
+        # were, and so do select_and_fit's under z, whose sieve standardizes
+        # z. Every weighted moment system is solved on unit-norm columns
+        # (gmm._solve), so x and w in any units lose no digits either.
+        # Measured up to 10^+-13: at most 3.4e-15 absolute in tau and
+        # 1.7e-15 relative in SE for rgmm and p2sls, and 4.1e-12 and 1.6e-12
+        # for select_and_fit under z.
         ds = generate(config, 3, rep)
         bridge = OutcomeBridge.linear(1, 1)
 
         def gmm_div(ds):
             return select_and_fit(ds, bridge, SieveSpec(), 12)[0]
 
-        scales = {"z": (-13, -12, -9, -6, -3, 3, 6, 9, 12, 13), "x": (-9, -6, -3, 3, 6, 9)}
-        for estimator, roles in ((rgmm, "zx"), (p2sls, "zx"), (gmm_div, "z")):
+        powers = (-13, -12, -9, -6, -3, 3, 6, 9, 12, 13)
+        cases = ((rgmm, "zxw", 1e-12), (p2sls, "zxw", 1e-12), (gmm_div, "z", 1e-10))
+        for estimator, roles, tol in cases:
             base = estimator(ds)
-            for role in roles:
-                for power in scales[role]:
-                    scaled = dataclasses.replace(ds, **{role: getattr(ds, role) * 10.0**power})
-                    scaled = estimator(scaled)
-                    assert scaled.tau_hat == pytest.approx(base.tau_hat, rel=0, abs=1e-6)
-                    assert scaled.se_tau == pytest.approx(base.se_tau, rel=1e-6)
+            for role, power in itertools.product(roles, powers):
+                scaled = dataclasses.replace(ds, **{role: getattr(ds, role) * 10.0**power})
+                scaled = estimator(scaled)
+                assert scaled.tau_hat == pytest.approx(base.tau_hat, rel=0, abs=tol)
+                assert scaled.se_tau == pytest.approx(base.se_tau, rel=tol)
+
+    def test_gmm_div_keeps_its_moment_count_and_effect_in_any_units_of_w_or_x(self):
+        # The fits solve their moment systems on unit-norm columns, so x or
+        # w at 10^+-12 leaves the moment Jacobian its full rank. Measured:
+        # K* stays 12 and tau moves by at most 6.5e-10. The SE is
+        # not compared: the polish's finite-difference steps depend on the
+        # units of x and w and move it by up to 0.9% (CHANGES.md line 317).
+        ds = generate(ScenarioConfig("II", 800), 3, 1)
+        bridge = OutcomeBridge.linear(1, 1)
+        base, diag = select_and_fit(ds, bridge, SieveSpec(), 12)
+        for role, power in itertools.product("xw", (-12, 12)):
+            scaled = dataclasses.replace(ds, **{role: getattr(ds, role) * 10.0**power})
+            fit, scaled_diag = select_and_fit(scaled, bridge, SieveSpec(), 12)
+            assert scaled_diag.k_star == diag.k_star
+            assert fit.tau_hat == pytest.approx(base.tau_hat, rel=0, abs=1e-8)
 
     @pytest.mark.parametrize(
         "config, rep",
@@ -833,17 +848,33 @@ def test_each_newton_step_factorizes_its_jacobian_once(monkeypatch):
     assert jacobians and len(factorizations) == len(jacobians)
 
 
-def test_p2sls_sandwich_failure_is_a_recorded_singular_variance(monkeypatch):
-    # The outcome-bridge fit is gmm's identity-weight fit, whose sandwich
-    # inverts the Jacobian's cross-product. Its failing is a
-    # SingularVariance, which a Monte Carlo call records.
-    def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("injected")
+def test_a_failed_svd_is_a_recorded_error(monkeypatch):
+    # Every weighted moment system is solved by one SVD (gmm._solve), which
+    # turns a failure into its caller's ProxiGmmError, so a Monte Carlo call
+    # records it. The fits solve one system at a time (a 2-D SVD), the scan
+    # stacks its candidates (3-D); p2sls fails in its one fit, gmm-div with
+    # K* > p in its first fit step after the scan, or in the scan itself.
+    real_svd = np.linalg.svd
 
-    monkeypatch.setattr(np.linalg, "inv", fail)
+    def fail_at(ndim):
+        def svd(a, *args, **kwargs):
+            if np.ndim(a) == ndim:
+                raise np.linalg.LinAlgError("injected")
+            return real_svd(a, *args, **kwargs)
+
+        return svd
+
+    message = "the SVD of the weighted moment Jacobian did not converge"
+    monkeypatch.setattr(np.linalg, "svd", fail_at(2))
     config = ScenarioConfig("I", 400)
-    message = "weighted Jacobian cross-product is singular"
-    with pytest.raises(SingularVariance, match=message):
+    with pytest.raises(RankDeficientJacobian, match=message):
         p2sls(generate(config, 0, 0))
     records = run_replications(config, ("p2sls",), 2, 0)
-    assert [rec["error"] for rec in records] == [f"SingularVariance: {message}"] * 2
+    assert [rec["error"] for rec in records] == [f"RankDeficientJacobian: {message}"] * 2
+    config = ScenarioConfig("II", 800)
+    monkeypatch.setattr(np.linalg, "svd", real_svd)
+    assert [rec["k_star"] for rec in run_replications(config, ("gmm-div",), 2, 3)] == [12, 12]
+    for ndim, error in ((2, "RankDeficientJacobian"), (3, "AllCandidatesSingular")):
+        monkeypatch.setattr(np.linalg, "svd", fail_at(ndim))
+        records = run_replications(config, ("gmm-div",), 2, 3)
+        assert [rec["error"] for rec in records] == [f"{error}: {message}"] * 2

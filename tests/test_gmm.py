@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import replace
 
@@ -125,18 +126,35 @@ class TestRegularizeMoments:
 
 
 class TestLeastSquares:
-    # The rank counts singular values above eps times the largest, and a
-    # diagonal system's singular values are its diagonal, exactly.
-    def test_singular_value_just_above_eps_counts(self):
-        # 3e-16 is above eps, though below the 5 eps of numpy's default rule.
-        jac = np.diag([1.0, 1.0, 1.0, 1.0, 3e-16])
-        beta, _ = gmm._least_squares(jac, np.ones(5), np.eye(5))
-        np.testing.assert_array_equal(beta, -1.0 / np.diag(jac))
+    # The solve scales each column of the weighted Jacobian to unit norm
+    # before its SVD, so the rank counts singular values above eps times the
+    # largest of the scaled system: scale is not rank.
+    @staticmethod
+    def _system(seed):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(7, 5)), rng.normal(size=7)
 
-    def test_singular_value_below_eps_makes_the_jacobian_rank_deficient(self):
-        jac = np.diag([1.0, 1.0, 1.0, 1.0, 1e-16])
-        with pytest.raises(RankDeficientJacobian, match="rank 4 < 5"):
-            gmm._least_squares(jac, np.ones(5), np.eye(5))
+    def test_a_dependent_column_in_any_units_is_rank_deficient(self):
+        for seed, scale in itertools.product(range(20), (1e-16, 1.0, 1e16)):
+            jac, const = self._system(seed)
+            jac[:, 4] = (jac[:, 0] - 2.0 * jac[:, 1]) * scale
+            with pytest.raises(RankDeficientJacobian, match="rank 4 < 5"):
+                gmm._least_squares(jac, const, np.eye(7))
+
+    def test_an_independent_column_at_1e_16_scale_is_full_rank(self):
+        # The fit in the new units is the fit in the old ones with the
+        # coefficient on the rescaled column divided by its scale, and so
+        # is the bread inverse, row and column.
+        jac, const = self._system(0)
+        beta, obj, bread_inv = gmm._least_squares(jac, const, np.eye(7))
+        want = np.linalg.lstsq(jac, -const, rcond=None)[0]
+        np.testing.assert_allclose(beta, want, rtol=1e-12)
+        np.testing.assert_allclose(bread_inv, np.linalg.inv(jac.T @ jac), rtol=1e-12)
+        units = np.r_[1.0, 1.0, 1.0, 1.0, 1e-16]
+        scaled = gmm._least_squares(jac * units, const, np.eye(7))
+        np.testing.assert_allclose(scaled[0] * units, beta, rtol=1e-14)
+        assert scaled[1] == pytest.approx(obj, rel=1e-14)
+        np.testing.assert_allclose(scaled[2] * np.outer(units, units), bread_inv, rtol=1e-12)
 
     def test_weight_that_drops_moments_leaves_the_fit_unidentified(
         self, scenario1_ds, linear_bridge
@@ -247,7 +265,7 @@ class TestFitProperties:
         basis = _basis(scenario2_ds, 8)
         init = fit_initial(scenario2_ds, basis, linear_bridge)
         moments = gmm._Moments.build(scenario2_ds, basis.u, linear_bridge)
-        beta, _ = gmm._least_squares(moments.jac, moments.const, np.eye(9))
+        beta, _, _ = gmm._least_squares(moments.jac, moments.const, np.eye(9))
         np.testing.assert_array_equal(beta, np.r_[init.gamma_hat, init.tau_hat])
         want = fit_optimal(scenario2_ds, basis, linear_bridge)
 
@@ -514,7 +532,7 @@ class TestContinuousUpdatePolish:
         scores = joint_score(ds, basis, bridge, init.gamma_hat, init.tau_hat)
         decomp = regularize_moments(estimate_upsilon(scores))
         moments = gmm._Moments.build(ds, basis.u, bridge)
-        two_step, _ = gmm._least_squares(
+        two_step, _, _ = gmm._least_squares(
             moments.jac, moments.const, decomp.floored_weight_sqrt()
         )
         return moments, fit_optimal(ds, basis, bridge), two_step
