@@ -25,7 +25,7 @@ from proxigmm import ScenarioConfig, gmm, run_replications, summarize
 def _records(config: ScenarioConfig, k_bar: int, args, polish: bool) -> list[dict]:
     refine = gmm._refine_continuous_update
     if not polish:
-        gmm._refine_continuous_update = lambda moments, start: (start, float("nan"))
+        gmm._refine_continuous_update = lambda moments, start, *_: (start, float("nan"))
     try:
         return run_replications(
             config, ("gmm-div",), args.reps, args.seed, k_bar=k_bar, threads=args.threads

@@ -178,10 +178,13 @@ def _canonical_bridge_fit(ds: Dataset) -> GmmFit:
     rows than instruments. With more z proxies the moments are
     instrumented by the least-squares projection of the bridge features on
     ``(1, z, a, x)``, which is two-stage least squares, fitted on
-    orthonormal columns spanning them (:func:`gmm._fit_identity`). Either
-    way neither the fit, its sandwich nor its rank test depends on the
-    units of z or x. Raises :class:`WeakRank` with fewer z than w proxies
-    or a first stage of lower rank than the bridge, and, with more z than
+    orthonormal columns spanning them (:func:`gmm._fit_identity`). That
+    first stage projects on the leading left singular vectors of the
+    instruments scaled to unit-norm columns, whose count is their rank
+    (singular values above ``lstsq``'s default cutoff). Either way neither
+    the fit, its sandwich nor its rank tests depend on the units of z or
+    x. Raises :class:`WeakRank` with fewer z than w proxies or instruments
+    of lower rank than the bridge, and, with more z than
     w proxies, :class:`RankDeficientJacobian` when the instruments do not
     identify it.
     """
@@ -195,10 +198,14 @@ def _canonical_bridge_fit(ds: Dataset) -> GmmFit:
     instruments = _fit_once(_instruments, ds)
     p = bridge.n_params
     feats = _bridge_features(ds, bridge).feats
-    first_stage = np.linalg.lstsq(instruments, feats, rcond=None)
-    if first_stage[2] < p:
-        raise WeakRank(f"instruments of rank {first_stage[2]} cannot identify {p} parameters")
-    instruments = instruments @ first_stage[0]
+    norms = np.linalg.norm(instruments, axis=0)
+    scaled = instruments / np.where(norms > 0.0, norms, 1.0)
+    left, sing, _ = np.linalg.svd(scaled, full_matrices=False)
+    rank = int(np.sum(sing > max(instruments.shape) * _EPS * sing[0]))
+    if rank < p:
+        raise WeakRank(f"instruments of rank {rank} cannot identify {p} parameters")
+    span = left[:, :rank]
+    instruments = span @ (span.T @ feats)
     q, r = np.linalg.qr(instruments)
     # A pivot of R at rounding level (matrix_rank's tolerance) of the norm of
     # the feature its column's first stage fits marks, in any units, a

@@ -26,10 +26,14 @@ the bridge dimension p) an estimate does not depend on its weight (Hansen
 J⁻¹ΥJ⁻ᵀ, with no weight and no floor. A dataset keeps that fit on the
 sieve's first p terms (:func:`_exact_fit`), and ``select_and_fit`` at
 K* = p, ``rgmm``, ``p2sls`` and ``pdr`` (with as many z as w proxies) all
-read it. The moment covariance is quadratic in the parameters, so the
-polish builds one O(n (K(p+1))²) Gram per fit; every objective evaluation
-after that does no work in n, and the whole finite-difference stencil is
-evaluated in one batched call.
+read it. The moment covariance is quadratic in the parameters, so an
+overidentified fit builds one O(n (K(p+1))²) Gram (:func:`_gram_moments`)
+before its first step and reads from it the first-step covariance, every
+objective evaluation of the polish and the covariance behind its
+sandwich: it forms no n×(K+1) score matrix, nothing after the Gram does
+work in n, and the whole finite-difference stencil is evaluated in one
+batched call. :func:`variance`, which needs one covariance only, forms
+it from the scores.
 
 Spectral regularization uses an eigenvalue floor: eigenvalues of the moment
 covariance below ``SPECTRAL_FLOOR`` (1e-8) times the largest are raised to
@@ -42,6 +46,13 @@ the initial estimates whenever the bridge's treatment contrast is
 parameter-constant (true for the default linear bridge), so a hard
 spectral cutoff would discard the one moment that identifies the target;
 the floor keeps it at a bounded weight and the fit separates cleanly.
+The polish's objective eigendecomposes only the covariances that may
+reach the floor: a point whose diagonal and Cholesky factor L certify
+that no eigenvalue does reads the unfloored form ‖L⁻¹ḡ‖², the same value
+to rounding (:func:`_continuous_update_objective`). At the linear
+bridge's stencil the points that move tau or the treatment coefficient
+alone are certified (34 of 61 at II/800, K 12); the others, where the
+contrast direction is degenerate, pay for ``eigh``.
 """
 
 from __future__ import annotations
@@ -391,19 +402,52 @@ def _gram_moments(moments: _Moments):
     return evaluate
 
 
-def _continuous_update_objective(moments: _Moments):
-    """Build the moment objective with the covariance re-evaluated per trial
-    point, as a function of a (B, p+1) stack of points returning B values.
+def _stacked(factor, stack: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """``factor`` (a ``np.linalg`` function) of every matrix in ``stack``.
 
-    After one O(n (K(p+1))²) Gram build (:func:`_gram_moments`), an
-    evaluation does no work in n: the mean moments and covariances of the
-    whole stack come from the Gram, one stacked ``eigh`` decomposes the
-    covariances, and eigenvalues are floored at ``SPECTRAL_FLOOR`` times
-    each point's largest. A point whose covariance is not finite or has no
-    positive eigenvalue reads ``inf``, as does every point of a stack whose
+    If the stacked call fails, the matrices are factorized one at a time,
+    and each one that fails is marked in ``ok`` and gets the identity. Each
+    matrix's factor is then the same whatever else the stack holds.
+    """
+    try:
+        return factor(stack)
+    except np.linalg.LinAlgError:
+        out = np.empty_like(stack)
+        for c, mat in enumerate(stack):
+            try:
+                out[c] = factor(mat)
+            except np.linalg.LinAlgError:
+                ok[c] = False
+                out[c] = np.eye(mat.shape[0])
+        return out
+
+
+def _continuous_update_objective(moments: _Moments, gram_moments=None):
+    """Build the moment objective with the covariance re-evaluated per trial
+    point, as a function of a (B, p+1) stack of points returning B values:
+    the quadratic form of the mean moments ḡ in the inverse of their
+    covariance Υ, with Υ's eigenvalues floored at ``SPECTRAL_FLOOR`` times
+    its largest.
+
+    ``gram_moments`` is :func:`_gram_moments` of ``moments``, built here
+    when the caller has not built it; after that O(n (K(p+1))²) build an
+    evaluation does no work in n. A point is certified when every diagonal
+    entry of its Υ exceeds ``SPECTRAL_FLOOR`` times the trace, Υ = LL' has
+    a Cholesky factor, and ‖L⁻¹‖_F²·``SPECTRAL_FLOOR``·trace Υ < 1: as
+    ‖L⁻¹‖_F² = trace Υ⁻¹ ≥ 1/λmin and trace Υ ≥ λmax, that proves
+    λmin > ``SPECTRAL_FLOOR``·λmax, so nothing is floored and the value is
+    ‖L⁻¹ḡ‖². The diagonal screen keeps points with a floored direction,
+    such as the linear bridge's degenerate contrast, out of the
+    factorization. The other points are decomposed by one stacked
+    ``eigh`` and their eigenvalues floored. Which branch a point takes,
+    and its value, do not depend on the rest of its batch: a stack whose
+    Cholesky fails is factored one point at a time (:func:`_stacked`). A
+    point whose covariance is not finite or has no positive eigenvalue
+    reads ``inf``, as does every uncertified point of a stack whose
     ``eigh`` fails.
     """
-    gram_moments = _gram_moments(moments)
+    if gram_moments is None:
+        gram_moments = _gram_moments(moments)
     eye = np.eye(moments.jac.shape[0])
 
     def objective(betas: np.ndarray) -> np.ndarray:
@@ -413,18 +457,47 @@ def _continuous_update_objective(moments: _Moments):
             g_bar, upsilon = gram_moments(betas)
             usable = np.isfinite(upsilon).all(axis=(1, 2))
             upsilon[~usable] = eye
-            try:
-                vals, vecs = np.linalg.eigh(upsilon)
-            except np.linalg.LinAlgError:
-                return np.full(betas.shape[0], np.inf)
-            lam_max = vals[:, -1:]
-            usable &= lam_max[:, 0] > 0.0
-            proj = np.einsum("bji,bj->bi", vecs, g_bar)
-            values = np.sum(proj * proj / np.maximum(vals, SPECTRAL_FLOOR * lam_max), axis=1)
+            certified, values = _certified_forms(g_bar, upsilon, usable)
+            rest = usable & ~certified
+            values[rest] = _floored_forms(g_bar[rest], upsilon[rest])
         values[~(usable & np.isfinite(values))] = np.inf
         return values
 
     return objective
+
+
+def _certified_forms(
+    g_bar: np.ndarray, upsilon: np.ndarray, screen: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which of the ``screen``ed points are certified to floor nothing
+    (:func:`_continuous_update_objective`), and ‖L⁻¹ḡ‖² at each of them;
+    the other values are not meaningful."""
+    diagonal = np.diagonal(upsilon, axis1=1, axis2=2)
+    floor = SPECTRAL_FLOOR * diagonal.sum(axis=1)
+    screened = np.flatnonzero(screen & np.all(diagonal > floor[:, None], axis=1))
+    factored = np.ones(screened.size, dtype=bool)
+    chol_inv = np.linalg.inv(_stacked(np.linalg.cholesky, upsilon[screened], factored))
+    certified = np.zeros(screen.size, dtype=bool)
+    trace_inv = np.sum(chol_inv * chol_inv, axis=(1, 2))
+    certified[screened] = factored & (trace_inv * floor[screened] < 1.0)
+    values = np.full(screen.size, np.inf)
+    whitened = np.einsum("bij,bj->bi", chol_inv, g_bar[screened])
+    values[screened] = np.sum(whitened * whitened, axis=1)
+    return certified, values
+
+
+def _floored_forms(g_bar: np.ndarray, upsilon: np.ndarray) -> np.ndarray:
+    """ḡ'Υ⁻¹ḡ per point with Υ's eigenvalues floored at ``SPECTRAL_FLOOR``
+    times its largest, from one stacked ``eigh``; ``inf`` where Υ has no
+    positive eigenvalue, and at every point when ``eigh`` fails."""
+    try:
+        vals, vecs = np.linalg.eigh(upsilon)
+    except np.linalg.LinAlgError:
+        return np.full(g_bar.shape[0], np.inf)
+    lam_max = vals[:, -1:]
+    proj = np.einsum("bji,bj->bi", vecs, g_bar)
+    floored = np.sum(proj * proj / np.maximum(vals, SPECTRAL_FLOOR * lam_max), axis=1)
+    return np.where(lam_max[:, 0] > 0.0, floored, np.inf)
 
 
 def _central_differences(
@@ -458,7 +531,7 @@ def _central_differences(
 
 
 def _refine_continuous_update(
-    moments: _Moments, start: np.ndarray
+    moments: _Moments, start: np.ndarray, gram_moments
 ) -> tuple[np.ndarray, float]:
     """Polish a two-step solution with a damped Newton step of the
     continuously updated objective.
@@ -475,8 +548,10 @@ def _refine_continuous_update(
     (K 12), II/3200 (K up to 20) and I/400, ``tau`` moved by at most 8e-8,
     while the coefficients on 1, w and x moved by up to 0.08, and with them
     the moment covariance behind the reported variance. The objective
-    costs one O(n (K(p+1))²) Gram build, after which no evaluation depends
-    on n (:func:`_continuous_update_objective`). The objective at the
+    reads the caller's Gram, ``gram_moments`` (:func:`_gram_moments` of
+    ``moments``), so no evaluation depends on n, and it eigendecomposes
+    only the covariances it cannot certify to floor nothing
+    (:func:`_continuous_update_objective`). The objective at the
     start, its gradient and its curvature come from one batched evaluation
     of the start and a central-difference stencil around it
     (:func:`_central_differences`, ``2p² + 2p`` further points for ``p``
@@ -487,7 +562,7 @@ def _refine_continuous_update(
     refinement never leaves a solution that is already optimal in this
     metric.
     """
-    objective = _continuous_update_objective(moments)
+    objective = _continuous_update_objective(moments, gram_moments)
     magnitude = float(np.max(np.abs(start)))
     if magnitude == 0.0:
         return start, float(objective(start[None])[0])
@@ -584,14 +659,17 @@ def fit_optimal(ds: Dataset, basis: BasisMatrix, bridge: OutcomeBridge) -> GmmFi
     exactly identified count (K equal to the parameter count p) an estimate
     does not depend on its weight (Hansen 1982), so the fit is
     :func:`fit_initial`: its sandwich J⁻¹ΥJ⁻ᵀ has no weight and no floor,
-    and ``k1`` is K + 1. Above it, the identity-weight estimates (one solve,
-    no variance) give the moment covariance, whose inverse with eigenvalues
-    floored at ``SPECTRAL_FLOOR`` times the largest weights the second
-    step; the floor caps directions of negligible sample variance, the
-    contrast direction of the linear bridge included. One damped Newton
-    step of the continuously updated objective polishes that solution
+    and ``k1`` is K + 1. Above it, one Gram of the moments
+    (:func:`_gram_moments`) gives every moment covariance the fit reads,
+    with no score matrix. The identity-weight estimates (one solve, no
+    variance) give the first one, whose inverse with eigenvalues floored
+    at ``SPECTRAL_FLOOR`` times the largest weights the second step; the
+    floor caps directions of negligible sample variance, the contrast
+    direction of the linear bridge included. One damped Newton step of the
+    continuously updated objective polishes that solution
     (:func:`_refine_continuous_update`), and the reported variance is the
-    floored sandwich at the final estimates (:func:`variance`).
+    floored sandwich at the final estimates, which :func:`variance`
+    reproduces from the scores to rounding.
     """
     basis = _prepare(basis)
     return _fit_optimal(_Moments.build(ds, basis.u, bridge))
@@ -602,11 +680,12 @@ def _fit_optimal(moments: _Moments) -> GmmFit:
     k = moments.u.shape[1]
     if k == moments.jac.shape[1] - 1:
         return _fit_identity(moments)
+    gram_moments = _gram_moments(moments)
     beta, _, _ = _least_squares(moments.jac, moments.const, np.eye(k + 1))
-    first = regularize_moments(estimate_upsilon(moments.scores(beta)))
+    first = regularize_moments(gram_moments(beta[None])[1][0])
     beta, _, _ = _least_squares(moments.jac, moments.const, first.floored_weight_sqrt())
-    beta, obj = _refine_continuous_update(moments, beta)
-    v_hat, se = _sandwich(moments, beta)
+    beta, obj = _refine_continuous_update(moments, beta, gram_moments)
+    v_hat, se = _sandwich(moments, gram_moments(beta[None])[1][0])
     return _gmm_fit(moments, beta, obj, v_hat, se, first.k1)
 
 
@@ -642,16 +721,17 @@ def variance(
 
 
 def _variance(fit: GmmFit, moments: _Moments) -> GmmFit:
-    v_hat, se = _sandwich(moments, np.append(fit.gamma_hat, fit.tau_hat))
+    beta = np.append(fit.gamma_hat, fit.tau_hat)
+    v_hat, se = _sandwich(moments, estimate_upsilon(moments.scores(beta)))
     p = fit.gamma_hat.shape[0]
     return replace(fit, se_gamma=se[:p], se_tau=float(se[p]), v_hat=v_hat)
 
 
-def _sandwich(moments: _Moments, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The floored-weight variance at ``beta``, (J'WJ)⁻¹ for the floored
-    weight W, from the :func:`_solve` of W½J, and its
-    per-observation-scaled standard errors."""
-    decomp = regularize_moments(estimate_upsilon(moments.scores(beta)))
+def _sandwich(moments: _Moments, upsilon: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The floored-weight variance under the moment covariance ``upsilon``,
+    (J'WJ)⁻¹ for the floored weight W, from the :func:`_solve` of W½J, and
+    its per-observation-scaled standard errors."""
+    decomp = regularize_moments(upsilon)
     weighted = decomp.floored_weight_sqrt() @ moments.jac
     _, rank, v_hat = _solve(weighted, np.zeros(weighted.shape[0]), SingularVariance)
     if rank < weighted.shape[1]:

@@ -25,7 +25,9 @@ factorized scores infinity and leaves the others as they are.
 
 The bridge's feature matrices are kept on the dataset
 (``gmm._bridge_features``): the scan, the fit at the selected K and any
-other fit of that bridge on that dataset read one build.
+other fit of that bridge on that dataset read one build. When the selected
+K is the width of the scanned basis, the fit reads the scan's moment
+system too.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 from .bridges import OutcomeBridge
 from .data import Dataset
 from .errors import AllCandidatesSingular, DimensionMismatch, RankDeficient
-from .gmm import GmmFit, _exact_fit, _fit_once, _fit_optimal, _Moments, _solve
+from .gmm import GmmFit, _exact_fit, _fit_once, _fit_optimal, _Moments, _solve, _stacked
 from .sieve import BasisMatrix, SieveSpec, build_basis, orthonormalize
 
 
@@ -57,25 +59,6 @@ class SelectionDiagnostics:
             (k, float(b), float(v), float(s), k == self.k_star)
             for k, b, v, s in zip(self.k_grid, self.bias_terms, self.variance_terms, self.scores)
         ]
-
-
-def _stacked(factor, stack: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    """``factor`` (a ``np.linalg`` function) of every matrix in ``stack``.
-
-    If the stacked call fails, the matrices are factorized one at a time,
-    and each one that fails is marked in ``ok`` and gets the identity.
-    """
-    try:
-        return factor(stack)
-    except np.linalg.LinAlgError:
-        out = np.empty_like(stack)
-        for c, mat in enumerate(stack):
-            try:
-                out[c] = factor(mat)
-            except np.linalg.LinAlgError:
-                ok[c] = False
-                out[c] = np.eye(mat.shape[0])
-        return out
 
 
 def _prefix_leverages(u: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -180,8 +163,10 @@ def _criterion(
 
 def _scan(
     ds: Dataset, bridge: OutcomeBridge, spec: SieveSpec, k_bar: int
-) -> tuple[SelectionDiagnostics, BasisMatrix]:
-    """:func:`select_k` and the raw ``k_bar``-column basis it scanned."""
+) -> tuple[SelectionDiagnostics, BasisMatrix, _Moments | None]:
+    """:func:`select_k`, the raw ``k_bar``-column basis it scanned, and the
+    moment system on the orthonormalized basis it scored (``None`` when no
+    candidate fits in that basis)."""
     p = bridge.n_params
     if k_bar < p:
         raise DimensionMismatch(
@@ -199,6 +184,7 @@ def _scan(
     bias_terms = np.full(len(grid), np.nan)
     var_terms = np.full(len(grid), np.nan)
     ks = np.arange(p, basis.k + 1)
+    moments = None
     if ks.size:
         moments = _Moments.build(ds, basis.u, bridge)
         features = moments.features
@@ -222,7 +208,7 @@ def _scan(
         k_grid=grid, scores=scores, bias_terms=bias_terms,
         variance_terms=var_terms, k_star=k_star,
     )
-    return diag, raw
+    return diag, raw, moments
 
 
 def select_k(
@@ -262,23 +248,28 @@ def select_and_fit(
 ) -> tuple[GmmFit, SelectionDiagnostics]:
     """Run the moment-count scan, then the optimally weighted fit at K*.
 
-    Above the bridge dimension p the sieve is built once: the fit
-    orthonormalizes the leading K* columns of the raw basis the scan built,
-    which are ``build_basis(ds, spec, K*)`` bit for bit, as
-    :func:`~proxigmm.gmm.fit_optimal` on that basis would. At K* = p the
-    fit is the exactly identified fit the dataset keeps
+    Above the bridge dimension p the sieve is built once. When K* is the
+    width of the basis the scan orthonormalized (``k_bar``, or the longest
+    full-rank prefix of its basis), the fit reads the scan's moment system:
+    that basis is the QR of the raw basis's leading K* columns, which are
+    ``build_basis(ds, spec, K*)`` bit for bit, so the fit is
+    :func:`~proxigmm.gmm.fit_optimal` on that basis bit for bit. Below that
+    width the fit orthonormalizes the leading K* columns afresh. At K* = p
+    the fit is the exactly identified fit the dataset keeps
     (``gmm._exact_fit``), which is that same fit bit for bit and the one
     ``rgmm``, ``p2sls`` and ``pdr`` read; on a dataset no baseline has
     fitted, it builds the p-column basis once more. The bridge features
     are built once too: the scan and the fit read the ones the dataset
     keeps.
     """
-    diag, raw = _scan(ds, bridge, spec, k_bar)
+    diag, raw, moments = _scan(ds, bridge, spec, k_bar)
     if diag.k_star == bridge.n_params:
         return _fit_once(_exact_fit, ds, bridge), diag
-    # A fresh K*-column QR rather than the scan's orthonormal columns: those
-    # match it only to rounding (bit for bit only when K* is k_bar), and the
-    # fit at K* must not depend on the cap it was selected under. The raw
-    # columns it factorizes are the K*-column basis itself.
-    basis = orthonormalize(raw.leading(diag.k_star))
-    return _fit_optimal(_Moments.build(ds, basis.u, bridge)), diag
+    if diag.k_star < moments.u.shape[1]:
+        # A fresh K*-column QR rather than the leading columns of the
+        # scan's: those match it only to rounding, and the fit at K* must
+        # not depend on the cap it was selected under. The raw columns it
+        # factorizes are the K*-column basis itself.
+        basis = orthonormalize(raw.leading(diag.k_star))
+        moments = _Moments.build(ds, basis.u, bridge)
+    return _fit_optimal(moments), diag

@@ -91,21 +91,31 @@ class TestOracles:
         # were, and so do select_and_fit's under z, whose sieve standardizes
         # z. Every weighted moment system is solved on unit-norm columns
         # (gmm._solve), so x and w in any units lose no digits either.
-        # Measured up to 10^+-13: at most 3.4e-15 absolute in tau and
-        # 1.7e-15 relative in SE for rgmm and p2sls, and 4.1e-12 and 1.6e-12
+        # A second z proxy, z1² plus noise, takes p2sls through its
+        # two-stage first stage, which projects on the instruments scaled
+        # to unit-norm columns. Measured up to 10^+-13: at most 3.4e-15
+        # absolute in tau and 1.7e-15 relative in SE for rgmm and p2sls
+        # (3.3e-15 and 8.6e-15 with two z proxies), and 4.1e-12 and 1.6e-12
         # for select_and_fit under z.
         ds = generate(config, 3, rep)
         bridge = OutcomeBridge.linear(1, 1)
+        z2 = ds.z[:, 0] ** 2 + np.random.default_rng(0).standard_normal(ds.n)
+        two_z = dataclasses.replace(ds, z=np.column_stack([ds.z, z2]), z_names=("z1", "z2"))
 
         def gmm_div(ds):
             return select_and_fit(ds, bridge, SieveSpec(), 12)[0]
 
         powers = (-13, -12, -9, -6, -3, 3, 6, 9, 12, 13)
-        cases = ((rgmm, "zxw", 1e-12), (p2sls, "zxw", 1e-12), (gmm_div, "z", 1e-10))
-        for estimator, roles, tol in cases:
-            base = estimator(ds)
+        cases = (
+            (rgmm, ds, "zxw", 1e-12),
+            (p2sls, ds, "zxw", 1e-12),
+            (p2sls, two_z, "zxw", 1e-12),
+            (gmm_div, ds, "z", 1e-10),
+        )
+        for estimator, data, roles, tol in cases:
+            base = estimator(data)
             for role, power in itertools.product(roles, powers):
-                scaled = dataclasses.replace(ds, **{role: getattr(ds, role) * 10.0**power})
+                scaled = dataclasses.replace(data, **{role: getattr(data, role) * 10.0**power})
                 scaled = estimator(scaled)
                 assert scaled.tau_hat == pytest.approx(base.tau_hat, rel=0, abs=tol)
                 assert scaled.se_tau == pytest.approx(base.se_tau, rel=tol)

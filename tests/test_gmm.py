@@ -41,6 +41,16 @@ def _basis(ds, k):
     return orthonormalize(build_basis(ds, SieveSpec(), k))
 
 
+def _interacted_bridge():
+    # An a·w feature makes the treatment contrast vary across units, which
+    # the default bridge's contrast does not.
+    def feats(w, a, x):
+        base = OutcomeBridge.linear(1, 1).grad(w, a, x)
+        return np.column_stack([base, base[:, 2] * base[:, 1]])
+
+    return OutcomeBridge(n_params=5, grad_fn=feats)
+
+
 def _single_row_dataset():
     from proxigmm import Dataset
 
@@ -325,13 +335,7 @@ class TestContinuousUpdatePolish:
     def test_gram_moments_match_the_scores(self, polished_case, interacted, rng):
         ds, basis, bridge = polished_case
         if interacted:
-            # An a·w feature makes the treatment contrast vary across units,
-            # which the default bridge's contrast does not.
-            def feats(w, a, x):
-                base = OutcomeBridge.linear(1, 1).grad(w, a, x)
-                return np.column_stack([base, base[:, 2] * base[:, 1]])
-
-            bridge = OutcomeBridge(n_params=5, grad_fn=feats)
+            bridge = _interacted_bridge()
         fit = fit_optimal(ds, basis, bridge)
         beta_hat = np.r_[fit.gamma_hat, fit.tau_hat]
         moments = gmm._Moments.build(ds, basis.u, bridge)
@@ -356,18 +360,82 @@ class TestContinuousUpdatePolish:
         one_at_a_time = [objective(beta[None])[0] for beta in points]
         np.testing.assert_array_equal(objective(points), one_at_a_time)
 
-    def test_polish_never_recomputes_the_scores(self, polished_moments, monkeypatch):
+    @pytest.mark.parametrize("interacted", [False, True], ids=["linear", "interacted"])
+    def test_the_certified_objective_is_the_floored_quadratic_form(
+        self, polished_case, interacted, monkeypatch
+    ):
+        # Every point of the polish's stencil around the fit: the certified
+        # points' ‖L⁻¹ḡ‖² and the others' floored eigendecomposition both
+        # equal the floored quadratic form of the covariance of the n scores.
+        ds, basis, bridge = polished_case
+        if interacted:
+            bridge = _interacted_bridge()
+        fit = fit_optimal(ds, basis, bridge)
+        beta_hat = np.r_[fit.gamma_hat, fit.tau_hat]
+        if interacted:
+            # Nothing is floored near the fit of a bridge whose contrast
+            # varies across units. With no a·w term the contrast score is
+            # the same for every unit, as the linear bridge's is, so the
+            # floor binds again at the centre and both branches run.
+            beta_hat[4] = 0.0
+        steps = gmm._POLISH_FD_REL * np.maximum(
+            np.abs(beta_hat), gmm._POLISH_FD_FLOOR * np.max(np.abs(beta_hat))
+        )
+        stencils = []
+        gmm._central_differences(
+            lambda points: stencils.append(points) or np.zeros(len(points)), beta_hat, steps
+        )
+        (points,) = stencils
+        branches = {"certified": 0, "floored": 0}
+        certified_forms, floored_forms = gmm._certified_forms, gmm._floored_forms
+
+        def count_certified(*args):
+            certified, values = certified_forms(*args)
+            branches["certified"] += int(certified.sum())
+            return certified, values
+
+        def count_floored(g_bar, upsilon):
+            branches["floored"] += len(g_bar)
+            return floored_forms(g_bar, upsilon)
+
+        monkeypatch.setattr(gmm, "_certified_forms", count_certified)
+        monkeypatch.setattr(gmm, "_floored_forms", count_floored)
+        moments = gmm._Moments.build(ds, basis.u, bridge)
+        values = gmm._continuous_update_objective(moments)(points)
+        assert branches["certified"] > 0 and branches["floored"] > 0
+        assert sum(branches.values()) == len(points)
+        for beta, value in zip(points, values):
+            scores = moments.scores(beta)
+            g_bar = scores.mean(axis=0)
+            want = g_bar @ regularize_moments(estimate_upsilon(scores)).floored_weight() @ g_bar
+            assert value == pytest.approx(want, rel=1e-10)
+
+    def test_polish_never_recomputes_the_scores(self, polished_case, polished_moments, monkeypatch):
+        # An overidentified fit builds one Gram and reads from it the
+        # first-step covariance, every objective evaluation of the polish
+        # and the covariance of its sandwich.
+        ds, basis, bridge = polished_case
         moments, beta_hat = polished_moments
         objective = gmm._continuous_update_objective(moments)
         want = objective(beta_hat[None])
+        want_fit = fit_optimal(ds, basis, bridge)
 
         def refuse(self, beta):
-            raise AssertionError("the polish reads the Gram, not the n scores")
+            raise AssertionError("an overidentified fit reads the Gram, not the n scores")
 
+        grams = []
+        build_gram = gmm._gram_moments
         monkeypatch.setattr(gmm._Moments, "scores", refuse)
+        monkeypatch.setattr(gmm, "_gram_moments", lambda m: grams.append(1) or build_gram(m))
         np.testing.assert_array_equal(objective(beta_hat[None]), want)
-        beta, value = gmm._refine_continuous_update(moments, beta_hat + 0.01)
+        beta, value = gmm._refine_continuous_update(
+            moments, beta_hat + 0.01, build_gram(moments)
+        )
         assert np.isfinite(value) and not np.array_equal(beta, beta_hat + 0.01)
+        fit = fit_optimal(ds, basis, bridge)
+        assert grams == [1]
+        assert (fit.tau_hat, fit.se_tau, fit.k1) == (want_fit.tau_hat, want_fit.se_tau, want_fit.k1)
+        np.testing.assert_array_equal(fit.v_hat, want_fit.v_hat)
 
     def test_non_finite_points_read_inf_silently(self, polished_moments, scenario1_ds):
         moments, beta_hat = polished_moments
@@ -455,7 +523,7 @@ class TestContinuousUpdatePolish:
         monkeypatch.setattr(gmm, "_continuous_update_objective", infinite)
         start = np.ones(bridge.n_params + 1)
         moments = gmm._Moments.build(ds, basis.u, bridge)
-        beta, value = gmm._refine_continuous_update(moments, start)
+        beta, value = gmm._refine_continuous_update(moments, start, gmm._gram_moments(moments))
         assert beta is start and value == float("inf")
         # The start rides in the stencil's batch; nothing is tried after it.
         p = bridge.n_params + 1

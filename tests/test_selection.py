@@ -378,16 +378,8 @@ class TestSelectAndFit:
         assert fit.tau_hat == direct.tau_hat
         np.testing.assert_array_equal(fit.gamma_hat, direct.gamma_hat)
 
-    @pytest.mark.parametrize(
-        "fit",
-        [
-            lambda ds: select_and_fit(ds, BRIDGE, SieveSpec(), 12),
-        ],
-        ids=["select_and_fit"],
-    )
-    def test_sieve_built_once_per_fit(self, monkeypatch, fit):
-        # One basis build for the scan; one QR for the scan and one, of the
-        # leading K* columns of the same raw basis, for the fit at K*.
+    @staticmethod
+    def _count_sieve_calls(monkeypatch) -> dict:
         calls = {"build_basis": 0, "orthonormalize": 0}
         for name in calls:
             def counted(*args, _real=getattr(sieve, name), _name=name):
@@ -397,8 +389,43 @@ class TestSelectAndFit:
             for module in (sieve, selection, gmm):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted)
-        fit(generate(ScenarioConfig("II", 800), 0, 0))
+        return calls
+
+    @staticmethod
+    def _assert_fresh_fit(ds, fit, k_star):
+        direct = fit_optimal(ds, orthonormalize(build_basis(ds, SieveSpec(), k_star)), BRIDGE)
+        assert (fit.tau_hat, fit.se_tau) == (direct.tau_hat, direct.se_tau)
+        np.testing.assert_array_equal(fit.gamma_hat, direct.gamma_hat)
+
+    @pytest.mark.parametrize(
+        "fit",
+        [
+            lambda ds: select_and_fit(ds, BRIDGE, SieveSpec(), 12),
+        ],
+        ids=["select_and_fit"],
+    )
+    def test_sieve_built_once_per_fit(self, monkeypatch, fit):
+        # K* is the cap of 12, the width of the basis the scan
+        # orthonormalized: one basis build and one QR serve the scan and the
+        # fit, which is the fit on a fresh K*-column basis bit for bit.
+        ds = generate(ScenarioConfig("II", 800), 0, 0)
+        calls = self._count_sieve_calls(monkeypatch)
+        got, diag = fit(ds)
+        assert diag.k_star == 12
+        assert calls == {"build_basis": 1, "orthonormalize": 1}
+        monkeypatch.undo()
+        self._assert_fresh_fit(ds, got, diag.k_star)
+
+    def test_a_count_below_the_scan_width_takes_a_fresh_qr(self, monkeypatch):
+        # K* below the scan's width: one QR for the scan and one, of the
+        # leading K* columns of the same raw basis, for the fit at K*.
+        ds = generate(ScenarioConfig("II", 3200), 0, 0)
+        calls = self._count_sieve_calls(monkeypatch)
+        got, diag = select_and_fit(ds, BRIDGE, SieveSpec(), 20)
+        assert BRIDGE.n_params < diag.k_star < 20
         assert calls == {"build_basis": 1, "orthonormalize": 2}
+        monkeypatch.undo()
+        self._assert_fresh_fit(ds, got, diag.k_star)
 
     def test_low_noise_scenario_prefers_smallest_count(self):
         # In the homoskedastic design extra moments buy no efficiency, so
