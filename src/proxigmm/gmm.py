@@ -475,6 +475,8 @@ def _certified_forms(
     diagonal = np.diagonal(upsilon, axis1=1, axis2=2)
     floor = SPECTRAL_FLOOR * diagonal.sum(axis=1)
     screened = np.flatnonzero(screen & np.all(diagonal > floor[:, None], axis=1))
+    if not screened.size:
+        return np.zeros(screen.size, dtype=bool), np.full(screen.size, np.inf)
     factored = np.ones(screened.size, dtype=bool)
     chol_inv = np.linalg.inv(_stacked(np.linalg.cholesky, upsilon[screened], factored))
     certified = np.zeros(screen.size, dtype=bool)

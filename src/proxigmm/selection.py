@@ -15,13 +15,15 @@ sum of its first K squared entries over n, and the bridge projection
 -U'G/n of a prefix is the leading rows of the cap's. The identity-weight
 fits of all C candidates are one stacked call of the fits' solve
 (``gmm._solve``, one SVD on unit-norm columns) on their zero-padded moment
-systems, and their residuals one n×C product. Only each candidate's
-residual-weighted covariance, the one O(nK²) step, is formed in a loop,
-from contiguous column-major blocks of the basis and the residuals; its
-Cholesky factor (padded with an identity block), the factor's one inverse,
-the target directions, the n×C projections and the bias and variance terms
-are stacked arrays. A candidate whose fit or covariance cannot be
-factorized scores infinity and leaves the others as they are.
+systems, and their residuals one n×C product. As Donald & Newey do, every
+candidate's covariance is taken at one preliminary residual, that of the
+widest candidate whose fit passes its rank check: one covariance on the
+scanned basis and one Cholesky factor, whose leading K×K block is
+candidate K's (:func:`_criterion`). Each candidate's own residuals still
+enter its bias and influence terms. If only the covariance's leading j×j
+block has a factor, exactly the candidates K > j score infinity; a
+candidate whose fit fails its rank check, or whose Ω cannot be inverted,
+scores infinity alone.
 
 The bridge's feature matrices are kept on the dataset
 (``gmm._bridge_features``): the scan, the fit at the selected K and any
@@ -72,28 +74,46 @@ def _prefix_leverages(u: np.ndarray, ks: np.ndarray) -> np.ndarray:
     return (u * u) @ (np.arange(u.shape[1])[:, None] < ks) / u.shape[0]
 
 
-def _candidate_covariances(
-    u: np.ndarray, resid: np.ndarray, ks: np.ndarray, ok: np.ndarray
-) -> np.ndarray:
-    """(C, k, k) residual-weighted covariances of the candidates.
+def _leading_cholesky(upsilon: np.ndarray) -> tuple[np.ndarray, int]:
+    """The Cholesky factor of the longest leading block of ``upsilon`` that
+    has one, padded to ``upsilon``'s size with an identity block, and that
+    block's size j (``upsilon``'s size when the whole matrix factors).
 
-    Candidate c's leading ``ks[c]`` block is ``U_K' diag(r_c²) U_K / n`` for
-    the leading K columns U_K of ``u`` and residuals r_c = ``resid[:, c]``;
-    the rest, and every block of a candidate that is not ``ok``, is the
-    identity. This is the scan's one O(nK²) step per candidate. One buffer
-    serves every candidate, viewed as a contiguous column-major (n, K)
-    block and filled from column-major copies of ``u`` and ``resid``, so
-    every operand is read and written contiguously.
+    A symmetric matrix whose leading m×m block is positive definite has
+    positive definite shorter leading blocks too, so when the whole matrix
+    has no factor, bisection over the leading blocks finds j.
     """
-    n, k = u.shape
-    upsilon = np.tile(np.eye(k), (ks.size, 1, 1))
-    cols, resid_cols = np.asfortranarray(u), np.asfortranarray(resid)
-    buf = np.empty(n * k)
-    for c in np.flatnonzero(ok):
-        weighted = buf[: n * ks[c]].reshape(ks[c], n).T
-        np.multiply(cols[:, : ks[c]], resid_cols[:, c, None], out=weighted)
-        upsilon[c, : ks[c], : ks[c]] = weighted.T @ weighted / n
-    return upsilon
+    k = upsilon.shape[0]
+    try:
+        return np.linalg.cholesky(upsilon), k
+    except np.linalg.LinAlgError:
+        pass
+    good, bad, chol = 0, k, np.eye(k)
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            chol[:mid, :mid] = np.linalg.cholesky(upsilon[:mid, :mid])
+            good = mid
+        except np.linalg.LinAlgError:
+            bad = mid
+    return chol, good
+
+
+def _whitened(
+    u: np.ndarray, bmat: np.ndarray, prelim: np.ndarray, ks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """L⁻¹ for the factor L of Υ = U'diag(r̂²)U/n on the columns of ``u``
+    at the preliminary residual r̂ = ``prelim``, the whitened system
+    W = L⁻¹B of ``bmat``, the (C, p, p) stack of Ω_K = W_K'W_K over W's
+    first K = ``ks[c]`` rows, and the size j of Υ's longest leading block
+    that factorizes (:func:`_leading_cholesky`). Rows of W from j on are
+    not meaningful."""
+    weighted = u * prelim[:, None]
+    chol, factored = _leading_cholesky(weighted.T @ weighted / u.shape[0])
+    chol_inv = np.tril(np.linalg.inv(chol))
+    whitened = chol_inv @ bmat
+    omega = np.cumsum(whitened[:, :, None] * whitened[:, None, :], axis=0)[ks - 1]
+    return chol_inv, whitened, omega, factored
 
 
 def _criterion(
@@ -101,6 +121,7 @@ def _criterion(
     bmat: np.ndarray,
     feat_grad: np.ndarray,
     resid: np.ndarray,
+    prelim: np.ndarray,
     target: np.ndarray,
     ks: np.ndarray,
     ok: np.ndarray,
@@ -111,46 +132,48 @@ def _criterion(
     ``bmat`` its bridge projection -u'feat_grad/n. Candidate c instruments
     with the leading ``ks[c]`` columns, has residuals ``resid[:, c]`` (the
     outcome residuals at its identity-weight estimates) and is scored only
-    where ``ok[c]``. ``feat_grad`` is the (n, p) parameter gradient of the
-    bridge and ``target`` the (p,) direction whose mean squared error the
-    criterion estimates: for ATE work, the average gradient of the
-    treatment contrast, so the score tracks the causal estimate itself
+    where ``ok[c]``. ``prelim`` is the preliminary residual r̂ at which
+    every candidate's covariance Υ_K = U_K'diag(r̂²)U_K/n is estimated
+    (Donald & Newey 2001). ``feat_grad`` is the (n, p) parameter gradient
+    of the bridge and ``target`` the (p,) direction whose mean squared
+    error the criterion estimates: for ATE work, the average gradient of
+    the treatment contrast, so the score tracks the causal estimate itself
     rather than every bridge coefficient.
 
     The bias term squares a leverage-weighted covariance between the
-    residuals and the part of the bridge gradient that the instruments
-    cannot replicate (the sieve-approximation error that generates
-    higher-order bias). The variance term is a leverage-weighted sum of
-    squared influence contributions in the target direction, recentred by
-    the first-order variance; it may be negative in sample and is used as
+    candidate's residuals and the part of the bridge gradient that the
+    instruments cannot replicate (the sieve-approximation error that
+    generates higher-order bias). The variance term is a leverage-weighted
+    sum of squared influence contributions in the target direction, each
+    weighted by the candidate's own squared residual, recentred by the
+    first-order variance; it may be negative in sample and is used as
     computed. Leverage is measured through the unweighted instrument Gram
     matrix, which keeps observations in low-noise regions from dominating
     under heteroskedasticity. The score is the sum of the two terms.
 
     The n×p projections of the gradient through the Gram and Υ metrics
     enter only along t = Ω⁻¹·target, so each candidate needs two K-vectors
-    and two n-vectors. Υ = LL' is factorized once: from L⁻¹, Ω is
-    (L⁻¹B)'(L⁻¹B) and Υ⁻¹Bt is L⁻ᵀ(L⁻¹B)t. All candidates are stacked:
-    each K×K covariance is padded to k×k with an identity block, which
-    leaves L and L⁻¹ in the leading block, and each K-row projection with
-    zero rows. A candidate that is not ok,
-    or whose covariance or reduced-form matrix Ω cannot be factorized,
-    scores inf with NaN terms.
+    and two n-vectors. Υ = U'diag(r̂²)U/n on all k columns is factorized
+    once, Υ = LL'. L is lower triangular, so Υ_K's factor is L's leading
+    K×K block and its inverse is the leading block of L⁻¹. So with
+    W = L⁻¹B, candidate K's whitened system is W's first K rows, its
+    Ω_K = B_K'Υ_K⁻¹B_K is the sum of w_j w_j' over those rows (one
+    cumulative sum), and Υ_K⁻¹B_K t is L⁻ᵀ applied to Wt with its rows
+    from K on zeroed. If Υ's leading j×j block is the longest that
+    factorizes, the candidates K > j are singular. A candidate that is not
+    ok, that is singular, or whose Ω cannot be inverted scores inf with
+    NaN terms.
     """
     n, k = u.shape
-    ok = ok.copy()
+    chol_inv, whitened, omega, factored = _whitened(u, bmat, prelim, ks)
+    ok = ok & (ks <= factored)
     resid = np.where(ok, resid, 0.0)
-    chol = _stacked(np.linalg.cholesky, _candidate_covariances(u, resid, ks, ok), ok)
-    chol_inv = _stacked(np.linalg.inv, chol, ok)
-    bproj = bmat * (np.arange(k) < ks[:, None])[:, :, None]
-    whitened = chol_inv @ bproj
-    omega = whitened.transpose(0, 2, 1) @ whitened
     t_dir = _stacked(np.linalg.inv, omega, ok) @ target
-    direction = np.einsum("ckp,cp->ck", bproj, t_dir)
-    whitened_dir = np.einsum("ckp,cp->ck", whitened, t_dir)
-    upsilon_dir = np.einsum("cjk,cj->ck", chol_inv, whitened_dir)
-    gram_part = u @ direction.T
-    upsilon_part = u @ upsilon_dir.T
+    keep = np.arange(k)[:, None] < ks
+    direction = (bmat @ t_dir.T) * keep
+    upsilon_dir = chol_inv.T @ ((whitened @ t_dir.T) * keep)
+    gram_part = u @ direction
+    upsilon_part = u @ upsilon_dir
     leverage = _prefix_leverages(u, ks)
     pi = np.sum(leverage * resid * (-(feat_grad @ t_dir.T) - gram_part), axis=0)
     influence = upsilon_part * resid**2 - gram_part
@@ -196,9 +219,13 @@ def _scan(
         gamma, rank, _ = _solve(bmat * keep[:, :, None], -const * keep, AllCandidatesSingular)
         ok = rank == bmat.shape[1]
         resid = features.y[:, None] - features.feats @ gamma.T
-        scores[: ks.size], bias_terms[: ks.size], var_terms[: ks.size] = _criterion(
-            basis.u, bmat, features.feats, resid, features.contrast_mean, ks, ok,
-        )
+        if ok.any():
+            # The preliminary residual: the widest candidate that passes
+            # its rank check.
+            prelim = resid[:, np.flatnonzero(ok)[-1]]
+            scores[: ks.size], bias_terms[: ks.size], var_terms[: ks.size] = _criterion(
+                basis.u, bmat, features.feats, resid, prelim, features.contrast_mean, ks, ok,
+            )
     if not np.any(np.isfinite(scores)):
         raise AllCandidatesSingular(
             f"all candidate moment counts {grid[0]}..{grid[-1]} were singular"
@@ -230,9 +257,13 @@ def select_k(
     identity-weight bridge fits on the Jacobian's leading K sieve rows are
     one stacked solve on unit-norm columns (``gmm._solve``), the residuals
     one n×C product, and the criterion (:func:`_criterion`) reads each
-    observation's leverages as sums of its squared basis entries. Each
-    candidate's residual-weighted covariance on its leading K columns is
-    the only O(nK²) step and the only per-candidate loop.
+    observation's leverages as sums of its squared basis entries. Every
+    candidate's covariance is taken at one preliminary residual, that of
+    the widest candidate whose fit passes its rank check (Donald & Newey
+    2001): one residual-weighted covariance on the scanned basis, the only
+    O(nk²) step, and one Cholesky factor, whose leading K×K block is
+    candidate K's. If that factor exists only for a leading j×j block, the
+    candidates K > j score infinity.
 
     The scan does not depend on the units of w, x or z, but K* depends on
     the units of y: the criterion mixes powers of y's scale (on II/800

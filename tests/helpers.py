@@ -146,9 +146,11 @@ class TreatmentBridge:
         return 1.0 + np.exp(sign * (b @ params))
 
 
-def one_candidate_criterion(u, feat_grad, resid, target) -> tuple[float, float, float]:
+def one_candidate_criterion(u, feat_grad, resid, target, prelim=None) -> tuple[float, float, float]:
     """(score, bias_term, variance_term) of the moment-count criterion on
-    instrument columns ``u`` of any basis, with outcome residuals ``resid``.
+    instrument columns ``u`` of any basis, with outcome residuals ``resid``
+    and covariance taken at the preliminary residual ``prelim`` (``resid``
+    when not given: a lone candidate is the widest one).
 
     The criterion does not depend on the instrument basis, so it is the
     one-candidate case of the scan's batched kernel on ``u`` whitened by
@@ -158,7 +160,7 @@ def one_candidate_criterion(u, feat_grad, resid, target) -> tuple[float, float, 
     n, k = u.shape
     white = np.linalg.solve(np.linalg.cholesky(u.T @ u / n), u.T).T
     (score,), (bias,), (var,) = _criterion(
-        white, -(white.T @ feat_grad) / n, feat_grad, resid[:, None], target,
-        np.array([k]), np.array([True]),
+        white, -(white.T @ feat_grad) / n, feat_grad, resid[:, None],
+        resid if prelim is None else prelim, target, np.array([k]), np.array([True]),
     )
     return float(score), float(bias), float(var)

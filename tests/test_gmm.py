@@ -459,6 +459,24 @@ class TestContinuousUpdatePolish:
         assert np.all(values[[1, 2]] == np.inf)
         assert np.all(degenerate == np.inf)
 
+    def test_a_point_that_fails_the_screen_factors_nothing(self, polished_moments, monkeypatch):
+        # At the linear bridge's fit the contrast score τ − γ_a is at
+        # rounding level, so its diagonal entry of Υ is below the screen's
+        # floor: the point is not factored and reads its floored
+        # eigendecomposition.
+        moments, beta_hat = polished_moments
+        g_bar, upsilon = gmm._gram_moments(moments)(beta_hat[None])
+        diagonal = np.diagonal(upsilon[0])
+        assert np.any(diagonal <= gmm.SPECTRAL_FLOOR * diagonal.sum())
+        want = gmm._floored_forms(g_bar, upsilon)
+
+        def refuse(*args):
+            raise AssertionError("a point that fails the screen is not factored")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        got = gmm._continuous_update_objective(moments)(beta_hat[None])
+        np.testing.assert_array_equal(got, want)
+
     def test_stencil_is_exact_on_a_quadratic(self, rng):
         p = 5
         root = rng.normal(size=(p, p))

@@ -180,3 +180,25 @@ def test_polish_on_off_reports_both_arms(capsys):
     assert all(line.endswith("(2 reps)") for line in lines[1:3])
     assert lines[3].startswith("II:400:8       max |dtau|")
     assert len(lines) == 4
+
+
+def test_cell_study_prints_one_line_per_method(capsys):
+    _script("cell_study").main(["I/400", "--seed", "3", "--reps", "2"])
+    title, header, *lines = capsys.readouterr().out.splitlines()
+    assert title == "I/400 k_bar 12, seed 3, 2 reps"
+    assert header.split() == [
+        "method", "records", "failed", "wild", "bias", "SD", "rootn*SD", "n*MSE", "coverage", "band",
+    ]
+    rows, (histogram,) = lines[: len(METHODS)], lines[len(METHODS):]
+    records = run_replications(ScenarioConfig("I", 400), METHODS, 2, 3)
+    for row, method in zip(rows, METHODS):
+        fields = row.split()
+        assert fields[:4] == [method, "2", "0", "0"]
+        taus = [r["tau_hat"] for r in records if r["method"] == method]
+        assert float(fields[4]) == round(sum(taus) / 2 - 0.5, 4)
+        assert float(fields[7]) == round(400 * sum((t - 0.5) ** 2 for t in taus) / 2, 2)
+        assert fields[9:] == ["[0.648,", "1.000]"]
+    ks = [r["k_star"] for r in records if r["method"] == "gmm-div"]
+    assert histogram == "gmm-div K*: " + " ".join(
+        f"{k}:{ks.count(k)}" for k in sorted(set(ks))
+    )

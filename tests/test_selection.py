@@ -3,7 +3,8 @@
 The criterion is locked against a literal per-observation transcription of
 its formula (explicit loops and inverses, no shared code). The batched
 one-QR scan is locked against a per-candidate path (a fresh QR and
-identity-weight fit at every K, each scored alone), written out here.
+identity-weight fit at every K, each scored alone at the preliminary
+residual of the widest fit), written out here.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from proxigmm.data import Dataset
 from proxigmm.errors import AllCandidatesSingular, DimensionMismatch, RankDeficient
 from proxigmm.gmm import fit_initial, fit_optimal
 from proxigmm.selection import (
-    _candidate_covariances,
     _criterion,
+    _leading_cholesky,
     _prefix_leverages,
+    _whitened,
     select_and_fit,
     select_k,
 )
@@ -41,15 +43,18 @@ def _random_instance(seed: int, n: int, k: int, p: int):
     return u, feat_grad, resid, target
 
 
-def _literal_target_direction(u, feat_grad, resid, target):
-    """Per-observation transcription of the causal-direction criterion."""
+def _literal_target_direction(u, feat_grad, resid, target, prelim=None):
+    """Per-observation transcription of the causal-direction criterion, with
+    the covariance taken at the preliminary residual ``prelim`` (``resid``
+    when not given)."""
+    prelim = resid if prelim is None else prelim
     n, k = u.shape
     p = feat_grad.shape[1]
     ups = np.zeros((k, k))
     gram = np.zeros((k, k))
     bmat = np.zeros((k, p))
     for i in range(n):
-        ups = ups + resid[i] ** 2 * np.outer(u[i], u[i])
+        ups = ups + prelim[i] ** 2 * np.outer(u[i], u[i])
         gram = gram + np.outer(u[i], u[i])
         bmat = bmat - np.outer(u[i], feat_grad[i])
     ups, gram, bmat = ups / n, gram / n, bmat / n
@@ -78,6 +83,16 @@ class TestCriterionFormulas:
         got = one_candidate_criterion(u, feat_grad, resid, target)
         want = _literal_target_direction(u, feat_grad, resid, target)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+    def test_preliminary_residual_enters_the_covariance_alone(self):
+        # The covariance reads the preliminary residual; the bias and
+        # influence terms read the candidate's own.
+        u, feat_grad, resid, target = _random_instance(13, n=40, k=4, p=2)
+        prelim = resid + np.random.default_rng(13).normal(size=resid.size)
+        got = one_candidate_criterion(u, feat_grad, resid, target, prelim)
+        want = _literal_target_direction(u, feat_grad, resid, target, prelim)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+        assert got != one_candidate_criterion(u, feat_grad, resid, target)
 
     def test_target_direction_score_is_sum_of_terms(self):
         u, feat_grad, resid, target = _random_instance(12, n=35, k=4, p=3)
@@ -124,38 +139,77 @@ def test_leverage_table_rows_are_prefix_leverages():
         np.testing.assert_allclose(table[:, kk - 1], want, rtol=1e-12)
 
 
-def _row_major_covariances(u, resid, ks, ok):
-    """The candidates' residual-weighted covariances, each formed from a
-    row-major (n, K) block of strided slices of ``u`` and ``resid``: the
-    reference for the column-major blocks of the scan."""
-    n, k = u.shape
-    upsilon = np.tile(np.eye(k), (ks.size, 1, 1))
-    buf = np.empty(n * k)
-    for c in np.flatnonzero(ok):
-        weighted = buf[: n * ks[c]].reshape(n, ks[c])
-        np.multiply(u[:, : ks[c]], resid[:, c, None], out=weighted)
-        upsilon[c, : ks[c], : ks[c]] = weighted.T @ weighted / n
-    return upsilon
+def _orthonormal_vanishing_on(n, k, j, rows, seed):
+    """(n, k) columns with u'u/n the identity whose columns from j on are
+    exactly zero on ``rows``, the last rows: the QR of random columns taken
+    in reverse order, whose Householder reflections keep those zeros."""
+    a = np.random.default_rng(seed).normal(size=(n, k))
+    a[rows, j:] = 0.0
+    u = np.linalg.qr(a[:, ::-1])[0][:, ::-1] * np.sqrt(n)
+    assert np.all(u[rows, j:] == 0.0)
+    np.testing.assert_allclose(u.T @ u / n, np.eye(k), atol=1e-12)
+    return u
 
 
 class TestBatchedKernel:
     @pytest.mark.parametrize(
         "config, k_bar",
         [(ScenarioConfig("I", 400), 12), (ScenarioConfig("II", 800), 12),
-         (ScenarioConfig("II", 800), 30), (ScenarioConfig("II", 3200), 20)],
-        ids=["I400-k12", "II800-k12", "II800-k30", "II3200-k20"],
+         (ScenarioConfig("II", 3200), 20)],
+        ids=["I400-k12", "II800-k12", "II3200-k20"],
     )
-    def test_candidate_covariances_match_the_row_major_loop(self, config, k_bar):
+    def test_leading_blocks_match_a_fresh_cholesky(self, config, k_bar):
+        # Candidate K's whitened rows and Ω, read off one factor of the
+        # scanned basis's Υ(r̂), are those of a fresh Cholesky factor of the
+        # leading K×K block of Υ(r̂).
         for rep in range(3):
             ds = generate(config, 0, rep)
             u = orthonormalize(build_basis(ds, SieveSpec(), k_bar)).u
+            feat_grad = BRIDGE.grad(ds.w, ds.a, ds.x)
+            bmat = -(u.T @ feat_grad) / ds.n
+            prelim = np.random.default_rng(rep).normal(size=ds.n) * (1.0 + np.abs(ds.w[:, 0]))
             ks = np.arange(BRIDGE.n_params, k_bar + 1)
-            rng = np.random.default_rng(rep)
-            resid = rng.normal(size=(ds.n, ks.size)) * (1.0 + np.abs(ds.w))
-            ok = rng.random(ks.size) < 0.8
-            np.testing.assert_array_equal(
-                _candidate_covariances(u, resid, ks, ok), _row_major_covariances(u, resid, ks, ok)
-            )
+            _, whitened, omega, factored = _whitened(u, bmat, prelim, ks)
+            assert factored == k_bar
+            weighted = u * prelim[:, None]
+            upsilon = weighted.T @ weighted / ds.n
+            for k, omega_k in zip(ks, omega):
+                want = np.linalg.solve(np.linalg.cholesky(upsilon[:k, :k]), bmat[:k])
+                np.testing.assert_allclose(whitened[:k], want, rtol=0, atol=1e-12 * np.abs(want).max())
+                np.testing.assert_allclose(omega_k, want.T @ want, rtol=1e-12)
+
+    @pytest.mark.parametrize("j", [2, 3, 5, 6])
+    def test_a_covariance_singular_from_a_column_on_fails_the_longer_candidates(self, j):
+        # The preliminary residual is zero off the last rows, where column j
+        # of the basis (and every later one) is zero: Υ(r̂)'s leading j×j
+        # block is positive definite and its row and column j are zero.
+        # Candidates K ≤ j score as they do alone, the longer ones inf.
+        n, k = 60, 7
+        rows = np.arange(30, n)
+        u = _orthonormal_vanishing_on(n, k, j, rows, seed=26)
+        _, feat_grad, _, target = _random_instance(27, n=n, k=k, p=2)
+        ks = np.arange(3, 8)
+        resid = np.random.default_rng(28).normal(size=(n, ks.size)) + 0.5
+        prelim = np.zeros(n)
+        prelim[rows] = resid[rows, -1]
+        weighted = u * prelim[:, None]
+        chol, factored = _leading_cholesky(weighted.T @ weighted / n)
+        assert factored == j
+        np.testing.assert_array_equal(chol[j:, j:], np.eye(k - j))
+        scores, bias, var = _criterion(
+            u, -(u.T @ feat_grad) / n, feat_grad, resid, prelim, target, ks, np.ones(5, bool)
+        )
+        assert np.isinf(scores[ks > j]).all()
+        assert np.isnan(bias[ks > j]).all() and np.isnan(var[ks > j]).all()
+        for c in np.flatnonzero(ks <= j):
+            want = one_candidate_criterion(u[:, : ks[c]], feat_grad, resid[:, c], target, prelim)
+            np.testing.assert_allclose((scores[c], bias[c], var[c]), want, rtol=1e-12)
+        # A zero preliminary residual fails every candidate, so the scan
+        # raises AllCandidatesSingular (test_zero_outcome_raises_all_singular).
+        scores, _, _ = _criterion(
+            u, -(u.T @ feat_grad) / n, feat_grad, resid, np.zeros(n), target, ks, np.ones(5, bool)
+        )
+        assert np.isinf(scores).all()
 
     def test_least_squares_flags_only_the_rank_deficient_system(self):
         rng = np.random.default_rng(23)
@@ -172,23 +226,25 @@ class TestBatchedKernel:
             np.testing.assert_allclose(bread_inv[c], np.linalg.inv(lhs[c].T @ lhs[c]), rtol=1e-12)
 
     def test_failing_candidates_in_the_middle_score_inf_alone(self):
-        # Of five stacked candidates, the second failed its rank check and
-        # the fourth has a singular covariance (its Cholesky fails); the
-        # others score as they do alone.
+        # Of five stacked candidates, the second and the fourth failed their
+        # rank check (the fourth's residuals are zero); the others score as
+        # they do alone, at the preliminary residual of the widest.
         n, k = 60, 7
         u, feat_grad, _, target = _random_instance(24, n=n, k=k, p=2)
         u = orthonormalize(BasisMatrix(u=u, term_names=tuple(map(str, range(k))))).u
         ks = np.arange(3, 8)
         resid = np.random.default_rng(25).normal(size=(n, ks.size)) + 0.5
         resid[:, 3] = 0.0
-        ok = np.array([True, False, True, True, True])
+        ok = np.array([True, False, True, False, True])
         scores, bias, var = _criterion(
-            u, -(u.T @ feat_grad) / n, feat_grad, resid, target, ks, ok
+            u, -(u.T @ feat_grad) / n, feat_grad, resid, resid[:, 4], target, ks, ok
         )
         assert np.isinf(scores[[1, 3]]).all()
         assert np.isnan(bias[[1, 3]]).all() and np.isnan(var[[1, 3]]).all()
         for c in (0, 2, 4):
-            want = one_candidate_criterion(u[:, : ks[c]], feat_grad, resid[:, c], target)
+            want = one_candidate_criterion(
+                u[:, : ks[c]], feat_grad, resid[:, c], target, resid[:, 4]
+            )
             np.testing.assert_allclose((scores[c], bias[c], var[c]), want, rtol=1e-12)
 
 
@@ -218,12 +274,15 @@ def _prefix_score_parts(ds, u):
 
 
 def _per_candidate_scan(ds, spec, k_bar):
-    """The scan with a fresh QR and identity-weight fit at every candidate."""
+    """The scan with a fresh QR and identity-weight fit at every candidate,
+    each scored at the preliminary residual: the residual of the fit at
+    ``k_bar``, the widest candidate, whose fit identifies the bridge."""
     p = BRIDGE.n_params
+    prelim = _prefix_score_parts(ds, orthonormalize(build_basis(ds, spec, k_bar)).u)[2]
     scores = []
     for k in range(p, k_bar + 1):
         u = orthonormalize(build_basis(ds, spec, k)).u
-        scores.append(one_candidate_criterion(*_prefix_score_parts(ds, u))[0])
+        scores.append(one_candidate_criterion(*_prefix_score_parts(ds, u), prelim)[0])
     scores = np.array(scores)
     return scores, p + int(np.argmin(scores))
 
@@ -239,15 +298,17 @@ class TestScan:
         assert [r[0] for r in rows] == list(diag.k_grid)
         chosen = [r for r in rows if r[4]]
         assert len(chosen) == 1 and chosen[0][0] == diag.k_star
-        # Each candidate is scored on the leading columns of one basis; the
-        # scan slices cross-products built once, so it agrees with a fresh
-        # computation on the prefix to rounding.
+        # Each candidate is scored on the leading columns of one basis, at
+        # the preliminary residual of the fit on all 8; the scan slices
+        # cross-products built once, so it agrees with a fresh computation
+        # on the prefix to rounding.
         basis = orthonormalize(build_basis(scenario1_ds, spec, 8))
+        prelim = _prefix_score_parts(scenario1_ds, basis.u)[2]
         for k, bias, var, score, _ in rows:
             assert score == pytest.approx(bias + var, rel=1e-12)
             parts = _prefix_score_parts(scenario1_ds, basis.u[:, :k])
             np.testing.assert_allclose(
-                (score, bias, var), one_candidate_criterion(*parts), rtol=1e-12
+                (score, bias, var), one_candidate_criterion(*parts, prelim), rtol=1e-12
             )
 
     @pytest.mark.parametrize(
@@ -334,7 +395,8 @@ class TestScan:
     def test_late_dependent_column_keeps_shorter_candidates(self):
         # A three-valued proxy makes its cube (column 7, after 1, a, z, x,
         # z^2, x^2) a quadratic in z: candidates 4..6 are scored on the
-        # 6-column prefix and the longer ones stay singular.
+        # 6-column prefix, at the preliminary residual of its fit, and the
+        # longer ones stay singular.
         rng = np.random.default_rng(22)
         n = 120
         z = np.tile([-1.0, 0.0, 2.0], n // 3)
@@ -353,8 +415,9 @@ class TestScan:
         assert np.all(np.isinf(diag.scores[3:]))
         assert np.all(np.isnan(diag.bias_terms[3:]))
         basis = orthonormalize(build_basis(ds, SieveSpec(), 6))
+        prelim = _prefix_score_parts(ds, basis.u)[2]
         for k, score in zip(diag.k_grid[:3], diag.scores[:3]):
-            want = one_candidate_criterion(*_prefix_score_parts(ds, basis.u[:, :k]))[0]
+            want = one_candidate_criterion(*_prefix_score_parts(ds, basis.u[:, :k]), prelim)[0]
             np.testing.assert_allclose(score, want, rtol=1e-12)
 
     def test_scan_deterministic(self, scenario1_ds):
