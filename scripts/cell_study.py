@@ -10,8 +10,10 @@ prints one line per method over that method's records: how many failed
 times the method's median SE, the rule of ``records_drift.py``), and,
 over every record with an estimate, the bias and SD of tau_hat,
 sqrt(n)·SD, n·MSE (n times the mean squared error of tau_hat about the
-true effect), the coverage of the 95% interval and the binomial 95% band
-that a coverage of .95 falls in at that many records. Each method that
+true effect), the coverage of the 95% interval, the SD of the
+t-statistic t = (tau_hat - tau)/SE (near 1 when the SE tracks the
+estimator's spread) and the binomial 95% band that a coverage of .95
+falls in at that many records. Each method that
 selects K then gets a line with its K* histogram.
 """
 
@@ -29,6 +31,15 @@ from proxigmm.simulation import DEFAULT_K_BAR, METHODS
 _NOMINAL, _Z95 = 0.95, 1.959963984540054
 
 
+def _sd(values: list[float]) -> float:
+    """Sample standard deviation of ``values``; NaN below two values."""
+    m = len(values)
+    if m < 2:
+        return math.nan
+    mean = sum(values) / m
+    return math.sqrt(sum((v - mean) ** 2 for v in values) / (m - 1))
+
+
 def summary(records: list[dict], n: int, tau0: float) -> dict:
     """One method's figures over its ``records`` at sample size ``n`` and
     true effect ``tau0``."""
@@ -36,7 +47,7 @@ def summary(records: list[dict], n: int, tau0: float) -> dict:
     taus = [r["tau_hat"] for r in good]
     m = len(taus)
     mean = sum(taus) / m if m else math.nan
-    sd = math.sqrt(sum((t - mean) ** 2 for t in taus) / (m - 1)) if m > 1 else math.nan
+    sd = _sd(taus)
     half = _Z95 * math.sqrt(_NOMINAL * (1 - _NOMINAL) / m) if m else math.nan
     return {
         "records": len(records),
@@ -47,6 +58,7 @@ def summary(records: list[dict], n: int, tau0: float) -> dict:
         "root_n_sd": math.sqrt(n) * sd,
         "n_mse": n * sum((t - tau0) ** 2 for t in taus) / m if m else math.nan,
         "coverage": sum(r["ci_lo"] <= tau0 <= r["ci_hi"] for r in good) / m if m else math.nan,
+        "sd_t": _sd([(r["tau_hat"] - tau0) / r["se_tau"] for r in good]),
         "band": (max(0.0, _NOMINAL - half), min(1.0, _NOMINAL + half)),
     }
 
@@ -66,13 +78,13 @@ def main(argv=None) -> None:
     tau0 = DgpCoefficients().true_ate
     print(f"{opts.cell} k_bar {opts.k_bar}, seed {opts.seed}, {opts.reps} reps")
     print(f"{'method':<9}{'records':>8}{'failed':>7}{'wild':>5}{'bias':>9}{'SD':>8}"
-          f"{'rootn*SD':>9}{'n*MSE':>8}{'coverage':>9}  band")
+          f"{'rootn*SD':>9}{'n*MSE':>8}{'coverage':>9}{'SD(t)':>7}  band")
     by_method = {m: [r for r in records if r["method"] == m] for m in methods}
     for method, recs in by_method.items():
         s = summary(recs, config.n, tau0)
         print(f"{method:<9}{s['records']:>8}{s['failed']:>7}{s['wild_se']:>5}{s['bias']:>+9.4f}"
               f"{s['sd']:>8.4f}{s['root_n_sd']:>9.3f}{s['n_mse']:>8.2f}{s['coverage']:>9.3f}"
-              f"  [{s['band'][0]:.3f}, {s['band'][1]:.3f}]")
+              f"{s['sd_t']:>7.3f}  [{s['band'][0]:.3f}, {s['band'][1]:.3f}]")
     for method, recs in by_method.items():
         if hist := k_histogram(recs):
             print(f"{method} K*: " + " ".join(f"{k}:{c}" for k, c in hist.items()))

@@ -32,7 +32,6 @@ from .errors import (
     DimensionMismatch,
     NoConvergence,
     RankDeficientDesign,
-    RankDeficientJacobian,
     SingularSystem,
     SingularVariance,
     WeakRank,
@@ -175,47 +174,32 @@ def _canonical_bridge_fit(ds: Dataset) -> GmmFit:
     the fit of ``gmm-div`` at K* = p. Degenerate instruments then raise
     the sieve's errors: :class:`DegenerateColumn` for a constant z or x,
     :class:`RankDeficient` for one dependent on the others or for fewer
-    rows than instruments. With more z proxies the moments are
-    instrumented by the least-squares projection of the bridge features on
-    ``(1, z, a, x)``, which is two-stage least squares, fitted on
-    orthonormal columns spanning them (:func:`gmm._fit_identity`). That
-    first stage projects on the leading left singular vectors of the
-    instruments scaled to unit-norm columns, whose count is their rank
-    (singular values above ``lstsq``'s default cutoff). Either way neither
-    the fit, its sandwich nor its rank tests depend on the units of z or
-    x. Raises :class:`WeakRank` with fewer z than w proxies or instruments
-    of lower rank than the bridge, and, with more z than
-    w proxies, :class:`RankDeficientJacobian` when the instruments do not
-    identify it.
+    rows than instruments. Otherwise the moments are instrumented by
+    orthonormal columns U (U'U/n the identity) spanning ``(1, z, a, x)``:
+    the leading left singular vectors of the instruments scaled to
+    unit-norm columns, whose count is their rank (singular values above
+    ``lstsq``'s default cutoff). On them the identity weight is the
+    inverse of U'U/n, so the fit (:func:`gmm._fit_identity`) is two-stage
+    least squares and its sandwich the robust 2SLS sandwich. Either way
+    the fit's rank test is :func:`gmm._solve`'s, and neither the fit, its
+    sandwich nor its rank tests depend on the units of w, z or x. Raises
+    :class:`WeakRank` when the instruments' rank is below the bridge
+    dimension, as with fewer z than w proxies, and
+    :class:`RankDeficientJacobian` when the instruments do not identify
+    the bridge.
     """
-    if ds.z.shape[1] < ds.w.shape[1]:
-        raise WeakRank(
-            f"{ds.z.shape[1]} instruments cannot identify {ds.w.shape[1]} proxy regressors"
-        )
     bridge = _linear_bridge(ds)
     if ds.z.shape[1] == ds.w.shape[1]:
         return _fit_once(_exact_fit, ds, bridge)
     instruments = _fit_once(_instruments, ds)
     p = bridge.n_params
-    feats = _bridge_features(ds, bridge).feats
     norms = np.linalg.norm(instruments, axis=0)
     scaled = instruments / np.where(norms > 0.0, norms, 1.0)
     left, sing, _ = np.linalg.svd(scaled, full_matrices=False)
     rank = int(np.sum(sing > max(instruments.shape) * _EPS * sing[0]))
     if rank < p:
         raise WeakRank(f"instruments of rank {rank} cannot identify {p} parameters")
-    span = left[:, :rank]
-    instruments = span @ (span.T @ feats)
-    q, r = np.linalg.qr(instruments)
-    # A pivot of R at rounding level (matrix_rank's tolerance) of the norm of
-    # the feature its column's first stage fits marks, in any units, a
-    # column dependent on the earlier ones.
-    tol = max(instruments.shape) * _EPS
-    if r.shape[0] < p or np.any(np.abs(np.diag(r)) <= tol * np.linalg.norm(feats, axis=0)):
-        raise RankDeficientJacobian(
-            "instruments do not identify the bridge: a QR pivot is at rounding level"
-        )
-    return _fit_identity(_Moments.build(ds, q, bridge))
+    return _fit_identity(_Moments.build(ds, np.sqrt(ds.n) * left[:, :rank], bridge))
 
 
 def _outcome_bridge_report(ds: Dataset, method: str) -> EstimateReport:
@@ -244,7 +228,9 @@ def rgmm(ds: Dataset) -> EstimateReport:
     contrast moment, J⁻¹ΥJ⁻ᵀ. The fit is the dataset's kept exactly
     identified fit (:func:`gmm._exact_fit`), on the sieve's first p terms,
     which span (1, z, a, x), so a constant z or x raises
-    :class:`DegenerateColumn` and a dependent one :class:`RankDeficient`.
+    :class:`DegenerateColumn` and a dependent one :class:`RankDeficient`;
+    a w proxy those instruments reach only at rounding level of its own
+    size raises :class:`RankDeficientJacobian` (:func:`gmm._solve`).
     A dataset shares this fit across ``rgmm``, ``p2sls``, ``pdr`` and
     ``gmm-div`` at K* = p, so ``rgmm`` equals :func:`p2sls` and that fit.
     """
@@ -261,10 +247,14 @@ def p2sls(ds: Dataset) -> EstimateReport:
     original regressors. A dataset shares this fit across ``rgmm``,
     ``p2sls`` and ``pdr``, so with as many z as w proxies ``p2sls`` equals
     :func:`rgmm`, the kept exactly identified fit that ``gmm-div`` reads at
-    K* = p, and raises its errors. With more z than w proxies the fit is
-    two-stage least squares, and instruments that do not identify the
-    bridge raise :class:`RankDeficientJacobian`; fewer z than w proxies
-    raise :class:`WeakRank`.
+    K* = p, and raises its errors. Otherwise the fit is the identity-weight
+    fit on orthonormal columns spanning (1, z, a, x), which is two-stage
+    least squares (:func:`_canonical_bridge_fit`). Either way the fit's
+    rank test is :func:`gmm._solve`'s, so a w proxy the instruments reach
+    only at rounding level of its own size raises
+    :class:`RankDeficientJacobian` in any units, and instruments of lower
+    rank than the bridge, as with fewer z than w proxies, raise
+    :class:`WeakRank`.
     """
     return _outcome_bridge_report(ds, "p2sls")
 

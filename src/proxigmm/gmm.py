@@ -9,9 +9,13 @@ and bridge and kept on the dataset (:func:`_fit_once`), so the moment-count
 scan, every public fit step and the baselines' outcome-bridge fit read one
 build; the affine map is built once per instrument matrix. A fixed-weight
 fit and its sandwich are :func:`_fit`. Every weighted system W½J, of the
-fits, the floored sandwich and the moment-count scan, is one SVD on
-unit-norm columns (:func:`_solve`), which gives the estimates, the rank
-test and the bread (J'WJ)⁻¹ in any units of w, x and z. Fitting proceeds
+fits, the floored sandwich and the moment-count scan, is one SVD with
+each column scaled by its feature's root mean square, which the features
+keep (:func:`_solve`). It gives the estimates, the rank test and the
+bread (J'WJ)⁻¹ in any units of w, x and z, and it is the one rule that
+decides whether instruments identify the bridge: a feature that they
+reach only at rounding level of its own size is unidentified, in any
+units, and the fit raises :class:`RankDeficientJacobian`. Fitting proceeds
 in two steps: an identity-weight fit on the orthonormalized basis, then an
 optimally weighted fit whose weight is the spectrally regularized inverse
 of the estimated moment covariance, polished by a damped Newton step of
@@ -165,19 +169,25 @@ class _Features:
     once per dataset and bridge, and every moment system instrumenting that
     bridge on that dataset reads them. ``contrast_mean`` is the contrast's
     column mean, the mean parameter gradient of the treatment contrast.
+    ``scale`` holds each feature's root mean square ‖f_j‖/√n, then 1 for
+    tau: the column scales by which :func:`_solve` equilibrates every
+    moment Jacobian of the bridge (a zero feature is scaled by 1).
     """
 
     y: np.ndarray
     feats: np.ndarray
     contrast: np.ndarray
     contrast_mean: np.ndarray
+    scale: np.ndarray
 
     @classmethod
     def build(cls, ds: Dataset, bridge: OutcomeBridge) -> _Features:
         ones = np.ones(ds.n)
         feats = bridge.grad(ds.w, ds.a, ds.x)
         contrast = bridge.grad(ds.w, ones, ds.x) - bridge.grad(ds.w, 0.0 * ones, ds.x)
-        return cls(ds.y, feats, contrast, contrast.mean(axis=0))
+        rms = np.linalg.norm(feats, axis=0) / np.sqrt(ds.n)
+        scale = np.append(np.where(rms > 0.0, rms, 1.0), 1.0)
+        return cls(ds.y, feats, contrast, contrast.mean(axis=0), scale)
 
 
 @dataclass(frozen=True)
@@ -296,41 +306,51 @@ def _prepare(basis: BasisMatrix) -> BasisMatrix:
     return basis if basis.orthonormal else orthonormalize(basis)
 
 
-def _solve(lhs: np.ndarray, rhs: np.ndarray, error: type[ProxiGmmError]):
+def _solve(
+    lhs: np.ndarray, rhs: np.ndarray, scale: np.ndarray, n: int, error: type[ProxiGmmError]
+):
     """Least-squares solutions of ``lhs @ beta = rhs``, the ranks of ``lhs``
     and the inverses of ``lhs' lhs``, for one (m, q) system or a stack.
 
-    With S the column norms, one SVD ``lhs S⁻¹ = UΣV'`` gives the solution
-    S⁻¹VΣ⁻¹U'rhs and the inverse S⁻¹VΣ⁻²V'S⁻¹, so none of the three depends
-    on the units of a column. The rank counts singular values above eps
-    times the largest (a zero column is dependent); below q the solution
-    and inverse are not meaningful. Raises ``ValueError`` on non-finite
-    input and ``error``, the caller's type, when the SVD does not converge.
+    ``lhs`` is a weighted moment Jacobian that averages over ``n`` rows,
+    and ``scale`` the bridge's kept column scales S (:class:`_Features`).
+    One SVD ``lhs S⁻¹ = UΣV'`` gives the solution S⁻¹VΣ⁻¹U'rhs and the
+    inverse S⁻¹VΣ⁻²V'S⁻¹. The rank counts singular values above
+    max(n, q)·eps times the largest; below q the solution and inverse are
+    not meaningful. On orthonormal instruments a column of J is at most
+    its feature's root mean square, so an identified column of J S⁻¹ is of
+    order 1 and a feature the instruments reach only at rounding level of
+    its own size stays at rounding level and is not counted, in any units
+    of w, x and z. Raises ``ValueError`` on non-finite input and
+    ``error``, the caller's type, when the SVD does not converge.
     """
     _check_finite(lhs, rhs)
-    norms = np.sqrt(np.square(lhs).sum(axis=-2))
-    scale = norms + (norms == 0.0)  # a zero column is scaled by 1
     try:
-        left, sing, right_t = np.linalg.svd(lhs / scale[..., None, :], full_matrices=False)
+        left, sing, right_t = np.linalg.svd(lhs / scale, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise error("the SVD of the weighted moment Jacobian did not converge") from exc
-    counted = sing > np.finfo(float).eps * sing[..., :1]
+    counted = sing > max(n, lhs.shape[-1]) * np.finfo(float).eps * sing[..., :1]
     # Σ⁻¹V'S⁻¹, whose product with its transpose on the left is the inverse.
-    half_t = right_t / (np.where(counted, sing, 1.0)[..., :, None] * scale[..., None, :])
+    half_t = right_t / (np.where(counted, sing, 1.0)[..., :, None] * scale)
     beta = ((rhs[..., None, :] @ left) @ half_t)[..., 0, :]
     return beta, counted.sum(axis=-1), half_t.swapaxes(-1, -2) @ half_t
 
 
 def _least_squares(
-    jac: np.ndarray, const: np.ndarray, w_half: np.ndarray
+    moments: _Moments, w_half: np.ndarray
 ) -> tuple[np.ndarray, float, np.ndarray]:
-    """Minimizer and value of ``|w_half @ (const + jac @ beta)|²``, and the
-    bread inverse (J'WJ)⁻¹ for W = ``w_half²``, from one :func:`_solve`.
+    """Minimizer and value of ``|w_half @ (const + jac @ beta)|²`` for the
+    moments' ``jac`` and ``const``, and the bread inverse (J'WJ)⁻¹ for
+    W = ``w_half²``, from one :func:`_solve` at the bridge's kept scale.
     Raises :class:`RankDeficientJacobian` when the moments do not identify
     ``beta`` or the SVD fails.
     """
+    jac, const = moments.jac, moments.const
     p1 = jac.shape[1]
-    beta, rank, bread_inv = _solve(w_half @ jac, -(w_half @ const), RankDeficientJacobian)
+    beta, rank, bread_inv = _solve(
+        w_half @ jac, -(w_half @ const), moments.features.scale, moments.u.shape[0],
+        RankDeficientJacobian,
+    )
     if rank < p1:
         raise RankDeficientJacobian(
             f"moment Jacobian has rank {rank} < {p1}; instruments do not "
@@ -422,32 +442,29 @@ def _stacked(factor, stack: np.ndarray, ok: np.ndarray) -> np.ndarray:
         return out
 
 
-def _continuous_update_objective(moments: _Moments, gram_moments=None):
+def _continuous_update_objective(moments: _Moments, gram_moments):
     """Build the moment objective with the covariance re-evaluated per trial
     point, as a function of a (B, p+1) stack of points returning B values:
     the quadratic form of the mean moments ḡ in the inverse of their
     covariance Υ, with Υ's eigenvalues floored at ``SPECTRAL_FLOOR`` times
     its largest.
 
-    ``gram_moments`` is :func:`_gram_moments` of ``moments``, built here
-    when the caller has not built it; after that O(n (K(p+1))²) build an
-    evaluation does no work in n. A point is certified when every diagonal
-    entry of its Υ exceeds ``SPECTRAL_FLOOR`` times the trace, Υ = LL' has
-    a Cholesky factor, and ‖L⁻¹‖_F²·``SPECTRAL_FLOOR``·trace Υ < 1: as
-    ‖L⁻¹‖_F² = trace Υ⁻¹ ≥ 1/λmin and trace Υ ≥ λmax, that proves
-    λmin > ``SPECTRAL_FLOOR``·λmax, so nothing is floored and the value is
-    ‖L⁻¹ḡ‖². The diagonal screen keeps points with a floored direction,
-    such as the linear bridge's degenerate contrast, out of the
-    factorization. The other points are decomposed by one stacked
-    ``eigh`` and their eigenvalues floored. Which branch a point takes,
-    and its value, do not depend on the rest of its batch: a stack whose
-    Cholesky fails is factored one point at a time (:func:`_stacked`). A
-    point whose covariance is not finite or has no positive eigenvalue
-    reads ``inf``, as does every uncertified point of a stack whose
-    ``eigh`` fails.
+    ``gram_moments`` is :func:`_gram_moments` of ``moments``; after that
+    O(n (K(p+1))²) build an evaluation does no work in n. A point is
+    certified when every diagonal entry of its Υ exceeds ``SPECTRAL_FLOOR``
+    times the trace, Υ = LL' has a Cholesky factor, and
+    ‖L⁻¹‖_F²·``SPECTRAL_FLOOR``·trace Υ < 1: as ‖L⁻¹‖_F² = trace Υ⁻¹ ≥
+    1/λmin and trace Υ ≥ λmax, that proves λmin > ``SPECTRAL_FLOOR``·λmax,
+    so nothing is floored and the value is ‖L⁻¹ḡ‖². The diagonal screen
+    keeps points with a floored direction, such as the linear bridge's
+    degenerate contrast, out of the factorization. The other points are
+    decomposed by one stacked ``eigh`` and their eigenvalues floored. Which
+    branch a point takes, and its value, do not depend on the rest of its
+    batch: a stack whose Cholesky fails is factored one point at a time
+    (:func:`_stacked`). A point whose covariance is not finite or has no
+    positive eigenvalue reads ``inf``, as does every uncertified point of a
+    stack whose ``eigh`` fails.
     """
-    if gram_moments is None:
-        gram_moments = _gram_moments(moments)
     eye = np.eye(moments.jac.shape[0])
 
     def objective(betas: np.ndarray) -> np.ndarray:
@@ -633,7 +650,7 @@ def _fit(moments: _Moments, w_half: np.ndarray) -> GmmFit:
     """The fit under the fixed weight W with symmetric square root
     ``w_half``, and its general sandwich at the moment covariance there:
     the solve's bread inverse (J'WJ)⁻¹ around the meat J'WΥWJ."""
-    beta, obj, bread_inv = _least_squares(moments.jac, moments.const, w_half)
+    beta, obj, bread_inv = _least_squares(moments, w_half)
     upsilon = estimate_upsilon(moments.scores(beta))
     weighted = w_half @ moments.jac
     v_hat = bread_inv @ (weighted.T @ w_half @ upsilon @ w_half @ weighted) @ bread_inv
@@ -683,9 +700,9 @@ def _fit_optimal(moments: _Moments) -> GmmFit:
     if k == moments.jac.shape[1] - 1:
         return _fit_identity(moments)
     gram_moments = _gram_moments(moments)
-    beta, _, _ = _least_squares(moments.jac, moments.const, np.eye(k + 1))
+    beta, _, _ = _least_squares(moments, np.eye(k + 1))
     first = regularize_moments(gram_moments(beta[None])[1][0])
-    beta, _, _ = _least_squares(moments.jac, moments.const, first.floored_weight_sqrt())
+    beta, _, _ = _least_squares(moments, first.floored_weight_sqrt())
     beta, obj = _refine_continuous_update(moments, beta, gram_moments)
     v_hat, se = _sandwich(moments, gram_moments(beta[None])[1][0])
     return _gmm_fit(moments, beta, obj, v_hat, se, first.k1)
@@ -735,7 +752,10 @@ def _sandwich(moments: _Moments, upsilon: np.ndarray) -> tuple[np.ndarray, np.nd
     its per-observation-scaled standard errors."""
     decomp = regularize_moments(upsilon)
     weighted = decomp.floored_weight_sqrt() @ moments.jac
-    _, rank, v_hat = _solve(weighted, np.zeros(weighted.shape[0]), SingularVariance)
+    _, rank, v_hat = _solve(
+        weighted, np.zeros(weighted.shape[0]), moments.features.scale, moments.u.shape[0],
+        SingularVariance,
+    )
     if rank < weighted.shape[1]:
         raise SingularVariance("floored-weight Jacobian quadratic form is singular")
     se = np.sqrt(np.maximum(np.diag(v_hat), 0.0) / moments.u.shape[0])

@@ -30,6 +30,7 @@ from proxigmm import (
     pipw,
     rgmm,
     select_and_fit,
+    select_k,
 )
 from proxigmm import baselines, run_replications, selection, simulation
 from proxigmm.errors import (
@@ -89,14 +90,15 @@ class TestOracles:
         # Rescaling z, x or w rescales the instruments or the bridge's
         # features and coefficients; the effect and its SE stay where they
         # were, and so do select_and_fit's under z, whose sieve standardizes
-        # z. Every weighted moment system is solved on unit-norm columns
-        # (gmm._solve), so x and w in any units lose no digits either.
-        # A second z proxy, z1² plus noise, takes p2sls through its
-        # two-stage first stage, which projects on the instruments scaled
-        # to unit-norm columns. Measured up to 10^+-13: at most 3.4e-15
-        # absolute in tau and 1.7e-15 relative in SE for rgmm and p2sls
-        # (3.3e-15 and 8.6e-15 with two z proxies), and 4.1e-12 and 1.6e-12
-        # for select_and_fit under z.
+        # z. Every weighted moment system is solved with each column
+        # scaled by its feature's size (gmm._solve), so x and w in any
+        # units lose no digits either. A second z proxy, z1² plus noise,
+        # takes p2sls through its two-stage fit, whose instruments are the
+        # leading left singular vectors of (1, z, a, x) scaled to unit-norm
+        # columns. Measured up to 10^+-13: at most 3.4e-15 absolute in tau
+        # and 2.0e-15 relative in SE for rgmm and p2sls (4.2e-15 and
+        # 2.7e-15 with two z proxies), and 1.3e-12 and 9.3e-13 for
+        # select_and_fit under z.
         ds = generate(config, 3, rep)
         bridge = OutcomeBridge.linear(1, 1)
         z2 = ds.z[:, 0] ** 2 + np.random.default_rng(0).standard_normal(ds.n)
@@ -121,11 +123,12 @@ class TestOracles:
                 assert scaled.se_tau == pytest.approx(base.se_tau, rel=tol)
 
     def test_gmm_div_keeps_its_moment_count_and_effect_in_any_units_of_w_or_x(self):
-        # The fits solve their moment systems on unit-norm columns, so x or
-        # w at 10^+-12 leaves the moment Jacobian its full rank. Measured:
-        # K* stays 12 and tau moves by at most 6.5e-10. The SE is
-        # not compared: the polish's finite-difference steps depend on the
-        # units of x and w and move it by up to 0.9% (CHANGES.md line 317).
+        # The fits scale each column of their moment systems by its
+        # feature's size, so x or w at 10^+-12 leaves the moment Jacobian
+        # its full rank. Measured: K* stays 12 and tau moves by at most
+        # 6.0e-10. The SE is not compared: the polish's finite-difference
+        # steps depend on the units of x and w, and move it by 0.9% here
+        # and by orders of magnitude under weak identification.
         ds = generate(ScenarioConfig("II", 800), 3, 1)
         bridge = OutcomeBridge.linear(1, 1)
         base, diag = select_and_fit(ds, bridge, SieveSpec(), 12)
@@ -194,16 +197,60 @@ class TestOracles:
     def test_a_proxy_orthogonal_to_every_instrument_is_a_rank_deficient_jacobian(
         self, scale
     ):
-        # Two z proxies: the first stage fits w by its projection on
-        # (1, z1, z2, a, x), which is zero up to rounding when w is
-        # orthogonal to all of them, so the projected instruments have
-        # rank 3 for the 4 bridge parameters, in any units of w.
+        # Two z proxies: the two-stage fit instruments with orthonormal
+        # columns spanning (1, z1, z2, a, x). w is orthogonal to all of
+        # them, so its Jacobian column is zero up to rounding of w's own
+        # size, and gmm._solve finds rank 4 for the 5 parameters (the
+        # bridge's 4 and tau), in any units of w.
         ds = make_gaussian_dataset(d_z=2, d_w=1)
         inst = np.column_stack([np.ones(ds.n), ds.z, ds.a, ds.x])
         v = np.random.default_rng(1).standard_normal(ds.n)
         w = v - inst @ np.linalg.lstsq(inst, v, rcond=None)[0]
         with pytest.raises(RankDeficientJacobian, match="do not identify"):
             p2sls(dataclasses.replace(ds, w=scale * w[:, None]))
+
+    @pytest.mark.parametrize(
+        "config", [ScenarioConfig("I", 400), ScenarioConfig("II", 3200)], ids=["I-400", "II-3200"]
+    )
+    def test_with_one_z_proxy_an_orthogonal_proxy_is_a_rank_deficient_jacobian(self, config):
+        # One z proxy, and w replaced by its residual on (1, z1, a, x1): the
+        # exactly identified fit's Jacobian column for w is zero up to
+        # rounding of w's own size, which gmm._solve counts as unidentified
+        # in any units of w, so every fit on those instruments raises and
+        # the scan scores K = p as infinite. A solve that scales each
+        # column by its own norm would pass that column as identified.
+        ds = generate(config, 3, 0)
+        bridge = OutcomeBridge.linear(1, 1)
+        for scale in (1e-9, 1.0, 1e9):
+            orth = dataclasses.replace(ds, w=scale * _orthogonal_to_instruments(ds)[:, None])
+            basis = orthonormalize(build_basis(orth, SieveSpec(), bridge.n_params))
+            for fit in (rgmm, p2sls, pdr, lambda d: fit_optimal(d, basis, bridge)):
+                with pytest.raises(RankDeficientJacobian, match="do not identify"):
+                    fit(orth)
+            assert select_k(orth, bridge, SieveSpec(), 12).scores[0] == np.inf
+
+    @pytest.mark.parametrize(
+        "config", [ScenarioConfig("I", 400), ScenarioConfig("II", 3200)], ids=["I-400", "II-3200"]
+    )
+    def test_a_weak_but_real_proxy_fits_in_any_units(self, config):
+        # The orthogonal proxy plus 1e-6 z1 is identified, weakly: its
+        # Jacobian column is far above rounding level, so it fits, with
+        # an effect and SE that do not depend on w's units. Measured: at
+        # most 4.6e-10 in tau (SE about 1e5 and 6e4) and 6.6e-11 relative
+        # in SE, over 10^+-9 and 10^+-13.
+        ds = generate(config, 3, 0)
+        bridge = OutcomeBridge.linear(1, 1)
+        weak = _orthogonal_to_instruments(ds) + 1e-6 * ds.z[:, 0]
+
+        def exact(d):
+            return fit_optimal(d, orthonormalize(build_basis(d, SieveSpec(), 4)), bridge)
+
+        for estimator in (rgmm, p2sls, exact):
+            base = estimator(dataclasses.replace(ds, w=weak[:, None]))
+            for scale in (1e-13, 1e-9, 1e9, 1e13):
+                got = estimator(dataclasses.replace(ds, w=scale * weak[:, None]))
+                assert got.tau_hat == pytest.approx(base.tau_hat, rel=0, abs=1e-8)
+                assert got.se_tau == pytest.approx(base.se_tau, rel=1e-8)
 
     @pytest.mark.parametrize("fixture", ["scenario1_ds", "scenario2_ds"])
     def test_gmm_div_at_the_bridge_dimension_is_rgmm(self, fixture, request):
@@ -291,6 +338,13 @@ class TestOracles:
         assert (np.max(np.abs(imbalance)) < 1e-10) == (se_rel == _ROOT_SE_REL)
         assert dr.tau_hat == pytest.approx(tau, rel=0, abs=1e-12)
         assert dr.se_tau == pytest.approx(se, rel=se_rel)
+
+
+def _orthogonal_to_instruments(ds):
+    """The residual of ``ds``'s first w proxy on the instruments (1, z, a, x)."""
+    inst = np.column_stack([np.ones(ds.n), ds.z, ds.a, ds.x])
+    w = ds.w[:, 0]
+    return w - inst @ np.linalg.lstsq(inst, w, rcond=None)[0]
 
 
 def _balancing_system(ds):
@@ -537,10 +591,11 @@ def test_the_proximal_baselines_build_the_instrument_columns_once(monkeypatch):
 
 
 def test_a_dataset_whose_fit_raised_is_freed_at_once(monkeypatch):
-    # The dataset keeps nothing of its failed outcome-bridge fit (one z
-    # proxy cannot identify two w proxies), so a later call fits again and
-    # raises the same type and message; the tracebacks, whose frames hold
-    # the dataset, leave it to be freed without a cyclic collection.
+    # The dataset keeps nothing of its failed outcome-bridge fit (the
+    # instruments (1, z1, a, x1) cannot identify five bridge parameters),
+    # so a later call fits again and raises the same type and message;
+    # the tracebacks, whose frames hold the dataset, leave it to be freed
+    # without a cyclic collection.
     ran = []
     real = baselines._canonical_bridge_fit
     monkeypatch.setattr(baselines, "_canonical_bridge_fit", lambda ds: ran.append(1) or real(ds))
@@ -549,7 +604,7 @@ def test_a_dataset_whose_fit_raised_is_freed_at_once(monkeypatch):
         ds = make_gaussian_dataset(d_z=1, d_w=2)
         ref = weakref.ref(ds)
         first = _outcome(p2sls, ds)
-        assert first.startswith("WeakRank: 1 instruments cannot identify 2")
+        assert first.startswith("WeakRank: instruments of rank 4 cannot identify 5 parameters")
         assert _outcome(p2sls, ds) == first
         # rgmm and pdr reject the dataset before they reach the fit.
         assert _outcome(rgmm, ds) == _outcome(pdr, ds)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -136,32 +137,42 @@ class TestRegularizeMoments:
 
 
 class TestLeastSquares:
-    # The solve scales each column of the weighted Jacobian to unit norm
-    # before its SVD, so the rank counts singular values above eps times the
-    # largest of the scaled system: scale is not rank.
+    # The solve scales each column of the weighted Jacobian by its
+    # feature's kept scale before its SVD, so the rank counts singular
+    # values above max(n, q) eps times the largest of the scaled system: a
+    # feature in other units has its scale in those units, and scale is
+    # not rank.
     @staticmethod
     def _system(seed):
         rng = np.random.default_rng(seed)
         return rng.normal(size=(7, 5)), rng.normal(size=7)
 
+    @staticmethod
+    def _moments(jac, const, scale=None):
+        """A moment system averaging over 7 rows with Jacobian ``jac``,
+        constant ``const`` and column scales ``scale`` (default 1)."""
+        scale = np.ones(jac.shape[1]) if scale is None else scale
+        return gmm._Moments(SimpleNamespace(scale=scale), np.empty((7, 0)), jac, const)
+
     def test_a_dependent_column_in_any_units_is_rank_deficient(self):
         for seed, scale in itertools.product(range(20), (1e-16, 1.0, 1e16)):
             jac, const = self._system(seed)
             jac[:, 4] = (jac[:, 0] - 2.0 * jac[:, 1]) * scale
+            units = np.r_[1.0, 1.0, 1.0, 1.0, scale]
             with pytest.raises(RankDeficientJacobian, match="rank 4 < 5"):
-                gmm._least_squares(jac, const, np.eye(7))
+                gmm._least_squares(self._moments(jac, const, units), np.eye(7))
 
     def test_an_independent_column_at_1e_16_scale_is_full_rank(self):
         # The fit in the new units is the fit in the old ones with the
         # coefficient on the rescaled column divided by its scale, and so
         # is the bread inverse, row and column.
         jac, const = self._system(0)
-        beta, obj, bread_inv = gmm._least_squares(jac, const, np.eye(7))
+        beta, obj, bread_inv = gmm._least_squares(self._moments(jac, const), np.eye(7))
         want = np.linalg.lstsq(jac, -const, rcond=None)[0]
         np.testing.assert_allclose(beta, want, rtol=1e-12)
         np.testing.assert_allclose(bread_inv, np.linalg.inv(jac.T @ jac), rtol=1e-12)
         units = np.r_[1.0, 1.0, 1.0, 1.0, 1e-16]
-        scaled = gmm._least_squares(jac * units, const, np.eye(7))
+        scaled = gmm._least_squares(self._moments(jac * units, const, units), np.eye(7))
         np.testing.assert_allclose(scaled[0] * units, beta, rtol=1e-14)
         assert scaled[1] == pytest.approx(obj, rel=1e-14)
         np.testing.assert_allclose(scaled[2] * np.outer(units, units), bread_inv, rtol=1e-12)
@@ -185,7 +196,7 @@ class TestLeastSquares:
         # matrix, so the check runs before it. A NaN right-hand side is used
         # here, which without the check returns NaN instead of hanging.
         with pytest.raises(ValueError, match="infs or NaNs"):
-            gmm._least_squares(np.eye(3), np.array([1.0, np.nan, 1.0]), np.eye(3))
+            gmm._least_squares(self._moments(np.eye(3), np.array([1.0, np.nan, 1.0])), np.eye(3))
 
 
 class TestExactlyIdentified:
@@ -275,7 +286,7 @@ class TestFitProperties:
         basis = _basis(scenario2_ds, 8)
         init = fit_initial(scenario2_ds, basis, linear_bridge)
         moments = gmm._Moments.build(scenario2_ds, basis.u, linear_bridge)
-        beta, _, _ = gmm._least_squares(moments.jac, moments.const, np.eye(9))
+        beta, _, _ = gmm._least_squares(moments, np.eye(9))
         np.testing.assert_array_equal(beta, np.r_[init.gamma_hat, init.tau_hat])
         want = fit_optimal(scenario2_ds, basis, linear_bridge)
 
@@ -341,7 +352,7 @@ class TestContinuousUpdatePolish:
         moments = gmm._Moments.build(ds, basis.u, bridge)
         points = np.vstack([beta_hat, beta_hat + rng.normal(size=(3, beta_hat.size))])
         g_bars, upsilons = gmm._gram_moments(moments)(points)
-        values = gmm._continuous_update_objective(moments)(points)
+        values = gmm._continuous_update_objective(moments, gmm._gram_moments(moments))(points)
         for beta, g_bar, upsilon, value in zip(points, g_bars, upsilons, values):
             # Reference: the covariance and floored quadratic form computed
             # from the n scores at each point.
@@ -356,7 +367,7 @@ class TestContinuousUpdatePolish:
     def test_batch_equals_points_one_at_a_time(self, polished_moments, rng):
         moments, beta_hat = polished_moments
         points = beta_hat + 0.05 * rng.normal(size=(9, beta_hat.size))
-        objective = gmm._continuous_update_objective(moments)
+        objective = gmm._continuous_update_objective(moments, gmm._gram_moments(moments))
         one_at_a_time = [objective(beta[None])[0] for beta in points]
         np.testing.assert_array_equal(objective(points), one_at_a_time)
 
@@ -401,7 +412,7 @@ class TestContinuousUpdatePolish:
         monkeypatch.setattr(gmm, "_certified_forms", count_certified)
         monkeypatch.setattr(gmm, "_floored_forms", count_floored)
         moments = gmm._Moments.build(ds, basis.u, bridge)
-        values = gmm._continuous_update_objective(moments)(points)
+        values = gmm._continuous_update_objective(moments, gmm._gram_moments(moments))(points)
         assert branches["certified"] > 0 and branches["floored"] > 0
         assert sum(branches.values()) == len(points)
         for beta, value in zip(points, values):
@@ -416,7 +427,7 @@ class TestContinuousUpdatePolish:
         # and the covariance of its sandwich.
         ds, basis, bridge = polished_case
         moments, beta_hat = polished_moments
-        objective = gmm._continuous_update_objective(moments)
+        objective = gmm._continuous_update_objective(moments, gmm._gram_moments(moments))
         want = objective(beta_hat[None])
         want_fit = fit_optimal(ds, basis, bridge)
 
@@ -450,8 +461,10 @@ class TestContinuousUpdatePolish:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values = gmm._continuous_update_objective(moments)(points)
-            degenerate = gmm._continuous_update_objective(silent_moments)(
+            values = gmm._continuous_update_objective(moments, gmm._gram_moments(moments))(points)
+            degenerate = gmm._continuous_update_objective(
+                silent_moments, gmm._gram_moments(silent_moments)
+            )(
                 np.zeros((2, beta_hat.size))
             )
         assert np.all(np.isfinite(values[[0, 3]]))
@@ -474,7 +487,7 @@ class TestContinuousUpdatePolish:
             raise AssertionError("a point that fails the screen is not factored")
 
         monkeypatch.setattr(np.linalg, "cholesky", refuse)
-        got = gmm._continuous_update_objective(moments)(beta_hat[None])
+        got = gmm._continuous_update_objective(moments, gmm._gram_moments(moments))(beta_hat[None])
         np.testing.assert_array_equal(got, want)
 
     def test_stencil_is_exact_on_a_quadratic(self, rng):
@@ -605,11 +618,11 @@ class TestContinuousUpdatePolish:
         g_bar, upsilon = gmm._gram_moments(moments)(point[None])
         vals = np.linalg.eigvalsh(upsilon[0])
         assert g_bar[0, -1] != 0.0 and vals[0] > gmm.SPECTRAL_FLOOR * vals[-1]
-        value = gmm._continuous_update_objective(moments)(point[None])[0]
-        assert value == pytest.approx(1.0, abs=1e-10)
+        objective = gmm._continuous_update_objective(moments, gmm._gram_moments(moments))
+        assert objective(point[None])[0] == pytest.approx(1.0, abs=1e-10)
         # At the fit the contrast moment is near 0 and its direction
         # floored, so there the objective is well below 1.
-        assert gmm._continuous_update_objective(moments)(beta_hat[None])[0] < 0.1
+        assert objective(beta_hat[None])[0] < 0.1
 
     @pytest.fixture(scope="class")
     def polished_and_two_step(self, polished_case):
@@ -618,16 +631,14 @@ class TestContinuousUpdatePolish:
         scores = joint_score(ds, basis, bridge, init.gamma_hat, init.tau_hat)
         decomp = regularize_moments(estimate_upsilon(scores))
         moments = gmm._Moments.build(ds, basis.u, bridge)
-        two_step, _, _ = gmm._least_squares(
-            moments.jac, moments.const, decomp.floored_weight_sqrt()
-        )
+        two_step, _, _ = gmm._least_squares(moments, decomp.floored_weight_sqrt())
         return moments, fit_optimal(ds, basis, bridge), two_step
 
     def test_polish_lowers_the_continuous_update_objective(self, polished_and_two_step):
         moments, fit, two_step = polished_and_two_step
         polished = np.r_[fit.gamma_hat, fit.tau_hat]
         assert not np.array_equal(polished, two_step)
-        objective = gmm._continuous_update_objective(moments)
+        objective = gmm._continuous_update_objective(moments, gmm._gram_moments(moments))
         at_polished, at_two_step = objective(np.vstack([polished, two_step]))
         assert at_polished < at_two_step
         assert fit.objective_value == at_polished

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 import importlib.util
 import re
 import sys
@@ -187,7 +188,8 @@ def test_cell_study_prints_one_line_per_method(capsys):
     title, header, *lines = capsys.readouterr().out.splitlines()
     assert title == "I/400 k_bar 12, seed 3, 2 reps"
     assert header.split() == [
-        "method", "records", "failed", "wild", "bias", "SD", "rootn*SD", "n*MSE", "coverage", "band",
+        "method", "records", "failed", "wild", "bias", "SD", "rootn*SD", "n*MSE", "coverage",
+        "SD(t)", "band",
     ]
     rows, (histogram,) = lines[: len(METHODS)], lines[len(METHODS):]
     records = run_replications(ScenarioConfig("I", 400), METHODS, 2, 3)
@@ -197,7 +199,9 @@ def test_cell_study_prints_one_line_per_method(capsys):
         taus = [r["tau_hat"] for r in records if r["method"] == method]
         assert float(fields[4]) == round(sum(taus) / 2 - 0.5, 4)
         assert float(fields[7]) == round(400 * sum((t - 0.5) ** 2 for t in taus) / 2, 2)
-        assert fields[9:] == ["[0.648,", "1.000]"]
+        ts = [(r["tau_hat"] - 0.5) / r["se_tau"] for r in records if r["method"] == method]
+        assert float(fields[9]) == round(abs(ts[0] - ts[1]) / math.sqrt(2), 3)
+        assert fields[10:] == ["[0.648,", "1.000]"]
     ks = [r["k_star"] for r in records if r["method"] == "gmm-div"]
     assert histogram == "gmm-div K*: " + " ".join(
         f"{k}:{ks.count(k)}" for k in sorted(set(ks))

@@ -216,7 +216,7 @@ class TestBatchedKernel:
         lhs = rng.normal(size=(3, 7, 5))
         rhs = rng.normal(size=(3, 7))
         lhs[1, :, 2] = 0.0  # the middle system does not identify coordinate 2
-        beta, ranks, bread_inv = gmm._solve(lhs, rhs, AllCandidatesSingular)
+        beta, ranks, bread_inv = gmm._solve(lhs, rhs, np.ones(5), 7, AllCandidatesSingular)
         assert ranks.tolist() == [5, 4, 5]
         assert scipy.linalg.lstsq(lhs[1], rhs[1])[2] == 4
         for c in (0, 2):
