@@ -10,11 +10,12 @@ target, so ``pdr``'s tau is ``pipw``'s minus ``gamma @ r(theta)``, with ``r``
 the balancing residual, and its standard error is ``pipw``'s.
 
 Each bridge has one fit per dataset: ``rgmm``, ``p2sls`` and ``pdr`` read
-one IV fit of the outcome bridge (so with as many z as w proxies ``p2sls``
-equals ``rgmm``, and both are the exactly identified fit that ``gmm-div``
-reads at K* = p), and ``pipw`` and ``pdr`` one treatment-bridge solve, which
-balances the outcome bridge's features, and one ``pipw`` report, whose
-sandwich ``pdr`` reports.
+one IV fit of the outcome bridge, instrumented by the sieve's leading terms
+(1, a, z, x) (``gmm._sieve_iv_fit``), so with as many z as w proxies
+``p2sls`` equals ``rgmm``, and both are the exactly identified fit that
+``gmm-div`` reads at K* = p; ``pipw`` and ``pdr`` read one treatment-bridge
+solve, which balances the outcome bridge's features, and one ``pipw``
+report, whose sandwich ``pdr`` reports.
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ from .errors import (
     RankDeficientDesign,
     SingularSystem,
     SingularVariance,
-    WeakRank,
 )
-from .gmm import GmmFit, _bridge_features, _exact_fit, _fit_identity, _fit_once, _Moments
+from .gmm import GmmFit, _bridge_features, _fit_once, _sieve_iv_fit
 from .gmm import confidence_interval, wald_test
 
 _NEWTON_MAX_ITER = 50
@@ -141,15 +141,6 @@ def naive_gformula(ds: Dataset) -> EstimateReport:
     )
 
 
-def _instruments(ds: Dataset) -> np.ndarray:
-    """The columns ``(1, z, a, x)``: the instruments of the outcome bridge's
-    IV fit, and the design of the treatment bridge. Callers read it through
-    :func:`gmm._fit_once`, so a dataset builds it once; it is read-only."""
-    cols = np.column_stack([np.ones(ds.n), ds.z, ds.a, ds.x])
-    cols.flags.writeable = False
-    return cols
-
-
 def _linear_bridge(ds: Dataset) -> OutcomeBridge:
     """The linear outcome bridge over ``(1, w, a, x)``."""
     return OutcomeBridge.linear(ds.w.shape[1], ds.x.shape[1])
@@ -165,46 +156,30 @@ def _require_exact_identification(ds: Dataset) -> None:
 
 def _canonical_bridge_fit(ds: Dataset) -> GmmFit:
     """The IV fit of the linear outcome bridge: the identity-weight fit of
-    its moments and its sandwich.
+    its moments on the sieve's first 2 + d_z + d_x terms (1, a, z..., x...),
+    standardized and orthonormalized, which span the instruments
+    ``(1, z, a, x)``, and its sandwich (:func:`gmm._sieve_iv_fit`).
 
-    With as many z as w proxies this is the exactly identified fit the
-    dataset keeps (:func:`gmm._exact_fit`): the sieve's first p terms
-    (1, a, z..., x...), standardized and orthonormalized, span the
-    instruments ``(1, z, a, x)``, one per bridge parameter, so it is also
-    the fit of ``gmm-div`` at K* = p. Degenerate instruments then raise
-    the sieve's errors: :class:`DegenerateColumn` for a constant z or x,
-    :class:`RankDeficient` for one dependent on the others or for fewer
-    rows than instruments. Otherwise the moments are instrumented by
-    orthonormal columns U (U'U/n the identity) spanning ``(1, z, a, x)``:
-    the leading left singular vectors of the instruments scaled to
-    unit-norm columns, whose count is their rank (singular values above
-    ``lstsq``'s default cutoff). On them the identity weight is the
-    inverse of U'U/n, so the fit (:func:`gmm._fit_identity`) is two-stage
-    least squares and its sandwich the robust 2SLS sandwich. Either way
-    the fit's rank test is :func:`gmm._solve`'s, and neither the fit, its
-    sandwich nor its rank tests depend on the units of w, z or x. Raises
-    :class:`WeakRank` when the instruments' rank is below the bridge
-    dimension, as with fewer z than w proxies, and
-    :class:`RankDeficientJacobian` when the instruments do not identify
-    the bridge.
+    On orthonormal instruments the identity weight is the inverse of their
+    Gram matrix, so the fit is two-stage least squares and its sandwich the
+    robust 2SLS sandwich; with as many z as w proxies it is the exactly
+    identified fit that ``gmm-div`` reads at K* = p. The dataset keeps it,
+    so ``rgmm``, ``p2sls`` and ``pdr`` share one fit. Neither the fit, its
+    sandwich nor its rank tests depend on the units of w, z or x.
+    Degenerate instruments raise the sieve's errors:
+    :class:`DegenerateColumn` for a constant z or x, :class:`RankDeficient`
+    for one dependent on the others or for fewer rows than instruments. A
+    bridge the instruments do not identify, as with fewer z than w proxies
+    or a w proxy they reach only at rounding level of its own size, raises
+    :class:`RankDeficientJacobian` (:func:`gmm._solve`).
     """
-    bridge = _linear_bridge(ds)
-    if ds.z.shape[1] == ds.w.shape[1]:
-        return _fit_once(_exact_fit, ds, bridge)
-    instruments = _fit_once(_instruments, ds)
-    p = bridge.n_params
-    norms = np.linalg.norm(instruments, axis=0)
-    scaled = instruments / np.where(norms > 0.0, norms, 1.0)
-    left, sing, _ = np.linalg.svd(scaled, full_matrices=False)
-    rank = int(np.sum(sing > max(instruments.shape) * _EPS * sing[0]))
-    if rank < p:
-        raise WeakRank(f"instruments of rank {rank} cannot identify {p} parameters")
-    return _fit_identity(_Moments.build(ds, np.sqrt(ds.n) * left[:, :rank], bridge))
+    k = 2 + ds.z.shape[1] + ds.x.shape[1]
+    return _fit_once(_sieve_iv_fit, ds, _linear_bridge(ds), k)
 
 
 def _outcome_bridge_report(ds: Dataset, method: str) -> EstimateReport:
     """The effect estimate and sandwich SE of :func:`_canonical_bridge_fit`."""
-    fit = _fit_once(_canonical_bridge_fit, ds)
+    fit = _canonical_bridge_fit(ds)
     if not (np.isfinite(fit.se_tau) and fit.se_tau > 0.0):
         raise SingularVariance("sandwich variance is not positive at the target")
     return EstimateReport(
@@ -225,9 +200,9 @@ def rgmm(ds: Dataset) -> EstimateReport:
     as many treatment-side proxies as outcome-side ones so the system is
     square, and raises :class:`DimensionMismatch` otherwise. The standard
     error comes from the joint sandwich of the bridge moments and the
-    contrast moment, J⁻¹ΥJ⁻ᵀ. The fit is the dataset's kept exactly
-    identified fit (:func:`gmm._exact_fit`), on the sieve's first p terms,
-    which span (1, z, a, x), so a constant z or x raises
+    contrast moment, J⁻¹ΥJ⁻ᵀ. The fit is the dataset's kept IV fit
+    (:func:`_canonical_bridge_fit`), on the sieve's first p terms, which
+    span (1, z, a, x), so a constant z or x raises
     :class:`DegenerateColumn` and a dependent one :class:`RankDeficient`;
     a w proxy those instruments reach only at rounding level of its own
     size raises :class:`RankDeficientJacobian` (:func:`gmm._solve`).
@@ -244,17 +219,18 @@ def p2sls(ds: Dataset) -> EstimateReport:
     Regressors (1, w, a, x); instruments (1, z, a, x). The treatment
     coefficient estimates the effect; its standard error is the
     heteroskedasticity-robust 2SLS sandwich with residuals taken at the
-    original regressors. A dataset shares this fit across ``rgmm``,
-    ``p2sls`` and ``pdr``, so with as many z as w proxies ``p2sls`` equals
-    :func:`rgmm`, the kept exactly identified fit that ``gmm-div`` reads at
-    K* = p, and raises its errors. Otherwise the fit is the identity-weight
-    fit on orthonormal columns spanning (1, z, a, x), which is two-stage
-    least squares (:func:`_canonical_bridge_fit`). Either way the fit's
-    rank test is :func:`gmm._solve`'s, so a w proxy the instruments reach
-    only at rounding level of its own size raises
-    :class:`RankDeficientJacobian` in any units, and instruments of lower
-    rank than the bridge, as with fewer z than w proxies, raise
-    :class:`WeakRank`.
+    original regressors. The fit is the identity-weight fit on the
+    sieve's leading terms (1, a, z..., x...), orthonormalized, which span
+    the instruments, so it is two-stage least squares
+    (:func:`_canonical_bridge_fit`). A dataset shares this fit across
+    ``rgmm``, ``p2sls`` and ``pdr``, so with as many z as w proxies
+    ``p2sls`` equals :func:`rgmm` and the fit ``gmm-div`` reads at K* = p.
+    With any count of z proxies a constant z raises
+    :class:`DegenerateColumn` and one dependent on the others
+    :class:`RankDeficient`, naming it. The fit's rank test is
+    :func:`gmm._solve`'s, so a w proxy the instruments reach only at
+    rounding level of its own size, or fewer z than w proxies, raises
+    :class:`RankDeficientJacobian` in any units.
     """
     return _outcome_bridge_report(ds, "p2sls")
 
@@ -330,8 +306,9 @@ def _solve_treatment_bridge(ds: Dataset):
     the moments' ``(sign, basis_c, basis_b, target)``, so callers build
     none of them again: ``(-1)^(1-A)``, the outcome bridge's features
     ``(1, w, a, x)`` (:func:`gmm._bridge_features`), the treatment bridge's
-    design ``(1, z, a, x)`` (:func:`_instruments`), and the features' mean
-    contrast. It needs as many z as w proxies (:func:`_require_exact_identification`).
+    design ``(1, z, a, x)``, and the features' mean contrast. Callers read
+    the solve through :func:`gmm._fit_once`, so a dataset builds them
+    once. It needs as many z as w proxies (:func:`_require_exact_identification`).
 
     Damped Newton runs from ``theta = 0`` and from the ``2^min(p-1, 3)``
     points with every coordinate ±0.5 that vary the signs of the up to
@@ -373,7 +350,7 @@ def _solve_treatment_bridge(ds: Dataset):
     _require_exact_identification(ds)
     features = _bridge_features(ds, _linear_bridge(ds))
     basis_c, target = features.feats, features.contrast_mean
-    basis_b = _fit_once(_instruments, ds)
+    basis_b = np.column_stack([np.ones(ds.n), ds.z, ds.a, ds.x])
     sign = np.where(ds.a > 0.5, 1.0, -1.0)  # (-1)^(1-A)
     system = sign, basis_c, basis_b, target
     n = ds.n
@@ -500,7 +477,7 @@ def pdr(ds: Dataset) -> EstimateReport:
     standard error is ``pipw``'s; they differ only at a minimum-norm fallback.
     """
     theta, q, (sign, feats, _, target) = _fit_once(_solve_treatment_bridge, ds)
-    gamma = _fit_once(_canonical_bridge_fit, ds).gamma_hat
+    gamma = _canonical_bridge_fit(ds).gamma_hat
     ipw = _fit_once(_reweighting_report, ds)
     imbalance = q @ (sign[:, None] * feats) / ds.n - target
     return EstimateReport(

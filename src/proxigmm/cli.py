@@ -200,18 +200,28 @@ def cmd_simulate(opts) -> int:
 
 
 def _load(opts):
-    """The CSV's dataset, linear bridge and sieve variable count, and the
-    moment cap: ``--kmax``, or ``DEFAULT_K_BAR`` capped at the sieve size."""
+    """The CSV's dataset and linear bridge, the moment cap (``--kmax``, or
+    ``DEFAULT_K_BAR`` capped at the sieve size) and the config error of that
+    cap, if any. Without ``--kmax`` the error names the default or the
+    sieve, not a flag the user never passed."""
     ds = load_csv(opts.data, _roles(opts))
     bridge = OutcomeBridge.linear(ds.w.shape[1], ds.x.shape[1])
     n_vars = ds.z.shape[1] + ds.x.shape[1]
-    kmax = min(DEFAULT_K_BAR, family_size(n_vars)) if opts.kmax is None else opts.kmax
-    return ds, bridge, n_vars, kmax
+    if opts.kmax is not None:
+        return ds, bridge, opts.kmax, _kmax_error(opts.kmax, bridge, n_vars)
+    size, p = family_size(n_vars), bridge.n_params
+    err = None
+    if size < p:
+        err = (f"the sieve over the data's z and x has {size} terms, "
+               f"fewer than the bridge dimension {p}")
+    elif DEFAULT_K_BAR < p:
+        err = f"the default kmax {DEFAULT_K_BAR} is below the bridge dimension {p}; pass --kmax"
+    return ds, bridge, min(DEFAULT_K_BAR, size), err
 
 
 def cmd_estimate(opts) -> int:
-    ds, bridge, n_vars, kmax = _load(opts)
-    if opts.method == "gmm-div" and (err := _kmax_error(kmax, bridge, n_vars)):
+    ds, bridge, kmax, err = _load(opts)
+    if opts.method == "gmm-div" and err:
         return _config_error(err)
     os.makedirs(opts.out_dir, exist_ok=True)
     if opts.method == "gmm-div":
@@ -231,8 +241,8 @@ def cmd_estimate(opts) -> int:
 
 
 def cmd_select_k(opts) -> int:
-    ds, bridge, n_vars, kmax = _load(opts)
-    if err := _kmax_error(kmax, bridge, n_vars):
+    ds, bridge, kmax, err = _load(opts)
+    if err:
         return _config_error(err)
     diag = select_k(ds, bridge, SieveSpec(), kmax)
     os.makedirs(opts.out_dir, exist_ok=True)

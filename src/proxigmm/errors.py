@@ -112,7 +112,3 @@ class RankDeficientDesign(ProxiGmmError):
 
 class SingularSystem(ProxiGmmError):
     """A baseline's stacked Jacobian is singular (``baselines._stacked_se``)."""
-
-
-class WeakRank(ProxiGmmError):
-    """Instruments are rank deficient for the first-stage projection."""

@@ -27,11 +27,13 @@ treatment coefficient alone reads an objective of exactly 1, so the step
 in those coordinates is noise. At the exactly identified count (K equal to
 the bridge dimension p) an estimate does not depend on its weight (Hansen
 1982), so the fit is the identity-weight fit and its sandwich
-J⁻¹ΥJ⁻ᵀ, with no weight and no floor. A dataset keeps that fit on the
-sieve's first p terms (:func:`_exact_fit`), and ``select_and_fit`` at
-K* = p, ``rgmm``, ``p2sls`` and ``pdr`` (with as many z as w proxies) all
-read it. The moment covariance is quadratic in the parameters, so an
-overidentified fit builds one O(n (K(p+1))²) Gram (:func:`_gram_moments`)
+J⁻¹ΥJ⁻ᵀ, with no weight and no floor. :func:`_sieve_iv_fit`, the one
+builder of every outcome-bridge IV fit, is the identity-weight fit on the
+sieve's first k terms, kept per dataset, bridge and k: ``select_and_fit``
+reads it at K* = p, and ``rgmm``, ``p2sls`` and ``pdr`` at
+k = 2 + d_z + d_x, the terms (1, a, z, x), so with as many z as w proxies
+the two are one fit. The moment covariance is quadratic in the
+parameters, so an overidentified fit builds one O(n (K(p+1))²) Gram (:func:`_gram_moments`)
 before its first step and reads from it the first-step covariance, every
 objective evaluation of the polish and the covariance behind its
 sandwich: it forms no n×(K+1) score matrix, nothing after the Gram does
@@ -240,8 +242,8 @@ def _fit_once(fit, ds: Dataset, *args):
 
     What the fit returns is kept on the dataset (``Dataset._derived``),
     keyed by ``(fit, *args)``, and every later call with that dataset
-    returns it. So ``rgmm`` and ``pdr`` share the canonical outcome-bridge
-    fit of a dataset, ``pipw`` and ``pdr`` its treatment-bridge solve and
+    returns it. So ``rgmm``, ``p2sls`` and ``pdr`` share the outcome-bridge
+    fit of a dataset (:func:`_sieve_iv_fit`), ``pipw`` and ``pdr`` its treatment-bridge solve and
     ``pipw``'s report (its reweighting sandwich formed once), and every
     moment system of a bridge its features, for any caller that passes the
     same dataset. What is kept is shared as it is, arrays included. A fit
@@ -708,17 +710,18 @@ def _fit_optimal(moments: _Moments) -> GmmFit:
     return _gmm_fit(moments, beta, obj, v_hat, se, first.k1)
 
 
-def _exact_fit(ds: Dataset, bridge: OutcomeBridge) -> GmmFit:
-    """The exactly identified fit of ``bridge`` on ``ds``: :func:`fit_optimal`
-    on the orthonormalized first ``p`` sieve terms, ``p`` the bridge
-    dimension, which is their identity-weight fit (:func:`fit_initial`).
+def _sieve_iv_fit(ds: Dataset, bridge: OutcomeBridge, k: int) -> GmmFit:
+    """The identity-weight fit of ``bridge`` on ``ds`` on the orthonormalized
+    first ``k`` sieve terms (:func:`fit_initial`): exactly identified at
+    ``k`` = p, and two-stage least squares on the span of those terms
+    above it.
 
-    Callers read it through :func:`_fit_once`, so a dataset fits it once:
-    ``select_and_fit`` at K* = p and the baselines' outcome-bridge fit with
-    as many z as w proxies (whose instruments (1, z, a, x) those terms
-    span) share it.
+    Callers read it through :func:`_fit_once`, so a dataset fits it once
+    per bridge and ``k``: ``select_and_fit`` at K* = p and the baselines'
+    outcome-bridge fit on the terms (1, a, z, x) share it when those are p
+    terms, with as many z as w proxies.
     """
-    return fit_initial(ds, build_basis(ds, SieveSpec(), bridge.n_params), bridge)
+    return fit_initial(ds, build_basis(ds, SieveSpec(), k), bridge)
 
 
 def variance(

@@ -32,7 +32,10 @@ The bridge's feature matrices are kept on the dataset
 (``gmm._bridge_features``): the scan, the fit at the selected K and any
 other fit of that bridge on that dataset read one build. When the selected
 K is the width of the scanned basis, the fit reads the scan's moment
-system too.
+system too. At K* = p the fit is the dataset's kept identity-weight fit on
+the first p sieve terms (``gmm._sieve_iv_fit``), the one builder of every
+outcome-bridge IV fit: with as many z as w proxies those terms are the
+baselines' instruments (1, a, z, x), and the baselines read the same fit.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import numpy as np
 from .bridges import OutcomeBridge
 from .data import Dataset
 from .errors import AllCandidatesSingular, DimensionMismatch, RankDeficient
-from .gmm import GmmFit, _exact_fit, _fit_once, _fit_optimal, _Moments, _solve, _stacked
+from .gmm import GmmFit, _fit_once, _fit_optimal, _Moments, _sieve_iv_fit, _solve, _stacked
 from .sieve import BasisMatrix, SieveSpec, build_basis, orthonormalize
 
 
@@ -296,16 +299,17 @@ def select_and_fit(
     ``build_basis(ds, spec, K*)`` bit for bit, so the fit is
     :func:`~proxigmm.gmm.fit_optimal` on that basis bit for bit. Below that
     width the fit orthonormalizes the leading K* columns afresh. At K* = p
-    the fit is the exactly identified fit the dataset keeps
-    (``gmm._exact_fit``), which is that same fit bit for bit and the one
-    ``rgmm``, ``p2sls`` and ``pdr`` read; on a dataset no baseline has
+    the fit is the identity-weight fit on the first p sieve terms that the
+    dataset keeps (``gmm._sieve_iv_fit``), which is that same fit bit for
+    bit and, with as many z as w proxies, the one ``rgmm``, ``p2sls`` and
+    ``pdr`` read on the terms (1, a, z, x); on a dataset no baseline has
     fitted, it builds the p-column basis once more. The bridge features
     are built once too: the scan and the fit read the ones the dataset
     keeps.
     """
     diag, raw, moments = _scan(ds, bridge, spec, k_bar)
     if diag.k_star == bridge.n_params:
-        return _fit_once(_exact_fit, ds, bridge), diag
+        return _fit_once(_sieve_iv_fit, ds, bridge, bridge.n_params), diag
     if diag.k_star < moments.u.shape[1]:
         # A fresh K*-column QR rather than the leading columns of the
         # scan's: those match it only to rounding, and the fit at K* must

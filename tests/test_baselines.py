@@ -42,7 +42,6 @@ from proxigmm.errors import (
     RankDeficientDesign,
     RankDeficientJacobian,
     SingularVariance,
-    WeakRank,
 )
 from proxigmm.simulation import BASELINES
 
@@ -93,12 +92,12 @@ class TestOracles:
         # z. Every weighted moment system is solved with each column
         # scaled by its feature's size (gmm._solve), so x and w in any
         # units lose no digits either. A second z proxy, z1² plus noise,
-        # takes p2sls through its two-stage fit, whose instruments are the
-        # leading left singular vectors of (1, z, a, x) scaled to unit-norm
-        # columns. Measured up to 10^+-13: at most 3.4e-15 absolute in tau
-        # and 2.0e-15 relative in SE for rgmm and p2sls (4.2e-15 and
-        # 2.7e-15 with two z proxies), and 1.3e-12 and 9.3e-13 for
-        # select_and_fit under z.
+        # makes p2sls two-stage least squares on the sieve's leading five
+        # terms (1, a, z1, z2, x1), standardized like the first four.
+        # Measured up to 10^+-13: at most 3.4e-15 absolute in tau and
+        # 2.0e-15 relative in SE for rgmm and p2sls (6.2e-15 and 2.7e-15
+        # with two z proxies), and 1.3e-12 and 9.3e-13 for select_and_fit
+        # under z.
         ds = generate(config, 3, rep)
         bridge = OutcomeBridge.linear(1, 1)
         z2 = ds.z[:, 0] ** 2 + np.random.default_rng(0).standard_normal(ds.n)
@@ -267,8 +266,30 @@ class TestOracles:
         np.testing.assert_array_equal(report.aux["gamma_hat"], fit.gamma_hat)
 
     @pytest.mark.parametrize("d_z", [2, 3])
-    def test_overidentified_p2sls_is_textbook_2sls(self, d_z):
-        ds = make_gaussian_dataset(d_z=d_z, d_w=1)
+    @pytest.mark.parametrize(
+        "mapped",
+        [
+            pytest.param(lambda ds: ds, id="identity"),
+            pytest.param(lambda ds: dataclasses.replace(ds, z=1e9 * ds.z + 3), id="z-shift"),
+            pytest.param(
+                lambda ds: dataclasses.replace(ds, x=1e-9 * ds.x - 2),
+                id="x-shift",
+                marks=pytest.mark.xfail(
+                    raises=SingularVariance,
+                    strict=True,
+                    reason="the sandwich is formed as bread @ meat @ bread, whose "
+                    "entries cancel to no digits when x is nearly collinear with "
+                    "the intercept column of the bridge's features",
+                ),
+            ),
+        ],
+    )
+    def test_overidentified_p2sls_is_textbook_2sls(self, d_z, mapped):
+        # The sieve standardizes every z and x, so the fit on its leading
+        # terms (1, a, z..., x...) is 2SLS on (1, z, a, x) in the units and
+        # origin the data come in. Measured: 4.8e-15 relative at most under
+        # the identity and the z map.
+        ds = mapped(make_gaussian_dataset(d_z=d_z, d_w=1))
         regressors = np.column_stack([np.ones(ds.n), ds.w, ds.a, ds.x])
         inst = np.column_stack([np.ones(ds.n), ds.z, ds.a, ds.x])
         fitted = inst @ np.linalg.solve(inst.T @ inst, inst.T @ regressors)
@@ -282,23 +303,31 @@ class TestOracles:
         assert report.tau_hat == pytest.approx(beta[a_col], rel=1e-10)
         assert report.se_tau == pytest.approx(np.sqrt(v[a_col, a_col]), rel=1e-10)
 
-    def test_a_repeated_z_proxy_leaves_p2sls_unchanged(self):
-        # The first stage projects on the instruments' column space, which a
-        # repeated z column does not change.
-        ds = make_gaussian_dataset(d_z=1, d_w=1)
-        twice = dataclasses.replace(ds, z=np.repeat(ds.z, 2, axis=1), z_names=("z1", "z2"))
-        a, b = p2sls(ds), p2sls(twice)
-        assert b.tau_hat == pytest.approx(a.tau_hat, rel=1e-10)
-        assert b.se_tau == pytest.approx(a.se_tau, rel=1e-10)
+    @pytest.mark.parametrize(
+        "z2", [lambda z1: z1, lambda z1: 1e9 * z1 + 3], ids=["z1", "shifted-z1"]
+    )
+    def test_a_repeated_z_proxy_is_rank_deficient(self, z2):
+        # The sieve standardizes z2 to z1's column, in any units and
+        # origin, so its leading terms (1, a, z1, z2, x1) are linearly
+        # dependent: the rule that already holds with as many z as w
+        # proxies.
+        ds = make_gaussian_dataset(d_z=2, d_w=1)
+        repeated = dataclasses.replace(ds, z=np.column_stack([ds.z[:, 0], z2(ds.z[:, 0])]))
+        with pytest.raises(RankDeficient, match="'z2' is linearly dependent"):
+            p2sls(repeated)
 
-    def test_instruments_of_too_low_rank_are_a_weak_rank(self):
-        # Three copies of z1 against two w proxies: five instruments
-        # (1, z1, z1, z1, a, x) of rank 4 for the five bridge coefficients
-        # over (1, w1, w2, a, x), so the first stage identifies nothing.
+    def test_instruments_of_too_low_rank_are_rank_deficient(self):
+        # Three copies of z1 against two w proxies: the sieve names the
+        # first copy that depends on the others. One z proxy against two
+        # w proxies gives four instruments (1, a, z1, x1) for the five
+        # bridge coefficients over (1, w1, w2, a, x), which gmm._solve
+        # finds unidentified.
         ds = make_gaussian_dataset(d_z=3, d_w=2)
         copies = dataclasses.replace(ds, z=np.repeat(ds.z[:, :1], 3, axis=1))
-        with pytest.raises(WeakRank, match="instruments of rank 4 cannot identify 5 parameters"):
+        with pytest.raises(RankDeficient, match="'z2' is linearly dependent"):
             p2sls(copies)
+        with pytest.raises(RankDeficientJacobian, match="do not identify"):
+            p2sls(make_gaussian_dataset(d_z=1, d_w=2))
 
     def test_naive_matches_lstsq_with_hc0(self, scenario2_ds):
         ds = scenario2_ds
@@ -557,42 +586,37 @@ def _gmm_div(ds: Dataset) -> EstimateReport:
 
 def test_rgmm_p2sls_and_pdr_share_one_outcome_bridge_fit(monkeypatch):
     # Case 1 is pdr's minimum-norm fallback; case 2 has five instruments
-    # for four parameters, which only p2sls fits. With as many z as w
-    # proxies the fit is the exactly identified one the dataset keeps, and
-    # gmm-div reads it where it selects K* = p: on I/400 seed 3 rep 0, not
-    # on case 0, which selects K* > p.
-    cases = lambda: _treatment_cases()[:3]
-    alone = _share_one_fit(monkeypatch, "_canonical_bridge_fit", (rgmm, p2sls, pdr), cases)
-    assert alone[2][rgmm] == alone[2][pdr] and alone[2][rgmm].startswith("DimensionMismatch")
-    assert all(alone[case][rgmm] == alone[case][p2sls] for case in (0, 1))
-    assert np.isfinite(alone[2][p2sls][0])
-    cases = lambda: [generate(ScenarioConfig("I", 400), 3, 0), _treatment_cases()[0]]
+    # for four parameters, which only p2sls fits. The three read the
+    # dataset's kept fit on the sieve's terms (1, a, z, x); with as many z
+    # as w proxies it is the fit gmm-div reads where it selects K* = p: on
+    # I/400 seed 3 rep 0 (case 3), not on case 0, which selects K* > p.
+    cases = lambda: [*_treatment_cases()[:3], generate(ScenarioConfig("I", 400), 3, 0)]
     estimators = (rgmm, p2sls, pdr, _gmm_div)
     alone = _share_one_fit(
-        monkeypatch, "_exact_fit", estimators, cases, modules=(baselines, selection)
+        monkeypatch, "_sieve_iv_fit", estimators, cases, modules=(baselines, selection)
     )
-    assert alone[0][_gmm_div] == alone[0][rgmm] == alone[0][p2sls]
-    assert alone[1][_gmm_div][0] != alone[1][rgmm][0]
-
-
-def test_the_proximal_baselines_build_the_instrument_columns_once(monkeypatch):
-    # (1, z, a, x) instruments the outcome-bridge fit and is the treatment
-    # bridge's design; the dataset keeps one read-only copy for both.
-    ds = generate(ScenarioConfig("II", 400), 11, 0)
-    built = []
-    real = baselines._instruments
-    monkeypatch.setattr(baselines, "_instruments", lambda ds: built.append(1) or real(ds))
-    for estimator in (rgmm, p2sls, pipw, pdr):
-        estimator(ds)
-    assert len(built) == 1
-    kept = baselines._fit_once(baselines._instruments, ds)
-    assert kept is baselines._fit_once(baselines._solve_treatment_bridge, ds)[2][2]
-    assert not kept.flags.writeable
+    assert alone[2][rgmm] == alone[2][pdr] and alone[2][rgmm].startswith("DimensionMismatch")
+    assert all(alone[case][rgmm] == alone[case][p2sls] for case in (0, 1, 3))
+    assert np.isfinite(alone[2][p2sls][0])
+    assert alone[3][_gmm_div] == alone[3][rgmm]
+    assert alone[0][_gmm_div][0] != alone[0][rgmm][0]
+    # With as many z as w proxies gmm-div at K* = p returns the very
+    # object p2sls reads. With two z proxies and one w, gmm-div's K* = 5 is
+    # p2sls's instrument count, but gmm-div's fit there is optimally
+    # weighted: the two are separate fits.
+    bridge = OutcomeBridge.linear(1, 1)
+    one_z, two_z = generate(ScenarioConfig("I", 400), 3, 0), make_gaussian_dataset(d_z=2, d_w=1)
+    for ds, k_star in ((one_z, bridge.n_params), (two_z, 5)):
+        fit, diag = select_and_fit(ds, bridge, SieveSpec(), 12)
+        assert diag.k_star == k_star
+        shared = baselines._canonical_bridge_fit(ds)
+        assert (fit is shared) == (ds is one_z)
+        assert (fit.tau_hat == shared.tau_hat) == (ds is one_z)
 
 
 def test_a_dataset_whose_fit_raised_is_freed_at_once(monkeypatch):
-    # The dataset keeps nothing of its failed outcome-bridge fit (the
-    # instruments (1, z1, a, x1) cannot identify five bridge parameters),
+    # The dataset keeps nothing of its failed outcome-bridge fit (the four
+    # instruments (1, a, z1, x1) cannot identify five bridge parameters),
     # so a later call fits again and raises the same type and message;
     # the tracebacks, whose frames hold the dataset, leave it to be freed
     # without a cyclic collection.
@@ -604,7 +628,8 @@ def test_a_dataset_whose_fit_raised_is_freed_at_once(monkeypatch):
         ds = make_gaussian_dataset(d_z=1, d_w=2)
         ref = weakref.ref(ds)
         first = _outcome(p2sls, ds)
-        assert first.startswith("WeakRank: instruments of rank 4 cannot identify 5 parameters")
+        assert first.startswith("RankDeficientJacobian: moment Jacobian has rank 5 < 6")
+        assert first.endswith("instruments do not identify the bridge parameters")
         assert _outcome(p2sls, ds) == first
         # rgmm and pdr reject the dataset before they reach the fit.
         assert _outcome(rgmm, ds) == _outcome(pdr, ds)

@@ -274,6 +274,29 @@ def test_explicit_kmax_above_the_sieve_size_is_a_config_error(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", [["estimate", "--method", "gmm-div"], ["select-k"]])
+@pytest.mark.parametrize(
+    "d_w, d_x, message",
+    [
+        (7, 0, "the sieve over the data's z and x has 8 terms, fewer than the bridge dimension 9"),
+        (12, 1, f"the default kmax {DEFAULT_K_BAR} is below the bridge dimension 15; pass --kmax"),
+    ],
+    ids=["sieve", "default"],
+)
+def test_default_kmax_below_the_bridge_dimension_names_no_flag(
+    command, d_w, d_x, message, tmp_path, capsys
+):
+    # Without --kmax the cap is the default or the sieve size, so the
+    # error names whichever falls short, not the flag.
+    ds = make_gaussian_dataset(d_z=1, d_w=d_w, d_x=d_x)
+    path = tmp_path / "wide.csv"
+    write_csv(ds, str(path))
+    flags = _data_flags(path, proxies_w=",".join(ds.w_names), covariates=",".join(ds.x_names))
+    assert main([*command, *flags, "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_kmax_is_not_checked_without_gmm_div(tmp_path):
     argv = ["simulate", "--methods", "naive", "--reps", "1", "--kmax", "3",
             "--out-dir", str(tmp_path)]

@@ -30,7 +30,7 @@ from proxigmm import (
     select_and_fit,
     summarize,
 )
-from proxigmm import baselines, gmm, simulation
+from proxigmm import baselines, gmm, selection, simulation
 from proxigmm.errors import DimensionMismatch, RankDeficient, SingularSystem
 from proxigmm.simulation import DEFAULT_K_BAR, METHODS
 
@@ -591,12 +591,19 @@ def test_one_treatment_solve_per_replication(monkeypatch):
 
 
 def test_one_outcome_bridge_fit_per_replication(monkeypatch):
+    # rgmm, p2sls and pdr read one kept sieve IV fit; gmm-div reads it too
+    # wherever it selects K* = p.
     fitted = []
-    real = baselines._canonical_bridge_fit
-    monkeypatch.setattr(
-        baselines, "_canonical_bridge_fit", lambda ds: fitted.append(ds.y[0]) or real(ds)
-    )
-    run_replications(ScenarioConfig("II", 400), ("rgmm", "naive", "p2sls", "pdr"), 3, 0)
+    real = gmm._sieve_iv_fit
+
+    def counted(ds, bridge, k):
+        fitted.append(ds.y[0])
+        return real(ds, bridge, k)
+
+    for module in (baselines, selection):
+        monkeypatch.setattr(module, "_sieve_iv_fit", counted)
+    methods = ("rgmm", "naive", "p2sls", "gmm-div", "pdr")
+    run_replications(ScenarioConfig("II", 400), methods, 3, 0)
     assert len(fitted) == 3 and len(set(fitted)) == 3
 
 
