@@ -137,11 +137,15 @@ def _config_error(message: str) -> int:
     return 2
 
 
-def _kmax_error(kmax: int, bridge: OutcomeBridge, n_vars: int) -> str | None:
+def _kmax_error(
+    kmax: int, bridge: OutcomeBridge, n_vars: int, source: str = "kmax"
+) -> str | None:
     """The config error for a moment cap below the bridge dimension, or above
-    the size of the sieve over ``n_vars`` variables, if any."""
+    the size of the sieve over ``n_vars`` variables, if any. ``source`` names
+    where the cap came from: the ``--kmax`` flag, the default or the sieve
+    size."""
     if kmax < bridge.n_params:
-        return f"kmax must be at least the bridge dimension {bridge.n_params}, got {kmax}"
+        return f"{source} must be at least the bridge dimension {bridge.n_params}, got {kmax}"
     if kmax > (size := family_size(n_vars)):
         return f"kmax must be at most the {size} sieve terms, got {kmax}"
     return None
@@ -202,21 +206,18 @@ def cmd_simulate(opts) -> int:
 def _load(opts):
     """The CSV's dataset and linear bridge, the moment cap (``--kmax``, or
     ``DEFAULT_K_BAR`` capped at the sieve size) and the config error of that
-    cap, if any. Without ``--kmax`` the error names the default or the
-    sieve, not a flag the user never passed."""
+    cap, if any, which names where the cap came from."""
     ds = load_csv(opts.data, _roles(opts))
     bridge = OutcomeBridge.linear(ds.w.shape[1], ds.x.shape[1])
     n_vars = ds.z.shape[1] + ds.x.shape[1]
+    size = family_size(n_vars)
     if opts.kmax is not None:
-        return ds, bridge, opts.kmax, _kmax_error(opts.kmax, bridge, n_vars)
-    size, p = family_size(n_vars), bridge.n_params
-    err = None
-    if size < p:
-        err = (f"the sieve over the data's z and x has {size} terms, "
-               f"fewer than the bridge dimension {p}")
-    elif DEFAULT_K_BAR < p:
-        err = f"the default kmax {DEFAULT_K_BAR} is below the bridge dimension {p}; pass --kmax"
-    return ds, bridge, min(DEFAULT_K_BAR, size), err
+        kmax, source = opts.kmax, "kmax"
+    elif DEFAULT_K_BAR <= size:
+        kmax, source = DEFAULT_K_BAR, "the default kmax"
+    else:
+        kmax, source = size, "the sieve size over the data's z and x"
+    return ds, bridge, kmax, _kmax_error(kmax, bridge, n_vars, source)
 
 
 def cmd_estimate(opts) -> int:

@@ -621,8 +621,10 @@ def test_a_dataset_whose_fit_raised_is_freed_at_once(monkeypatch):
     # the tracebacks, whose frames hold the dataset, leave it to be freed
     # without a cyclic collection.
     ran = []
-    real = baselines._canonical_bridge_fit
-    monkeypatch.setattr(baselines, "_canonical_bridge_fit", lambda ds: ran.append(1) or real(ds))
+    real = baselines._sieve_iv_fit
+    monkeypatch.setattr(
+        baselines, "_sieve_iv_fit", lambda ds, bridge, k: ran.append(1) or real(ds, bridge, k)
+    )
     gc.disable()
     try:
         ds = make_gaussian_dataset(d_z=1, d_w=2)

@@ -278,8 +278,8 @@ def test_explicit_kmax_above_the_sieve_size_is_a_config_error(
 @pytest.mark.parametrize(
     "d_w, d_x, message",
     [
-        (7, 0, "the sieve over the data's z and x has 8 terms, fewer than the bridge dimension 9"),
-        (12, 1, f"the default kmax {DEFAULT_K_BAR} is below the bridge dimension 15; pass --kmax"),
+        (7, 0, "the sieve size over the data's z and x must be at least the bridge dimension 9, got 8"),
+        (12, 1, f"the default kmax must be at least the bridge dimension 15, got {DEFAULT_K_BAR}"),
     ],
     ids=["sieve", "default"],
 )
