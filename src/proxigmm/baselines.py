@@ -1,7 +1,8 @@
 """Reference estimators: naive regression, proxy GMM/2SLS/IPW/DR.
 
 Each estimator's standard error is the sandwich of its stacked estimating
-equations (:mod:`gmm`'s identity-weight fit, or :func:`_stacked_se`), so its
+equations, the mean square of its scores projected on its influence
+direction (:mod:`gmm`'s identity-weight fit, or :func:`_stacked_se`), so its
 :mod:`gmm` interval and Wald test account for every estimated nuisance parameter.
 
 ``pdr`` is ``pipw`` plus its imbalance correction: the treatment bridge
@@ -36,7 +37,7 @@ from .errors import (
     SingularSystem,
     SingularVariance,
 )
-from .gmm import GmmFit, _bridge_features, _fit_once, _sieve_iv_fit
+from .gmm import GmmFit, _bridge_features, _fit_once, _sieve_iv_fit, _solve
 from .gmm import confidence_interval, wald_test
 
 _NEWTON_MAX_ITER = 50
@@ -96,21 +97,14 @@ class EstimateReport:
         )
 
 
-def _stacked_se(scores: np.ndarray, jac: np.ndarray, idx: int, system: str) -> float:
-    """Standard error of coordinate ``idx`` from the sandwich of an exactly
-    identified stacked system with per-observation ``scores`` and Jacobian
-    ``jac``; ``system`` names it in the error raised when ``jac`` is singular."""
-    n = scores.shape[0]
-    upsilon = scores.T @ scores / n
-    try:
-        jinv = np.linalg.inv(jac)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"stacked {system} Jacobian is singular") from exc
-    v = jinv @ upsilon @ jinv.T
-    var = v[idx, idx]
+def _stacked_se(scores: np.ndarray, direction: np.ndarray) -> float:
+    """Standard error of the estimate whose influence on the per-observation
+    ``scores`` is ``direction``: √(mean((scores·direction)²)/n), the
+    sandwich of its estimating equations."""
+    var = np.mean((scores @ direction) ** 2)
     if not (np.isfinite(var) and var > 0.0):
         raise SingularVariance("sandwich variance is not positive at the target")
-    return float(np.sqrt(var / n))
+    return float(np.sqrt(var / scores.shape[0]))
 
 
 def _balancing_jacobian(basis_c: np.ndarray, basis_b: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -121,21 +115,24 @@ def _balancing_jacobian(basis_c: np.ndarray, basis_b: np.ndarray, q: np.ndarray)
 def naive_gformula(ds: Dataset) -> EstimateReport:
     """Outcome regression treating both proxies as ordinary confounders.
 
-    OLS of y on (1, a, w, z, x); the treatment coefficient is the effect
-    estimate and its standard error is the HC0 sandwich (:func:`_stacked_se`).
-    A rank-deficient design raises :class:`RankDeficientDesign`. Biased
-    whenever the unmeasured confounder moves the proxies, which is the
-    scenario the proximal estimators exist for.
+    OLS of y on (1, a, w, z, x) by :func:`gmm._solve` with each column
+    scaled by its norm, so a column independent of the others fits in any
+    units and a dependent one raises :class:`RankDeficientDesign` in any
+    units. The treatment coefficient is the effect estimate; its standard
+    error is the HC0 sandwich, the scores projected on (X'X/n)⁻¹e_a = n·H'H·e_a
+    (:func:`_stacked_se`). Biased whenever the unmeasured confounder moves
+    the proxies, which is the scenario the proximal estimators exist for.
     """
     design = np.column_stack([np.ones(ds.n), ds.a, ds.w, ds.z, ds.x])
-    beta, _, rank, _ = np.linalg.lstsq(design, ds.y, rcond=None)
+    scale = np.linalg.norm(design, axis=0)
+    beta, rank, (_, half_t) = _solve(design, ds.y, scale, ds.n, RankDeficientDesign)
     if rank < design.shape[1]:
         raise RankDeficientDesign("regression design matrix is rank deficient")
     resid = ds.y - design @ beta
     return EstimateReport(
         method="naive",
         tau_hat=float(beta[1]),
-        se_tau=_stacked_se(design * resid[:, None], -(design.T @ design) / ds.n, 1, "regression"),
+        se_tau=_stacked_se(design * resid[:, None], ds.n * (half_t.T @ half_t[:, 1])),
         n=ds.n,
         aux={"coefficients": beta},
     )
@@ -449,10 +446,14 @@ def _reweighting_report(ds: Dataset) -> EstimateReport:
     jac[:t_dim, :t_dim] = _balancing_jacobian(basis_c, basis_b, q)
     jac[t_dim, :t_dim] = ((q - 1.0) * ds.y) @ basis_b / ds.n
     jac[t_dim, t_dim] = 1.0
+    try:
+        direction = np.linalg.solve(jac.T, np.eye(t_dim + 1)[t_dim])
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem("stacked reweighting Jacobian is singular") from exc
     return EstimateReport(
         method="pipw",
         tau_hat=tau,
-        se_tau=_stacked_se(scores, jac, t_dim, "reweighting"),
+        se_tau=_stacked_se(scores, direction),
         n=ds.n,
         aux={"theta_hat": theta},
     )

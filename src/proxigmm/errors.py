@@ -87,7 +87,7 @@ class TooFewMoments(ProxiGmmError):
 
 
 class SingularVariance(ProxiGmmError):
-    """The sandwich variance matrix could not be inverted."""
+    """A sandwich variance cannot be formed, or is not positive."""
 
 
 class NoConvergence(ProxiGmmError):
@@ -111,4 +111,4 @@ class RankDeficientDesign(ProxiGmmError):
 
 
 class SingularSystem(ProxiGmmError):
-    """A baseline's stacked Jacobian is singular (``baselines._stacked_se``)."""
+    """``pipw``'s stacked Jacobian is singular (``baselines._reweighting_report``)."""

@@ -11,8 +11,9 @@ build; the affine map is built once per instrument matrix. A fixed-weight
 fit and its sandwich are :func:`_fit`. Every weighted system W½J, of the
 fits, the floored sandwich and the moment-count scan, is one SVD with
 each column scaled by its feature's root mean square, which the features
-keep (:func:`_solve`). It gives the estimates, the rank test and the
-bread (J'WJ)⁻¹ in any units of w, x and z, and it is the one rule that
+keep (:func:`_solve`). It gives the estimates, the rank test and every
+variance in any units of w, x and z, each the mean square of scores
+projected through its factors, and it is the one rule that
 decides whether instruments identify the bridge: a feature that they
 reach only at rounding level of its own size is unidentified, in any
 units, and the fit raises :class:`RankDeficientJacobian`. Fitting proceeds
@@ -173,7 +174,7 @@ class _Features:
     column mean, the mean parameter gradient of the treatment contrast.
     ``scale`` holds each feature's root mean square ‖f_j‖/√n, then 1 for
     tau: the column scales by which :func:`_solve` equilibrates every
-    moment Jacobian of the bridge (a zero feature is scaled by 1).
+    moment Jacobian of the bridge.
     """
 
     y: np.ndarray
@@ -187,8 +188,7 @@ class _Features:
         ones = np.ones(ds.n)
         feats = bridge.grad(ds.w, ds.a, ds.x)
         contrast = bridge.grad(ds.w, ones, ds.x) - bridge.grad(ds.w, 0.0 * ones, ds.x)
-        rms = np.linalg.norm(feats, axis=0) / np.sqrt(ds.n)
-        scale = np.append(np.where(rms > 0.0, rms, 1.0), 1.0)
+        scale = np.append(np.linalg.norm(feats, axis=0) / np.sqrt(ds.n), 1.0)
         return cls(ds.y, feats, contrast, contrast.mean(axis=0), scale)
 
 
@@ -312,44 +312,44 @@ def _solve(
     lhs: np.ndarray, rhs: np.ndarray, scale: np.ndarray, n: int, error: type[ProxiGmmError]
 ):
     """Least-squares solutions of ``lhs @ beta = rhs``, the ranks of ``lhs``
-    and the inverses of ``lhs' lhs``, for one (m, q) system or a stack.
+    and the factors ``(U, H)`` below, for one (m, q) system or a stack.
 
-    ``lhs`` is a weighted moment Jacobian that averages over ``n`` rows,
-    and ``scale`` the bridge's kept column scales S (:class:`_Features`).
-    One SVD ``lhs S⁻¹ = UΣV'`` gives the solution S⁻¹VΣ⁻¹U'rhs and the
-    inverse S⁻¹VΣ⁻²V'S⁻¹. The rank counts singular values above
-    max(n, q)·eps times the largest; below q the solution and inverse are
-    not meaningful. On orthonormal instruments a column of J is at most
-    its feature's root mean square, so an identified column of J S⁻¹ is of
-    order 1 and a feature the instruments reach only at rounding level of
-    its own size stays at rounding level and is not counted, in any units
-    of w, x and z. Raises ``ValueError`` on non-finite input and
-    ``error``, the caller's type, when the SVD does not converge.
+    ``lhs`` averages over ``n`` rows, such as a weighted moment Jacobian,
+    and ``scale`` holds its column scales S (:class:`_Features`), a zero
+    scale read as 1. One SVD ``lhs S⁻¹ = UΣV'`` gives H = Σ⁻¹V'S⁻¹, the
+    solution H'U'rhs and the inverse (lhs' lhs)⁻¹ = H'H; an estimate's
+    influence on the rows of ``lhs`` is their projection through UH. The
+    rank counts singular values above max(n, q)·eps times the largest;
+    below q the solution and factors are not meaningful. On orthonormal
+    instruments a column of J is at most its feature's root mean square,
+    so an identified column of J S⁻¹ is of order 1 and a feature the
+    instruments reach only at rounding level of its own size stays at
+    rounding level and is not counted, in any units of w, x and z. Raises
+    ``ValueError`` on non-finite input and ``error``, the caller's type,
+    when the SVD does not converge.
     """
     _check_finite(lhs, rhs)
+    scale = np.where(scale > 0.0, scale, 1.0)
     try:
         left, sing, right_t = np.linalg.svd(lhs / scale, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise error("the SVD of the weighted moment Jacobian did not converge") from exc
     counted = sing > max(n, lhs.shape[-1]) * np.finfo(float).eps * sing[..., :1]
-    # Σ⁻¹V'S⁻¹, whose product with its transpose on the left is the inverse.
     half_t = right_t / (np.where(counted, sing, 1.0)[..., :, None] * scale)
     beta = ((rhs[..., None, :] @ left) @ half_t)[..., 0, :]
-    return beta, counted.sum(axis=-1), half_t.swapaxes(-1, -2) @ half_t
+    return beta, counted.sum(axis=-1), (left, half_t)
 
 
-def _least_squares(
-    moments: _Moments, w_half: np.ndarray
-) -> tuple[np.ndarray, float, np.ndarray]:
+def _least_squares(moments: _Moments, w_half: np.ndarray):
     """Minimizer and value of ``|w_half @ (const + jac @ beta)|²`` for the
-    moments' ``jac`` and ``const``, and the bread inverse (J'WJ)⁻¹ for
-    W = ``w_half²``, from one :func:`_solve` at the bridge's kept scale.
-    Raises :class:`RankDeficientJacobian` when the moments do not identify
-    ``beta`` or the SVD fails.
+    moments' ``jac`` and ``const``, and the factors ``(U, H)`` of the
+    :func:`_solve` of W½J at the bridge's kept scale, W = ``w_half²``:
+    (J'WJ)⁻¹ = H'H. Raises :class:`RankDeficientJacobian` when the moments
+    do not identify ``beta`` or the SVD fails.
     """
     jac, const = moments.jac, moments.const
     p1 = jac.shape[1]
-    beta, rank, bread_inv = _solve(
+    beta, rank, factors = _solve(
         w_half @ jac, -(w_half @ const), moments.features.scale, moments.u.shape[0],
         RankDeficientJacobian,
     )
@@ -359,7 +359,7 @@ def _least_squares(
             "identify the bridge parameters"
         )
     g_final = const + jac @ beta
-    return beta, float(g_final @ (w_half.T @ (w_half @ g_final))), bread_inv
+    return beta, float(g_final @ (w_half.T @ (w_half @ g_final))), factors
 
 
 def _gram_moments(moments: _Moments):
@@ -621,13 +621,14 @@ def fit_with_weight(
 
     The variance is the general sandwich for that weight, with the moment
     covariance re-evaluated at the final estimates. Orthonormalizes the
-    basis first when needed.
+    basis first when needed. A weight with an eigenvalue below -1e-10
+    times its largest in magnitude raises :class:`SingularVariance`.
     """
     basis = _prepare(basis)
     weight = np.asarray(weight, dtype=float)
     _check_finite(weight)
     vals, vecs = np.linalg.eigh(weight)
-    if np.min(vals) < -1e-10 * max(np.max(np.abs(vals)), 1.0):
+    if np.min(vals) < -1e-10 * np.max(np.abs(vals)):
         raise SingularVariance("weight matrix is not positive semidefinite")
     w_half = (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
     return _fit(_Moments.build(ds, basis.u, bridge), w_half)
@@ -650,17 +651,14 @@ def _fit_identity(moments: _Moments) -> GmmFit:
 
 def _fit(moments: _Moments, w_half: np.ndarray) -> GmmFit:
     """The fit under the fixed weight W with symmetric square root
-    ``w_half``, and its general sandwich at the moment covariance there:
-    the solve's bread inverse (J'WJ)⁻¹ around the meat J'WΥWJ."""
-    beta, obj, bread_inv = _least_squares(moments, w_half)
-    upsilon = estimate_upsilon(moments.scores(beta))
-    weighted = w_half @ moments.jac
-    v_hat = bread_inv @ (weighted.T @ w_half @ upsilon @ w_half @ weighted) @ bread_inv
-    dv = np.diag(v_hat)
-    if np.any(dv < -1e-8 * max(np.max(np.abs(dv)), 1.0)):
-        raise SingularVariance("sandwich variance has a negative diagonal entry")
+    ``w_half``, and its sandwich (J'WJ)⁻¹J'WΥWJ(J'WJ)⁻¹ at the moment
+    covariance there: R'R/n for the scores projected through the solve's
+    factors of W½J, R = scores·W½·U·H, so positive semidefinite."""
+    beta, obj, (left, half_t) = _least_squares(moments, w_half)
+    projected = moments.scores(beta) @ (w_half @ left @ half_t)
     n, k = moments.u.shape
-    return _gmm_fit(moments, beta, obj, v_hat, np.sqrt(np.maximum(dv, 0.0) / n), k + 1)
+    v_hat = projected.T @ projected / n
+    return _gmm_fit(moments, beta, obj, v_hat, np.sqrt(np.diag(v_hat) / n), k + 1)
 
 
 def _gmm_fit(moments: _Moments, beta, obj: float, v_hat, se, k1: int) -> GmmFit:
@@ -751,18 +749,18 @@ def _variance(fit: GmmFit, moments: _Moments) -> GmmFit:
 
 def _sandwich(moments: _Moments, upsilon: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The floored-weight variance under the moment covariance ``upsilon``,
-    (J'WJ)⁻¹ for the floored weight W, from the :func:`_solve` of W½J, and
-    its per-observation-scaled standard errors."""
+    (J'WJ)⁻¹ = H'H for the floored weight W, from the :func:`_solve` of
+    W½J, and its per-observation-scaled standard errors."""
     decomp = regularize_moments(upsilon)
     weighted = decomp.floored_weight_sqrt() @ moments.jac
-    _, rank, v_hat = _solve(
+    _, rank, (_, half_t) = _solve(
         weighted, np.zeros(weighted.shape[0]), moments.features.scale, moments.u.shape[0],
         SingularVariance,
     )
     if rank < weighted.shape[1]:
         raise SingularVariance("floored-weight Jacobian quadratic form is singular")
-    se = np.sqrt(np.maximum(np.diag(v_hat), 0.0) / moments.u.shape[0])
-    return v_hat, se
+    v_hat = half_t.T @ half_t
+    return v_hat, np.sqrt(np.diag(v_hat) / moments.u.shape[0])
 
 
 class _Estimate(Protocol):

@@ -165,17 +165,21 @@ class TestLeastSquares:
     def test_an_independent_column_at_1e_16_scale_is_full_rank(self):
         # The fit in the new units is the fit in the old ones with the
         # coefficient on the rescaled column divided by its scale, and so
-        # is the bread inverse, row and column.
+        # is the inverse H'H of J'J, row and column.
         jac, const = self._system(0)
-        beta, obj, bread_inv = gmm._least_squares(self._moments(jac, const), np.eye(7))
+        beta, obj, (_, half_t) = gmm._least_squares(self._moments(jac, const), np.eye(7))
         want = np.linalg.lstsq(jac, -const, rcond=None)[0]
         np.testing.assert_allclose(beta, want, rtol=1e-12)
-        np.testing.assert_allclose(bread_inv, np.linalg.inv(jac.T @ jac), rtol=1e-12)
+        inverse = half_t.T @ half_t
+        np.testing.assert_allclose(inverse, np.linalg.inv(jac.T @ jac), rtol=1e-12)
         units = np.r_[1.0, 1.0, 1.0, 1.0, 1e-16]
         scaled = gmm._least_squares(self._moments(jac * units, const, units), np.eye(7))
         np.testing.assert_allclose(scaled[0] * units, beta, rtol=1e-14)
         assert scaled[1] == pytest.approx(obj, rel=1e-14)
-        np.testing.assert_allclose(scaled[2] * np.outer(units, units), bread_inv, rtol=1e-12)
+        scaled_half_t = scaled[2][1]
+        np.testing.assert_allclose(
+            scaled_half_t.T @ scaled_half_t * np.outer(units, units), inverse, rtol=1e-12
+        )
 
     def test_weight_that_drops_moments_leaves_the_fit_unidentified(
         self, scenario1_ds, linear_bridge
@@ -197,6 +201,65 @@ class TestLeastSquares:
         # here, which without the check returns NaN instead of hanging.
         with pytest.raises(ValueError, match="infs or NaNs"):
             gmm._least_squares(self._moments(np.eye(3), np.array([1.0, np.nan, 1.0])), np.eye(3))
+
+
+def _textbook_sandwich(ds, basis, bridge, fit, weight):
+    """(J'WJ)⁻¹J'WΥWJ(J'WJ)⁻¹ for the linear bridge's moments on ``basis``
+    at ``fit``'s estimates, formed with ``np.linalg.inv``."""
+    u, feats = basis.u, bridge.grad(ds.w, ds.a, ds.x)
+    n, k = u.shape
+    p = feats.shape[1]
+    jac = np.zeros((k + 1, p + 1))
+    jac[:k, :p] = -(u.T @ feats) / n
+    jac[k, 2] = -1.0  # the treatment contrast of (1, w, a, x) is e_a
+    jac[k, p] = 1.0
+    upsilon = estimate_upsilon(joint_score(ds, basis, bridge, fit.gamma_hat, fit.tau_hat))
+    bread = np.linalg.inv(jac.T @ weight @ jac)
+    return bread @ (jac.T @ weight @ upsilon @ weight @ jac) @ bread
+
+
+@pytest.mark.parametrize("scenario, n", [("I", 400), ("II", 800)])
+class TestFixedWeightSandwich:
+    # The fit's variance R'R/n, with R the scores projected through the
+    # solve's factors W½UH, is the textbook sandwich.
+    def test_exactly_identified_fit_is_the_textbook_sandwich(self, scenario, n, linear_bridge):
+        ds = generate(ScenarioConfig(scenario, n), 3, 0)
+        basis = _basis(ds, linear_bridge.n_params)
+        fit = fit_initial(ds, basis, linear_bridge)
+        want = _textbook_sandwich(ds, basis, linear_bridge, fit, np.eye(5))
+        np.testing.assert_allclose(fit.v_hat, want, rtol=1e-10)
+
+    def test_a_random_weight_gives_the_textbook_sandwich(self, scenario, n, linear_bridge):
+        ds = generate(ScenarioConfig(scenario, n), 3, 0)
+        basis = _basis(ds, 6)
+        root = np.random.default_rng(7).standard_normal((7, 7))
+        weight = root @ root.T + 0.1 * np.eye(7)
+        fit = fit_with_weight(ds, basis, linear_bridge, weight)
+        want = _textbook_sandwich(ds, basis, linear_bridge, fit, weight)
+        np.testing.assert_allclose(fit.v_hat, want, rtol=1e-10)
+
+
+class TestWeightUnits:
+    # fit_with_weight's positive semidefinite check is relative to the
+    # weight's largest eigenvalue alone, so it holds in any units of W.
+    @pytest.mark.parametrize("units", [1.0, 1e-12, 1e12])
+    def test_an_indefinite_weight_is_rejected_in_any_units(self, units, linear_bridge):
+        ds = generate(ScenarioConfig("I", 400), 3, 0)
+        weight = units * (np.eye(7) - 3.0 * np.outer(np.eye(7)[0], np.eye(7)[0]))
+        with pytest.raises(SingularVariance, match="not positive semidefinite"):
+            fit_with_weight(ds, _basis(ds, 6), linear_bridge, weight)
+
+    @pytest.mark.parametrize("units", [1e-12, 1e12])
+    def test_a_definite_weight_fits_alike_in_any_units(self, units, linear_bridge):
+        ds = generate(ScenarioConfig("I", 400), 3, 0)
+        basis = _basis(ds, 6)
+        root = np.random.default_rng(7).standard_normal((7, 7))
+        weight = root @ root.T + 0.1 * np.eye(7)
+        base = fit_with_weight(ds, basis, linear_bridge, weight)
+        scaled = fit_with_weight(ds, basis, linear_bridge, units * weight)
+        np.testing.assert_allclose(scaled.gamma_hat, base.gamma_hat, rtol=1e-12)
+        assert scaled.tau_hat == pytest.approx(base.tau_hat, rel=1e-12)
+        assert scaled.se_tau == pytest.approx(base.se_tau, rel=1e-12)
 
 
 class TestExactlyIdentified:

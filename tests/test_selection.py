@@ -216,14 +216,16 @@ class TestBatchedKernel:
         lhs = rng.normal(size=(3, 7, 5))
         rhs = rng.normal(size=(3, 7))
         lhs[1, :, 2] = 0.0  # the middle system does not identify coordinate 2
-        beta, ranks, bread_inv = gmm._solve(lhs, rhs, np.ones(5), 7, AllCandidatesSingular)
+        beta, ranks, (_, half_t) = gmm._solve(lhs, rhs, np.ones(5), 7, AllCandidatesSingular)
         assert ranks.tolist() == [5, 4, 5]
         assert scipy.linalg.lstsq(lhs[1], rhs[1])[2] == 4
         for c in (0, 2):
             want, _, rank, _ = scipy.linalg.lstsq(lhs[c], rhs[c])
             assert rank == 5
             np.testing.assert_allclose(beta[c], want, rtol=1e-12)
-            np.testing.assert_allclose(bread_inv[c], np.linalg.inv(lhs[c].T @ lhs[c]), rtol=1e-12)
+            np.testing.assert_allclose(
+                half_t[c].T @ half_t[c], np.linalg.inv(lhs[c].T @ lhs[c]), rtol=1e-12
+            )
 
     def test_failing_candidates_in_the_middle_score_inf_alone(self):
         # Of five stacked candidates, the second and the fourth failed their
