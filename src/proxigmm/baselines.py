@@ -12,7 +12,7 @@ the balancing residual, and its standard error is ``pipw``'s.
 
 Each bridge has one fit per dataset: ``rgmm``, ``p2sls`` and ``pdr`` read
 one IV fit of the outcome bridge, instrumented by the sieve's leading terms
-(1, a, z, x) (``gmm._sieve_iv_fit``), so with as many z as w proxies
+(1, a, z, x) (``gmm._sieve_iv_fits``), so with as many z as w proxies
 ``p2sls`` equals ``rgmm``, and both are the exactly identified fit that
 ``gmm-div`` reads at K* = p; ``pipw`` and ``pdr`` read one treatment-bridge
 solve, which balances the outcome bridge's features, and one ``pipw``
@@ -21,6 +21,7 @@ report, whose sandwich ``pdr`` reports.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from collections.abc import Iterator
@@ -29,16 +30,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bridges import OutcomeBridge
-from .data import Dataset
+from .data import Dataset, _stack, _stack_arrays
 from .errors import (
     DimensionMismatch,
     NoConvergence,
+    ProxiGmmError,
     RankDeficientDesign,
     SingularSystem,
     SingularVariance,
+    _unless_error,
 )
-from .gmm import GmmFit, _bridge_features, _fit_once, _sieve_iv_fit, _solve
-from .gmm import confidence_interval, wald_test
+from .gmm import GmmFit, _Features, _fit_each, _fit_once, _one, _scaled_solve, _sieve_iv_fits
+from .gmm import _stacked, confidence_interval, wald_test
 
 _NEWTON_MAX_ITER = 50
 _NEWTON_TOL = 1e-10
@@ -97,45 +100,83 @@ class EstimateReport:
         )
 
 
-def _stacked_se(scores: np.ndarray, direction: np.ndarray) -> float:
-    """Standard error of the estimate whose influence on the per-observation
-    ``scores`` is ``direction``: √(mean((scores·direction)²)/n), the
-    sandwich of its estimating equations."""
-    var = np.mean((scores @ direction) ** 2)
-    if not (np.isfinite(var) and var > 0.0):
-        raise SingularVariance("sandwich variance is not positive at the target")
-    return float(np.sqrt(var / scores.shape[0]))
+def _stacked_se(scores: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """Standard errors, per system of a stack, of the estimate whose
+    influence on the per-observation ``scores`` (..., n, m) is
+    ``direction`` (..., m): √(mean((scores·direction)²)/n), the sandwich of
+    its estimating equations; NaN where that variance is not positive and
+    finite (:func:`_se_error`)."""
+    var = np.mean((scores @ direction[..., None])[..., 0] ** 2, axis=-1)
+    usable = np.isfinite(var) & (var > 0.0)
+    return np.where(usable, np.sqrt(np.where(usable, var, 1.0) / scores.shape[-2]), np.nan)
+
+
+def _se_error(se: float) -> SingularVariance | None:
+    """The error of a sandwich standard error that :func:`_stacked_se` found unusable."""
+    if np.isnan(se):
+        return SingularVariance("sandwich variance is not positive at the target")
+    return None
 
 
 def _balancing_jacobian(basis_c: np.ndarray, basis_b: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Jacobian of the treatment bridge's balancing moments in its parameters."""
-    return -(basis_c * (q - 1.0)[:, None]).T @ basis_b / basis_c.shape[0]
+    """Jacobian of the treatment bridge's balancing moments in its
+    parameters, for one system or a stack."""
+    weighted = basis_c * (q - 1.0)[..., None]
+    return -np.swapaxes(weighted, -1, -2) @ basis_b / basis_c.shape[-2]
 
 
 def naive_gformula(ds: Dataset) -> EstimateReport:
     """Outcome regression treating both proxies as ordinary confounders.
 
-    OLS of y on (1, a, w, z, x) by :func:`gmm._solve` with each column
-    scaled by its norm, so a column independent of the others fits in any
-    units and a dependent one raises :class:`RankDeficientDesign` in any
-    units. The treatment coefficient is the effect estimate; its standard
-    error is the HC0 sandwich, the scores projected on (X'X/n)⁻¹e_a = n·H'H·e_a
+    OLS of y on (1, a, w, z, x) with each column scaled by its norm, so a
+    column independent of the others fits in any units and a dependent one
+    raises :class:`RankDeficientDesign` in any units. The treatment
+    coefficient is the effect estimate; its standard error is the HC0
+    sandwich, the scores projected on (X'X/n)⁻¹e_a = n·H'H·e_a
     (:func:`_stacked_se`). Biased whenever the unmeasured confounder moves
     the proxies, which is the scenario the proximal estimators exist for.
+    The dataset keeps the report (:func:`_naive_reports`).
     """
-    design = np.column_stack([np.ones(ds.n), ds.a, ds.w, ds.z, ds.x])
-    scale = np.linalg.norm(design, axis=0)
-    beta, rank, (_, half_t) = _solve(design, ds.y, scale, ds.n, RankDeficientDesign)
-    if rank < design.shape[1]:
-        raise RankDeficientDesign("regression design matrix is rank deficient")
-    resid = ds.y - design @ beta
-    return EstimateReport(
-        method="naive",
-        tau_hat=float(beta[1]),
-        se_tau=_stacked_se(design * resid[:, None], ds.n * (half_t.T @ half_t[:, 1])),
-        n=ds.n,
-        aux={"coefficients": beta},
+    return _fit_once(_naive_reports, ds)
+
+
+def _naive_reports(datasets: list[Dataset]) -> list:
+    """:func:`naive_gformula`'s report, or its error, for each of
+    ``datasets``, from one stacked call per step.
+
+    The scaled design X S⁻¹ and y are factorized together, [X S⁻¹ | y] =
+    Q [R_X, Q'y; 0, ρ], and only the R factor is formed: X S⁻¹ = Q R_X has
+    R_X's singular values and right singular vectors, so the SVD of the
+    q×q R_X gives the estimate, the rank by :func:`gmm._solve`'s rule
+    (:func:`gmm._scaled_solve`) and H, and nothing n×q but the residuals is
+    formed.
+    """
+    a, y = _stack(datasets, "a"), _stack(datasets, "y")
+    design = np.concatenate([
+        np.ones((*a.shape, 1)), a[..., None], _stack(datasets, "w"), _stack(datasets, "z"),
+        _stack(datasets, "x"),
+    ], axis=-1)
+    n, q = design.shape[-2:]
+    scale = np.linalg.norm(design, axis=-2)
+    scale = np.where(scale > 0.0, scale, 1.0)[:, None, :]
+    scaled = np.concatenate([design, y[..., None]], axis=-1)
+    scaled[..., :q] /= scale
+    r = np.linalg.qr(scaled, mode="r")
+    beta, rank, (_, half_t) = _scaled_solve(
+        r[..., :q, :q], r[..., :q, q], scale, n, RankDeficientDesign
     )
+    resid = y - (design @ beta[..., None])[..., 0]
+    direction = n * (np.swapaxes(half_t, -1, -2) @ half_t[..., 1:2])[..., 0]
+    se = _stacked_se(design * resid[..., None], direction)
+    return [
+        RankDeficientDesign("regression design matrix is rank deficient") if rank[b] < q
+        else _se_error(se[b])
+        or EstimateReport(
+            method="naive", tau_hat=float(beta[b, 1]), se_tau=float(se[b]), n=n,
+            aux={"coefficients": beta[b]},
+        )
+        for b in range(len(datasets))
+    ]
 
 
 def _linear_bridge(ds: Dataset) -> OutcomeBridge:
@@ -146,16 +187,28 @@ def _linear_bridge(ds: Dataset) -> OutcomeBridge:
 def _require_exact_identification(ds: Dataset) -> None:
     """Raises :class:`DimensionMismatch` unless there are as many z as w
     proxies, so one instrument per bridge parameter."""
+    _unless_error(_identification_error(ds))
+
+
+def _identification_error(ds: Dataset) -> DimensionMismatch | None:
+    """The error of :func:`_require_exact_identification` on ``ds``, if any."""
     p, k = 2 + ds.w.shape[1] + ds.x.shape[1], 2 + ds.z.shape[1] + ds.x.shape[1]
     if k != p:
-        raise DimensionMismatch(f"need exactly {p} instruments for {p} bridge parameters, got {k}")
+        return DimensionMismatch(f"need exactly {p} instruments for {p} bridge parameters, got {k}")
+    return None
+
+
+def _canonical_fit_args(ds: Dataset) -> tuple[OutcomeBridge, int]:
+    """The bridge and sieve width of :func:`_canonical_bridge_fit` on
+    datasets shaped like ``ds``: the linear bridge and 2 + d_z + d_x."""
+    return _linear_bridge(ds), 2 + ds.z.shape[1] + ds.x.shape[1]
 
 
 def _canonical_bridge_fit(ds: Dataset) -> GmmFit:
     """The IV fit of the linear outcome bridge: the identity-weight fit of
     its moments on the sieve's first 2 + d_z + d_x terms (1, a, z..., x...),
     standardized and orthonormalized, which span the instruments
-    ``(1, z, a, x)``, and its sandwich (:func:`gmm._sieve_iv_fit`).
+    ``(1, z, a, x)``, and its sandwich (:func:`gmm._sieve_iv_fits`).
 
     On orthonormal instruments the identity weight is the inverse of their
     Gram matrix, so the fit is two-stage least squares and its sandwich the
@@ -170,8 +223,7 @@ def _canonical_bridge_fit(ds: Dataset) -> GmmFit:
     or a w proxy they reach only at rounding level of its own size, raises
     :class:`RankDeficientJacobian` (:func:`gmm._solve`).
     """
-    k = 2 + ds.z.shape[1] + ds.x.shape[1]
-    return _fit_once(_sieve_iv_fit, ds, _linear_bridge(ds), k)
+    return _fit_once(_sieve_iv_fits, ds, *_canonical_fit_args(ds))
 
 
 def _outcome_bridge_report(ds: Dataset, method: str) -> EstimateReport:
@@ -245,8 +297,119 @@ def _newton_starts(dim: int) -> Iterator[np.ndarray]:
 def _bridge_values(signed_b: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """The treatment bridge ``q = 1 + exp(s(a) * theta @ (1, z, a, x))`` at
     ``theta``, where ``s(a)`` is -1 treated and +1 untreated, from its design
-    with that sign folded in, built once per solve rather than per call."""
-    return 1.0 + np.exp(signed_b @ theta)
+    with that sign folded in, built once per solve rather than per call;
+    for one system or a stack, with one ``theta`` per system."""
+    return 1.0 + np.exp((signed_b @ theta[..., None])[..., 0])
+
+
+def _balance(signed_b: np.ndarray, signed_c: np.ndarray, target: np.ndarray, theta):
+    """Bridge values at ``theta`` and the balancing residual there, for one
+    system or a stack: the moments weight the outcome bridge's features by
+    (-1)^(1-A) q, folded into ``signed_c``."""
+    q = _bridge_values(signed_b, theta)
+    return q, (q[..., None, :] @ signed_c)[..., 0, :] / signed_c.shape[-2] - target
+
+
+def _norm(res: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each residual of a stack."""
+    return np.sqrt((res[..., None, :] @ res[..., :, None])[..., 0, 0])
+
+
+def _first_halving(signed_b, signed_c, target, theta, step, norm0):
+    """Index into ``_NEWTON_HALVINGS`` of the first trial point of one
+    system whose residual is finite with norm below ``norm0``, scored for
+    all points in one batch, or None."""
+    q = 1.0 + np.exp((theta + _NEWTON_HALVINGS[:, None] * step) @ signed_b.T)
+    res = q @ signed_c / signed_c.shape[0] - target
+    lower = np.isfinite(res).all(axis=1) & (np.linalg.norm(res, axis=1) < norm0)
+    return np.argmax(lower) if lower.any() else None
+
+
+def _newton(signed_b, signed_c, target, theta):
+    """Damped Newton on each balancing system of a stack from its row of
+    ``theta``: every system's ``(theta, q, res)`` where it stopped, and
+    whether it stopped at a root, a residual sup-norm below
+    ``_NEWTON_TOL`` (:func:`_solve_treatment_bridge` has the steps). The
+    systems iterate together, and a system's iterates are those it has
+    alone, bit for bit: each step is a product, a factorization or an
+    elementwise operation per system, and a system whose step needs its
+    halvings scores them alone. The systems still iterating form a working
+    stack, gathered again only when one stops.
+
+    The Jacobian is read off the signed designs: with s = (-1)^(1-A),
+    each term of (s c (q - 1))'(-s b) is that of (c (q - 1))'b negated,
+    exactly, so -``_balancing_jacobian(signed_c, signed_b, q)`` is the
+    Jacobian bit for bit."""
+    q, res = _balance(signed_b, signed_c, target, theta)
+    stopped = np.empty_like(theta), np.empty_like(q), np.empty_like(res)
+    root = np.zeros(theta.shape[0], dtype=bool)
+    rows = np.arange(theta.shape[0])
+    work = signed_b, signed_c, target
+    state = theta, q, res
+
+    def stop(going):
+        """Record where the systems not ``going`` stopped and drop them."""
+        nonlocal rows, work, state
+        for out, now in zip(stopped, state):
+            out[rows[~going]] = now[~going]
+        rows = rows[going]
+        work = tuple(arr[going] for arr in work)
+        state = tuple(arr[going] for arr in state)
+
+    with np.errstate(divide="ignore"):
+        for _ in range(_NEWTON_MAX_ITER):
+            at_root = np.abs(state[2]).max(axis=1) < _NEWTON_TOL
+            if at_root.any():
+                root[rows[at_root]] = True
+                stop(~at_root)
+                if not rows.size:
+                    break
+            (w_signed_b, w_signed_c, w_target), (w_theta, w_q, w_res) = work, state
+            jac = -_balancing_jacobian(w_signed_c, w_signed_b, w_q)
+            going = np.ones(rows.size, dtype=bool)
+            jinv = _stacked(np.linalg.inv, jac, going)
+            # A Jacobian that could not be inverted has the identity in its
+            # place, and a zero one reads 1/0; either stops below.
+            rcond = 1.0 / (
+                np.abs(jac).sum(axis=1).max(axis=1) * np.abs(jinv).sum(axis=1).max(axis=1)
+            )
+            # A system whose Jacobian is singular or too ill-conditioned stops
+            # before its step.
+            going &= rcond >= _EPS
+            if not going.all():
+                stop(going)
+                if not rows.size:
+                    break
+                jinv = jinv[going]
+                (w_signed_b, w_signed_c, w_target), (w_theta, w_q, w_res) = work, state
+                going = np.ones(rows.size, dtype=bool)
+            step = -(jinv @ w_res[..., None])[..., 0]
+            norm0 = _norm(w_res)
+            cand = w_theta + step
+            cand_q, cand_res = _balance(w_signed_b, w_signed_c, w_target, cand)
+            lower = np.isfinite(cand_res).all(axis=1) & (_norm(cand_res) < norm0)
+            if not lower.all():
+                for i in np.flatnonzero(~lower):
+                    halving = _first_halving(
+                        w_signed_b[i], w_signed_c[i], w_target[i], w_theta[i], step[i], norm0[i]
+                    )
+                    if halving is None:
+                        going[i] = False
+                        continue
+                    cand[i] = w_theta[i] + _NEWTON_HALVINGS[halving] * step[i]
+                    # The accepted point is evaluated again alone.
+                    (cand_q[i],), (cand_res[i],) = _balance(
+                        w_signed_b[i][None], w_signed_c[i][None], w_target[i][None], cand[i][None]
+                    )
+            if not going.all():
+                # A system with no lower trial point stops where it was.
+                stop(going)
+                cand, cand_q, cand_res = cand[going], cand_q[going], cand_res[going]
+                if not rows.size:
+                    break
+            state = cand, cand_q, cand_res
+    stop(np.zeros(rows.size, dtype=bool))
+    return *stopped, root
 
 
 def _levenberg_marquardt(balance, jacobian, theta: np.ndarray) -> np.ndarray:
@@ -295,7 +458,8 @@ def _levenberg_marquardt(balance, jacobian, theta: np.ndarray) -> np.ndarray:
 
 
 def _solve_treatment_bridge(ds: Dataset):
-    """Treatment-bridge coefficients that balance the reweighting moments.
+    """Treatment-bridge coefficients that balance the reweighting moments:
+    :func:`_solve_treatment_bridges` on a stack of one, its error raised.
 
     The balancing moments are ``E[(-1)^(1-A) q b] = E[b(1) - b(0)]`` for
     each feature ``b`` of the linear outcome bridge. Returns
@@ -303,9 +467,10 @@ def _solve_treatment_bridge(ds: Dataset):
     the moments' ``(sign, basis_c, basis_b, target)``, so callers build
     none of them again: ``(-1)^(1-A)``, the outcome bridge's features
     ``(1, w, a, x)`` (:func:`gmm._bridge_features`), the treatment bridge's
-    design ``(1, z, a, x)``, and the features' mean contrast. Callers read
-    the solve through :func:`gmm._fit_once`, so a dataset builds them
-    once. It needs as many z as w proxies (:func:`_require_exact_identification`).
+    design ``(1, z, a, x)``, and the features' mean contrast. ``pipw`` and
+    ``pdr`` read the dataset's kept solve (:func:`gmm._fit_each`), so a
+    dataset builds them once. It needs as many z as w proxies
+    (:func:`_require_exact_identification`).
 
     Damped Newton runs from ``theta = 0`` and from the ``2^min(p-1, 3)``
     points with every coordinate ±0.5 that vary the signs of the up to
@@ -344,80 +509,77 @@ def _solve_treatment_bridge(ds: Dataset):
     estimates, unchanged to rounding; at 10^±9 the solve can fall back or
     fail instead.
     """
-    _require_exact_identification(ds)
-    features = _bridge_features(ds, _linear_bridge(ds))
-    basis_c, target = features.feats, features.contrast_mean
-    basis_b = np.column_stack([np.ones(ds.n), ds.z, ds.a, ds.x])
-    sign = np.where(ds.a > 0.5, 1.0, -1.0)  # (-1)^(1-A)
-    system = sign, basis_c, basis_b, target
-    n = ds.n
+    return _one(_solve_treatment_bridges([ds]))
+
+
+def _solve_treatment_bridges(datasets: list[Dataset]) -> list:
+    """:func:`_solve_treatment_bridge` of each of ``datasets``, which share
+    their shapes, or its error. Newton runs on all systems together from
+    each start (:func:`_newton`), and a system with no root from one start
+    goes on to the next with the others that have none; the search runs
+    per dataset. Each dataset gets what it gets alone, bit for bit.
+    """
+    out = [_identification_error(ds) for ds in datasets]
+    live = [b for b, error in enumerate(out) if error is None]
+    if not live:
+        return out
+    datasets = [datasets[b] for b in live]
+    features = _fit_each(_Features.build, datasets, _linear_bridge(datasets[0]))
+    basis_c = _stack_arrays([f.feats for f in features])
+    target = _stack_arrays([f.contrast_mean for f in features])
+    a = _stack(datasets, "a")
+    basis_b = np.concatenate([
+        np.ones((*a.shape, 1)), _stack(datasets, "z"), a[..., None], _stack(datasets, "x"),
+    ], axis=-1)
+    sign = np.where(a > 0.5, 1.0, -1.0)  # (-1)^(1-A)
     # The moments weight basis_c by (-1)^(1-A) q, and the bridge's index
     # sign is -1 treated, +1 untreated (see _bridge_values). Folding the
     # signs into the designs is exact: rounding commutes with negation.
-    signed_c = sign[:, None] * basis_c
-    signed_b = -sign[:, None] * basis_b
-
-    def balance(theta):
-        """Bridge values at ``theta`` and the balancing residual there."""
-        q = _bridge_values(signed_b, theta)
-        return q, q @ signed_c / n - target
-
-    def first_halving(theta, step, norm0):
-        """Index into ``_NEWTON_HALVINGS`` of the first trial point whose
-        residual is finite with norm below ``norm0``, scored for all points
-        in one batch, or None."""
-        q = 1.0 + np.exp((theta + _NEWTON_HALVINGS[:, None] * step) @ signed_b.T)
-        res = q @ signed_c / n - target
-        lower = np.isfinite(res).all(axis=1) & (np.linalg.norm(res, axis=1) < norm0)
-        return np.argmax(lower) if lower.any() else None
-
-    best_norm = np.inf
+    signed_c = sign[..., None] * basis_c
+    signed_b = -sign[..., None] * basis_b
+    solved: list = [None] * len(datasets)
+    best_norm = np.full(len(datasets), np.inf)
+    rest = np.arange(len(datasets))
+    system = signed_b, signed_c, target
     tried = 0
     # Overflow to inf (and inf*0 = nan) at extreme trial points is expected.
     # A non-finite residual, or one whose squared norm overflows to inf,
     # ranks as no improvement.
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in _newton_starts(basis_b.shape[1]):
-            theta = start.copy()
-            q, res = balance(theta)
+        for start in _newton_starts(basis_b.shape[-1]):
             tried += 1
-            for _ in range(_NEWTON_MAX_ITER):
-                if np.abs(res).max() < _NEWTON_TOL:
-                    return theta, q, system
-                jac = _balancing_jacobian(basis_c, basis_b, q)
-                try:
-                    jinv = np.linalg.inv(jac)
-                except np.linalg.LinAlgError:
-                    break
-                rcond = 1.0 / (np.abs(jac).sum(axis=0).max() * np.abs(jinv).sum(axis=0).max())
-                if not rcond >= _EPS:
-                    break
-                step = -(jinv @ res)
-                # np.linalg.norm of a 1-D float vector, without its wrapper.
-                norm0 = np.sqrt(res @ res)
-                cand = theta + step
-                cand_q, cand_res = balance(cand)
-                if not (np.isfinite(cand_res).all() and np.sqrt(cand_res @ cand_res) < norm0):
-                    halving = first_halving(theta, step, norm0)
-                    if halving is None:
-                        break
-                    cand = theta + _NEWTON_HALVINGS[halving] * step
-                    cand_q, cand_res = balance(cand)
-                theta, q, res = cand, cand_q, cand_res
-            best_norm = min(best_norm, float(np.abs(res).max()))
-        theta = _levenberg_marquardt(
-            balance,
-            lambda q: _balancing_jacobian(basis_c, basis_b, q),
-            np.zeros(basis_b.shape[1]),
-        )
-        q, res = balance(theta)
-    if np.all(np.isfinite(res)) and np.max(np.abs(res)) < _MINNORM_ACCEPT:
-        return theta, q, system
-    raise NoConvergence(
-        f"reweighting solver failed from {tried} starts "
-        f"(best exact-root residual sup-norm {best_norm:.3e}; "
-        f"minimum-norm imbalance {float(np.max(np.abs(res))):.3e})"
-    )
+            theta, q, res, root = _newton(*system, np.tile(start, (rest.size, 1)))
+            for i, b in enumerate(rest):
+                if root[i]:
+                    solved[b] = theta[i], q[i]
+                else:
+                    best_norm[b] = min(best_norm[b], float(np.abs(res[i]).max()))
+            rest = rest[~root]
+            if not rest.size:
+                break
+            # The systems with no root go on to the next start.
+            system = tuple(arr[~root] for arr in system)
+        for b in rest:
+            balance = functools.partial(_balance, signed_b[b], signed_c[b], target[b])
+            theta = _levenberg_marquardt(
+                balance,
+                functools.partial(_balancing_jacobian, basis_c[b], basis_b[b]),
+                np.zeros(basis_b.shape[-1]),
+            )
+            q, res = balance(theta)
+            if np.all(np.isfinite(res)) and np.max(np.abs(res)) < _MINNORM_ACCEPT:
+                solved[b] = theta, q
+            else:
+                solved[b] = NoConvergence(
+                    f"reweighting solver failed from {tried} starts "
+                    f"(best exact-root residual sup-norm {best_norm[b]:.3e}; "
+                    f"minimum-norm imbalance {float(np.max(np.abs(res))):.3e})"
+                )
+    for i, b in enumerate(live):
+        if not isinstance(solved[i], ProxiGmmError):
+            solved[i] = (*solved[i], (sign[i], features[i].feats, basis_b[i], target[i]))
+        out[b] = solved[i]
+    return out
 
 
 def pipw(ds: Dataset) -> EstimateReport:
@@ -431,32 +593,57 @@ def pipw(ds: Dataset) -> EstimateReport:
     :func:`pdr` call on it shares that object, its ``aux`` arrays included,
     and forms the sandwich no more.
     """
-    return _fit_once(_reweighting_report, ds)
+    return _fit_once(_reweighting_reports, ds)
 
 
-def _reweighting_report(ds: Dataset) -> EstimateReport:
-    """:func:`pipw`'s report: the reweighted mean and its stacked sandwich."""
-    theta, q, (sign, basis_c, basis_b, target) = _fit_once(_solve_treatment_bridge, ds)
-    tau = float(np.mean(sign * q * ds.y))
-    t_dim = theta.shape[0]
-    scores = np.column_stack(
-        [basis_c * (sign * q)[:, None] - target, tau - sign * q * ds.y]
+def _reweighting_reports(datasets: list[Dataset]) -> list:
+    """:func:`pipw`'s report, the reweighted mean and its stacked sandwich,
+    or its error, for each of ``datasets``, from one stacked call per step
+    over the datasets whose solve returns."""
+    out = _fit_each(_solve_treatment_bridges, datasets)
+    live = [b for b, solve in enumerate(out) if not isinstance(solve, ProxiGmmError)]
+    if not live:
+        return out
+    q, sign, basis_c, basis_b, target = (
+        _stack_arrays(arrays) for arrays in zip(*((out[b][1], *out[b][2]) for b in live))
     )
-    jac = np.zeros((t_dim + 1, t_dim + 1))
-    jac[:t_dim, :t_dim] = _balancing_jacobian(basis_c, basis_b, q)
-    jac[t_dim, :t_dim] = ((q - 1.0) * ds.y) @ basis_b / ds.n
-    jac[t_dim, t_dim] = 1.0
+    y = _stack([datasets[b] for b in live], "y")
+    n, t_dim = basis_b.shape[-2:]
+    weights = sign * q
+    reweighted = weights * y
+    tau = np.mean(reweighted, axis=-1)
+    scores = np.empty((len(live), n, t_dim + 1))
+    np.multiply(basis_c, weights[..., None], out=scores[..., :t_dim])
+    scores[..., :t_dim] -= target[:, None, :]
+    scores[..., t_dim] = tau[:, None] - reweighted
+    jac = np.zeros((len(live), t_dim + 1, t_dim + 1))
+    jac[:, :t_dim, :t_dim] = _balancing_jacobian(basis_c, basis_b, q)
+    jac[:, t_dim, :t_dim] = (((q - 1.0) * y)[:, None, :] @ basis_b)[:, 0, :] / n
+    jac[:, t_dim, t_dim] = 1.0
+    target_row = np.eye(t_dim + 1)[t_dim]
+    jac_t = np.swapaxes(jac, -1, -2)
+    singular = np.zeros(len(live), dtype=bool)
     try:
-        direction = np.linalg.solve(jac.T, np.eye(t_dim + 1)[t_dim])
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem("stacked reweighting Jacobian is singular") from exc
-    return EstimateReport(
-        method="pipw",
-        tau_hat=tau,
-        se_tau=_stacked_se(scores, direction),
-        n=ds.n,
-        aux={"theta_hat": theta},
-    )
+        direction = np.linalg.solve(jac_t, target_row)
+    except np.linalg.LinAlgError:
+        # Each system alone, so that each gets what it would alone.
+        direction = np.zeros((len(live), t_dim + 1))
+        for i, mat in enumerate(jac_t):
+            try:
+                direction[i] = np.linalg.solve(mat, target_row)
+            except np.linalg.LinAlgError:
+                singular[i] = True
+    se = _stacked_se(scores, direction)
+    for i, b in enumerate(live):
+        out[b] = (
+            SingularSystem("stacked reweighting Jacobian is singular") if singular[i]
+            else _se_error(se[i])
+            or EstimateReport(
+                method="pipw", tau_hat=float(tau[i]), se_tau=float(se[i]), n=n,
+                aux={"theta_hat": out[b][0]},
+            )
+        )
+    return out
 
 
 def pdr(ds: Dataset) -> EstimateReport:
@@ -477,9 +664,9 @@ def pdr(ds: Dataset) -> EstimateReport:
     ``r = 0`` the stacked influence functions agree unit by unit, so the
     standard error is ``pipw``'s; they differ only at a minimum-norm fallback.
     """
-    theta, q, (sign, feats, _, target) = _fit_once(_solve_treatment_bridge, ds)
+    theta, q, (sign, feats, _, target) = _fit_once(_solve_treatment_bridges, ds)
     gamma = _canonical_bridge_fit(ds).gamma_hat
-    ipw = _fit_once(_reweighting_report, ds)
+    ipw = _fit_once(_reweighting_reports, ds)
     imbalance = q @ (sign[:, None] * feats) / ds.n - target
     return EstimateReport(
         method="pdr",

@@ -5,7 +5,7 @@ A :class:`Dataset` holds one observation block per variable role: outcome
 ``z``, and measured covariates ``x``. Arrays are validated once at
 construction and frozen, so estimators downstream never re-check them.
 Because a dataset never changes, it also keeps what is computed on it: the
-bridge fits and features of ``gmm._fit_once``, shared by every call that
+bridge fits and features of ``gmm._fit_each``, shared by every call that
 passes the same dataset.
 """
 
@@ -74,7 +74,7 @@ class Dataset:
     and ``a`` is exactly 0/1. Arrays are read-only after construction.
 
     ``_derived`` holds the fits computed on this dataset
-    (``gmm._fit_once``). It is not a field, so a dataset made from this one
+    (``gmm._fit_each``). It is not a field, so a dataset made from this one
     by ``dataclasses.replace`` starts without them.
     """
 
@@ -139,6 +139,18 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.y.shape[0]
+
+
+def _stack_arrays(arrays: list[np.ndarray]) -> np.ndarray:
+    """``arrays``, which share their shapes, stacked along a new leading
+    axis; one array is viewed as a stack of one rather than copied."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _stack(datasets: list[Dataset], name: str) -> np.ndarray:
+    """The ``name`` arrays of ``datasets``, which share their shapes,
+    stacked along a new leading axis (:func:`_stack_arrays`)."""
+    return _stack_arrays([getattr(ds, name) for ds in datasets])
 
 
 def load_csv(path: str, roles: VariableRoles) -> Dataset:

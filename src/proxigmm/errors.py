@@ -111,4 +111,18 @@ class RankDeficientDesign(ProxiGmmError):
 
 
 class SingularSystem(ProxiGmmError):
-    """``pipw``'s stacked Jacobian is singular (``baselines._reweighting_report``)."""
+    """``pipw``'s stacked Jacobian is singular (``baselines._reweighting_reports``)."""
+
+
+def _unless_error(out):
+    """``out``, or ``out`` raised if it is a :class:`ProxiGmmError`. The
+    name is cleared as the error leaves, so the frames of its traceback do
+    not hold it: a caller that takes it out of a list and holds no other
+    reference leaves no cycle, and the datasets those frames hold are
+    freed with the error."""
+    if isinstance(out, ProxiGmmError):
+        try:
+            raise out
+        finally:
+            out = None
+    return out

@@ -5,9 +5,11 @@ residual ``y - h`` with basis columns of (Z, A, X), and one contrast moment
 tying the target parameter to the mean treatment contrast of the bridge.
 The bridge is linear in its parameters, so the mean moments are affine in
 them. The feature matrices behind the scores are built once per dataset
-and bridge and kept on the dataset (:func:`_fit_once`), so the moment-count
+and bridge and kept on the dataset (:func:`_fit_each`), so the moment-count
 scan, every public fit step and the baselines' outcome-bridge fit read one
-build; the affine map is built once per instrument matrix. A fixed-weight
+build; the affine map is built once per instrument matrix. A kept fit is a
+stacked kernel: it runs on a list of datasets, a Monte Carlo block's or a
+single dataset's, and gives each what it gets alone, bit for bit. A fixed-weight
 fit and its sandwich are :func:`_fit`. Every weighted system W½J, of the
 fits, the floored sandwich and the moment-count scan, is one SVD with
 each column scaled by its feature's root mean square, which the features
@@ -28,7 +30,7 @@ treatment coefficient alone reads an objective of exactly 1, so the step
 in those coordinates is noise. At the exactly identified count (K equal to
 the bridge dimension p) an estimate does not depend on its weight (Hansen
 1982), so the fit is the identity-weight fit and its sandwich
-J⁻¹ΥJ⁻ᵀ, with no weight and no floor. :func:`_sieve_iv_fit`, the one
+J⁻¹ΥJ⁻ᵀ, with no weight and no floor. :func:`_sieve_iv_fits`, the one
 builder of every outcome-bridge IV fit, is the identity-weight fit on the
 sieve's first k terms, kept per dataset, bridge and k: ``select_and_fit``
 reads it at K* = p, and ``rgmm``, ``p2sls`` and ``pdr`` at
@@ -65,15 +67,17 @@ contrast direction is degenerate, pay for ``eigh``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Protocol
 
 import numpy as np
 
 from .bridges import OutcomeBridge
-from .data import Dataset
-from .errors import ProxiGmmError, RankDeficientJacobian, SingularVariance, TooFewMoments
-from .sieve import BasisMatrix, SieveSpec, build_basis, orthonormalize
+from .data import Dataset, _stack, _stack_arrays
+from .errors import (
+    ProxiGmmError, RankDeficientJacobian, SingularVariance, TooFewMoments, _unless_error,
+)
+from .sieve import BasisMatrix, _bases, _orthonormal, orthonormalize
 
 SPECTRAL_FLOOR = 1e-8
 # Two-sided 5% normal critical value, the standard normal 0.975 quantile:
@@ -174,7 +178,8 @@ class _Features:
     column mean, the mean parameter gradient of the treatment contrast.
     ``scale`` holds each feature's root mean square ‖f_j‖/√n, then 1 for
     tau: the column scales by which :func:`_solve` equilibrates every
-    moment Jacobian of the bridge.
+    moment Jacobian of the bridge. The features of a stack of datasets
+    (:meth:`stack`) carry a leading axis on every array.
     """
 
     y: np.ndarray
@@ -184,12 +189,37 @@ class _Features:
     scale: np.ndarray
 
     @classmethod
-    def build(cls, ds: Dataset, bridge: OutcomeBridge) -> _Features:
-        ones = np.ones(ds.n)
-        feats = bridge.grad(ds.w, ds.a, ds.x)
-        contrast = bridge.grad(ds.w, ones, ds.x) - bridge.grad(ds.w, 0.0 * ones, ds.x)
-        scale = np.append(np.linalg.norm(feats, axis=0) / np.sqrt(ds.n), 1.0)
-        return cls(ds.y, feats, contrast, contrast.mean(axis=0), scale)
+    def build(cls, datasets: list[Dataset], bridge: OutcomeBridge) -> list[_Features]:
+        """The features of ``bridge`` on each of ``datasets``, which share
+        their shapes. A feature row is a function of its observation's (w,
+        a, x) alone, so the bridge's matrices of every dataset come from one
+        call on all their rows; their column norms and means are one stacked
+        reduction each. Each dataset gets what it would get alone, bit for
+        bit."""
+        count, n = len(datasets), datasets[0].n
+        w, x = (_stack(datasets, name).reshape(count * n, -1) for name in "wx")
+        a = _stack(datasets, "a").reshape(-1)
+        ones = np.ones_like(a)
+        feats = bridge.grad(w, a, x).reshape(count, n, -1)
+        contrast = (bridge.grad(w, ones, x) - bridge.grad(w, 0.0 * ones, x)).reshape(count, n, -1)
+        scale = np.ones((count, feats.shape[2] + 1))
+        scale[:, :-1] = np.linalg.norm(feats, axis=1) / np.sqrt(n)
+        contrast_mean = contrast.mean(axis=1)
+        return [
+            cls(ds.y, feats[b], contrast[b], contrast_mean[b], scale[b])
+            for b, ds in enumerate(datasets)
+        ]
+
+    @classmethod
+    def stack(cls, features: list[_Features]) -> _Features:
+        """One :class:`_Features` whose arrays stack those of ``features``
+        along a leading axis; an entry that is an error, from a bridge whose
+        features cannot be built, is raised."""
+        for f in features:
+            _unless_error(f)
+        return cls(*(
+            _stack_arrays([getattr(f, field.name) for f in features]) for field in fields(cls)
+        ))
 
 
 @dataclass(frozen=True)
@@ -204,6 +234,8 @@ class _Moments:
     dataset (:func:`_bridge_features`): every moment system of one bridge on
     one dataset, whatever its instruments, reads the same features, and
     every fit step, the polish and the variance read them from one object.
+    A stack of systems, one per dataset of a block (:meth:`of`), carries a
+    leading axis on every array; :func:`_fit` solves such a stack.
     """
 
     features: _Features
@@ -214,47 +246,91 @@ class _Moments:
     @classmethod
     def build(cls, ds: Dataset, u: np.ndarray, bridge: OutcomeBridge) -> _Moments:
         """The moments of ``bridge`` on ``ds`` instrumented by the columns of ``u``."""
-        features = _bridge_features(ds, bridge)
-        n, k = u.shape
-        p = features.feats.shape[1]
-        jac = np.zeros((k + 1, p + 1))
-        jac[:k, :p] = -(u.T @ features.feats) / n
-        jac[k, :p] = -features.contrast_mean
-        jac[k, p] = 1.0
-        const = np.append(u.T @ features.y / n, 0.0)
+        return cls.of(_bridge_features(ds, bridge), u)
+
+    @classmethod
+    def of(cls, features: _Features, u: np.ndarray) -> _Moments:
+        """The moments of ``features`` instrumented by the columns of ``u``:
+        one system, or a stack of them when both carry a leading axis. Each
+        system of a stack is built as it would be alone, bit for bit."""
+        n, k = u.shape[-2:]
+        p = features.feats.shape[-1]
+        u_t = np.swapaxes(u, -1, -2)
+        jac = np.zeros((*u.shape[:-2], k + 1, p + 1))
+        jac[..., :k, :p] = -(u_t @ features.feats) / n
+        jac[..., k, :p] = -features.contrast_mean
+        jac[..., k, p] = 1.0
+        const = np.zeros((*u.shape[:-2], k + 1))
+        const[..., :k] = (u_t @ features.y[..., None])[..., 0] / n
         return cls(features, u, jac, const)
 
+    def stacked(self) -> _Moments:
+        """This system as a stack of one."""
+        return _Moments(
+            _Features.stack([self.features]), self.u[None], self.jac[None], self.const[None]
+        )
+
     def scores(self, beta: np.ndarray) -> np.ndarray:
-        """Per-observation scores at ``beta``, shape (n, K+1): residual times
-        each instrument, then ``tau`` minus the treatment contrast."""
+        """Per-observation scores at ``beta``, shape (..., n, K+1): residual
+        times each instrument, then ``tau`` minus the treatment contrast."""
         f = self.features
-        gamma, tau = beta[:-1], beta[-1]
-        resid = f.y - f.feats @ gamma
-        n, k = self.u.shape
-        s = np.empty((n, k + 1))
-        s[:, :k] = self.u * resid[:, None]
-        s[:, k] = tau - f.contrast @ gamma
+        gamma, tau = beta[..., :-1, None], beta[..., -1:]
+        resid = f.y - (f.feats @ gamma)[..., 0]
+        n, k = self.u.shape[-2:]
+        s = np.empty((*self.u.shape[:-2], n, k + 1))
+        s[..., :k] = self.u * resid[..., None]
+        s[..., k] = tau - (f.contrast @ gamma)[..., 0]
         return s
 
 
-def _fit_once(fit, ds: Dataset, *args):
-    """``fit(ds, *args)``, run once per dataset and arguments.
+def _fit_each(fit, datasets: list[Dataset], *args) -> list:
+    """``fit(datasets, *args)``, run once per dataset and arguments.
 
-    What the fit returns is kept on the dataset (``Dataset._derived``),
-    keyed by ``(fit, *args)``, and every later call with that dataset
-    returns it. So ``rgmm``, ``p2sls`` and ``pdr`` share the outcome-bridge
-    fit of a dataset (:func:`_sieve_iv_fit`), ``pipw`` and ``pdr`` its treatment-bridge solve and
-    ``pipw``'s report (its reweighting sandwich formed once), and every
-    moment system of a bridge its features, for any caller that passes the
-    same dataset. What is kept is shared as it is, arrays included. A fit
-    that raises keeps nothing, so a later call runs it again; every fit is
-    deterministic, so that call raises the same error. A dataset derived
-    from another starts with nothing kept.
+    ``fit`` is a stacked kernel: it maps a list of datasets of one shape to
+    a list holding, per dataset, its result or the :class:`ProxiGmmError`
+    it gives that dataset, and each dataset's entry is what it gets on a
+    stack of one, bit for bit. A result is kept on its dataset
+    (``Dataset._derived``), keyed by ``(fit, *args)``, and every later call
+    with that dataset returns it: the kernel runs on the datasets that keep
+    nothing yet. So ``rgmm``, ``p2sls`` and ``pdr`` share the outcome-bridge
+    fit of a dataset (:func:`_sieve_iv_fits`), ``pipw`` and ``pdr`` its
+    treatment-bridge solve and ``pipw``'s report, and every moment system
+    of a bridge its features, for any caller that passes the same dataset,
+    and a Monte Carlo block fills them for all its datasets at once. What is
+    kept is shared as it is, arrays included. A dataset whose fit gave an
+    error keeps nothing, and neither does any dataset of a stack whose
+    kernel raised one as a whole; each gets that error here, and a later
+    call runs the kernel again, which gives the same error, as every fit is
+    deterministic. A dataset derived from another starts with nothing kept.
     """
     key = fit, *args
-    if key not in ds._derived:
-        ds._derived[key] = fit(ds, *args)
-    return ds._derived[key]
+    todo = [ds for ds in datasets if key not in ds._derived]
+    got = {}
+    if todo:
+        try:
+            outs = fit(todo, *args)
+        except ProxiGmmError as exc:
+            # Raised again later, the error must not carry these frames,
+            # which hold the datasets.
+            outs = [exc.with_traceback(None)] * len(todo)
+        for ds, out in zip(todo, outs):
+            if isinstance(out, ProxiGmmError):
+                got[id(ds)] = out
+            else:
+                ds._derived[key] = out
+    return [got[id(ds)] if id(ds) in got else ds._derived[key] for ds in datasets]
+
+
+def _fit_once(fit, ds: Dataset, *args):
+    """:func:`_fit_each` of the one dataset ``ds``: its result, or its
+    error raised."""
+    return _one(_fit_each(fit, [ds], *args))
+
+
+def _one(results: list):
+    """The entry of the one-entry list ``results``, taken out of it, or
+    that entry raised if it is an error (:func:`errors._unless_error`)."""
+    return _unless_error(results.pop())
 
 
 def _bridge_features(ds: Dataset, bridge: OutcomeBridge) -> _Features:
@@ -326,15 +402,27 @@ def _solve(
     instruments reach only at rounding level of its own size stays at
     rounding level and is not counted, in any units of w, x and z. Raises
     ``ValueError`` on non-finite input and ``error``, the caller's type,
-    when the SVD does not converge.
+    when the SVD does not converge. ``scale`` may stack one row of scales
+    per system.
     """
     _check_finite(lhs, rhs)
-    scale = np.where(scale > 0.0, scale, 1.0)
+    scale = np.where(scale > 0.0, scale, 1.0)[..., None, :]
+    return _scaled_solve(lhs / scale, rhs, scale, n, error)
+
+
+def _scaled_solve(
+    scaled: np.ndarray, rhs: np.ndarray, scale: np.ndarray, n: int, error: type[ProxiGmmError]
+):
+    """:func:`_solve` of a system given as ``scaled`` = lhs S⁻¹, with S the
+    positive column scales ``scale`` shaped (..., 1, q): its one SVD, the
+    rank rule and the factors. The system may be any with the same
+    singular values and right singular vectors, such as the R factor of a
+    QR of lhs S⁻¹ with ``rhs`` rotated by its Q'."""
     try:
-        left, sing, right_t = np.linalg.svd(lhs / scale, full_matrices=False)
+        left, sing, right_t = np.linalg.svd(scaled, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise error("the SVD of the weighted moment Jacobian did not converge") from exc
-    counted = sing > max(n, lhs.shape[-1]) * np.finfo(float).eps * sing[..., :1]
+    counted = sing > max(n, scaled.shape[-1]) * np.finfo(float).eps * sing[..., :1]
     half_t = right_t / (np.where(counted, sing, 1.0)[..., :, None] * scale)
     beta = ((rhs[..., None, :] @ left) @ half_t)[..., 0, :]
     return beta, counted.sum(axis=-1), (left, half_t)
@@ -347,19 +435,32 @@ def _least_squares(moments: _Moments, w_half: np.ndarray):
     (J'WJ)⁻¹ = H'H. Raises :class:`RankDeficientJacobian` when the moments
     do not identify ``beta`` or the SVD fails.
     """
+    beta, obj, factors, rank = _weighted_solve(moments, w_half)
+    if rank < moments.jac.shape[-1]:
+        raise _unidentified(rank, moments.jac.shape[-1])
+    return beta, float(obj), factors
+
+
+def _weighted_solve(moments: _Moments, w_half: np.ndarray):
+    """:func:`_least_squares` of one system or a stack, with the rank of
+    each W½J instead of its test. The SVD failing raises
+    :class:`RankDeficientJacobian`."""
     jac, const = moments.jac, moments.const
-    p1 = jac.shape[1]
     beta, rank, factors = _solve(
-        w_half @ jac, -(w_half @ const), moments.features.scale, moments.u.shape[0],
-        RankDeficientJacobian,
+        w_half @ jac, -(w_half @ const[..., None])[..., 0], moments.features.scale,
+        moments.u.shape[-2], RankDeficientJacobian,
     )
-    if rank < p1:
-        raise RankDeficientJacobian(
-            f"moment Jacobian has rank {rank} < {p1}; instruments do not "
-            "identify the bridge parameters"
-        )
-    g_final = const + jac @ beta
-    return beta, float(g_final @ (w_half.T @ (w_half @ g_final))), factors
+    g_final = const + (jac @ beta[..., None])[..., 0]
+    weighted = w_half.T @ (w_half @ g_final[..., None])
+    return beta, (g_final[..., None, :] @ weighted)[..., 0, 0], factors, rank
+
+
+def _unidentified(rank: int, p1: int) -> RankDeficientJacobian:
+    """The error of a moment system of rank ``rank`` below its ``p1`` parameters."""
+    return RankDeficientJacobian(
+        f"moment Jacobian has rank {rank} < {p1}; instruments do not "
+        "identify the bridge parameters"
+    )
 
 
 def _gram_moments(moments: _Moments):
@@ -631,7 +732,7 @@ def fit_with_weight(
     if np.min(vals) < -1e-10 * np.max(np.abs(vals)):
         raise SingularVariance("weight matrix is not positive semidefinite")
     w_half = (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
-    return _fit(_Moments.build(ds, basis.u, bridge), w_half)
+    return _one(_fit(_Moments.build(ds, basis.u, bridge).stacked(), w_half))
 
 
 def fit_initial(ds: Dataset, basis: BasisMatrix, bridge: OutcomeBridge) -> GmmFit:
@@ -645,28 +746,38 @@ def fit_initial(ds: Dataset, basis: BasisMatrix, bridge: OutcomeBridge) -> GmmFi
 
 
 def _fit_identity(moments: _Moments) -> GmmFit:
-    """:func:`_fit` under the identity weight."""
-    return _fit(moments, np.eye(moments.jac.shape[0]))
+    """:func:`_fit` of one system under the identity weight."""
+    return _one(_fit(moments.stacked(), np.eye(moments.jac.shape[0])))
 
 
-def _fit(moments: _Moments, w_half: np.ndarray) -> GmmFit:
-    """The fit under the fixed weight W with symmetric square root
-    ``w_half``, and its sandwich (J'WJ)⁻¹J'WΥWJ(J'WJ)⁻¹ at the moment
-    covariance there: R'R/n for the scores projected through the solve's
-    factors of W½J, R = scores·W½·U·H, so positive semidefinite."""
-    beta, obj, (left, half_t) = _least_squares(moments, w_half)
+def _fit(moments: _Moments, w_half: np.ndarray) -> list:
+    """The fit of each system of the stack ``moments`` under the fixed
+    weight W with symmetric square root ``w_half``, and its sandwich
+    (J'WJ)⁻¹J'WΥWJ(J'WJ)⁻¹ at the moment covariance there: R'R/n for the
+    scores projected through the solve's factors of W½J, R = scores·W½·U·H,
+    so positive semidefinite. Per system, a :class:`GmmFit`, or the
+    :class:`RankDeficientJacobian` of one whose moments do not identify
+    its parameters. Each system gets what it gets alone, bit for bit: every
+    step is a product, a factorization or an elementwise operation per
+    system."""
+    beta, obj, (left, half_t), rank = _weighted_solve(moments, w_half)
     projected = moments.scores(beta) @ (w_half @ left @ half_t)
-    n, k = moments.u.shape
-    v_hat = projected.T @ projected / n
-    return _gmm_fit(moments, beta, obj, v_hat, np.sqrt(np.diag(v_hat) / n), k + 1)
+    n, k = moments.u.shape[-2:]
+    v_hat = np.swapaxes(projected, -1, -2) @ projected / n
+    se = np.sqrt(np.diagonal(v_hat, axis1=-2, axis2=-1) / n)
+    p1 = moments.jac.shape[-1]
+    return [
+        _unidentified(r, p1) if r < p1 else _gmm_fit(beta[b], obj[b], v_hat[b], se[b], n, k, k + 1)
+        for b, r in enumerate(rank)
+    ]
 
 
-def _gmm_fit(moments: _Moments, beta, obj: float, v_hat, se, k1: int) -> GmmFit:
-    """The :class:`GmmFit` of ``beta = (gamma, tau)`` on ``moments``."""
-    (n, k), p = moments.u.shape, beta.shape[0] - 1
+def _gmm_fit(beta, obj: float, v_hat, se, n: int, k: int, k1: int) -> GmmFit:
+    """The :class:`GmmFit` of ``beta = (gamma, tau)`` on ``n`` rows and ``k`` sieve moments."""
+    p = beta.shape[0] - 1
     return GmmFit(
         gamma_hat=beta[:p], tau_hat=float(beta[p]), se_gamma=se[:p], se_tau=float(se[p]),
-        k=k, k1=k1, n=n, v_hat=v_hat, objective_value=obj,
+        k=k, k1=k1, n=n, v_hat=v_hat, objective_value=float(obj),
     )
 
 
@@ -705,21 +816,31 @@ def _fit_optimal(moments: _Moments) -> GmmFit:
     beta, _, _ = _least_squares(moments, first.floored_weight_sqrt())
     beta, obj = _refine_continuous_update(moments, beta, gram_moments)
     v_hat, se = _sandwich(moments, gram_moments(beta[None])[1][0])
-    return _gmm_fit(moments, beta, obj, v_hat, se, first.k1)
+    return _gmm_fit(beta, obj, v_hat, se, *moments.u.shape, first.k1)
 
 
-def _sieve_iv_fit(ds: Dataset, bridge: OutcomeBridge, k: int) -> GmmFit:
-    """The identity-weight fit of ``bridge`` on ``ds`` on the orthonormalized
-    first ``k`` sieve terms (:func:`fit_initial`): exactly identified at
-    ``k`` = p, and two-stage least squares on the span of those terms
-    above it.
+def _sieve_iv_fits(datasets: list[Dataset], bridge: OutcomeBridge, k: int) -> list:
+    """The identity-weight fit of ``bridge`` on each of ``datasets`` on the
+    orthonormalized first ``k`` sieve terms (:func:`fit_initial`): exactly
+    identified at ``k`` = p, and two-stage least squares on the span of
+    those terms above it. Per dataset, its :class:`GmmFit` or the error
+    that :func:`build_basis`, :func:`orthonormalize` or the fit gives it.
 
-    Callers read it through :func:`_fit_once`, so a dataset fits it once
-    per bridge and ``k``: ``select_and_fit`` at K* = p and the baselines'
-    outcome-bridge fit on the terms (1, a, z, x) share it when those are p
-    terms, with as many z as w proxies.
+    The datasets' bases, QRs, features and fits are each one stacked call,
+    and each dataset gets what it gets alone, bit for bit. Callers read it
+    through :func:`_fit_each`, so a dataset fits it once per bridge and
+    ``k``: ``select_and_fit`` at K* = p and the baselines' outcome-bridge
+    fit on the terms (1, a, z, x) share it when those are p terms, with as
+    many z as w proxies.
     """
-    return fit_initial(ds, build_basis(ds, SieveSpec(), k), bridge)
+    u, term_names, errors = _bases(datasets, k)
+    q, rank_errors = _orthonormal(u, term_names)
+    errors = [error or rank_error for error, rank_error in zip(errors, rank_errors)]
+    if all(errors):
+        return errors
+    features = _Features.stack(_fit_each(_Features.build, datasets, bridge))
+    fits = _fit(_Moments.of(features, q), np.eye(k + 1))
+    return [error or fit for error, fit in zip(errors, fits)]
 
 
 def variance(

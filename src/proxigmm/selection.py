@@ -33,7 +33,7 @@ The bridge's feature matrices are kept on the dataset
 other fit of that bridge on that dataset read one build. When the selected
 K is the width of the scanned basis, the fit reads the scan's moment
 system too. At K* = p the fit is the dataset's kept identity-weight fit on
-the first p sieve terms (``gmm._sieve_iv_fit``), the one builder of every
+the first p sieve terms (``gmm._sieve_iv_fits``), the one builder of every
 outcome-bridge IV fit: with as many z as w proxies those terms are the
 baselines' instruments (1, a, z, x), and the baselines read the same fit.
 """
@@ -47,7 +47,7 @@ import numpy as np
 from .bridges import OutcomeBridge
 from .data import Dataset
 from .errors import AllCandidatesSingular, DimensionMismatch, RankDeficient
-from .gmm import GmmFit, _fit_once, _fit_optimal, _Moments, _sieve_iv_fit, _solve, _stacked
+from .gmm import GmmFit, _fit_once, _fit_optimal, _Moments, _sieve_iv_fits, _solve, _stacked
 from .sieve import BasisMatrix, SieveSpec, build_basis, orthonormalize
 
 
@@ -300,7 +300,7 @@ def select_and_fit(
     :func:`~proxigmm.gmm.fit_optimal` on that basis bit for bit. Below that
     width the fit orthonormalizes the leading K* columns afresh. At K* = p
     the fit is the identity-weight fit on the first p sieve terms that the
-    dataset keeps (``gmm._sieve_iv_fit``), which is that same fit bit for
+    dataset keeps (``gmm._sieve_iv_fits``), which is that same fit bit for
     bit and, with as many z as w proxies, the one ``rgmm``, ``p2sls`` and
     ``pdr`` read on the terms (1, a, z, x); on a dataset no baseline has
     fitted, it builds the p-column basis once more. The bridge features
@@ -309,7 +309,7 @@ def select_and_fit(
     """
     diag, raw, moments = _scan(ds, bridge, spec, k_bar)
     if diag.k_star == bridge.n_params:
-        return _fit_once(_sieve_iv_fit, ds, bridge, bridge.n_params), diag
+        return _fit_once(_sieve_iv_fits, ds, bridge, bridge.n_params), diag
     if diag.k_star < moments.u.shape[1]:
         # A fresh K*-column QR rather than the leading columns of the
         # scan's: those match it only to rounding, and the fit at K* must

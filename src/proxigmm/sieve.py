@@ -28,13 +28,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset
-from .errors import DegenerateColumn, KTooLarge, RankDeficient
+from .data import Dataset, _stack
+from .errors import DegenerateColumn, KTooLarge, RankDeficient, _unless_error
 
 # Relative tolerance below which a basis column or an R diagonal entry is
 # treated as numerically zero.
@@ -87,25 +86,27 @@ class BasisMatrix:
         return replace(self, u=self.u[:, :k], term_names=self.term_names[:k])
 
 
-def _univariate_levels(name: str, col: np.ndarray) -> list[np.ndarray]:
-    """Levels 1, 2, 3 of one variable: powers of its standardized value,
-    formed by multiplication (``std**3`` would call libm ``pow``).
+def _univariate_levels(cols: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Levels 1, 2, 3 of a (B, n) stack of one variable's columns: powers
+    of its standardized values, formed by multiplication (``std**3`` would
+    call libm ``pow``), and which columns are constant.
 
     The mean and standard deviation are the reductions ``np.mean`` and
     ``np.std`` run, bit for bit, with the deviations formed once. A
-    variable is constant when its standard deviation is at most
+    column is constant when its standard deviation is at most
     ``_ZERO_TOL`` times its mean's magnitude (to first order, times its
-    root mean square), so the test does not depend on the variable's units.
+    root mean square), so the test does not depend on the variable's units;
+    a constant column is divided by 1 rather than 0, and its levels are
+    not meaningful.
     """
-    n = col.shape[0]
-    mean = float(np.add.reduce(col) / n)
-    dev = col - mean
-    sd = math.sqrt(np.add.reduce(dev * dev) / n)
-    if sd <= _ZERO_TOL * abs(mean):
-        raise DegenerateColumn(f"variable {name!r} is constant; cannot standardize")
-    std = dev / sd
+    n = cols.shape[-1]
+    mean = np.add.reduce(cols, axis=-1) / n
+    dev = cols - mean[:, None]
+    sd = np.sqrt(np.add.reduce(dev * dev, axis=-1) / n)
+    constant = sd <= _ZERO_TOL * np.abs(mean)
+    std = dev / np.where(constant, 1.0, sd)[:, None]
     square = std * std
-    return [std, square, square * std]
+    return [std, square, square * std], constant
 
 
 def _level_vectors(d: int, total: int):
@@ -171,29 +172,36 @@ def _layout(names: tuple[str, ...], k: int) -> tuple[tuple[tuple[int, ...], ...]
     return factors, tuple(_term_name(names, t) for t in terms)
 
 
-def build_basis(ds: Dataset, spec: SieveSpec, k: int) -> BasisMatrix:
-    """Evaluate the first ``k`` basis terms on the rows of ``ds``.
-
-    Each variable is standardized from ``ds`` itself, so the basis
-    describes ``ds`` only. Raises :class:`KTooLarge` when the sieve has
-    fewer than ``k`` terms (:func:`family_size`) and
-    :class:`DegenerateColumn` when a variable is constant or a generated
-    column is numerically zero.
-    """
+def _bases(datasets: list[Dataset], k: int) -> tuple[np.ndarray, tuple[str, ...], list]:
+    """The first ``k`` basis terms of every dataset in ``datasets``, which
+    share their shapes and variable names: a (B, n, k) stack whose slices
+    are each column-major, the term names, and per dataset ``None`` or the
+    :class:`DegenerateColumn` that :func:`build_basis` raises on it, whose
+    slice is then not meaningful. Each slice is the dataset's basis bit for
+    bit, whatever else the stack holds."""
     if k < 1:
         raise KTooLarge(f"k must be at least 1, got {k}")
-    cols = [(nm, ds.z[:, j]) for j, nm in enumerate(ds.z_names)]
-    cols += [(nm, ds.x[:, j]) for j, nm in enumerate(ds.x_names)]
-    size = family_size(len(cols))
+    first = datasets[0]
+    names = (*first.z_names, *first.x_names)
+    size = family_size(len(names))
     if k > size:
         raise KTooLarge(f"k={k} exceeds the {size} available terms")
-    factor_cols = [ds.a]
-    for name, col in cols:
-        factor_cols += _univariate_levels(name, col)
-    plan, term_names = _layout(tuple(name for name, _ in cols), k)
-    u = np.empty((ds.a.shape[0], k), order="F")
+    a = _stack(datasets, "a")
+    factor_cols = [a]
+    errors: list = [None] * len(datasets)
+    variables = [(nm, "z", j) for j, nm in enumerate(first.z_names)]
+    variables += [(nm, "x", j) for j, nm in enumerate(first.x_names)]
+    for name, field, j in variables:
+        levels, constant = _univariate_levels(_stack(datasets, field)[..., j])
+        factor_cols += levels
+        for b in np.flatnonzero(constant):
+            errors[b] = errors[b] or DegenerateColumn(
+                f"variable {name!r} is constant; cannot standardize"
+            )
+    plan, term_names = _layout(names, k)
+    u = np.empty((a.shape[0], k, a.shape[1])).transpose(0, 2, 1)
     for c, factors in enumerate(plan):
-        col = u[:, c]
+        col = u[:, :, c]
         if not factors:
             col.fill(1.0)
         elif len(factors) == 1:
@@ -202,11 +210,61 @@ def build_basis(ds: Dataset, spec: SieveSpec, k: int) -> BasisMatrix:
             np.multiply(factor_cols[factors[0]], factor_cols[factors[1]], out=col)
             for f in factors[2:]:
                 np.multiply(col, factor_cols[f], out=col)
-    scale = np.max(np.abs(u), axis=0)
-    dead = np.nonzero(scale < _ZERO_TOL)[0]
-    if dead.size:
-        raise DegenerateColumn(f"basis column {term_names[dead[0]]!r} is numerically zero")
-    return BasisMatrix(u=u, term_names=term_names)
+    dead = np.max(np.abs(u), axis=1) < _ZERO_TOL
+    for b in np.flatnonzero(dead.any(axis=1)):
+        errors[b] = errors[b] or DegenerateColumn(
+            f"basis column {term_names[np.argmax(dead[b])]!r} is numerically zero"
+        )
+    return u, term_names, errors
+
+
+def _single(stack: np.ndarray, errors: list) -> np.ndarray:
+    """The one slice of a stack of one, or its error, taken out of
+    ``errors``, raised."""
+    _unless_error(errors.pop())
+    return stack[0]
+
+
+def build_basis(ds: Dataset, spec: SieveSpec, k: int) -> BasisMatrix:
+    """Evaluate the first ``k`` basis terms on the rows of ``ds``.
+
+    Each variable is standardized from ``ds`` itself, so the basis
+    describes ``ds`` only. Raises :class:`KTooLarge` when the sieve has
+    fewer than ``k`` terms (:func:`family_size`) and
+    :class:`DegenerateColumn` when a variable is constant or a generated
+    column is numerically zero. This is :func:`_bases` on a stack of one.
+    """
+    u, term_names, errors = _bases([ds], k)
+    return BasisMatrix(u=_single(u, errors), term_names=term_names)
+
+
+def _orthonormal(u: np.ndarray, term_names: tuple[str, ...]) -> tuple[np.ndarray, list]:
+    """:func:`orthonormalize` of every basis in the (B, n, k) stack ``u``:
+    the (B, n, k) stack of orthonormal columns, and per basis ``None`` or
+    its :class:`RankDeficient`, whose slice is then not meaningful. One
+    stacked QR factorizes each basis as it would alone."""
+    n, k = u.shape[-2:]
+    q, r = np.linalg.qr(u / np.sqrt(n))
+    signed = np.diagonal(r, axis1=-2, axis2=-1)
+    q *= np.where(signed < 0, -1.0, 1.0)[:, None, :]
+    # R has min(n, k) diagonal entries: columns past the n-th pivot on 0.
+    diag = np.zeros((u.shape[0], k))
+    diag[:, : signed.shape[-1]] = np.abs(signed)
+    # R's leading block is the prefix's own R, so prefix k passes when
+    # min(diag[:k]) >= tol * max(diag[:k]); once a prefix fails, all longer do.
+    passes = (
+        np.minimum.accumulate(diag, axis=-1) >= _RANK_TOL * np.maximum.accumulate(diag, axis=-1)
+    )
+    errors: list = [None] * u.shape[0]
+    for b in np.flatnonzero(~passes[:, -1]):
+        j = int(np.argmin(passes[b]))
+        errors[b] = RankDeficient(
+            f"basis column {term_names[j]!r} is linearly dependent on earlier "
+            f"columns (relative pivot {diag[b, j] / np.max(diag[b, : j + 1]):.2e})",
+            full_rank_prefix=j,
+        )
+    q *= np.sqrt(n)
+    return q, errors
 
 
 def orthonormalize(b: BasisMatrix) -> BasisMatrix:
@@ -221,22 +279,5 @@ def orthonormalize(b: BasisMatrix) -> BasisMatrix:
     right after that prefix. Past the n-th of n rows every column is
     dependent, with a zero pivot.
     """
-    n = b.u.shape[0]
-    q, r = np.linalg.qr(b.u / np.sqrt(n))
-    signed = np.diag(r)
-    q *= np.where(signed < 0, -1.0, 1.0)
-    # R has min(n, k) diagonal entries: columns past the n-th pivot on 0.
-    diag = np.zeros(b.k)
-    diag[: signed.size] = np.abs(signed)
-    # R's leading block is the prefix's own R, so prefix k passes when
-    # min(diag[:k]) >= tol * max(diag[:k]); once a prefix fails, all longer do.
-    passes = np.minimum.accumulate(diag) >= _RANK_TOL * np.maximum.accumulate(diag)
-    if not passes[-1]:
-        j = int(np.argmin(passes))
-        raise RankDeficient(
-            f"basis column {b.term_names[j]!r} is linearly dependent on earlier "
-            f"columns (relative pivot {diag[j] / np.max(diag[: j + 1]):.2e})",
-            full_rank_prefix=j,
-        )
-    q *= np.sqrt(n)
-    return BasisMatrix(u=q, term_names=b.term_names, orthonormal=True)
+    q, errors = _orthonormal(b.u[None], b.term_names)
+    return BasisMatrix(u=_single(q, errors), term_names=b.term_names, orthonormal=True)

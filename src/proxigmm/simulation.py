@@ -15,7 +15,13 @@ A misspecification level is part of the cell (``ScenarioConfig.distortion``):
 scenario study and the misspecification study run one replication loop
 (``_replication``) over one kind of cell. The methods of one replication
 share its bridge fits because they share its dataset, which keeps them
-(``gmm._fit_once``).
+(``gmm._fit_each``). A serial call runs its replications in blocks of at
+most ``_BLOCK``: a block's datasets are generated together, and every fit
+the requested baselines share (``naive``'s regression, the outcome-bridge
+IV fit, the treatment-bridge solve and ``pipw``'s report) runs once over
+all of them as one stacked call, before the methods run replication by
+replication. A multi-worker call runs one replication per task, a block
+of one. The records are the same either way, bit for bit.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from . import baselines
 from .bridges import DgpCoefficients, OutcomeBridge
 from .data import Dataset
 from .errors import DimensionMismatch, ProxiGmmError
-from .gmm import confidence_interval, wald_test
+from .gmm import _fit_each, _sieve_iv_fits, confidence_interval, wald_test
 from .selection import select_and_fit
 from .sieve import SieveSpec
 
@@ -67,6 +73,13 @@ _DISTORTIONS = {
 }
 MISSPEC_LEVELS = tuple(_DISTORTIONS)
 DEFAULT_K_BAR = 12
+# The most replications a serial call runs as one block: their datasets
+# are generated together and every fit the requested baselines share is
+# one stacked call over them (``_replication``). It bounds the datasets and
+# stacked arrays held at once, whatever the call's replication count: at
+# I/400 a block of 20 ran within noise of a block of 10 per replication
+# and peaked about 2 MB higher.
+_BLOCK = 10
 
 # The structural coefficients of every simulation cell.
 _COEFFICIENTS = DgpCoefficients()
@@ -305,14 +318,15 @@ class _WorkerTraceback(Exception):
     """The traceback of an exception raised in a worker process."""
 
 
-def _rep_in_worker(one_rep, rep: int) -> tuple[list[dict] | None, list[tuple], tuple | None]:
-    """``one_rep(rep)`` in a worker: its records, the warnings it raised, and
-    the exception that ended it with that exception's traceback, if any."""
+def _rep_in_worker(run_block, rep: int) -> tuple[list[dict] | None, list[tuple], tuple | None]:
+    """``run_block`` of replication ``rep`` alone in a worker: its records,
+    the warnings it raised, and the exception that ended it with that
+    exception's traceback, if any."""
     records = error = None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            records = one_rep(rep)
+            records = run_block(range(rep, rep + 1))
         except Exception as exc:
             error = exc, traceback.format_exc()
     return records, [(w.message, w.category, w.filename, w.lineno) for w in caught], error
@@ -409,13 +423,17 @@ def _kept_pool(workers: int) -> ProcessPoolExecutor:
     return _pool[2]
 
 
-def _replicate(reps: int, threads: int, one_rep) -> list[dict]:
-    """Records of ``one_rep(rep)`` for every replication, in replication order.
+def _replicate(reps: int, threads: int, run_block) -> list[dict]:
+    """Records of every replication, in replication order, from
+    ``run_block(block)``, which returns the records of a ``range`` of
+    consecutive replications in their order.
 
     ``threads`` is the number of worker processes, capped at ``reps`` and
     at the CPUs this process may run on; below 1 it is a
     ``DimensionMismatch``. With one, or where the platform cannot fork
-    (Windows), the replications run in this process. Otherwise they run in
+    (Windows), the replications run in this process, in blocks of at most
+    ``_BLOCK``, so that a block's shared fits run as one stacked call.
+    Otherwise each replication is one task, a block of one, run in
     the pool this process keeps: its workers are forked at the first call
     that needs them and serve every later call with the same worker count,
     so they see module state (``generate``, ``BASELINES``, patches of
@@ -426,14 +444,15 @@ def _replicate(reps: int, threads: int, one_rep) -> list[dict]:
     and the call after a pool broke (a worker died: ``BrokenProcessPool``)
     fork a new pool; shutdown is left to the interpreter's exit.
     Multi-worker calls from several threads of one process take the pool
-    one at a time. Each task carries ``one_rep``, which must pickle (a
+    one at a time. Each task carries ``run_block``, which must pickle (a
     module-level function, or a ``functools.partial`` of one), and each
     replication seeds itself, so the records do not depend on which worker
-    ran it. A worker behaves like the serial loop: the warnings a
-    replication raised are emitted here, in replication order, and then the
-    exception that ended it, if any, is raised here with its type, chained
-    to its worker traceback. A call that raises first cancels the
-    replications no worker has taken and waits for those under way.
+    ran it or how the replications were blocked. A worker behaves like the
+    serial loop: the warnings a replication raised are emitted here, in
+    replication order, and then the exception that ended it, if any, is
+    raised here with its type, chained to its worker traceback. A call that
+    raises first cancels the replications no worker has taken and waits for
+    those under way.
     """
     if threads < 1:
         raise DimensionMismatch(f"threads must be at least 1, got {threads}")
@@ -442,7 +461,11 @@ def _replicate(reps: int, threads: int, one_rep) -> list[dict]:
     else:
         workers = min(threads, reps, _usable_cpus())
     if workers <= 1:
-        return [rec for rep in range(reps) for rec in one_rep(rep)]
+        return [
+            rec
+            for start in range(0, reps, _BLOCK)
+            for rec in run_block(range(start, min(start + _BLOCK, reps)))
+        ]
     out = []
     with _pool_lock:
         pool = _kept_pool(workers)
@@ -451,7 +474,7 @@ def _replicate(reps: int, threads: int, one_rep) -> list[dict]:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", _FORK_WITH_THREADS, DeprecationWarning)
                 for rep in range(reps):
-                    futures.append(pool.submit(_rep_in_worker, one_rep, rep))
+                    futures.append(pool.submit(_rep_in_worker, run_block, rep))
             for future in futures:
                 records, caught, error = future.result()
                 _warn_again(caught)
@@ -496,10 +519,40 @@ def _method_record(ds: Dataset, method: str, k_bar: int) -> dict:
     }
 
 
-def _replication(config, methods, base_seed, k_bar, rep: int) -> list[dict]:
-    """Records of replication ``rep``: every method on its one dataset."""
-    ds = generate(config, base_seed, rep)
-    return [{"rep": rep, "method": m, **_method_record(ds, m, k_bar)} for m in methods]
+def _replication(config, methods, base_seed, k_bar, reps: range) -> list[dict]:
+    """Records of the block of replications ``reps``: every method on each
+    replication's one dataset, in replication order.
+
+    The block's datasets are generated first, and each fit that the
+    requested baselines read is run for all of them as one stacked call
+    (``_share_fits``). The methods then run replication by replication,
+    and each reads what its dataset keeps.
+    """
+    datasets = [generate(config, base_seed, rep) for rep in reps]
+    _share_fits(datasets, methods)
+    return [
+        {"rep": rep, "method": m, **_method_record(ds, m, k_bar)}
+        for rep, ds in zip(reps, datasets)
+        for m in methods
+    ]
+
+
+def _share_fits(datasets: list[Dataset], methods: tuple[str, ...]) -> None:
+    """Keep on each of ``datasets`` the fits that ``methods`` read, one
+    stacked call per fit (``gmm._fit_each``): ``naive``'s regression, the
+    outcome-bridge IV fit of ``rgmm``, ``p2sls`` and ``pdr``, and the
+    treatment-bridge solve with ``pipw``'s report. Each dataset keeps what
+    its own call would make, bit for bit, and one whose fit gives an error
+    keeps nothing, so its method raises that error into its record.
+    ``gmm-div`` shares the IV fit only where its scan selects K* = p, which
+    is not known before the scan, so nothing is filled for it alone.
+    """
+    if "naive" in methods:
+        _fit_each(baselines._naive_reports, datasets)
+    if not {"rgmm", "p2sls", "pdr"}.isdisjoint(methods):
+        _fit_each(_sieve_iv_fits, datasets, *baselines._canonical_fit_args(datasets[0]))
+    if not {"pipw", "pdr"}.isdisjoint(methods):
+        _fit_each(baselines._reweighting_reports, datasets)
 
 
 def run_replications(
@@ -517,8 +570,11 @@ def run_replications(
     replication is recorded, not raised; any other exception propagates.
     An unknown method, or one named twice, raises :class:`DimensionMismatch`.
     ``threads`` is the number of worker processes the replications run in
-    (see ``_replicate``), at least 1; it affects speed only: the records
-    and their order are identical for any count, and warnings raised in a
+    (see ``_replicate``), at least 1. A serial call runs the replications
+    in blocks of at most ``_BLOCK``, and each block's shared baseline fits
+    as one stacked call per fit; a worker runs one replication per task.
+    Neither affects anything but speed: the records and their order are
+    identical for any count and any blocking, and warnings raised in a
     worker are emitted in this process.
     """
     _check_methods(methods)

@@ -529,8 +529,9 @@ def _stacked_doubly_robust(ds, gamma, theta):
 
 def test_stacked_se_rejects_a_zero_variance():
     scores = np.zeros((10, 2))
+    error = baselines._se_error(baselines._stacked_se(scores, np.array([0.0, 1.0])))
     with pytest.raises(SingularVariance, match="not positive"):
-        baselines._stacked_se(scores, np.array([0.0, 1.0]))
+        raise error
 
 
 @pytest.mark.parametrize("method", list(BASELINES))
@@ -640,10 +641,14 @@ def _share_one_fit(monkeypatch, name, estimators, cases, reached=None, modules=(
     def counted(*args):
         ran.append(current[0])
         try:
-            return real(*args)
+            out = real(*args)
         except ProxiGmmError:
             raised.add(current[0])
             raise
+        # A stacked kernel gives a dataset's error as its entry.
+        if isinstance(out, list) and any(isinstance(entry, ProxiGmmError) for entry in out):
+            raised.add(current[0])
+        return out
 
     def outcome(est, ds):
         """``_outcome(est, ds)``, with ``ds`` as the dataset ``counted`` records."""
@@ -674,7 +679,7 @@ def _share_one_fit(monkeypatch, name, estimators, cases, reached=None, modules=(
 
 def test_pipw_and_pdr_share_one_treatment_solve(monkeypatch):
     # Cases 2 and 3 raise in the solve, which each of pipw and pdr reaches.
-    alone = _share_one_fit(monkeypatch, "_solve_treatment_bridge", (pipw, pdr), _treatment_cases)
+    alone = _share_one_fit(monkeypatch, "_solve_treatment_bridges", (pipw, pdr), _treatment_cases)
     assert alone[3][pipw] == alone[3][pdr] and alone[3][pipw].startswith("NoConvergence")
     assert alone[2][pipw] == alone[2][pdr]
     assert alone[2][pipw].startswith("DimensionMismatch: need exactly 4 instruments")
@@ -706,7 +711,7 @@ def test_rgmm_p2sls_and_pdr_share_one_outcome_bridge_fit(monkeypatch):
     cases = lambda: [*_treatment_cases()[:3], generate(ScenarioConfig("I", 400), 3, 0)]
     estimators = (rgmm, p2sls, pdr, _gmm_div)
     alone = _share_one_fit(
-        monkeypatch, "_sieve_iv_fit", estimators, cases, modules=(baselines, selection)
+        monkeypatch, "_sieve_iv_fits", estimators, cases, modules=(baselines, selection)
     )
     assert alone[2][rgmm] == alone[2][pdr] and alone[2][rgmm].startswith("DimensionMismatch")
     assert all(alone[case][rgmm] == alone[case][p2sls] for case in (0, 1, 3))
@@ -734,9 +739,10 @@ def test_a_dataset_whose_fit_raised_is_freed_at_once(monkeypatch):
     # the tracebacks, whose frames hold the dataset, leave it to be freed
     # without a cyclic collection.
     ran = []
-    real = baselines._sieve_iv_fit
+    real = baselines._sieve_iv_fits
     monkeypatch.setattr(
-        baselines, "_sieve_iv_fit", lambda ds, bridge, k: ran.append(1) or real(ds, bridge, k)
+        baselines, "_sieve_iv_fits",
+        lambda datasets, bridge, k: ran.append(len(datasets)) or real(datasets, bridge, k),
     )
     gc.disable()
     try:
@@ -773,7 +779,11 @@ def test_treatment_solve_matches_one_that_calls_the_bridge(monkeypatch, rep):
         return search(balance, jacobian, start)
 
     def bridge_q(signed_b, theta):
-        return TreatmentBridge().q(ds.z, ds.a, ds.x, theta)
+        # One theta, or a stack of them: the solve's Newton steps evaluate
+        # its systems as a stack.
+        thetas = np.reshape(theta, (-1, theta.shape[-1]))
+        q = np.array([TreatmentBridge().q(ds.z, ds.a, ds.x, t) for t in thetas])
+        return q.reshape(*theta.shape[:-1], -1)
 
     monkeypatch.setattr(baselines, "_bridge_values", bridge_q)
     monkeypatch.setattr(baselines, "_levenberg_marquardt", counted)
@@ -866,13 +876,19 @@ def _carried_by_solve(monkeypatch, ds):
     made, carried = {}, []
     bridge_values, jacobian = baselines._bridge_values, baselines._balancing_jacobian
 
+    def rows(a):
+        return np.reshape(a, (-1, a.shape[-1]))
+
+    # The solve evaluates its systems as a stack and passes the Jacobian
+    # the rows of q still iterating, so each row is keyed by its bytes.
     def values(signed_b, theta):
         q = bridge_values(signed_b, theta)
-        made[id(q)] = theta, q  # holding q keeps its id unique
+        for t, row in zip(rows(theta), rows(q)):
+            made[row.tobytes()] = t.copy(), row.copy()
         return q
 
     def traced_jacobian(basis_c, basis_b, q):
-        carried.append(made[id(q)])
+        carried.extend(made[row.tobytes()] for row in rows(q))
         return jacobian(basis_c, basis_b, q)
 
     with monkeypatch.context() as patch:
@@ -1025,7 +1041,10 @@ def test_newton_abandons_a_start_whose_jacobian_is_ill_conditioned(monkeypatch, 
     real_values = baselines._bridge_values
     monkeypatch.setattr(baselines, "_levenberg_marquardt", _take_fallback)
     monkeypatch.setattr(
-        baselines, "_balancing_jacobian", lambda *args: np.diag([1.0, 1.0, 1.0, rcond])
+        baselines, "_balancing_jacobian",
+        lambda basis_c, basis_b, q: np.broadcast_to(
+            np.diag([1.0, 1.0, 1.0, rcond]), (*q.shape[:-1], 4, 4)
+        ),
     )
     monkeypatch.setattr(
         baselines, "_bridge_values", lambda *a: evaluations.append(1) or real_values(*a)
@@ -1056,9 +1075,11 @@ def test_each_newton_step_factorizes_its_jacobian_once(monkeypatch):
 def test_a_failed_svd_is_a_recorded_error(monkeypatch):
     # Every weighted moment system is solved by one SVD (gmm._solve), which
     # turns a failure into its caller's ProxiGmmError, so a Monte Carlo call
-    # records it. The fits solve one system at a time (a 2-D SVD), the scan
-    # stacks its candidates (3-D); p2sls fails in its one fit, gmm-div with
-    # K* > p in its first fit step after the scan, or in the scan itself.
+    # records it. The overidentified fit solves one system at a time (a 2-D
+    # SVD); the sieve IV fit solves a stack of datasets and the scan a stack
+    # of candidates (3-D). p2sls fails in its one IV fit, a stack of one
+    # dataset or of a block's, gmm-div with K* > p in its first fit step
+    # after the scan, or in the scan itself.
     real_svd = np.linalg.svd
 
     def fail_at(ndim):
@@ -1070,7 +1091,7 @@ def test_a_failed_svd_is_a_recorded_error(monkeypatch):
         return svd
 
     message = "the SVD of the weighted moment Jacobian did not converge"
-    monkeypatch.setattr(np.linalg, "svd", fail_at(2))
+    monkeypatch.setattr(np.linalg, "svd", fail_at(3))
     config = ScenarioConfig("I", 400)
     with pytest.raises(RankDeficientJacobian, match=message):
         p2sls(generate(config, 0, 0))

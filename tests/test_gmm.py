@@ -754,7 +754,8 @@ def test_public_fit_steps_share_one_feature_build(monkeypatch, linear_bridge):
     real = gmm._Features.build
     monkeypatch.setattr(
         gmm._Features, "build",
-        classmethod(lambda cls, ds, bridge: built.append(1) or real(ds, bridge)),
+        classmethod(lambda cls, datasets, bridge: built.extend([1] * len(datasets))
+                    or real(datasets, bridge)),
     )
     diag = select_k(ds, linear_bridge, SieveSpec(), 8)
     basis = _basis(ds, diag.k_star)
@@ -764,3 +765,13 @@ def test_public_fit_steps_share_one_feature_build(monkeypatch, linear_bridge):
     fit_with_weight(ds, basis, linear_bridge, np.eye(basis.k + 1))
     rgmm(ds)
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("fit", [fit_initial, fit_optimal], ids=["initial", "optimal"])
+def test_a_raw_basis_is_orthonormalized_first(fit, scenario2_ds, linear_bridge):
+    # A basis build_basis returns is orthonormalized before the fit, which
+    # then equals the fit on orthonormalize's basis bit for bit.
+    raw = build_basis(scenario2_ds, SieveSpec(), 6)
+    got = fit(scenario2_ds, raw, linear_bridge)
+    want = fit(scenario2_ds, _basis(scenario2_ds, 6), linear_bridge)
+    assert got.tau_hat == want.tau_hat and got.se_tau == want.se_tau

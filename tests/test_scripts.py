@@ -47,6 +47,11 @@ def test_records_digest_prints_one_digest_per_cell(capsys):
     # The undistorted misspecification cell is the II/800 cell, method by method.
     assert digests["misspec correct II/800 all"] == digests["II/800 all"]
     assert len({d for by_method in digests.values() for d in by_method.values()}) == 5 * len(METHODS) + 1
+    # Every cell at one worker and at two gives the same digests: the
+    # records do not depend on the blocks of a serial call.
+    for threads in ("1", "2"):
+        _script("records_digest").main(["--seed", "3", "--reps", "2", "--threads", threads])
+        assert capsys.readouterr().out.splitlines() == lines
 
 
 def test_records_drift_of_a_tree_against_itself_is_nil(capsys):

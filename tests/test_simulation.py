@@ -150,8 +150,8 @@ def test_worker_count_is_capped(monkeypatch, pool_sizes, threads, reps, cpus, wo
     _assert_pool_size(reps, threads, workers, pool_sizes)
 
 
-def _one_rep(rep):
-    return [{"rep": rep}]
+def _one_rep(reps):
+    return [{"rep": rep} for rep in reps]
 
 
 def _assert_pool_size(reps, threads, workers, sizes):
@@ -202,8 +202,8 @@ def test_pool_start_tolerates_the_fork_with_threads_warning(monkeypatch, two_cpu
     assert log == []
 
 
-def _pid_rep(rep):
-    return [{"rep": rep, "pid": os.getpid()}]
+def _pid_rep(reps):
+    return [{"rep": rep, "pid": os.getpid()} for rep in reps]
 
 
 def _worker_pids() -> set[int]:
@@ -264,9 +264,9 @@ def test_another_worker_count_forks_a_new_pool(monkeypatch):
     assert len(_worker_pids()) == 2 and not _worker_pids() & (two | three)
 
 
-def _slow_pid_rep(rep):
-    time.sleep(0.05)
-    return _pid_rep(rep)
+def _slow_pid_rep(reps):
+    time.sleep(0.05 * len(reps))
+    return _pid_rep(reps)
 
 
 @pool_test
@@ -294,10 +294,10 @@ def test_calls_from_two_threads_take_the_pool_in_turn(monkeypatch):
     assert not _served_by(two) & _served_by(three)
 
 
-def _kill_own_worker(rep):
-    if rep == 1:
+def _kill_own_worker(reps):
+    if 1 in reps:
         os.kill(os.getpid(), signal.SIGKILL)
-    return _pid_rep(rep)
+    return _pid_rep(reps)
 
 
 @pool_test
@@ -312,10 +312,10 @@ def test_a_broken_pool_is_replaced(two_cpus):
     assert len(_worker_pids()) == 2 and not _worker_pids() & before
 
 
-def _rank_deficient_rep(rep):
-    if rep == 1:
+def _rank_deficient_rep(reps):
+    if 1 in reps:
         raise RankDeficient("rep 1 is rank deficient", full_rank_prefix=3)
-    return _pid_rep(rep)
+    return _pid_rep(reps)
 
 
 @pool_test
@@ -330,10 +330,17 @@ def test_an_error_with_attributes_crosses_from_a_worker(two_cpus):
     assert simulation._pool is pool
 
 
-def _marked_rep(directory, rep):
-    """Rep 0 fails at once; every other rep marks its start in ``directory``,
-    works for 0.2 s, then marks its end."""
+def _marked_rep(directory, reps):
+    """One replication, as a pool task runs it. Rep 0 fails once another
+    rep has marked its start in ``directory`` (or after 10 s): the pool
+    does not promise that a worker takes another rep before rep 0's error
+    returns. Every other rep marks its start, works for 0.2 s, then marks
+    its end."""
+    (rep,) = reps
     if rep == 0:
+        deadline = time.monotonic() + 10.0
+        while not any(directory.glob("start-*")) and time.monotonic() < deadline:
+            time.sleep(0.01)
         raise RuntimeError("rep 0 failed")
     (directory / f"start-{rep}").touch()
     time.sleep(0.2)
@@ -579,45 +586,143 @@ def test_warnings_before_a_worker_error_reach_the_caller(monkeypatch, two_cpus):
     assert [message for message, *_ in caught[2]] == ["rep 1 warned", "rep 3 warned"]
 
 
+def _stacked_items(monkeypatch, stacks, kernel, *patched):
+    """Wrap the stacked kernel ``kernel``, a function that takes a list of
+    datasets first, as the name it has in each of the ``patched`` objects,
+    recording each call's datasets, by their first outcome, in ``stacks``."""
+    def counted(datasets, *args):
+        stacks.append([ds.y[0] for ds in datasets])
+        return kernel(datasets, *args)
+
+    for owner in patched:
+        monkeypatch.setattr(owner, kernel.__name__, counted)
+
+
 def test_one_treatment_solve_per_replication(monkeypatch):
-    solved = []
-    real = baselines._solve_treatment_bridge
-    monkeypatch.setattr(
-        baselines, "_solve_treatment_bridge", lambda ds: solved.append(ds.y[0]) or real(ds)
-    )
+    # pipw and pdr read one kept solve, which a serial call runs for all
+    # the datasets of a block in one stacked call.
+    stacks = []
+    _stacked_items(monkeypatch, stacks, baselines._solve_treatment_bridges, baselines)
     run_replications(ScenarioConfig("II", 400), ("pipw", "naive", "pdr"), 3, 0)
     _misspec("minor", n=400, reps=3, base_seed=1, methods=("pdr", "pipw"))
+    solved = [y for stack in stacks for y in stack]
     assert len(solved) == 6 and len(set(solved)) == 6
+    assert [len(stack) for stack in stacks] == [3, 3]
 
 
 def test_one_outcome_bridge_fit_per_replication(monkeypatch):
-    # rgmm, p2sls and pdr read one kept sieve IV fit; gmm-div reads it too
+    # rgmm, p2sls and pdr read one kept sieve IV fit, which a serial call
+    # runs for a block's datasets in one stacked call; gmm-div reads it too
     # wherever it selects K* = p.
-    fitted = []
-    real = gmm._sieve_iv_fit
-
-    def counted(ds, bridge, k):
-        fitted.append(ds.y[0])
-        return real(ds, bridge, k)
-
-    for module in (baselines, selection):
-        monkeypatch.setattr(module, "_sieve_iv_fit", counted)
+    stacks = []
+    _stacked_items(monkeypatch, stacks, gmm._sieve_iv_fits, baselines, selection, simulation)
     methods = ("rgmm", "naive", "p2sls", "gmm-div", "pdr")
     run_replications(ScenarioConfig("II", 400), methods, 3, 0)
+    fitted = [y for stack in stacks for y in stack]
     assert len(fitted) == 3 and len(set(fitted)) == 3
+    assert [len(stack) for stack in stacks] == [3]
 
 
 def test_one_bridge_feature_build_per_replication(monkeypatch):
     # gmm-div's scan, its fit at K* and the rgmm/pdr outcome-bridge fit all
-    # read the linear bridge's features, built once per replication.
-    built = []
+    # read the linear bridge's features, built once per replication, for a
+    # block's datasets in one stacked call.
+    stacks = []
     real = gmm._Features.build
     monkeypatch.setattr(
         gmm._Features, "build",
-        classmethod(lambda cls, ds, bridge: built.append(ds.y[0]) or real(ds, bridge)),
+        classmethod(lambda cls, datasets, bridge: stacks.append([ds.y[0] for ds in datasets])
+                    or real(datasets, bridge)),
     )
     run_replications(ScenarioConfig("II", 400), ("gmm-div", "rgmm", "naive", "pdr"), 3, 0)
+    built = [y for stack in stacks for y in stack]
     assert len(built) == 3 and len(set(built)) == 3
+    assert [len(stack) for stack in stacks] == [3]
+
+
+def test_no_stack_exceeds_a_block(monkeypatch):
+    # A serial call of 7 replications in blocks of 3 stacks each shared fit
+    # over 3, 3 and 1 datasets, and fits each replication once.
+    monkeypatch.setattr(simulation, "_BLOCK", 3)
+    stacks = {name: [] for name in ("naive", "iv", "solve", "report")}
+    _stacked_items(monkeypatch, stacks["naive"], baselines._naive_reports, baselines)
+    _stacked_items(
+        monkeypatch, stacks["iv"], gmm._sieve_iv_fits, baselines, selection, simulation
+    )
+    _stacked_items(monkeypatch, stacks["solve"], baselines._solve_treatment_bridges, baselines)
+    _stacked_items(monkeypatch, stacks["report"], baselines._reweighting_reports, baselines)
+    run_replications(ScenarioConfig("I", 400), METHODS, 7, 0)
+    for name, calls in stacks.items():
+        assert [len(stack) for stack in calls] == [3, 3, 1], name
+        assert len({y for stack in calls for y in stack}) == 7, name
+
+
+def _fallback_reps(config, reps, seed):
+    """The replications whose treatment-bridge solve takes the minimum-norm search."""
+    taken, search = [], baselines._levenberg_marquardt
+
+    def spy(*args):
+        taken.append(True)
+        return search(*args)
+
+    found = set()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(baselines, "_levenberg_marquardt", spy)
+        for rep in range(reps):
+            taken.clear()
+            baselines.pipw(generate(config, seed, rep))
+            if taken:
+                found.add(rep)
+    return found
+
+
+@pytest.mark.parametrize(
+    "config",
+    [ScenarioConfig("I", 400), ScenarioConfig("II", 800),
+     ScenarioConfig("II", 800, distortion="significant")],
+    ids=["I-400", "II-800", "II-800-significant"],
+)
+def test_records_do_not_depend_on_blocks_or_workers(monkeypatch, two_cpus, config):
+    # Every method's records, bit for bit, whether a serial call runs its
+    # replications in blocks of 1, 3 or all at once, or a pool of 2 runs
+    # one per task. At misspecification "significant" reps 0, 5 and 7 of
+    # seed 3 take the minimum-norm fallback.
+    reps, seed = 9, 3
+    if config.distortion == "significant":
+        assert _fallback_reps(config, reps, seed) == {0, 5, 7}
+    whole = run_replications(config, METHODS, reps, seed)
+    for block in (1, 3):
+        monkeypatch.setattr(simulation, "_BLOCK", block)
+        _assert_same(run_replications(config, METHODS, reps, seed), whole)
+    _assert_same(run_replications(config, METHODS, reps, seed, threads=2), whole)
+
+
+def test_a_failing_dataset_leaves_its_block_alone(monkeypatch):
+    # Rep 1's z is constant, so every method fails on it or falls back.
+    # In a block with reps 0 and 2 it gets the records it gets alone, and
+    # theirs are those of a call in which no dataset fails.
+    config = ScenarioConfig("I", 400)
+    clean = run_replications(config, METHODS, 3, 0)
+    real = simulation.generate
+
+    def generate_constant_z(config, seed, rep):
+        ds = real(config, seed, rep)
+        return dataclasses.replace(ds, z=np.full_like(ds.z, 2.0)) if rep == 1 else ds
+
+    monkeypatch.setattr(simulation, "generate", generate_constant_z)
+    records = run_replications(config, METHODS, 3, 0)
+    alone = [
+        {"rep": 1, "method": m, **simulation._method_record(generate_constant_z(config, 0, 1), m,
+                                                             DEFAULT_K_BAR)}
+        for m in METHODS
+    ]
+    n = len(METHODS)
+    _assert_same(records[n : 2 * n], alone)
+    _assert_same(records[:n] + records[2 * n :], clean[:n] + clean[2 * n :])
+    errors = {rec["method"]: rec["error"] for rec in alone}
+    assert errors["rgmm"].startswith("DegenerateColumn") and errors["naive"].startswith(
+        "RankDeficientDesign"
+    )
 
 
 @pytest.mark.parametrize(
@@ -637,7 +742,8 @@ def test_derived_dataset_starts_without_results(monkeypatch, derive):
     real = gmm._Features.build
     monkeypatch.setattr(
         gmm._Features, "build",
-        classmethod(lambda cls, ds, bridge: built.append(1) or real(ds, bridge)),
+        classmethod(lambda cls, datasets, bridge: built.extend([1] * len(datasets))
+                    or real(datasets, bridge)),
     )
 
     def records(ds):
