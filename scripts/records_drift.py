@@ -17,8 +17,9 @@ either tree. An SE is wild when it is
 more than 10 times the median SE of its cell and method in its tree, the
 rule by which ``perfbench/bench.py`` flags a failed record. After the
 table, each cell and method with wild records gets one more line with
-their count and the same two maxima over them, so that their large moves
-do not hide the rounding-level drift of the others. For ``pipw`` and
+their count, the same two maxima over them and their rep indices, so that
+their large moves do not hide the rounding-level drift of the others and
+each of them can be looked up. For ``pipw`` and
 ``pdr`` that line is split in two: the records whose treatment-bridge
 solve took the minimum-norm fallback in either tree, and the Newton roots
 the 10x rule flags with them. Each tree's interpreter finds its fallback
@@ -223,8 +224,9 @@ def main(argv=None) -> None:
     for (cell, label, path), pairs in wild.items():
         kind = "wild SE" if path is None else f"wild SE, {path}"
         dtau, dse = _largest(pairs)
+        reps = "".join(f" {a['rep']}" for a, _ in pairs)
         print(f"{cell:<38}{label:<13}{kind}: {len(pairs)} records, max|dtau| {dtau:.1e}, "
-              f"max|dSE|/SE {dse:.1e}")
+              f"max|dSE|/SE {dse:.1e}, reps:{reps}")
     for (cell, label), reps in changed.items():
         print(f"{cell:<38}{label:<13}changed reps: {' '.join(map(str, reps[:10]))}")
 

@@ -5,18 +5,19 @@ equations, the mean square of its scores projected on its influence
 direction (:mod:`gmm`'s identity-weight fit, or :func:`_stacked_se`), so its
 :mod:`gmm` interval and Wald test account for every estimated nuisance parameter.
 
-``pdr`` is ``pipw`` plus its imbalance correction: the treatment bridge
-balances the outcome bridge's features, whose contrast is the balancing
-target, so ``pdr``'s tau is ``pipw``'s minus ``gamma @ r(theta)``, with ``r``
-the balancing residual, and its standard error is ``pipw``'s.
-
-Each bridge has one fit per dataset: ``rgmm``, ``p2sls`` and ``pdr`` read
-one IV fit of the outcome bridge, instrumented by the sieve's leading terms
-(1, a, z, x) (``gmm._sieve_iv_fits``), so with as many z as w proxies
-``p2sls`` equals ``rgmm``, and both are the exactly identified fit that
-``gmm-div`` reads at K* = p; ``pipw`` and ``pdr`` read one treatment-bridge
-solve, which balances the outcome bridge's features, and one ``pipw``
-report, whose sandwich ``pdr`` reports.
+Five names, three estimators: with the linear outcome bridge ``rgmm`` is
+``p2sls``'s report and ``pdr`` is ``pipw``'s, each relabelled. ``p2sls``
+reads one IV fit of the outcome bridge, instrumented by the sieve's
+leading terms (1, a, z, x) (``gmm._sieve_iv_fits``); with as many z as w
+proxies that fit is exactly identified, one estimator whatever its name,
+and it is the fit that ``gmm-div`` reads at K* = p. ``pipw``'s treatment
+bridge balances exactly the outcome bridge's features (1, w, a, x), whose
+contrast is the balancing target, so the doubly robust correction
+``-gamma @ r(theta)``, with ``r`` the balancing residual, is zero at every
+Newton root, and ``pdr``'s standard error is ``pipw``'s. ``rgmm`` gets code
+of its own back with more z than w proxies, as efficient two-step GMM on
+the overidentified moments, and ``pdr`` with an outcome bridge whose
+features the treatment bridge does not balance.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import functools
 import itertools
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from .errors import (
 )
 from .gmm import GmmFit, _Features, _fit_each, _fit_once, _one, _scaled_solve, _sieve_iv_fits
 from .gmm import _stacked, confidence_interval, wald_test
+from .sieve import _orthonormal_bases
 
 _NEWTON_MAX_ITER = 50
 _NEWTON_TOL = 1e-10
@@ -52,9 +54,10 @@ _NEWTON_START_MAGNITUDE = 0.5
 # the values a loop halving 1.0 forms.
 _NEWTON_HALVINGS = np.ldexp(1.0, -np.arange(1, 30))
 # Minimum-norm fallback: the largest acceptable per-moment imbalance at the
-# minimizer. The cut must sit below 1: a dataset with no untreated (or no
-# treated) units leaves the constant balancing slot at mean(q) > 1 forever,
-# which should surface as a solver failure, while genuine near-roots found
+# minimizer. The cut sits below 1, the imbalance of the constant balancing
+# slot on a dataset with no untreated (or no treated) units, where mean(q)
+# stays above 1 (the solve's design check rejects such a dataset first, as
+# its treatment column is constant or zero), while genuine near-roots found
 # by the fallback on identifiable data sit well under this level.
 _MINNORM_ACCEPT = 0.5
 # Its Levenberg-Marquardt search: the tolerance of each stopping test
@@ -184,14 +187,9 @@ def _linear_bridge(ds: Dataset) -> OutcomeBridge:
     return OutcomeBridge.linear(ds.w.shape[1], ds.x.shape[1])
 
 
-def _require_exact_identification(ds: Dataset) -> None:
-    """Raises :class:`DimensionMismatch` unless there are as many z as w
-    proxies, so one instrument per bridge parameter."""
-    _unless_error(_identification_error(ds))
-
-
 def _identification_error(ds: Dataset) -> DimensionMismatch | None:
-    """The error of :func:`_require_exact_identification` on ``ds``, if any."""
+    """The error of a dataset without as many z as w proxies, one
+    instrument per bridge parameter, which ``rgmm`` and ``pipw`` need."""
     p, k = 2 + ds.w.shape[1] + ds.x.shape[1], 2 + ds.z.shape[1] + ds.x.shape[1]
     if k != p:
         return DimensionMismatch(f"need exactly {p} instruments for {p} bridge parameters, got {k}")
@@ -214,8 +212,8 @@ def _canonical_bridge_fit(ds: Dataset) -> GmmFit:
     Gram matrix, so the fit is two-stage least squares and its sandwich the
     robust 2SLS sandwich; with as many z as w proxies it is the exactly
     identified fit that ``gmm-div`` reads at K* = p. The dataset keeps it,
-    so ``rgmm``, ``p2sls`` and ``pdr`` share one fit. Neither the fit, its
-    sandwich nor its rank tests depend on the units of w, z or x.
+    so ``p2sls``, ``rgmm`` and that ``gmm-div`` fit share it. Neither the
+    fit, its sandwich nor its rank tests depend on the units of w, z or x.
     Degenerate instruments raise the sieve's errors:
     :class:`DegenerateColumn` for a constant z or x, :class:`RankDeficient`
     for one dependent on the others or for fewer rows than instruments. A
@@ -226,40 +224,23 @@ def _canonical_bridge_fit(ds: Dataset) -> GmmFit:
     return _fit_once(_sieve_iv_fits, ds, *_canonical_fit_args(ds))
 
 
-def _outcome_bridge_report(ds: Dataset, method: str) -> EstimateReport:
-    """The effect estimate and sandwich SE of :func:`_canonical_bridge_fit`."""
-    fit = _canonical_bridge_fit(ds)
-    if not (np.isfinite(fit.se_tau) and fit.se_tau > 0.0):
-        raise SingularVariance("sandwich variance is not positive at the target")
-    return EstimateReport(
-        method=method,
-        tau_hat=fit.tau_hat,
-        se_tau=fit.se_tau,
-        n=ds.n,
-        aux={"gamma_hat": fit.gamma_hat},
-    )
-
-
 def rgmm(ds: Dataset) -> EstimateReport:
     """Exactly identified proxy GMM with the canonical instrument set.
 
     Instruments the outcome residual of the linear bridge over (1, w, a, x)
     with (1, z, a, x), one instrument per bridge parameter, solves those
-    moment conditions and averages the fitted treatment contrast. Requires
-    as many treatment-side proxies as outcome-side ones so the system is
-    square, and raises :class:`DimensionMismatch` otherwise. The standard
-    error comes from the joint sandwich of the bridge moments and the
-    contrast moment, J⁻¹ΥJ⁻ᵀ. The fit is the dataset's kept IV fit
-    (:func:`_canonical_bridge_fit`), on the sieve's first p terms, which
-    span (1, z, a, x), so a constant z or x raises
-    :class:`DegenerateColumn` and a dependent one :class:`RankDeficient`;
-    a w proxy those instruments reach only at rounding level of its own
-    size raises :class:`RankDeficientJacobian` (:func:`gmm._solve`).
-    A dataset shares this fit across ``rgmm``, ``p2sls``, ``pdr`` and
-    ``gmm-div`` at K* = p, so ``rgmm`` equals :func:`p2sls` and that fit.
+    moment conditions and averages the fitted treatment contrast; its
+    standard error is the joint sandwich of the bridge moments and the
+    contrast moment, J⁻¹ΥJ⁻ᵀ. Requires as many treatment-side proxies as
+    outcome-side ones so the system is square, and raises
+    :class:`DimensionMismatch` otherwise. Exactly identified IV is one
+    estimator whatever its name, so this is :func:`p2sls`'s report,
+    relabelled, with its errors, and the fit ``gmm-div`` reads at K* = p.
+    With more z than w proxies it would get code of its own back, as
+    efficient two-step GMM on the overidentified moments.
     """
-    _require_exact_identification(ds)
-    return _outcome_bridge_report(ds, "rgmm")
+    _unless_error(_identification_error(ds))
+    return replace(p2sls(ds), method="rgmm")
 
 
 def p2sls(ds: Dataset) -> EstimateReport:
@@ -271,9 +252,8 @@ def p2sls(ds: Dataset) -> EstimateReport:
     original regressors. The fit is the identity-weight fit on the
     sieve's leading terms (1, a, z..., x...), orthonormalized, which span
     the instruments, so it is two-stage least squares
-    (:func:`_canonical_bridge_fit`). A dataset shares this fit across
-    ``rgmm``, ``p2sls`` and ``pdr``, so with as many z as w proxies
-    ``p2sls`` equals :func:`rgmm` and the fit ``gmm-div`` reads at K* = p.
+    (:func:`_canonical_bridge_fit`): with as many z as w proxies it is
+    :func:`rgmm` and the fit ``gmm-div`` reads at K* = p.
     With any count of z proxies a constant z raises
     :class:`DegenerateColumn` and one dependent on the others
     :class:`RankDeficient`, naming it. The fit's rank test is
@@ -281,7 +261,13 @@ def p2sls(ds: Dataset) -> EstimateReport:
     rounding level of its own size, or fewer z than w proxies, raises
     :class:`RankDeficientJacobian` in any units.
     """
-    return _outcome_bridge_report(ds, "p2sls")
+    fit = _canonical_bridge_fit(ds)
+    if not (np.isfinite(fit.se_tau) and fit.se_tau > 0.0):
+        raise SingularVariance("sandwich variance is not positive at the target")
+    return EstimateReport(
+        method="p2sls", tau_hat=fit.tau_hat, se_tau=fit.se_tau, n=ds.n,
+        aux={"gamma_hat": fit.gamma_hat},
+    )
 
 
 def _newton_starts(dim: int) -> Iterator[np.ndarray]:
@@ -467,10 +453,14 @@ def _solve_treatment_bridge(ds: Dataset):
     the moments' ``(sign, basis_c, basis_b, target)``, so callers build
     none of them again: ``(-1)^(1-A)``, the outcome bridge's features
     ``(1, w, a, x)`` (:func:`gmm._bridge_features`), the treatment bridge's
-    design ``(1, z, a, x)``, and the features' mean contrast. ``pipw`` and
-    ``pdr`` read the dataset's kept solve (:func:`gmm._fit_each`), so a
-    dataset builds them once. It needs as many z as w proxies
-    (:func:`_require_exact_identification`).
+    design ``(1, z, a, x)``, and the features' mean contrast. ``pipw``'s
+    report reads the solve, and the dataset keeps that report, so a dataset
+    solves once. It needs as many z as w proxies
+    (:func:`_identification_error`), and a design the sieve accepts: (1, z,
+    a, x) spans the sieve's first 2 + d_z + d_x terms, so a constant z or x
+    raises :class:`DegenerateColumn` and one dependent on the others
+    :class:`RankDeficient`, in any units, as ``p2sls`` does
+    (:func:`sieve._orthonormal_bases`).
 
     Damped Newton runs from ``theta = 0`` and from the ``2^min(p-1, 3)``
     points with every coordinate ±0.5 that vary the signs of the up to
@@ -505,9 +495,9 @@ def _solve_treatment_bridge(ds: Dataset):
 
     ``_NEWTON_TOL`` and ``_MINNORM_ACCEPT`` are absolute, in the units of
     the features ``(1, w, a, x)`` that the moments balance. Rescaling w or
-    x by 10^±3 or 10^±6 leaves the root, and ``pipw``'s and ``pdr``'s
-    estimates, unchanged to rounding; at 10^±9 the solve can fall back or
-    fail instead.
+    x by 10^±3 or 10^±6 leaves the root, and ``pipw``'s estimate,
+    unchanged to rounding; at 10^±9 the solve can fall back or fail
+    instead.
     """
     return _one(_solve_treatment_bridges([ds]))
 
@@ -519,7 +509,10 @@ def _solve_treatment_bridges(datasets: list[Dataset]) -> list:
     goes on to the next with the others that have none; the search runs
     per dataset. Each dataset gets what it gets alone, bit for bit.
     """
+    # The datasets share their shapes, so they all pass or all fail this.
     out = [_identification_error(ds) for ds in datasets]
+    if out[0] is None:
+        _, out = _orthonormal_bases(datasets, _canonical_fit_args(datasets[0])[1])
     live = [b for b, error in enumerate(out) if error is None]
     if not live:
         return out
@@ -587,11 +580,12 @@ def pipw(ds: Dataset) -> EstimateReport:
 
     Fits the treatment-side bridge by damped Newton on its balancing
     moments, then averages the signed reweighted outcome; like :func:`rgmm`
-    and :func:`pdr` it needs as many z as w proxies. The standard error
-    stacks the bridge moments with the reweighting moment. A dataset keeps
-    the report (:func:`gmm._fit_once`), so every later ``pipw`` or
-    :func:`pdr` call on it shares that object, its ``aux`` arrays included,
-    and forms the sandwich no more.
+    it needs as many z as w proxies, and a constant or dependent z or x
+    raises the sieve's error (:func:`_solve_treatment_bridge`). The
+    standard error stacks the bridge moments with the reweighting moment.
+    A dataset keeps the report (:func:`gmm._fit_once`), so every later
+    ``pipw`` or :func:`pdr` call on it shares that object, its ``aux``
+    arrays included, and neither solves nor forms the sandwich again.
     """
     return _fit_once(_reweighting_reports, ds)
 
@@ -600,7 +594,7 @@ def _reweighting_reports(datasets: list[Dataset]) -> list:
     """:func:`pipw`'s report, the reweighted mean and its stacked sandwich,
     or its error, for each of ``datasets``, from one stacked call per step
     over the datasets whose solve returns."""
-    out = _fit_each(_solve_treatment_bridges, datasets)
+    out = _solve_treatment_bridges(datasets)
     live = [b for b, solve in enumerate(out) if not isinstance(solve, ProxiGmmError)]
     if not live:
         return out
@@ -651,27 +645,17 @@ def pdr(ds: Dataset) -> EstimateReport:
 
     Averages the outcome-bridge contrast plus the reweighted residual
     ``(-1)^(1-A) q (y - h)``; consistent if either bridge is correctly
-    specified. The outcome bridge is :func:`rgmm`'s fit and the treatment
-    bridge :func:`pipw`'s solve, both shared with those estimators on the
-    same dataset, and it reads ``pipw``'s kept report rather than forming
-    that sandwich again; like :func:`rgmm` it raises
-    :class:`DimensionMismatch` unless there are as many z as w proxies,
-    which the solve checks before the fit.
-
-    The linear bridge's contrast gradient is the balancing target ``e_a``,
-    so tau is ``pipw``'s minus ``gamma @ r(theta)``, with ``r(theta) =
-    mean((-1)^(1-A) q (1, w, a, x)) - e_a`` the balancing residual. Where
-    ``r = 0`` the stacked influence functions agree unit by unit, so the
-    standard error is ``pipw``'s; they differ only at a minimum-norm fallback.
+    specified (Cui, Pu, Shi, Miao & Tchetgen Tchetgen 2023). With the
+    linear outcome bridge that is :func:`pipw`'s report, relabelled, with
+    its errors: the treatment bridge balances the bridge's features
+    (1, w, a, x), whose contrast is the balancing target ``e_a``, so the
+    estimate is ``pipw``'s minus ``gamma @ r(theta)``, with ``r(theta) =
+    mean((-1)^(1-A) q (1, w, a, x)) - e_a`` the balancing residual, which
+    is zero at every Newton root; there the stacked influence functions
+    agree unit by unit, so the standard error is ``pipw``'s. The two differ
+    only at a minimum-norm fallback, whose standard errors carry no
+    information. ``pdr`` gets code of its own back, the correction and the
+    outcome-bridge fit it reads, with an outcome bridge whose features the
+    treatment bridge does not balance.
     """
-    theta, q, (sign, feats, _, target) = _fit_once(_solve_treatment_bridges, ds)
-    gamma = _canonical_bridge_fit(ds).gamma_hat
-    ipw = _fit_once(_reweighting_reports, ds)
-    imbalance = q @ (sign[:, None] * feats) / ds.n - target
-    return EstimateReport(
-        method="pdr",
-        tau_hat=ipw.tau_hat - float(gamma @ imbalance),
-        se_tau=ipw.se_tau,
-        n=ds.n,
-        aux={"gamma_hat": gamma, "theta_hat": theta},
-    )
+    return replace(pipw(ds), method="pdr")

@@ -33,7 +33,7 @@ the bridge dimension p) an estimate does not depend on its weight (Hansen
 J⁻¹ΥJ⁻ᵀ, with no weight and no floor. :func:`_sieve_iv_fits`, the one
 builder of every outcome-bridge IV fit, is the identity-weight fit on the
 sieve's first k terms, kept per dataset, bridge and k: ``select_and_fit``
-reads it at K* = p, and ``rgmm``, ``p2sls`` and ``pdr`` at
+reads it at K* = p, and ``p2sls``, whose report ``rgmm`` relabels, at
 k = 2 + d_z + d_x, the terms (1, a, z, x), so with as many z as w proxies
 the two are one fit. The moment covariance is quadratic in the
 parameters, so an overidentified fit builds one O(n (K(p+1))²) Gram (:func:`_gram_moments`)
@@ -77,7 +77,7 @@ from .data import Dataset, _stack, _stack_arrays
 from .errors import (
     ProxiGmmError, RankDeficientJacobian, SingularVariance, TooFewMoments, _unless_error,
 )
-from .sieve import BasisMatrix, _bases, _orthonormal, orthonormalize
+from .sieve import BasisMatrix, _orthonormal_bases, orthonormalize
 
 SPECTRAL_FLOOR = 1e-8
 # Two-sided 5% normal critical value, the standard normal 0.975 quantile:
@@ -292,10 +292,10 @@ def _fit_each(fit, datasets: list[Dataset], *args) -> list:
     stack of one, bit for bit. A result is kept on its dataset
     (``Dataset._derived``), keyed by ``(fit, *args)``, and every later call
     with that dataset returns it: the kernel runs on the datasets that keep
-    nothing yet. So ``rgmm``, ``p2sls`` and ``pdr`` share the outcome-bridge
-    fit of a dataset (:func:`_sieve_iv_fits`), ``pipw`` and ``pdr`` its
-    treatment-bridge solve and ``pipw``'s report, and every moment system
-    of a bridge its features, for any caller that passes the same dataset,
+    nothing yet. So ``p2sls`` and ``rgmm`` share the outcome-bridge fit of
+    a dataset (:func:`_sieve_iv_fits`), ``pipw`` and ``pdr`` ``pipw``'s
+    report, which solves the treatment bridge, and every moment system of
+    a bridge its features, for any caller that passes the same dataset,
     and a Monte Carlo block fills them for all its datasets at once. What is
     kept is shared as it is, arrays included. A dataset whose fit gave an
     error keeps nothing, and neither does any dataset of a stack whose
@@ -833,9 +833,7 @@ def _sieve_iv_fits(datasets: list[Dataset], bridge: OutcomeBridge, k: int) -> li
     fit on the terms (1, a, z, x) share it when those are p terms, with as
     many z as w proxies.
     """
-    u, term_names, errors = _bases(datasets, k)
-    q, rank_errors = _orthonormal(u, term_names)
-    errors = [error or rank_error for error, rank_error in zip(errors, rank_errors)]
+    q, errors = _orthonormal_bases(datasets, k)
     if all(errors):
         return errors
     features = _Features.stack(_fit_each(_Features.build, datasets, bridge))

@@ -301,8 +301,8 @@ def select_and_fit(
     width the fit orthonormalizes the leading K* columns afresh. At K* = p
     the fit is the identity-weight fit on the first p sieve terms that the
     dataset keeps (``gmm._sieve_iv_fits``), which is that same fit bit for
-    bit and, with as many z as w proxies, the one ``rgmm``, ``p2sls`` and
-    ``pdr`` read on the terms (1, a, z, x); on a dataset no baseline has
+    bit and, with as many z as w proxies, the one ``p2sls`` and ``rgmm``
+    read on the terms (1, a, z, x); on a dataset no baseline has
     fitted, it builds the p-column basis once more. The bridge features
     are built once too: the scan and the fit read the ones the dataset
     keeps.

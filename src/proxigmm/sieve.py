@@ -267,6 +267,16 @@ def _orthonormal(u: np.ndarray, term_names: tuple[str, ...]) -> tuple[np.ndarray
     return q, errors
 
 
+def _orthonormal_bases(datasets: list[Dataset], k: int) -> tuple[np.ndarray, list]:
+    """:func:`orthonormalize` of :func:`build_basis` at ``k`` for every
+    dataset of ``datasets`` (:func:`_bases`, :func:`_orthonormal`): the
+    (B, n, k) stack, and per dataset ``None`` or the first error either
+    gives it, whose slice is then not meaningful."""
+    u, term_names, errors = _bases(datasets, k)
+    q, rank_errors = _orthonormal(u, term_names)
+    return q, [error or rank_error for error, rank_error in zip(errors, rank_errors)]
+
+
 def orthonormalize(b: BasisMatrix) -> BasisMatrix:
     """Rotate and rescale basis columns so their empirical second-moment
     matrix is I.

@@ -18,7 +18,7 @@ share its bridge fits because they share its dataset, which keeps them
 (``gmm._fit_each``). A serial call runs its replications in blocks of at
 most ``_BLOCK``: a block's datasets are generated together, and every fit
 the requested baselines share (``naive``'s regression, the outcome-bridge
-IV fit, the treatment-bridge solve and ``pipw``'s report) runs once over
+IV fit and ``pipw``'s report with its treatment-bridge solve) runs once over
 all of them as one stacked call, before the methods run replication by
 replication. A multi-worker call runs one replication per task, a block
 of one. The records are the same either way, bit for bit.
@@ -540,8 +540,9 @@ def _replication(config, methods, base_seed, k_bar, reps: range) -> list[dict]:
 def _share_fits(datasets: list[Dataset], methods: tuple[str, ...]) -> None:
     """Keep on each of ``datasets`` the fits that ``methods`` read, one
     stacked call per fit (``gmm._fit_each``): ``naive``'s regression, the
-    outcome-bridge IV fit of ``rgmm``, ``p2sls`` and ``pdr``, and the
-    treatment-bridge solve with ``pipw``'s report. Each dataset keeps what
+    outcome-bridge IV fit of ``p2sls`` and ``rgmm``, which relabels its
+    report, and ``pipw``'s report, which runs the treatment-bridge solve
+    and which ``pdr`` relabels. Each dataset keeps what
     its own call would make, bit for bit, and one whose fit gives an error
     keeps nothing, so its method raises that error into its record.
     ``gmm-div`` shares the IV fit only where its scan selects K* = p, which
@@ -549,7 +550,7 @@ def _share_fits(datasets: list[Dataset], methods: tuple[str, ...]) -> None:
     """
     if "naive" in methods:
         _fit_each(baselines._naive_reports, datasets)
-    if not {"rgmm", "p2sls", "pdr"}.isdisjoint(methods):
+    if not {"rgmm", "p2sls"}.isdisjoint(methods):
         _fit_each(_sieve_iv_fits, datasets, *baselines._canonical_fit_args(datasets[0]))
     if not {"pipw", "pdr"}.isdisjoint(methods):
         _fit_each(baselines._reweighting_reports, datasets)

@@ -141,13 +141,17 @@ def test_unequal_proxy_counts_are_a_numeric_failure(tmp_path, capsys):
     assert "need exactly 4 instruments" in capsys.readouterr().err
 
 
-def test_constant_instrument_is_a_numeric_failure(csv_path, tmp_path):
+@pytest.mark.parametrize("method", ["gmm-div", "pipw"])
+def test_constant_instrument_is_a_numeric_failure(method, csv_path, tmp_path, capsys):
+    # The sieve rejects a constant z, and the treatment bridge's design
+    # (1, z, a, x) spans the sieve's leading terms, so pipw rejects it too.
     ds = load_csv(str(csv_path), ROLES)
     flat = tmp_path / "flat.csv"
     write_csv(dataclasses.replace(ds, z=np.ones_like(ds.z)), str(flat))
-    code = main(["estimate", *_data_flags(flat), "--method", "gmm-div",
+    code = main(["estimate", *_data_flags(flat), "--method", method,
                  "--out-dir", str(tmp_path)])
     assert code == 4
+    assert "variable 'z1' is constant" in capsys.readouterr().err
 
 
 def test_simulate_reruns_are_byte_identical(tmp_path):

@@ -114,11 +114,12 @@ def test_records_drift_lists_the_first_changed_reps(capsys, monkeypatch):
         ["cell", "pipw", "12", "0", "0", "10", "0", "0", "0", "2.5e-01", "0.0e+00"],
     ]
     assert lines[2:5] == [
-        f"{'cell':<38}{'naive':<13}wild SE: 1 records, max|dtau| 1.0e+00, max|dSE|/SE 5.0e+00",
+        f"{'cell':<38}{'naive':<13}wild SE: 1 records, max|dtau| 1.0e+00, max|dSE|/SE 5.0e+00, "
+        "reps: 2",
         f"{'cell':<38}{'pipw':<13}wild SE, fallback: 1 records, max|dtau| 1.0e+00, "
-        "max|dSE|/SE 5.0e+00",
+        "max|dSE|/SE 5.0e+00, reps: 5",
         f"{'cell':<38}{'pipw':<13}wild SE, Newton root: 1 records, max|dtau| 0.0e+00, "
-        "max|dSE|/SE 0.0e+00",
+        "max|dSE|/SE 0.0e+00, reps: 8",
     ]
     assert lines[5:] == [
         f"{'cell':<38}{'naive':<13}changed reps: 0 1 2 3 4 5 6 7 8 9",
@@ -163,19 +164,31 @@ def test_records_drift_splits_gmm_div_by_the_k_star_of_the_tree_compared_against
     ]
 
 
-def test_records_drift_finds_the_wild_records_that_took_the_fallback():
+def test_records_drift_finds_the_wild_records_that_took_the_fallback(capsys, monkeypatch):
     # II/800 seed 3: Newton finds the root of rep 3, and no start reaches
     # one on rep 34, whose solve takes the minimum-norm fallback. With both
-    # SEs wild against ten ordinary ones, the fallback is rep 34 alone.
+    # SEs wild against ten ordinary ones, the fallback is rep 34 alone. Its
+    # line after the table lists it, and the Newton root's lists rep 3.
     drift = _script("records_drift")
     run = functools.partial(run_replications, ScenarioConfig("II", 800), ("pipw",), 1, 3)
     records = [
         {"rep": rep, "method": "pipw", "tau_hat": 1.0, "se_tau": 50.0 if rep in (3, 34) else 0.5,
-         "error": None}
+         "ci_lo": 0.0, "ci_hi": 2.0, "reject": True, "k_star": None, "error": None}
         for rep in (*range(11), 34)
     ]
-    assert drift.wild_fallbacks(run, records) == {34}
+    fallbacks = drift.wild_fallbacks(run, records)
+    assert fallbacks == {34}
     assert drift.fallback_reps(ScenarioConfig("II", 800), 3, [0, 3, 34]) == {34}
+    trees = iter([({"cell": records}, {"cell": fallbacks}), ({"cell": records}, {"cell": set()})])
+    monkeypatch.setattr(drift, "run_tree", lambda root, seed, reps: next(trees))
+    drift.main(["parent"])
+    wild = [line[38:] for line in capsys.readouterr().out.splitlines() if "wild SE" in line]
+    assert wild == [
+        f"{'pipw':<13}wild SE, fallback: 1 records, max|dtau| 0.0e+00, max|dSE|/SE 0.0e+00, "
+        "reps: 34",
+        f"{'pipw':<13}wild SE, Newton root: 1 records, max|dtau| 0.0e+00, max|dSE|/SE 0.0e+00, "
+        "reps: 3",
+    ]
 
 
 def test_polish_on_off_reports_both_arms(capsys):

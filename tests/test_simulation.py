@@ -611,21 +611,29 @@ def test_one_treatment_solve_per_replication(monkeypatch):
 
 
 def test_one_outcome_bridge_fit_per_replication(monkeypatch):
-    # rgmm, p2sls and pdr read one kept sieve IV fit, which a serial call
-    # runs for a block's datasets in one stacked call; gmm-div reads it too
-    # wherever it selects K* = p.
-    stacks = []
+    # rgmm and p2sls read one kept sieve IV fit, which a serial call runs
+    # for a block's datasets in one stacked call; gmm-div reads it too
+    # wherever it selects K* = p. pdr is pipw's report relabelled: alone
+    # it makes no IV fit, and its block forms one pipw report per dataset.
+    stacks, reports = [], []
     _stacked_items(monkeypatch, stacks, gmm._sieve_iv_fits, baselines, selection, simulation)
+    _stacked_items(monkeypatch, reports, baselines._reweighting_reports, baselines)
     methods = ("rgmm", "naive", "p2sls", "gmm-div", "pdr")
     run_replications(ScenarioConfig("II", 400), methods, 3, 0)
     fitted = [y for stack in stacks for y in stack]
     assert len(fitted) == 3 and len(set(fitted)) == 3
     assert [len(stack) for stack in stacks] == [3]
+    stacks.clear()
+    reports.clear()
+    run_replications(ScenarioConfig("II", 400), ("pdr",), 3, 0)
+    assert stacks == []
+    assert [len(stack) for stack in reports] == [3]
+    assert len({y for stack in reports for y in stack}) == 3
 
 
 def test_one_bridge_feature_build_per_replication(monkeypatch):
-    # gmm-div's scan, its fit at K* and the rgmm/pdr outcome-bridge fit all
-    # read the linear bridge's features, built once per replication, for a
+    # gmm-div's scan, its fit at K*, the rgmm outcome-bridge fit and the
+    # pdr treatment-bridge solve all read the linear bridge's features, built once per replication, for a
     # block's datasets in one stacked call.
     stacks = []
     real = gmm._Features.build
