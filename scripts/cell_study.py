@@ -15,6 +15,13 @@ t-statistic t = (tau_hat - tau)/SE (near 1 when the SE tracks the
 estimator's spread) and the binomial 95% band that a coverage of .95
 falls in at that many records. Each method that
 selects K then gets a line with its K* histogram.
+
+``--fixed-k 4,8,12`` adds one line per K, labelled ``K=4`` and so on:
+``gmm-div``'s fit at that fixed moment count on each replication's dataset
+(``fit_optimal`` on a fresh K-column basis, the fit ``select_and_fit``
+makes wherever it selects K* = K), so that a cell's n·MSE at the best fixed
+K can be set against the selected one. It runs after, and apart from,
+``run_replications``, whose records it leaves as they are.
 """
 
 from __future__ import annotations
@@ -24,7 +31,20 @@ import math
 
 from records_drift import _wild
 
-from proxigmm import DgpCoefficients, ScenarioConfig, k_histogram, run_replications
+from proxigmm import (
+    DgpCoefficients,
+    OutcomeBridge,
+    ProxiGmmError,
+    ScenarioConfig,
+    SieveSpec,
+    build_basis,
+    confidence_interval,
+    fit_optimal,
+    generate,
+    k_histogram,
+    orthonormalize,
+    run_replications,
+)
 from proxigmm.simulation import DEFAULT_K_BAR, METHODS
 
 # The nominal coverage of the intervals and the normal quantile of its band.
@@ -63,6 +83,26 @@ def summary(records: list[dict], n: int, tau0: float) -> dict:
     }
 
 
+def fixed_k_records(config: ScenarioConfig, k: int, reps: int, seed: int) -> list[dict]:
+    """``gmm-div``'s fit at the fixed moment count ``k`` on the dataset of
+    each of ``reps`` replications, as records with the fields ``summary``
+    reads; a fit that raises is recorded with its error."""
+    records = []
+    for rep in range(reps):
+        ds = generate(config, seed, rep)
+        bridge = OutcomeBridge.linear(ds.w.shape[1], ds.x.shape[1])
+        try:
+            fit = fit_optimal(ds, orthonormalize(build_basis(ds, SieveSpec(), k)), bridge)
+        except ProxiGmmError as exc:
+            records.append({"tau_hat": math.nan, "se_tau": math.nan, "ci_lo": math.nan,
+                            "ci_hi": math.nan, "error": f"{type(exc).__name__}: {exc}"})
+            continue
+        lo, hi = confidence_interval(fit)
+        records.append({"tau_hat": fit.tau_hat, "se_tau": fit.se_tau, "ci_lo": lo, "ci_hi": hi,
+                        "error": None})
+    return records
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("cell", help="SCENARIO/N, e.g. II/800")
@@ -70,6 +110,8 @@ def main(argv=None) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--reps", type=int, default=200)
     parser.add_argument("--k-bar", type=int, default=DEFAULT_K_BAR)
+    parser.add_argument("--fixed-k", default="",
+                        help="comma-separated moment counts: gmm-div's fit at each fixed K")
     opts = parser.parse_args(argv)
     scenario, n = opts.cell.split("/")
     config = ScenarioConfig(scenario, int(n))
@@ -80,6 +122,8 @@ def main(argv=None) -> None:
     print(f"{'method':<9}{'records':>8}{'failed':>7}{'wild':>5}{'bias':>9}{'SD':>8}"
           f"{'rootn*SD':>9}{'n*MSE':>8}{'coverage':>9}{'SD(t)':>7}  band")
     by_method = {m: [r for r in records if r["method"] == m] for m in methods}
+    for k in (int(k) for k in opts.fixed_k.split(",") if k):
+        by_method[f"K={k}"] = fixed_k_records(config, k, opts.reps, opts.seed)
     for method, recs in by_method.items():
         s = summary(recs, config.n, tau0)
         print(f"{method:<9}{s['records']:>8}{s['failed']:>7}{s['wild_se']:>5}{s['bias']:>+9.4f}"

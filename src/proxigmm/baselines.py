@@ -41,9 +41,11 @@ from .errors import (
     SingularVariance,
     _unless_error,
 )
-from .gmm import GmmFit, _Features, _fit_each, _fit_once, _one, _scaled_solve, _sieve_iv_fits
-from .gmm import _stacked, confidence_interval, wald_test
-from .sieve import _orthonormal_bases
+from .gmm import (
+    GmmFit, _Features, _fit_each, _fit_once, _kept, _one, _scaled_solve, _sieve_iv_fits, _stacked,
+    confidence_interval, wald_test,
+)
+from .sieve import _basis_errors
 
 _NEWTON_MAX_ITER = 50
 _NEWTON_TOL = 1e-10
@@ -459,8 +461,10 @@ def _solve_treatment_bridge(ds: Dataset):
     (:func:`_identification_error`), and a design the sieve accepts: (1, z,
     a, x) spans the sieve's first 2 + d_z + d_x terms, so a constant z or x
     raises :class:`DegenerateColumn` and one dependent on the others
-    :class:`RankDeficient`, in any units, as ``p2sls`` does
-    (:func:`sieve._orthonormal_bases`).
+    :class:`RankDeficient`, in any units, as ``p2sls`` does. A dataset
+    that keeps ``p2sls``'s fit has passed that check on the build of those
+    terms the fit read; another is checked on the R factor of their QR
+    alone (:func:`sieve._basis_errors`).
 
     Damped Newton runs from ``theta = 0`` and from the ``2^min(p-1, 3)``
     points with every coordinate ±0.5 that vary the signs of the up to
@@ -512,14 +516,21 @@ def _solve_treatment_bridges(datasets: list[Dataset]) -> list:
     # The datasets share their shapes, so they all pass or all fail this.
     out = [_identification_error(ds) for ds in datasets]
     if out[0] is None:
-        _, out = _orthonormal_bases(datasets, _canonical_fit_args(datasets[0])[1])
+        # A dataset that keeps its outcome-bridge IV fit on these terms has
+        # passed the sieve's checks on one build of them; the others are
+        # checked here.
+        args = _canonical_fit_args(datasets[0])
+        unchecked = [b for b, ds in enumerate(datasets) if not _kept(_sieve_iv_fits, ds, *args)]
+        if unchecked:
+            errors = _basis_errors([datasets[b] for b in unchecked], args[1])
+            for b, error in zip(unchecked, errors):
+                out[b] = error
     live = [b for b, error in enumerate(out) if error is None]
     if not live:
         return out
     datasets = [datasets[b] for b in live]
-    features = _fit_each(_Features.build, datasets, _linear_bridge(datasets[0]))
-    basis_c = _stack_arrays([f.feats for f in features])
-    target = _stack_arrays([f.contrast_mean for f in features])
+    features = _Features.stack(_fit_each(_Features.build, datasets, _linear_bridge(datasets[0])))
+    basis_c, target = features.feats, features.contrast_mean
     a = _stack(datasets, "a")
     basis_b = np.concatenate([
         np.ones((*a.shape, 1)), _stack(datasets, "z"), a[..., None], _stack(datasets, "x"),
@@ -570,7 +581,7 @@ def _solve_treatment_bridges(datasets: list[Dataset]) -> list:
                 )
     for i, b in enumerate(live):
         if not isinstance(solved[i], ProxiGmmError):
-            solved[i] = (*solved[i], (sign[i], features[i].feats, basis_b[i], target[i]))
+            solved[i] = (*solved[i], (sign[i], basis_c[i], basis_b[i], target[i]))
         out[b] = solved[i]
     return out
 

@@ -195,7 +195,8 @@ class _Features:
         a, x) alone, so the bridge's matrices of every dataset come from one
         call on all their rows; their column norms and means are one stacked
         reduction each. Each dataset gets what it would get alone, bit for
-        bit."""
+        bit: its slice of one stacked :class:`_Features`, which
+        :meth:`stack` of those slices returns without a copy."""
         count, n = len(datasets), datasets[0].n
         w, x = (_stack(datasets, name).reshape(count * n, -1) for name in "wx")
         a = _stack(datasets, "a").reshape(-1)
@@ -205,18 +206,30 @@ class _Features:
         scale = np.ones((count, feats.shape[2] + 1))
         scale[:, :-1] = np.linalg.norm(feats, axis=1) / np.sqrt(n)
         contrast_mean = contrast.mean(axis=1)
-        return [
-            cls(ds.y, feats[b], contrast[b], contrast_mean[b], scale[b])
-            for b, ds in enumerate(datasets)
-        ]
+        block = cls(_stack(datasets, "y"), feats, contrast, contrast_mean, scale)
+        rows = []
+        for b in range(count):
+            row = cls(*(getattr(block, field.name)[b] for field in fields(cls)))
+            # Not a field: the stack this row is a slice of, and its index.
+            object.__setattr__(row, "_of", (block, b))
+            rows.append(row)
+        return rows
 
     @classmethod
     def stack(cls, features: list[_Features]) -> _Features:
         """One :class:`_Features` whose arrays stack those of ``features``
         along a leading axis; an entry that is an error, from a bridge whose
-        features cannot be built, is raised."""
+        features cannot be built, is raised. When ``features`` are, in
+        order, every slice of one :meth:`build`, that build's stack is
+        returned as it is."""
         for f in features:
             _unless_error(f)
+        of = [getattr(f, "_of", (None, -1)) for f in features]
+        block = of[0][0]
+        if block is not None and len(block.y) == len(of) and all(
+            o[0] is block and o[1] == b for b, o in enumerate(of)
+        ):
+            return block
         return cls(*(
             _stack_arrays([getattr(f, field.name) for f in features]) for field in fields(cls)
         ))
@@ -294,7 +307,8 @@ def _fit_each(fit, datasets: list[Dataset], *args) -> list:
     with that dataset returns it: the kernel runs on the datasets that keep
     nothing yet. So ``p2sls`` and ``rgmm`` share the outcome-bridge fit of
     a dataset (:func:`_sieve_iv_fits`), ``pipw`` and ``pdr`` ``pipw``'s
-    report, which solves the treatment bridge, and every moment system of
+    report, which solves the treatment bridge, ``select_k`` and
+    ``select_and_fit`` the moment-count scan, and every moment system of
     a bridge its features, for any caller that passes the same dataset,
     and a Monte Carlo block fills them for all its datasets at once. What is
     kept is shared as it is, arrays included. A dataset whose fit gave an
@@ -325,6 +339,11 @@ def _fit_once(fit, ds: Dataset, *args):
     """:func:`_fit_each` of the one dataset ``ds``: its result, or its
     error raised."""
     return _one(_fit_each(fit, [ds], *args))
+
+
+def _kept(fit, ds: Dataset, *args) -> bool:
+    """Whether ``ds`` keeps a result of ``fit`` at ``args`` (:func:`_fit_each`)."""
+    return (fit, *args) in ds._derived
 
 
 def _one(results: list):

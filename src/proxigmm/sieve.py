@@ -243,19 +243,28 @@ def _orthonormal(u: np.ndarray, term_names: tuple[str, ...]) -> tuple[np.ndarray
     the (B, n, k) stack of orthonormal columns, and per basis ``None`` or
     its :class:`RankDeficient`, whose slice is then not meaningful. One
     stacked QR factorizes each basis as it would alone."""
-    n, k = u.shape[-2:]
+    n = u.shape[-2]
     q, r = np.linalg.qr(u / np.sqrt(n))
+    q *= np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0, -1.0, 1.0)[:, None, :]
+    q *= np.sqrt(n)
+    return q, _rank_errors(r, term_names)
+
+
+def _rank_errors(r: np.ndarray, term_names: tuple[str, ...]) -> list:
+    """Per basis ``None`` or the :class:`RankDeficient` that
+    :func:`orthonormalize` raises, from the R factors ``r`` of a stack of
+    bases' QRs."""
+    k = r.shape[-1]
     signed = np.diagonal(r, axis1=-2, axis2=-1)
-    q *= np.where(signed < 0, -1.0, 1.0)[:, None, :]
     # R has min(n, k) diagonal entries: columns past the n-th pivot on 0.
-    diag = np.zeros((u.shape[0], k))
+    diag = np.zeros((r.shape[0], k))
     diag[:, : signed.shape[-1]] = np.abs(signed)
     # R's leading block is the prefix's own R, so prefix k passes when
     # min(diag[:k]) >= tol * max(diag[:k]); once a prefix fails, all longer do.
     passes = (
         np.minimum.accumulate(diag, axis=-1) >= _RANK_TOL * np.maximum.accumulate(diag, axis=-1)
     )
-    errors: list = [None] * u.shape[0]
+    errors: list = [None] * r.shape[0]
     for b in np.flatnonzero(~passes[:, -1]):
         j = int(np.argmin(passes[b]))
         errors[b] = RankDeficient(
@@ -263,8 +272,7 @@ def _orthonormal(u: np.ndarray, term_names: tuple[str, ...]) -> tuple[np.ndarray
             f"columns (relative pivot {diag[b, j] / np.max(diag[b, : j + 1]):.2e})",
             full_rank_prefix=j,
         )
-    q *= np.sqrt(n)
-    return q, errors
+    return errors
 
 
 def _orthonormal_bases(datasets: list[Dataset], k: int) -> tuple[np.ndarray, list]:
@@ -275,6 +283,17 @@ def _orthonormal_bases(datasets: list[Dataset], k: int) -> tuple[np.ndarray, lis
     u, term_names, errors = _bases(datasets, k)
     q, rank_errors = _orthonormal(u, term_names)
     return q, [error or rank_error for error, rank_error in zip(errors, rank_errors)]
+
+
+def _basis_errors(datasets: list[Dataset], k: int) -> list:
+    """The errors of :func:`_orthonormal_bases` alone: per dataset ``None``
+    or the first error that :func:`build_basis` or :func:`orthonormalize`
+    at ``k`` gives it. The QR forms R only, which is the R of the full QR
+    bit for bit, as LAPACK computes both by one Householder
+    factorization."""
+    u, term_names, errors = _bases(datasets, k)
+    r = np.linalg.qr(u / np.sqrt(u.shape[-2]), mode="r")
+    return [error or rank_error for error, rank_error in zip(errors, _rank_errors(r, term_names))]
 
 
 def orthonormalize(b: BasisMatrix) -> BasisMatrix:

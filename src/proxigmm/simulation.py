@@ -17,11 +17,13 @@ scenario study and the misspecification study run one replication loop
 share its bridge fits because they share its dataset, which keeps them
 (``gmm._fit_each``). A serial call runs its replications in blocks of at
 most ``_BLOCK``: a block's datasets are generated together, and every fit
-the requested baselines share (``naive``'s regression, the outcome-bridge
-IV fit and ``pipw``'s report with its treatment-bridge solve) runs once over
-all of them as one stacked call, before the methods run replication by
-replication. A multi-worker call runs one replication per task, a block
-of one. The records are the same either way, bit for bit.
+the requested methods share (``naive``'s regression, the outcome-bridge
+IV fit, ``pipw``'s report with its treatment-bridge solve and
+``gmm-div``'s moment-count scan) runs once over all of them as one stacked
+call, before the methods run replication by replication; ``gmm-div``'s fit
+at the selected K* runs there, per dataset. A multi-worker call runs one
+replication per task, a block of one. The records are the same either
+way, bit for bit.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .bridges import DgpCoefficients, OutcomeBridge
 from .data import Dataset
 from .errors import DimensionMismatch, ProxiGmmError
 from .gmm import _fit_each, _sieve_iv_fits, confidence_interval, wald_test
-from .selection import select_and_fit
+from .selection import _scans, select_and_fit
 from .sieve import SieveSpec
 
 SCENARIOS = ("I", "II")
@@ -501,8 +503,7 @@ def _method_record(ds: Dataset, method: str, k_bar: int) -> dict:
     estimates."""
     try:
         if method == "gmm-div":
-            bridge = OutcomeBridge.linear(ds.w.shape[1], ds.x.shape[1])
-            estimate, diag = select_and_fit(ds, bridge, SieveSpec(), k_bar)
+            estimate, diag = select_and_fit(ds, *_scan_args(ds, k_bar))
             k_star = diag.k_star
         else:
             estimate, k_star = BASELINES[method](ds), None
@@ -519,17 +520,23 @@ def _method_record(ds: Dataset, method: str, k_bar: int) -> dict:
     }
 
 
+def _scan_args(ds: Dataset, k_bar: int) -> tuple[OutcomeBridge, SieveSpec, int]:
+    """The bridge, sieve and cap of ``gmm-div``'s moment-count scan on
+    datasets shaped like ``ds``."""
+    return OutcomeBridge.linear(ds.w.shape[1], ds.x.shape[1]), SieveSpec(), k_bar
+
+
 def _replication(config, methods, base_seed, k_bar, reps: range) -> list[dict]:
     """Records of the block of replications ``reps``: every method on each
     replication's one dataset, in replication order.
 
     The block's datasets are generated first, and each fit that the
-    requested baselines read is run for all of them as one stacked call
+    requested methods share is run for all of them as one stacked call
     (``_share_fits``). The methods then run replication by replication,
     and each reads what its dataset keeps.
     """
     datasets = [generate(config, base_seed, rep) for rep in reps]
-    _share_fits(datasets, methods)
+    _share_fits(datasets, methods, k_bar)
     return [
         {"rep": rep, "method": m, **_method_record(ds, m, k_bar)}
         for rep, ds in zip(reps, datasets)
@@ -537,16 +544,18 @@ def _replication(config, methods, base_seed, k_bar, reps: range) -> list[dict]:
     ]
 
 
-def _share_fits(datasets: list[Dataset], methods: tuple[str, ...]) -> None:
+def _share_fits(datasets: list[Dataset], methods: tuple[str, ...], k_bar: int) -> None:
     """Keep on each of ``datasets`` the fits that ``methods`` read, one
     stacked call per fit (``gmm._fit_each``): ``naive``'s regression, the
     outcome-bridge IV fit of ``p2sls`` and ``rgmm``, which relabels its
-    report, and ``pipw``'s report, which runs the treatment-bridge solve
-    and which ``pdr`` relabels. Each dataset keeps what
+    report, ``pipw``'s report, which runs the treatment-bridge solve
+    and which ``pdr`` relabels, and ``gmm-div``'s moment-count scan up to
+    ``k_bar`` (``selection._scans``). Each dataset keeps what
     its own call would make, bit for bit, and one whose fit gives an error
     keeps nothing, so its method raises that error into its record.
-    ``gmm-div`` shares the IV fit only where its scan selects K* = p, which
-    is not known before the scan, so nothing is filled for it alone.
+    ``gmm-div``'s fit at the selected K* runs per dataset, in its record;
+    it reads the kept scan, and at K* = p the kept IV fit where ``p2sls``
+    or ``rgmm`` made one.
     """
     if "naive" in methods:
         _fit_each(baselines._naive_reports, datasets)
@@ -554,6 +563,8 @@ def _share_fits(datasets: list[Dataset], methods: tuple[str, ...]) -> None:
         _fit_each(_sieve_iv_fits, datasets, *baselines._canonical_fit_args(datasets[0]))
     if not {"pipw", "pdr"}.isdisjoint(methods):
         _fit_each(baselines._reweighting_reports, datasets)
+    if "gmm-div" in methods:
+        _fit_each(_scans, datasets, *_scan_args(datasets[0], k_bar))
 
 
 def run_replications(
@@ -572,8 +583,9 @@ def run_replications(
     An unknown method, or one named twice, raises :class:`DimensionMismatch`.
     ``threads`` is the number of worker processes the replications run in
     (see ``_replicate``), at least 1. A serial call runs the replications
-    in blocks of at most ``_BLOCK``, and each block's shared baseline fits
-    as one stacked call per fit; a worker runs one replication per task.
+    in blocks of at most ``_BLOCK``, and each block's shared fits, the
+    baselines' and ``gmm-div``'s moment-count scan, as one stacked call per
+    fit; a worker runs one replication per task.
     Neither affects anything but speed: the records and their order are
     identical for any count and any blocking, and warnings raised in a
     worker are emitted in this process.

@@ -775,3 +775,20 @@ def test_a_raw_basis_is_orthonormalized_first(fit, scenario2_ds, linear_bridge):
     got = fit(scenario2_ds, raw, linear_bridge)
     want = fit(scenario2_ds, _basis(scenario2_ds, 6), linear_bridge)
     assert got.tau_hat == want.tau_hat and got.se_tau == want.se_tau
+
+
+def test_the_features_of_one_build_stack_without_a_copy(linear_bridge):
+    # _Features.stack of every row of one build, in order, is that build's
+    # stack; any other list of rows is copied into a stack of equal values.
+    datasets = [generate(ScenarioConfig("II", 400), 11, rep) for rep in range(3)]
+    rows = gmm._Features.build(datasets, linear_bridge)
+    block = gmm._Features.stack(rows)
+    for b, row in enumerate(rows):
+        for name in ("y", "feats", "contrast", "contrast_mean", "scale"):
+            assert np.shares_memory(getattr(block, name), getattr(row, name))
+            np.testing.assert_array_equal(getattr(block, name)[b], getattr(row, name))
+        np.testing.assert_array_equal(row.y, datasets[b].y)
+    for subset in (rows[::-1], rows[:2]):
+        copied = gmm._Features.stack(subset)
+        assert not np.shares_memory(copied.feats, block.feats)
+        np.testing.assert_array_equal(copied.feats, np.stack([row.feats for row in subset]))

@@ -224,3 +224,21 @@ def test_cell_study_prints_one_line_per_method(capsys):
     assert histogram == "gmm-div K*: " + " ".join(
         f"{k}:{ks.count(k)}" for k in sorted(set(ks))
     )
+
+
+def test_cell_study_fixed_k_adds_one_line_per_count(capsys):
+    # gmm-div's fit at each fixed K: on II/800 seed 3, reps 0 and 1 both
+    # select K* = 12, so the K=12 line reads gmm-div's, and its records are
+    # gmm-div's bit for bit. Nothing run_replications records moves.
+    study = _script("cell_study")
+    study.main(["II/800", "--seed", "3", "--reps", "2", "--methods", "gmm-div",
+                "--fixed-k", "4,12"])
+    _, _, selected, at_4, at_12, histogram = capsys.readouterr().out.splitlines()
+    assert histogram == "gmm-div K*: 12:2"
+    assert at_4.split()[:4] == ["K=4", "2", "0", "0"]
+    assert at_12.split()[1:] == selected.split()[1:]
+    records = run_replications(ScenarioConfig("II", 800), ("gmm-div",), 2, 3)
+    fixed = study.fixed_k_records(ScenarioConfig("II", 800), 12, 2, 3)
+    assert [(r["tau_hat"], r["se_tau"]) for r in fixed] == [
+        (r["tau_hat"], r["se_tau"]) for r in records
+    ]

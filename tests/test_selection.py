@@ -10,6 +10,7 @@ residual of the widest fit), written out here.
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from helpers import one_candidate_criterion
 from proxigmm import gmm, selection, sieve
 from proxigmm.bridges import OutcomeBridge
 from proxigmm.data import Dataset
-from proxigmm.errors import AllCandidatesSingular, DimensionMismatch, RankDeficient
+from proxigmm.errors import (
+    AllCandidatesSingular, DegenerateColumn, DimensionMismatch, RankDeficient,
+)
 from proxigmm.gmm import fit_initial, fit_optimal
 from proxigmm.selection import (
     _criterion,
@@ -502,3 +505,94 @@ class TestSelectAndFit:
             diag = select_k(ds, BRIDGE, SieveSpec(), k_bar=12)
             hits += diag.k_star == 4
         assert hits / reps >= 0.5
+
+
+def _mixed_block(n=120, seed=40):
+    """Four datasets of one shape that scan differently at k_bar 8: a clean
+    one; one whose three-valued z makes z^3 (column 7) dependent, so it
+    scans the 6-column prefix; one whose z is constant (DegenerateColumn);
+    and one whose outcome is a million times larger, whose Υ alone the
+    patch of :func:`_failing_beyond` lets factor only in its leading 5×5
+    block."""
+    rng = np.random.default_rng(seed)
+
+    def draw(z):
+        x, w = rng.normal(size=n), rng.normal(size=n)
+        a = (rng.random(n) < 0.5).astype(float)
+        y = 1.0 + 0.5 * a + w + x + 0.3 * rng.normal(size=n) * (1.0 + x**2)
+        return Dataset(y=y, a=a, z=z.reshape(-1, 1), w=w.reshape(-1, 1), x=x.reshape(-1, 1))
+
+    clean = draw(rng.normal(size=n))
+    short = draw(np.tile([-1.0, 0.0, 2.0], n // 3))
+    constant = draw(np.full(n, 2.0))
+    loud = draw(rng.normal(size=n))
+    loud = dataclasses.replace(loud, y=1e6 * loud.y)
+    return [clean, short, constant, loud]
+
+
+def _failing_beyond(j, real=np.linalg.cholesky):
+    """``np.linalg.cholesky`` failing, as LAPACK does for the whole stack,
+    whenever a matrix wider than ``j`` has a leading entry above 1e6: only
+    the outcome-scaled dataset of :func:`_mixed_block` has one."""
+    def cholesky(a):
+        a = np.asarray(a)
+        if a.shape[-1] > j and np.any(a[..., 0, 0] > 1e6):
+            raise np.linalg.LinAlgError("injected")
+        return real(a)
+
+    return cholesky
+
+
+class TestStackedScan:
+    def test_each_dataset_of_a_block_scans_as_it_does_alone(self, monkeypatch):
+        # One stacked scan over the block gives each dataset the
+        # diagnostics, K*, estimate and SE of its own call, bit for bit,
+        # and a failing dataset its own error.
+        monkeypatch.setattr(np.linalg, "cholesky", _failing_beyond(5))
+        block = _mixed_block()
+        scans = gmm._fit_each(selection._scans, block, BRIDGE, SieveSpec(), 8)
+        assert isinstance(scans[2], DegenerateColumn)
+        for ds, scan in zip(block, scans):
+            alone = dataclasses.replace(ds)
+            if isinstance(scan, Exception):
+                with pytest.raises(type(scan), match=re.escape(str(scan))):
+                    select_k(alone, BRIDGE, SieveSpec(), 8)
+                with pytest.raises(type(scan), match=re.escape(str(scan))):
+                    select_and_fit(ds, BRIDGE, SieveSpec(), 8)
+                continue
+            want_fit, want = select_and_fit(alone, BRIDGE, SieveSpec(), 8)
+            got_fit, got = select_and_fit(ds, BRIDGE, SieveSpec(), 8)
+            assert got is scan[0]
+            assert got.k_star == want.k_star
+            for name in ("scores", "bias_terms", "variance_terms"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            assert (got_fit.tau_hat, got_fit.se_tau) == (want_fit.tau_hat, want_fit.se_tau)
+            np.testing.assert_array_equal(got_fit.se_gamma, want_fit.se_gamma)
+        clean, short, loud = (scans[b][0].scores for b in (0, 1, 3))
+        assert np.isfinite(clean).all()
+        # K = 4..6 on the 6-column prefix, and K = 4, 5 on Υ's 5×5 block.
+        assert np.isfinite(short[:3]).all() and np.isinf(short[3:]).all()
+        assert np.isfinite(loud[:2]).all() and np.isinf(loud[2:]).all()
+        assert [scans[b][2].u.shape[1] for b in (0, 1, 3)] == [8, 6, 8]
+
+    def test_a_failed_stacked_svd_is_retried_per_dataset(self, monkeypatch):
+        # The candidates' SVD fails for any stack of more than one dataset,
+        # and for the outcome-scaled dataset alone. The two datasets that
+        # scan 8 columns are then scanned one at a time: the clean one as
+        # it is alone, the scaled one to AllCandidatesSingular. The dataset
+        # that scans 6 columns is a stack of its own and is not touched.
+        clean, short, _, loud = _mixed_block()
+        want = [select_k(dataclasses.replace(ds), BRIDGE, SieveSpec(), 8) for ds in (clean, short)]
+        real = gmm._scaled_solve
+
+        def scaled_solve(scaled, rhs, scale, n, error):
+            if scaled.shape[0] > 5 or np.abs(rhs).max() > 1e4:
+                raise error("injected")
+            return real(scaled, rhs, scale, n, error)
+
+        monkeypatch.setattr(gmm, "_scaled_solve", scaled_solve)
+        scans = gmm._fit_each(selection._scans, [clean, loud, short], BRIDGE, SieveSpec(), 8)
+        assert isinstance(scans[1], AllCandidatesSingular)
+        for scan, alone in zip((scans[0], scans[2]), want):
+            for name in ("scores", "bias_terms", "variance_terms"):
+                np.testing.assert_array_equal(getattr(scan[0], name), getattr(alone, name))

@@ -259,3 +259,34 @@ class TestDegenerateInputs:
         base = build_basis(ds, SieveSpec(), 8)
         scaled = build_basis(replace(ds, z=scale * ds.z, x=scale * ds.x), SieveSpec(), 8)
         np.testing.assert_allclose(scaled.u, base.u, rtol=1e-12, atol=1e-12)
+
+
+def test_the_r_only_check_gives_the_errors_of_the_full_qr():
+    # The treatment-bridge solve's design check forms R alone. It finds, in
+    # each dataset of a stack, the error build_basis and orthonormalize
+    # give it, and its R is the full QR's bit for bit.
+    from dataclasses import replace
+
+    ds = make_gaussian_dataset(n=40, seed=3)
+    stack = [
+        ds,
+        replace(ds, z=np.full_like(ds.z, 2.0)),
+        replace(ds, z=2.0 * ds.x + 1.0),
+        replace(ds, z=np.tile([-1.0, 0.0, 2.0, 1.0], 10).reshape(-1, 1)),
+    ]
+    for k in (4, 8):
+        got = sieve._basis_errors(stack, k)
+        _, want = sieve._orthonormal_bases(stack, k)
+        assert [type(e) for e in got] == [type(e) for e in want]
+        assert [str(e) for e in got] == [str(e) for e in want]
+        for one, error in zip(stack, got):
+            if error is None:
+                orthonormalize(build_basis(one, SieveSpec(), k))
+            else:
+                with pytest.raises(type(error), match=re.escape(str(error))):
+                    orthonormalize(build_basis(one, SieveSpec(), k))
+    assert [type(e).__name__ for e in sieve._basis_errors(stack, 8)] == [
+        "NoneType", "DegenerateColumn", "RankDeficient", "NoneType",
+    ]
+    u = sieve._bases(stack, 8)[0] / np.sqrt(40)
+    np.testing.assert_array_equal(np.linalg.qr(u, mode="r"), np.linalg.qr(u)[1])

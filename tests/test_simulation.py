@@ -30,7 +30,7 @@ from proxigmm import (
     select_and_fit,
     summarize,
 )
-from proxigmm import baselines, gmm, selection, simulation
+from proxigmm import baselines, gmm, selection, sieve, simulation
 from proxigmm.errors import DimensionMismatch, RankDeficient, SingularSystem
 from proxigmm.simulation import DEFAULT_K_BAR, METHODS
 
@@ -631,6 +631,35 @@ def test_one_outcome_bridge_fit_per_replication(monkeypatch):
     assert len({y for stack in reports for y in stack}) == 3
 
 
+def test_one_moment_count_scan_per_replication(monkeypatch):
+    # gmm-div reads one kept scan, which a serial call runs for a block's
+    # datasets in one stacked call; a call without gmm-div scans nothing.
+    stacks = []
+    _stacked_items(monkeypatch, stacks, selection._scans, selection, simulation)
+    run_replications(ScenarioConfig("II", 400), ("naive", "gmm-div", "p2sls"), 3, 0)
+    assert [len(stack) for stack in stacks] == [3]
+    assert len({y for stack in stacks for y in stack}) == 3
+    stacks.clear()
+    run_replications(ScenarioConfig("II", 400), ("naive", "p2sls", "pipw"), 3, 0)
+    assert stacks == []
+
+
+@pytest.mark.parametrize(
+    "methods, qr_with_q", [(("p2sls", "pipw"), 1), (("pipw", "pdr"), 0)], ids=["iv-and-solve", "solve"]
+)
+def test_one_sieve_basis_build_per_replication(monkeypatch, methods, qr_with_q):
+    # The treatment-bridge solve's design check reads the sieve basis on
+    # (1, a, z, x) that the IV fit of the same block built and factored;
+    # without an IV fit it builds that basis once and forms R alone.
+    builds, factored = [], []
+    _stacked_items(monkeypatch, builds, sieve._bases, sieve)
+    real = sieve._orthonormal
+    monkeypatch.setattr(sieve, "_orthonormal", lambda u, names: factored.append(1) or real(u, names))
+    run_replications(ScenarioConfig("II", 400), methods, 3, 0)
+    assert [len(stack) for stack in builds] == [3]
+    assert len(factored) == qr_with_q
+
+
 def test_one_bridge_feature_build_per_replication(monkeypatch):
     # gmm-div's scan, its fit at K*, the rgmm outcome-bridge fit and the
     # pdr treatment-bridge solve all read the linear bridge's features, built once per replication, for a
@@ -652,13 +681,14 @@ def test_no_stack_exceeds_a_block(monkeypatch):
     # A serial call of 7 replications in blocks of 3 stacks each shared fit
     # over 3, 3 and 1 datasets, and fits each replication once.
     monkeypatch.setattr(simulation, "_BLOCK", 3)
-    stacks = {name: [] for name in ("naive", "iv", "solve", "report")}
+    stacks = {name: [] for name in ("naive", "iv", "solve", "report", "scan")}
     _stacked_items(monkeypatch, stacks["naive"], baselines._naive_reports, baselines)
     _stacked_items(
         monkeypatch, stacks["iv"], gmm._sieve_iv_fits, baselines, selection, simulation
     )
     _stacked_items(monkeypatch, stacks["solve"], baselines._solve_treatment_bridges, baselines)
     _stacked_items(monkeypatch, stacks["report"], baselines._reweighting_reports, baselines)
+    _stacked_items(monkeypatch, stacks["scan"], selection._scans, selection, simulation)
     run_replications(ScenarioConfig("I", 400), METHODS, 7, 0)
     for name, calls in stacks.items():
         assert [len(stack) for stack in calls] == [3, 3, 1], name
